@@ -21,7 +21,7 @@ from repro.core.estimation import (
     estimate_statistics,
 )
 from repro.core.gkmv import ThresholdSketch
-from repro.core.joined_sample import JoinedSample, join_sketches
+from repro.core.joined_sample import JoinedSample, JoinedSamplePage, join_sketches
 from repro.core.multiaggregate import MultiAggregateSketch
 from repro.core.multicolumn import MultiColumnSketch
 from repro.core.sketch import CorrelationSketch
@@ -37,6 +37,7 @@ __all__ = [
     "CorrelationSketch",
     "EstimateResult",
     "JoinedSample",
+    "JoinedSamplePage",
     "MultiAggregateSketch",
     "MultiColumnSketch",
     "RANGE_PRESERVING_AGGREGATES",

@@ -30,6 +30,7 @@ Two join implementations share these semantics:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,115 @@ class JoinedSample:
         if not lows or not highs:
             return (np.nan, np.nan)
         return (min(lows), max(highs))
+
+
+@dataclass(frozen=True, eq=False)
+class JoinedSamplePage(Sequence):
+    """Many joined samples in one CSR block: a ``Sequence[JoinedSample]``.
+
+    Sample ``i`` owns ``indptr[i]:indptr[i + 1]`` of the page-level
+    ``key_hashes`` / ``x`` / ``y`` arrays and row ``i`` of the two
+    ``(n, 2)`` range arrays. Batch consumers (scoring, the PM1 bootstrap)
+    read the arrays directly; indexing builds a zero-copy
+    :class:`JoinedSample` view on demand, so a page costs no
+    per-candidate objects until somebody asks for one.
+    """
+
+    key_hashes: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    indptr: np.ndarray
+    x_ranges: np.ndarray
+    y_ranges: np.ndarray
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[JoinedSample]) -> "JoinedSamplePage":
+        """Lower a plain sample list to the CSR form."""
+        if isinstance(samples, cls):
+            return samples
+        count = len(samples)
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(
+            np.asarray([s.size for s in samples], dtype=np.int64),
+            out=indptr[1:],
+        )
+
+        def column(name: str, dtype) -> np.ndarray:
+            if not count:
+                return np.empty(0, dtype=dtype)
+            return np.concatenate([getattr(s, name) for s in samples])
+
+        def ranges(name: str) -> np.ndarray:
+            return np.asarray(
+                [getattr(s, name) for s in samples], dtype=np.float64
+            ).reshape(count, 2)
+
+        return cls(
+            key_hashes=column("key_hashes", np.uint64),
+            x=column("x", np.float64),
+            y=column("y", np.float64),
+            indptr=indptr,
+            x_ranges=ranges("x_range"),
+            y_ranges=ranges("y_range"),
+        )
+
+    @classmethod
+    def concat(cls, pages: Sequence["JoinedSamplePage"]) -> "JoinedSamplePage":
+        """The pages' samples back to back (one page is returned as is)."""
+        if len(pages) == 1:
+            return pages[0]
+        if not pages:
+            return cls.from_samples([])
+        ends = np.cumsum([page.indptr[-1] for page in pages])
+        indptr = np.concatenate(
+            [pages[0].indptr]
+            + [page.indptr[1:] + end for page, end in zip(pages[1:], ends)]
+        )
+        return cls(
+            key_hashes=np.concatenate([page.key_hashes for page in pages]),
+            x=np.concatenate([page.x for page in pages]),
+            y=np.concatenate([page.y for page in pages]),
+            indptr=indptr,
+            x_ranges=np.concatenate([page.x_ranges for page in pages]),
+            y_ranges=np.concatenate([page.y_ranges for page in pages]),
+        )
+
+    def take(self, rows: np.ndarray) -> "JoinedSamplePage":
+        """The samples at ``rows``, in that order, as a new page."""
+        sizes = self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        # Element j of output segment i comes from indptr[rows[i]] + j.
+        gather = np.arange(indptr[-1], dtype=np.int64) + np.repeat(
+            self.indptr[rows] - indptr[:-1], sizes
+        )
+        return JoinedSamplePage(
+            key_hashes=self.key_hashes[gather],
+            x=self.x[gather],
+            y=self.y[gather],
+            indptr=indptr,
+            x_ranges=self.x_ranges[rows],
+            y_ranges=self.y_ranges[rows],
+        )
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Per-sample pair counts."""
+        return np.diff(self.indptr)
+
+    def __len__(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    def __getitem__(self, index: int) -> JoinedSample:
+        index = range(len(self))[index]  # bounds check, negative indices
+        start, end = self.indptr[index], self.indptr[index + 1]
+        return JoinedSample(
+            key_hashes=self.key_hashes[start:end],
+            x=self.x[start:end],
+            y=self.y[start:end],
+            x_range=tuple(self.x_ranges[index].tolist()),
+            y_range=tuple(self.y_ranges[index].tolist()),
+        )
 
 
 def join_sketches(left: CorrelationSketch, right: CorrelationSketch) -> JoinedSample:

@@ -13,6 +13,7 @@ from repro.correlation.bootstrap import (
     pm1_bootstrap,
     pm1_interval,
     pm1_interval_batch,
+    pm1_interval_page,
 )
 from repro.correlation.estimators import (
     ESTIMATORS,
@@ -51,6 +52,7 @@ __all__ = [
     "pm1_bootstrap",
     "pm1_interval",
     "pm1_interval_batch",
+    "pm1_interval_page",
     "population_reference",
     "qn_correlation",
     "qn_scale",

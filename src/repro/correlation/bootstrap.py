@@ -25,8 +25,9 @@ Two execution strategies share these semantics:
   resamples one ``(x, y)`` sample at a time, vectorizing internally over
   replicates — the reference implementation and the ``rng_mode="compat"``
   contract of the query engine (bit-reproducible rng stream);
-* the **cross-candidate batch engine** (:func:`pm1_interval_batch`)
-  resamples *all* candidates of a ranked list together: each stopping
+* the **cross-candidate batch engine** (:func:`pm1_interval_page` over a
+  CSR page of samples; :func:`pm1_interval_batch` is its list-shaped
+  entry) resamples *all* candidates of a ranked list together: each stopping
   round draws one shared uniform matrix, scales it into per-candidate
   index draws, and evaluates every active candidate's replicates as one
   chunked ``(C, B, n_max)`` masked tensor pass. Adaptive stopping (the
@@ -243,6 +244,69 @@ def pm1_interval_batch(
 ) -> list[BootstrapResult]:
     """PM1 bootstrap intervals for a whole candidate list in one engine run.
 
+    The list-shaped face of :func:`pm1_interval_page`: the samples are
+    laid back to back (CSR) and resampled by that one engine, so both
+    entries return identical statistics for identical samples and rng.
+
+    Args:
+        xs, ys: per-candidate paired samples (1-D float arrays).
+        rng: shared generator; a fixed-seed default is used when None so
+            identical calls reproduce identical results.
+        active: optional per-candidate eligibility mask. Ineligible
+            candidates (and, when None, candidates with fewer than 2 pairs
+            or an undefined Pearson correlation — the scalar path's guard)
+            get the NaN :class:`BootstrapResult`.
+        round_replicates, max_replicates, chunk_elements: as in
+            :func:`pm1_interval_page`.
+    """
+    count = len(xs)
+    if len(ys) != count:
+        raise ValueError(f"{count} x samples but {len(ys)} y samples")
+    if active is None:
+        active = [
+            xs[i].shape[0] >= 2 and not math.isnan(pearson(xs[i], ys[i]))
+            for i in range(count)
+        ]
+    elif len(active) != count:
+        raise ValueError(f"{count} samples but {len(active)} active flags")
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(
+        np.asarray([x.shape[0] for x in xs], dtype=np.int64), out=indptr[1:]
+    )
+    empty = [np.empty(0, dtype=np.float64)]
+    estimate, low, high, replicates = pm1_interval_page(
+        np.concatenate(empty + [np.asarray(x, dtype=np.float64) for x in xs]),
+        np.concatenate(empty + [np.asarray(y, dtype=np.float64) for y in ys]),
+        indptr,
+        active,
+        rng,
+        round_replicates=round_replicates,
+        max_replicates=max_replicates,
+        chunk_elements=chunk_elements,
+    )
+    return [
+        BootstrapResult(math.nan, math.nan, math.nan, b)
+        if math.isnan(est)
+        else BootstrapResult(est, lo, hi, b)
+        for est, lo, hi, b in zip(
+            estimate.tolist(), low.tolist(), high.tolist(), replicates.tolist()
+        )
+    ]
+
+
+def pm1_interval_page(
+    x: np.ndarray,
+    y: np.ndarray,
+    indptr: np.ndarray,
+    active: Sequence[bool],
+    rng: np.random.Generator | None = None,
+    *,
+    round_replicates: int = BATCH_ROUND_REPLICATES,
+    max_replicates: int = PM1_REPLICATES,
+    chunk_elements: int = 1 << 21,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """PM1 bootstrap intervals for a CSR page of samples, as columns.
+
     The cross-candidate fast path behind the query engine's
     ``rng_mode="batched"``. Instead of resampling each candidate's sample
     through its own 599-replicate :func:`pm1_interval`, all candidates are
@@ -270,51 +334,49 @@ def pm1_interval_batch(
     rng stream — and deterministic for a given ``rng``.
 
     Args:
-        xs, ys: per-candidate paired samples (1-D float arrays).
+        x, y: page-level paired values (float64); candidate ``i`` owns
+            ``indptr[i]:indptr[i + 1]`` of both.
+        indptr: CSR segment bounds, ``count + 1`` entries.
+        active: per-candidate eligibility mask. Ineligible and empty
+            candidates keep the NaN result.
         rng: shared generator; a fixed-seed default is used when None so
             identical calls reproduce identical results.
-        active: optional per-candidate eligibility mask. Ineligible
-            candidates (and, when None, candidates with fewer than 2 pairs
-            or an undefined Pearson correlation — the scalar path's guard)
-            get the NaN :class:`BootstrapResult`.
         round_replicates: replicates drawn per stopping round (also the
             minimum pool size before the stopping rule may fire).
         max_replicates: replicate cap per candidate (default: the 599 of
             Wilcox's ``pcorb``).
         chunk_elements: bound on elements per ``(C_chunk, B, n_max)``
             tensor, limiting peak memory for large candidate pages.
+
+    Returns:
+        ``(estimate, low, high, replicates)`` columns aligned with the
+        page's candidates — NaN (0 replicates) where nothing was drawn.
     """
-    count = len(xs)
-    if len(ys) != count:
-        raise ValueError(f"{count} x samples but {len(ys)} y samples")
     if not 0 < round_replicates <= max_replicates:
         raise ValueError(
             f"round_replicates must be in (0, {max_replicates}], "
             f"got {round_replicates}"
         )
-    results = [
-        BootstrapResult(math.nan, math.nan, math.nan, 0) for _ in range(count)
-    ]
-    if active is None:
-        active = [
-            xs[i].shape[0] >= 2 and not math.isnan(pearson(xs[i], ys[i]))
-            for i in range(count)
-        ]
-    elif len(active) != count:
-        raise ValueError(f"{count} samples but {len(active)} active flags")
+    count = indptr.shape[0] - 1
+    estimate = np.full(count, math.nan)
+    low = np.full(count, math.nan)
+    high = np.full(count, math.nan)
+    replicates = np.zeros(count, dtype=np.int64)
+    results = estimate, low, high, replicates
+    sizes = np.diff(indptr)
     # Zero-length samples keep the NaN result directly (their padded rows
     # would only produce degenerate replicates anyway).
-    sel = [i for i in range(count) if active[i] and xs[i].shape[0] > 0]
-    if not sel:
+    sel = np.nonzero(np.asarray(active, dtype=bool) & (sizes > 0))[0]
+    if not sel.size:
         return results
     # Process candidates in ascending sample-size order: each chunk then
     # pads to its own (near-uniform) local maximum instead of the global
     # one, so ragged candidate pages waste almost no tensor work.
-    sel.sort(key=lambda i: xs[i].shape[0])
+    sel = sel[np.argsort(sizes[sel], kind="stable")]
     if rng is None:
         rng = np.random.default_rng(0x5EEDB007)
 
-    n_arr = np.asarray([int(xs[i].shape[0]) for i in sel], dtype=np.int64)
+    n_arr = sizes[sel]
     n_max = int(n_arr.max())
     # Padded dense samples with a dedicated all-zeros column at n_max:
     # masked index positions point there, so unweighted sums are exact.
@@ -322,20 +384,20 @@ def pm1_interval_batch(
     # normalization keep the one-pass moments well-conditioned, and the
     # ~1e-5 r error this costs is orders of magnitude below bootstrap
     # replicate noise — while halving the memory traffic of the hot loop.
-    # Prep is itself segment-vectorized (reduceat over the concatenated
-    # samples) so large candidate pages pay no per-candidate Python cost.
+    # Prep is itself segment-vectorized (one gather of the selected
+    # segments, then reduceat) so large candidate pages pay no
+    # per-candidate Python cost.
     padded_x = np.zeros((len(sel), n_max + 1), dtype=np.float32)
     padded_y = np.zeros((len(sel), n_max + 1), dtype=np.float32)
     starts = np.zeros(len(sel), dtype=np.int64)
     np.cumsum(n_arr[:-1], out=starts[1:])
-    flat_positions = (
-        np.arange(int(n_arr.sum())) - np.repeat(starts, n_arr)
-        + np.repeat(np.arange(len(sel)) * (n_max + 1), n_arr)
+    within = np.arange(int(n_arr.sum())) - np.repeat(starts, n_arr)
+    flat_positions = within + np.repeat(
+        np.arange(len(sel)) * (n_max + 1), n_arr
     )
-    for padded, columns in ((padded_x, xs), (padded_y, ys)):
-        concat = np.concatenate(
-            [np.asarray(columns[i], dtype=np.float64) for i in sel]
-        )
+    gather = within + np.repeat(indptr[sel], n_arr)
+    for padded, column in ((padded_x, x), (padded_y, y)):
+        concat = column[gather]
         means = np.add.reduceat(concat, starts) / n_arr
         centered = concat - np.repeat(means, n_arr)
         # Pearson's r is scale-invariant; normalizing by the max |value|
@@ -353,7 +415,10 @@ def pm1_interval_batch(
     width = n_max + 1
     if len(sel) * width > 2**31 - 1:
         for i in sel:
-            results[i] = pm1_interval(xs[i], ys[i], rng=rng)
+            segment = slice(indptr[i], indptr[i + 1])
+            boot = pm1_interval(x[segment], y[segment], rng=rng)
+            estimate[i], low[i], high[i] = boot.estimate, boot.low, boot.high
+            replicates[i] = boot.replicates
         return results
     flat_x = padded_x.reshape(-1)
     flat_y = padded_y.reshape(-1)
@@ -451,15 +516,12 @@ def pm1_interval_batch(
         )
         pool = pool[~np.isnan(pool)]
         b = pool.shape[0]
+        replicates[i] = b
         if b < 10:
-            results[i] = BootstrapResult(math.nan, math.nan, math.nan, b)
             continue
         pool.sort()
         low_idx, high_idx = _pm1_ci_indices(int(n_arr[row]), b)
-        results[i] = BootstrapResult(
-            estimate=float(pool.mean()),
-            low=float(pool[low_idx - 1]),
-            high=float(pool[high_idx - 1]),
-            replicates=b,
-        )
+        estimate[i] = pool.mean()
+        low[i] = pool[low_idx - 1]
+        high[i] = pool[high_idx - 1]
     return results

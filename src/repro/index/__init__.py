@@ -24,6 +24,7 @@ from repro.index.engine import (
     QueryExecutor,
     QueryResult,
     ScalarQueryExecutor,
+    rerank_pages,
     retrieve_candidates,
     retrieve_candidates_batch,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "backing_storage",
     "detect_format",
     "load_snapshot",
+    "rerank_pages",
     "retrieve_candidates",
     "retrieve_candidates_batch",
     "save_snapshot",

@@ -31,11 +31,13 @@ Two interchangeable :class:`QueryExecutor` strategies evaluate the plan:
 * :class:`ColumnarQueryExecutor` (default) — the whole pipeline runs on
   arrays: the retrieval probe answers from the catalog's layered
   indexes — frozen CSR + delta − tombstones
-  (:meth:`SketchCatalog.probe_top_overlap`), every candidate join is a
-  sorted-array merge of cached :class:`~repro.core.sketch.SketchColumns`
-  views, containment estimates come from one vectorized DV-estimator
-  call, and the scoring statistics are computed for all candidates at
-  once (:func:`repro.ranking.scoring.candidate_scores_batch`).
+  (:meth:`SketchCatalog.probe_top_overlap`), the candidate page stays
+  columnar from the membership probe to the top-``k`` cut
+  (:class:`CandidatePage`: one CSR block of join samples plus four
+  union-statistics arrays, scored by
+  :func:`repro.ranking.scoring.candidate_scores_batch`), and
+  per-candidate result records exist only for the ``k`` entries
+  returned (:func:`rerank_pages`).
 * :class:`ScalarQueryExecutor` — the row-at-a-time reference
   implementation (dict-of-lists ScanCount, per-candidate dict joins and
   statistics), kept as the baseline the parity suite and the
@@ -48,7 +50,7 @@ Both return the same rankings; select with
 Orthogonally, ``rng_mode`` selects how ``rb_cib`` queries run the PM1
 bootstrap across the candidate page: ``"batched"`` (default) drives all
 candidates through the cross-candidate resampling engine
-(:func:`repro.correlation.bootstrap.pm1_interval_batch`); ``"compat"``
+(:func:`repro.correlation.bootstrap.pm1_interval_page`); ``"compat"``
 reproduces the historical per-candidate rng stream bit-for-bit. Both
 executors honor both modes with bit-identical bootstrap statistics for a
 given mode, so executor parity holds under either.
@@ -74,15 +76,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.joined_sample import JoinedSample, join_sketches
+from repro.core.joined_sample import (
+    JoinedSample,
+    JoinedSamplePage,
+    join_sketches,
+)
 from repro.core.sketch import CorrelationSketch, SketchColumns
-from repro.correlation.bootstrap import pm1_interval, pm1_interval_batch
+from repro.correlation.bootstrap import pm1_interval_batch
 from repro.index.catalog import SketchCatalog
 from repro.index.options import RETRIEVAL_BACKENDS, QueryOptions
 from repro.kmv.estimators import unbiased_dv_estimate, unbiased_dv_estimate_batch
 from repro.ranking.ranker import RankedCandidate, rank_candidates
 from repro.ranking.scoring import (
     CandidateScores,
+    apply_bootstrap,
     candidate_scores,
     candidate_scores_batch,
     cib_factor,
@@ -96,6 +103,7 @@ __all__ = [
     "QueryExecutor",
     "QueryResult",
     "ScalarQueryExecutor",
+    "rerank_pages",
     "retrieve_candidates",
     "retrieve_candidates_batch",
 ]
@@ -216,54 +224,17 @@ def _containment_estimate(
     return max(0.0, min(1.0, inter / d_query))
 
 
-@dataclass(frozen=True)
-class _UnionStats:
-    """Per-candidate combined-bottom-k statistics for Eq. 1.
-
-    ``k_len``/``kth``/``k_inter`` describe the first ``combined_k``
-    entries of the rank-ordered union of query and candidate hashes;
-    ``exact`` marks the both-sketches-saw-everything shortcut where the
-    raw overlap count is the exact intersection size.
-    """
-
-    k_len: int
-    kth: float
-    k_inter: int
-    exact: bool
-
-
-def _candidate_membership(
-    query: SketchColumns, candidate: SketchColumns
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probe the candidate's hashes against the query's sorted hashes.
-
-    Returns ``(in_query, positions)``: a boolean membership mask over the
-    candidate's entries and, for members, their index in the query's
-    arrays. One ``np.searchsorted`` pass serves both the sketch join and
-    the containment union statistics — the two hot per-candidate steps.
-    """
-    pos = np.searchsorted(query.key_hashes, candidate.key_hashes)
-    pos_clipped = np.minimum(pos, max(query.size - 1, 0))
-    if query.size:
-        in_query = query.key_hashes[pos_clipped] == candidate.key_hashes
-    else:
-        in_query = np.zeros(candidate.size, dtype=bool)
-    return in_query, pos_clipped
-
-
 def _membership_batch(
     query: SketchColumns, candidates: list[SketchColumns]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_candidate_membership` for a whole candidate page at once.
+    """Probe a whole candidate page against the query's sorted hashes.
 
-    Concatenates the candidates' hash arrays and probes the query's
-    sorted hashes with a single ``np.searchsorted``; membership is
-    per-element, so slice ``i`` (``offsets[i]:offsets[i+1]``) of the
-    returned ``(in_query, positions)`` arrays is bit-identical to the
-    per-candidate probe. This collapses the batch executor's hottest
-    per-candidate numpy round-trip into one call per query. Also returns
-    the concatenated hash array itself (``offsets`` delimits candidate
-    slices) for downstream page-level passes to reuse.
+    Concatenates the candidates' hash arrays and runs a single
+    ``np.searchsorted``. Returns ``(in_query, positions, offsets,
+    hashes)``: a boolean membership mask over the page's entries, for
+    members their index in the query's arrays, the candidates' segment
+    bounds and the concatenated hash array itself. Membership is
+    per-element, so a candidate's slice is what probing it alone gives.
     """
     offsets = np.zeros(len(candidates) + 1, dtype=np.int64)
     np.cumsum(
@@ -283,334 +254,27 @@ def _membership_batch(
     return in_query, pos_clipped, offsets, concat
 
 
-def _union_stats_from_membership(
-    query: SketchColumns, candidate: SketchColumns, in_query: np.ndarray
-) -> _UnionStats:
-    """Combined-bottom-k statistics given a precomputed membership mask.
-
-    Mirrors the sorted-union step of :func:`_containment_estimate`
-    without re-sorting hash sets per candidate: dedup via the mask, then
-    the ``k``-th union rank from one ``np.partition`` over cached ranks.
-    """
-    if query.saw_all_keys and candidate.saw_all_keys:
-        return _UnionStats(k_len=0, kth=1.0, k_inter=0, exact=True)
-    union_ranks = np.concatenate([query.ranks, candidate.ranks[~in_query]])
-    combined_k = min(query.size, candidate.size)
-    k_len = min(combined_k, union_ranks.size)
-    if k_len == 0:
-        return _UnionStats(k_len=0, kth=1.0, k_inter=0, exact=False)
-    if k_len == union_ranks.size:
-        kth = float(union_ranks.max())
-    else:
-        kth = float(np.partition(union_ranks, k_len - 1)[k_len - 1])
-    # Ranks are injective over key hashes, so "within the first k_len of
-    # the union" is exactly "rank <= kth".
-    k_inter = int(np.count_nonzero(candidate.ranks[in_query] <= kth))
-    return _UnionStats(k_len=k_len, kth=kth, k_inter=k_inter, exact=False)
+#: Scratch cells one page-kernel pass may allocate (the join grid and the
+#: union rank matrix are each ``rows x width``): 512 KiB of float64, so a
+#: paper-sized page (depth 100, sketch size 256: 51 200 cells) is one
+#: pass and only deeper or wider pages are processed in row chunks, each
+#: chunk costing ~0.1-0.2 ms of call overhead. A pass works through a
+#: dozen ``rows x max|C|`` temporaries; whether those cost page faults
+#: is the allocator's doing, not the chunk size's — see
+#: ``repro.serving.session._pin_malloc_thresholds``.
+_PAGE_SCRATCH_CELLS = 64 << 10
 
 
-def _union_stats(query: SketchColumns, candidate: SketchColumns) -> _UnionStats:
-    """Combined-bottom-k statistics from two cached columnar views."""
-    return _union_stats_from_membership(
-        query, candidate, _candidate_membership(query, candidate)[0]
-    )
-
-
-def _join_page(
-    query: SketchColumns,
-    candidates: list[SketchColumns],
-    cat_hashes: np.ndarray,
-    cat_ranks: np.ndarray,
-    cat_values: np.ndarray,
-    in_query_all: np.ndarray,
-    positions_all: np.ndarray,
-    offsets: np.ndarray,
-) -> list[JoinedSample]:
-    """Materialize every candidate join of a page in one tensor pass.
-
-    Bit-identical to calling ``_join_from_membership(...).drop_nan()``
-    per candidate: one ``np.lexsort`` on ``(candidate row, rank)`` orders
-    all matched pairs by ascending rank within each candidate (ranks are
-    injective, so the permutation equals the per-candidate ``argsort``),
-    the NaN filter is applied to the whole page at once, and each
-    returned :class:`JoinedSample` is a zero-copy slice view of the
-    page-level arrays.
-    """
-    mem_idx = np.nonzero(in_query_all)[0]
-    row = np.searchsorted(offsets, mem_idx, side="right") - 1
-    order = np.lexsort((cat_ranks[mem_idx], row))
-    mem_ordered = mem_idx[order]
-    row_ordered = row[order]
-    kh = cat_hashes[mem_ordered]
-    y = cat_values[mem_ordered]
-    x = query.values[positions_all[mem_ordered]]
-    keep = ~(np.isnan(x) | np.isnan(y))
-    if not keep.all():
-        kh, x, y, row_ordered = kh[keep], x[keep], y[keep], row_ordered[keep]
-    counts = np.bincount(row_ordered, minlength=len(candidates))
-    indptr = np.zeros(len(candidates) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    x_range = query.value_range
+def _row_chunks(
+    query: SketchColumns, candidates: list[SketchColumns]
+) -> list[tuple[int, int]]:
+    """Row ranges whose ``rows x (|Q| + max|C|)`` scratch fits the bound."""
+    width = query.size + max((c.size for c in candidates), default=0)
+    rows = max(1, _PAGE_SCRATCH_CELLS // max(width, 1))
     return [
-        JoinedSample(
-            key_hashes=kh[indptr[i] : indptr[i + 1]],
-            x=x[indptr[i] : indptr[i + 1]],
-            y=y[indptr[i] : indptr[i + 1]],
-            x_range=x_range,
-            y_range=cand.value_range,
-        )
-        for i, cand in enumerate(candidates)
+        (lo, min(lo + rows, len(candidates)))
+        for lo in range(0, len(candidates), rows)
     ]
-
-
-def _union_stats_page(
-    query: SketchColumns,
-    candidates: list[SketchColumns],
-    in_query_all: np.ndarray,
-    offsets: np.ndarray,
-    all_ranks: np.ndarray | None = None,
-) -> list[_UnionStats]:
-    """:func:`_union_stats_from_membership` for a whole candidate page.
-
-    Bit-identical output, computed without per-candidate
-    concatenate/partition round-trips. The union of query and candidate
-    ranks always shares the query's side, so the ``k``-th union rank is
-    selected from two *sorted* sequences instead: the query's ranks
-    (sorted once per page) and the candidates' non-member ranks (one
-    padded row-sorted matrix for the page). An element's 0-based union
-    position is its index in its own sequence plus its
-    ``np.searchsorted`` insertion point in the other; ranks are
-    injective over key hashes (see :meth:`BottomK.update_batch
-    <repro.kmv.bottomk.BottomK.update_batch>`), so positions are unique
-    and the selected value equals the per-candidate ``np.partition``
-    result exactly. ``k_inter`` counts come from one concatenated
-    member-rank comparison with segment sums.
-    """
-    count = len(candidates)
-    out: list[_UnionStats | None] = [None] * count
-    active: list[int] = []
-    for i, cand in enumerate(candidates):
-        if query.saw_all_keys and cand.saw_all_keys:
-            out[i] = _UnionStats(k_len=0, kth=1.0, k_inter=0, exact=True)
-        else:
-            active.append(i)
-    if not active:
-        return out
-
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = offsets[1:] - offsets[:-1]
-    member_csum = np.concatenate(
-        ([0], np.cumsum(in_query_all, dtype=np.int64))
-    )
-    members = member_csum[offsets[1:]] - member_csum[offsets[:-1]]
-    nonmembers = sizes - members
-
-    act = np.asarray(active, dtype=np.int64)
-    m_act = nonmembers[act]
-    q_size = query.size
-    k_len = np.minimum(np.minimum(q_size, sizes[act]), q_size + m_act)
-    valid = np.nonzero(k_len > 0)[0]
-    for j in np.nonzero(k_len == 0)[0].tolist():
-        out[active[j]] = _UnionStats(k_len=0, kth=1.0, k_inter=0, exact=False)
-    if valid.size == 0:
-        return out
-
-    if all_ranks is None:
-        all_ranks = np.concatenate([c.ranks for c in candidates])
-    nonmem_ranks = all_ranks[~in_query_all]
-    mem_ranks = all_ranks[in_query_all]
-    #: Positions of candidate i's segment within the member/non-member
-    #: streams: entries before i, minus/plus how many of them matched.
-    nm_starts = offsets[:-1] - member_csum[offsets[:-1]]
-    mem_starts = member_csum[offsets[:-1]]
-
-    sorted_q = np.sort(query.ranks)
-    v_act = act[valid]
-    m_v = nonmembers[v_act]
-    max_m = int(m_v.max()) if m_v.size else 0
-    n_rows = v_act.size
-
-    # Padded (rows, max_m) non-member rank matrix, +inf beyond each row.
-    non_matrix = np.full((n_rows, max_m), np.inf)
-    if max_m:
-        total_nm = int(m_v.sum())
-        row_rep = np.repeat(np.arange(n_rows, dtype=np.int64), m_v)
-        col_rep = np.arange(total_nm, dtype=np.int64) - np.repeat(
-            np.cumsum(m_v) - m_v, m_v
-        )
-        non_matrix[row_rep, col_rep] = nonmem_ranks[
-            np.repeat(nm_starts[v_act], m_v) + col_rep
-        ]
-        non_matrix.sort(axis=1)
-
-    # 0-based union position of the row-sorted non-member j: its
-    # insertion point in the sorted query ranks plus j. Padding lands at
-    # q_size + j, beyond any valid target position.
-    kth = np.empty(n_rows)
-    if max_m:
-        pos_in_q = np.searchsorted(sorted_q, non_matrix.reshape(-1)).reshape(
-            n_rows, max_m
-        )
-        union_pos = pos_in_q + np.arange(max_m, dtype=np.int64)[None, :]
-        target = (k_len[valid] - 1)[:, None]
-        from_non = union_pos == target
-        has_non = from_non.any(axis=1)
-        non_col = np.argmax(from_non, axis=1)
-        taken_before = (union_pos < target).sum(axis=1)
-        kth[has_non] = non_matrix[np.nonzero(has_non)[0], non_col[has_non]]
-    else:
-        has_non = np.zeros(n_rows, dtype=bool)
-        taken_before = np.zeros(n_rows, dtype=np.int64)
-    from_query = ~has_non
-    kth[from_query] = sorted_q[
-        (k_len[valid] - 1 - taken_before)[from_query]
-    ]
-
-    # k_inter: member ranks <= kth, segment-summed over the page.
-    mem_v = members[v_act]
-    total_mem = int(mem_v.sum())
-    if total_mem:
-        col_mem = np.arange(total_mem, dtype=np.int64) - np.repeat(
-            np.cumsum(mem_v) - mem_v, mem_v
-        )
-        inside = (
-            mem_ranks[np.repeat(mem_starts[v_act], mem_v) + col_mem]
-            <= np.repeat(kth, mem_v)
-        )
-        inside_csum = np.concatenate(
-            ([0], np.cumsum(inside, dtype=np.int64))
-        )
-        seg_ends = np.cumsum(mem_v)
-        k_inter = inside_csum[seg_ends] - inside_csum[seg_ends - mem_v]
-    else:
-        k_inter = np.zeros(n_rows, dtype=np.int64)
-
-    for j, row in enumerate(valid.tolist()):
-        out[active[row]] = _UnionStats(
-            k_len=int(k_len[row]),
-            kth=float(kth[j]),
-            k_inter=int(k_inter[j]),
-            exact=False,
-        )
-    return out
-
-
-def _join_from_membership(
-    query: SketchColumns,
-    candidate: SketchColumns,
-    in_query: np.ndarray,
-    positions: np.ndarray,
-) -> JoinedSample:
-    """Materialize the sketch join from a precomputed membership probe.
-
-    Bit-identical to :func:`repro.core.joined_sample.join_columns` (both
-    sides store the same rank for a shared hash, so ordering by the
-    candidate's ranks reproduces the canonical ascending-rank order).
-    """
-    cand_idx = np.nonzero(in_query)[0]
-    query_idx = positions[cand_idx]
-    order = np.argsort(candidate.ranks[cand_idx])
-    cand_idx = cand_idx[order]
-    query_idx = query_idx[order]
-    return JoinedSample(
-        key_hashes=candidate.key_hashes[cand_idx],
-        x=query.values[query_idx],
-        y=candidate.values[cand_idx],
-        x_range=query.value_range,
-        y_range=candidate.value_range,
-    )
-
-
-def _containment_estimates_batch(
-    d_query: float, overlaps: list[int], stats: list[_UnionStats]
-) -> list[float]:
-    """Vectorized Eq. 1 over all candidates of one query.
-
-    Applies the same arithmetic as :func:`_containment_estimate`
-    elementwise — one :func:`unbiased_dv_estimate_batch` call for the
-    whole candidate list — so each estimate is bit-identical to the
-    scalar function's.
-    """
-    count = len(stats)
-    if count == 0:
-        return []
-    if d_query <= 0:
-        return [0.0] * count
-    k_len = np.asarray([s.k_len for s in stats], dtype=np.int64)
-    kth = np.asarray([s.kth for s in stats], dtype=np.float64)
-    k_inter = np.asarray([s.k_inter for s in stats], dtype=np.float64)
-    exact = np.asarray([s.exact for s in stats], dtype=bool)
-    overlap_arr = np.asarray(overlaps, dtype=np.int64)
-
-    dv = unbiased_dv_estimate_batch(
-        k_len, kth, np.zeros(count, dtype=bool)
-    )
-    safe_len = np.maximum(k_len, 1).astype(np.float64)
-    inter = (k_inter / safe_len) * dv
-    inter = np.where(exact, overlap_arr.astype(np.float64), inter)
-    contained = np.minimum(1.0, np.maximum(0.0, inter / d_query))
-    zero = (~exact & (k_len == 0)) | (overlap_arr <= 0)
-    return [0.0 if z else float(c) for z, c in zip(zero, contained)]
-
-
-def _apply_batched_bootstrap(
-    samples: list[JoinedSample],
-    stats: list[CandidateScores],
-    rng: np.random.Generator,
-) -> list[CandidateScores]:
-    """Fill ``r_bootstrap``/``cib_factor`` via the cross-candidate engine.
-
-    Shared by both executors under ``rng_mode="batched"``: the eligibility
-    mask and candidate order derive from already-computed statistics, so
-    feeding the same samples and rng produces bit-identical bootstrap
-    columns regardless of which executor computed the rest.
-    """
-    eligible = [
-        s.size >= 2 and not math.isnan(st.r_pearson)
-        for s, st in zip(samples, stats)
-    ]
-    boots = pm1_interval_batch(
-        [s.x for s in samples],
-        [s.y for s in samples],
-        rng=rng,
-        active=eligible,
-    )
-    return [
-        replace(
-            st,
-            r_bootstrap=boot.estimate,
-            cib_factor=cib_factor(boot.low, boot.high),
-        )
-        if ok
-        else st
-        for st, boot, ok in zip(stats, boots, eligible)
-    ]
-
-
-def _apply_compat_bootstrap(
-    samples: list[JoinedSample],
-    stats: list[CandidateScores],
-    rng: np.random.Generator,
-) -> list[CandidateScores]:
-    """Fill ``r_bootstrap``/``cib_factor`` per candidate in list order.
-
-    Mirrors the ``rng_mode="compat"`` branch of
-    :func:`repro.ranking.scoring.candidate_scores_batch` — one
-    599-replicate :func:`pm1_interval` per eligible candidate, consuming
-    ``rng`` sequentially — so :meth:`JoinCorrelationEngine.query_batch`
-    stays bit-identical to looped single queries under either rng mode.
-    """
-    out: list[CandidateScores] = []
-    for sample, stat in zip(samples, stats):
-        if sample.size >= 2 and not math.isnan(stat.r_pearson):
-            boot = pm1_interval(sample.x, sample.y, rng=rng)
-            stat = replace(
-                stat,
-                r_bootstrap=boot.estimate,
-                cib_factor=cib_factor(boot.low, boot.high),
-            )
-        out.append(stat)
-    return out
 
 
 def _lsh_hits_columnar(
@@ -626,7 +290,7 @@ def _lsh_hits_columnar(
     """LSH candidate retrieval with exact-overlap ranking (columnar).
 
     Probes the catalog's LSH index for colliding sketches, then computes
-    each survivor's *exact* key overlap with one sorted-membership pass —
+    every survivor's *exact* key overlap with the page membership probe —
     so the hits list has the same ``(sketch_id, overlap)`` contract,
     ``min_overlap`` floor and ``(−overlap, id)`` ordering as the inverted
     backend, and downstream re-ranking is shared unchanged. The backends
@@ -635,15 +299,22 @@ def _lsh_hits_columnar(
     identically.
     """
     threshold = max(1, min_overlap)
+    ids = list(
+        catalog.lsh_candidate_ids(
+            query_cols.key_hashes, exclude=exclude, bands=lsh_bands, rows=lsh_rows
+        )
+    )
+    columns = [catalog.sketch_columns(sid) for sid in ids]
     hits: list[tuple[str, int]] = []
-    for sid in catalog.lsh_candidate_ids(
-        query_cols.key_hashes, exclude=exclude, bands=lsh_bands, rows=lsh_rows
-    ):
-        candidate_cols = catalog.sketch_columns(sid)
-        in_query, _ = _candidate_membership(query_cols, candidate_cols)
-        overlap = int(np.count_nonzero(in_query))
-        if overlap >= threshold:
-            hits.append((sid, overlap))
+    for lo, hi in _row_chunks(query_cols, columns):
+        in_query, _, offsets, _ = _membership_batch(query_cols, columns[lo:hi])
+        members = np.concatenate(([0], np.cumsum(in_query)))
+        overlaps = members[offsets[1:]] - members[offsets[:-1]]
+        hits.extend(
+            (sid, overlap)
+            for sid, overlap in zip(ids[lo:hi], overlaps.tolist())
+            if overlap >= threshold
+        )
     hits.sort(key=lambda t: (-t[1], t[0]))
     return hits[:depth]
 
@@ -729,22 +400,32 @@ def retrieve_candidates_batch(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidatePage:
     """One query's assembled candidate page: everything re-ranking needs.
 
-    The merge seam between retrieval and scoring. Each field is aligned
-    with ``ids``; every per-candidate value depends only on the query and
-    that candidate (never on the rest of the page), so pages assembled in
-    shard-sized groups and re-interleaved into the global hit order are
-    bit-identical to one monolithic assembly — the property the
-    scatter-gather router relies on.
+    The merge seam between retrieval and scoring, held columnar: the
+    candidates' join samples are one CSR block (``samples``) and their
+    Eq. 1 combined-bottom-k statistics four arrays, all aligned with
+    ``ids``. ``k_len`` / ``kth`` / ``k_inter`` describe the first
+    ``min(|Q|, |C|)`` entries of the rank-ordered union of query and
+    candidate hashes; ``exact`` marks the both-sketches-saw-everything
+    shortcut where the raw overlap count is the exact intersection size.
+
+    Every per-candidate value depends only on the query and that
+    candidate (never on the rest of the page), so pages assembled in
+    shard- or chunk-sized groups and merged with :meth:`concat` /
+    :meth:`take` are bit-identical to one monolithic assembly — the
+    property the scatter-gather router relies on.
     """
 
     ids: list[str]
-    overlaps: list[int]
-    samples: list[JoinedSample]
-    union_stats: list[_UnionStats]
+    overlaps: np.ndarray
+    samples: JoinedSamplePage
+    k_len: np.ndarray
+    kth: np.ndarray
+    k_inter: np.ndarray
+    exact: np.ndarray
 
     @classmethod
     def assemble(
@@ -755,46 +436,239 @@ class CandidatePage:
     ) -> "CandidatePage":
         """Join + union statistics for a hits list, in page-level passes.
 
-        One :func:`_membership_batch` probe, one :func:`_union_stats_page`
-        pass and one :func:`_join_page` materialization for the whole
-        page — per-candidate outputs bit-identical to the per-candidate
-        helpers (their documented contract).
+        One membership probe, one scatter-ordered join and one row-wise
+        rank partition per row chunk (:meth:`_assemble_rows`), merged
+        with the page-level :meth:`concat`.
         """
         page_cols = [catalog.sketch_columns(sid) for sid, _ in hits]
-        in_query_all, positions_all, offsets, cat_hashes = _membership_batch(
-            query_cols, page_cols
-        )
-        if page_cols:
-            cat_ranks = np.concatenate([c.ranks for c in page_cols])
-            cat_values = np.concatenate([c.values for c in page_cols])
-        else:
-            cat_ranks = np.empty(0, dtype=np.float64)
-            cat_values = np.empty(0, dtype=np.float64)
-        union_stats = _union_stats_page(
-            query_cols, page_cols, in_query_all, offsets, all_ranks=cat_ranks
-        )
-        samples = _join_page(
-            query_cols,
-            page_cols,
-            cat_hashes,
-            cat_ranks,
-            cat_values,
-            in_query_all,
-            positions_all,
-            offsets,
-        )
-        return cls(
-            ids=[sid for sid, _ in hits],
-            overlaps=[overlap for _, overlap in hits],
-            samples=samples,
-            union_stats=union_stats,
+        # Where each query entry stands in ascending rank order.
+        rank_pos = np.empty(query_cols.size, dtype=np.int64)
+        rank_pos[np.argsort(query_cols.ranks)] = np.arange(query_cols.size)
+        return cls.concat(
+            [
+                cls._assemble_rows(
+                    query_cols, rank_pos, hits[lo:hi], page_cols[lo:hi]
+                )
+                for lo, hi in _row_chunks(query_cols, page_cols)
+            ]
         )
 
-    def containments(self, d_query: float) -> list[float]:
-        """Vectorized Eq. 1 containment estimates for the page."""
-        return _containment_estimates_batch(
-            d_query, self.overlaps, self.union_stats
+    @classmethod
+    def _assemble_rows(
+        cls,
+        query: SketchColumns,
+        rank_pos: np.ndarray,
+        hits: list[tuple[str, int]],
+        page_cols: list[SketchColumns],
+    ) -> "CandidatePage":
+        """The two page kernels over one row chunk.
+
+        **Join.** A shared key hash carries the same rank on both sides
+        and ranks are injective over hashes, so a candidate's matched
+        pairs in ascending rank order are its members in ascending
+        *query* rank position. Scattering each member's page index into
+        the dense ``(candidate row, query rank position)`` grid and
+        reading the filled cells row-major therefore yields every
+        candidate's join in canonical order with no sort at all.
+
+        **Union k-th rank.** The rank-ordered union of query and
+        candidate hashes is the query's ranks plus the candidate's
+        *non-member* ranks. Laying those side by side in one
+        ``(rows, |Q| + max|C|)`` matrix — members and padding at
+        ``+inf``, which can never be among the first ``k_len <= |Q|`` —
+        one row-wise ``partition`` puts every row's ``k_len``-th
+        smallest in place; ``k_inter`` is then the members ranked at or
+        below it.
+        """
+        n, q_size = len(page_cols), query.size
+        in_query, positions, offsets, cat_hashes = _membership_batch(
+            query, page_cols
         )
+        sizes = np.diff(offsets)
+        cat_ranks = np.concatenate([c.ranks for c in page_cols])
+        cat_values = np.concatenate([c.values for c in page_cols])
+        row_of = np.repeat(np.arange(n), sizes)
+        members = np.nonzero(in_query)[0]
+        member_rows = row_of[members]
+
+        grid = np.full(n * q_size, -1, dtype=np.int64)
+        grid[member_rows * q_size + rank_pos[positions[members]]] = members
+        ordered = grid[grid >= 0]
+        pair_rows = row_of[ordered]
+        key_hashes = cat_hashes[ordered]
+        x = query.values[positions[ordered]]
+        y = cat_values[ordered]
+        missing = np.isnan(x)
+        missing |= np.isnan(y)
+        if missing.any():
+            keep = ~missing
+            key_hashes, x, y = key_hashes[keep], x[keep], y[keep]
+            pair_rows = pair_rows[keep]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pair_rows, minlength=n), out=indptr[1:])
+
+        exact = np.asarray([c.saw_all_keys for c in page_cols], dtype=bool)
+        exact &= query.saw_all_keys
+        k_len = np.where(exact, 0, np.minimum(q_size, sizes))
+        kth = np.ones(n)
+        k_inter = np.zeros(n, dtype=np.int64)
+        live = k_len > 0
+        if live.any():
+            max_size = int(sizes.max())
+            ranks = np.empty((n, q_size + max_size))
+            ranks[:, :q_size] = query.ranks
+            padded = ranks[:, q_size:]
+            padded[...] = np.inf
+            # A boolean-mask store fills row-major, i.e. in page order.
+            padded[np.arange(max_size) < sizes[:, None]] = np.where(
+                in_query, np.inf, cat_ranks
+            )
+            k_index = np.maximum(k_len, 1) - 1
+            ranks.partition(np.unique(k_index[live]), axis=1)
+            kth[live] = ranks[np.arange(n), k_index][live]
+            inside = live[member_rows] & (cat_ranks[members] <= kth[member_rows])
+            k_inter = np.bincount(member_rows[inside], minlength=n)
+
+        return cls(
+            ids=[sid for sid, _ in hits],
+            overlaps=np.asarray([overlap for _, overlap in hits], dtype=np.int64),
+            samples=JoinedSamplePage(
+                key_hashes=key_hashes,
+                x=x,
+                y=y,
+                indptr=indptr,
+                x_ranges=np.broadcast_to(
+                    np.asarray(query.value_range, dtype=np.float64), (n, 2)
+                ),
+                y_ranges=np.asarray(
+                    [c.value_range for c in page_cols], dtype=np.float64
+                ),
+            ),
+            k_len=k_len,
+            kth=kth,
+            k_inter=k_inter,
+            exact=exact,
+        )
+
+    @classmethod
+    def concat(cls, pages: list["CandidatePage"]) -> "CandidatePage":
+        """The pages' candidates back to back (one page is returned as is)."""
+        if len(pages) == 1:
+            return pages[0]
+
+        def column(name: str, dtype) -> np.ndarray:
+            parts = [np.empty(0, dtype=dtype)] + [getattr(p, name) for p in pages]
+            return np.concatenate(parts)
+
+        return cls(
+            ids=[sid for page in pages for sid in page.ids],
+            overlaps=column("overlaps", np.int64),
+            samples=JoinedSamplePage.concat([page.samples for page in pages]),
+            k_len=column("k_len", np.int64),
+            kth=column("kth", np.float64),
+            k_inter=column("k_inter", np.int64),
+            exact=column("exact", bool),
+        )
+
+    def take(self, rows: np.ndarray) -> "CandidatePage":
+        """The candidates at ``rows``, in that order, as a new page."""
+        return CandidatePage(
+            ids=[self.ids[i] for i in rows.tolist()],
+            overlaps=self.overlaps[rows],
+            samples=self.samples.take(rows),
+            k_len=self.k_len[rows],
+            kth=self.kth[rows],
+            k_inter=self.k_inter[rows],
+            exact=self.exact[rows],
+        )
+
+    def containments(self, d_query: float) -> np.ndarray:
+        """Vectorized Eq. 1 containment estimates for the page.
+
+        Applies the same arithmetic as :func:`_containment_estimate`
+        elementwise — one :func:`unbiased_dv_estimate_batch` call for the
+        whole page — so each estimate is bit-identical to the scalar
+        function's.
+        """
+        count = len(self.ids)
+        if d_query <= 0:
+            return np.zeros(count)
+        dv = unbiased_dv_estimate_batch(
+            self.k_len, self.kth, np.zeros(count, dtype=bool)
+        )
+        safe_len = np.maximum(self.k_len, 1).astype(np.float64)
+        inter = (self.k_inter.astype(np.float64) / safe_len) * dv
+        inter = np.where(self.exact, self.overlaps.astype(np.float64), inter)
+        contained = np.minimum(1.0, np.maximum(0.0, inter / d_query))
+        zero = (~self.exact & (self.k_len == 0)) | (self.overlaps <= 0)
+        return np.where(zero, 0.0, contained)
+
+
+def rerank_pages(
+    pages: list[CandidatePage],
+    query_sketches: list[CorrelationSketch],
+    k: int,
+    scorer: str,
+    rng_mode: str,
+    true_correlations: list[dict[str, float] | None],
+    rng: np.random.Generator | None,
+    traces: list | None = None,
+) -> list[list[RankedCandidate]]:
+    """Score and rank assembled pages: the tail of every columnar query.
+
+    One scoring pass over all pages' samples (per-sample segment
+    reductions are independent, so each query's statistics are
+    bit-identical to its standalone evaluation), then per query, in
+    order: the PM1 bootstrap when the scorer reads it, and the top-``k``
+    ranking. Each query consumes rng exactly as a standalone
+    :meth:`JoinCorrelationEngine.query` would — a fresh fixed-seed
+    generator when ``rng`` is None, the shared one in query order
+    otherwise. With ``traces`` the scoring pass lands in every query's
+    trace as a shared ``score`` span and the per-query work as its own
+    ``merge`` span.
+    """
+    tracing = traces is not None
+    s0 = time.perf_counter() if tracing else 0.0
+    stats = candidate_scores_batch(
+        JoinedSamplePage.concat([page.samples for page in pages]),
+        containment_ests=np.concatenate(
+            [
+                page.containments(sketch.distinct_keys())
+                for page, sketch in zip(pages, query_sketches)
+            ]
+        ),
+        with_bootstrap=False,
+    )
+    if tracing:
+        s1 = time.perf_counter()
+        for tr in traces:
+            if tr is not None:
+                tr.add("score", s0, s1, shared=True, batch_size=len(pages))
+
+    ranked_per_query: list[list[RankedCandidate]] = []
+    start = 0
+    for q, page in enumerate(pages):
+        m0 = time.perf_counter() if tracing else 0.0
+        query_stats = stats[start : start + len(page.ids)]
+        start += len(page.ids)
+        query_rng = np.random.default_rng(7) if rng is None else rng
+        if scorer == "rb_cib":
+            apply_bootstrap(page.samples, query_stats, query_rng, rng_mode)
+        ranked_per_query.append(
+            rank_candidates(
+                page.ids, query_stats, scorer,
+                true_correlations=QueryExecutor._truths(
+                    page.ids, true_correlations[q]
+                ),
+                rng=query_rng,
+                k=k,
+            )
+        )
+        if tracing and traces[q] is not None:
+            # Per-query by construction: bootstrap + ranking consume
+            # this query's rng and only its candidates.
+            traces[q].add("merge", m0, time.perf_counter())
+    return ranked_per_query
 
 
 class QueryExecutor:
@@ -914,7 +788,26 @@ class ScalarQueryExecutor(QueryExecutor):
             stats.append(stat)
 
         if needs_bootstrap and not per_candidate_bootstrap:
-            stats = _apply_batched_bootstrap(samples, stats, rng)
+            eligible = [
+                s.size >= 2 and not math.isnan(st.r_pearson)
+                for s, st in zip(samples, stats)
+            ]
+            boots = pm1_interval_batch(
+                [s.x for s in samples],
+                [s.y for s in samples],
+                rng=rng,
+                active=eligible,
+            )
+            stats = [
+                replace(
+                    st,
+                    r_bootstrap=boot.estimate,
+                    cib_factor=cib_factor(boot.low, boot.high),
+                )
+                if ok
+                else st
+                for st, boot, ok in zip(stats, boots, eligible)
+            ]
         ts = time.perf_counter() if trace is not None else 0.0
 
         ranked = rank_candidates(
@@ -975,32 +868,16 @@ class ColumnarQueryExecutor(QueryExecutor):
         )
         t1 = time.perf_counter()
 
-        needs_bootstrap = scorer == "rb_cib"
-
         page = CandidatePage.assemble(engine.catalog, query_cols, hits)
-        containments = page.containments(query_sketch.distinct_keys())
-        ta = time.perf_counter() if trace is not None else 0.0
-        stats = candidate_scores_batch(
-            page.samples,
-            containment_ests=containments,
-            rng=rng,
-            with_bootstrap=needs_bootstrap,
-            rng_mode=engine.rng_mode,
-        )
-        ts = time.perf_counter() if trace is not None else 0.0
-
-        ranked = rank_candidates(
-            page.ids, stats, scorer,
-            true_correlations=self._truths(page.ids, true_correlations),
-            rng=rng,
-        )[:k]
-        t2 = time.perf_counter()
-
         if trace is not None:
             trace.add("retrieval", t0, t1, candidates=len(hits))
-            trace.add("assemble", t1, ta)
-            trace.add("score", ta, ts)
-            trace.add("merge", ts, t2)
+            trace.add("assemble", t1, time.perf_counter())
+        (ranked,) = rerank_pages(
+            [page], [query_sketch], k, scorer, engine.rng_mode,
+            [true_correlations], rng,
+            None if trace is None else [trace],
+        )
+        t2 = time.perf_counter()
         return QueryResult(
             ranked=ranked,
             candidates_considered=len(hits),
@@ -1079,70 +956,19 @@ class ColumnarQueryExecutor(QueryExecutor):
                         shared=True, batch_size=n_queries,
                     )
 
-        needs_bootstrap = scorer == "rb_cib"
-
-        ids_per_query: list[list[str]] = []
-        spans: list[tuple[int, int]] = []
-        all_samples: list[JoinedSample] = []
-        all_containments: list[float] = []
-        for q, (sketch, cols, hits) in enumerate(
-            zip(query_sketches, query_cols, hits_per_query)
-        ):
+        pages: list[CandidatePage] = []
+        for q, (cols, hits) in enumerate(zip(query_cols, hits_per_query)):
             a0 = time.perf_counter() if tracing else 0.0
-            start = len(all_samples)
-            page = CandidatePage.assemble(engine.catalog, cols, hits)
-            all_samples.extend(page.samples)
-            all_containments.extend(page.containments(sketch.distinct_keys()))
-            ids_per_query.append(page.ids)
-            spans.append((start, len(all_samples)))
+            pages.append(CandidatePage.assemble(engine.catalog, cols, hits))
             if tracing and traces[q] is not None:
                 traces[q].add(
                     "assemble", a0, time.perf_counter(),
                     candidates=len(hits),
                 )
-
-        s0 = time.perf_counter() if tracing else 0.0
-        base_stats = candidate_scores_batch(
-            all_samples,
-            containment_ests=all_containments,
-            with_bootstrap=False,
+        ranked_per_query = rerank_pages(
+            pages, query_sketches, k, scorer, engine.rng_mode,
+            true_correlations, rng, traces,
         )
-        if tracing:
-            s1 = time.perf_counter()
-            for tr in traces:
-                if tr is not None:
-                    tr.add(
-                        "score", s0, s1,
-                        shared=True, batch_size=n_queries,
-                    )
-
-        ranked_per_query: list[tuple[list[RankedCandidate], int]] = []
-        for q in range(n_queries):
-            m0 = time.perf_counter() if tracing else 0.0
-            start, end = spans[q]
-            samples = all_samples[start:end]
-            stats = base_stats[start:end]
-            # Each query consumes rng exactly as its standalone query()
-            # would: a fresh fixed-seed generator when none was supplied,
-            # the shared one in query order otherwise.
-            query_rng = np.random.default_rng(7) if rng is None else rng
-            if needs_bootstrap:
-                if engine.rng_mode == "batched":
-                    stats = _apply_batched_bootstrap(samples, stats, query_rng)
-                else:
-                    stats = _apply_compat_bootstrap(samples, stats, query_rng)
-            ranked = rank_candidates(
-                ids_per_query[q], stats, scorer,
-                true_correlations=self._truths(
-                    ids_per_query[q], true_correlations[q]
-                ),
-                rng=query_rng,
-            )[:k]
-            ranked_per_query.append((ranked, len(hits_per_query[q])))
-            if tracing and traces[q] is not None:
-                # Per-query by construction: bootstrap + ranking consume
-                # this query's rng and only its candidates.
-                traces[q].add("merge", m0, time.perf_counter())
         t2 = time.perf_counter()
 
         retrieval_share = (t1 - t0) / n_queries
@@ -1150,7 +976,7 @@ class ColumnarQueryExecutor(QueryExecutor):
         return [
             QueryResult(
                 ranked=ranked,
-                candidates_considered=considered,
+                candidates_considered=len(hits_per_query[q]),
                 retrieval_seconds=retrieval_share,
                 rerank_seconds=rerank_share,
                 trace=(
@@ -1159,7 +985,7 @@ class ColumnarQueryExecutor(QueryExecutor):
                     else None
                 ),
             )
-            for q, (ranked, considered) in enumerate(ranked_per_query)
+            for q, ranked in enumerate(ranked_per_query)
         ]
 
 

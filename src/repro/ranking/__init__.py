@@ -23,6 +23,8 @@ from repro.ranking.scoring import (
     RNG_MODES,
     SCORER_NAMES,
     CandidateScores,
+    ScoreColumns,
+    apply_bootstrap,
     candidate_scores,
     candidate_scores_batch,
     cib_factor,
@@ -36,6 +38,8 @@ __all__ = [
     "RNG_MODES",
     "RankedCandidate",
     "SCORER_NAMES",
+    "ScoreColumns",
+    "apply_bootstrap",
     "average_precision",
     "candidate_scores",
     "candidate_scores_batch",

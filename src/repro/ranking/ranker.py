@@ -10,12 +10,14 @@ evaluation metrics, and produce the relevance sequences
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ranking.scoring import (
     CandidateScores,
+    ScoreColumns,
     json_float,
     score_candidates,
     unjson_float,
@@ -61,16 +63,20 @@ class RankedCandidate:
 
 def rank_candidates(
     candidate_ids: list[str],
-    stats: list[CandidateScores],
+    stats: Sequence[CandidateScores],
     scorer: str,
     *,
     true_correlations: list[float] | None = None,
     rng: np.random.Generator | None = None,
+    k: int | None = None,
 ) -> list[RankedCandidate]:
     """Score and sort a candidate list with one scoring function.
 
     Ties break on candidate id so rankings are reproducible across runs
     (important when a scorer collapses many candidates to score 0).
+    With ``k`` only the first ``k`` entries of the ranking are built —
+    the same entries ``rank_candidates(...)[:k]`` returns, without a
+    record per candidate that did not make the cut.
     """
     if len(candidate_ids) != len(stats):
         raise ValueError(
@@ -84,12 +90,19 @@ def rank_candidates(
         )
 
     scores = score_candidates(stats, scorer, rng=rng)
-    entries = [
-        RankedCandidate(cid, s, st, tc)
-        for cid, s, st, tc in zip(candidate_ids, scores, stats, true_correlations)
+    order = sorted(
+        range(len(candidate_ids)), key=lambda i: (-scores[i], candidate_ids[i])
+    )
+    top = order[:k]
+    records = (
+        stats.records(top)
+        if isinstance(stats, ScoreColumns)
+        else [stats[i] for i in top]
+    )
+    return [
+        RankedCandidate(candidate_ids[i], scores[i], record, true_correlations[i])
+        for i, record in zip(top, records)
     ]
-    entries.sort(key=lambda e: (-e.score, e.candidate_id))
-    return entries
 
 
 def relevance_flags(

@@ -48,15 +48,16 @@ name        meaning (paper §4.4 / §5.4 unless noted)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.bounds.hoeffding import hfd_interval
-from repro.correlation.bootstrap import pm1_interval, pm1_interval_batch
+from repro.correlation.bootstrap import pm1_interval, pm1_interval_page
 from repro.correlation.fisher import clamped_fisher_se
 from repro.correlation.pearson import pearson
-from repro.core.joined_sample import JoinedSample
+from repro.core.joined_sample import JoinedSample, JoinedSamplePage
 
 SCORER_NAMES = ("rp", "rp_sez", "rb_cib", "rp_cih", "jc", "jc_est", "random")
 
@@ -69,6 +70,13 @@ SCORER_NAMES = ("rp", "rp_sez", "rb_cib", "rp_cih", "jc", "jc_est", "random")
 #: :func:`~repro.correlation.bootstrap.pm1_interval` per candidate, in
 #: list order).
 RNG_MODES = ("batched", "compat")
+
+
+def _check_rng_mode(rng_mode: str) -> None:
+    if rng_mode not in RNG_MODES:
+        raise ValueError(
+            f"unknown rng_mode {rng_mode!r}; expected one of {RNG_MODES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,46 @@ class CandidateScores:
             containment_est=unjson_float(payload["containment_est"]),
             containment_true=unjson_float(payload["containment_true"]),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreColumns(Sequence):
+    """A candidate list's statistics, one array per
+    :class:`CandidateScores` field: a ``Sequence[CandidateScores]``.
+
+    What :func:`candidate_scores_batch` returns. Scoring and ranking read
+    the columns; an integer index builds that candidate's record on
+    demand and a slice is a view of the same arrays, so a ranked top-k
+    costs k records however long the candidate list was.
+    """
+
+    r_pearson: np.ndarray
+    r_bootstrap: np.ndarray
+    sample_size: np.ndarray
+    sez_factor: np.ndarray
+    cib_factor: np.ndarray
+    hfd_ci_length: np.ndarray
+    containment_est: np.ndarray
+    containment_true: np.ndarray
+
+    def __len__(self) -> int:
+        return self.r_pearson.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ScoreColumns(
+                *(getattr(self, f.name)[index] for f in fields(self))
+            )
+        return self.records([range(len(self))[index]])[0]
+
+    def records(self, rows: Sequence[int]) -> list[CandidateScores]:
+        """The candidates at ``rows`` as :class:`CandidateScores` records."""
+        rows = np.asarray(rows, dtype=np.int64)
+        # One shared NaN object, so records of equal candidates compare
+        # equal field by field (``nan == nan`` only holds by identity).
+        columns = (getattr(self, f.name)[rows].tolist() for f in fields(self))
+        canonical = ([math.nan if v != v else v for v in col] for col in columns)
+        return [CandidateScores(*values) for values in zip(*canonical)]
 
 
 def json_float(value: float) -> float | str | None:
@@ -254,38 +302,30 @@ def candidate_scores(
 
 
 def candidate_scores_batch(
-    samples: list[JoinedSample],
+    samples: Sequence[JoinedSample],
     *,
-    containment_ests: list[float] | None = None,
-    containment_trues: list[float] | None = None,
+    containment_ests: Sequence[float] | None = None,
+    containment_trues: Sequence[float] | None = None,
     alpha: float = 0.05,
     rng: np.random.Generator | None = None,
     with_bootstrap: bool = True,
     rng_mode: str = "batched",
-) -> list[CandidateScores]:
+) -> ScoreColumns:
     """Batched :func:`candidate_scores` over a whole candidate list.
 
     The columnar executor's scoring stage: Pearson, Fisher-z SE and
-    Hoeffding-CI statistics for *all* candidates are computed from two
-    concatenated sample arrays with segment reductions
+    Hoeffding-CI statistics for *all* candidates are computed from the
+    page-level sample arrays with segment reductions
     (``np.add.reduceat``), replacing one Python/NumPy round-trip per
-    candidate with a fixed number of whole-list array passes. Ragged
+    candidate with a fixed number of whole-list array passes. A
+    :class:`~repro.core.joined_sample.JoinedSamplePage` is read as is; a
+    plain sample list is lowered to that CSR form at entry. Ragged
     sample lengths are handled by segment offsets; empty samples get the
     same degenerate statistics as the scalar path (NaN Pearson, vacuous
     ``[-1, 1]`` Hoeffding interval).
 
-    The PM1 bootstrap — when ``with_bootstrap`` — follows ``rng_mode``:
-
-    * ``"batched"`` (default): all eligible candidates are resampled
-      together by the cross-candidate engine
-      (:func:`repro.correlation.bootstrap.pm1_interval_batch`) — shared
-      index draws per stopping round, per-candidate adaptive stopping,
-      chunked masked tensor arithmetic. Statistically equivalent to the
-      per-candidate path and deterministic per ``rng``, but a different
-      rng stream; the parity suite pins identical *rankings*.
-    * ``"compat"``: one per-candidate :func:`pm1_interval` call in list
-      order, consuming ``rng`` draws exactly as the scalar path does, so
-      ``r_b``/``cib`` are bit-identical to pre-batch-engine behavior.
+    The PM1 bootstrap — when ``with_bootstrap`` — follows ``rng_mode``
+    (see :func:`apply_bootstrap`).
 
     The reduceat-based moment statistics differ from the scalar
     per-candidate reductions only in float summation order (a few ulps);
@@ -304,46 +344,46 @@ def candidate_scores_batch(
         with_bootstrap: compute ``r_b``/``cib`` (expensive; see
             :func:`candidate_scores`).
         rng_mode: bootstrap execution contract (see :data:`RNG_MODES`).
+
+    Returns:
+        The statistics as columns; indexing yields
+        :class:`CandidateScores` records.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if rng_mode not in RNG_MODES:
-        raise ValueError(
-            f"unknown rng_mode {rng_mode!r}; expected one of {RNG_MODES}"
-        )
-    count = len(samples)
+    _check_rng_mode(rng_mode)
+    page = JoinedSamplePage.from_samples(samples)
+    count = len(page)
     if containment_ests is None:
-        containment_ests = [0.0] * count
+        containment_ests = np.zeros(count)
     if containment_trues is None:
-        containment_trues = [math.nan] * count
+        containment_trues = np.full(count, math.nan)
     if len(containment_ests) != count or len(containment_trues) != count:
         raise ValueError(
             f"{count} samples but {len(containment_ests)} containment "
             f"estimates and {len(containment_trues)} true containments"
         )
-    if count == 0:
-        return []
 
-    lengths = np.asarray([s.size for s in samples], dtype=np.int64)
-    ranges = np.asarray([s.combined_range() for s in samples], dtype=np.float64)
-    c_low, c_high = ranges[:, 0], ranges[:, 1]
+    lengths = page.sizes
+    # Combined range (§4.3): a NaN side is skipped, both NaN stays NaN.
+    c_low = np.fmin(page.x_ranges[:, 0], page.y_ranges[:, 0])
+    c_high = np.fmax(page.x_ranges[:, 1], page.y_ranges[:, 1])
 
     r_pearson = np.full(count, math.nan, dtype=np.float64)
     hfd_len = np.full(count, 2.0, dtype=np.float64)
 
     nonempty = np.nonzero(lengths > 0)[0]
     if nonempty.size:
-        seg_n = lengths[nonempty].astype(np.float64)
-        x = np.concatenate([samples[i].x for i in nonempty])
-        y = np.concatenate([samples[i].y for i in nonempty])
-        starts = np.zeros(nonempty.size, dtype=np.int64)
-        np.cumsum(lengths[nonempty][:-1], out=starts[1:])
+        seg_len = lengths[nonempty]
+        seg_n = seg_len.astype(np.float64)
+        x, y = page.x, page.y
+        starts = page.indptr[nonempty]
 
         # -- Pearson (Eq. 3), centered two-pass as in pearson() ------------
         mean_x = np.add.reduceat(x, starts) / seg_n
         mean_y = np.add.reduceat(y, starts) / seg_n
-        dx = x - np.repeat(mean_x, lengths[nonempty])
-        dy = y - np.repeat(mean_y, lengths[nonempty])
+        dx = x - np.repeat(mean_x, seg_len)
+        dy = y - np.repeat(mean_y, seg_len)
         sxx = np.add.reduceat(dx * dx, starts)
         syy = np.add.reduceat(dy * dy, starts)
         sxy = np.add.reduceat(dx * dy, starts)
@@ -356,7 +396,7 @@ def candidate_scores_batch(
             denom = np.sqrt(sxx) * np.sqrt(syy)
             r = np.clip(sxy / denom, -1.0, 1.0)
         defined = (
-            (lengths[nonempty] >= 2)
+            (seg_len >= 2)
             & (sxx > tol_x)
             & (syy > tol_y)
             & (denom > 0.0)
@@ -368,8 +408,8 @@ def candidate_scores_batch(
         clo = c_low[nonempty]
         chi = c_high[nonempty]
         c = chi - clo
-        a = x - np.repeat(clo, lengths[nonempty])
-        b = y - np.repeat(clo, lengths[nonempty])
+        a = x - np.repeat(clo, seg_len)
+        b = y - np.repeat(clo, seg_len)
         mu_a = np.add.reduceat(a, starts) / seg_n
         mu_b = np.add.reduceat(b, starts) / seg_n
         nu_a = np.add.reduceat(a * a, starts) / seg_n
@@ -401,89 +441,118 @@ def candidate_scores_batch(
         )
         hfd_len[nonempty] = np.where(degenerate, 2.0, length)
 
-    # -- Fisher-z SE factor (§4.2) -----------------------------------------
-    sez = 1.0 - 1.0 / np.sqrt(np.maximum(4, lengths) - 3.0)
-
-    # -- PM1 bootstrap (rng_mode selects the execution contract) -----------
-    r_boot = [math.nan] * count
-    cib = [0.0] * count
+    scores = ScoreColumns(
+        r_pearson=r_pearson,
+        r_bootstrap=np.full(count, math.nan),
+        sample_size=lengths,
+        # -- Fisher-z SE factor (§4.2) --
+        sez_factor=1.0 - 1.0 / np.sqrt(np.maximum(4, lengths) - 3.0),
+        cib_factor=np.zeros(count),
+        hfd_ci_length=hfd_len,
+        containment_est=np.array(containment_ests, dtype=np.float64),
+        containment_true=np.array(containment_trues, dtype=np.float64),
+    )
     if with_bootstrap:
-        eligible = [
-            samples[i].size >= 2 and not math.isnan(r_pearson[i])
-            for i in range(count)
-        ]
-        if rng_mode == "batched":
-            boots = pm1_interval_batch(
-                [s.x for s in samples],
-                [s.y for s in samples],
-                rng=rng,
-                active=eligible,
-            )
-            for i, boot in enumerate(boots):
-                if eligible[i]:
-                    r_boot[i] = boot.estimate
-                    cib[i] = cib_factor(boot.low, boot.high)
-        else:
-            # Compat: per candidate in list order, preserving the scalar
-            # path's rng consumption bit-for-bit.
-            for i, sample in enumerate(samples):
-                if not eligible[i]:
-                    continue
-                sample_rng = (
-                    rng
-                    if rng is not None
-                    else np.random.default_rng(
-                        sample.size * 2_654_435_761 % (2**32) + 17
-                    )
-                )
-                boot = pm1_interval(sample.x, sample.y, rng=sample_rng)
-                r_boot[i] = boot.estimate
-                cib[i] = cib_factor(boot.low, boot.high)
+        apply_bootstrap(page, scores, rng, rng_mode)
+    return scores
 
-    return [
-        CandidateScores(
-            r_pearson=float(r_pearson[i]),
-            r_bootstrap=r_boot[i],
-            sample_size=int(lengths[i]),
-            sez_factor=float(sez[i]),
-            cib_factor=cib[i],
-            hfd_ci_length=float(hfd_len[i]),
-            containment_est=containment_ests[i],
-            containment_true=containment_trues[i],
+
+def apply_bootstrap(
+    samples: JoinedSamplePage,
+    scores: ScoreColumns,
+    rng: np.random.Generator | None,
+    rng_mode: str = "batched",
+) -> None:
+    """Write the PM1 bootstrap columns of ``scores`` in place.
+
+    Fills ``r_bootstrap`` / ``cib_factor`` for every eligible candidate
+    (at least 2 pairs and a defined Pearson estimate — the scalar path's
+    guard); the others keep NaN / 0. ``rng_mode`` selects the contract:
+
+    * ``"batched"`` (default): all eligible candidates are resampled
+      together by the cross-candidate engine
+      (:func:`repro.correlation.bootstrap.pm1_interval_page`) — shared
+      index draws per stopping round, per-candidate adaptive stopping,
+      chunked masked tensor arithmetic. Statistically equivalent to the
+      per-candidate path and deterministic per ``rng``, but a different
+      rng stream; the parity suite pins identical *rankings*.
+    * ``"compat"``: one per-candidate :func:`pm1_interval` call in list
+      order, consuming ``rng`` draws exactly as the scalar path does, so
+      ``r_b``/``cib`` are bit-identical to pre-batch-engine behavior.
+    """
+    _check_rng_mode(rng_mode)
+    eligible = (scores.sample_size >= 2) & ~np.isnan(scores.r_pearson)
+    if rng_mode == "batched":
+        estimate, low, high, _ = pm1_interval_page(
+            samples.x, samples.y, samples.indptr, eligible, rng
         )
-        for i in range(count)
-    ]
+    else:
+        estimate = np.full(len(scores), math.nan)
+        low, high = estimate.copy(), estimate.copy()
+        for i in np.nonzero(eligible)[0]:
+            start, end = samples.indptr[i], samples.indptr[i + 1]
+            sample_rng = (
+                rng
+                if rng is not None
+                else np.random.default_rng(
+                    int(end - start) * 2_654_435_761 % (2**32) + 17
+                )
+            )
+            boot = pm1_interval(
+                samples.x[start:end], samples.y[start:end], rng=sample_rng
+            )
+            estimate[i], low[i], high[i] = boot.estimate, boot.low, boot.high
+    # cib_factor(), columnwise: no interval -> 0, else 1 - length/2 >= 0.
+    with np.errstate(invalid="ignore"):
+        cib = np.maximum(0.0, 1.0 - (high - low) / 2.0)
+    scores.r_bootstrap[:] = estimate
+    scores.cib_factor[:] = np.where(np.isnan(low) | np.isnan(high), 0.0, cib)
 
 
 def score_candidates(
-    scores: list[CandidateScores],
+    scores: Sequence[CandidateScores],
     scorer: str,
     rng: np.random.Generator | None = None,
 ) -> list[float]:
     """Apply one named scoring function to a whole candidate list.
 
     ``cih`` needs the full list for normalization and ``random`` needs a
-    generator, so scoring is list-at-a-time.
+    generator, so scoring is list-at-a-time. :class:`ScoreColumns` are
+    read by column, a plain record list field by field — the arithmetic
+    is the same Python-float code either way.
 
     Raises:
         ValueError: for unknown scorer names (see :data:`SCORER_NAMES`).
     """
+    if isinstance(scores, ScoreColumns):
+
+        def column(name: str) -> list:
+            return getattr(scores, name).tolist()
+
+    else:
+
+        def column(name: str) -> list:
+            return [getattr(s, name) for s in scores]
+
     if scorer == "rp":
-        return [_abs_or_zero(s.r_pearson) for s in scores]
+        return [_abs_or_zero(r) for r in column("r_pearson")]
     if scorer == "rp_sez":
-        return [_abs_or_zero(s.r_pearson) * s.sez_factor for s in scores]
-    if scorer == "rb_cib":
-        return [_abs_or_zero(s.r_bootstrap) * s.cib_factor for s in scores]
-    if scorer == "rp_cih":
-        cih = cih_factors([s.hfd_ci_length for s in scores])
-        return [_abs_or_zero(s.r_pearson) * f for s, f in zip(scores, cih)]
-    if scorer == "jc":
         return [
-            0.0 if math.isnan(s.containment_true) else s.containment_true
-            for s in scores
+            _abs_or_zero(r) * f
+            for r, f in zip(column("r_pearson"), column("sez_factor"))
         ]
+    if scorer == "rb_cib":
+        return [
+            _abs_or_zero(r) * f
+            for r, f in zip(column("r_bootstrap"), column("cib_factor"))
+        ]
+    if scorer == "rp_cih":
+        cih = cih_factors(column("hfd_ci_length"))
+        return [_abs_or_zero(r) * f for r, f in zip(column("r_pearson"), cih)]
+    if scorer == "jc":
+        return [0.0 if math.isnan(c) else c for c in column("containment_true")]
     if scorer == "jc_est":
-        return [s.containment_est for s in scores]
+        return column("containment_est")
     if scorer == "random":
         if rng is None:
             rng = np.random.default_rng()

@@ -65,9 +65,7 @@ from repro.core.sketch import CorrelationSketch
 from repro.index.engine import (
     CandidatePage,
     QueryResult,
-    QueryExecutor,
-    _apply_batched_bootstrap,
-    _apply_compat_bootstrap,
+    rerank_pages,
     retrieve_candidates_batch,
 )
 from repro.index.inverted import merge_hits
@@ -77,8 +75,6 @@ from repro.index.options import (
     validate_resilience,
 )
 from repro.obs import get_registry
-from repro.ranking.ranker import RankedCandidate, rank_candidates
-from repro.ranking.scoring import candidate_scores_batch
 from repro.serving.faults import maybe_fire
 from repro.serving.shards import ShardedCatalog
 from repro.serving.workers import DeadlineExceeded, ShardWorkerPool
@@ -390,15 +386,16 @@ class ShardRouter:
 
         Each query's merged hits are split by owning shard; every shard
         assembles its own candidates in one page-level pass, and the
-        results are re-interleaved into the merged global hit order —
-        bit-identical to a monolithic assembly because every
-        per-candidate value depends only on (query, candidate).
+        sub-pages are merged back into the global hit order with one
+        page-level ``concat`` + ``take`` — bit-identical to a monolithic
+        assembly because every per-candidate value depends only on
+        (query, candidate).
 
-        Returns ``(pages, hits_per_query, failed_shards)``: when a
-        shard fails its assembly pass under the ``partial`` policy, its
-        candidates are dropped from both the pages and the hits lists
-        (the page-shaped scoring that follows must only ever see
-        candidates that were actually assembled).
+        Returns ``(pages, hits_per_query, failed_shards, errors)``: when
+        a shard fails its assembly pass under the ``partial`` policy,
+        its candidates are in neither the pages nor the hits lists (the
+        page-shaped scoring that follows must only ever see candidates
+        that were actually assembled).
         """
         n_shards = self.catalog.n_shards
         #: shard -> list of (query index, page positions, hits subset)
@@ -428,48 +425,28 @@ class ShardRouter:
                 if timings is not None:
                     timings[index] = (start, time.perf_counter())
 
-        pages = [
-            CandidatePage(
-                ids=[sid for sid, _ in hits],
-                overlaps=[overlap for _, overlap in hits],
-                samples=[None] * len(hits),
-                union_stats=[None] * len(hits),
-            )
-            for hits in hits_per_query
-        ]
         shard_results, failed, errors = self._supervised_fanout(
             assemble, n_shards, deadline_at=deadline_at, partial=partial
         )
-        for shard_result in shard_results:
-            if shard_result is None:
-                continue
-            for q, positions, sub_page in shard_result:
-                page = pages[q]
-                for j, pos in enumerate(positions):
-                    page.samples[pos] = sub_page.samples[j]
-                    page.union_stats[pos] = sub_page.union_stats[j]
-        if failed:
-            drop: list[set[int]] = [set() for _ in hits_per_query]
-            for owner in failed:
-                for q, positions, _subset in shard_tasks[owner]:
-                    drop[q].update(positions)
-            if any(drop):
-                filtered_hits: list[list[tuple[str, int]]] = []
-                filtered_pages: list[CandidatePage] = []
-                for q, hits in enumerate(hits_per_query):
-                    keep = [p for p in range(len(hits)) if p not in drop[q]]
-                    page = pages[q]
-                    filtered_hits.append([hits[p] for p in keep])
-                    filtered_pages.append(
-                        CandidatePage(
-                            ids=[page.ids[p] for p in keep],
-                            overlaps=[page.overlaps[p] for p in keep],
-                            samples=[page.samples[p] for p in keep],
-                            union_stats=[page.union_stats[p] for p in keep],
-                        )
-                    )
-                hits_per_query, pages = filtered_hits, filtered_pages
-        return pages, hits_per_query, failed, errors
+        #: query -> (page positions, sub-page) per surviving shard
+        parts: list[list[tuple[list[int], CandidatePage]]] = [
+            [] for _ in hits_per_query
+        ]
+        for index, shard_result in enumerate(shard_results):
+            if index not in failed:
+                for q, positions, sub_page in shard_result:
+                    parts[q].append((positions, sub_page))
+        pages: list[CandidatePage] = []
+        kept_hits: list[list[tuple[str, int]]] = []
+        for query_parts in parts:
+            page = CandidatePage.concat([sub for _, sub in query_parts])
+            if len(query_parts) > 1:
+                # Sub-pages sit shard by shard; restore the hit order.
+                positions = [pos for held, _ in query_parts for pos in held]
+                page = page.take(np.argsort(positions))
+            pages.append(page)
+            kept_hits.append(list(zip(page.ids, page.overlaps.tolist())))
+        return pages, kept_hits, failed, errors
 
     # -- gather / scoring ----------------------------------------------------
 
@@ -488,12 +465,13 @@ class ShardRouter:
     ) -> list[QueryResult]:
         """The shared scatter-gather pipeline (single query = batch of 1).
 
-        The gather tail mirrors
-        :meth:`~repro.index.engine.ColumnarQueryExecutor.execute_batch`
-        statement for statement — one global scoring pass, then
-        per-query bootstrap and ranking consuming each query's rng in
-        order — so results inherit that method's parity contract with
-        looped single-catalog queries (including the timing caveat:
+        The gather tail is :func:`repro.index.engine.rerank_pages`, the
+        same function the monolithic engine's executor calls — one
+        global scoring pass, then per-query bootstrap and ranking
+        consuming each query's rng in order — so results inherit its
+        parity contract with looped single-catalog queries (plus the
+        timing caveat of
+        :meth:`~repro.index.engine.ColumnarQueryExecutor.execute_batch`:
         ``retrieval_seconds``/``rerank_seconds`` are equal per-query
         shares of the batch phases — documented aggregates; per-query
         phase cost lives in the ``traces`` spans).
@@ -561,52 +539,10 @@ class ShardRouter:
                 assemble_timings, assemble_failed, assemble_errors,
                 batch_size=n_queries,
             )
-        spans: list[tuple[int, int]] = []
-        all_samples = []
-        all_containments: list[float] = []
-        for sketch, page in zip(query_sketches, pages):
-            start = len(all_samples)
-            all_samples.extend(page.samples)
-            all_containments.extend(page.containments(sketch.distinct_keys()))
-            spans.append((start, len(all_samples)))
-
-        base_stats = candidate_scores_batch(
-            all_samples,
-            containment_ests=all_containments,
-            with_bootstrap=False,
+        ranked_per_query = rerank_pages(
+            pages, query_sketches, k, scorer, self.rng_mode,
+            true_correlations, rng, traces,
         )
-        ts = time.perf_counter() if tracing else 0.0
-        if tracing:
-            for tr in traces:
-                if tr is not None:
-                    tr.add(
-                        "score", ta, ts,
-                        shared=True, batch_size=n_queries,
-                    )
-
-        needs_bootstrap = scorer == "rb_cib"
-        ranked_per_query: list[tuple[list[RankedCandidate], int]] = []
-        for q in range(n_queries):
-            m0 = time.perf_counter() if tracing else 0.0
-            start, end = spans[q]
-            samples = all_samples[start:end]
-            stats = base_stats[start:end]
-            query_rng = np.random.default_rng(7) if rng is None else rng
-            if needs_bootstrap:
-                if self.rng_mode == "batched":
-                    stats = _apply_batched_bootstrap(samples, stats, query_rng)
-                else:
-                    stats = _apply_compat_bootstrap(samples, stats, query_rng)
-            ranked = rank_candidates(
-                pages[q].ids, stats, scorer,
-                true_correlations=QueryExecutor._truths(
-                    pages[q].ids, true_correlations[q]
-                ),
-                rng=query_rng,
-            )[:k]
-            ranked_per_query.append((ranked, len(hits_per_query[q])))
-            if tracing and traces[q] is not None:
-                traces[q].add("merge", m0, time.perf_counter())
         t2 = time.perf_counter()
 
         retrieval_share = (t1 - t0) / n_queries
@@ -614,7 +550,7 @@ class ShardRouter:
         return [
             QueryResult(
                 ranked=ranked,
-                candidates_considered=considered,
+                candidates_considered=len(hits_per_query[q]),
                 retrieval_seconds=retrieval_share,
                 rerank_seconds=rerank_share,
                 shards_probed=self.catalog.n_shards,
@@ -626,7 +562,7 @@ class ShardRouter:
                     else None
                 ),
             )
-            for q, (ranked, considered) in enumerate(ranked_per_query)
+            for q, ranked in enumerate(ranked_per_query)
         ]
 
     @staticmethod

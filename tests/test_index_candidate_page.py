@@ -1,0 +1,387 @@
+"""The columnar candidate page against its per-candidate oracle.
+
+``CandidatePage.assemble`` computes every candidate's sketch join and
+Eq. 1 union statistics in page-level passes (a scatter-ordered join, one
+row-wise rank partition). The contract is *bit-identical* to the
+per-candidate reference in :mod:`candidate_page_oracle` — same join
+pairs (hash, x, y, order), same ``(k_len, kth, k_inter, exact)`` — on
+any ragged page, for either hasher width, however the page is chunked;
+and the staged public seams (assemble → containments → batch scoring →
+ranking) rank exactly like the engine and the session that string them
+together.
+"""
+
+import math
+import tracemalloc
+from collections.abc import Sequence
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.joined_sample import JoinedSample, JoinedSamplePage
+from repro.core.sketch import CorrelationSketch, SketchColumns
+from repro.hashing import KeyHasher
+from repro.index import engine as engine_mod
+from repro.index.catalog import SketchCatalog
+from repro.index.engine import (
+    CandidatePage,
+    JoinCorrelationEngine,
+    _containment_estimate,
+    retrieve_candidates,
+)
+from repro.index.options import QueryOptions
+from repro.ranking.ranker import rank_candidates
+from repro.ranking.scoring import ScoreColumns, candidate_scores_batch
+from repro.serving.session import QuerySession
+from repro.table.table import table_from_arrays
+
+import candidate_page_oracle as oracle
+
+
+class _Columns:
+    """The one catalog method ``assemble`` calls, over a plain dict."""
+
+    def __init__(self, columns: dict[str, SketchColumns]) -> None:
+        self._columns = columns
+
+    def sketch_columns(self, sketch_id: str) -> SketchColumns:
+        return self._columns[sketch_id]
+
+
+def _same_floats(a, b) -> bool:
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+def _assert_page_matches_oracle(query, candidates, page):
+    """``page`` was assembled for ``query`` over ``candidates`` (id ->
+    sketch, in page order): compare it with the per-candidate oracle."""
+    q_cols = query.columnar()
+    assert page.ids == list(candidates)
+    assert len(page.samples) == len(candidates)
+    for i, (sid, candidate) in enumerate(candidates.items()):
+        c_cols = candidate.columnar()
+        want = oracle.join(q_cols, c_cols)
+        got = page.samples[i]
+        assert isinstance(got, JoinedSample)
+        assert got.key_hashes.tolist() == want.key_hashes.tolist(), sid
+        # Bit-identical values in identical order (NaN pairs are gone).
+        assert got.x.tobytes() == want.x.tobytes(), sid
+        assert got.y.tobytes() == want.y.tobytes(), sid
+        assert _same_floats(got.x_range, want.x_range)
+        assert _same_floats(got.y_range, want.y_range)
+        stats = oracle.union_stats(q_cols, c_cols)
+        assert (
+            int(page.k_len[i]), float(page.kth[i]),
+            int(page.k_inter[i]), bool(page.exact[i]),
+        ) == (stats.k_len, stats.kth, stats.k_inter, stats.exact), sid
+    overlaps = [
+        len(query.key_hashes() & c.key_hashes()) for c in candidates.values()
+    ]
+    assert page.overlaps.tolist() == overlaps
+    expected = [
+        _containment_estimate(query, c, o)
+        for c, o in zip(candidates.values(), overlaps)
+    ]
+    assert page.containments(query.distinct_keys()).tolist() == expected
+
+
+def _assemble(query, candidates):
+    hits = [
+        (sid, len(query.key_hashes() & c.key_hashes()))
+        for sid, c in candidates.items()
+    ]
+    catalog = _Columns({sid: c.columnar() for sid, c in candidates.items()})
+    return CandidatePage.assemble(catalog, query.columnar(), hits)
+
+
+# -- differential: random ragged pages ---------------------------------------
+
+_values = st.one_of(
+    st.just(math.nan),
+    st.floats(-1e6, 1e6, allow_nan=False, width=32),
+)
+
+
+@st.composite
+def _column_pair(draw, universe: int):
+    """Keys (a possibly empty subset of a small universe) with values,
+    some of them missing."""
+    keys = draw(st.lists(st.integers(0, universe - 1), unique=True, max_size=universe))
+    values = draw(st.lists(_values, min_size=len(keys), max_size=len(keys)))
+    return keys, values
+
+
+@st.composite
+def _pages(draw):
+    bits = draw(st.sampled_from((32, 64)))
+    universe = draw(st.integers(1, 40))
+    hasher = KeyHasher(bits=bits, seed=draw(st.integers(0, 3)))
+
+    def sketch(name: str) -> CorrelationSketch:
+        keys, values = draw(_column_pair(universe))
+        # Sizes from 1 up: below the key count the sketch overflows,
+        # above it both sides can have seen every key.
+        size = draw(st.integers(1, 24))
+        return CorrelationSketch.from_columns(
+            [f"k{key}" for key in keys], values, size, hasher=hasher, name=name
+        )
+
+    query = sketch("query")
+    n_candidates = draw(st.integers(0, 7))
+    candidates = {f"c{i}": sketch(f"c{i}") for i in range(n_candidates)}
+    return query, candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pages())
+def test_page_kernel_matches_oracle(page_input):
+    query, candidates = page_input
+    _assert_page_matches_oracle(query, candidates, _assemble(query, candidates))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pages(), st.integers(1, 64))
+def test_row_chunking_does_not_change_the_page(page_input, cells):
+    """Any scratch bound — down to one row per chunk — gives the oracle's
+    page: chunks are merged with the page-level ``concat``."""
+    query, candidates = page_input
+    saved = engine_mod._PAGE_SCRATCH_CELLS
+    engine_mod._PAGE_SCRATCH_CELLS = cells
+    try:
+        page = _assemble(query, candidates)
+    finally:
+        engine_mod._PAGE_SCRATCH_CELLS = saved
+    _assert_page_matches_oracle(query, candidates, page)
+
+
+# -- differential: the named edge cases, in one page per hasher --------------
+
+
+@pytest.mark.parametrize("bits", (32, 64))
+def test_ragged_page_edge_cases(bits):
+    hasher = KeyHasher(bits=bits)
+    rng = np.random.default_rng(bits)
+    keys = [f"k{i}" for i in range(400)]
+
+    def sketch(picked, size, name, nan_share=0.0):
+        values = rng.standard_normal(len(picked))
+        values[rng.uniform(size=len(picked)) < nan_share] = np.nan
+        return CorrelationSketch.from_columns(
+            [keys[i] for i in picked], values, size, hasher=hasher, name=name
+        )
+
+    query = sketch(range(0, 300), 64, "query", nan_share=0.1)
+    candidates = {
+        "overflowed": sketch(range(100, 400), 64, "overflowed"),
+        "holey": sketch(range(0, 300), 64, "holey", nan_share=0.3),
+        "empty": CorrelationSketch(64, hasher=hasher, name="empty"),
+        "small": sketch(range(0, 300, 9), 64, "small"),  # 34 keys < |Q|
+        "tiny": sketch([5], 64, "tiny"),
+        "disjoint": sketch(range(300, 400), 64, "disjoint"),
+        "other-size": sketch(range(0, 400), 17, "other-size"),
+    }
+    page = _assemble(query, candidates)
+    _assert_page_matches_oracle(query, candidates, page)
+    assert len(set(page.k_len.tolist())) >= 4  # several k_len in one page
+    assert not page.exact.any()
+
+    # Both sides saw all their keys: the exact-overlap shortcut.
+    complete = sketch(range(0, 40), 64, "complete")
+    assert complete.saw_all_keys
+    page = _assemble(complete, candidates)
+    _assert_page_matches_oracle(complete, candidates, page)
+    assert page.exact.tolist() == [
+        c.saw_all_keys for c in candidates.values()
+    ] and page.exact.any() and not page.exact.all()
+
+    # Empty query sketch and zero hits.
+    empty_query = CorrelationSketch(64, hasher=hasher, name="empty-query")
+    _assert_page_matches_oracle(
+        empty_query, candidates, _assemble(empty_query, candidates)
+    )
+    no_hits = _assemble(query, {})
+    _assert_page_matches_oracle(query, {}, no_hits)
+    assert len(no_hits.samples) == 0 and no_hits.containments(10.0).shape == (0,)
+
+
+def test_concat_and_take_are_page_level_identities():
+    hasher = KeyHasher()
+    rng = np.random.default_rng(4)
+    query = CorrelationSketch.from_columns(
+        np.arange(500), rng.standard_normal(500), 48, hasher=hasher
+    )
+    candidates = {
+        f"c{i}": CorrelationSketch.from_columns(
+            rng.choice(700, 300, replace=False), rng.standard_normal(300),
+            48, hasher=hasher,
+        )
+        for i in range(9)
+    }
+    whole = _assemble(query, candidates)
+    names = list(candidates)
+    order = rng.permutation(len(names))
+    shuffled = {names[i]: candidates[names[i]] for i in order}
+    split = [
+        _assemble(query, dict(list(shuffled.items())[lo:hi]))
+        for lo, hi in ((0, 2), (2, 2), (2, 9))
+    ]
+    merged = CandidatePage.concat(split).take(np.argsort(order))
+    _assert_page_matches_oracle(query, candidates, merged)
+    assert merged.samples.indptr.tolist() == whole.samples.indptr.tolist()
+    assert merged.samples.x.tobytes() == whole.samples.x.tobytes()
+
+
+# -- the staged public seams --------------------------------------------------
+
+
+def _corpus(seed=5, n_tables=14, n_rows=900, sketch_size=64):
+    rng = np.random.default_rng(seed)
+    keys = [f"k{i}" for i in range(n_rows)]
+    base = rng.standard_normal(n_rows)
+    catalog = SketchCatalog(sketch_size=sketch_size)
+    for t in range(n_tables):
+        rho = float(rng.uniform(-1.0, 1.0))
+        values = rho * base + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n_rows)
+        keep = rng.uniform(size=n_rows) < rng.uniform(0.2, 1.0)
+        values[rng.uniform(size=n_rows) < 0.05] = np.nan
+        catalog.add_table(
+            table_from_arrays(
+                f"tab{t:02d}", [k for k, m in zip(keys, keep) if m], values[keep]
+            )
+        )
+    query = CorrelationSketch.from_columns(
+        keys, base, sketch_size, hasher=catalog.hasher, name="query"
+    )
+    return catalog, query
+
+
+@pytest.mark.parametrize("scorer", ("rp_cih", "rb_cib"))
+def test_staged_seams_rank_like_engine_and_session(scorer):
+    """What ``benchmarks/record`` replays stage by stage must stay a
+    faithful decomposition of ``engine.query`` / ``QuerySession.submit``."""
+    catalog, query = _corpus()
+    k = 5
+    options = QueryOptions(k=k, depth=10, scorer=scorer)
+    engine = JoinCorrelationEngine.from_options(catalog, options)
+
+    cols = query.columnar()
+    hits = retrieve_candidates(catalog, cols, depth=options.depth)
+    page = CandidatePage.assemble(catalog, cols, hits)
+    containments = page.containments(query.distinct_keys())
+    rng = np.random.default_rng(7)
+    stats = candidate_scores_batch(
+        page.samples,
+        containment_ests=containments,
+        rng=rng,
+        with_bootstrap=scorer == "rb_cib",
+        rng_mode=options.rng_mode,
+    )
+    staged = rank_candidates(page.ids, stats, scorer, rng=rng)[:k]
+
+    assert len(staged) == k
+    assert staged == engine.query(query, k=k, scorer=scorer).ranked
+    with QuerySession.for_catalog(catalog, options) as session:
+        assert staged == session.submit([query])[0].ranked
+
+    # The seams' shapes: lazily materialised sequences over page arrays.
+    assert page.ids == [sid for sid, _ in hits]
+    assert isinstance(page.samples, Sequence) and len(page.samples) == len(hits)
+    assert all(isinstance(sample, JoinedSample) for sample in page.samples)
+    assert isinstance(stats, Sequence) and len(stats) == len(hits)
+    assert [s.sample_size for s in stats] == [s.size for s in page.samples]
+
+
+def test_plain_sample_list_is_lowered_to_the_same_scoring():
+    """One scoring implementation: a ``list[JoinedSample]`` is lowered to
+    the CSR form at entry, so it scores exactly like the page it came
+    from — bootstrap columns and rng consumption included."""
+    catalog, query = _corpus(seed=6)
+    cols = query.columnar()
+    page = CandidatePage.assemble(
+        catalog, cols, retrieve_candidates(catalog, cols, depth=10)
+    )
+    for rng_mode in ("batched", "compat"):
+        from_page = candidate_scores_batch(
+            page.samples, rng=np.random.default_rng(3), rng_mode=rng_mode
+        )
+        from_list = candidate_scores_batch(
+            list(page.samples), rng=np.random.default_rng(3), rng_mode=rng_mode
+        )
+        assert isinstance(from_list, ScoreColumns)
+        assert list(from_page) == list(from_list)
+    lowered = JoinedSamplePage.from_samples(list(page.samples))
+    assert lowered.indptr.tolist() == page.samples.indptr.tolist()
+    assert _same_floats(lowered.y_ranges, page.samples.y_ranges)
+
+
+def test_combined_range_nan_rules_hold_columnwise():
+    """A NaN side of the range is skipped; both NaN stays NaN (and the
+    Hoeffding interval is then the vacuous one, as in the scalar path)."""
+    nan = (np.nan, np.nan)
+    x, y = np.array([1.0, 2.0, 4.0]), np.array([2.0, 1.0, 3.0])
+    hashes = np.arange(3, dtype=np.uint64)
+    samples = [
+        JoinedSample(hashes, x, y, (0.0, 5.0), (1.0, 4.0)),
+        JoinedSample(hashes, x, y, nan, (1.0, 4.0)),
+        JoinedSample(hashes, x, y, (0.0, 5.0), nan),
+        JoinedSample(hashes, x, y, nan, nan),
+    ]
+    from repro.ranking.scoring import candidate_scores
+
+    batch = candidate_scores_batch(samples, with_bootstrap=False)
+    for sample, got in zip(samples, batch):
+        want = candidate_scores(sample, with_bootstrap=False)
+        assert math.isclose(
+            got.hfd_ci_length, want.hfd_ci_length, rel_tol=1e-9, abs_tol=1e-12
+        )
+    assert batch[3].hfd_ci_length == 2.0
+
+
+# -- scratch is bounded by row chunks ----------------------------------------
+
+
+def _synthetic_columns(rng, hasher, universe, size) -> SketchColumns:
+    picked = np.sort(rng.choice(universe.shape[0], size, replace=False))
+    hashes = universe[picked]
+    return SketchColumns(
+        key_hashes=hashes,
+        ranks=hasher.unit_hash_batch(hashes),
+        values=rng.standard_normal(size),
+        value_range=(-5.0, 5.0),
+        saw_all_keys=False,
+    )
+
+
+def _assemble_peak_bytes(catalog, query_cols, hits) -> int:
+    tracemalloc.start()
+    try:
+        page = CandidatePage.assemble(catalog, query_cols, hits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(page.ids) == len(hits)
+    return peak
+
+
+def test_deep_page_of_big_sketches_assembles_in_bounded_scratch(monkeypatch):
+    """Depth 1000 x sketch size 1024: one pass over the whole page would
+    hold ~75 MB of probe, grid and rank-matrix scratch; row chunks keep
+    the peak (output page included) under a fixed 8 MB."""
+    budget = 8 << 20
+    size, depth = 1024, 1000
+    hasher = KeyHasher(bits=64)
+    rng = np.random.default_rng(0)
+    universe = np.unique(rng.integers(0, 2**63, 20_000).astype(np.uint64))
+    columns = {
+        f"c{i:04d}": _synthetic_columns(rng, hasher, universe, size)
+        for i in range(depth)
+    }
+    query_cols = _synthetic_columns(rng, hasher, universe, size)
+    hits = [(sid, 1) for sid in columns]
+    catalog = _Columns(columns)
+
+    assert _assemble_peak_bytes(catalog, query_cols, hits) < budget
+    # The budget is a real constraint: unchunked, the same page breaks it.
+    monkeypatch.setattr(engine_mod, "_PAGE_SCRATCH_CELLS", 1 << 40)
+    assert _assemble_peak_bytes(catalog, query_cols, hits) > budget

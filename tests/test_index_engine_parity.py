@@ -20,17 +20,16 @@ from repro.core.joined_sample import join_columns, join_sketches
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import (
+    CandidatePage,
     ColumnarQueryExecutor,
     JoinCorrelationEngine,
     ScalarQueryExecutor,
-    _candidate_membership,
     _containment_estimate,
-    _containment_estimates_batch,
-    _join_from_membership,
-    _union_stats,
 )
 from repro.ranking.scoring import SCORER_NAMES, candidate_scores, candidate_scores_batch
 from repro.table.table import table_from_arrays
+
+import candidate_page_oracle as oracle
 
 #: Scorers whose columnar statistics are bit-identical to the scalar
 #: path's (no reduceat-summed moments in the score formula).
@@ -232,8 +231,10 @@ def test_join_columns_bit_identical_to_join_sketches():
         a = join_sketches(left, right)
         lcols, rcols = left.columnar(), right.columnar()
         b = join_columns(lcols, rcols)
-        # The executor's fused single-probe join must match too.
-        c = _join_from_membership(lcols, rcols, *_candidate_membership(lcols, rcols))
+        # The oracle's fused single-probe join must match too.
+        c = oracle.join_from_membership(
+            lcols, rcols, *oracle.candidate_membership(lcols, rcols)
+        )
         for other in (b, c):
             assert (a.key_hashes == other.key_hashes).all()
             assert np.array_equal(a.x, other.x, equal_nan=True)
@@ -252,9 +253,15 @@ def test_containment_batch_bit_identical_to_scalar():
         query, candidate = _random_sketch_pair(rng, with_nan=False)
         overlap = len(query.key_hashes() & candidate.key_hashes())
         expected = _containment_estimate(query, candidate, overlap)
-        stats = [_union_stats(query.columnar(), candidate.columnar())]
-        got = _containment_estimates_batch(query.distinct_keys(), [overlap], stats)
-        assert got[0] == expected
+        catalog = SketchCatalog(sketch_size=candidate.n, hasher=query.hasher)
+        catalog.add_sketch("c", candidate)
+        page = CandidatePage.assemble(catalog, query.columnar(), [("c", overlap)])
+        stats = oracle.union_stats(query.columnar(), candidate.columnar())
+        assert (
+            int(page.k_len[0]), float(page.kth[0]),
+            int(page.k_inter[0]), bool(page.exact[0]),
+        ) == (stats.k_len, stats.kth, stats.k_inter, stats.exact)
+        assert page.containments(query.distinct_keys())[0] == expected
 
 
 def test_candidate_scores_batch_matches_scalar():

@@ -14,7 +14,11 @@ import pytest
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
 from repro.index.catalog import SketchCatalog
-from repro.index.engine import JoinCorrelationEngine
+from repro.index.engine import (
+    CandidatePage,
+    JoinCorrelationEngine,
+    retrieve_candidates,
+)
 from repro.ranking.scoring import RNG_MODES, SCORER_NAMES
 from repro.serving import (
     QueryWorkerPool,
@@ -22,6 +26,7 @@ from repro.serving import (
     ShardWorkerPool,
     ShardedCatalog,
 )
+from repro.serving.faults import injected
 
 SHARD_COUNTS = (1, 2, 7)
 #: rows=1 keeps LSH collision probability high on this moderately
@@ -153,6 +158,43 @@ def test_shared_rng_stream_parity(corpus, n_shards):
         queries, k=8, scorer="random", rng=np.random.default_rng(123)
     )
     assert [_key(r) for r in got] == expected
+
+
+def _assert_pages_equal(got: CandidatePage, want: CandidatePage):
+    assert got.ids == want.ids
+    for name in ("overlaps", "k_len", "kth", "k_inter", "exact"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    for name in ("key_hashes", "x", "y", "indptr", "x_ranges", "y_ranges"):
+        a, b = getattr(got.samples, name), getattr(want.samples, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+def test_merged_shard_sub_pages_equal_the_monolithic_page(corpus, n_shards):
+    """Shard-local sub-pages, merged with the page-level concat/take,
+    are the monolithic page array for array — also when a failing shard
+    is dropped under ``on_shard_error="partial"`` (the merged page is
+    then the monolithic page of the surviving hits)."""
+    mono, sharded, queries, _ = corpus
+    catalog = sharded[n_shards]
+    router = _router(catalog, "inverted", depth=20)
+    cols = [query.columnar() for query in queries]
+    hits = [retrieve_candidates(mono, c, depth=20) for c in cols]
+
+    pages, kept, failed, _ = router._scatter_assemble(cols, hits)
+    assert kept == hits and not failed
+    for page, c, page_hits in zip(pages, cols, hits):
+        _assert_pages_equal(page, CandidatePage.assemble(mono, c, page_hits))
+
+    lost = catalog.owner_of(hits[0][0][0])
+    with injected({"shard_assemble": {"shard": lost, "kind": "exception"}}):
+        pages, kept, failed, _ = router._scatter_assemble(cols, hits, partial=True)
+    assert failed == {lost}
+    for page, c, page_hits, survivors in zip(pages, cols, hits, kept):
+        assert survivors == [
+            hit for hit in page_hits if catalog.owner_of(hit[0]) != lost
+        ]
+        _assert_pages_equal(page, CandidatePage.assemble(mono, c, survivors))
 
 
 @pytest.mark.parametrize("n_shards", (2, 7))

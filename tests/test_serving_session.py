@@ -10,6 +10,9 @@ the JSON wire format bit-for-bit (property-tested, NaN included).
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -336,6 +339,48 @@ result_strategy = st.builds(
     shards_failed=st.integers(min_value=0, max_value=64),
     degraded=st.booleans(),
 )
+
+
+_ALLOCATOR_PROBE = """
+import json, resource
+import numpy as np
+from repro.index.catalog import SketchCatalog
+from repro.serving.session import QuerySession, _pin_malloc_thresholds
+
+def faults_per_pass(passes=20):
+    def one_pass():  # four touched 1 MiB blocks alive at once, then freed
+        return [np.ones(1 << 17) for _ in range(4)]
+    one_pass()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(passes):
+        one_pass()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / passes
+
+cold = faults_per_pass()
+QuerySession.for_catalog(SketchCatalog(sketch_size=8)).warm()
+print(json.dumps({"cold": cold, "warm": faults_per_pass(),
+                  "pinned": _pin_malloc_thresholds()}))
+"""
+
+
+class TestWarm:
+    def test_warm_pins_the_allocator(self):
+        """After ``warm()`` a loop that frees what it allocated gets the
+        same heap back: no fresh pages per pass. Under glibc's drifting
+        thresholds the same loop maps or trims-and-regrows its 4 MiB on
+        every pass (1024 page faults) — the history-dependent cost that
+        made identical queries 25% slower on some benchmark seeds. Run
+        in a fresh interpreter: ``mallopt`` is process-wide."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", _ALLOCATOR_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        probe = json.loads(out.stdout)
+        if not probe["pinned"]:
+            pytest.skip("no glibc mallopt on this platform")
+        assert probe["warm"] < 32, probe
+        assert probe["cold"] > 512, probe
 
 
 class TestQueryResultWireFormat:
