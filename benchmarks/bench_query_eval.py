@@ -1,4 +1,4 @@
-"""Section 5.5 — end-to-end query-evaluation latency and executor speedup.
+"""Section 5.5 — end-to-end query-evaluation latency and bootstrap speedup.
 
 Two benchmarks cover the online path:
 
@@ -14,20 +14,15 @@ Two benchmarks cover the online path:
   on their corpus; the expected *shape* here is the same: a large
   majority of queries at interactive latency, with a short tail.
 
-* ``test_query_executor_speedup`` measures the columnar executor
-  against the scalar reference on a ≥2k-sketch catalog (the scale the
-  tentpole targets), asserting identical rankings and a ≥5x re-rank
-  phase speedup, and records the per-phase split of both executors.
-
 * ``test_bootstrap_rerank_speedup`` measures the ``rb_cib`` scorer — the
-  paper's most expensive, most accurate ranking — on the same 2048-sketch
+  paper's most expensive, most accurate ranking — on a 2048-sketch
   catalog under both bootstrap contracts: ``rng_mode="compat"`` (one
   599-replicate PM1 run per candidate) vs ``rng_mode="batched"`` (the
   cross-candidate engine: shared draws per stopping round, adaptive
   early stopping, chunked tensor arithmetic), asserting the batched
   engine re-ranks ≥5x faster.
 
-All write their tables into ``benchmarks/results/`` and shrink to a
+Both write their tables into ``benchmarks/results/`` and shrink to a
 CI-sized smoke run under ``--quick`` (absolute-performance assertions
 are skipped there).
 """
@@ -47,12 +42,17 @@ from repro.index.engine import JoinCorrelationEngine
 SKETCH_SIZE = 1024
 RETRIEVAL_DEPTH = 100
 
-#: Synthetic catalog scale for the executor comparison (the tentpole's
-#: acceptance bar is >=5x re-rank throughput at >=2k sketches).
+#: Synthetic catalog scale for the bootstrap-contract comparison.
 SPEEDUP_CATALOG_SKETCHES = 2048
-SPEEDUP_QUERIES = 5
 SPEEDUP_QUICK_SKETCHES = 160
-SPEEDUP_QUICK_QUERIES = 2
+
+#: Queries for the bootstrap-contract comparison (each costs hundreds of
+#: milliseconds on the compat path — 599 resamples x ~100 candidates) and
+#: repetitions per (query, mode): the best-of-N re-rank time filters
+#: scheduler/throttling noise out of a sustained-CPU comparison.
+BOOTSTRAP_QUERIES = 3
+BOOTSTRAP_QUICK_QUERIES = 1
+BOOTSTRAP_REPEATS = 3
 
 
 def _run_queries(nyc_refs, max_queries=None):
@@ -130,7 +130,7 @@ def _build_speedup_catalog(n_sketches: int, seed: int = 1):
             ),
         )
     queries = []
-    for q in range(max(SPEEDUP_QUERIES, SPEEDUP_QUICK_QUERIES)):
+    for q in range(BOOTSTRAP_QUERIES):
         m = int(rng.integers(1_800, 2_500))
         idx = rng.choice(universe.shape[0], m, replace=False)
         queries.append(
@@ -140,83 +140,6 @@ def _build_speedup_catalog(n_sketches: int, seed: int = 1):
             )
         )
     return catalog, queries
-
-
-def test_query_executor_speedup(quick):
-    n_sketches = SPEEDUP_QUICK_SKETCHES if quick else SPEEDUP_CATALOG_SKETCHES
-    n_queries = SPEEDUP_QUICK_QUERIES if quick else SPEEDUP_QUERIES
-    catalog, queries = _build_speedup_catalog(n_sketches)
-    queries = queries[:n_queries]
-
-    scalar = JoinCorrelationEngine(catalog, retrieval_depth=RETRIEVAL_DEPTH,
-                                   vectorized=False)
-    columnar = JoinCorrelationEngine(catalog, retrieval_depth=RETRIEVAL_DEPTH)
-
-    # Steady-state serving regime: the frozen postings snapshot and the
-    # per-sketch columnar views are one-time costs paid at catalog load
-    # (each sketch is lowered at most once, ever) — prewarm them so the
-    # measured phases compare per-query work, not amortized setup. The
-    # scalar path has no equivalent caches; its per-candidate dict builds
-    # are inherent to the reference design.
-    catalog.frozen_postings()
-    for sid in catalog:
-        catalog.sketch_columns(sid)
-    scalar.query(queries[0], k=10, scorer="rp_cih")
-    columnar.query(queries[0], k=10, scorer="rp_cih")
-
-    phases = {"scalar": [0.0, 0.0], "columnar": [0.0, 0.0]}
-    candidates = 0
-    for query in queries:
-        a = scalar.query(query, k=10, scorer="rp_cih")
-        b = columnar.query(query, k=10, scorer="rp_cih")
-        # The speedup is only meaningful if both executors do the same
-        # work: identical candidates, identical rankings.
-        assert a.candidates_considered == b.candidates_considered
-        assert [e.candidate_id for e in a.ranked] == [e.candidate_id for e in b.ranked]
-        candidates += a.candidates_considered
-        phases["scalar"][0] += a.retrieval_seconds
-        phases["scalar"][1] += a.rerank_seconds
-        phases["columnar"][0] += b.retrieval_seconds
-        phases["columnar"][1] += b.rerank_seconds
-
-    retrieval_speedup = phases["scalar"][0] / phases["columnar"][0]
-    rerank_speedup = phases["scalar"][1] / phases["columnar"][1]
-    total_scalar = sum(phases["scalar"])
-    total_columnar = sum(phases["columnar"])
-
-    lines = [
-        f"catalog sketches        : {len(catalog)}",
-        f"sketch size             : {SKETCH_SIZE}",
-        "(frozen postings + sketch-column views prewarmed: one-time",
-        " catalog-load costs, excluded from per-query phases)",
-        f"queries                 : {len(queries)} "
-        f"({candidates} candidates re-ranked)",
-        f"scalar   retrieval      : {phases['scalar'][0] * 1000:9.2f} ms",
-        f"scalar   re-rank        : {phases['scalar'][1] * 1000:9.2f} ms",
-        f"columnar retrieval      : {phases['columnar'][0] * 1000:9.2f} ms",
-        f"columnar re-rank        : {phases['columnar'][1] * 1000:9.2f} ms",
-        f"retrieval speedup       : {retrieval_speedup:9.2f}x",
-        f"re-rank speedup         : {rerank_speedup:9.2f}x",
-        f"end-to-end speedup      : {total_scalar / total_columnar:9.2f}x",
-    ]
-    if quick:
-        lines.append("(quick mode: CI smoke scale, speedup assertion skipped)")
-    write_result("query_executor_speedup.txt", "\n".join(lines))
-
-    if quick:
-        return
-    # The tentpole's acceptance bar: >=5x re-rank throughput at >=2k sketches.
-    assert len(catalog) >= 2000
-    assert rerank_speedup >= 5.0
-
-
-#: Queries for the bootstrap-contract comparison (each costs hundreds of
-#: milliseconds on the compat path — 599 resamples x ~100 candidates) and
-#: repetitions per (query, mode): the best-of-N re-rank time filters
-#: scheduler/throttling noise out of a sustained-CPU comparison.
-BOOTSTRAP_QUERIES = 3
-BOOTSTRAP_QUICK_QUERIES = 1
-BOOTSTRAP_REPEATS = 3
 
 
 def test_bootstrap_rerank_speedup(quick):
@@ -234,8 +157,9 @@ def test_bootstrap_rerank_speedup(quick):
         catalog, retrieval_depth=RETRIEVAL_DEPTH, rng_mode="batched"
     )
 
-    # Same steady-state prewarm as the executor comparison: catalog-load
-    # costs are one-time, both engines share the columnar executor.
+    # Steady-state serving regime: the frozen postings snapshot and the
+    # per-sketch columnar views are one-time costs paid at catalog load
+    # — prewarm them so the measured phase compares per-query work.
     catalog.frozen_postings()
     for sid in catalog:
         catalog.sketch_columns(sid)

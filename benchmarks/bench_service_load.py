@@ -4,8 +4,8 @@ The question the query service exists to answer: when many clients hit
 one warm catalog *concurrently*, does the coalescing front door
 (:class:`repro.serving.coalescer.QueryCoalescer`) actually buy
 throughput over executing each request by itself? The batch pipeline's
-amortization is established in ``bench_batch_query.py``; this benchmark
-closes the loop end-to-end — real HTTP clients, real sockets, the
+amortization is timed by the ``batch_bootstrap`` workload of the
+benchmark of record (``benchmarks/record/``); this benchmark closes the loop end-to-end — real HTTP clients, real sockets, the
 adaptive window forming batches only because executions are in flight.
 
 Two service configurations over the same warm session, same clients:

@@ -184,12 +184,6 @@ def _add_query_tuning_args(parser: argparse.ArgumentParser) -> None:
         "default: the engine's fixed seed, so repeated queries match",
     )
     parser.add_argument(
-        "--no-vectorized-query",
-        action="store_true",
-        help="evaluate the query with the row-at-a-time reference executor "
-        "instead of the (identical-ranking, much faster) columnar one",
-    )
-    parser.add_argument(
         "--rng-mode",
         default="batched",
         choices=RNG_MODES,
@@ -360,7 +354,6 @@ def _options_from_args(args: argparse.Namespace) -> QueryOptions:
         depth=args.depth,
         scorer=args.scorer,
         min_overlap=args.min_overlap,
-        vectorized=not args.no_vectorized_query,
         rng_mode=args.rng_mode,
         retrieval_backend=args.retrieval,
         lsh_bands=args.bands,
@@ -394,7 +387,7 @@ def _build_session(catalog_path, catalog_dir, options, workers):
         session = QuerySession(
             JoinCorrelationEngine.from_options(catalog, options), options
         )
-        label = "scalar" if not options.vectorized else "columnar"
+        label = "monolithic"
     return session, catalog, label
 
 
@@ -427,9 +420,7 @@ def _print_profile(results) -> None:
 
     Shared batch-wide spans (retrieval/score stacked across the whole
     window) carry identical ``(name, start, duration)`` in every
-    query's trace and are counted once; per-query spans sum. Falls back
-    to the legacy two-line retrieval/re-rank split when no trace was
-    recorded (a backend that predates tracing).
+    query's trace and are counted once; per-query spans sum.
     """
     totals: dict[str, float] = {}
     seen_shared: set[tuple] = set()
@@ -450,19 +441,6 @@ def _print_profile(results) -> None:
             totals[span["name"]] = (
                 totals.get(span["name"], 0.0) + span["duration_ms"]
             )
-    if not totals:
-        retrieval_ms = sum(r.retrieval_seconds for r in results) * 1000
-        rerank_ms = sum(r.rerank_seconds for r in results) * 1000
-        wall = max(retrieval_ms + rerank_ms, 1e-9)
-        print(
-            f"profile    : retrieval  {retrieval_ms:8.2f} ms "
-            f"({100 * retrieval_ms / wall:5.1f}%)"
-        )
-        print(
-            f"             re-rank    {rerank_ms:8.2f} ms "
-            f"({100 * rerank_ms / wall:5.1f}%)"
-        )
-        return
     wall = max(sum(totals.values()), 1e-9)
     label = "profile    :"
     for name, ms in totals.items():
@@ -491,11 +469,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.workers is not None and args.catalog_dir is None:
         raise SystemExit(
             "error: --workers fans shard probes out and needs --catalog-dir"
-        )
-    if args.no_vectorized_query and args.catalog_dir is not None:
-        raise SystemExit(
-            "error: --no-vectorized-query selects the single-catalog "
-            "reference executor; the sharded router is columnar-only"
         )
     if args.query_csv is not None and args.queries_dir is not None:
         raise SystemExit(
@@ -636,11 +609,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.workers is not None and args.catalog_dir is None:
         raise SystemExit(
             "error: --workers fans shard probes out and needs --catalog-dir"
-        )
-    if args.no_vectorized_query and args.catalog_dir is not None:
-        raise SystemExit(
-            "error: --no-vectorized-query selects the single-catalog "
-            "reference executor; the sharded router is columnar-only"
         )
     if (
         args.deadline_ms is not None or args.on_shard_error is not None

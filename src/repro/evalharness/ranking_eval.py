@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.joined_sample import join_sketches
 from repro.core.sketch import CorrelationSketch
 from repro.data.workloads import PairRef
 from repro.index.catalog import SketchCatalog
-from repro.index.engine import _containment_estimate
+from repro.index.engine import CandidatePage
 from repro.ranking.metrics import average_precision, ndcg_at
 from repro.ranking.ranker import rank_candidates, relevance_flags, relevance_gains
 from repro.ranking.scoring import CandidateScores, candidate_scores
@@ -99,20 +98,20 @@ def evaluate_query(
     hits = catalog.index.top_overlap(
         query_sketch.key_hashes(), retrieval_depth, exclude=query_ref.pair_id
     )
+    # Never rank another column of the very same table: trivially
+    # joinable and not a discovery.
+    hits = [
+        hit for hit in hits if by_id[hit[0]].table.name != query_ref.table.name
+    ]
+    page = CandidatePage.assemble(catalog, query_sketch.columnar(), hits)
+    containments = page.containments(query_sketch.distinct_keys()).tolist()
     query_keys = list(query_ref.table.categorical(query_ref.pair.key).values)
 
     ids: list[str] = []
     stats: list[CandidateScores] = []
     truths: list[float] = []
-    for sid, overlap in hits:
+    for sid, sample, containment_est in zip(page.ids, page.samples, containments):
         cand_ref = by_id[sid]
-        # Never rank another column of the very same table: trivially
-        # joinable and not a discovery.
-        if cand_ref.table.name == query_ref.table.name:
-            continue
-        candidate = catalog.get(sid)
-        sample = join_sketches(query_sketch, candidate).drop_nan()
-        containment_est = _containment_estimate(query_sketch, candidate, overlap)
         containment_true = jaccard_containment(
             query_keys, list(cand_ref.table.categorical(cand_ref.pair.key).values)
         )

@@ -19,11 +19,8 @@ from repro.index.catalog import SketchCatalog, SketchMeta
 from repro.index.engine import (
     RETRIEVAL_BACKENDS,
     CandidatePage,
-    ColumnarQueryExecutor,
     JoinCorrelationEngine,
-    QueryExecutor,
     QueryResult,
-    ScalarQueryExecutor,
     rerank_pages,
     retrieve_candidates,
     retrieve_candidates_batch,
@@ -44,17 +41,14 @@ __all__ = [
     "ArenaReader",
     "CandidatePage",
     "ColumnarPostings",
-    "ColumnarQueryExecutor",
     "InvertedIndex",
     "JoinCorrelationEngine",
     "LshIndex",
     "MinHashSignature",
-    "QueryExecutor",
     "QueryOptions",
     "QueryResult",
     "RETRIEVAL_BACKENDS",
     "SNAPSHOT_VERSION",
-    "ScalarQueryExecutor",
     "SketchCatalog",
     "SketchMeta",
     "atomic_write",

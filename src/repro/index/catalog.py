@@ -23,7 +23,7 @@ content sniff on load):
   (:meth:`sketch_columns` / :meth:`frozen_postings`) never materializes
   Python-object sketches at all, while :meth:`get` materializes on first
   access; the live :class:`InvertedIndex` is rebuilt only when something
-  actually needs it (scalar retrieval, or a mutation).
+  actually needs it (a ``catalog.index`` reader, or a mutation).
 
 Index maintenance is LSM-style. The frozen CSR postings and the
 frozen-layer LSH index are immutable between compactions: appends land

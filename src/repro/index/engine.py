@@ -26,83 +26,59 @@ Query sketches for in-memory tables are built through the vectorized
 columnar path (:meth:`repro.core.sketch.CorrelationSketch.update_array`),
 which is bit-identical to streaming construction.
 
-Two interchangeable :class:`QueryExecutor` strategies evaluate the plan:
+One pipeline evaluates the plan, and a single query is a batch of one
+(:meth:`JoinCorrelationEngine.query_batch`): the query sketches are
+lowered to columns, the retrieval probe answers from the catalog's
+layered indexes — frozen CSR + delta − tombstones
+(:meth:`SketchCatalog.probe_top_overlap_batch`, one stacked pass for the
+whole batch), the candidate page stays columnar from the membership
+probe to the top-``k`` cut (:class:`CandidatePage`: one CSR block of
+join samples plus four union-statistics arrays, scored by
+:func:`repro.ranking.scoring.candidate_scores_batch`), and per-candidate
+result records exist only for the ``k`` entries returned
+(:func:`rerank_pages`). The pipeline asks two *stage steps* for the
+parts that depend on where the sketches live — candidate retrieval and
+page assembly. The engine answers both from its one catalog; a
+:class:`repro.serving.ShardRouter` is the same engine with both steps
+scattered over catalog shards. The row-at-a-time reference (dict-of-
+lists ScanCount, per-candidate dict joins and statistics) that the
+parity suites compare this pipeline against lives in the test tree,
+``tests/scalar_query_oracle.py``.
 
-* :class:`ColumnarQueryExecutor` (default) — the whole pipeline runs on
-  arrays: the retrieval probe answers from the catalog's layered
-  indexes — frozen CSR + delta − tombstones
-  (:meth:`SketchCatalog.probe_top_overlap`), the candidate page stays
-  columnar from the membership probe to the top-``k`` cut
-  (:class:`CandidatePage`: one CSR block of join samples plus four
-  union-statistics arrays, scored by
-  :func:`repro.ranking.scoring.candidate_scores_batch`), and
-  per-candidate result records exist only for the ``k`` entries
-  returned (:func:`rerank_pages`).
-* :class:`ScalarQueryExecutor` — the row-at-a-time reference
-  implementation (dict-of-lists ScanCount, per-candidate dict joins and
-  statistics), kept as the baseline the parity suite and the
-  ``bench_query_eval`` speedup benchmark compare against.
-
-Both return the same rankings; select with
-``JoinCorrelationEngine(..., vectorized=False)`` or the CLI's
-``query --no-vectorized-query``.
-
-Orthogonally, ``rng_mode`` selects how ``rb_cib`` queries run the PM1
-bootstrap across the candidate page: ``"batched"`` (default) drives all
-candidates through the cross-candidate resampling engine
+``rng_mode`` selects how ``rb_cib`` queries run the PM1 bootstrap across
+the candidate page: ``"batched"`` (default) drives all candidates
+through the cross-candidate resampling engine
 (:func:`repro.correlation.bootstrap.pm1_interval_page`); ``"compat"``
-reproduces the historical per-candidate rng stream bit-for-bit. Both
-executors honor both modes with bit-identical bootstrap statistics for a
-given mode, so executor parity holds under either.
+reproduces the historical per-candidate rng stream bit-for-bit.
 
-Two further serving axes (both orthogonal to the executor choice):
-
-* ``retrieval_backend`` plugs the candidate-retrieval phase
-  (:data:`RETRIEVAL_BACKENDS`): the exact inverted index (default) or
-  the approximate MinHash-LSH index — candidates are ranked by exact
-  key overlap either way, so the backends share re-ranking and differ
-  only in retrieval recall;
-* :meth:`JoinCorrelationEngine.query_batch` evaluates many queries
-  through one amortized pipeline (stacked index probe, one shared
-  scoring pass) with results bit-identical to looping
-  :meth:`JoinCorrelationEngine.query`.
+``retrieval_backend`` plugs the candidate-retrieval phase
+(:data:`RETRIEVAL_BACKENDS`): the exact inverted index (default) or the
+approximate MinHash-LSH index — candidates are ranked by exact key
+overlap either way, so the backends share re-ranking and differ only in
+retrieval recall.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.joined_sample import (
-    JoinedSample,
-    JoinedSamplePage,
-    join_sketches,
-)
+from repro.core.joined_sample import JoinedSamplePage
 from repro.core.sketch import CorrelationSketch, SketchColumns
-from repro.correlation.bootstrap import pm1_interval_batch
 from repro.index.catalog import SketchCatalog
 from repro.index.options import RETRIEVAL_BACKENDS, QueryOptions
-from repro.kmv.estimators import unbiased_dv_estimate, unbiased_dv_estimate_batch
+from repro.kmv.estimators import unbiased_dv_estimate_batch
 from repro.ranking.ranker import RankedCandidate, rank_candidates
-from repro.ranking.scoring import (
-    CandidateScores,
-    apply_bootstrap,
-    candidate_scores,
-    candidate_scores_batch,
-    cib_factor,
-)
+from repro.ranking.scoring import apply_bootstrap, candidate_scores_batch
 
 __all__ = [
     "RETRIEVAL_BACKENDS",  # re-exported from repro.index.options
     "CandidatePage",
-    "ColumnarQueryExecutor",
     "JoinCorrelationEngine",
-    "QueryExecutor",
     "QueryResult",
-    "ScalarQueryExecutor",
     "rerank_pages",
     "retrieve_candidates",
     "retrieve_candidates_batch",
@@ -194,34 +170,6 @@ class QueryResult:
             degraded=bool(payload["degraded"]),
             trace=payload.get("trace"),
         )
-
-
-def _containment_estimate(
-    query: CorrelationSketch, candidate: CorrelationSketch, overlap: int
-) -> float:
-    """Sketch-estimated containment of the query key set in the candidate.
-
-    Mirrors Eq. 1: intersection cardinality estimated from the combined
-    bottom-k, normalized by the query's distinct-key estimate.
-    """
-    d_query = query.distinct_keys()
-    if d_query <= 0 or overlap <= 0:
-        return 0.0
-    if query.saw_all_keys and candidate.saw_all_keys:
-        inter = float(overlap)
-    else:
-        q_hashes = query.key_hashes()
-        c_hashes = candidate.key_hashes()
-        combined_k = min(len(query), len(candidate))
-        ordered = sorted(
-            q_hashes | c_hashes, key=query.hasher.unit_hash_of_key_hash
-        )[:combined_k]
-        if not ordered:
-            return 0.0
-        kth = query.hasher.unit_hash_of_key_hash(ordered[-1])
-        k_inter = sum(1 for kh in ordered if kh in q_hashes and kh in c_hashes)
-        inter = (k_inter / len(ordered)) * unbiased_dv_estimate(len(ordered), kth)
-    return max(0.0, min(1.0, inter / d_query))
 
 
 def _membership_batch(
@@ -332,9 +280,9 @@ def retrieve_candidates(
 ) -> list[tuple[str, int]]:
     """Columnar candidate retrieval against one catalog, either backend.
 
-    The retrieval phase of :class:`ColumnarQueryExecutor`, factored out
-    so a :class:`repro.serving.ShardRouter` can run the identical probe
-    per shard: ``(sketch_id, overlap)`` pairs sorted by
+    The single-query form of the pipeline's retrieval probe (which a
+    :class:`repro.serving.ShardRouter` runs identically per shard):
+    ``(sketch_id, overlap)`` pairs sorted by
     ``(−overlap, id)``, floored at ``min_overlap``, truncated to
     ``depth``. Because that ordering is a total order over candidates,
     per-shard lists merged under the same key and re-truncated to
@@ -585,7 +533,8 @@ class CandidatePage:
     def containments(self, d_query: float) -> np.ndarray:
         """Vectorized Eq. 1 containment estimates for the page.
 
-        Applies the same arithmetic as :func:`_containment_estimate`
+        Applies the arithmetic of the per-candidate reference
+        (``containment_estimate`` in ``tests/scalar_query_oracle.py``)
         elementwise — one :func:`unbiased_dv_estimate_batch` call for the
         whole page — so each estimate is bit-identical to the scalar
         function's.
@@ -604,6 +553,14 @@ class CandidatePage:
         return np.where(zero, 0.0, contained)
 
 
+def _truths(
+    ids: list[str], true_correlations: dict[str, float] | None
+) -> list[float]:
+    if true_correlations is None:
+        return [math.nan] * len(ids)
+    return [true_correlations.get(sid, math.nan) for sid in ids]
+
+
 def rerank_pages(
     pages: list[CandidatePage],
     query_sketches: list[CorrelationSketch],
@@ -614,7 +571,7 @@ def rerank_pages(
     rng: np.random.Generator | None,
     traces: list | None = None,
 ) -> list[list[RankedCandidate]]:
-    """Score and rank assembled pages: the tail of every columnar query.
+    """Score and rank assembled pages: the tail of every query.
 
     One scoring pass over all pages' samples (per-sample segment
     reductions are independent, so each query's statistics are
@@ -657,9 +614,7 @@ def rerank_pages(
         ranked_per_query.append(
             rank_candidates(
                 page.ids, query_stats, scorer,
-                true_correlations=QueryExecutor._truths(
-                    page.ids, true_correlations[q]
-                ),
+                true_correlations=_truths(page.ids, true_correlations[q]),
                 rng=query_rng,
                 k=k,
             )
@@ -671,324 +626,6 @@ def rerank_pages(
     return ranked_per_query
 
 
-class QueryExecutor:
-    """Strategy interface for one top-``k`` query evaluation.
-
-    Executors read ``catalog`` / ``retrieval_depth`` / ``min_overlap``
-    from the owning engine at execution time, so tuning the engine after
-    construction behaves identically under both strategies. Inputs are
-    validated by :meth:`JoinCorrelationEngine.query` before dispatch.
-    """
-
-    def __init__(self, engine: "JoinCorrelationEngine") -> None:
-        self.engine = engine
-
-    def execute(
-        self,
-        query_sketch: CorrelationSketch,
-        k: int,
-        scorer: str,
-        *,
-        exclude_id: str | None,
-        true_correlations: dict[str, float] | None,
-        rng: np.random.Generator,
-        trace=None,
-    ) -> QueryResult:
-        raise NotImplementedError
-
-    @staticmethod
-    def _truths(
-        ids: list[str], true_correlations: dict[str, float] | None
-    ) -> list[float]:
-        if true_correlations is None:
-            return [math.nan] * len(ids)
-        return [true_correlations.get(sid, math.nan) for sid in ids]
-
-
-class ScalarQueryExecutor(QueryExecutor):
-    """Row-at-a-time reference path (pre-columnar behavior, bit for bit
-    under ``rng_mode="compat"``).
-
-    One dict-based ScanCount probe, then per candidate: a dict-set sketch
-    join, a sorted-union containment estimate and a full
-    :func:`candidate_scores` round-trip. Under ``rng_mode="batched"`` the
-    PM1 bootstrap alone moves to the shared cross-candidate engine so the
-    scalar path stays ranking-identical to the columnar one in every mode.
-    """
-
-    def _lsh_hits(
-        self, query_sketch: CorrelationSketch, exclude_id: str | None
-    ) -> list[tuple[str, int]]:
-        """Set-based reference of :func:`_lsh_hits_columnar` — identical
-        candidate set (signatures are order-free) and identical exact
-        overlaps (set intersection vs sorted membership)."""
-        engine = self.engine
-        q_hashes = query_sketch.key_hashes()
-        threshold = max(1, engine.min_overlap)
-        hits: list[tuple[str, int]] = []
-        for sid in engine.catalog.lsh_candidate_ids(
-            q_hashes,
-            exclude=exclude_id,
-            bands=engine.lsh_bands,
-            rows=engine.lsh_rows,
-        ):
-            overlap = len(q_hashes & engine.catalog.get(sid).key_hashes())
-            if overlap >= threshold:
-                hits.append((sid, overlap))
-        hits.sort(key=lambda t: (-t[1], t[0]))
-        return hits[: engine.retrieval_depth]
-
-    def execute(
-        self,
-        query_sketch: CorrelationSketch,
-        k: int,
-        scorer: str,
-        *,
-        exclude_id: str | None,
-        true_correlations: dict[str, float] | None,
-        rng: np.random.Generator,
-        trace=None,
-    ) -> QueryResult:
-        engine = self.engine
-        t0 = time.perf_counter()
-        if engine.retrieval_backend == "lsh":
-            hits = self._lsh_hits(query_sketch, exclude_id)
-        else:
-            hits = engine.catalog.index.top_overlap(
-                query_sketch.key_hashes(),
-                engine.retrieval_depth,
-                exclude=exclude_id,
-                min_overlap=engine.min_overlap,
-            )
-        t1 = time.perf_counter()
-
-        # The PM1 bootstrap costs hundreds of resamples per candidate;
-        # compute it only when the chosen scorer reads r_b / cib. Under
-        # rng_mode="batched" it runs after the per-candidate loop so both
-        # executors share one cross-candidate engine invocation (and hence
-        # bit-identical bootstrap statistics).
-        needs_bootstrap = scorer == "rb_cib"
-        per_candidate_bootstrap = needs_bootstrap and engine.rng_mode == "compat"
-
-        ids: list[str] = []
-        samples: list[JoinedSample] = []
-        stats: list[CandidateScores] = []
-        for sid, overlap in hits:
-            candidate = engine.catalog.get(sid)
-            sample = join_sketches(query_sketch, candidate).drop_nan()
-            containment = _containment_estimate(query_sketch, candidate, overlap)
-            stat = candidate_scores(
-                sample,
-                containment_est=containment,
-                rng=rng,
-                with_bootstrap=per_candidate_bootstrap,
-            )
-            ids.append(sid)
-            samples.append(sample)
-            stats.append(stat)
-
-        if needs_bootstrap and not per_candidate_bootstrap:
-            eligible = [
-                s.size >= 2 and not math.isnan(st.r_pearson)
-                for s, st in zip(samples, stats)
-            ]
-            boots = pm1_interval_batch(
-                [s.x for s in samples],
-                [s.y for s in samples],
-                rng=rng,
-                active=eligible,
-            )
-            stats = [
-                replace(
-                    st,
-                    r_bootstrap=boot.estimate,
-                    cib_factor=cib_factor(boot.low, boot.high),
-                )
-                if ok
-                else st
-                for st, boot, ok in zip(stats, boots, eligible)
-            ]
-        ts = time.perf_counter() if trace is not None else 0.0
-
-        ranked = rank_candidates(
-            ids, stats, scorer,
-            true_correlations=self._truths(ids, true_correlations),
-            rng=rng,
-        )[:k]
-        t2 = time.perf_counter()
-
-        if trace is not None:
-            # The scalar path interleaves join+score per candidate, so
-            # its phases are retrieval / score (join+stats+bootstrap) /
-            # merge (ranking) — no separate assemble pass exists.
-            trace.add("retrieval", t0, t1, candidates=len(hits))
-            trace.add("score", t1, ts)
-            trace.add("merge", ts, t2)
-        return QueryResult(
-            ranked=ranked,
-            candidates_considered=len(hits),
-            retrieval_seconds=t1 - t0,
-            rerank_seconds=t2 - t1,
-            trace=None if trace is None else trace.to_dict(),
-        )
-
-
-class ColumnarQueryExecutor(QueryExecutor):
-    """Vectorized executor: frozen postings, merge joins, batch scoring.
-
-    Produces the same rankings as :class:`ScalarQueryExecutor` (the
-    parity suite pins this): retrieval counts, join samples, containment
-    estimates and bootstrap statistics are bit-identical; the batched
-    moment statistics agree to within float summation order.
-    """
-
-    def execute(
-        self,
-        query_sketch: CorrelationSketch,
-        k: int,
-        scorer: str,
-        *,
-        exclude_id: str | None,
-        true_correlations: dict[str, float] | None,
-        rng: np.random.Generator,
-        trace=None,
-    ) -> QueryResult:
-        engine = self.engine
-        t0 = time.perf_counter()
-        query_cols = query_sketch.columnar()
-        hits = retrieve_candidates(
-            engine.catalog,
-            query_cols,
-            depth=engine.retrieval_depth,
-            min_overlap=engine.min_overlap,
-            exclude=exclude_id,
-            backend=engine.retrieval_backend,
-            lsh_bands=engine.lsh_bands,
-            lsh_rows=engine.lsh_rows,
-        )
-        t1 = time.perf_counter()
-
-        page = CandidatePage.assemble(engine.catalog, query_cols, hits)
-        if trace is not None:
-            trace.add("retrieval", t0, t1, candidates=len(hits))
-            trace.add("assemble", t1, time.perf_counter())
-        (ranked,) = rerank_pages(
-            [page], [query_sketch], k, scorer, engine.rng_mode,
-            [true_correlations], rng,
-            None if trace is None else [trace],
-        )
-        t2 = time.perf_counter()
-        return QueryResult(
-            ranked=ranked,
-            candidates_considered=len(hits),
-            retrieval_seconds=t1 - t0,
-            rerank_seconds=t2 - t1,
-            trace=None if trace is None else trace.to_dict(),
-        )
-
-    def execute_batch(
-        self,
-        query_sketches: list[CorrelationSketch],
-        k: int,
-        scorer: str,
-        *,
-        exclude_ids: list[str | None],
-        true_correlations: list[dict[str, float] | None],
-        rng: np.random.Generator | None,
-        traces: list | None = None,
-    ) -> list[QueryResult]:
-        """Evaluate many queries through one amortized columnar pipeline.
-
-        Three batch effects, none changing any result bit
-        (:meth:`JoinCorrelationEngine.query_batch` documents the parity
-        contract):
-
-        * **stacked retrieval** — all queries probe the frozen postings
-          with one concatenated ``searchsorted``/``bincount`` pass
-          (:meth:`~repro.index.inverted.ColumnarPostings.top_overlap_batch`);
-        * **shared join state** — candidates appearing in several
-          queries' pages are lowered to :class:`SketchColumns` once (the
-          catalog cache), so overlapping candidate sets amortize;
-        * **one scoring pass** — every query's join samples enter a
-          single :func:`candidate_scores_batch` call; per-sample segment
-          reductions are independent, so each query's statistics are
-          bit-identical to its standalone evaluation. Bootstrap (rng
-          consuming) work stays per query, in order, preserving the rng
-          stream of a plain loop.
-
-        ``retrieval_seconds``/``rerank_seconds`` in the returned
-        results are **documented aggregates**: equal per-query shares
-        of the batch phases (the stacked probe and shared scoring pass
-        have no per-query wall time to attribute). Callers that need
-        genuinely per-query phase cost pass ``traces`` (one
-        :class:`repro.obs.trace.Trace` or None per query): the batch
-        phases land as shared spans (``meta.shared=True`` with the
-        batch size), while the assemble and merge phases — the work
-        that actually runs query by query — are timed per query.
-        """
-        engine = self.engine
-        n_queries = len(query_sketches)
-        if n_queries == 0:
-            return []
-        if traces is not None and len(traces) != n_queries:
-            raise ValueError(
-                f"{n_queries} query sketches but {len(traces)} traces"
-            )
-        tracing = traces is not None
-        t0 = time.perf_counter()
-        query_cols = [sketch.columnar() for sketch in query_sketches]
-        hits_per_query = retrieve_candidates_batch(
-            engine.catalog,
-            query_cols,
-            depth=engine.retrieval_depth,
-            min_overlap=engine.min_overlap,
-            excludes=exclude_ids,
-            backend=engine.retrieval_backend,
-            lsh_bands=engine.lsh_bands,
-            lsh_rows=engine.lsh_rows,
-        )
-        t1 = time.perf_counter()
-        if tracing:
-            for tr in traces:
-                if tr is not None:
-                    tr.add(
-                        "retrieval", t0, t1,
-                        shared=True, batch_size=n_queries,
-                    )
-
-        pages: list[CandidatePage] = []
-        for q, (cols, hits) in enumerate(zip(query_cols, hits_per_query)):
-            a0 = time.perf_counter() if tracing else 0.0
-            pages.append(CandidatePage.assemble(engine.catalog, cols, hits))
-            if tracing and traces[q] is not None:
-                traces[q].add(
-                    "assemble", a0, time.perf_counter(),
-                    candidates=len(hits),
-                )
-        ranked_per_query = rerank_pages(
-            pages, query_sketches, k, scorer, engine.rng_mode,
-            true_correlations, rng, traces,
-        )
-        t2 = time.perf_counter()
-
-        retrieval_share = (t1 - t0) / n_queries
-        rerank_share = (t2 - t1) / n_queries
-        return [
-            QueryResult(
-                ranked=ranked,
-                candidates_considered=len(hits_per_query[q]),
-                retrieval_seconds=retrieval_share,
-                rerank_seconds=rerank_share,
-                trace=(
-                    traces[q].to_dict()
-                    if tracing and traces[q] is not None
-                    else None
-                ),
-            )
-            for q, ranked in enumerate(ranked_per_query)
-        ]
-
-
 class JoinCorrelationEngine:
     """Evaluates top-k join-correlation queries against a sketch catalog.
 
@@ -998,17 +635,12 @@ class JoinCorrelationEngine:
             re-ranking (the paper's experiments use 100).
         min_overlap: minimum shared key hashes for a candidate to be
             considered joinable at all.
-        vectorized: evaluate queries with the columnar executor
-            (default). Disable to run the row-at-a-time reference path —
-            same rankings, ~an order of magnitude slower re-ranking; used
-            for debugging and as the benchmark baseline.
         rng_mode: how ``rb_cib`` queries run the PM1 bootstrap across the
             candidate page (see :data:`repro.ranking.scoring.RNG_MODES`):
             ``"batched"`` (default) resamples all candidates through the
             cross-candidate engine — statistically equivalent scores, a
             multiple faster; ``"compat"`` reproduces the per-candidate
-            rng stream bit-for-bit. Both executors honor both modes, so
-            scalar/columnar rankings stay identical either way.
+            rng stream bit-for-bit.
         retrieval_backend: candidate-retrieval strategy (see
             :data:`RETRIEVAL_BACKENDS`): ``"inverted"`` (default) probes
             the exact inverted index; ``"lsh"`` probes the catalog's
@@ -1032,122 +664,45 @@ class JoinCorrelationEngine:
         retrieval_depth: int = 100,
         min_overlap: int = 1,
         *,
-        vectorized: bool = True,
         rng_mode: str = "batched",
         retrieval_backend: str = "inverted",
         lsh_bands: int | None = None,
         lsh_rows: int | None = None,
     ) -> None:
-        # All tuning state lives in one validated QueryOptions record —
-        # the same seam every other query entry point (router, worker
-        # pool, CLI, HTTP service) construct themselves from, so the
-        # validation rules and messages cannot drift between layers.
         self.catalog = catalog
-        self._options = QueryOptions(
+        #: All tuning state, as one frozen validated record — the same
+        #: seam every other query entry point (router, worker pool, CLI,
+        #: HTTP service) constructs itself from, so the validation rules
+        #: and messages cannot drift between layers. A built backend is
+        #: not re-tuned: build another from ``options.merged(...)``.
+        self.options = QueryOptions(
             depth=retrieval_depth,
             min_overlap=min_overlap,
-            vectorized=vectorized,
             rng_mode=rng_mode,
             retrieval_backend=retrieval_backend,
             lsh_bands=lsh_bands,
             lsh_rows=lsh_rows,
         )
-        self.executor: QueryExecutor = (
-            ColumnarQueryExecutor(self) if vectorized else ScalarQueryExecutor(self)
-        )
 
     @classmethod
-    def from_options(
-        cls, catalog: SketchCatalog, options: QueryOptions
-    ) -> "JoinCorrelationEngine":
-        """Build an engine from one :class:`QueryOptions` record.
+    def from_options(cls, catalog, options: QueryOptions, **kwargs):
+        """Build a backend from one :class:`QueryOptions` record.
 
-        Per-query fields (``k``, ``scorer``, ``seed``) stay on the
-        options record for the caller's ``query``/``submit`` calls;
-        the resilience fields (``deadline_ms``/``on_shard_error``) have
-        no monolithic surface and are ignored here — a
-        :class:`~repro.serving.session.QuerySession` rejects forwarding
-        them to an engine backend.
+        Per-call fields (``k``/``scorer``/``seed``/``deadline_ms``/
+        ``on_shard_error``) stay on the record for the caller's
+        ``query``/``submit`` calls. ``kwargs`` are the constructor's
+        other arguments (the router's ``workers``).
         """
         return cls(
             catalog,
             retrieval_depth=options.depth,
             min_overlap=options.min_overlap,
-            vectorized=options.vectorized,
             rng_mode=options.rng_mode,
             retrieval_backend=options.retrieval_backend,
             lsh_bands=options.lsh_bands,
             lsh_rows=options.lsh_rows,
+            **kwargs,
         )
-
-    @property
-    def options(self) -> QueryOptions:
-        """The engine's tuning state as one frozen record."""
-        return self._options
-
-    def _replace_options(self, **changes) -> None:
-        # dataclasses.replace re-runs __post_init__, so attribute
-        # assignment keeps the constructor's validation.
-        self._options = replace(self._options, **changes)
-
-    @property
-    def retrieval_depth(self) -> int:
-        return self._options.depth
-
-    @retrieval_depth.setter
-    def retrieval_depth(self, value: int) -> None:
-        self._replace_options(depth=value)
-
-    @property
-    def min_overlap(self) -> int:
-        return self._options.min_overlap
-
-    @min_overlap.setter
-    def min_overlap(self, value: int) -> None:
-        self._replace_options(min_overlap=value)
-
-    @property
-    def vectorized(self) -> bool:
-        return self._options.vectorized
-
-    @vectorized.setter
-    def vectorized(self, value: bool) -> None:
-        self._replace_options(vectorized=value)
-        self.executor = (
-            ColumnarQueryExecutor(self) if value else ScalarQueryExecutor(self)
-        )
-
-    @property
-    def rng_mode(self) -> str:
-        return self._options.rng_mode
-
-    @rng_mode.setter
-    def rng_mode(self, value: str) -> None:
-        self._replace_options(rng_mode=value)
-
-    @property
-    def retrieval_backend(self) -> str:
-        return self._options.retrieval_backend
-
-    @retrieval_backend.setter
-    def retrieval_backend(self, value: str) -> None:
-        self._replace_options(retrieval_backend=value)
-
-    @property
-    def lsh_bands(self) -> int | None:
-        return self._options.lsh_bands
-
-    @lsh_bands.setter
-    def lsh_bands(self, value: int | None) -> None:
-        self._replace_options(lsh_bands=value)
-
-    @property
-    def lsh_rows(self) -> int | None:
-        return self._options.lsh_rows
-
-    @lsh_rows.setter
-    def lsh_rows(self, value: int | None) -> None:
-        self._replace_options(lsh_rows=value)
 
     def query(
         self,
@@ -1160,7 +715,8 @@ class JoinCorrelationEngine:
         rng: np.random.Generator | None = None,
         trace=None,
     ) -> QueryResult:
-        """Evaluate one top-``k`` join-correlation query.
+        """Evaluate one top-``k`` join-correlation query: a
+        :meth:`query_batch` of one.
 
         Args:
             query_sketch: sketch of the query's ``⟨K_Q, Q⟩`` column pair.
@@ -1180,31 +736,11 @@ class JoinCorrelationEngine:
                 clock — never the rng — so results are bit-identical
                 with or without it.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        self._check_scheme(query_sketch)
-        if rng is None:
-            rng = np.random.default_rng(7)
-        return self.executor.execute(
-            query_sketch,
-            k,
-            scorer,
-            exclude_id=exclude_id,
-            true_correlations=true_correlations,
-            rng=rng,
-            trace=trace,
-        )
-
-    def _check_scheme(self, query_sketch: CorrelationSketch) -> None:
-        if query_sketch.hasher.scheme_id != self.catalog.hasher.scheme_id:
-            # The scalar path would fail inside join_sketches at the first
-            # candidate; the columnar join has no hasher to check against,
-            # so enforce comparability up front for both executors.
-            raise ValueError(
-                "query sketch hashing scheme "
-                f"{query_sketch.hasher!r} differs from catalog scheme "
-                f"{self.catalog.hasher!r}"
-            )
+        return self.query_batch(
+            [query_sketch], k=k, scorer=scorer, exclude_ids=[exclude_id],
+            true_correlations=[true_correlations], rng=rng,
+            traces=None if trace is None else [trace],
+        )[0]
 
     def query_batch(
         self,
@@ -1219,27 +755,25 @@ class JoinCorrelationEngine:
     ) -> list[QueryResult]:
         """Evaluate many top-``k`` queries through one batched pipeline.
 
-        The multi-query serving entry point: ``Q`` concurrent queries
-        cost one stacked retrieval probe over their concatenated key
-        hashes, one shared scoring tensor pass over every candidate join
-        sample, and per-query ranking — instead of ``Q`` full pipeline
-        round-trips (``benchmarks/bench_batch_query.py`` quantifies the
-        throughput gain; CLI: ``query --queries-dir``). Amortization
-        pays most when per-query fixed overhead is a large fraction of
-        the pipeline (small-to-moderate sketch sizes, deep candidate
-        pages); at very large sketch sizes the shared per-candidate join
-        math dominates and the gain tapers toward parity.
+        The serving entry point (CLI: ``query --queries-dir``): ``Q``
+        concurrent queries cost one stacked retrieval probe over their
+        concatenated key hashes, one shared scoring pass over every
+        candidate join sample, and per-query ranking — instead of ``Q``
+        full pipeline round-trips. Amortization pays most when
+        per-query fixed overhead is a large fraction of the pipeline
+        (small-to-moderate sketch sizes, deep candidate pages); at very
+        large sketch sizes the shared per-candidate join math dominates
+        and the gain tapers toward parity.
 
         **Parity contract**: results are bit-identical to looping
         :meth:`query` over the sketches in order — for every scorer,
         both rng modes and both retrieval backends. When ``rng`` is
-        None, each query gets the same fresh fixed-seed generator
-        :meth:`query` would create; a caller-supplied generator is
-        consumed in query order, exactly like the loop.
-        (``retrieval_seconds``/``rerank_seconds`` are per-query
-        *shares* of the batch phases — documented aggregates, the one
-        field a loop cannot reproduce; per-query phase cost comes from
-        ``traces``.)
+        None, each query gets its own fresh fixed-seed generator; a
+        caller-supplied generator is consumed in query order, exactly
+        like the loop. (``retrieval_seconds``/``rerank_seconds`` are
+        per-query *shares* of the batch phases — documented aggregates,
+        the one field a loop cannot reproduce; per-query phase cost
+        comes from ``traces``.)
 
         Args:
             query_sketches: the query sketches, one per query.
@@ -1252,6 +786,66 @@ class JoinCorrelationEngine:
             traces: optional per-query :class:`repro.obs.trace.Trace`
                 recorders (parallel to ``query_sketches``; None entries
                 allowed) — see :meth:`query`.
+        """
+        return self._evaluate(
+            query_sketches, k, scorer, exclude_ids, true_correlations, rng,
+            traces, self._retrieve, self._assemble,
+        )
+
+    def _evaluate(
+        self,
+        query_sketches,
+        k: int,
+        scorer: str,
+        exclude_ids: list[str | None] | None,
+        true_correlations: list[dict[str, float] | None] | None,
+        rng: np.random.Generator | None,
+        traces: list | None,
+        retrieve,
+        assemble,
+        *,
+        shards_probed: int = 1,
+        failed_shards=(),
+    ) -> list[QueryResult]:
+        """The one rendering of the query plan, for every backend.
+
+        columnar → ``retrieve`` → ``assemble`` → :func:`rerank_pages` →
+        :class:`QueryResult`. The two *stage steps* are the parts that
+        depend on where the sketches live:
+
+        * ``retrieve(query_cols, exclude_ids, traces, start)`` returns
+          each query's hits list under the :func:`retrieve_candidates`
+          contract;
+        * ``assemble(query_cols, hits_per_query, traces, start)`` returns
+          each query's :class:`CandidatePage` (which may hold fewer
+          candidates than were hit, when a shard was lost in between).
+
+        ``start`` is when the step's phase began on the pipeline's clock
+        (retrieval includes lowering the sketches to columns); a step
+        records its own phase spans into ``traces`` — what a phase's
+        span looks like (one per query, or one shared by the batch with
+        a child per shard) is the step's business. ``failed_shards`` is
+        read after both steps ran, so a step may add to it.
+
+        Three batch effects, none changing any result bit:
+
+        * **stacked retrieval** — all queries probe the frozen postings
+          with one concatenated ``searchsorted``/``bincount`` pass
+          (:meth:`~repro.index.inverted.ColumnarPostings.top_overlap_batch`);
+        * **shared join state** — candidates appearing in several
+          queries' pages are lowered to :class:`SketchColumns` once (the
+          catalog cache), so overlapping candidate sets amortize;
+        * **one scoring pass** — every query's join samples enter a
+          single :func:`candidate_scores_batch` call. Bootstrap (rng
+          consuming) work stays per query, in order, preserving the rng
+          stream of a plain loop.
+
+        The stacked probe and the shared scoring pass have no per-query
+        wall time to attribute, which is why the results' timing fields
+        are equal shares (:meth:`query_batch`) and why, in ``traces``,
+        the batch phases land as shared spans (``meta.shared=True`` with
+        the batch size) while the work that actually runs query by query
+        is timed per query.
         """
         query_sketches = list(query_sketches)
         if k <= 0:
@@ -1270,29 +864,96 @@ class JoinCorrelationEngine:
             raise ValueError(
                 f"{n_queries} query sketches but {len(traces)} traces"
             )
+        scheme_id = self.catalog.hasher.scheme_id
         for sketch in query_sketches:
-            self._check_scheme(sketch)
-        if not self.vectorized:
-            # Reference loop (trivially bit-identical to the batch path).
-            return [
-                self.query(
-                    sketch, k=k, scorer=scorer,
-                    exclude_id=exclude, true_correlations=truths, rng=rng,
-                    trace=None if traces is None else traces[i],
+            if sketch.hasher.scheme_id != scheme_id:
+                # The columnar join has no hasher to check against, so
+                # comparability is enforced up front.
+                raise ValueError(
+                    "query sketch hashing scheme "
+                    f"{sketch.hasher!r} differs from catalog scheme "
+                    f"{self.catalog.hasher!r}"
                 )
-                for i, (sketch, exclude, truths) in enumerate(
-                    zip(query_sketches, exclude_ids, true_correlations)
-                )
-            ]
-        return self.executor.execute_batch(
-            query_sketches,
-            k,
-            scorer,
-            exclude_ids=exclude_ids,
-            true_correlations=true_correlations,
-            rng=rng,
-            traces=traces,
+        if n_queries == 0:
+            return []
+
+        t0 = time.perf_counter()
+        query_cols = [sketch.columnar() for sketch in query_sketches]
+        hits_per_query = retrieve(query_cols, exclude_ids, traces, t0)
+        t1 = time.perf_counter()
+        pages = assemble(query_cols, hits_per_query, traces, t1)
+        ranked_per_query = rerank_pages(
+            pages, query_sketches, k, scorer, self.options.rng_mode,
+            true_correlations, rng, traces,
         )
+        t2 = time.perf_counter()
+
+        retrieval_share = (t1 - t0) / n_queries
+        rerank_share = (t2 - t1) / n_queries
+        return [
+            QueryResult(
+                ranked=ranked,
+                candidates_considered=len(page.ids),
+                retrieval_seconds=retrieval_share,
+                rerank_seconds=rerank_share,
+                shards_probed=shards_probed,
+                shards_failed=len(failed_shards),
+                degraded=bool(failed_shards),
+                trace=(
+                    traces[q].to_dict()
+                    if traces is not None and traces[q] is not None
+                    else None
+                ),
+            )
+            for q, (ranked, page) in enumerate(zip(ranked_per_query, pages))
+        ]
+
+    def _probe(
+        self,
+        catalog: SketchCatalog,
+        query_cols: list[SketchColumns],
+        exclude_ids: list[str | None],
+    ) -> list[list[tuple[str, int]]]:
+        """The batch's candidate probe of ``catalog`` — this engine's
+        own, or one shard's — under this backend's options."""
+        options = self.options
+        return retrieve_candidates_batch(
+            catalog,
+            query_cols,
+            depth=options.depth,
+            min_overlap=options.min_overlap,
+            excludes=exclude_ids,
+            backend=options.retrieval_backend,
+            lsh_bands=options.lsh_bands,
+            lsh_rows=options.lsh_rows,
+        )
+
+    def _retrieve(self, query_cols, exclude_ids, traces, start):
+        """Retrieval stage step: one stacked probe of the one catalog."""
+        hits_per_query = self._probe(self.catalog, query_cols, exclude_ids)
+        if traces is not None:
+            end = time.perf_counter()
+            for tr in traces:
+                if tr is not None:
+                    tr.add(
+                        "retrieval", start, end,
+                        shared=True, batch_size=len(query_cols),
+                    )
+        return hits_per_query
+
+    def _assemble(self, query_cols, hits_per_query, traces, start):
+        """Assembly stage step: one page per query, timed per query."""
+        pages: list[CandidatePage] = []
+        for q, (cols, hits) in enumerate(zip(query_cols, hits_per_query)):
+            pages.append(CandidatePage.assemble(self.catalog, cols, hits))
+            if traces is not None:
+                end = time.perf_counter()
+                if traces[q] is not None:
+                    traces[q].add(
+                        "assemble", start, end, candidates=len(hits)
+                    )
+                start = end
+        return pages
 
     def query_table(
         self,
@@ -1309,11 +970,10 @@ class JoinCorrelationEngine:
         column pair becomes a query sketch built with the catalog's
         hashing scheme, and results are keyed by ``pair_id``.
 
-        Evaluation rides :meth:`query_batch`, so under the columnar
-        executor the whole table costs one stacked retrieval probe and
-        one shared scoring pass (plus the catalog's one-time frozen
-        postings freeze) — with results bit-identical to querying each
-        pair separately.
+        Evaluation rides :meth:`query_batch`, so the whole table costs
+        one stacked retrieval probe and one shared scoring pass (plus
+        the catalog's one-time frozen postings freeze) — with results
+        bit-identical to querying each pair separately.
         """
         pairs = table.column_pairs()
         sketches = []

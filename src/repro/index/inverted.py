@@ -15,7 +15,7 @@ Two physical layouts implement the same logical index:
 
 * :class:`InvertedIndex` — the mutable dict-of-lists build used while a
   catalog is being populated, probed one posting list at a time (the
-  scalar reference path);
+  scalar reference);
 * :class:`ColumnarPostings` — a frozen CSR-style snapshot
   (:meth:`InvertedIndex.freeze`): the sorted key-hash vocabulary plus one
   contiguous ``int32`` doc-id array, probed with ``np.searchsorted`` +
@@ -563,7 +563,7 @@ def merge_hits(
     recovers the global order without re-sorting, and truncation to
     ``depth`` reproduces the monolithic probe's cutoff. This is the one
     merge primitive behind both horizontal partitioning (shard
-    scatter-gather, :func:`repro.serving.router.merge_shard_hits`) and
+    scatter-gather, :class:`repro.serving.router.ShardRouter`) and
     vertical layering (frozen + delta probes,
     :meth:`repro.index.catalog.SketchCatalog.probe_top_overlap`): any
     candidate in the global top-``depth`` is in its own layer's

@@ -66,9 +66,6 @@ class QueryOptions:
             :data:`repro.ranking.scoring.SCORER_NAMES`).
         min_overlap: minimum shared key hashes for a candidate to be
             considered joinable at all.
-        vectorized: evaluate with the columnar executor (default); False
-            selects the row-at-a-time reference path (monolithic engine
-            only — the sharded router is columnar by construction).
         rng_mode: how ``rb_cib`` runs the PM1 bootstrap across the
             candidate page (see :data:`repro.ranking.scoring.RNG_MODES`).
         retrieval_backend: candidate-retrieval strategy (see
@@ -93,7 +90,6 @@ class QueryOptions:
     depth: int = 100
     scorer: str = "rp_cih"
     min_overlap: int = 1
-    vectorized: bool = True
     rng_mode: str = "batched"
     retrieval_backend: str = "inverted"
     lsh_bands: int | None = None

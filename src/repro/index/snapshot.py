@@ -48,8 +48,8 @@ from its stored arrays (the catalog's ``frozen_postings`` cache starts
 warm), and persisted LSH signatures are kept as a deferred pending
 payload that expands into bucket state only if an LSH probe happens.
 Full ``CorrelationSketch`` objects (bottom-k heap + aggregators)
-materialize lazily per sketch, only if the scalar reference path asks
-for them.
+materialize lazily per sketch, only if a caller asks ``catalog.get``
+for one (the query pipeline never does).
 
 Format contract:
 

@@ -13,8 +13,8 @@ When a synopsis saw fewer distinct keys than its capacity, every key was
 retained and the exact count is returned (this matches Beyer et al.'s
 treatment of the "small set" case).
 
-:func:`unbiased_dv_estimate_batch` is the vectorized form the columnar
-query executor uses to estimate all candidates' intersection
+:func:`unbiased_dv_estimate_batch` is the vectorized form the query
+pipeline uses to estimate all candidates' intersection
 cardinalities in one call; it is elementwise bit-identical to
 :func:`unbiased_dv_estimate` (same IEEE divisions, same small-``k``
 fallbacks).

@@ -313,7 +313,7 @@ def candidate_scores_batch(
 ) -> ScoreColumns:
     """Batched :func:`candidate_scores` over a whole candidate list.
 
-    The columnar executor's scoring stage: Pearson, Fisher-z SE and
+    The query pipeline's scoring stage: Pearson, Fisher-z SE and
     Hoeffding-CI statistics for *all* candidates are computed from the
     page-level sample arrays with segment reductions
     (``np.add.reduceat``), replacing one Python/NumPy round-trip per

@@ -46,11 +46,7 @@ from repro.serving.manifest import (
     read_manifest,
     save_sharded,
 )
-from repro.serving.router import (
-    ON_SHARD_ERROR_POLICIES,
-    ShardRouter,
-    merge_shard_hits,
-)
+from repro.serving.router import ON_SHARD_ERROR_POLICIES, ShardRouter
 from repro.serving.server import QueryService
 from repro.serving.session import QuerySession
 from repro.serving.shards import ShardUnavailable, ShardedCatalog
@@ -80,7 +76,6 @@ __all__ = [
     "injected",
     "install",
     "load_sharded",
-    "merge_shard_hits",
     "read_manifest",
     "save_sharded",
     "uninstall",

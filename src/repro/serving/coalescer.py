@@ -1,8 +1,9 @@
 """Micro-batching front door for concurrent query clients.
 
 The batched query path amortizes the index probe and the scoring pass
-across queries (``benchmarks/results/batch_query.txt``), but a real
-service receives *concurrent single queries*, not pre-assembled batches.
+across queries (the ``batch_bootstrap`` workload of
+``benchmarks/record/`` times it), but a real service receives
+*concurrent single queries*, not pre-assembled batches.
 :class:`QueryCoalescer` closes that gap: callers block on
 :meth:`submit` while a flusher thread collects whatever arrived into a
 bounded time/size window and executes it as one

@@ -27,8 +27,10 @@ stack already pins:
 * **scoring and rng stay global.** Everything page-shaped — the
   ``rp_cih`` min-max normalization over the candidate list, the
   ``random`` scorer's draws, both PM1 bootstrap rng disciplines — runs
-  once at the router over the merged page, consuming the query's rng
-  exactly as :class:`~repro.index.engine.ColumnarQueryExecutor` would.
+  once over the merged page, in the monolithic engine's own pipeline:
+  a :class:`ShardRouter` *is* a
+  :class:`~repro.index.engine.JoinCorrelationEngine` whose two stage
+  steps (candidate retrieval, page assembly) scatter over the shards.
   Scattering the *scoring* would break bit-parity; scattering retrieval
   and assembly cannot.
 
@@ -57,23 +59,17 @@ to the monolithic engine.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from repro.core.sketch import CorrelationSketch
 from repro.index.engine import (
     CandidatePage,
+    JoinCorrelationEngine,
     QueryResult,
-    rerank_pages,
-    retrieve_candidates_batch,
 )
 from repro.index.inverted import merge_hits
-from repro.index.options import (
-    ON_SHARD_ERROR_POLICIES,
-    QueryOptions,
-    validate_resilience,
-)
+from repro.index.options import ON_SHARD_ERROR_POLICIES, validate_resilience
 from repro.obs import get_registry
 from repro.serving.faults import maybe_fire
 from repro.serving.shards import ShardedCatalog
@@ -82,34 +78,20 @@ from repro.serving.workers import DeadlineExceeded, ShardWorkerPool
 __all__ = [
     "ON_SHARD_ERROR_POLICIES",  # re-exported from repro.index.options
     "ShardRouter",
-    "merge_shard_hits",
 ]
 
 
-def merge_shard_hits(
-    per_shard_hits: list[list[tuple[str, int]]], depth: int
-) -> list[tuple[str, int]]:
-    """Merge per-shard hits lists into the global top-``depth``.
-
-    The horizontal-partitioning face of the one merge primitive,
-    :func:`repro.index.inverted.merge_hits`: inputs are already sorted
-    under the shared ``(−overlap, id)`` total order (each shard's probe
-    contract), so the heap merge plus truncation to ``depth``
-    reproduces the monolithic probe's cutoff. The same primitive merges
-    a single catalog's frozen and delta layers — shard scatter over
-    delta-layered shards composes both without further argument.
-    """
-    return merge_hits(per_shard_hits, depth)
-
-
-class ShardRouter:
+class ShardRouter(JoinCorrelationEngine):
     """Top-k query evaluation, scatter-gathered across catalog shards.
 
-    Mirrors the :class:`~repro.index.engine.JoinCorrelationEngine` query
-    surface (``query`` / ``query_batch``, same defaults, same
+    The :class:`~repro.index.engine.JoinCorrelationEngine` query surface
+    (``query`` / ``query_batch``, same defaults, same
     :class:`~repro.index.engine.QueryResult` output with
-    ``shards_probed`` set) so callers can swap a monolithic engine for a
-    sharded one without touching call sites.
+    ``shards_probed`` set) and its one pipeline, so callers can swap a
+    monolithic engine for a sharded one without touching call sites.
+    What the router adds is only what is genuinely its own: the worker
+    pool, the per-call ``deadline_ms``/``on_shard_error`` failure
+    policy, shard accounting and per-shard trace spans.
 
     Args:
         catalog: the sharded catalog to serve.
@@ -141,102 +123,16 @@ class ShardRouter:
         lsh_rows: int | None = None,
         workers: int | None = None,
     ) -> None:
-        # Validation lives in QueryOptions — one record, one set of
-        # error messages, shared with the monolithic engine and the
-        # session/service layers above.
-        self.catalog = catalog
-        self._options = QueryOptions(
-            depth=retrieval_depth,
-            min_overlap=min_overlap,
+        super().__init__(
+            catalog,
+            retrieval_depth,
+            min_overlap,
             rng_mode=rng_mode,
             retrieval_backend=retrieval_backend,
             lsh_bands=lsh_bands,
             lsh_rows=lsh_rows,
         )
         self._pool = ShardWorkerPool(workers)
-
-    @classmethod
-    def from_options(
-        cls,
-        catalog: ShardedCatalog,
-        options: QueryOptions,
-        *,
-        workers: int | None = None,
-    ) -> "ShardRouter":
-        """Build a router from one :class:`QueryOptions` record.
-
-        Per-call fields (``k``/``scorer``/``seed``/``deadline_ms``/
-        ``on_shard_error``) stay on the record for the caller's
-        ``query``/``submit`` calls; ``vectorized`` is ignored — the
-        router is columnar by construction.
-        """
-        return cls(
-            catalog,
-            retrieval_depth=options.depth,
-            min_overlap=options.min_overlap,
-            rng_mode=options.rng_mode,
-            retrieval_backend=options.retrieval_backend,
-            lsh_bands=options.lsh_bands,
-            lsh_rows=options.lsh_rows,
-            workers=workers,
-        )
-
-    @property
-    def options(self) -> QueryOptions:
-        """The router's tuning state as one frozen record."""
-        return self._options
-
-    def _replace_options(self, **changes) -> None:
-        # replace() re-runs __post_init__, keeping ctor validation.
-        self._options = replace(self._options, **changes)
-
-    @property
-    def retrieval_depth(self) -> int:
-        return self._options.depth
-
-    @retrieval_depth.setter
-    def retrieval_depth(self, value: int) -> None:
-        self._replace_options(depth=value)
-
-    @property
-    def min_overlap(self) -> int:
-        return self._options.min_overlap
-
-    @min_overlap.setter
-    def min_overlap(self, value: int) -> None:
-        self._replace_options(min_overlap=value)
-
-    @property
-    def rng_mode(self) -> str:
-        return self._options.rng_mode
-
-    @rng_mode.setter
-    def rng_mode(self, value: str) -> None:
-        self._replace_options(rng_mode=value)
-
-    @property
-    def retrieval_backend(self) -> str:
-        return self._options.retrieval_backend
-
-    @retrieval_backend.setter
-    def retrieval_backend(self, value: str) -> None:
-        self._replace_options(retrieval_backend=value)
-
-    @property
-    def lsh_bands(self) -> int | None:
-        return self._options.lsh_bands
-
-    @lsh_bands.setter
-    def lsh_bands(self, value: int | None) -> None:
-        self._replace_options(lsh_bands=value)
-
-    @property
-    def lsh_rows(self) -> int | None:
-        return self._options.lsh_rows
-
-    @lsh_rows.setter
-    def lsh_rows(self, value: int | None) -> None:
-        self._replace_options(lsh_rows=value)
 
     @property
     def workers(self) -> int | None:
@@ -267,14 +163,6 @@ class ShardRouter:
 
     # -- scatter phases ------------------------------------------------------
 
-    def _check_scheme(self, query_sketch: CorrelationSketch) -> None:
-        if query_sketch.hasher.scheme_id != self.catalog.hasher.scheme_id:
-            raise ValueError(
-                "query sketch hashing scheme "
-                f"{query_sketch.hasher!r} differs from catalog scheme "
-                f"{self.catalog.hasher!r}"
-            )
-
     def _scatter_retrieve(
         self,
         query_cols: list,
@@ -301,15 +189,8 @@ class ShardRouter:
             start = time.perf_counter() if timings is not None else 0.0
             try:
                 maybe_fire("shard_probe", shard=index)
-                return retrieve_candidates_batch(
-                    self.catalog.shard(index),
-                    query_cols,
-                    depth=self.retrieval_depth,
-                    min_overlap=self.min_overlap,
-                    excludes=exclude_ids,
-                    backend=self.retrieval_backend,
-                    lsh_bands=self.lsh_bands,
-                    lsh_rows=self.lsh_rows,
+                return self._probe(
+                    self.catalog.shard(index), query_cols, exclude_ids
                 )
             finally:
                 if timings is not None:
@@ -321,9 +202,8 @@ class ShardRouter:
         )
         survivors = [s for s in range(n_shards) if s not in failed]
         return [
-            merge_shard_hits(
-                [per_shard[s][q] for s in survivors],
-                self.retrieval_depth,
+            merge_hits(
+                [per_shard[s][q] for s in survivors], self.options.depth
             )
             for q in range(len(query_cols))
         ], failed, errors
@@ -379,9 +259,7 @@ class ShardRouter:
         deadline_at: float | None = None,
         partial: bool = False,
         timings: list | None = None,
-    ) -> tuple[
-        list[CandidatePage], list[list[tuple[str, int]]], set[int], dict
-    ]:
+    ) -> tuple[list[CandidatePage], set[int], dict]:
         """Assemble every query's candidate page, shard-locally.
 
         Each query's merged hits are split by owning shard; every shard
@@ -391,11 +269,11 @@ class ShardRouter:
         assembly because every per-candidate value depends only on
         (query, candidate).
 
-        Returns ``(pages, hits_per_query, failed_shards, errors)``: when
-        a shard fails its assembly pass under the ``partial`` policy,
-        its candidates are in neither the pages nor the hits lists (the
-        page-shaped scoring that follows must only ever see candidates
-        that were actually assembled).
+        Returns ``(pages, failed_shards, errors_by_shard)``: when a
+        shard fails its assembly pass under the ``partial`` policy, its
+        candidates are not in the pages (the page-shaped scoring that
+        follows must only ever see candidates that were actually
+        assembled).
         """
         n_shards = self.catalog.n_shards
         #: shard -> list of (query index, page positions, hits subset)
@@ -437,7 +315,6 @@ class ShardRouter:
                 for q, positions, sub_page in shard_result:
                     parts[q].append((positions, sub_page))
         pages: list[CandidatePage] = []
-        kept_hits: list[list[tuple[str, int]]] = []
         for query_parts in parts:
             page = CandidatePage.concat([sub for _, sub in query_parts])
             if len(query_parts) > 1:
@@ -445,125 +322,42 @@ class ShardRouter:
                 positions = [pos for held, _ in query_parts for pos in held]
                 page = page.take(np.argsort(positions))
             pages.append(page)
-            kept_hits.append(list(zip(page.ids, page.overlaps.tolist())))
-        return pages, kept_hits, failed, errors
+        return pages, failed, errors
 
-    # -- gather / scoring ----------------------------------------------------
+    # -- the scatter phases as pipeline stage steps --------------------------
 
-    def _execute(
-        self,
-        query_sketches: list[CorrelationSketch],
-        k: int,
-        scorer: str,
-        exclude_ids: list[str | None],
-        true_correlations: list[dict[str, float] | None],
-        rng: np.random.Generator | None,
-        *,
-        deadline_ms: float | None = None,
-        on_shard_error: str = "raise",
-        traces: list | None = None,
-    ) -> list[QueryResult]:
-        """The shared scatter-gather pipeline (single query = batch of 1).
+    def _stage_step(
+        self, scatter, phase: str, child_name: str, failed: set[int], **policy
+    ):
+        """Wrap one scatter phase as a stage step of the engine's pipeline
+        (:meth:`~repro.index.engine.JoinCorrelationEngine._evaluate`).
 
-        The gather tail is :func:`repro.index.engine.rerank_pages`, the
-        same function the monolithic engine's executor calls — one
-        global scoring pass, then per-query bootstrap and ranking
-        consuming each query's rng in order — so results inherit its
-        parity contract with looped single-catalog queries (plus the
-        timing caveat of
-        :meth:`~repro.index.engine.ColumnarQueryExecutor.execute_batch`:
-        ``retrieval_seconds``/``rerank_seconds`` are equal per-query
-        shares of the batch phases — documented aggregates; per-query
-        phase cost lives in the ``traces`` spans).
-
-        With ``traces``, the scatter phases land in every query's trace
-        as shared spans with per-shard children (``shard_probe`` /
-        ``shard_assemble``, each carrying its shard index, wall time
-        and ok/error/timeout status — failed shards included), and the
-        merge phase is timed per query.
+        The step runs ``scatter`` under one call's ``policy`` (its
+        deadline and whether failures are partial), adds the shards it
+        lost to ``failed`` — the per-call set the pipeline reads
+        ``shards_failed``/``degraded`` from — and, with traces, records
+        the phase in every query's trace as a shared span with per-shard
+        children (``shard_probe`` / ``shard_assemble``, each carrying
+        its shard index, wall time and ok/error/timeout status — failed
+        shards included).
         """
-        n_queries = len(query_sketches)
-        if n_queries == 0:
-            return []
-        if traces is not None and len(traces) != n_queries:
-            raise ValueError(
-                f"{n_queries} query sketches but {len(traces)} traces"
-            )
-        tracing = traces is not None
-        n_shards = self.catalog.n_shards
-        t0 = time.perf_counter()
-        deadline_at = (
-            None if deadline_ms is None else t0 + deadline_ms / 1000.0
-        )
-        partial = on_shard_error == "partial"
-        query_cols = [sketch.columnar() for sketch in query_sketches]
-        probe_timings: list | None = [None] * n_shards if tracing else None
-        hits_per_query, retrieve_failed, retrieve_errors = (
-            self._scatter_retrieve(
-                query_cols,
-                exclude_ids,
-                deadline_at=deadline_at,
-                partial=partial,
-                timings=probe_timings,
-            )
-        )
-        t1 = time.perf_counter()
 
-        # The deadline bounds the probe scatter — the phase where a
-        # straggler shard can stall the answer indefinitely. Assembly of
-        # the *surviving* shards always runs to completion (it is
-        # bounded work over already-retrieved candidates), so a blown
-        # deadline yields a degraded answer, never an empty late one;
-        # assembly failures still drop their shard under ``partial``.
-        assemble_timings: list | None = (
-            [None] * n_shards if tracing else None
-        )
-        pages, hits_per_query, assemble_failed, assemble_errors = (
-            self._scatter_assemble(
-                query_cols,
-                hits_per_query,
-                partial=partial,
-                timings=assemble_timings,
+        def step(query_cols, batch_input, traces, start):
+            timings = (
+                None if traces is None else [None] * self.catalog.n_shards
             )
-        )
-        ta = time.perf_counter() if tracing else 0.0
-        failed_shards = retrieve_failed | assemble_failed
-        if tracing:
-            self._record_scatter_spans(
-                traces, "retrieval", t0, t1, "shard_probe",
-                probe_timings, retrieve_failed, retrieve_errors,
-                batch_size=n_queries,
+            result, lost, errors = scatter(
+                query_cols, batch_input, timings=timings, **policy
             )
-            self._record_scatter_spans(
-                traces, "assemble", t1, ta, "shard_assemble",
-                assemble_timings, assemble_failed, assemble_errors,
-                batch_size=n_queries,
-            )
-        ranked_per_query = rerank_pages(
-            pages, query_sketches, k, scorer, self.rng_mode,
-            true_correlations, rng, traces,
-        )
-        t2 = time.perf_counter()
+            failed.update(lost)
+            if traces is not None:
+                self._record_scatter_spans(
+                    traces, phase, start, time.perf_counter(), child_name,
+                    timings, lost, errors, batch_size=len(query_cols),
+                )
+            return result
 
-        retrieval_share = (t1 - t0) / n_queries
-        rerank_share = (t2 - t1) / n_queries
-        return [
-            QueryResult(
-                ranked=ranked,
-                candidates_considered=len(hits_per_query[q]),
-                retrieval_seconds=retrieval_share,
-                rerank_seconds=rerank_share,
-                shards_probed=self.catalog.n_shards,
-                shards_failed=len(failed_shards),
-                degraded=bool(failed_shards),
-                trace=(
-                    traces[q].to_dict()
-                    if tracing and traces[q] is not None
-                    else None
-                ),
-            )
-            for q, ranked in enumerate(ranked_per_query)
-        ]
+        return step
 
     @staticmethod
     def _record_scatter_spans(
@@ -619,10 +413,6 @@ class ShardRouter:
                     parent=phase, **meta,
                 )
 
-    # Delegates to the shared rule so per-call validation cannot drift
-    # from QueryOptions construction.
-    _validate_resilience = staticmethod(validate_resilience)
-
     # -- public query surface ------------------------------------------------
 
     def query(
@@ -638,7 +428,8 @@ class ShardRouter:
         on_shard_error: str = "raise",
         trace=None,
     ) -> QueryResult:
-        """Evaluate one top-``k`` query across all shards.
+        """Evaluate one top-``k`` query across all shards: a
+        :meth:`query_batch` of one.
 
         Same signature, defaults and rng semantics as
         :meth:`JoinCorrelationEngine.query
@@ -659,12 +450,9 @@ class ShardRouter:
                 <repro.index.engine.JoinCorrelationEngine.query>` —
                 tracing never touches the rng).
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        self._validate_resilience(deadline_ms, on_shard_error)
-        self._check_scheme(query_sketch)
-        return self._execute(
-            [query_sketch], k, scorer, [exclude_id], [true_correlations], rng,
+        return self.query_batch(
+            [query_sketch], k=k, scorer=scorer, exclude_ids=[exclude_id],
+            true_correlations=[true_correlations], rng=rng,
             deadline_ms=deadline_ms, on_shard_error=on_shard_error,
             traces=None if trace is None else [trace],
         )[0]
@@ -684,10 +472,11 @@ class ShardRouter:
     ) -> list[QueryResult]:
         """Evaluate many queries with one scatter-gather round per phase.
 
-        Retrieval scatters once (every shard answers all queries from
-        one stacked probe), assembly scatters once, and the scoring
-        gather mirrors :meth:`JoinCorrelationEngine.query_batch
-        <repro.index.engine.JoinCorrelationEngine.query_batch>` — so the
+        The engine's pipeline (:meth:`JoinCorrelationEngine.query_batch
+        <repro.index.engine.JoinCorrelationEngine.query_batch>`) with
+        both stage steps scattered: retrieval scatters once (every shard
+        answers all queries from one stacked probe), assembly scatters
+        once, and everything after is the engine's own code — so the
         batch inherits both parity contracts: bit-identical to looping
         :meth:`query`, and bit-identical to the monolithic engine.
 
@@ -696,24 +485,30 @@ class ShardRouter:
         serves every query), and a dropped shard degrades every query in
         the batch — each result reports the same ``shards_failed``.
         """
-        query_sketches = list(query_sketches)
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        self._validate_resilience(deadline_ms, on_shard_error)
-        n_queries = len(query_sketches)
-        if exclude_ids is None:
-            exclude_ids = [None] * n_queries
-        if true_correlations is None:
-            true_correlations = [None] * n_queries
-        if len(exclude_ids) != n_queries or len(true_correlations) != n_queries:
-            raise ValueError(
-                f"{n_queries} query sketches but {len(exclude_ids)} exclude "
-                f"ids and {len(true_correlations)} truth dicts"
-            )
-        for sketch in query_sketches:
-            self._check_scheme(sketch)
-        return self._execute(
+        validate_resilience(deadline_ms, on_shard_error)
+        partial = on_shard_error == "partial"
+        failed: set[int] = set()
+        # The deadline bounds the probe scatter — the phase where a
+        # straggler shard can stall the answer indefinitely. Assembly of
+        # the *surviving* shards always runs to completion (it is
+        # bounded work over already-retrieved candidates), so a blown
+        # deadline yields a degraded answer, never an empty late one;
+        # assembly failures still drop their shard under ``partial``.
+        retrieve = self._stage_step(
+            self._scatter_retrieve, "retrieval", "shard_probe", failed,
+            deadline_at=(
+                None
+                if deadline_ms is None
+                else time.perf_counter() + deadline_ms / 1000.0
+            ),
+            partial=partial,
+        )
+        assemble = self._stage_step(
+            self._scatter_assemble, "assemble", "shard_assemble", failed,
+            partial=partial,
+        )
+        return self._evaluate(
             query_sketches, k, scorer, exclude_ids, true_correlations, rng,
-            deadline_ms=deadline_ms, on_shard_error=on_shard_error,
-            traces=traces,
+            traces, retrieve, assemble,
+            shards_probed=self.catalog.n_shards, failed_shards=failed,
         )

@@ -112,7 +112,6 @@ class QuerySession:
     _ENGINE_LEVEL_FIELDS = (
         "depth",
         "min_overlap",
-        "vectorized",
         "rng_mode",
         "retrieval_backend",
         "lsh_bands",
@@ -131,22 +130,9 @@ class QuerySession:
             # adopts the backend's, but an explicitly divergent value
             # cannot be served by this warm backend — silently answering
             # with the backend's configuration would mask the mistake.
-            defaults = QueryOptions()
-            conflicts = [
-                f"{name}={getattr(options, name)!r} (backend has "
-                f"{getattr(backend_options, name)!r})"
-                for name in self._ENGINE_LEVEL_FIELDS
-                if getattr(options, name) != getattr(backend_options, name)
-                and getattr(options, name) != getattr(defaults, name)
-            ]
-            if conflicts:
-                raise ValueError(
-                    "options disagree with the warm backend on engine-"
-                    f"level field(s): {', '.join(conflicts)}; these are "
-                    "fixed at backend construction — build the backend "
-                    "from the same record (for_catalog/for_sharded/"
-                    "open) or drop the override"
-                )
+            self._reject_engine_level_conflicts(
+                options, backend_options, unset=QueryOptions()
+            )
             options = backend_options.merged(
                 k=options.k,
                 scorer=options.scorer,
@@ -165,6 +151,31 @@ class QuerySession:
         #: through their phases; a foreign backend without the
         #: parameter still traces, as one umbrella span timed here.
         self._supports_traces = "traces" in params
+
+    @classmethod
+    def _reject_engine_level_conflicts(
+        cls,
+        options: QueryOptions,
+        served: QueryOptions,
+        unset: QueryOptions | None = None,
+    ) -> None:
+        """Raise if ``options`` asks for an engine-level value other than
+        the one ``served`` (fields equal to ``unset``'s are not asks)."""
+        conflicts = [
+            f"{name}={getattr(options, name)!r} (backend has "
+            f"{getattr(served, name)!r})"
+            for name in cls._ENGINE_LEVEL_FIELDS
+            if getattr(options, name) != getattr(served, name)
+            and (unset is None or getattr(options, name) != getattr(unset, name))
+        ]
+        if conflicts:
+            raise ValueError(
+                "options disagree with the warm backend on engine-"
+                f"level field(s): {', '.join(conflicts)}; these are "
+                "fixed at backend construction — build the backend "
+                "from the same record (for_catalog/for_sharded/"
+                "open) or drop the override"
+            )
 
     @staticmethod
     def _backend_options(backend) -> QueryOptions | None:
@@ -346,7 +357,13 @@ class QuerySession:
                 the time from arrival to execution start is rendered as
                 a ``queue_wait`` span preceding the execution phases.
         """
-        opts = self._options if options is None else options
+        if options is None:
+            opts = self._options
+        else:
+            # Silently answering at the backend's depth/backend/... would
+            # drop the caller's knob; only the per-call fields may vary.
+            self._reject_engine_level_conflicts(options, self._options)
+            opts = options
         queries = list(queries)
         n = len(queries)
         if exclude_ids is None:

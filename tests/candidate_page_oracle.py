@@ -56,7 +56,7 @@ def union_stats_from_membership(
     """Combined-bottom-k statistics given a precomputed membership mask.
 
     Mirrors the sorted-union step of
-    :func:`repro.index.engine._containment_estimate` without re-sorting
+    :func:`scalar_query_oracle.containment_estimate` without re-sorting
     hash sets per candidate: dedup via the mask, then the ``k``-th union
     rank from one ``np.partition`` over cached ranks.
     """

@@ -130,25 +130,6 @@ def test_unknown_scorer_rejected(portal, tmp_path):
         main(["query", str(catalog), str(portal / "query.csv"), "--scorer", "magic"])
 
 
-def test_query_scalar_executor_matches_columnar(portal, tmp_path, capsys):
-    """--no-vectorized-query runs the reference executor and must print
-    the identical ranking."""
-    catalog = _index(portal, tmp_path)
-    capsys.readouterr()
-    query = ["query", str(catalog), str(portal / "query.csv"), "--scorer", "rp"]
-    assert main(query) == 0
-    columnar_out = capsys.readouterr().out
-    assert "executor   : columnar" in columnar_out
-    assert main(query + ["--no-vectorized-query"]) == 0
-    scalar_out = capsys.readouterr().out
-    assert "executor   : scalar" in scalar_out
-
-    def ranking(text):
-        return [l.split() for l in text.splitlines() if l and l[0].isdigit()]
-
-    assert ranking(columnar_out) == ranking(scalar_out)
-
-
 def test_query_min_overlap_prunes_everything(portal, tmp_path, capsys):
     catalog = _index(portal, tmp_path)
     capsys.readouterr()
@@ -545,13 +526,6 @@ def test_query_workers_requires_catalog_dir(portal, tmp_path):
               "--workers", "2"])
 
 
-def test_query_catalog_dir_rejects_scalar_executor(portal, tmp_path):
-    catalog_dir = _shard_build(portal, tmp_path)
-    with pytest.raises(SystemExit, match="columnar-only"):
-        main(["query", "--catalog-dir", str(catalog_dir),
-              str(portal / "query.csv"), "--no-vectorized-query"])
-
-
 def test_shard_build_lsh_and_query(portal, tmp_path, capsys):
     catalog_dir = _shard_build(
         portal, tmp_path, extra=["--lsh", "--lsh-bands", "32", "--lsh-rows", "2"]
@@ -918,7 +892,7 @@ def test_query_and_serve_share_one_tuning_surface():
     choices, types) without the other noticing."""
     shared = [
         "-k", "--scorer", "--depth", "--retrieval", "--bands", "--rows",
-        "--min-overlap", "--seed", "--no-vectorized-query", "--rng-mode",
+        "--min-overlap", "--seed", "--rng-mode",
         "--deadline-ms", "--on-shard-error",
     ]
 
@@ -951,7 +925,7 @@ def test_query_and_serve_share_one_tuning_surface():
         (["catalog.json", "--workers", "2"], "needs --catalog-dir"),
         (["catalog.json", "--deadline-ms", "50"], "need --catalog-dir"),
         (["catalog.json", "--on-shard-error", "partial"], "need --catalog-dir"),
-        (["--catalog-dir", "dir", "--no-vectorized-query"], "columnar-only"),
+        (["catalog.json", "--slow-query-log", "slow.log"], "--slow-query-ms"),
         (["catalog.json", "--seed", "7"], "window composition"),
     ],
 )

@@ -36,6 +36,8 @@ from repro.ranking.scoring import (
 )
 from repro.table.table import table_from_arrays
 
+from scalar_query_oracle import scalar_query
+
 
 def _correlated_samples(rng, count, *, n_lo=50, n_hi=800):
     xs, ys = [], []
@@ -266,12 +268,14 @@ def test_batched_mode_identical_ranking_per_scorer(scorer):
 
 @pytest.mark.parametrize("rng_mode", ("batched", "compat"))
 def test_executors_bit_identical_under_both_modes(rng_mode):
-    """Scalar and columnar executors share the bootstrap path per mode,
-    so rb_cib scores must be bit-identical between them in either mode."""
+    """The scalar reference and the columnar pipeline share the bootstrap
+    path per mode, so rb_cib scores must be bit-identical between them
+    in either mode."""
     catalog, query = _separated_catalog(seed=3)
-    scalar = JoinCorrelationEngine(catalog, vectorized=False, rng_mode=rng_mode)
     columnar = JoinCorrelationEngine(catalog, rng_mode=rng_mode)
-    a = scalar.query(query, k=5, scorer="rb_cib")
+    a = scalar_query(
+        catalog, query, k=5, scorer="rb_cib", options=columnar.options
+    )
     b = columnar.query(query, k=5, scorer="rb_cib")
     assert [e.candidate_id for e in a.ranked] == [e.candidate_id for e in b.ranked]
     assert [e.score for e in a.ranked] == [e.score for e in b.ranked]
@@ -279,4 +283,4 @@ def test_executors_bit_identical_under_both_modes(rng_mode):
 
 def test_batched_is_engine_default():
     catalog, _ = _separated_catalog(seed=4, n_rows=100, sketch_size=16)
-    assert JoinCorrelationEngine(catalog).rng_mode == "batched"
+    assert JoinCorrelationEngine(catalog).options.rng_mode == "batched"

@@ -27,7 +27,6 @@ from repro.index.catalog import SketchCatalog
 from repro.index.engine import (
     CandidatePage,
     JoinCorrelationEngine,
-    _containment_estimate,
     retrieve_candidates,
 )
 from repro.index.options import QueryOptions
@@ -37,6 +36,7 @@ from repro.serving.session import QuerySession
 from repro.table.table import table_from_arrays
 
 import candidate_page_oracle as oracle
+from scalar_query_oracle import containment_estimate
 
 
 class _Columns:
@@ -80,7 +80,7 @@ def _assert_page_matches_oracle(query, candidates, page):
     ]
     assert page.overlaps.tolist() == overlaps
     expected = [
-        _containment_estimate(query, c, o)
+        containment_estimate(query, c, o)
         for c, o in zip(candidates.values(), overlaps)
     ]
     assert page.containments(query.distinct_keys()).tolist() == expected

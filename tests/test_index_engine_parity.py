@@ -1,12 +1,13 @@
-"""Executor parity: the columnar query pipeline vs the scalar reference.
+"""Pipeline parity: the columnar query pipeline vs the scalar reference.
 
-The contract of the columnar executor is *identical rankings*: for any
-catalog, any query and every scoring function, ``ColumnarQueryExecutor``
-must rank exactly the candidates ``ScalarQueryExecutor`` ranks, in the
-same order. Statistics computed by per-candidate paths the columnar
-executor reuses verbatim (joins, containment, the PM1 bootstrap, the
-``random`` scorer's draws) must be bit-identical; the reduceat-batched
-moment statistics (Pearson, Hoeffding-CI length) may differ from the
+The contract of the columnar pipeline is *identical rankings*: for any
+catalog, any query and every scoring function,
+``JoinCorrelationEngine.query`` must rank exactly the candidates the
+row-at-a-time reference (``scalar_query_oracle.scalar_query``) ranks, in
+the same order. Statistics computed by per-candidate paths the pipeline
+reuses verbatim (joins, containment, the PM1 bootstrap, the ``random``
+scorer's draws) must be bit-identical; the reduceat-batched moment
+statistics (Pearson, Hoeffding-CI length) may differ from the
 per-candidate reductions only in float summation order, which the score
 assertions bound tightly.
 """
@@ -19,22 +20,22 @@ import pytest
 from repro.core.joined_sample import join_columns, join_sketches
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
-from repro.index.engine import (
-    CandidatePage,
-    ColumnarQueryExecutor,
-    JoinCorrelationEngine,
-    ScalarQueryExecutor,
-    _containment_estimate,
+from repro.index.engine import CandidatePage, JoinCorrelationEngine
+from repro.index.options import QueryOptions
+from repro.ranking.scoring import (
+    RNG_MODES,
+    SCORER_NAMES,
+    candidate_scores,
+    candidate_scores_batch,
 )
-from repro.ranking.scoring import SCORER_NAMES, candidate_scores, candidate_scores_batch
 from repro.table.table import table_from_arrays
 
 import candidate_page_oracle as oracle
-
-#: Scorers whose columnar statistics are bit-identical to the scalar
-#: path's (no reduceat-summed moments in the score formula).
-EXACT_SCORERS = ("rb_cib", "jc", "jc_est", "random")
-
+from scalar_query_oracle import (
+    assert_results_match,
+    containment_estimate,
+    scalar_query,
+)
 
 def _random_catalog(seed: int, *, n_tables=12, n_rows=1200, sketch_size=96):
     """A corpus of tables with varied correlation and key overlap, plus a
@@ -62,44 +63,35 @@ def _random_catalog(seed: int, *, n_tables=12, n_rows=1200, sketch_size=96):
     return catalog, query
 
 
-def _assert_results_match(a, b, scorer):
-    assert a.candidates_considered == b.candidates_considered
-    ids_a = [e.candidate_id for e in a.ranked]
-    ids_b = [e.candidate_id for e in b.ranked]
-    assert ids_a == ids_b, f"{scorer}: ranking mismatch"
-    scores_a = np.asarray([e.score for e in a.ranked])
-    scores_b = np.asarray([e.score for e in b.ranked])
-    if scorer in EXACT_SCORERS:
-        assert (scores_a == scores_b).all(), f"{scorer}: scores not bit-identical"
-    else:
-        np.testing.assert_allclose(
-            scores_a, scores_b, rtol=1e-9, atol=1e-12, err_msg=scorer
-        )
-    for ea, eb in zip(a.ranked, b.ranked):
-        assert ea.stats.sample_size == eb.stats.sample_size
-        assert ea.stats.containment_est == eb.stats.containment_est
-        assert math.isclose(
-            ea.true_correlation, eb.true_correlation, rel_tol=0.0, abs_tol=0.0
-        ) or (math.isnan(ea.true_correlation) and math.isnan(eb.true_correlation))
-
-
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("scorer", SCORER_NAMES)
 def test_rankings_identical_for_every_scorer(seed, scorer):
     catalog, query = _random_catalog(seed)
-    scalar = JoinCorrelationEngine(catalog, vectorized=False)
-    columnar = JoinCorrelationEngine(catalog)
-    a = scalar.query(query, k=10, scorer=scorer)
-    b = columnar.query(query, k=10, scorer=scorer)
-    _assert_results_match(a, b, scorer)
+    a = scalar_query(catalog, query, k=10, scorer=scorer)
+    b = JoinCorrelationEngine(catalog).query(query, k=10, scorer=scorer)
+    assert_results_match(a, b, scorer)
 
 
-def test_executor_selection():
-    catalog, _ = _random_catalog(0, n_tables=2, n_rows=100, sketch_size=16)
-    assert isinstance(JoinCorrelationEngine(catalog).executor, ColumnarQueryExecutor)
-    assert isinstance(
-        JoinCorrelationEngine(catalog, vectorized=False).executor, ScalarQueryExecutor
+@pytest.mark.parametrize("retrieval_backend", ("inverted", "lsh"))
+@pytest.mark.parametrize("rng_mode", RNG_MODES)
+@pytest.mark.parametrize("scorer", SCORER_NAMES)
+def test_oracle_parity_for_every_scorer_rng_mode_and_backend(
+    scorer, rng_mode, retrieval_backend
+):
+    """The whole matrix the oracle stands behind: every scorer under
+    both rng modes and both retrieval backends (one LSH band per slot, so
+    the approximate backend has candidates to rank on this corpus)."""
+    catalog, query = _random_catalog(11)
+    options = QueryOptions(
+        rng_mode=rng_mode, retrieval_backend=retrieval_backend,
+        lsh_bands=32, lsh_rows=1,
     )
+    a = scalar_query(catalog, query, k=10, scorer=scorer, options=options)
+    b = JoinCorrelationEngine.from_options(catalog, options).query(
+        query, k=10, scorer=scorer
+    )
+    assert a.candidates_considered > 0
+    assert_results_match(a, b, scorer)
 
 
 def test_parity_with_exclude_min_overlap_and_truths():
@@ -109,36 +101,40 @@ def test_parity_with_exclude_min_overlap_and_truths():
         {"exclude_id": "tab00::key->value"},
         {"true_correlations": truths},
     ):
-        a = JoinCorrelationEngine(catalog, vectorized=False).query(
-            query, k=8, scorer="rp_cih", **kwargs
-        )
+        a = scalar_query(catalog, query, k=8, scorer="rp_cih", **kwargs)
         b = JoinCorrelationEngine(catalog).query(query, k=8, scorer="rp_cih", **kwargs)
-        _assert_results_match(a, b, "rp_cih")
+        assert_results_match(a, b, "rp_cih")
     for min_overlap in (2, 25, 10**9):
-        a = JoinCorrelationEngine(catalog, vectorized=False, min_overlap=min_overlap)
         b = JoinCorrelationEngine(catalog, min_overlap=min_overlap)
-        _assert_results_match(
-            a.query(query, k=8), b.query(query, k=8), "rp_cih"
+        assert_results_match(
+            scalar_query(catalog, query, k=8, options=b.options),
+            b.query(query, k=8),
+            "rp_cih",
         )
 
 
 def test_scheme_mismatch_rejected_by_both_executors():
+    """The scalar reference fails inside ``join_sketches`` at the first
+    candidate; the columnar join has no hasher to check against, so the
+    pipeline enforces comparability up front — through ``query`` and
+    ``query_batch`` alike."""
     from repro.hashing import KeyHasher
 
     catalog, _ = _random_catalog(0, n_tables=2, n_rows=100, sketch_size=16)
     alien = CorrelationSketch.from_columns(
         ["a", "b", "c"], [1.0, 2.0, 3.0], 16, hasher=KeyHasher(seed=99)
     )
-    for vectorized in (True, False):
-        engine = JoinCorrelationEngine(catalog, vectorized=vectorized)
-        with pytest.raises(ValueError, match="hashing scheme"):
-            engine.query(alien, k=3)
+    engine = JoinCorrelationEngine(catalog)
+    with pytest.raises(ValueError, match="hashing scheme"):
+        engine.query(alien, k=3)
+    with pytest.raises(ValueError, match="hashing scheme"):
+        engine.query_batch([alien], k=3)
 
 
 def test_parity_on_empty_query_sketch():
     catalog, _ = _random_catalog(1, n_tables=3, n_rows=300, sketch_size=32)
     empty = CorrelationSketch(32, hasher=catalog.hasher, name="empty")
-    a = JoinCorrelationEngine(catalog, vectorized=False).query(empty, k=5)
+    a = scalar_query(catalog, empty, k=5)
     b = JoinCorrelationEngine(catalog).query(empty, k=5)
     assert a.candidates_considered == b.candidates_considered == 0
     assert a.ranked == [] and b.ranked == []
@@ -156,9 +152,9 @@ def test_parity_with_missing_values():
     catalog.add_table(table_from_arrays("holey", keys, vals))
     query = CorrelationSketch.from_columns(keys, q, 64, hasher=catalog.hasher)
     for scorer in ("rp", "rp_cih"):
-        a = JoinCorrelationEngine(catalog, vectorized=False).query(query, scorer=scorer)
+        a = scalar_query(catalog, query, scorer=scorer)
         b = JoinCorrelationEngine(catalog).query(query, scorer=scorer)
-        _assert_results_match(a, b, scorer)
+        assert_results_match(a, b, scorer)
 
 
 def test_query_table_parity_and_frozen_reuse():
@@ -177,13 +173,22 @@ def test_query_table_parity_and_frozen_reuse():
             NumericColumn("b", rng.standard_normal(n)),
         ],
     )
-    results_a = JoinCorrelationEngine(catalog, vectorized=False).query_table(
-        table, k=5, scorer="rp_sez"
-    )
+    results_a = {}
+    for pair in table.column_pairs():
+        sketch = CorrelationSketch(
+            catalog.sketch_size,
+            aggregate=catalog.aggregate,
+            hasher=catalog.hasher,
+            name=pair.pair_id,
+        )
+        sketch.update_array(*table.pair_arrays(pair))
+        results_a[pair.pair_id] = scalar_query(
+            catalog, sketch, k=5, scorer="rp_sez", exclude_id=pair.pair_id
+        )
     results_b = JoinCorrelationEngine(catalog).query_table(table, k=5, scorer="rp_sez")
     assert set(results_a) == set(results_b)
     for pair_id in results_a:
-        _assert_results_match(results_a[pair_id], results_b[pair_id], "rp_sez")
+        assert_results_match(results_a[pair_id], results_b[pair_id], "rp_sez")
     # The frozen snapshot was built once and shared across the batch.
     assert catalog.frozen_postings() is catalog.frozen_postings()
 
@@ -252,7 +257,7 @@ def test_containment_batch_bit_identical_to_scalar():
     for _ in range(25):
         query, candidate = _random_sketch_pair(rng, with_nan=False)
         overlap = len(query.key_hashes() & candidate.key_hashes())
-        expected = _containment_estimate(query, candidate, overlap)
+        expected = containment_estimate(query, candidate, overlap)
         catalog = SketchCatalog(sketch_size=candidate.n, hasher=query.hasher)
         catalog.add_sketch("c", candidate)
         page = CandidatePage.assemble(catalog, query.columnar(), [("c", overlap)])

@@ -5,8 +5,7 @@ engine/router constructors historically raised — so the refactor onto
 one shared record is invisible to error-matching callers; (2) the
 record round-trips through JSON; (3) the engine and router built
 ``from_options`` behave identically to hand-threaded constructor
-arguments, and their tuning attributes remain assignable (revalidated
-on assignment) as documented.
+arguments.
 """
 
 import json
@@ -17,11 +16,7 @@ import pytest
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
 from repro.index.catalog import SketchCatalog
-from repro.index.engine import (
-    ColumnarQueryExecutor,
-    JoinCorrelationEngine,
-    ScalarQueryExecutor,
-)
+from repro.index.engine import JoinCorrelationEngine
 from repro.index.options import (
     ON_SHARD_ERROR_POLICIES,
     RETRIEVAL_BACKENDS,
@@ -111,8 +106,12 @@ class TestValidation:
             validate_resilience(-1, "raise")
         with pytest.raises(ValueError, match="unknown on_shard_error"):
             validate_resilience(None, "retry")
-        # The router's per-call validation IS this rule.
-        assert ShardRouter._validate_resilience is validate_resilience
+        # The router's per-call validation is this rule.
+        router = ShardRouter(_corpus(n=2)[1])
+        with pytest.raises(ValueError, match="deadline_ms must be positive"):
+            router.query_batch([], deadline_ms=-1)
+        with pytest.raises(ValueError, match="unknown on_shard_error"):
+            router.query_batch([], on_shard_error="retry")
 
     def test_constants_re_exported(self):
         from repro.index import engine
@@ -217,26 +216,6 @@ class TestEngineFromOptions:
         with pytest.raises(ValueError, match=message):
             ShardRouter(_corpus(n=2)[1], **kwargs)
 
-    def test_tuning_attributes_stay_assignable(self):
-        mono, _, _ = _corpus(n=2)
-        engine = JoinCorrelationEngine(mono)
-        engine.retrieval_depth = 17
-        assert engine.retrieval_depth == 17
-        assert engine.options.depth == 17
-        with pytest.raises(ValueError, match="retrieval_depth must be positive"):
-            engine.retrieval_depth = 0
-        with pytest.raises(ValueError, match="unknown rng_mode"):
-            engine.rng_mode = "bogus"
-
-    def test_vectorized_assignment_swaps_executor(self):
-        mono, _, _ = _corpus(n=2)
-        engine = JoinCorrelationEngine(mono)
-        assert isinstance(engine.executor, ColumnarQueryExecutor)
-        engine.vectorized = False
-        assert isinstance(engine.executor, ScalarQueryExecutor)
-        engine.vectorized = True
-        assert isinstance(engine.executor, ColumnarQueryExecutor)
-
 
 class TestRouterFromOptions:
     def test_from_options_equals_hand_threaded(self):
@@ -251,14 +230,6 @@ class TestRouterFromOptions:
         assert a.to_dict()["ranked"] == b.to_dict()["ranked"]
         by_options.close()
         by_hand.close()
-
-    def test_router_tuning_assignable_and_revalidated(self):
-        _, sharded, _ = _corpus(n=2)
-        router = ShardRouter(sharded)
-        router.retrieval_depth = 5
-        assert router.options.depth == 5
-        with pytest.raises(ValueError, match="unknown retrieval_backend"):
-            router.retrieval_backend = "bogus"
 
 
 def test_registry_constants_cover_options_domain():

@@ -1,6 +1,6 @@
 """``query_batch`` parity: one batched pipeline vs looped single queries.
 
-The contract (docs/ARCHITECTURE.md "Batch serving"): for every scoring
+The contract (docs/ARCHITECTURE.md "Query pipeline"): for every scoring
 function, both rng modes and both retrieval backends, ``query_batch``
 returns results **bit-identical** to calling :meth:`query` per sketch in
 order — same candidate pages, same scores, same rankings. Only the phase
@@ -17,6 +17,8 @@ from repro.index.catalog import SketchCatalog
 from repro.index.engine import JoinCorrelationEngine
 from repro.ranking.scoring import RNG_MODES, SCORER_NAMES
 from repro.table.table import table_from_arrays
+
+from scalar_query_oracle import scalar_query
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +134,10 @@ def test_batch_exclude_ids_and_truths(world):
             )
 
 
-def test_batch_on_scalar_engine_falls_back_to_loop(world):
+def test_batch_matches_scalar_oracle(world):
     catalog, queries = world
-    scalar = JoinCorrelationEngine(catalog, vectorized=False)
-    columnar = JoinCorrelationEngine(catalog)
-    a = scalar.query_batch(queries, k=6, scorer="rp_cih")
-    b = columnar.query_batch(queries, k=6, scorer="rp_cih")
+    a = [scalar_query(catalog, q, k=6, scorer="rp_cih") for q in queries]
+    b = JoinCorrelationEngine(catalog).query_batch(queries, k=6, scorer="rp_cih")
     for ra, rb in zip(a, b):
         assert [e.candidate_id for e in ra.ranked] == [
             e.candidate_id for e in rb.ranked

@@ -21,6 +21,8 @@ from repro.index.lsh import LshIndex
 from repro.ranking.scoring import SCORER_NAMES
 from repro.table.table import table_from_arrays
 
+from scalar_query_oracle import scalar_query
+
 
 def _high_containment_world(seed=0, n_tables=10, n_rows=1500, sketch_size=128):
     """Corpus tables sharing ≥60% of the query's key universe — every
@@ -65,16 +67,15 @@ def test_full_recall_rankings_bit_identical(scorer):
 
 
 def test_scalar_columnar_parity_under_lsh():
-    """Both executors must retrieve the identical LSH candidate page and
-    produce identical rankings (the executor-parity contract holds per
-    backend)."""
+    """The scalar reference and the columnar pipeline must retrieve the
+    identical LSH candidate page and produce identical rankings (the
+    parity contract holds per backend)."""
     catalog, query = _high_containment_world(seed=3)
-    scalar = JoinCorrelationEngine(
-        catalog, retrieval_backend="lsh", vectorized=False
-    )
     columnar = JoinCorrelationEngine(catalog, retrieval_backend="lsh")
     for scorer in ("rp", "rp_cih", "rb_cib", "jc_est"):
-        a = scalar.query(query, k=8, scorer=scorer)
+        a = scalar_query(
+            catalog, query, k=8, scorer=scorer, options=columnar.options
+        )
         b = columnar.query(query, k=8, scorer=scorer)
         assert a.candidates_considered == b.candidates_considered
         assert [e.candidate_id for e in a.ranked] == [

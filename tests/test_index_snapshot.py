@@ -25,6 +25,8 @@ from repro.index.snapshot import (
 )
 from repro.table.table import table_from_arrays
 
+from scalar_query_oracle import scalar_query
+
 
 def _world(seed=0, n_tables=8, n_rows=900, sketch_size=64):
     rng = np.random.default_rng(seed)
@@ -243,7 +245,7 @@ def test_columnar_path_never_materializes(tmp_path):
         isinstance(entry, _LazySketch) for entry in loaded._sketches.values()
     )
     # ... while the scalar reference path materializes what it touches.
-    JoinCorrelationEngine(loaded, vectorized=False).query(query, k=5, scorer="rp")
+    scalar_query(loaded, query, k=5, scorer="rp")
     assert any(
         isinstance(entry, CorrelationSketch)
         for entry in loaded._sketches.values()

@@ -46,6 +46,8 @@ from repro.serving import (
 from repro.serving.coalescer import QueryCoalescer
 from repro.serving.faults import injected
 
+from scalar_query_oracle import assert_results_match, scalar_query
+
 N_SKETCHES = 24
 SKETCH_SIZE = 64
 ROWS = 200
@@ -133,13 +135,22 @@ class TestBitParity:
     def test_traced_equals_untraced(self, corpus, backend, rng_mode, scorer):
         mono, sharded, queries = corpus
         options = QueryOptions(
-            k=6,
-            depth=12,
-            scorer=scorer,
-            rng_mode=rng_mode,
-            vectorized=backend != "engine-scalar",
+            k=6, depth=12, scorer=scorer, rng_mode=rng_mode
         )
-        if backend in ("engine", "engine-scalar"):
+        if backend == "engine-scalar":
+            # The row-at-a-time reference has no tracing to switch off:
+            # the traced pipeline must answer as the reference does, to
+            # the parity suite's tolerances (test_index_engine_parity).
+            with QuerySession.for_catalog(mono, options) as session:
+                traced = session.submit(queries, trace=True)
+            for query, t in zip(queries, traced):
+                want = scalar_query(
+                    mono, query, k=options.k, scorer=scorer, options=options
+                )
+                assert t.trace is not None
+                assert_results_match(want, t, scorer)
+            return
+        if backend == "engine":
             session = QuerySession.for_catalog(mono, options)
         elif backend == "router":
             session = QuerySession.for_sharded(sharded, options)

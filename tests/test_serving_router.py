@@ -19,8 +19,10 @@ from repro.index.engine import (
     JoinCorrelationEngine,
     retrieve_candidates,
 )
+from repro.obs import Trace
 from repro.ranking.scoring import RNG_MODES, SCORER_NAMES
 from repro.serving import (
+    QuerySession,
     QueryWorkerPool,
     ShardRouter,
     ShardWorkerPool,
@@ -125,6 +127,50 @@ def test_query_and_batch_parity(corpus, scorer, n_shards, backend):
     assert [_key(r) for r in got_batch] == expected_batch
 
 
+def _trace_shape(block):
+    """A trace's top-level phases: span names with their meta keys."""
+    return [
+        (span["name"], sorted(span.get("meta", {})))
+        for span in block["spans"]
+        if "parent" not in span
+    ]
+
+
+@pytest.mark.parametrize("n_shards", (None, 1, 3))
+def test_query_is_a_batch_of_one(corpus, n_shards):
+    """One pipeline: ``query`` and a ``query_batch`` of one are the same
+    call — ranking, scores, ``candidates_considered`` and the trace's
+    top-level spans, names and meta keys — on the monolithic engine
+    (``None``) and on a 1- and a 3-shard router."""
+    mono, _, queries, _ = corpus
+    if n_shards is None:
+        backend = _engine(mono, "inverted")
+    else:
+        catalog = ShardedCatalog(
+            n_shards, sketch_size=SKETCH_SIZE, hasher=mono.hasher
+        )
+        catalog.add_sketches([(sid, mono.get(sid)) for sid in mono])
+        backend = _router(catalog, "inverted")
+    single = backend.query(queries[0], k=8, trace=Trace())
+    (batched,) = backend.query_batch([queries[0]], k=8, traces=[Trace()])
+    assert _key(single) == _key(batched)
+    assert _trace_shape(single.trace) == _trace_shape(batched.trace)
+    assert [name for name, _ in _trace_shape(single.trace)] == [
+        "retrieval", "assemble", "score", "merge",
+    ]
+
+
+def test_direct_engine_trace_has_the_served_phases(corpus):
+    """What ``engine.query(trace=...)`` records is what a query served
+    through ``QuerySession`` records: there is no second single-query
+    path whose phases could differ."""
+    mono, _, queries, _ = corpus
+    engine = _engine(mono, "inverted")
+    direct = engine.query(queries[0], k=8, trace=Trace())
+    served = QuerySession(engine).submit_one(queries[0], trace=True)
+    assert _trace_shape(direct.trace) == _trace_shape(served.trace)
+
+
 @pytest.mark.parametrize("backend", ("inverted", "lsh"))
 @pytest.mark.parametrize("rng_mode", RNG_MODES)
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
@@ -181,19 +227,21 @@ def test_merged_shard_sub_pages_equal_the_monolithic_page(corpus, n_shards):
     cols = [query.columnar() for query in queries]
     hits = [retrieve_candidates(mono, c, depth=20) for c in cols]
 
-    pages, kept, failed, _ = router._scatter_assemble(cols, hits)
-    assert kept == hits and not failed
+    pages, failed, _ = router._scatter_assemble(cols, hits)
+    assert not failed
     for page, c, page_hits in zip(pages, cols, hits):
+        assert list(zip(page.ids, page.overlaps.tolist())) == page_hits
         _assert_pages_equal(page, CandidatePage.assemble(mono, c, page_hits))
 
     lost = catalog.owner_of(hits[0][0][0])
     with injected({"shard_assemble": {"shard": lost, "kind": "exception"}}):
-        pages, kept, failed, _ = router._scatter_assemble(cols, hits, partial=True)
+        pages, failed, _ = router._scatter_assemble(cols, hits, partial=True)
     assert failed == {lost}
-    for page, c, page_hits, survivors in zip(pages, cols, hits, kept):
-        assert survivors == [
+    for page, c, page_hits in zip(pages, cols, hits):
+        survivors = [
             hit for hit in page_hits if catalog.owner_of(hit[0]) != lost
         ]
+        assert list(zip(page.ids, page.overlaps.tolist())) == survivors
         _assert_pages_equal(page, CandidatePage.assemble(mono, c, survivors))
 
 

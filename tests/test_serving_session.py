@@ -178,6 +178,34 @@ class TestOptionsRouting:
         assert session.options.k == 3
         assert session.options.depth == 100
 
+    def test_per_call_engine_level_override_raises(self, corpus):
+        """A per-call record cannot re-tune the warm backend either:
+        answering at the backend's depth (or through its retrieval
+        backend) would silently drop the caller's knob. Even a value the
+        constructor would read as "unspecified" (the default depth, on a
+        session serving another) is a divergent ask here."""
+        mono, sharded, queries = corpus
+        session = QuerySession.for_catalog(mono, QueryOptions(k=4, depth=50))
+        with pytest.raises(ValueError, match=r"engine-level field\(s\): depth=3"):
+            session.submit(queries, options=session.options.merged(depth=3))
+        with pytest.raises(ValueError, match="retrieval_backend='lsh'"):
+            session.submit_one(
+                queries[0],
+                options=session.options.merged(retrieval_backend="lsh"),
+            )
+        with pytest.raises(ValueError, match="depth=100"):
+            session.submit(queries, options=QueryOptions(k=4))
+        # The per-call fields stay the caller's to vary, call by call.
+        with QuerySession.for_sharded(sharded, QueryOptions(depth=50)) as routed:
+            result = routed.submit_one(
+                queries[0],
+                options=routed.options.merged(
+                    k=2, scorer="rp", seed=3, deadline_ms=60_000.0,
+                    on_shard_error="partial",
+                ),
+            )
+        assert len(result.ranked) == 2
+
     def test_seed_matches_explicit_rng(self, corpus):
         mono, _, queries = corpus
         session = QuerySession.for_catalog(
