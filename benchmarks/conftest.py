@@ -29,6 +29,16 @@ def pytest_addoption(parser):
     )
 
 
+#: Whether this session is a --quick smoke (set once by pytest_configure;
+#: the bench files import ``write_result`` from this same module object).
+_quick = False
+
+
+def pytest_configure(config):
+    global _quick
+    _quick = config.getoption("--quick")
+
+
 @pytest.fixture(scope="session")
 def quick(request) -> bool:
     """True when the suite runs as a --quick smoke (CI) invocation."""
@@ -36,10 +46,14 @@ def quick(request) -> bool:
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist a regenerated table/figure and echo it to stdout."""
+    """Echo a regenerated table/figure to stdout and, at full scale,
+    persist it. The files under ``results/`` are checked in as the
+    full-scale record, so a ``--quick`` smoke only prints."""
+    print(f"\n===== {name} =====\n{text}\n")
+    if _quick:
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / name).write_text(text + "\n")
-    print(f"\n===== {name} =====\n{text}\n")
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,55 @@ def _value_range_of(value_min: float, value_max: float) -> tuple[float, float]:
     return (value_min, value_max)
 
 
+def _checked_values(values, rows: int) -> np.ndarray:
+    """``values`` as a 1-D float64 column of ``rows`` cells."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"values must be 1-D, got {values.ndim}-D")
+    if values.shape[0] != rows:
+        raise ValueError(
+            f"key column has {rows} rows but value column has {values.shape[0]}"
+        )
+    return values
+
+
+class _KeyGroups:
+    """Everything columnar construction derives from the key column alone.
+
+    One hash pass, the ``np.unique`` grouping of repeated keys, each
+    group's unit rank and (on demand) the bottom-``n`` groups: none of it
+    depends on the values, so a table ``{K, X, Z, …}`` computes it once
+    and every ``⟨K, ·⟩`` sketch reuses it — the shared selection of
+    Section 3.1's multi-column sketch
+    (:class:`repro.core.multicolumn.MultiColumnSketch` states it row at
+    a time).
+
+    Attributes:
+        uniq: distinct key hashes, ascending.
+        inv: group index of every row (``uniq[inv]`` is the hashed column).
+        ranks: unit-interval hash of every group.
+    """
+
+    def __init__(self, hasher: KeyHasher, keys) -> None:
+        self.uniq, self.inv = np.unique(hasher.hash_batch(keys), return_inverse=True)
+        self.ranks = hasher.unit_hash_batch(self.uniq)
+        self._bottom_of_all: dict[int, tuple] = {}
+
+    def bottom(self, n: int, groups: np.ndarray | None = None) -> tuple:
+        """``(groups, key_hashes, ranks)`` of the ``n`` smallest-rank
+        groups among ``groups`` (default: all of them, remembered per
+        ``n`` — that is the selection every empty sketch makes)."""
+        if groups is None:
+            if n not in self._bottom_of_all:
+                self._bottom_of_all[n] = self.bottom(n, np.arange(self.uniq.shape[0]))
+            return self._bottom_of_all[n]
+        ranks = self.ranks[groups]
+        if groups.size > n:
+            sel = np.argpartition(ranks, n - 1)[:n]
+            groups, ranks = groups[sel], ranks[sel]
+        return groups, self.uniq[groups], ranks
+
+
 @dataclass(frozen=True)
 class SketchColumns:
     """Read-only columnar view of a sketch's retained entries.
@@ -161,9 +210,11 @@ class CorrelationSketch:
         ``value_max`` / ``rows_seen`` / overflow flag — at columnar speed:
 
         1. hash every key in one vectorized pass
-           (:meth:`repro.hashing.KeyHasher.hash_batch`);
-        2. group repeated keys with ``np.unique`` and reduce each group
-           with the chosen aggregate in a few ``ufunc.at`` calls
+           (:meth:`repro.hashing.KeyHasher.hash_batch`) and group repeated
+           keys with ``np.unique`` — the part :meth:`from_key_column`
+           shares between the value columns of one key column;
+        2. reduce each group with the chosen aggregate in a few
+           ``ufunc.at`` calls
            (:class:`repro.core.aggregators.GroupedAggregates`), seeding
            groups whose key is already retained from the live aggregator
            so multi-batch construction matches streaming exactly;
@@ -183,22 +234,20 @@ class CorrelationSketch:
         against :meth:`update_all` on adversarial inputs.
 
         Args:
-            keys: 1-D array or sequence of join keys. NumPy numeric/bool
-                arrays take a fully vectorized hash path; other sequences
-                are canonicalized per element.
+            keys: 1-D array or sequence of join keys (see
+                :meth:`repro.hashing.KeyHasher.hash_batch` for how each
+                kind of sequence is encoded).
             values: numeric array-like, NaN = missing cell.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError(f"values must be 1-D, got {values.ndim}-D")
-        m = values.shape[0]
-        if len(keys) != m:
-            raise ValueError(
-                f"key column has {len(keys)} rows but value column has {m}"
-            )
+        values = _checked_values(values, len(keys))
+        self._update_grouped(_KeyGroups(self.hasher, keys), values)
+
+    def _update_grouped(self, groups: _KeyGroups, values: np.ndarray) -> None:
+        """The per-value-column part of :meth:`update_array`: range,
+        grouped aggregation, bottom-``n`` merge."""
         self._columns = None
-        self.rows_seen += m
-        if m == 0:
+        self.rows_seen += values.shape[0]
+        if values.shape[0] == 0:
             return
 
         finite = values[~np.isnan(values)]
@@ -210,48 +259,68 @@ class CorrelationSketch:
             if hi > self.value_max:
                 self.value_max = hi
 
-        key_hashes = self.hasher.hash_batch(keys)
-        uniq, inv = np.unique(key_hashes, return_inverse=True)
+        uniq = groups.uniq
         n_groups = uniq.shape[0]
-
         grouped = GroupedAggregates(self.aggregate, n_groups)
+        new_groups = None  # every group, until some prove retained
+        existing_aggs: list[tuple[int, Aggregator]] = []
         if len(self._bottom):
             retained = np.fromiter(
                 self._bottom.keys(), dtype=np.uint64, count=len(self._bottom)
             )
-            existing = np.nonzero(np.isin(uniq.astype(np.uint64), retained))[0]
-        else:
-            existing = np.empty(0, dtype=np.intp)
-        existing_aggs: list[tuple[int, Aggregator]] = []
-        for gi in existing.tolist():
-            agg: Aggregator = self._bottom.get(int(uniq[gi]))
-            grouped.seed(gi, agg)
-            existing_aggs.append((gi, agg))
+            is_retained = np.isin(uniq.astype(np.uint64), retained)
+            new_groups = np.nonzero(~is_retained)[0]
+            for gi in np.nonzero(is_retained)[0].tolist():
+                agg: Aggregator = self._bottom.get(int(uniq[gi]))
+                grouped.seed(gi, agg)
+                existing_aggs.append((gi, agg))
 
-        grouped.accumulate(inv, values)
+        grouped.accumulate(groups.inv, values)
 
         for gi, agg in existing_aggs:
             grouped.apply(gi, agg)
 
-        new_mask = np.ones(n_groups, dtype=bool)
-        new_mask[existing] = False
-        new_groups = np.nonzero(new_mask)[0]
-        if len(self._bottom) + new_groups.size > self.n:
+        if len(self._bottom) + n_groups - len(existing_aggs) > self.n:
             self._overflowed = True
+        # Only the n smallest-rank newcomers can possibly be admitted;
+        # don't build aggregator objects for the rest.
+        new_groups, new_keys, new_ranks = groups.bottom(self.n, new_groups)
         if new_groups.size == 0:
             return
-
-        new_keys = uniq[new_groups]
-        new_ranks = self.hasher.unit_hash_batch(new_keys)
-        if new_groups.size > self.n:
-            # Only the n smallest-rank newcomers can possibly be admitted;
-            # don't build aggregator objects for the rest.
-            sel = np.argpartition(new_ranks, self.n - 1)[: self.n]
-            new_groups = new_groups[sel]
-            new_keys = new_keys[sel]
-            new_ranks = new_ranks[sel]
         payloads = [grouped.materialize(gi) for gi in new_groups.tolist()]
         self._bottom.update_batch(new_ranks, new_keys, payloads)
+
+    @classmethod
+    def from_key_column(
+        cls,
+        keys,
+        value_columns: Sequence[Sequence[float]],
+        n: int,
+        aggregate: str = "mean",
+        hasher: KeyHasher | None = None,
+        names: Sequence[str | None] | None = None,
+    ) -> "list[CorrelationSketch]":
+        """One sketch per value column of a table ``{K, X, Z, …}``.
+
+        Each equals ``from_columns(keys, values, …)`` for its column, but
+        the key column is hashed, grouped, ranked and bottom-``n``
+        selected once for all of them (Section 3.1: the selected keys
+        depend only on the key column).
+
+        Raises:
+            ValueError: if a value column's length differs from ``keys``'.
+        """
+        hasher = hasher if hasher is not None else default_hasher()
+        columns = [_checked_values(values, len(keys)) for values in value_columns]
+        if names is None:
+            names = [None] * len(columns)
+        groups = _KeyGroups(hasher, keys) if columns else None
+        sketches = []
+        for name, values in zip(names, columns):
+            sketch = cls(n, aggregate=aggregate, hasher=hasher, name=name)
+            sketch._update_grouped(groups, values)
+            sketches.append(sketch)
+        return sketches
 
     @classmethod
     def from_columns(

@@ -89,8 +89,13 @@ class KeyHasher:
 
         Elementwise identical to the scalar path:
         ``hash_batch(keys)[i] == key_hash(keys[i])`` for every supported
-        key type (see :mod:`repro.hashing.vectorized`). Returns a
-        ``uint32`` (``bits=32``) or ``uint64`` (``bits=64``) array.
+        key type. Numeric and bool arrays are encoded with array
+        operations, an all-``str`` sequence (list, object array, ``<U``
+        array) by one join and one UTF-8 encode, anything else one key at
+        a time; one kernel launch then hashes the whole column whatever
+        its mix of key lengths (see :mod:`repro.hashing.vectorized`).
+        Returns a ``uint32`` (``bits=32``) or ``uint64`` (``bits=64``)
+        array.
         """
         if self.bits == 32:
             return murmur3_32_batch(keys, self.seed)

@@ -378,18 +378,41 @@ class SketchCatalog:
         self.add_sketch(sid, sketch)
         return sid
 
+    def _build_table_sketches(
+        self, table: Table
+    ) -> Iterator[tuple[str, CorrelationSketch]]:
+        """Build (but do not register) the sketch of every column pair of
+        ``table``, in :meth:`~repro.table.table.Table.column_pairs` order;
+        on the columnar path each key column is hashed and grouped once
+        for all its pairs."""
+        if not self.vectorized:
+            for pair in table.column_pairs():
+                yield self._build_pair_sketch(table, pair)
+            return
+        value_names = table.numeric_names()
+        for key in table.categorical_names():
+            ids = [ColumnPair(table.name, key, v).pair_id for v in value_names]
+            keys, columns = table.key_column_arrays(key, value_names)
+            yield from zip(
+                ids,
+                CorrelationSketch.from_key_column(
+                    keys,
+                    columns,
+                    self.sketch_size,
+                    aggregate=self.aggregate,
+                    hasher=self.hasher,
+                    names=ids,
+                ),
+            )
+
     def add_table(self, table: Table) -> list[str]:
         """Sketch and register every column pair of ``table``."""
-        return self.add_sketches(
-            self._build_pair_sketch(table, pair) for pair in table.column_pairs()
-        )
+        return self.add_sketches(self._build_table_sketches(table))
 
     def add_tables(self, tables: Iterable[Table]) -> list[str]:
         """Sketch and register every column pair of every table."""
         return self.add_sketches(
-            self._build_pair_sketch(table, pair)
-            for table in tables
-            for pair in table.column_pairs()
+            built for table in tables for built in self._build_table_sketches(table)
         )
 
     def add_csv_streaming(self, path: str | Path, **kwargs) -> list[str]:

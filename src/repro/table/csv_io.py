@@ -1,9 +1,11 @@
 """CSV reading with automatic column-type detection.
 
 Stand-in for the Tablesaw parsing step of Section 5.1: datasets arrive as
-"plain CSV text files" and column types are detected automatically. Uses
-the stdlib ``csv`` module for parsing and :mod:`repro.table.types` for
-type sniffing, producing a :class:`~repro.table.table.Table`.
+"plain CSV text files" and column types are detected automatically. The
+text is tokenized once, transposed, and each column is finished in one
+C-level pass; :mod:`repro.table.types` stays the definition of what a
+cell means, and any column a bulk pass cannot vouch for is handed to it
+cell by cell. Produces a :class:`~repro.table.table.Table`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -18,24 +21,128 @@ import numpy as np
 
 from repro.table.column import CategoricalColumn, Column, NumericColumn
 from repro.table.table import Table
-from repro.table.types import ColumnType, infer_column_type, is_missing, try_parse_float
+from repro.table.types import (
+    MISSING_TOKENS,
+    ColumnType,
+    infer_column_type,
+    is_missing,
+    try_parse_float,
+)
+
+#: The missing tokens exactly as ``is_missing`` spells them, rewritten to
+#: a cell ``float`` reads as NaN.
+_MISSING_AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
 
 
-def _build_column(name: str, cells: Sequence[str], ctype: ColumnType) -> Column | None:
+def unique_header(raw: Sequence[str]) -> list[str]:
+    """Column names of a header row: stripped, and duplicates
+    disambiguated with ``.N`` suffixes the way spreadsheet tools do."""
+    header = [h.strip() for h in raw]
+    if len(set(header)) != len(header):
+        seen: dict[str, int] = {}
+        unique = []
+        for h in header:
+            count = seen.get(h, 0)
+            unique.append(h if count == 0 else f"{h}.{count}")
+            seen[h] = count + 1
+        header = unique
+    return header
+
+
+def _split_columns(
+    text: str, delimiter: str
+) -> tuple[list[str], list[list[str]]] | None:
+    """``(header, column cells)`` of quote-free rectangular text, by
+    ``str.split`` and a stride per column.
+
+    Returns None whenever ``csv.reader`` could read the text any other
+    way — a quote character, a bare ``\\r`` or mixed line endings, a blank
+    first line, lines with differing delimiter counts, a line past the
+    field size limit, a delimiter ``csv`` itself would refuse — so that
+    it stays the one definition of the format and the one source of
+    format errors.
+    """
+    if len(delimiter) != 1 or delimiter in '"\r\n' or '"' in text:
+        return None
+    lines = text.split("\r\n" if "\r\n" in text else "\n")
+    if not lines[0]:
+        return None
+    lines = list(filter(None, lines))  # csv.reader yields [] for a blank line
+    delimiters = lines[0].count(delimiter)
+    if set(map(str.count, lines, repeat(delimiter))) != {delimiters}:
+        return None
+    if len(max(lines, key=len)) > csv.field_size_limit():
+        return None
+    flat = delimiter.join(lines)
+    if "\r" in flat or "\n" in flat:
+        return None
+    cells = flat.split(delimiter)
+    width = delimiters + 1
+    return cells[:width], [cells[width + i :: width] for i in range(width)]
+
+
+def _reader_columns(
+    text: str, name: str, delimiter: str
+) -> tuple[list[str], list[Sequence[str]]]:
+    """``(header, column cells)`` through ``csv.reader``."""
+    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    if not rows:
+        raise ValueError(f"CSV {name!r} is empty")
+    width = len(rows[0])
+    if not set(map(len, rows)) <= {width, 0}:
+        for line_no, row in enumerate(rows[1:], start=2):
+            if row and len(row) != width:
+                raise ValueError(
+                    f"CSV {name!r} line {line_no}: expected {width} fields, "
+                    f"got {len(row)}"
+                )
+    # Blank lines — common in hand-edited CSV files — are skipped.
+    body = filter(None, rows[1:])
+    return rows[0], list(zip(*body)) or [()] * width
+
+
+def _parse_numeric(cells: Sequence[str]) -> np.ndarray | None:
+    """The column as float64 when ``float`` reads every cell as written.
+
+    ``float`` and :func:`try_parse_float` agree on every cell ``float``
+    accepts, except that the latter rejects infinities; and without one
+    finite value the column may be all-missing. None leaves both
+    questions — and ``$``, thousands separators, padded or upper-case
+    missing tokens, text — to the per-cell definitions.
+    """
+    try:
+        values = np.fromiter(
+            map(float, map(_MISSING_AS_NAN.get, cells, cells)),
+            dtype=np.float64,
+            count=len(cells),
+        )
+    except ValueError:
+        return None
+    if np.isinf(values).any() or np.isnan(values).all():
+        return None
+    return values
+
+
+def _build_column(
+    name: str, cells: Sequence[str], categorical_threshold: float
+) -> Column | None:
+    values = _parse_numeric(cells)
+    if values is not None and categorical_threshold <= 0:
+        return NumericColumn(name, values)
+    ctype = infer_column_type(cells, categorical_threshold=categorical_threshold)
     if ctype is ColumnType.UNSUPPORTED:
         return None
     if ctype is ColumnType.NUMERIC:
-        values = np.empty(len(cells), dtype=np.float64)
-        for i, cell in enumerate(cells):
-            if is_missing(cell):
-                values[i] = math.nan
-            else:
-                parsed = try_parse_float(cell)
+        if values is None:
+            values = np.empty(len(cells), dtype=np.float64)
+            for i, cell in enumerate(cells):
+                parsed = None if is_missing(cell) else try_parse_float(cell)
                 values[i] = math.nan if parsed is None else parsed
         return NumericColumn(name, values)
-    return CategoricalColumn(
-        name, [None if is_missing(c) else c.strip() for c in cells]
-    )
+    stripped = list(map(str.strip, cells))
+    if MISSING_TOKENS.isdisjoint(map(str.lower, stripped)):
+        return CategoricalColumn(name, stripped)
+    return CategoricalColumn(name, [None if is_missing(c) else c for c in stripped])
 
 
 def read_csv_text(
@@ -48,7 +155,8 @@ def read_csv_text(
     """Parse CSV text into a typed :class:`Table`.
 
     Args:
-        text: full CSV content including the header row.
+        text: full CSV content including the header row; one leading
+            byte-order mark is dropped.
         name: name for the resulting table.
         delimiter: field separator.
         categorical_threshold: forwarded to type inference — numeric-looking
@@ -58,41 +166,13 @@ def read_csv_text(
     Raises:
         ValueError: on empty input or rows with inconsistent width.
     """
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    rows = list(reader)
-    if not rows:
-        raise ValueError(f"CSV {name!r} is empty")
-    header = [h.strip() for h in rows[0]]
-    if len(set(header)) != len(header):
-        # Disambiguate duplicate headers the way spreadsheet tools do.
-        seen: dict[str, int] = {}
-        unique = []
-        for h in header:
-            count = seen.get(h, 0)
-            unique.append(h if count == 0 else f"{h}.{count}")
-            seen[h] = count + 1
-        header = unique
-
-    body = rows[1:]
-    width = len(header)
-    columns_cells: list[list[str]] = [[] for _ in range(width)]
-    for line_no, row in enumerate(body, start=2):
-        if not row:
-            continue  # blank line — common in hand-edited CSV files
-        if len(row) != width:
-            raise ValueError(
-                f"CSV {name!r} line {line_no}: expected {width} fields, "
-                f"got {len(row)}"
-            )
-        for i, cell in enumerate(row):
-            columns_cells[i].append(cell)
-
+    text = text.removeprefix("\ufeff")
+    raw_header, columns_cells = _split_columns(text, delimiter) or _reader_columns(
+        text, name, delimiter
+    )
     columns: list[Column] = []
-    for col_name, cells in zip(header, columns_cells):
-        ctype = infer_column_type(
-            cells, categorical_threshold=categorical_threshold
-        )
-        built = _build_column(col_name, cells, ctype)
+    for col_name, cells in zip(unique_header(raw_header), columns_cells):
+        built = _build_column(col_name, cells, categorical_threshold)
         if built is not None:
             columns.append(built)
     return Table(name, columns)

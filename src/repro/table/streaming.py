@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
+from repro.table.csv_io import unique_header
 from repro.table.types import ColumnType, infer_column_type, is_missing, try_parse_float
 
 
@@ -74,9 +75,11 @@ def stream_sketch_csv(
         hasher = KeyHasher()
 
     with open(path, encoding=encoding, newline="") as f:
+        if f.read(1) != "\ufeff":  # a byte-order mark is not part of the header
+            f.seek(0)
         reader = csv.reader(f, delimiter=delimiter)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = unique_header(next(reader))
         except StopIteration:
             raise ValueError(f"CSV {path.name!r} is empty") from None
         width = len(header)

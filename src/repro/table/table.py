@@ -149,14 +149,26 @@ class Table:
         which builds a sketch identical to streaming the rows but at
         columnar speed.
         """
-        keys = self.categorical(pair.key).as_array()
-        values = self.numeric(pair.value).as_array()
+        keys, (values,) = self.key_column_arrays(pair.key, [pair.value])
+        return keys, values
+
+    def key_column_arrays(
+        self, key: str, values: Sequence[str]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """:meth:`pair_arrays` of several pairs on one key column at once.
+
+        Returns ``(keys, [values, …])``, one array per numeric column
+        named in ``values``; the missing-key mask is computed once for
+        all of them.
+        """
+        keys = self.categorical(key).as_array()
+        columns = [self.numeric(name).as_array() for name in values]
         # Comparison on an object array yields object-dtype bools; cast so
         # the result is usable as a boolean mask.
         present = np.not_equal(keys, None).astype(bool)
         if present.all():
-            return keys, values
-        return keys[present], values[present]
+            return keys, columns
+        return keys[present], [column[present] for column in columns]
 
     def __repr__(self) -> str:
         return (

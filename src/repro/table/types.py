@@ -80,25 +80,22 @@ def infer_column_type(
             classified categorical (id-code heuristic). 0 disables it.
     """
     inspected = 0
-    numeric = 0
     distinct: set[str] = set()
     for cell in cells:
         if inspected >= sample_limit:
             break
         if is_missing(cell):
             continue
+        if try_parse_float(cell) is None:
+            return ColumnType.CATEGORICAL
         inspected += 1
         distinct.add(cell.strip())
-        if try_parse_float(cell) is not None:
-            numeric += 1
 
     if inspected == 0:
         return ColumnType.UNSUPPORTED
-    if numeric == inspected:
-        if (
-            categorical_threshold > 0
-            and len(distinct) / inspected <= categorical_threshold
-        ):
-            return ColumnType.CATEGORICAL
-        return ColumnType.NUMERIC
-    return ColumnType.CATEGORICAL
+    if (
+        categorical_threshold > 0
+        and len(distinct) / inspected <= categorical_threshold
+    ):
+        return ColumnType.CATEGORICAL
+    return ColumnType.NUMERIC

@@ -26,6 +26,7 @@ from repro.hashing import (
     to_unit_interval_64,
     to_unit_interval_64_batch,
 )
+from repro.hashing import vectorized
 from repro.hashing.fibonacci import fibonacci_hash_32, fibonacci_hash_64
 from repro.hashing.murmur3 import _to_bytes
 
@@ -67,6 +68,99 @@ def test_bytes_batch_parity(blobs, seed):
 def test_string_batch_parity(strings):
     """Unicode strings (including multi-byte code points) hash identically."""
     _assert_batch_matches(strings)
+
+
+# -- the ragged kernel: every route into it, against the scalar port ---------
+
+# 0-40 bytes once encoded: every tail length of both kernels (0-3 / 0-15)
+# on either side of zero, one and two full blocks.
+ascii_key = st.text(
+    alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=40
+)
+unicode_key = st.text(max_size=10)  # 1-4 UTF-8 bytes per code point
+mixed_key = st.one_of(
+    ascii_key,
+    unicode_key,
+    st.binary(max_size=40),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.tuples(st.integers(), ascii_key),
+)
+
+
+def _scalar(keys, seed):
+    return (
+        [murmur3_32(k, seed) for k in keys],
+        [murmur3_x64_64(k, seed) for k in keys],
+    )
+
+
+def _batch(keys, seed):
+    return (
+        murmur3_32_batch(keys, seed).tolist(),
+        murmur3_x64_64_batch(keys, seed).tolist(),
+    )
+
+
+@given(
+    keys=st.lists(st.one_of(ascii_key, unicode_key), max_size=60),
+    seed=st.sampled_from(SEEDS),
+)
+@settings(max_examples=120, deadline=None)
+def test_str_sequences_hash_like_scalar(keys, seed):
+    """An all-``str`` list, object array and ``<U`` array take the bulk
+    encoding route; each must hash the UTF-8 bytes the scalar port does
+    (empty strings, non-ASCII code points and every length included)."""
+    expected = _scalar(keys, seed)
+    assert _batch(keys, seed) == expected
+    assert _batch(tuple(keys), seed) == expected
+    assert _batch(np.array(keys, dtype=object), seed) == expected
+    # A ``<U`` array drops trailing NULs; the scalar port sees the same
+    # ``np.str_`` elements, so parity is against what the array holds.
+    fixed_width = np.array(keys, dtype=str)
+    assert _batch(fixed_width, seed) == _scalar(list(fixed_width), seed)
+
+
+@given(keys=st.lists(mixed_key, max_size=40), seed=st.sampled_from(SEEDS))
+@settings(max_examples=120, deadline=None)
+def test_mixed_type_sequences_hash_like_scalar(keys, seed):
+    """One non-``str`` key sends the sequence through ``_to_bytes`` per
+    key — into the same kernel."""
+    expected = _scalar(keys, seed)
+    assert _batch(keys, seed) == expected
+    boxed = np.empty(len(keys), dtype=object)
+    boxed[:] = keys
+    assert _batch(boxed, seed) == expected
+
+
+def test_bytes_array_and_bytes_batch_routes():
+    blobs = [b"", b"a", b"abcd", b"\x00\x00", b"x" * 37, bytes(range(40))]
+    for seed in SEEDS:
+        expected = _scalar(blobs, seed)
+        assert _batch(blobs, seed) == expected
+        assert vectorized.murmur3_32_bytes_batch(blobs, seed).tolist() == expected[0]
+        assert (
+            vectorized.murmur3_x64_64_bytes_batch(blobs, seed).tolist()
+            == expected[1]
+        )
+    fixed_width = np.array([b"ab", b"", b"abcdefghi"])  # dtype S9
+    assert _batch(fixed_width, 7) == _scalar(list(fixed_width), 7)
+
+
+def test_length_skew_is_hashed_in_slabs(monkeypatch):
+    """One long key among short ones: the length-sorted slabs must cover
+    every row exactly once and restore the input order."""
+    rng = random.Random(3)
+    keys = ["k%d" % i for i in range(50)] + ["y" * 1000, "", "z" * 257, "é" * 99]
+    rng.shuffle(keys)
+    expected = _scalar(keys, 7)
+    assert _batch(keys, 7) == expected
+    monkeypatch.setattr(vectorized, "_SLAB_BYTES", 64)
+    assert _batch(keys, 7) == expected
+    ints = np.array([0, 2**62, -1, 300, 2**40, 5] * 20, dtype=np.int64)
+    assert _batch(ints, 7) == _scalar(ints.tolist(), 7)
 
 
 def test_int_array_parity_edge_cases():

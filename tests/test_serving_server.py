@@ -181,6 +181,40 @@ class TestQueryParity:
             for entry in without_self["ranked"]
         )
 
+    def test_json_string_keys_hash_like_csv_keys(self):
+        """String keys off the wire join string keys indexed from a
+        table: ``query_sketch`` hashes the UTF-8 bytes the scalar port
+        does, whichever route the batch hash takes. A JSON list mixing
+        strings with numbers is stringified (what ``np.asarray`` makes
+        of it), so ``1`` and ``2.5`` meet the indexed ``"1"`` and
+        ``"2.5"``."""
+        names = ["1", "2.5", "abc", "São Tomé", "日本", ""] + [
+            f"key-{i}" for i in range(40)
+        ]
+        values = np.arange(len(names), dtype=float)
+        catalog = SketchCatalog(sketch_size=SKETCH_SIZE)
+        catalog.add_sketch(
+            "indexed",
+            CorrelationSketch.from_columns(
+                names, values, SKETCH_SIZE, name="indexed", vectorized=False
+            ),
+        )
+        mixed = [1, 2.5] + names[2:]
+        session = QuerySession.for_catalog(catalog, QueryOptions(k=3))
+        for keys in (names, mixed):
+            sketch = session.query_sketch(keys, values.tolist())
+            assert sketch.entries() == catalog.get("indexed").entries()
+        with QueryService(QuerySession.for_catalog(catalog, QueryOptions(k=3))) as service:
+            bodies = [
+                _post(service.url + "/query", {"keys": keys, "values": values.tolist()})
+                for keys in (names, mixed)
+            ]
+        expected = session.submit_one(session.query_sketch(names, values))
+        for status, body in bodies:
+            assert status == 200
+            assert body["ranked"][0]["candidate_id"] == "indexed"
+            assert _strip_timing(body) == _strip_timing(expected.to_dict())
+
     def test_degraded_accounting_reaches_the_wire(self, corpus):
         """A shard failure under on_shard_error=partial surfaces in the
         response exactly as the router reports it — the server adds no

@@ -130,6 +130,44 @@ def test_catalog_streaming_integration(csv_file, tmp_path):
         assert streaming.get(sid).key_hashes() == eager.get(sid).key_hashes()
 
 
+@pytest.mark.parametrize(
+    "content, encoding, expected_ids",
+    [
+        # duplicate header names: both readers suffix the second one
+        (
+            "k,x,x\na,1,10\nb,2,20\nc,3,30\n",
+            "utf-8",
+            ["f.csv::k->x", "f.csv::k->x.1"],
+        ),
+        # a UTF-8 byte-order mark (Excel / World Bank exports) is not
+        # part of the first header name
+        ("k,x\na,1\nb,2\n", "utf-8-sig", ["f.csv::k->x"]),
+        ('"k",x, x \na,1,5\nb,2,6\n', "utf-8-sig", ["f.csv::k->x", "f.csv::k->x.1"]),
+    ],
+    ids=["duplicate-names", "bom", "bom-quoted-padded"],
+)
+def test_streaming_equals_eager_on_header_edge_cases(
+    tmp_path, content, encoding, expected_ids
+):
+    """``stream_sketch_csv`` promises the ``read_csv`` + ``add_table``
+    result for files shorter than the prefix: same pair ids, same
+    sketches."""
+    path = tmp_path / "f.csv"
+    path.write_text(content, encoding=encoding)
+    eager = SketchCatalog(sketch_size=8)
+    assert eager.add_table(read_csv(path)) == expected_ids
+    streamed = stream_sketch_csv(path, 8)
+    assert list(streamed) == expected_ids
+    for sid in expected_ids:
+        assert streamed[sid].name == sid
+        assert streamed[sid].rows_seen == eager.get(sid).rows_seen
+        assert streamed[sid].entries() == eager.get(sid).entries()
+        assert (streamed[sid].value_min, streamed[sid].value_max) == (
+            eager.get(sid).value_min,
+            eager.get(sid).value_max,
+        )
+
+
 def test_iter_csv_rows(csv_file):
     rows = list(iter_csv_rows(csv_file))
     assert len(rows) == 3000
