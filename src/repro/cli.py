@@ -807,8 +807,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         # failing on a directory read.
         return _print_shard_info(path)
     catalog = _load_catalog(path)
-    # sketch_columns serves snapshot-loaded sketches from their stored
-    # array views, so info on a binary catalog materializes nothing.
+    # Snapshot-loaded sketches are views over the stored arrays, so info
+    # on a binary catalog copies nothing.
     sizes = [catalog.sketch_columns(sid).size for sid in catalog]
     storage = catalog.storage_info()
     print(f"catalog      : {path}")

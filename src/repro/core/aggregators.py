@@ -188,39 +188,56 @@ AGGREGATORS: dict[str, Callable[[], Aggregator]] = {
 }
 
 
+def _aggregator_class(name: str) -> Callable[[], Aggregator]:
+    try:
+        return AGGREGATORS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown aggregate function {name!r}; expected one of "
+            f"{sorted(AGGREGATORS)}"
+        ) from None
+
+
 def make_aggregator(name: str) -> Aggregator:
     """Instantiate a fresh aggregator by name.
 
     Raises:
         ValueError: if ``name`` is not one of :data:`AGGREGATORS`.
     """
-    try:
-        factory = AGGREGATORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown aggregate function {name!r}; expected one of "
-            f"{sorted(AGGREGATORS)}"
-        ) from None
-    return factory()
+    return _aggregator_class(name)()
+
+
+#: dtype and fresh value of every aggregator slot — the columnar
+#: statement of the ``__init__`` bodies above.
+_SLOTS = {
+    "_count": (np.int64, 0),
+    "_total": (np.float64, 0.0),
+    "_seen": (np.bool_, False),
+    "_best": (np.float64, math.nan),
+    "_value": (np.float64, math.nan),
+}
 
 
 class GroupedAggregates:
-    """Vectorized grouped reduction over one batch of ``(key, value)`` rows.
+    """Columnar aggregator state: one array per :class:`Aggregator` slot,
+    one row per key.
 
-    This is the aggregation kernel behind
-    :meth:`repro.core.sketch.CorrelationSketch.update_array`: rows are
-    grouped by key (``inv`` maps each row to its group, as produced by
-    ``np.unique(..., return_inverse=True)``) and every group is reduced
-    with the named aggregate in a handful of ``ufunc.at`` calls instead of
-    one Python-level state-machine step per row.
+    This is how a :class:`~repro.core.sketch.CorrelationSketch` stores
+    the ``x_k`` side of its tuples, and the aggregation kernel behind
+    :meth:`~repro.core.sketch.CorrelationSketch.update_array`: a batch
+    of rows grouped by key (``inv`` maps each row to its row here, as
+    produced by ``np.unique(..., return_inverse=True)``) is folded into
+    the slots in a handful of ``ufunc.at`` calls instead of one
+    Python-level state-machine step per row.
 
     The kernel reproduces the streaming aggregators *bit for bit*:
 
     * ``np.add.at`` accumulates unbuffered and in element order, so a
-      group's running sum is the same left-to-right float addition chain
+      key's running sum is the same left-to-right float addition chain
       the scalar ``MeanAggregator``/``SumAggregator`` would produce —
-      including for groups **seeded** from a live aggregator's state (keys
-      already retained in a sketch continue their existing chain);
+      continuing whatever chain the slots already hold;
+    * ``np.fmax.at``/``np.fmin.at`` skip the NaN that marks "nothing
+      seen yet", exactly like ``MaxAggregator.update``;
     * ``first``/``last`` pick values by position (``np.minimum.at`` /
       ``np.maximum.at`` over row indices of non-NaN rows), matching stream
       order exactly;
@@ -228,124 +245,134 @@ class GroupedAggregates:
       key occurrences regardless of the cell value — the same missing-data
       policy as :meth:`Aggregator.observe`.
 
-    Usage protocol: construct, :meth:`seed` groups that continue existing
-    aggregator state, :meth:`accumulate` the batch once, then
-    :meth:`apply` back onto seeded aggregators and/or :meth:`materialize`
-    fresh ones for new keys.
+    :meth:`aggregator` / :meth:`from_aggregators` convert one row to and
+    from the object rendering; only the sketch's row-at-a-time builder
+    uses them.
     """
 
-    def __init__(self, name: str, n_groups: int) -> None:
-        if name not in AGGREGATORS:
-            raise ValueError(
-                f"unknown aggregate function {name!r}; expected one of "
-                f"{sorted(AGGREGATORS)}"
-            )
+    __slots__ = ("name", "slots")
+
+    def __init__(
+        self, name: str, size: int = 0, slots: dict[str, np.ndarray] | None = None
+    ) -> None:
+        names = _aggregator_class(name).__slots__
         self.name = name
-        self.n_groups = n_groups
-        g = n_groups
-        if name in ("mean", "count"):
-            self._counts = np.zeros(g, dtype=np.int64)
-        if name in ("mean", "sum"):
-            self._totals = np.zeros(g, dtype=np.float64)
-        if name == "sum":
-            self._seen = np.zeros(g, dtype=bool)
-        if name in ("max", "min"):
-            self._best = np.full(
-                g, -math.inf if name == "max" else math.inf, dtype=np.float64
-            )
-            self._seen = np.zeros(g, dtype=bool)
-        if name in ("first", "last"):
-            # Sentinel row indices: "no non-NaN occurrence in this batch".
-            self._pos = np.full(g, -1, dtype=np.int64)
-        self._values: np.ndarray | None = None
+        if slots is None:
+            slots = {
+                slot: np.full(size, _SLOTS[slot][1], dtype=_SLOTS[slot][0])
+                for slot in names
+            }
+        self.slots = slots
 
-    # -- phase 1: continue existing aggregator state -----------------------
+    @classmethod
+    def empty(cls, name: str) -> "GroupedAggregates":
+        """The zero-row state of aggregate ``name`` — one shared,
+        read-only instance per name (every empty sketch starts from it;
+        growing it builds a new instance)."""
+        try:
+            return _EMPTY[name]
+        except KeyError:
+            return cls(name)  # raises for an unknown aggregate
 
-    def seed(self, group: int, agg: Aggregator) -> None:
-        """Initialize ``group`` from a live aggregator's internal state."""
-        name = self.name
-        if name == "mean":
-            self._counts[group] = agg._count
-            self._totals[group] = agg._total
-        elif name == "sum":
-            self._totals[group] = agg._total
-            self._seen[group] = agg._seen
-        elif name in ("max", "min"):
-            if agg._best == agg._best:  # not NaN: a value was observed
-                self._best[group] = agg._best
-                self._seen[group] = True
-        elif name in ("first", "last"):
-            # `first` keeps an already-seen value (apply checks the live
-            # aggregator); `last` is overwritten by any batch occurrence.
-            pass
-        elif name == "count":
-            self._counts[group] = agg._count
+    def __len__(self) -> int:
+        return next(iter(self.slots.values())).shape[0]
 
-    # -- phase 2: one vectorized pass over the batch -----------------------
+    def take(self, rows: np.ndarray) -> "GroupedAggregates":
+        """The state of ``rows``, in that order, as a new instance."""
+        return GroupedAggregates(
+            self.name, slots={slot: column[rows] for slot, column in self.slots.items()}
+        )
+
+    def put(self, rows: np.ndarray, other: "GroupedAggregates", other_rows) -> None:
+        """Overwrite ``rows`` with ``other``'s state at ``other_rows``."""
+        for slot, column in self.slots.items():
+            column[rows] = other.slots[slot][other_rows]
+
+    def extended(self, other: "GroupedAggregates") -> "GroupedAggregates":
+        """This state followed by ``other``'s rows."""
+        return GroupedAggregates(
+            self.name,
+            slots={
+                slot: np.concatenate([column, other.slots[slot]])
+                for slot, column in self.slots.items()
+            },
+        )
 
     def accumulate(self, inv: np.ndarray, values: np.ndarray) -> None:
-        """Fold the whole batch in; ``values[i]`` belongs to group ``inv[i]``."""
-        name = self.name
-        self._values = values
+        """Fold a batch in; ``values[i]`` belongs to row ``inv[i]``."""
+        name, slots, size = self.name, self.slots, len(self)
         if name == "count":
-            self._counts += np.bincount(inv, minlength=self.n_groups).astype(
-                np.int64
-            )
+            slots["_count"] += np.bincount(inv, minlength=size)
             return
         valid = ~np.isnan(values)
         vi = inv[valid]
         vv = values[valid]
         if name == "mean":
-            np.add.at(self._totals, vi, vv)
-            np.add.at(self._counts, vi, 1)
+            np.add.at(slots["_total"], vi, vv)
+            slots["_count"] += np.bincount(vi, minlength=size)
         elif name == "sum":
-            np.add.at(self._totals, vi, vv)
-            self._seen[vi] = True
+            np.add.at(slots["_total"], vi, vv)
+            slots["_seen"][vi] = True
         elif name == "max":
-            np.maximum.at(self._best, vi, vv)
-            self._seen[vi] = True
+            np.fmax.at(slots["_best"], vi, vv)
         elif name == "min":
-            np.minimum.at(self._best, vi, vv)
-            self._seen[vi] = True
+            np.fmin.at(slots["_best"], vi, vv)
         elif name == "first":
-            pos = np.full(self.n_groups, np.iinfo(np.int64).max, dtype=np.int64)
+            # Row index of each key's first non-NaN cell in this batch.
+            pos = np.full(size, values.shape[0], dtype=np.int64)
             np.minimum.at(pos, vi, np.nonzero(valid)[0])
-            hit = pos != np.iinfo(np.int64).max
-            self._pos[hit] = pos[hit]
+            hit = (pos < values.shape[0]) & ~slots["_seen"]
+            slots["_value"][hit] = values[pos[hit]]
+            slots["_seen"][hit] = True
         elif name == "last":
-            np.maximum.at(self._pos, vi, np.nonzero(valid)[0])
+            pos = np.full(size, -1, dtype=np.int64)
+            np.maximum.at(pos, vi, np.nonzero(valid)[0])
+            hit = pos >= 0
+            slots["_value"][hit] = values[pos[hit]]
 
-    # -- phase 3: write results back / build fresh aggregators -------------
-
-    def apply(self, group: int, agg: Aggregator) -> None:
-        """Write ``group``'s reduced state back into a seeded aggregator."""
-        name = self.name
+    def values(self) -> np.ndarray:
+        """Every row's :meth:`Aggregator.value`, as one float64 array."""
+        name, slots = self.name, self.slots
         if name == "mean":
-            agg._count = int(self._counts[group])
-            agg._total = float(self._totals[group])
-        elif name == "sum":
-            agg._total = float(self._totals[group])
-            agg._seen = bool(self._seen[group])
-        elif name in ("max", "min"):
-            if self._seen[group]:
-                agg._best = float(self._best[group])
-        elif name == "first":
-            if not agg._seen and self._pos[group] >= 0:
-                agg._value = float(self._values[self._pos[group]])
-                agg._seen = True
-        elif name == "last":
-            if self._pos[group] >= 0:
-                agg._value = float(self._values[self._pos[group]])
-        elif name == "count":
-            agg._count = int(self._counts[group])
+            out = np.full(len(self), math.nan)
+            np.divide(
+                slots["_total"], slots["_count"], out=out, where=slots["_count"] > 0
+            )
+            return out
+        if name == "sum":
+            return np.where(slots["_seen"], slots["_total"], math.nan)
+        if name == "count":
+            return slots["_count"].astype(np.float64)
+        return slots["_best" if name in ("max", "min") else "_value"].copy()
 
-    def materialize(self, group: int) -> Aggregator:
-        """Build a fresh aggregator holding ``group``'s reduced state.
+    # -- the object rendering (row-at-a-time builder only) -------------------
 
-        The returned object is indistinguishable from one fed the group's
-        rows through :meth:`Aggregator.observe` one at a time, and keeps
-        accepting streaming updates.
-        """
+    def aggregator(self, row: int) -> Aggregator:
+        """``row``'s state as a live :class:`Aggregator` object."""
         agg = make_aggregator(self.name)
-        self.apply(group, agg)
+        for slot, column in self.slots.items():
+            setattr(agg, slot, column[row].item())
         return agg
+
+    @classmethod
+    def from_aggregators(cls, name: str, aggs: list) -> "GroupedAggregates":
+        """The inverse of :meth:`aggregator`, over a list of objects."""
+        return cls(
+            name,
+            slots={
+                slot: np.array(
+                    [getattr(agg, slot) for agg in aggs], dtype=_SLOTS[slot][0]
+                )
+                for slot in AGGREGATORS[name].__slots__
+            },
+        )
+
+
+def _read_only(state: GroupedAggregates) -> GroupedAggregates:
+    for column in state.slots.values():
+        column.setflags(write=False)
+    return state
+
+
+#: What :meth:`GroupedAggregates.empty` hands out.
+_EMPTY = {name: _read_only(GroupedAggregates(name)) for name in AGGREGATORS}

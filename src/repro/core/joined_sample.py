@@ -21,9 +21,9 @@ Two join implementations share these semantics:
 * :func:`join_sketches` — the scalar reference: dict-set intersection of
   the two sketches' entry maps, sorted per join (kept as the baseline the
   parity tests and benchmarks compare against);
-* :func:`join_columns` — the columnar fast path: each sketch is lowered
-  once into a :class:`SketchColumns` (sorted key-hash / rank / value
-  arrays, cached on the sketch), and the join becomes a
+* :func:`join_columns` — the columnar fast path: each sketch hands out
+  its stored state as a :class:`SketchColumns` (sorted key-hash / rank /
+  value arrays), and the join becomes a
   ``np.searchsorted`` merge of two sorted arrays. Output is bit-identical
   to :func:`join_sketches`.
 """

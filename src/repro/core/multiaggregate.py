@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.aggregators import Aggregator, make_aggregator
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher, default_hasher
@@ -110,20 +112,17 @@ class MultiAggregateSketch:
                 f"aggregate {aggregate!r} not tracked; available: "
                 f"{list(self.aggregates)}"
             ) from None
-        view = CorrelationSketch(
-            self.n,
+        key_hashes, ranks, states = self._bottom.key_sorted()
+        return CorrelationSketch.from_frozen_arrays(
+            key_hashes,
+            ranks,
+            np.array([aggs[idx].value() for aggs in states], dtype=np.float64),
+            n=self.n,
             aggregate=aggregate,
             hasher=self.hasher,
             name=f"{self.name}:{aggregate}" if self.name else aggregate,
+            rows_seen=self.rows_seen,
+            overflowed=self._overflowed,
+            value_min=self.value_min,
+            value_max=self.value_max,
         )
-        view.rows_seen = self.rows_seen
-        view._overflowed = self._overflowed
-        if not math.isinf(self.value_min):
-            view.value_min = self.value_min
-        if not math.isinf(-self.value_max):
-            view.value_max = self.value_max
-        for rank, key_hash, aggs in self._bottom.items():
-            holder = make_aggregator("last")
-            holder.observe(aggs[idx].value())
-            view._bottom.offer(rank, key_hash, holder)
-        return view

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.aggregators import Aggregator, make_aggregator
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher, default_hasher
@@ -118,20 +120,17 @@ class MultiColumnSketch:
                 f"no column {name!r}; available: {list(self.columns)}"
             ) from None
 
-        view = CorrelationSketch(
-            self.n,
+        key_hashes, ranks, states = self._bottom.key_sorted()
+        return CorrelationSketch.from_frozen_arrays(
+            key_hashes,
+            ranks,
+            np.array([aggs[idx].value() for aggs in states], dtype=np.float64),
+            n=self.n,
             aggregate=self.aggregate,
             hasher=self.hasher,
             name=f"{self.name}:{name}" if self.name else name,
+            rows_seen=self.rows_seen,
+            overflowed=self._overflowed,
+            value_min=self._value_min[name],
+            value_max=self._value_max[name],
         )
-        view.rows_seen = self.rows_seen
-        view._overflowed = self._overflowed
-        if not math.isinf(self._value_min[name]):
-            view.value_min = self._value_min[name]
-        if not math.isinf(-self._value_max[name]):
-            view.value_max = self._value_max[name]
-        for rank, key_hash, aggs in self._bottom.items():
-            holder = make_aggregator("last")
-            holder.observe(aggs[idx].value())
-            view._bottom.offer(rank, key_hash, holder)
-        return view

@@ -28,10 +28,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.aggregators import Aggregator, GroupedAggregates, make_aggregator
+from repro.core.aggregators import GroupedAggregates, make_aggregator
 from repro.hashing import KeyHasher, default_hasher
-from repro.kmv.bottomk import BottomK
+from repro.kmv.bottomk import BottomK, bottom_k_positions
 from repro.kmv.estimators import basic_dv_estimate, unbiased_dv_estimate
+
+
+#: What every empty sketch holds (shared, hence read-only).
+_NO_KEY_HASHES = np.empty(0, dtype=np.uint64)
+_NO_RANKS = np.empty(0, dtype=np.float64)
+_NO_KEY_HASHES.setflags(write=False)
+_NO_RANKS.setflags(write=False)
 
 
 def _value_range_of(value_min: float, value_max: float) -> tuple[float, float]:
@@ -66,29 +73,31 @@ class _KeyGroups:
     a time).
 
     Attributes:
-        uniq: distinct key hashes, ascending.
+        uniq: distinct key hashes, ascending (``uint64``).
         inv: group index of every row (``uniq[inv]`` is the hashed column).
         ranks: unit-interval hash of every group.
     """
 
     def __init__(self, hasher: KeyHasher, keys) -> None:
-        self.uniq, self.inv = np.unique(hasher.hash_batch(keys), return_inverse=True)
+        uniq, self.inv = np.unique(hasher.hash_batch(keys), return_inverse=True)
+        self.uniq = uniq.astype(np.uint64, copy=False)
         self.ranks = hasher.unit_hash_batch(self.uniq)
         self._bottom_of_all: dict[int, tuple] = {}
 
     def bottom(self, n: int, groups: np.ndarray | None = None) -> tuple:
         """``(groups, key_hashes, ranks)`` of the ``n`` smallest-rank
         groups among ``groups`` (default: all of them, remembered per
-        ``n`` — that is the selection every empty sketch makes)."""
+        ``n`` — that is the selection every empty sketch makes), in
+        ascending key-hash order. Boundary rank ties go to the smaller
+        key hash."""
         if groups is None:
             if n not in self._bottom_of_all:
                 self._bottom_of_all[n] = self.bottom(n, np.arange(self.uniq.shape[0]))
             return self._bottom_of_all[n]
-        ranks = self.ranks[groups]
         if groups.size > n:
-            sel = np.argpartition(ranks, n - 1)[:n]
-            groups, ranks = groups[sel], ranks[sel]
-        return groups, self.uniq[groups], ranks
+            keep = bottom_k_positions(self.ranks[groups], self.uniq[groups], n)
+            groups = np.sort(groups[keep])
+        return groups, self.uniq[groups], self.ranks[groups]
 
 
 @dataclass(frozen=True)
@@ -138,8 +147,17 @@ class CorrelationSketch:
         name: optional identifier (e.g. ``"taxi_trips.csv:pickups"``) used
             in query results.
 
-    The sketch is built in a single pass with :meth:`update` /
-    :meth:`update_all`; it never buffers the input.
+    The stored state *is* the columns: parallel arrays sorted by key
+    hash — the tuple identifiers ``h(k)``, their unit ranks
+    ``h_u(h(k))`` and one array per aggregator slot
+    (:class:`repro.core.aggregators.GroupedAggregates`) — plus the
+    scalars. :meth:`update_array` merges a batch into them with array
+    operations only; :meth:`update` / :meth:`update_all` stream rows
+    into a private heap of aggregator objects (Section 3.4's one-pass
+    tree, :class:`repro.kmv.bottomk.BottomK`) that is raised from the
+    columns on the first row and folded back on the next read or batch.
+    Either way the input is never buffered. A sketch rehydrated from a
+    catalog file keeps the aggregated values only and is read-only.
     """
 
     def __init__(
@@ -153,19 +171,53 @@ class CorrelationSketch:
             raise ValueError(f"sketch size n must be positive, got {n}")
         self.n = n
         self.aggregate = aggregate
-        # Validate the aggregate name eagerly so misconfiguration fails at
-        # sketch creation, not at first update.
-        make_aggregator(aggregate)
         self.hasher = hasher if hasher is not None else default_hasher()
         self.name = name
-        self._bottom = BottomK(n)
+        self._key_hashes = _NO_KEY_HASHES
+        self._ranks = _NO_RANKS
+        #: Aggregator slots aligned with ``_key_hashes``; ``None`` once
+        #: rehydrated (only the values persist). Building it validates
+        #: the aggregate name, so misconfiguration fails at sketch
+        #: creation, not at first update.
+        self._state: GroupedAggregates | None = GroupedAggregates.empty(aggregate)
+        #: Row-at-a-time builder; holds the entries while it exists.
+        self._rows: BottomK | None = None
+        self._columns: SketchColumns | None = None
         self._overflowed = False
         self.value_min = math.inf
         self.value_max = -math.inf
         self.rows_seen = 0
-        self._columns: SketchColumns | None = None
 
     # -- construction ------------------------------------------------------
+
+    def _live_state(self) -> GroupedAggregates:
+        if self._state is None:
+            raise ValueError(
+                f"sketch {self.name!r} was rehydrated from its aggregated "
+                "values (aggregator state is not persisted) and is frozen "
+                "for estimation; build a new sketch to add rows"
+            )
+        return self._state
+
+    def _row_builder(self) -> BottomK:
+        """The heap behind :meth:`update`, raised from the columns."""
+        if self._rows is None:
+            state = self._live_state()
+            self._rows = BottomK(self.n)
+            self._rows.update_batch(
+                self._ranks,
+                self._key_hashes,
+                [state.aggregator(row) for row in range(len(state))],
+            )
+        return self._rows
+
+    def _fold(self) -> None:
+        """Lower the row builder, if one is live, back into the columns."""
+        if self._rows is None:
+            return
+        self._key_hashes, self._ranks, aggs = self._rows.key_sorted()
+        self._rows = None
+        self._state = GroupedAggregates.from_aggregators(self.aggregate, aggs)
 
     def update(self, key: object, value: float) -> None:
         """Offer one ``(key, value)`` row to the sketch.
@@ -173,7 +225,11 @@ class CorrelationSketch:
         ``value`` may be NaN (missing cell); the key still counts toward
         joinability but contributes no numeric value (except under the
         ``count`` aggregate, which counts occurrences).
+
+        Raises:
+            ValueError: on a rehydrated sketch (see :meth:`to_dict`).
         """
+        rows = self._row_builder()
         self._columns = None
         self.rows_seen += 1
         value = float(value)
@@ -184,20 +240,20 @@ class CorrelationSketch:
                 self.value_max = value
 
         pair = self.hasher.hash(key)
-        if pair.key_hash in self._bottom:
-            agg: Aggregator = self._bottom.get(pair.key_hash)
-            agg.observe(value)
+        if pair.key_hash in rows:
+            rows.get(pair.key_hash).observe(value)
             return
 
-        was_full = len(self._bottom) >= self.n
+        was_full = len(rows) >= self.n
         agg = make_aggregator(self.aggregate)
         agg.observe(value)
-        admitted = self._bottom.offer(pair.unit_hash, pair.key_hash, agg)
+        admitted = rows.offer(pair.unit_hash, pair.key_hash, agg)
         if not admitted or was_full:
             self._overflowed = True
 
     def update_all(self, rows: Iterable[tuple[object, float]]) -> None:
         """Offer every ``(key, value)`` pair in ``rows``."""
+        self._live_state()
         for key, value in rows:
             self.update(key, value)
 
@@ -215,12 +271,13 @@ class CorrelationSketch:
            shares between the value columns of one key column;
         2. reduce each group with the chosen aggregate in a few
            ``ufunc.at`` calls
-           (:class:`repro.core.aggregators.GroupedAggregates`), seeding
-           groups whose key is already retained from the live aggregator
-           so multi-batch construction matches streaming exactly;
-        3. admit new keys bottom-``n`` first (``np.argpartition``) so at
-           most ``n`` Python aggregator objects are ever materialized,
-           then merge via :meth:`repro.kmv.bottomk.BottomK.update_batch`.
+           (:class:`repro.core.aggregators.GroupedAggregates`), groups
+           whose key is already retained continuing from the stored
+           slots so multi-batch construction matches streaming exactly;
+        3. concatenate the retained rows with the bottom-``n`` newcomers
+           and keep the ``n`` smallest ranks with one ``np.argpartition``
+           (:func:`repro.kmv.bottomk.bottom_k_positions`), re-sorted by
+           key hash. No per-key Python object is built.
 
         Equivalence holds because a key retained by the streaming path is
         never evicted-then-readmitted (its rank is deterministic and the
@@ -229,8 +286,9 @@ class CorrelationSketch:
         exactly those outside the final bottom-``n``. (Rank ties —
         impossible at 32 bits, theoretically possible at 64 bits through
         float64 rounding — are resolved as described in
-        :meth:`repro.kmv.bottomk.BottomK.update_batch`.) The parity test
-        suite (``tests/test_core_sketch_batch.py``) asserts equality
+        :meth:`repro.kmv.bottomk.BottomK.update_batch`.) The parity
+        suites (``tests/test_core_sketch_batch.py``,
+        ``tests/test_ingest_parity.py``) assert full-state equality
         against :meth:`update_all` on adversarial inputs.
 
         Args:
@@ -238,13 +296,19 @@ class CorrelationSketch:
                 :meth:`repro.hashing.KeyHasher.hash_batch` for how each
                 kind of sequence is encoded).
             values: numeric array-like, NaN = missing cell.
+
+        Raises:
+            ValueError: on a rehydrated sketch (see :meth:`to_dict`).
         """
+        self._live_state()
         values = _checked_values(values, len(keys))
         self._update_grouped(_KeyGroups(self.hasher, keys), values)
 
     def _update_grouped(self, groups: _KeyGroups, values: np.ndarray) -> None:
         """The per-value-column part of :meth:`update_array`: range,
         grouped aggregation, bottom-``n`` merge."""
+        self._fold()
+        live = self._live_state()
         self._columns = None
         self.rows_seen += values.shape[0]
         if values.shape[0] == 0:
@@ -260,35 +324,45 @@ class CorrelationSketch:
                 self.value_max = hi
 
         uniq = groups.uniq
-        n_groups = uniq.shape[0]
-        grouped = GroupedAggregates(self.aggregate, n_groups)
+        grouped = GroupedAggregates(self.aggregate, uniq.shape[0])
+        n_live = self._key_hashes.shape[0]
         new_groups = None  # every group, until some prove retained
-        existing_aggs: list[tuple[int, Aggregator]] = []
-        if len(self._bottom):
-            retained = np.fromiter(
-                self._bottom.keys(), dtype=np.uint64, count=len(self._bottom)
-            )
-            is_retained = np.isin(uniq.astype(np.uint64), retained)
-            new_groups = np.nonzero(~is_retained)[0]
-            for gi in np.nonzero(is_retained)[0].tolist():
-                agg: Aggregator = self._bottom.get(int(uniq[gi]))
-                grouped.seed(gi, agg)
-                existing_aggs.append((gi, agg))
+        if n_live:
+            # Retained keys continue from their stored slots.
+            at = np.minimum(np.searchsorted(uniq, self._key_hashes), uniq.shape[0] - 1)
+            rows = np.nonzero(uniq[at] == self._key_hashes)[0]
+            grouped.put(at[rows], live, rows)
+            grouped.accumulate(groups.inv, values)
+            live.put(rows, grouped, at[rows])
+            is_new = np.ones(uniq.shape[0], dtype=bool)
+            is_new[at[rows]] = False
+            new_groups = np.nonzero(is_new)[0]
+            n_new = new_groups.size
+        else:
+            grouped.accumulate(groups.inv, values)
+            n_new = uniq.shape[0]
 
-        grouped.accumulate(groups.inv, values)
-
-        for gi, agg in existing_aggs:
-            grouped.apply(gi, agg)
-
-        if len(self._bottom) + n_groups - len(existing_aggs) > self.n:
+        if n_live + n_new > self.n:
             self._overflowed = True
-        # Only the n smallest-rank newcomers can possibly be admitted;
-        # don't build aggregator objects for the rest.
+        # Only the n smallest-rank newcomers can possibly be admitted.
         new_groups, new_keys, new_ranks = groups.bottom(self.n, new_groups)
+        if not n_live:
+            # Same key column, same selection: sibling sketches share
+            # these two arrays (they are replaced, never written).
+            self._key_hashes, self._ranks = new_keys, new_ranks
+            self._state = grouped.take(new_groups)
+            return
         if new_groups.size == 0:
             return
-        payloads = [grouped.materialize(gi) for gi in new_groups.tolist()]
-        self._bottom.update_batch(new_ranks, new_keys, payloads)
+        key_hashes = np.concatenate([self._key_hashes, new_keys])
+        ranks = np.concatenate([self._ranks, new_ranks])
+        if key_hashes.shape[0] > self.n:
+            keep = bottom_k_positions(ranks, key_hashes, self.n, n_live)
+            keep = keep[np.argsort(key_hashes[keep])]
+        else:
+            keep = np.argsort(key_hashes)
+        self._key_hashes, self._ranks = key_hashes[keep], ranks[keep]
+        self._state = live.extended(grouped.take(new_groups)).take(keep)
 
     @classmethod
     def from_key_column(
@@ -357,6 +431,19 @@ class CorrelationSketch:
             sketch.update_all(zip(keys, values))
         return sketch
 
+    def _freeze_to(
+        self, key_hashes: np.ndarray, ranks: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Install rehydrated columns: values without aggregator state."""
+        self._key_hashes, self._ranks, self._state = key_hashes, ranks, None
+        self._columns = SketchColumns(
+            key_hashes=key_hashes,
+            ranks=ranks,
+            values=values,
+            value_range=_value_range_of(self.value_min, self.value_max),
+            saw_all_keys=not self._overflowed,
+        )
+
     @classmethod
     def from_frozen_arrays(
         cls,
@@ -373,42 +460,30 @@ class CorrelationSketch:
         value_min: float = math.inf,
         value_max: float = -math.inf,
     ) -> "CorrelationSketch":
-        """Rehydrate a frozen sketch from its columnar arrays.
+        """Rehydrate a frozen sketch around its columnar arrays, in O(1).
 
         The array-level inverse of :meth:`columnar`, used by binary
         catalog snapshots (:mod:`repro.index.snapshot`): ``key_hashes``
         must be sorted ascending with ``ranks``/``values`` aligned —
-        exactly the :class:`SketchColumns` layout. Like
-        :meth:`from_dict`, the result is frozen for estimation purposes
-        (``last`` aggregators holding the materialized values); unlike
-        it, the stored unit-hash ranks are trusted rather than recomputed
-        and the columnar view is pre-seeded without a rebuild.
+        exactly the :class:`SketchColumns` layout. The arrays are
+        adopted, not copied (a mapped snapshot stays mapped). Like
+        :meth:`from_dict`, the result is frozen for estimation purposes;
+        unlike it, the stored unit-hash ranks are trusted rather than
+        recomputed.
         """
         sketch = cls(n, aggregate=aggregate, hasher=hasher, name=name)
         sketch.rows_seen = rows_seen
         sketch._overflowed = overflowed
         sketch.value_min = value_min
         sketch.value_max = value_max
-        for rank, kh, value in zip(
-            ranks.tolist(), key_hashes.tolist(), values.tolist()
-        ):
-            agg = make_aggregator("last")
-            agg.observe(value)
-            sketch._bottom.offer(rank, kh, agg)
-        sketch._columns = SketchColumns(
-            key_hashes=key_hashes,
-            ranks=ranks,
-            values=values,
-            value_range=_value_range_of(value_min, value_max),
-            saw_all_keys=not overflowed,
-        )
+        sketch._freeze_to(key_hashes, ranks, values)
         return sketch
 
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
         """Number of retained tuples (≤ n)."""
-        return len(self._bottom)
+        return self.columnar().size
 
     @property
     def saw_all_keys(self) -> bool:
@@ -424,53 +499,53 @@ class CorrelationSketch:
 
     def key_hashes(self) -> set[int]:
         """Retained tuple identifiers ``h(k)``."""
-        return set(self._bottom.keys())
+        return set(self.columnar().key_hashes.tolist())
 
     def items(self) -> Iterator[tuple[int, float, float]]:
         """Yield ``(key_hash, unit_hash, aggregated_value)`` ascending by rank."""
-        for rank, key_hash, agg in self._bottom.sorted_items():
-            yield key_hash, rank, agg.value()
+        columns = self.columnar()
+        order = np.lexsort((columns.key_hashes, columns.ranks))
+        return zip(
+            columns.key_hashes[order].tolist(),
+            columns.ranks[order].tolist(),
+            columns.values[order].tolist(),
+        )
 
     def entries(self) -> dict[int, float]:
         """Return ``{key_hash: aggregated_value}`` for all retained keys."""
-        return {kh: agg.value() for _r, kh, agg in self._bottom.items()}
+        columns = self.columnar()
+        return dict(zip(columns.key_hashes.tolist(), columns.values.tolist()))
 
     def columnar(self) -> SketchColumns:
-        """Lower the retained entries into a :class:`SketchColumns` view.
+        """The retained entries as a :class:`SketchColumns` view.
 
-        Built once and cached until the next update (catalog sketches are
-        never updated after registration, so in the query engine this is
-        effectively built once per sketch for the life of the catalog).
-        The aggregated values are materialized with the same
-        ``Aggregator.value()`` calls as :meth:`entries`, so the columnar
-        join consumes the exact floats the scalar join would.
+        The key hashes and ranks are the stored arrays themselves; the
+        values are each slot's vectorised ``Aggregator.value()``,
+        derived once and cached until the next update (catalog sketches
+        are never updated after registration). A live row builder is
+        folded into the columns first.
         """
         if self._columns is None:
-            size = len(self._bottom)
-            key_hashes = np.empty(size, dtype=np.uint64)
-            ranks = np.empty(size, dtype=np.float64)
-            values = np.empty(size, dtype=np.float64)
-            for i, (rank, kh, agg) in enumerate(self._bottom.items()):
-                key_hashes[i] = kh
-                ranks[i] = rank
-                values[i] = agg.value()
-            order = np.argsort(key_hashes)
-            if self.value_min > self.value_max:
-                value_range = (math.nan, math.nan)
-            else:
-                value_range = (self.value_min, self.value_max)
+            self._fold()
             self._columns = SketchColumns(
-                key_hashes=key_hashes[order],
-                ranks=ranks[order],
-                values=values[order],
-                value_range=value_range,
-                saw_all_keys=self.saw_all_keys,
+                key_hashes=self._key_hashes,
+                ranks=self._ranks,
+                values=self._state.values(),
+                value_range=_value_range_of(self.value_min, self.value_max),
+                saw_all_keys=not self._overflowed,
             )
         return self._columns
 
     def kth_unit_value(self) -> float:
-        """``U(k)`` — the largest retained unit-interval hash value."""
-        return self._bottom.kth_rank()
+        """``U(k)`` — the largest retained unit-interval hash value.
+
+        Raises:
+            ValueError: if the sketch is empty.
+        """
+        ranks = self.columnar().ranks
+        if not ranks.size:
+            raise ValueError("empty sketch has no kth unit value")
+        return float(ranks.max())
 
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""
@@ -483,11 +558,11 @@ class CorrelationSketch:
 
     def distinct_keys(self, *, estimator: str = "unbiased") -> float:
         """Estimate the number of distinct keys in the key column."""
-        size = len(self._bottom)
+        size = len(self)
         if size == 0:
             return 0.0
         saw_all = self.saw_all_keys
-        ukth = self._bottom.kth_rank() if not saw_all else 1.0
+        ukth = self.kth_unit_value() if not saw_all else 1.0
         if estimator == "unbiased":
             return unbiased_dv_estimate(size, ukth, saw_all=saw_all)
         if estimator == "basic":
@@ -501,7 +576,8 @@ class CorrelationSketch:
 
         Aggregator *state* is not preserved — a deserialized sketch is
         frozen for estimation purposes, which is exactly how an index uses
-        it. The aggregated values are materialized.
+        it: the aggregated values are materialized, and offering it more
+        rows raises ``ValueError``.
         """
         return {
             "n": self.n,
@@ -531,9 +607,11 @@ class CorrelationSketch:
             sketch.value_min = payload["value_min"]
         if payload.get("value_max") is not None:
             sketch.value_max = payload["value_max"]
-        for kh, value in payload["entries"]:
-            agg = make_aggregator("last")
-            agg.observe(value)
-            rank = sketch.hasher.unit_hash_of_key_hash(kh)
-            sketch._bottom.offer(rank, kh, agg)
+        entries = sorted(payload["entries"], key=lambda entry: entry[0])
+        key_hashes = np.array([kh for kh, _ in entries], dtype=np.uint64)
+        sketch._freeze_to(
+            key_hashes,
+            sketch.hasher.unit_hash_batch(key_hashes),
+            np.array([value for _, value in entries], dtype=np.float64),
+        )
         return sketch

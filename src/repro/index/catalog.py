@@ -17,18 +17,24 @@ content sniff on load):
   index is rebuilt from scratch;
 * **binary snapshot** (:mod:`repro.index.snapshot`) — the serving format:
   the concatenated columnar sketch arrays plus the frozen CSR postings
-  are persisted verbatim, so loading is array reads plus O(1)-per-sketch
-  rehydration. Sketches come back as lazy array views
-  (:class:`_LazySketch`): the columnar query path
-  (:meth:`sketch_columns` / :meth:`frozen_postings`) never materializes
-  Python-object sketches at all, while :meth:`get` materializes on first
-  access; the live :class:`InvertedIndex` is rebuilt only when something
-  actually needs it (a ``catalog.index`` reader, or a mutation).
+  are persisted verbatim, so loading is array reads and nothing per
+  sketch: an entry wakes, on first touch, into a (read-only)
+  :class:`~repro.core.sketch.CorrelationSketch` around its slices of
+  the stored arrays — the same type, with the same layout, as a
+  freshly built one.
+
+The catalog keeps no per-key Python structure: a sketch's postings are
+its own sorted key-hash column, and every CSR is built from those
+columns by concatenate + sort (:meth:`SketchCatalog._freeze`). The
+dict-of-lists :class:`InvertedIndex` survives as the on-demand
+:attr:`SketchCatalog.index` convenience (and as the differential oracle
+the array freeze is held to).
 
 Index maintenance is LSM-style. The frozen CSR postings and the
 frozen-layer LSH index are immutable between compactions: appends land
-in a small mutable **delta** (:class:`InvertedIndex` plus an LSH delta
-ring), removals of frozen entries go to a **tombstone** set, and the
+in a small **delta** (an ordered id set, frozen to its own CSR on the
+first probe after a write, plus an LSH delta ring), removals of frozen
+entries go to a **tombstone** set, and the
 layered probes (:meth:`SketchCatalog.probe_top_overlap`,
 :meth:`SketchCatalog.probe_top_overlap_batch`,
 :meth:`SketchCatalog.lsh_candidate_ids`) answer from
@@ -58,11 +64,7 @@ from repro.table.table import ColumnPair, Table
 
 @dataclass(frozen=True)
 class SketchMeta:
-    """Per-sketch scalars persisted alongside the columnar arrays.
-
-    Uniform view over materialized sketches and lazy snapshot entries,
-    consumed by :mod:`repro.index.snapshot` when writing a catalog.
-    """
+    """Per-sketch scalars persisted alongside the columnar arrays."""
 
     n: int
     aggregate: str
@@ -73,107 +75,21 @@ class SketchMeta:
     value_max: float
 
 
-class _LazySketch:
-    """A snapshot sketch not yet materialized into Python objects.
-
-    Holds the zero-copy :class:`SketchColumns` view (slices of the
-    snapshot's concatenated arrays) plus the scalars needed to rebuild a
-    full :class:`CorrelationSketch` on demand. The columnar query path
-    consumes :attr:`columns` directly and never triggers
-    :meth:`materialize`.
-
-    Two degrees of laziness: the eager constructor receives its columns
-    and meta up front (one slice + one ``SketchMeta`` per entry — the
-    npz loader's O(1)-per-sketch rehydration), while :meth:`deferred`
-    entries hold only an ``(entry source, position)`` pair and build
-    both on first touch — the arena loader's O(metadata) path, where a
-    catalog load does *zero* per-entry work and a query builds views for
-    exactly the sketches it touches.
-    """
-
-    __slots__ = ("_columns", "_meta", "hasher", "_source", "_position")
-
-    def __init__(
-        self, columns: SketchColumns, meta: SketchMeta, hasher: KeyHasher
-    ) -> None:
-        self._columns = columns
-        self._meta = meta
-        self.hasher = hasher
-        self._source = None
-        self._position = -1
-
-    @classmethod
-    def deferred(cls, source, position: int, hasher: KeyHasher) -> "_LazySketch":
-        """An entry that builds its columns/meta from ``source`` (an
-        object with ``columns_of(i)`` / ``meta_of(i)``) on first use."""
-        entry = cls.__new__(cls)
-        entry._columns = None
-        entry._meta = None
-        entry.hasher = hasher
-        entry._source = source
-        entry._position = position
-        return entry
-
-    @property
-    def columns(self) -> SketchColumns:
-        if self._columns is None:
-            self._columns = self._source.columns_of(self._position)
-        return self._columns
-
-    @property
-    def meta(self) -> SketchMeta:
-        if self._meta is None:
-            self._meta = self._source.meta_of(self._position)
-        return self._meta
-
-    def detach(self, arena) -> None:
-        """Replace arena-backed column views with private heap copies
-        (and drop the deferred source, pinning the entry to the heap)."""
-        columns = self.columns
-        self._meta = self.meta
-        if arena.owns(columns.key_hashes):
-            self._columns = SketchColumns(
-                key_hashes=np.array(columns.key_hashes),
-                ranks=np.array(columns.ranks),
-                values=np.array(columns.values),
-                value_range=columns.value_range,
-                saw_all_keys=columns.saw_all_keys,
-            )
-        self._source = None
-        self._position = -1
-
-    def materialize(self) -> CorrelationSketch:
-        """Rebuild the full sketch (bottom-k heap, aggregator objects)."""
-        return CorrelationSketch.from_frozen_arrays(
-            self.columns.key_hashes,
-            self.columns.ranks,
-            self.columns.values,
-            n=self.meta.n,
-            aggregate=self.meta.aggregate,
-            hasher=self.hasher,
-            name=self.meta.name,
-            rows_seen=self.meta.rows_seen,
-            overflowed=self.meta.overflowed,
-            value_min=self.meta.value_min,
-            value_max=self.meta.value_max,
-        )
-
-
 class _DeferredEntryDict(dict):
     """Entry map for snapshot-loaded catalogs: values start as integer
-    positions into an entry source and wake into :class:`_LazySketch`
-    on first access.
+    positions into an entry source and wake into
+    :class:`~repro.core.sketch.CorrelationSketch` objects around the
+    source's array slices on first access.
 
-    Populating a plain dict with one entry object per sketch is the
+    Populating a plain dict with one sketch object per entry is the
     only O(n) step left in an arena load; seeding integer placeholders
     instead is a single C-speed ``dict(zip(...))``, so load cost stays
-    O(metadata) and a query allocates entries for exactly the sketches
+    O(metadata) and a query allocates sketches for exactly the entries
     it touches. Every value read goes through the overridden accessors
-    below, so callers only ever see entry objects; key-only operations
+    below, so callers only ever see sketches; key-only operations
     (``len``/``in``/``iter``/``del``) need no override. Mutations
-    (``add_sketch``, ``get``'s materialization cache) assign real
-    entries over the placeholders and behave exactly as on a plain
-    dict.
+    (``add_sketch``) assign real sketches over the placeholders and
+    behave exactly as on a plain dict.
     """
 
     __slots__ = ("_source", "_hasher")
@@ -183,8 +99,8 @@ class _DeferredEntryDict(dict):
         self._source = source
         self._hasher = hasher
 
-    def _wake(self, sketch_id: str, position: int) -> _LazySketch:
-        entry = _LazySketch.deferred(self._source, position, self._hasher)
+    def _wake(self, sketch_id: str, position: int) -> CorrelationSketch:
+        entry = self._source.sketch_of(position, self._hasher)
         dict.__setitem__(self, sketch_id, entry)
         return entry
 
@@ -244,12 +160,10 @@ class SketchCatalog:
         self.hasher = hasher if hasher is not None else KeyHasher()
         self.vectorized = vectorized
         self.compact_threshold = compact_threshold
-        #: id -> CorrelationSketch | _LazySketch (insertion-ordered).
-        self._sketches: dict[str, CorrelationSketch | _LazySketch] = {}
-        self._index = InvertedIndex()
-        #: True after a binary-snapshot load: the live index is empty and
-        #: must be rebuilt from the stored arrays before first use.
-        self._index_stale = False
+        #: id -> CorrelationSketch (insertion-ordered).
+        self._sketches: dict[str, CorrelationSketch] = {}
+        #: :attr:`index`, while no mutation has invalidated it.
+        self._index: InvertedIndex | None = None
         self._frozen_postings: ColumnarPostings | None = None
         self._lsh_index: LshIndex | None = None
         #: Frozen-layer LSH signatures restored by a snapshot load but
@@ -270,10 +184,11 @@ class SketchCatalog:
         #: frozen layer. Persisted by snapshots and manifests; the
         #: sharded-catalog loader uses it for stale-shard detection.
         self.index_version = 0
-        #: The mutable delta layer: every append since the last
-        #: compaction. Probed alongside the frozen CSR, never instead
-        #: of it.
-        self._delta_index = InvertedIndex()
+        #: The delta layer: ids of every append since the last
+        #: compaction, in arrival order (their postings are the
+        #: sketches' own key-hash columns). Probed alongside the frozen
+        #: CSR, never instead of it.
+        self._delta_ids: dict[str, None] = {}
         self._delta_frozen: ColumnarPostings | None = None
         self._delta_lsh: LshIndex | None = None
         #: Frozen-layer ids removed since the last compaction. Their
@@ -305,20 +220,7 @@ class SketchCatalog:
         Raises:
             ValueError: on duplicate ids or hashing-scheme mismatch.
         """
-        self._validate_new(sketch_id, sketch)
-        self._sketches[sketch_id] = sketch
-        # Appends land in the mutable delta layer; the frozen CSR and the
-        # frozen-layer LSH stay warm, and the layered probes merge
-        # frozen + delta − tombstones until the next compaction. The live
-        # index tracks the mutation too unless it is still stale from a
-        # snapshot load (the eventual lazy rebuild sees the new entry in
-        # ``_sketches`` anyway).
-        if not self._index_stale:
-            self._index.add(sketch_id, sketch.key_hashes())
-        self._delta_index.add(sketch_id, sketch.key_hashes())
-        self._delta_frozen = None
-        self._delta_lsh = None
-        self._maybe_autocompact()
+        self.add_sketches([(sketch_id, sketch)])
 
     def add_sketches(
         self, sketches: Iterable[tuple[str, CorrelationSketch]]
@@ -326,31 +228,29 @@ class SketchCatalog:
         """Bulk :meth:`add_sketch`: validate everything, then commit once.
 
         All ``(sketch_id, sketch)`` pairs are validated up front (so a
-        bad entry rejects the whole batch before any mutation), the
-        index updates run in one pass, and the delta caches are
-        invalidated (and the compaction threshold consulted) a single
-        time — instead of per sketch, as a loop over :meth:`add_sketch`
-        would. This is the registration path of :meth:`add_tables`,
+        bad entry rejects the whole batch before any mutation) and the
+        delta caches are invalidated (and the compaction threshold
+        consulted) a single time. Appends land in the delta layer: the
+        frozen CSR and the frozen-layer LSH stay warm, and the layered
+        probes merge frozen + delta − tombstones until the next
+        compaction. This is the registration path of :meth:`add_tables`,
         :meth:`add_csv_streaming` and the JSON loader.
         """
-        batch = list(sketches)
-        seen: set[str] = set()
-        for sid, sketch in batch:
+        batch: dict[str, CorrelationSketch] = {}
+        for sid, sketch in sketches:
             self._validate_new(sid, sketch)
-            if sid in seen:
+            if sid in batch:
                 raise ValueError(f"duplicate sketch id {sid!r} in batch")
-            seen.add(sid)
+            batch[sid] = sketch
         if not batch:
             return []
-        for sid, sketch in batch:
-            self._sketches[sid] = sketch
-            if not self._index_stale:
-                self._index.add(sid, sketch.key_hashes())
-            self._delta_index.add(sid, sketch.key_hashes())
+        self._sketches.update(batch)
+        self._delta_ids.update(dict.fromkeys(batch))
+        self._index = None
         self._delta_frozen = None
         self._delta_lsh = None
         self._maybe_autocompact()
-        return [sid for sid, _ in batch]
+        return list(batch)
 
     def _build_pair_sketch(
         self, table: Table, pair: ColumnPair, *, sketch_id: str | None = None
@@ -437,22 +337,13 @@ class SketchCatalog:
 
     # -- removal -------------------------------------------------------------
 
-    def _entry_key_hashes(self, entry: CorrelationSketch | _LazySketch):
-        """A catalog entry's key hashes, without materializing lazy ones."""
-        if isinstance(entry, _LazySketch):
-            return entry.columns.key_hashes.tolist()
-        return entry.key_hashes()
-
     def remove_sketch(self, sketch_id: str) -> None:
         """Delete a sketch; the frozen structures stay warm.
 
-        The live inverted index drops the sketch's postings immediately
-        (unless it is still stale from a snapshot load, in which case the
-        eventual lazy rebuild simply never sees the entry). What happens
-        to the layered indexes depends on where the sketch lives: an
-        entry still in the delta is erased from it outright, while a
-        frozen-layer entry is *tombstoned* — its CSR/LSH postings remain
-        physically present but every probe bans it, until the next
+        What happens to the layered indexes depends on where the sketch
+        lives: an entry still in the delta is erased from it outright,
+        while a frozen-layer entry is *tombstoned* — its CSR/LSH postings
+        remain physically present but every probe bans it, until the next
         :meth:`compact` drops it for real. Either way nothing frozen is
         invalidated, and the id is free for re-registration immediately
         (a re-add lands in the delta; the kept tombstone keeps banning
@@ -461,21 +352,18 @@ class SketchCatalog:
         Raises:
             KeyError: if ``sketch_id`` is not in the catalog.
         """
-        try:
-            entry = self._sketches[sketch_id]
-        except KeyError:
+        if sketch_id not in self._sketches:
             raise KeyError(
                 f"no sketch {sketch_id!r} in catalog ({len(self)} sketches)"
-            ) from None
-        if not self._index_stale:
-            self._index.remove(sketch_id, self._entry_key_hashes(entry))
-        if sketch_id in self._delta_index:
-            self._delta_index.remove(sketch_id, self._entry_key_hashes(entry))
+            )
+        if sketch_id in self._delta_ids:
+            del self._delta_ids[sketch_id]
             self._delta_frozen = None
             self._delta_lsh = None
         else:
             self._tombstones.add(sketch_id)
             self._banned_cache = None
+        self._index = None
         del self._sketches[sketch_id]
 
     def remove_sketches(self, sketch_ids: Iterable[str]) -> list[str]:
@@ -513,63 +401,82 @@ class SketchCatalog:
     def get(self, sketch_id: str) -> CorrelationSketch:
         """Fetch a sketch by id (KeyError with context if absent).
 
-        Snapshot-loaded sketches materialize on first access and stay
-        cached; the columnar arrays they came from are shared with the
-        pre-seeded :meth:`~repro.core.sketch.CorrelationSketch.columnar`
-        view, not copied.
+        A snapshot-loaded sketch is a read-only view over the stored
+        (possibly memory-mapped) arrays, built on first access.
         """
         try:
-            entry = self._sketches[sketch_id]
+            return self._sketches[sketch_id]
         except KeyError:
             raise KeyError(
                 f"no sketch {sketch_id!r} in catalog ({len(self)} sketches)"
             ) from None
-        if isinstance(entry, _LazySketch):
-            entry = entry.materialize()
-            self._sketches[sketch_id] = entry
-        return entry
 
     @property
     def index(self) -> InvertedIndex:
-        """The inverted index over key hashes (read-only use).
+        """A dict-of-lists inverted index over the live sketches
+        (read-only use).
 
-        After a binary-snapshot load the live index starts empty and is
-        rebuilt from the stored key-hash arrays on first access — the
-        columnar query path never needs it (it probes
-        :meth:`frozen_postings`), so a pure serving process skips the
-        rebuild entirely.
+        A convenience for scalar consumers (``evalharness``, the test
+        oracles), built from the sketches' key-hash columns on first
+        access and again after any mutation — the catalog itself never
+        reads it: probes go through the frozen and delta CSRs.
         """
-        self._ensure_index()
+        if self._index is None:
+            index = InvertedIndex()
+            for sid, sketch in self._sketches.items():
+                index.add(sid, sketch.columnar().key_hashes.tolist())
+            self._index = index
         return self._index
-
-    def _ensure_index(self) -> None:
-        if not self._index_stale:
-            return
-        index = InvertedIndex()
-        for sid, entry in self._sketches.items():
-            if isinstance(entry, _LazySketch):
-                index.add(sid, entry.columns.key_hashes.tolist())
-            else:
-                index.add(sid, entry.key_hashes())
-        self._index = index
-        self._index_stale = False
 
     @property
     def vocabulary_size(self) -> int:
         """Distinct key hashes with postings over the *live* sketch set.
 
         A clean catalog (no pending delta or tombstones) answers from
-        the frozen CSR without forcing a freeze; a dirty one falls back
-        to the live index (rebuilding it first if a snapshot load left
-        it stale), since the frozen vocabulary may count tombstoned-only
-        hashes or miss delta-only ones."""
+        the frozen CSR without forcing a freeze; a dirty one counts the
+        distinct values over the live sketches' key-hash columns, since
+        the frozen vocabulary may count tombstoned-only hashes or miss
+        delta-only ones."""
         if (
             self._frozen_postings is not None
             and not self._tombstones
-            and len(self._delta_index) == 0
+            and not self._delta_ids
         ):
             return self._frozen_postings.vocabulary_size
-        return self.index.vocabulary_size
+        return int(np.unique(self._key_hash_columns(self)[0]).shape[0])
+
+    def _key_hash_columns(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """``(concatenated key hashes, per-sketch lengths)`` of ``ids``'
+        sorted key-hash columns, in the order given."""
+        columns = [self._sketches[sid].columnar().key_hashes for sid in ids]
+        lengths = np.fromiter(
+            (column.shape[0] for column in columns), np.int64, len(columns)
+        )
+        if not columns:
+            return np.empty(0, dtype=np.uint64), lengths
+        return np.concatenate(columns), lengths
+
+    def _freeze(self, ids) -> ColumnarPostings:
+        """The canonical CSR over ``ids`` (ascending vocabulary,
+        ascending doc id per slice, docs sorted by id), straight from
+        the sketches' key-hash columns — bit-identical to
+        :meth:`InvertedIndex.freeze` over the same sketches.
+
+        Documents are laid end to end in id order, so a *stable* sort
+        of the concatenated hashes leaves every vocabulary slice in
+        ascending doc order.
+        """
+        docs = sorted(ids)
+        hashes, lengths = self._key_hash_columns(docs)
+        order = np.argsort(hashes, kind="stable")
+        hashes = hashes[order]
+        # Each vocabulary slice starts where the sorted hash changes.
+        first = np.ones(hashes.size, dtype=bool)
+        first[1:] = hashes[1:] != hashes[:-1]
+        starts = np.flatnonzero(first)
+        indptr = np.append(starts, hashes.size).astype(np.int64, copy=False)
+        doc_of = np.repeat(np.arange(len(docs), dtype=np.int32), lengths)
+        return ColumnarPostings(hashes[starts], indptr, doc_of[order], docs, lengths)
 
     def frozen_postings(self) -> ColumnarPostings:
         """The *monolithic* frozen CSR over every live sketch.
@@ -592,16 +499,9 @@ class SketchCatalog:
         ``key_hashes`` view is concatenated CSR-style and bucketed by one
         :meth:`LshIndex.add_batch` scatter."""
         index = LshIndex(bands=bands, rows=rows, bits=self.hasher.bits)
-        columns = [self.sketch_columns(sid) for sid in ids]
-        lengths = np.asarray([c.size for c in columns], dtype=np.int64)
+        concat, lengths = self._key_hash_columns(ids)
         indptr = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        if columns:
-            concat = np.concatenate(
-                [c.key_hashes.astype(np.uint64, copy=False) for c in columns]
-            )
-        else:
-            concat = np.empty(0, dtype=np.uint64)
         index.add_batch(ids, concat, indptr)
         return index
 
@@ -681,30 +581,15 @@ class SketchCatalog:
         return None
 
     def sketch_columns(self, sketch_id: str) -> SketchColumns:
-        """Columnar (sorted key-hash / rank / value / range) view of a sketch.
-
-        Views are cached on the sketches themselves
-        (:meth:`repro.core.sketch.CorrelationSketch.columnar`); catalog
-        sketches are immutable after registration, so each is lowered at
-        most once for the life of the catalog. Snapshot-loaded sketches
-        serve their stored array views directly, without materializing
-        the sketch object.
-        """
-        entry = self._sketches.get(sketch_id)
-        if isinstance(entry, _LazySketch):
-            return entry.columns
+        """Columnar (sorted key-hash / rank / value / range) view of a
+        sketch: :meth:`repro.core.sketch.CorrelationSketch.columnar`,
+        which is the sketch's stored state (snapshot-loaded sketches
+        serve slices of the stored arrays)."""
         return self.get(sketch_id).columnar()
 
     def sketch_meta(self, sketch_id: str) -> SketchMeta:
-        """Per-sketch persisted scalars, without materializing lazy entries."""
-        try:
-            entry = self._sketches[sketch_id]
-        except KeyError:
-            raise KeyError(
-                f"no sketch {sketch_id!r} in catalog ({len(self)} sketches)"
-            ) from None
-        if isinstance(entry, _LazySketch):
-            return entry.meta
+        """Per-sketch persisted scalars."""
+        entry = self.get(sketch_id)
         return SketchMeta(
             n=entry.n,
             aggregate=entry.aggregate,
@@ -721,7 +606,7 @@ class SketchCatalog:
     def delta_size(self) -> int:
         """Sketches in the mutable delta layer (appends since the last
         compaction)."""
-        return len(self._delta_index)
+        return len(self._delta_ids)
 
     @property
     def tombstone_count(self) -> int:
@@ -731,7 +616,7 @@ class SketchCatalog:
     def _delta_postings(self) -> ColumnarPostings:
         """Frozen CSR view of the delta layer (cached per delta state)."""
         if self._delta_frozen is None:
-            self._delta_frozen = self._delta_index.freeze()
+            self._delta_frozen = self._freeze(self._delta_ids)
         return self._delta_frozen
 
     def _banned_doc_indices(self) -> np.ndarray | None:
@@ -791,7 +676,7 @@ class SketchCatalog:
                     banned=self._banned_doc_indices(),
                 )
             )
-        if len(self._delta_index):
+        if self._delta_ids:
             parts.append(
                 self._delta_postings().top_overlap(
                     key_hashes, depth, exclude=exclude, min_overlap=min_overlap
@@ -837,7 +722,7 @@ class SketchCatalog:
                 banned=self._banned_doc_indices(),
             )
         delta_part = None
-        if len(self._delta_index):
+        if self._delta_ids:
             delta_part = self._delta_postings().top_overlap_batch(
                 queries, depth, excludes=excludes, min_overlap=min_overlap
             )
@@ -929,7 +814,7 @@ class SketchCatalog:
                     if sid not in self._tombstones
                 ]
             hits.update(frozen_hits)
-        if len(self._delta_index):
+        if self._delta_ids:
             if self._delta_lsh is None:
                 self._delta_lsh = self._build_lsh(
                     list(self._delta_postings().docs), bands=bands, rows=rows
@@ -942,7 +827,7 @@ class SketchCatalog:
     def _maybe_autocompact(self) -> None:
         if (
             self.compact_threshold is not None
-            and len(self._delta_index) >= self.compact_threshold
+            and len(self._delta_ids) >= self.compact_threshold
         ):
             self.compact()
 
@@ -967,7 +852,7 @@ class SketchCatalog:
         :attr:`index_version` has been bumped iff anything was folded.
         Returns the resulting version.
         """
-        dirty = len(self._delta_index) > 0 or bool(self._tombstones)
+        dirty = bool(self._delta_ids or self._tombstones)
         if self._frozen_postings is None:
             self._frozen_postings = self._delta_postings()
             if self._lsh_index is None:
@@ -980,7 +865,7 @@ class SketchCatalog:
             self._frozen_postings = new_frozen
         else:
             return self.index_version
-        self._delta_index = InvertedIndex()
+        self._delta_ids = {}
         self._delta_frozen = None
         self._delta_lsh = None
         self._tombstones.clear()
@@ -1133,9 +1018,9 @@ class SketchCatalog:
                 _add(*lsh._slots, *lsh._filled)
         if self._lsh_pending is not None:
             _add(self._lsh_pending[1], self._lsh_pending[2])
-        for entry in self._sketches.values():
-            columns = entry._columns
-            if columns is not None:
+        for entry in dict.values(self._sketches):
+            if type(entry) is not int:  # not asleep in the snapshot
+                columns = entry.columnar()
                 _add(columns.key_hashes, columns.ranks, columns.values)
         info = {
             "backend": self.storage,
@@ -1167,19 +1052,15 @@ class SketchCatalog:
         if arena is None:
             return
         for entry in self._sketches.values():
-            if isinstance(entry, _LazySketch):
-                entry.detach(arena)
-            elif entry._columns is not None and arena.owns(
-                entry._columns.key_hashes
-            ):
-                columns = entry._columns
-                entry._columns = SketchColumns(
-                    key_hashes=np.array(columns.key_hashes),
-                    ranks=np.array(columns.ranks),
-                    values=np.array(columns.values),
-                    value_range=columns.value_range,
-                    saw_all_keys=columns.saw_all_keys,
+            columns = entry.columnar()
+            if arena.owns(columns.key_hashes):
+                entry._freeze_to(
+                    np.array(columns.key_hashes),
+                    np.array(columns.ranks),
+                    np.array(columns.values),
                 )
+        # Every entry is awake now; a plain dict lets go of the source.
+        self._sketches = dict(self._sketches)
         frozen = self._frozen_postings
         if frozen is not None and arena.owns(frozen.vocab):
             self._frozen_postings = ColumnarPostings(

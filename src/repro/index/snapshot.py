@@ -24,8 +24,8 @@ serving formats, which persist the same members:
   compaction counter, the ids still in the mutable delta layer, and the
   tombstone set. The frozen CSR is persisted verbatim, tombstoned
   postings included — a snapshot save is never an implicit compaction;
-  the delta inverted index is rebuilt from the stored key-hash slices
-  on load (O(delta), not O(catalog)).
+  the delta's CSR is derived state, frozen from the delta sketches'
+  stored key-hash slices on the first probe after a load.
 
 **Layouts** (``save_snapshot(..., layout=...)``):
 
@@ -40,16 +40,16 @@ serving formats, which persist the same members:
   no copy, load time O(metadata) — and N processes serving the same
   arena share one set of physical pages through the page cache.
 
-Loading does no per-entry work at all in either layout: sketches
-rehydrate as deferred :class:`repro.index.catalog._LazySketch` entries
-that build their zero-copy :class:`~repro.core.sketch.SketchColumns`
-views on first touch, the postings snapshot is reconstructed directly
-from its stored arrays (the catalog's ``frozen_postings`` cache starts
-warm), and persisted LSH signatures are kept as a deferred pending
-payload that expands into bucket state only if an LSH probe happens.
-Full ``CorrelationSketch`` objects (bottom-k heap + aggregators)
-materialize lazily per sketch, only if a caller asks ``catalog.get``
-for one (the query pipeline never does).
+Loading does no per-entry work at all in either layout: an entry is
+an integer position until first touched, when it wakes — in O(1) — into
+a read-only :class:`~repro.core.sketch.CorrelationSketch` whose columns
+are zero-copy slices of the stored arrays (one type for fresh, loaded
+and query-side sketches; only aggregator state is not persisted, so a
+loaded sketch rejects further rows). The postings snapshot is
+reconstructed directly from its stored arrays (the catalog's
+``frozen_postings`` cache starts warm), and persisted LSH signatures
+are kept as a deferred pending payload that expands into bucket state
+only if an LSH probe happens.
 
 Format contract:
 
@@ -81,7 +81,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.sketch import SketchColumns, _value_range_of
+from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
 from repro.index.arena import (
     ArenaReader,
@@ -92,7 +92,6 @@ from repro.index.arena import (
 )
 from repro.index.catalog import (
     SketchCatalog,
-    SketchMeta,
     _DeferredEntryDict,
     _has_zip_magic,
 )
@@ -165,8 +164,8 @@ def _collect_members(catalog: SketchCatalog):
     if catalog._frozen_postings is None:
         catalog.compact()
     ids = list(catalog)
-    metas = [catalog.sketch_meta(sid) for sid in ids]
-    columns = [catalog.sketch_columns(sid) for sid in ids]
+    sketches = [catalog.get(sid) for sid in ids]
+    columns = [sketch.columnar() for sketch in sketches]
     postings = catalog._frozen_postings
 
     lengths = np.asarray([c.size for c in columns], dtype=np.int64)
@@ -190,21 +189,19 @@ def _collect_members(catalog: SketchCatalog):
     }
     strings = {
         "ids": ids,
-        "names": [m.name or "" for m in metas],
-        "aggregates": [m.aggregate for m in metas],
+        "names": [s.name or "" for s in sketches],
+        "aggregates": [s.aggregate for s in sketches],
         "postings_docs": list(postings.docs),
-        "delta_ids": sorted(
-            sid for sid in ids if sid in catalog._delta_index
-        ),
+        "delta_ids": sorted(catalog._delta_ids),
         "tombstones": sorted(catalog._tombstones),
     }
     numeric = {
-        "has_name": np.asarray([m.name is not None for m in metas], dtype=bool),
-        "capacities": np.asarray([m.n for m in metas], dtype=np.int64),
-        "rows_seen": np.asarray([m.rows_seen for m in metas], dtype=np.int64),
-        "overflowed": np.asarray([m.overflowed for m in metas], dtype=bool),
-        "value_min": np.asarray([m.value_min for m in metas], dtype=np.float64),
-        "value_max": np.asarray([m.value_max for m in metas], dtype=np.float64),
+        "has_name": np.asarray([s.name is not None for s in sketches], dtype=bool),
+        "capacities": np.asarray([s.n for s in sketches], dtype=np.int64),
+        "rows_seen": np.asarray([s.rows_seen for s in sketches], dtype=np.int64),
+        "overflowed": np.asarray([not s.saw_all_keys for s in sketches], dtype=bool),
+        "value_min": np.asarray([s.value_min for s in sketches], dtype=np.float64),
+        "value_max": np.asarray([s.value_max for s in sketches], dtype=np.float64),
         "entry_indptr": entry_indptr,
         "key_hashes": _concat([c.key_hashes for c in columns], np.uint64),
         "ranks": _concat([c.ranks for c in columns], np.float64),
@@ -233,8 +230,8 @@ def save_snapshot(
     exactly as layered: the frozen CSR verbatim (tombstoned postings
     included), plus the delta ids and tombstone set — saving never
     forces a fold. Works on any catalog, including one that was itself
-    snapshot-loaded and never materialized (lazy entries are persisted
-    from their array views directly, mapped or not).
+    snapshot-loaded (its entries' columns are the stored array slices,
+    mapped or not).
 
     Args:
         layout: ``"npz"`` (the default) or ``"arena"`` (the zero-copy
@@ -343,11 +340,11 @@ class _EntrySource:
 
     One instance per loaded snapshot holds the concatenated arrays (heap
     arrays for npz, read-only mapped views for arenas) plus the
-    per-sketch scalar columns; each deferred
-    :class:`~repro.index.catalog._LazySketch` keeps only ``(source,
-    position)`` and asks for its slice on first touch. This is what
-    makes snapshot loads O(metadata): no per-entry objects are built at
-    load time at all.
+    per-sketch scalar columns; the catalog's entry map
+    (:class:`~repro.index.catalog._DeferredEntryDict`) keeps only a
+    position per entry and asks for the sketch on first touch. This is
+    what makes snapshot loads O(metadata): no per-entry objects are
+    built at load time at all.
     """
 
     __slots__ = (
@@ -360,23 +357,17 @@ class _EntrySource:
         for name in self.__slots__:
             setattr(self, name, members[name])
 
-    def columns_of(self, position: int) -> SketchColumns:
+    def sketch_of(self, position: int, hasher: KeyHasher) -> CorrelationSketch:
+        """The sketch at ``position``, around its slices of the arrays."""
         start = int(self.entry_indptr[position])
         end = int(self.entry_indptr[position + 1])
-        vmin = float(self.value_min[position])
-        vmax = float(self.value_max[position])
-        return SketchColumns(
-            key_hashes=self.key_hashes[start:end],
-            ranks=self.ranks[start:end],
-            values=self.values[start:end],
-            value_range=_value_range_of(vmin, vmax),
-            saw_all_keys=not bool(self.overflowed[position]),
-        )
-
-    def meta_of(self, position: int) -> SketchMeta:
-        return SketchMeta(
+        return CorrelationSketch.from_frozen_arrays(
+            self.key_hashes[start:end],
+            self.ranks[start:end],
+            self.values[start:end],
             n=int(self.capacities[position]),
             aggregate=str(self.aggregates[position]),
+            hasher=hasher,
             name=(
                 str(self.names[position])
                 if bool(self.has_name[position])
@@ -402,22 +393,10 @@ def _rehydrate(
 ) -> SketchCatalog:
     """Install the loaded members into ``catalog`` (both layouts)."""
     catalog._sketches = _DeferredEntryDict(ids, source, catalog.hasher)
-    catalog._index_stale = True
     catalog._frozen_postings = postings
     catalog.index_version = index_version
     catalog._tombstones = set(tombstones)
-    if delta_ids:
-        # The delta inverted index is derived state: rebuild it from
-        # the stored key-hash slices of the delta sketches alone —
-        # O(delta size), never O(catalog).
-        id_position = {sid: i for i, sid in enumerate(ids)}
-        indptr = source.entry_indptr
-        for sid in delta_ids:
-            i = id_position[sid]
-            start, end = int(indptr[i]), int(indptr[i + 1])
-            catalog._delta_index.add(
-                sid, source.key_hashes[start:end].tolist()
-            )
+    catalog._delta_ids = dict.fromkeys(delta_ids)
     catalog._lsh_pending = lsh_pending
     return catalog
 

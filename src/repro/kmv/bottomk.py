@@ -27,6 +27,26 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 
+def bottom_k_positions(
+    ranks: np.ndarray, keys: np.ndarray, k: int, n_live: int = 0
+) -> np.ndarray:
+    """Positions of the ``k`` smallest ``ranks`` (``len(ranks) > k``).
+
+    One ``np.argpartition`` on rank. Exact rank ties on the admission
+    boundary go to the first ``n_live`` positions (entries already
+    retained) before any later one, then to the smaller key — the rule
+    :meth:`BottomK.update_batch` documents.
+    """
+    part = np.argpartition(ranks, k - 1)[:k]
+    kth_rank = ranks[part[k - 1]]
+    if np.count_nonzero(ranks <= kth_rank) == k:
+        return part
+    sure = np.nonzero(ranks < kth_rank)[0]
+    tied = np.nonzero(ranks == kth_rank)[0]
+    order = np.lexsort((keys[tied], tied >= n_live))
+    return np.concatenate([sure, tied[order[: k - sure.size]]])
+
+
 class _Entry:
     """Mutable heap slot; ``stale`` marks lazily deleted entries."""
 
@@ -203,19 +223,7 @@ class BottomK:
             [np.fromiter((e.key for e in live), np.uint64, n_live), keys_arr]
         )
 
-        # Bottom-k by (rank, key): one argpartition on rank, with boundary
-        # ties resolved by key.
-        part = np.argpartition(all_ranks, self.k - 1)
-        kth_rank = all_ranks[part[self.k - 1]]
-        sure = np.nonzero(all_ranks < kth_rank)[0]
-        tied = np.nonzero(all_ranks == kth_rank)[0]
-        need = self.k - sure.size
-        if tied.size > need:
-            # Boundary ties: live entries first (a scalar offer rejects a
-            # newcomer whose rank equals the current max), then smaller key.
-            order = np.lexsort((all_keys[tied], tied >= n_live))
-            tied = tied[order[:need]]
-        keep = np.concatenate([sure, tied])
+        keep = bottom_k_positions(all_ranks, all_keys, self.k, n_live)
 
         admitted = np.zeros(m, dtype=bool)
         entries: list[_Entry] = []
@@ -245,3 +253,13 @@ class BottomK:
     def keys(self) -> Iterator[int]:
         """Yield the retained keys in arbitrary order."""
         return iter(self._by_key)
+
+    def key_sorted(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """``(keys, ranks, payloads)`` of the live entries, ascending by
+        key: the columnar rendering (``uint64`` / ``float64`` / list)."""
+        entries = sorted(self._by_key.values(), key=lambda entry: entry.key)
+        return (
+            np.array([entry.key for entry in entries], dtype=np.uint64),
+            np.array([entry.rank for entry in entries], dtype=np.float64),
+            [entry.payload for entry in entries],
+        )

@@ -165,3 +165,66 @@ class TestSerialization:
         sketch.update("a", 1.0)
         clone = CorrelationSketch.from_dict(sketch.to_dict())
         assert clone.hasher.scheme_id == (64, 3)
+
+
+# -- rehydrated sketches are read-only ----------------------------------------
+
+AGGREGATES = ("mean", "sum", "max", "min", "first", "last", "count")
+
+
+def _from_dict(sketch, tmp_path):
+    return CorrelationSketch.from_dict(sketch.to_dict())
+
+
+def _from_frozen_arrays(sketch, tmp_path):
+    columns = sketch.columnar()
+    return CorrelationSketch.from_frozen_arrays(
+        columns.key_hashes,
+        columns.ranks,
+        columns.values,
+        n=sketch.n,
+        aggregate=sketch.aggregate,
+        hasher=sketch.hasher,
+        rows_seen=sketch.rows_seen,
+        value_min=sketch.value_min,
+        value_max=sketch.value_max,
+    )
+
+
+def _from_arena(sketch, tmp_path):
+    from repro.index.catalog import SketchCatalog
+
+    catalog = SketchCatalog(
+        sketch_size=sketch.n, aggregate=sketch.aggregate, hasher=sketch.hasher
+    )
+    catalog.add_sketch("s", sketch)
+    catalog.save(tmp_path / "c.arena")
+    return SketchCatalog.load(tmp_path / "c.arena").get("s")
+
+
+@pytest.mark.parametrize("rehydrate", [_from_dict, _from_frozen_arrays, _from_arena])
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+@pytest.mark.parametrize("rows", [[("a", 1.0), ("b", 3.0), ("a", 3.0)], []])
+def test_rehydrated_sketch_rejects_updates(rows, aggregate, rehydrate, tmp_path):
+    """No format persists aggregator state, so a rehydrated sketch (an
+    empty one included) cannot fold further rows into its values: every
+    update entry point refuses, and reads are untouched. (Before, six of
+    seven aggregates crashed in ``update_array`` and ``update_all``
+    silently folded retained keys under ``last``.)"""
+    built = CorrelationSketch(8, aggregate=aggregate)
+    built.update_all(rows)
+    sketch = rehydrate(built, tmp_path)
+    before = sketch.to_dict()
+    for update in (
+        lambda: sketch.update("a", 10.0),
+        lambda: sketch.update_all([("a", 10.0), ("c", 5.0), ("c", 7.0)]),
+        lambda: sketch.update_all([]),
+        lambda: sketch.update_array(["a", "c", "c"], [10.0, 5.0, 7.0]),
+        lambda: sketch.update_array([], []),
+    ):
+        with pytest.raises(ValueError, match="frozen for estimation"):
+            update()
+    assert repr(sketch.to_dict()) == repr(before)
+    assert sketch.entries() == built.entries()
+    assert sketch.rows_seen == len(rows)
+    assert len(sketch) == len(built)

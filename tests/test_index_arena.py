@@ -29,7 +29,7 @@ from repro.index.arena import (
     has_arena_magic,
     write_arena,
 )
-from repro.index.catalog import SketchCatalog, _DeferredEntryDict, _LazySketch
+from repro.index.catalog import SketchCatalog, _DeferredEntryDict
 from repro.index.engine import JoinCorrelationEngine
 from repro.index.snapshot import (
     ARENA_VERSION,
@@ -292,9 +292,11 @@ def test_arena_round_trips_lsh_delta_and_tombstones(tmp_path):
     assert loaded.storage == "mmap"
     assert loaded.index_version == catalog.index_version
     assert sorted(loaded._tombstones) == sorted(catalog._tombstones)
-    assert sorted(sid for sid in loaded if sid in loaded._delta_index) == sorted(
-        sid for sid in catalog if sid in catalog._delta_index
-    )
+    # The delta ids survive the round trip, and so does what they index.
+    assert loaded.delta_size == catalog.delta_size == 3
+    a, b = loaded._delta_postings(), catalog._delta_postings()
+    assert list(a.docs) == list(b.docs) == ["late0", "late1", "late2"]
+    assert (a.vocab == b.vocab).all() and (a.doc_ids == b.doc_ids).all()
     assert loaded.lsh_params == catalog.lsh_params
     query = _query(catalog)
     for backend in ("inverted", "lsh"):
@@ -568,13 +570,17 @@ def test_deferred_entries_wake_lazily(tmp_path):
     assert list(entries) == list(catalog)
     assert "pair000" in entries
     assert all(type(dict.__getitem__(entries, sid)) is int for sid in entries)
-    # Access through any read path wakes the placeholder exactly once.
+    # Access through any read path wakes the placeholder exactly once,
+    # into a sketch around the mapped slices; the rest stay asleep.
     woken = entries["pair000"]
-    assert isinstance(woken, _LazySketch)
-    assert entries.get("pair000") is woken
+    assert isinstance(woken, CorrelationSketch)
+    assert loaded._arena.owns(woken.columnar().key_hashes)
+    assert entries.get("pair000") is woken is loaded.get("pair000")
     assert entries.get("missing") is None
-    assert all(isinstance(e, _LazySketch) for e in entries.values())
-    assert all(isinstance(e, _LazySketch) for _, e in entries.items())
+    asleep = [sid for sid in entries if type(dict.__getitem__(entries, sid)) is int]
+    assert asleep == [sid for sid in catalog if sid != "pair000"]
+    assert all(isinstance(e, CorrelationSketch) for e in entries.values())
+    assert all(isinstance(e, CorrelationSketch) for _, e in entries.items())
 
 
 # -- sharded catalogs: manifest v3 + per-shard arenas -------------------------

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
-from repro.index.catalog import SketchCatalog, _LazySketch
+from repro.index.catalog import SketchCatalog
 from repro.index.engine import JoinCorrelationEngine
 from repro.index.snapshot import (
     SNAPSHOT_VERSION,
@@ -240,16 +240,21 @@ def test_columnar_path_never_materializes(tmp_path):
     path = tmp_path / "c.npz"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
-    JoinCorrelationEngine(loaded).query(query, k=5, scorer="rp_cih")
-    assert all(
-        isinstance(entry, _LazySketch) for entry in loaded._sketches.values()
+    entries = loaded._sketches
+    awake = lambda: {
+        sid for sid in entries if type(dict.__getitem__(entries, sid)) is not int
+    }
+    assert awake() == set()  # a load allocates nothing per entry
+    result = JoinCorrelationEngine(loaded, retrieval_depth=5).query(
+        query, k=3, scorer="rp_cih"
     )
-    # ... while the scalar reference path materializes what it touches.
+    touched = awake()
+    assert {c.candidate_id for c in result.ranked} <= touched
+    assert 0 < len(touched) <= 5 < len(loaded)
+    # What woke is an ordinary (read-only) sketch over the stored slices,
+    # which the scalar reference path reads like any other.
+    assert all(isinstance(entries[sid], CorrelationSketch) for sid in touched)
     scalar_query(loaded, query, k=5, scorer="rp")
-    assert any(
-        isinstance(entry, CorrelationSketch)
-        for entry in loaded._sketches.values()
-    )
 
 
 def test_get_materializes_once_and_caches(tmp_path):
@@ -260,7 +265,7 @@ def test_get_materializes_once_and_caches(tmp_path):
     sid = next(iter(loaded))
     sketch = loaded.get(sid)
     assert loaded.get(sid) is sketch
-    # The materialized sketch shares the snapshot's columnar arrays.
+    # The sketch is a view over the snapshot's columnar arrays.
     assert loaded.sketch_columns(sid) is sketch.columnar()
 
 

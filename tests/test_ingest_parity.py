@@ -19,6 +19,7 @@ from repro.hashing import KeyHasher
 from repro.index.catalog import SketchCatalog
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
+from sketch_state_digest import assert_states_equal, sketch_state
 from test_core_sketch_batch import assert_sketch_equal
 
 AGGREGATES = ("mean", "sum", "max", "min", "first", "last", "count")
@@ -26,18 +27,12 @@ AGGREGATES = ("mean", "sum", "max", "min", "first", "last", "count")
 
 def assert_full_state_equal(got: CorrelationSketch, expected: CorrelationSketch):
     """``assert_sketch_equal`` (entries, ranks, value range, row count,
-    overflow flag) plus identity and every aggregator's internal state."""
+    overflow flag) plus identity and every aggregator slot of every
+    retained key (``sketch_state_digest.sketch_state``: the full state in
+    canonical key-hash order), and the serialized form."""
     assert_sketch_equal(expected, got)
-    assert got.name == expected.name
-    assert (got.n, got.aggregate) == (expected.n, expected.aggregate)
-    assert got.hasher == expected.hasher
-    for kh in expected.key_hashes():
-        a, b = got._bottom.get(kh), expected._bottom.get(kh)
-        assert type(a) is type(b)
-        for slot in type(b).__slots__:
-            x, y = getattr(a, slot), getattr(b, slot)
-            assert type(x) is type(y), (kh, slot, x, y)
-            assert x == y or (math.isnan(x) and math.isnan(y)), (kh, slot, x, y)
+    assert_states_equal(sketch_state(got), sketch_state(expected))
+    assert repr(got.to_dict()) == repr(expected.to_dict())  # repr: nan == nan
 
 
 def _reference(table: Table, pair, catalog: SketchCatalog) -> CorrelationSketch:
@@ -168,3 +163,199 @@ def test_add_table_hashes_each_key_column_once(monkeypatch):
     assert hashed == []  # the row-at-a-time build never enters the batch hash
     for sid in catalog:
         assert_full_state_equal(catalog.get(sid), reference.get(sid))
+
+
+# -- array build ≡ row-at-a-time build, in full state --------------------------
+#
+# The oracle throughout is one sketch fed every row through ``update``, in
+# order (the heap of aggregator objects behind it is the streaming
+# definition of Section 3.4). The sketch under test sees the same rows
+# through a schedule of ``update_array`` batches and ``update_all`` runs.
+
+_NAN = math.nan
+#: Three chunks of rows over keys k0..k11 (+ k12..k51 in the last): repeats
+#: inside and across chunks with different values (``first``/``last`` must
+#: keep stream order over batch boundaries), NaN holes, a key that only
+#: ever sees NaN (k11), a chunk that is all NaN, and a last chunk wide
+#: enough to overflow any ``n`` below the distinct-key count.
+_CHUNKS = (
+    [(f"k{i % 12}", _NAN if i % 5 == 0 or i % 12 == 11 else float((7 * i) % 13 - 6))
+     for i in range(30)],
+    [(f"k{i % 9 + 3}", _NAN) for i in range(14)],
+    [(f"k{(5 * i) % 52}", _NAN if i % 7 == 3 else float(i % 11) / 4 - 1)
+     for i in range(90)],
+)
+_SCHEDULES = {
+    "one_batch": [("batch", _CHUNKS[0] + _CHUNKS[1] + _CHUNKS[2])],
+    "three_batches": [("batch", chunk) for chunk in _CHUNKS],
+    "batch_then_rows": [("batch", _CHUNKS[0]), ("rows", _CHUNKS[1] + _CHUNKS[2])],
+    "rows_then_batch": [
+        ("rows", _CHUNKS[0]), ("batch", _CHUNKS[1]), ("batch", _CHUNKS[2])
+    ],
+}
+
+
+def _feed(sketch: CorrelationSketch, kind: str, rows) -> None:
+    if kind == "rows":
+        sketch.update_all(rows)
+    else:
+        sketch.update_array([k for k, _ in rows], [v for _, v in rows])
+
+
+@pytest.mark.parametrize("schedule", sorted(_SCHEDULES))
+@pytest.mark.parametrize("n", [8, 16, 64])  # overflows: first batch, later, never
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+def test_schedules_of_batches_and_rows_equal_the_row_build(aggregate, bits, n, schedule):
+    hasher = KeyHasher(bits=bits, seed=9)
+    oracle = CorrelationSketch(n, aggregate=aggregate, hasher=hasher, name="p")
+    built = CorrelationSketch(n, aggregate=aggregate, hasher=hasher, name="p")
+    overflowed_after = []
+    for kind, rows in _SCHEDULES[schedule]:
+        oracle.update_all(rows)
+        _feed(built, kind, rows)
+        # Compared after every step: a fold between steps changes nothing.
+        assert_full_state_equal(built, oracle)
+        overflowed_after.append(not built.saw_all_keys)
+    distinct = len({k for chunk in _CHUNKS for k, _ in chunk})
+    assert overflowed_after[-1] == (distinct > n)
+    if schedule == "three_batches":
+        assert overflowed_after == {8: [True] * 3, 16: [False, False, True],
+                                    64: [False] * 3}[n]
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+def test_all_nan_column_in_full_state(aggregate):
+    rows = [(f"k{i % 20}", _NAN) for i in range(50)]
+    oracle = CorrelationSketch(8, aggregate=aggregate)
+    oracle.update_all(rows)
+    built = CorrelationSketch(8, aggregate=aggregate)
+    _feed(built, "batch", rows[:25])
+    _feed(built, "batch", rows[25:])
+    assert_full_state_equal(built, oracle)
+    assert math.isinf(built.value_min) and built.value_range == 0.0
+
+
+class _IdentityHasher(KeyHasher):
+    """64-bit scheme whose ``h(k)`` is the (integer) key itself, with the
+    real Fibonacci ``h_u`` — the way to place keys on chosen ranks."""
+
+    def __init__(self):
+        super().__init__(bits=64)
+
+    def key_hash(self, key):
+        return int(key)
+
+    def hash(self, key):
+        from repro.hashing.hash_functions import HashPair
+
+        return HashPair(int(key), self.unit_hash_of_key_hash(int(key)))
+
+    def hash_batch(self, keys):
+        return np.asarray(keys, dtype=np.uint64)
+
+
+def _key_with_fib(fib: int) -> int:
+    """The key hash whose 64-bit Fibonacci hash is ``fib``."""
+    from repro.hashing.fibonacci import FIB_MULTIPLIER_64
+
+    return fib * pow(FIB_MULTIPLIER_64, -1, 2**64) % 2**64
+
+
+def test_rank_ties_on_the_boundary_at_64_bits():
+    """float64 rounds ``fib(h) / 2**64`` to 53 bits, so two key hashes can
+    share a rank. On the admission boundary a retained key beats a tied
+    newcomer and, among equals, the smaller key hash stays — the row
+    build's rule (``BottomK.offer`` / ``_Entry.__lt__``), except between
+    two tied newcomers of one batch, where the row build keeps whichever
+    came first and the array build the smaller key hash."""
+    hasher = _IdentityHasher()
+    low, lower = _key_with_fib(2**61), _key_with_fib(2**60)
+    tie_a, tie_b = sorted(_key_with_fib(2**63 + 2**20 + d) for d in (0, 1))
+    assert hasher.unit_hash_of_key_hash(tie_a) == hasher.unit_hash_of_key_hash(tie_b)
+
+    def both(n, *batches):
+        oracle = CorrelationSketch(n, hasher=hasher)
+        built = CorrelationSketch(n, hasher=hasher)
+        for keys in batches:
+            values = [float(i) for i in range(len(keys))]
+            oracle.update_all(zip(keys, values))
+            built.update_array(keys, values)
+        assert_full_state_equal(built, oracle)
+        return built.key_hashes()
+
+    # A retained key is not displaced by a newcomer on its own rank,
+    # whichever of the two has the smaller key hash.
+    assert both(2, [low, tie_b], [tie_a]) == {low, tie_b}
+    assert both(2, [low, tie_a], [tie_b]) == {low, tie_a}
+    # Two retained keys tied at the top: the larger key hash is evicted.
+    assert both(3, [low, tie_b, tie_a], [lower]) == {low, lower, tie_a}
+    # Two tied newcomers for one place: the smaller key hash (the row
+    # build agrees when that one arrives first).
+    assert both(2, [low], [tie_a, tie_b]) == {low, tie_a}
+    built = CorrelationSketch(2, hasher=hasher)
+    built.update_array([low], [0.0])
+    built.update_array([tie_b, tie_a], [0.0, 1.0])
+    assert built.key_hashes() == {low, tie_a}
+    # ... and on an empty sketch, where the selection is _KeyGroups.bottom's.
+    fresh = CorrelationSketch.from_key_column(
+        [tie_b, low, tie_a], [[0.0, 1.0, 2.0]], 2, hasher=hasher
+    )[0]
+    assert fresh.key_hashes() == {low, tie_a}
+
+
+def test_array_paths_build_no_per_key_objects(monkeypatch, tmp_path):
+    """Counted at the three seams every per-key object passes through
+    (an ``Aggregator`` is made by ``make_aggregator``, a heap entry is
+    pushed by ``heappush`` or offered through ``BottomK.offer``):
+    registering a table, sketching a query and opening a stored sketch
+    construct none — only ``update`` / ``update_all`` do."""
+    import heapq
+
+    import repro.core.aggregators as aggregators_module
+    import repro.core.sketch as sketch_module
+    from repro.kmv.bottomk import BottomK
+    from repro.serving.session import QuerySession
+
+    calls = {"make_aggregator": 0, "heappush": 0, "offer": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    real_make = aggregators_module.make_aggregator
+    monkeypatch.setattr(
+        aggregators_module, "make_aggregator", counted("make_aggregator", real_make)
+    )
+    monkeypatch.setattr(
+        sketch_module, "make_aggregator", counted("make_aggregator", real_make)
+    )
+    monkeypatch.setattr(heapq, "heappush", counted("heappush", heapq.heappush))
+    monkeypatch.setattr(BottomK, "offer", counted("offer", BottomK.offer))
+
+    rng = np.random.default_rng(4)
+    keys = [f"k{i}" for i in range(600)]
+    table = Table(
+        "t.csv",
+        [CategoricalColumn("key", keys)]
+        + [NumericColumn(f"v{c}", rng.normal(size=600)) for c in range(3)],
+    )
+    catalog = SketchCatalog(sketch_size=256)
+    ids = catalog.add_table(table)
+    assert [len(catalog.get(sid)) for sid in ids] == [256] * 3
+    session = QuerySession.for_catalog(catalog)
+    query = session.query_sketch(keys, rng.normal(size=600), name="q")
+    assert [c.candidate_id for c in session.submit_one(query).ranked]
+    catalog.save(tmp_path / "c.arena")
+    loaded = SketchCatalog.load(tmp_path / "c.arena")
+    assert len(loaded.get(ids[0])) == 256
+    assert loaded.get(ids[0]).entries() == catalog.get(ids[0]).entries()
+    assert calls == {"make_aggregator": 0, "heappush": 0, "offer": 0}
+
+    # The same seams do count the row-at-a-time builder.
+    CorrelationSketch(256).update_all(zip(keys, rng.normal(size=600)))
+    assert calls["make_aggregator"] == 600 and calls["offer"] == 600
+    assert calls["heappush"] >= 256
