@@ -12,7 +12,7 @@ backends on the NYC-like corpus:
 
 The LSH index is the catalog-managed one (vectorized batch build) and —
 matching the serving deployment — is round-tripped through a binary
-``.npz`` snapshot before being probed, so the reported numbers cover the
+``.arena`` snapshot before being probed, so the reported numbers cover the
 persisted index a cold-started server would use. Reported per query:
 retrieval latency, recall@10 and recall@25 of the LSH hits against the
 exact top-k by overlap, and recall restricted to ≥50%-overlap
@@ -37,9 +37,9 @@ ROWS = 2
 
 
 def _snapshot_round_trip(catalog, tmp_dir) -> SketchCatalog:
-    """Persist catalog + LSH index to npz and reload (the serving path)."""
+    """Persist catalog + LSH index to an arena and reload (the serving path)."""
     catalog.lsh_index(bands=BANDS, rows=ROWS)
-    path = tmp_dir / "ablation_catalog.npz"
+    path = tmp_dir / "ablation_catalog.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     assert loaded.lsh_params == (BANDS, ROWS)  # came back warm
@@ -125,7 +125,7 @@ def test_ablation_retrieval_methods(benchmark, nyc_refs, tmp_path_factory):
     lines = [
         f"queries              : {stats['queries']}",
         f"banding              : {BANDS} bands x {ROWS} rows "
-        "(catalog-managed, npz snapshot round trip)",
+        "(catalog-managed, arena snapshot round trip)",
         f"exact retrieval mean : {stats['exact_mean_ms']:.3f} ms",
         f"LSH retrieval mean   : {stats['lsh_mean_ms']:.3f} ms",
     ]

@@ -28,6 +28,14 @@ from conftest import write_result
 from repro.core.sketch import CorrelationSketch
 from repro.table.streaming import stream_sketch_csv
 
+
+def _streamed(keys, values, n) -> CorrelationSketch:
+    """The row-at-a-time reference build (``update_all``)."""
+    sketch = CorrelationSketch(n)
+    sketch.update_all(zip(keys, values))
+    return sketch
+
+
 N_ROWS = 200_000
 N_ROWS_QUICK = 20_000
 
@@ -46,9 +54,7 @@ def test_construction_throughput(benchmark, rows, sketch_size):
     keys, values = rows
 
     def build():
-        return CorrelationSketch.from_columns(
-            keys, values, sketch_size, vectorized=False
-        )
+        return _streamed(keys, values, sketch_size)
 
     sketch = benchmark(build)
     assert len(sketch) == min(sketch_size, len(keys))
@@ -65,9 +71,7 @@ def test_construction_throughput_vectorized(benchmark, rows, sketch_size):
     keys, values = rows
 
     def build():
-        return CorrelationSketch.from_columns(
-            keys, values, sketch_size, vectorized=True
-        )
+        return CorrelationSketch.from_columns(keys, values, sketch_size)
 
     sketch = benchmark(build)
     assert len(sketch) == min(sketch_size, len(keys))
@@ -96,11 +100,9 @@ def test_vectorized_speedup(rows, quick):
             times.append(time.perf_counter() - t0)
         return sketch, min(times)
 
-    streamed, t_stream = best_of(
-        lambda: CorrelationSketch.from_columns(keys, values, n, vectorized=False)
-    )
+    streamed, t_stream = best_of(lambda: _streamed(keys, values, n))
     vectored, t_vec = best_of(
-        lambda: CorrelationSketch.from_columns(keys, values, n, vectorized=True)
+        lambda: CorrelationSketch.from_columns(keys, values, n)
     )
 
     assert streamed.entries() == vectored.entries()

@@ -1,36 +1,18 @@
-"""Zero-copy arena serving: cold starts and shared-page multi-process RSS.
+"""Zero-copy arena serving: shared-page multi-process resident memory.
 
-The mmap tentpole's acceptance benchmark, at the 4096-sketch scale the
-catalog-io bench established. Two claims are measured:
-
-* **cold-start-to-first-query** — ``load + one top-k query``, npz vs
-  arena. The npz load reads and copies every catalog byte; the arena
-  load parses a small JSON header and ``mmap``'s the file, so its
-  cost is O(metadata) and the first query faults in only the pages it
-  actually touches. Cycles are paired (one load + one query timed as
-  a unit), interleaved between the two layouts, taken best-of-N with
-  the GC paused, and :func:`memprof.trim_heap` runs before every
-  cycle so a cycle cannot dodge first-load page faults by recycling
-  the previous cycle's freed pages (see the helper's docstring) —
-  single-core containers schedule noisily and the bar is a ratio of
-  two small quantities. Bar (full run): arena ≥ 5x faster. (The
-  forked workers below measure the fresh-process variant of the same
-  story: their per-worker load times land in the results file too.)
-* **multi-process resident memory** — N forked workers each *load the
-  snapshot themselves* and serve one query (the N-serving-processes
-  deployment). Each worker reports the PSS growth of loading + fully
-  touching its catalog (PSS divides shared pages among their sharers —
-  exactly the accounting that can see page sharing; RSS would count
-  every shared page N times, see :mod:`memprof`). npz workers each
-  hold a private heap copy, so combined cost grows ~linearly; arena
-  workers map the same file through the page cache, so combined cost
-  stays ~flat. Bar (full run): 2 arena workers combined ≤ 1.2x one.
-
-A third bar — forked-worker batch **throughput** over an arena-layout
-sharded catalog (:class:`~repro.serving.workers.QueryWorkerPool`, which
-warms/maps every shard before forking) — needs real parallelism, so it
-is measured and asserted only when the host schedules ≥ 2 cores, the
-same gating the shard-scaling bench uses.
+What the benchmark of record cannot see from inside one process: N
+forked workers each *load the arena themselves* and serve one query (the
+N-serving-processes deployment). Each worker reports the PSS growth of
+loading + fully touching its catalog (PSS divides shared pages among
+their sharers — exactly the accounting that can see page sharing; RSS
+would count every shared page N times, see :mod:`memprof`). Arena
+workers map the same file through the page cache, so combined cost
+stays ~flat as workers are added instead of growing by one private heap
+copy each. Bar (full run, 4096 sketches): 2 workers combined ≤ 1.2x
+one. Per-worker load times land in the results file too; save / load /
+verify latency and bytes per sketch are the record's
+``index.snapshot.*`` metrics, and forked-worker batch throughput is
+``bench_shard_scaling.py``'s.
 
 Results land in ``benchmarks/results/mmap_serving.txt``; ``--quick``
 shrinks to a CI smoke (256 sketches, no assertions).
@@ -42,52 +24,62 @@ import gc
 import multiprocessing
 import time
 
-from bench_catalog_io import _build_catalog, _first_query_ms
-from bench_shard_scaling import _schedulable_cores
+import numpy as np
+
 from conftest import write_result
 from memprof import fmt_bytes, peak_rss_bytes, pss_bytes, trim_heap
+from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
+from repro.index.engine import JoinCorrelationEngine
 
 CATALOG_SKETCHES = 4096
 QUICK_SKETCHES = 256
-COLD_START_REPEATS = 8
+SKETCH_SIZE = 256
+ROWS_PER_SKETCH = 600
+KEY_UNIVERSE = 20_000
 WORKER_COUNTS = (1, 2, 4)
 QUICK_WORKER_COUNTS = (1, 2)
 
 
-def _cold_starts_ms(paths: dict, query) -> dict:
-    """Best-of-N ``load + first query`` cycles per layout.
+def _build_catalog(n_sketches: int, seed: int = 3):
+    """``n_sketches`` column-pair sketches over one shared key universe
+    (integer keys: construction itself is not what this bench measures)."""
+    rng = np.random.default_rng(seed)
+    catalog = SketchCatalog(sketch_size=SKETCH_SIZE)
+    batch = []
+    for i in range(n_sketches):
+        keys = rng.choice(KEY_UNIVERSE, ROWS_PER_SKETCH, replace=False)
+        sid = f"pair{i:05d}"
+        batch.append(
+            (
+                sid,
+                CorrelationSketch.from_columns(
+                    keys,
+                    rng.standard_normal(ROWS_PER_SKETCH),
+                    SKETCH_SIZE,
+                    hasher=catalog.hasher,
+                    name=sid,
+                ),
+            )
+        )
+    catalog.add_sketches(batch)
+    query_keys = rng.choice(KEY_UNIVERSE, 2 * ROWS_PER_SKETCH, replace=False)
+    query = CorrelationSketch.from_columns(
+        query_keys,
+        rng.standard_normal(query_keys.shape[0]),
+        SKETCH_SIZE,
+        hasher=catalog.hasher,
+        name="query",
+    )
+    return catalog, query
 
-    The two phases run as one timed unit (independent best-of-N per
-    phase would pair a lucky load with a lucky query), the layouts
-    interleave cycle-by-cycle so a burst of host interference hits
-    both rather than sinking whichever ran second, the GC is paused
-    so a collection triggered by one cycle's garbage is not billed to
-    the next, and freed allocator pages go back to the OS between
-    cycles so every load pays the page faults a fresh process would.
-    Returns ``{name: (total, load, query)}`` ms for each layout's
-    best cycle.
-    """
-    best = {name: (float("inf"), 0.0, 0.0) for name in paths}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(COLD_START_REPEATS):
-            for name, path in paths.items():
-                trim_heap()
-                t0 = time.perf_counter()
-                catalog = SketchCatalog.load(path)
-                load_ms = (time.perf_counter() - t0) * 1000
-                query_ms = _first_query_ms(catalog, query)
-                del catalog
-                total = load_ms + query_ms
-                if total < best[name][0]:
-                    best[name] = (total, load_ms, query_ms)
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return best
+
+def _first_query_ms(catalog: SketchCatalog, query) -> float:
+    t0 = time.perf_counter()
+    JoinCorrelationEngine(catalog, retrieval_depth=100).query(
+        query, k=10, scorer="rp_cih"
+    )
+    return (time.perf_counter() - t0) * 1000
 
 
 def _touch_catalog(catalog) -> float:
@@ -100,16 +92,9 @@ def _touch_catalog(catalog) -> float:
     of private entry objects whose heap cost would blur the
     shared-vs-private page accounting this bench exists to show.
     """
-    total = 0.0
-    source = getattr(catalog._sketches, "_source", None)
-    if source is not None:
-        total += float(source.key_hashes.sum())
-        total += float(source.ranks.sum()) + float(source.values.sum())
-    else:
-        for sid in catalog:
-            columns = catalog.sketch_columns(sid)
-            total += float(columns.key_hashes.sum())
-            total += float(columns.ranks.sum()) + float(columns.values.sum())
+    source = catalog._sketches._source
+    total = float(source.key_hashes.sum())
+    total += float(source.ranks.sum()) + float(source.values.sum())
     postings = catalog._frozen_postings
     if postings is not None:
         total += float(postings.vocab.sum()) + float(postings.indptr.sum())
@@ -182,88 +167,55 @@ def _measure_workers(path, query, n_workers):
 def test_mmap_serving(tmp_path_factory, quick):
     n_sketches = QUICK_SKETCHES if quick else CATALOG_SKETCHES
     worker_counts = QUICK_WORKER_COUNTS if quick else WORKER_COUNTS
-    cores = _schedulable_cores()
     catalog, query = _build_catalog(n_sketches)
-    catalog.frozen_postings()
 
     out_dir = tmp_path_factory.mktemp("mmap_serving")
-    npz_path = out_dir / "catalog.npz"
     arena_path = out_dir / "catalog.arena"
-    t0 = time.perf_counter()
-    catalog.save(npz_path)
-    npz_save_ms = (time.perf_counter() - t0) * 1000
-    t0 = time.perf_counter()
     catalog.save(arena_path)
-    arena_save_ms = (time.perf_counter() - t0) * 1000
+    # One query in the parent, on the heap catalog: what a first query
+    # imports and caches is then inherited by every worker instead of
+    # being built privately in each, which would read as catalog cost.
+    _first_query_ms(catalog, query)
 
     # The parent's build heap (~400MB at full scale) must not ride into
     # the forked workers: inherited pages whose sharing count shifts as
     # siblings start and exit would contaminate every PSS delta below.
+    # The parent also never maps the arena itself: a lingering mapping
+    # would share pages with the 1-worker run and halve its PSS,
+    # understating the single-process baseline.
     del catalog
     gc.collect()
-
-    # -- cold start to first query ------------------------------------------
-    cold = _cold_starts_ms({"npz": npz_path, "arena": arena_path}, query)
-    npz_total_ms, npz_load_ms, npz_query_ms = cold["npz"]
-    arena_total_ms, arena_load_ms, arena_query_ms = cold["arena"]
-    cold_speedup = npz_total_ms / arena_total_ms
-    from_arena = SketchCatalog.load(arena_path)
-    assert from_arena.storage == "mmap"
-    # Parent must not keep the arena mapped through the worker phase: a
-    # lingering mapping would share pages with the 1-worker run and
-    # halve its PSS, understating the single-process baseline.
-    del from_arena
-    gc.collect()
-    # Hand freed build/cold-start heap back to the OS before forking:
-    # workers trim their own heaps before their steady-state reading,
-    # and any retained freed pages they inherit from the parent would
-    # be released then — a negative PSS offset whose size varies with
-    # the sibling count. Trim here so there is nothing to inherit.
+    # Hand freed build heap back to the OS before forking: workers trim
+    # their own heaps before their steady-state reading, and any
+    # retained freed pages they inherit from the parent would be
+    # released then — a negative PSS offset whose size varies with the
+    # sibling count. Trim here so there is nothing to inherit.
     trim_heap()
 
     lines = [
         f"sketches                  : {n_sketches}",
-        f"npz   save                : {npz_save_ms:9.1f} ms "
-        f"({npz_path.stat().st_size:>12,} bytes)",
-        f"arena save                : {arena_save_ms:9.1f} ms "
-        f"({arena_path.stat().st_size:>12,} bytes)",
-        f"npz   cold start          : {npz_total_ms:9.1f} ms "
-        f"(load {npz_load_ms:.1f} + first query {npz_query_ms:.1f}; "
-        "fresh allocator pages each cycle, reads + copies every catalog byte)",
-        f"arena cold start          : {arena_total_ms:9.1f} ms "
-        f"(load {arena_load_ms:.1f} + first query {arena_query_ms:.1f}; "
-        "O(metadata) map, faults pages on demand)",
-        f"cold-start-to-first-query : {cold_speedup:9.1f}x (arena vs npz)",
-        f"schedulable cores         : {cores}",
+        f"arena                     : {arena_path.stat().st_size:>12,} bytes",
     ]
 
     # -- per-process resident cost vs worker count --------------------------
     combined = {}
-    for layout, path in (("npz", npz_path), ("arena", arena_path)):
-        for n_workers in worker_counts:
-            total, growths, mean_load = _measure_workers(
-                path, query, n_workers
-            )
-            combined[layout, n_workers] = total
-            per_worker = "/".join(fmt_bytes(g).strip() for g in growths)
-            lines.append(
-                f"{layout:5} x{n_workers} workers         : "
-                f"{fmt_bytes(total)} combined PSS growth "
-                f"({per_worker}; mean load {mean_load:7.1f} ms)"
-            )
-
-    arena_one = combined.get(("arena", 1))
-    arena_two = combined.get(("arena", 2))
-    if arena_one and arena_two:
-        lines.append(
-            f"arena 2-worker overhead   : {arena_two / arena_one:9.2f}x "
-            "one worker's resident cost (shared pages)"
+    for n_workers in worker_counts:
+        total, growths, mean_load = _measure_workers(
+            arena_path, query, n_workers
         )
-    npz_two = combined.get(("npz", 2))
-    if npz_two and arena_two:
+        combined[n_workers] = total
+        per_worker = "/".join(fmt_bytes(g).strip() for g in growths)
         lines.append(
-            f"arena vs npz, 2 workers   : {npz_two / arena_two:9.1f}x "
-            "less combined resident growth"
+            f"arena x{n_workers} workers          : "
+            f"{fmt_bytes(total)} combined PSS growth "
+            f"({per_worker}; mean load {mean_load:7.1f} ms)"
+        )
+
+    one, two = combined.get(1), combined.get(2)
+    if one and two:
+        lines.append(
+            f"arena 2-worker overhead   : {two / one:9.2f}x "
+            "one worker's resident cost (shared pages)"
         )
     lines.append(
         f"parent peak RSS           : {fmt_bytes(peak_rss_bytes())}"
@@ -271,55 +223,13 @@ def test_mmap_serving(tmp_path_factory, quick):
 
     if quick:
         lines.append("(quick mode: CI smoke scale, assertions skipped)")
-    elif cores < 2:
-        lines.append(
-            "(single-core host: forked-worker throughput is unmeasurable "
-            "here, so only the load-time and RSS bars are asserted)"
-        )
     write_result("mmap_serving.txt", "\n".join(lines))
 
     if quick:
         return
     assert n_sketches >= 4096
-    # Bar 1: arena cold start >=5x faster than npz.
-    assert cold_speedup >= 5.0
-    # Bar 2: two arena serving processes cost <=1.2x one process's
+    # The bar: two arena serving processes cost <=1.2x one process's
     # resident memory (PSS accounting; skipped only if the kernel hides
     # smaps_rollup).
-    if arena_one is not None and arena_two is not None:
-        assert arena_two <= 1.2 * arena_one
-    # Bar 3 (multi-core only): forked QueryWorkerPool throughput over an
-    # arena-layout sharded catalog.
-    if cores >= 2:
-        _assert_throughput_bar(n_sketches, out_dir)
-
-
-def _assert_throughput_bar(n_sketches, out_dir) -> None:
-    """2-worker forked batch throughput over arena-mapped shards."""
-    import numpy as np
-
-    from bench_shard_scaling import (
-        _best_batch_seconds,
-        _build,
-        _queries,
-        _ranking_key,
-    )
-    from repro.serving import QueryWorkerPool, ShardRouter, ShardedCatalog
-
-    sharded = _build(n_sketches, 4)
-    sharded.save(out_dir / "sharded", layout="arena")
-    del sharded
-    catalog = ShardedCatalog.load(out_dir / "sharded")
-    queries = _queries(catalog, 32)
-    router = ShardRouter(catalog, retrieval_depth=100)
-    baseline = router.query_batch(queries, k=10)
-    seq_seconds = _best_batch_seconds(
-        lambda: router.query_batch(queries, k=10)
-    )
-    with QueryWorkerPool(router, workers=2) as pool:
-        parallel = pool.query_batch(queries, k=10)
-        assert _ranking_key(parallel) == _ranking_key(baseline)
-        par_seconds = _best_batch_seconds(
-            lambda: pool.query_batch(queries, k=10)
-        )
-    assert seq_seconds / par_seconds >= 1.2
+    if one is not None and two is not None:
+        assert two <= 1.2 * one

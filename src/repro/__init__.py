@@ -47,7 +47,6 @@ from repro.core import (
     CorrelationSketch,
     EstimateResult,
     JoinedSample,
-    MultiColumnSketch,
     estimate,
     join_sketches,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "JoinCorrelationEngine",
     "JoinedSample",
     "KMVSynopsis",
-    "MultiColumnSketch",
     "QueryOptions",
     "QueryResult",
     "QuerySession",

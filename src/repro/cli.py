@@ -4,10 +4,10 @@ The operations of a join-correlation deployment, as subcommands:
 
 * ``index``    — sketch every ⟨categorical, numeric⟩ column pair of every
   CSV file in a directory and persist the catalog (offline). The output
-  extension picks the format: ``.npz`` writes the binary columnar
-  snapshot (fast cold starts), anything else the portable JSON.
-  ``--lsh`` additionally builds the MinHash-LSH retrieval index so an
-  ``.npz`` snapshot ships it warm.
+  extension picks the format: ``.arena`` writes the binary snapshot — a
+  zero-copy mmap arena, O(metadata) cold starts — anything else the
+  portable JSON. ``--lsh`` additionally builds the MinHash-LSH
+  retrieval index so an ``.arena`` snapshot ships it warm.
 * ``query``    — run a top-k join-correlation query against a saved
   catalog, using one column pair of a query CSV (online). ``--retrieval
   lsh`` serves the candidate phase from the approximate MinHash-LSH
@@ -43,19 +43,21 @@ The operations of a join-correlation deployment, as subcommands:
   for availability, serving surviving shards when one is slow or broken.
 
 Missing or corrupt catalog/CSV inputs print a one-line ``error:`` and
-exit with status 2 instead of a traceback.
+exit with status 2 instead of a traceback — as do files in a retired
+format (``.npz`` snapshots, pre-arena manifest directories), which are
+refused by name, never parsed.
 
 Examples::
 
-    repro-sketch index data/portal/ -o catalog.npz --sketch-size 256
-    repro-sketch query catalog.npz taxi.csv --key date --value pickups -k 10
-    repro-sketch query catalog.npz taxi.csv --scorer rb_cib --profile
-    repro-sketch query catalog.npz --queries-dir my_tables/ -k 5
-    repro-sketch query catalog.npz taxi.csv --retrieval lsh --bands 32 --rows 2
-    repro-sketch serve catalog.npz --port 8765 --max-batch 16
+    repro-sketch index data/portal/ -o catalog.arena --sketch-size 256
+    repro-sketch query catalog.arena taxi.csv --key date --value pickups -k 10
+    repro-sketch query catalog.arena taxi.csv --scorer rb_cib --profile
+    repro-sketch query catalog.arena --queries-dir my_tables/ -k 5
+    repro-sketch query catalog.arena taxi.csv --retrieval lsh --bands 32 --rows 2
+    repro-sketch serve catalog.arena --port 8765 --max-batch 16
     repro-sketch serve --catalog-dir catalog-dir/ --workers 4
     repro-sketch estimate left.csv right.csv --left-key date --right-key day
-    repro-sketch catalog info catalog.npz
+    repro-sketch catalog info catalog.arena
     repro-sketch shard build data/portal/ -o catalog-dir/ --shards 4
     repro-sketch shard info catalog-dir/
     repro-sketch query --catalog-dir catalog-dir/ taxi.csv --workers 4
@@ -66,12 +68,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import zipfile
 from pathlib import Path
 
 from repro.core.estimation import estimate as estimate_pair
 from repro.core.sketch import CorrelationSketch
-from repro.index.catalog import SketchCatalog
+from repro.index.catalog import SketchCatalog, _refuse_retired_snapshot
 from repro.index.engine import RETRIEVAL_BACKENDS, JoinCorrelationEngine
 from repro.index.lsh import DEFAULT_BANDS, DEFAULT_ROWS
 from repro.index.options import QueryOptions
@@ -220,8 +221,18 @@ def _load_catalog(path: str | Path) -> SketchCatalog:
         )
     try:
         return SketchCatalog.load(path)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise _fail(f"cannot load catalog {path}: {exc}") from exc
+
+
+def _refuse_retired(path: str | Path, *, sniff: bool = True) -> None:
+    """The retired-format refusal as a one-line error, for the verbs that
+    would otherwise do work first (``index``) or report the file as
+    damaged (``catalog verify``)."""
+    try:
+        _refuse_retired_snapshot(Path(path), sniff=sniff)
+    except ValueError as exc:
+        raise _fail(str(exc)) from exc
 
 
 def _load_sharded(directory: str | Path):
@@ -301,15 +312,14 @@ def cmd_index(args: argparse.Namespace) -> int:
     if not csv_files:
         print(f"error: no CSV files under {directory}", file=sys.stderr)
         return 1
+    _refuse_retired(args.output, sniff=False)  # before the ingest, not after
     catalog = SketchCatalog(
-        sketch_size=args.sketch_size,
-        aggregate=args.aggregate,
-        vectorized=not args.no_vectorized,
+        sketch_size=args.sketch_size, aggregate=args.aggregate
     )
     t0 = time.perf_counter()
     n_pairs = _ingest_csvs(catalog, csv_files, args.verbose)
     if args.lsh:
-        if Path(args.output).suffix == ".npz":
+        if Path(args.output).suffix == ".arena":
             # Build the LSH index now so the snapshot ships it warm — the
             # serving process then probes --retrieval lsh without a rebuild.
             catalog.lsh_index(bands=args.lsh_bands, rows=args.lsh_rows)
@@ -317,7 +327,7 @@ def cmd_index(args: argparse.Namespace) -> int:
             # JSON persists no LSH members; building one here would be
             # silently thrown away.
             print(
-                "warning: --lsh ignored — only .npz snapshots persist the "
+                "warning: --lsh ignored — only .arena snapshots persist the "
                 "LSH index (JSON catalogs rebuild it lazily)",
                 file=sys.stderr,
             )
@@ -858,7 +868,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
     output = Path(args.output) if args.output is not None else path
     try:
         catalog.save(output)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _fail(f"cannot write catalog {output}: {exc}") from exc
     elapsed = time.perf_counter() - t0
     print(
@@ -870,11 +880,11 @@ def cmd_compact(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    """``catalog convert``: rewrite a catalog in another format/layout.
+    """``catalog convert``: rewrite a catalog in the other format.
 
     The output format follows the output extension exactly as
-    ``catalog.save`` dispatches it: ``.npz`` the binary snapshot,
-    ``.arena`` the zero-copy mmap arena, anything else portable JSON.
+    ``catalog.save`` dispatches it: ``.arena`` the zero-copy mmap
+    arena, anything else portable JSON.
     The write is atomic, so converting onto an existing file (including
     the input itself) either fully succeeds or leaves it untouched.
     """
@@ -884,7 +894,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
         catalog.save(output)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _fail(f"cannot write catalog {output}: {exc}") from exc
     elapsed = time.perf_counter() - t0
     print(
@@ -899,14 +909,14 @@ def _verify_status(path: Path) -> tuple[str, bool]:
     """Checksum one snapshot file: (human status, is_failure).
 
     ``verify_snapshot`` answers True (payload matches), False (bit rot),
-    or None (a format with no checksum: JSON, or a pre-checksum binary);
+    or None (a format with no checksum: JSON, or a pre-checksum arena);
     an unreadable/truncated container is itself a failure.
     """
     from repro.index.snapshot import verify_snapshot
 
     try:
         verdict = verify_snapshot(path)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         return f"FAILED (unreadable: {exc})", True
     if verdict is True:
         return "ok", False
@@ -925,6 +935,7 @@ def cmd_catalog_verify(args: argparse.Namespace) -> int:
         )
     if not path.is_file():
         raise _fail(f"cannot verify catalog {path}: no such file")
+    _refuse_retired(path)
     status, failed = _verify_status(path)
     print(f"{path}: {status}")
     if failed:
@@ -973,12 +984,7 @@ def cmd_shard_verify(args: argparse.Namespace) -> int:
 def cmd_shard_compact(args: argparse.Namespace) -> int:
     """``shard compact``: compact every shard of a manifest directory and
     rewrite its snapshots + manifest."""
-    from repro.serving import read_manifest
-
     directory = Path(args.catalog_dir)
-    # Rewrite in whatever layout the directory already uses — compacting
-    # an arena-layout catalog must not silently convert it to npz.
-    layout = read_manifest(directory).get("layout", "npz")
     catalog = _load_sharded(directory)
     # Materialize every shard up front so the pre-compaction delta and
     # tombstone totals count loaded state, not cold-shard zeros.
@@ -989,7 +995,7 @@ def cmd_shard_compact(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     versions = catalog.compact()
     try:
-        catalog.save(directory, layout=layout)
+        catalog.save(directory)
     except OSError as exc:
         raise _fail(f"cannot write sharded catalog {directory}: {exc}") from exc
     elapsed = time.perf_counter() - t0
@@ -1011,10 +1017,7 @@ def cmd_shard_build(args: argparse.Namespace) -> int:
         print(f"error: no CSV files under {directory}", file=sys.stderr)
         return 1
     catalog = ShardedCatalog(
-        args.shards,
-        sketch_size=args.sketch_size,
-        aggregate=args.aggregate,
-        vectorized=not args.no_vectorized,
+        args.shards, sketch_size=args.sketch_size, aggregate=args.aggregate
     )
     t0 = time.perf_counter()
     n_pairs = _ingest_csvs(catalog, csv_files, args.verbose)
@@ -1025,7 +1028,7 @@ def cmd_shard_build(args: argparse.Namespace) -> int:
             catalog.shard(index).lsh_index(
                 bands=args.lsh_bands, rows=args.lsh_rows
             )
-    catalog.save(args.output, layout=args.layout)
+    catalog.save(args.output)
     elapsed = time.perf_counter() - t0
     sizes = "/".join(str(n) for n in catalog.shard_sizes())
     print(
@@ -1050,9 +1053,7 @@ def _print_shard_info(directory: Path) -> int:
         header = [
             f"catalog dir  : {directory}",
             f"manifest     : version {manifest['version']}",
-            # v3 manifests record the shard snapshot layout; older ones
-            # predate the arena and are npz by construction.
-            f"shard layout : {manifest.get('layout', 'npz')}",
+            f"shard layout : {manifest['layout']}",
             f"shards       : {manifest['n_shards']}",
             f"sketches     : {sum(e['sketches'] for e in shard_entries)}",
             f"sketch size  : {manifest['sketch_size']} "
@@ -1061,13 +1062,8 @@ def _print_shard_info(directory: Path) -> int:
         ]
         files = [entry["file"] for entry in shard_entries]
         counts = [entry["sketches"] for entry in shard_entries]
-        # v2 manifests carry per-shard maintenance state; v1 has none.
         maintenance = [
-            (
-                entry.get("index_version"),
-                entry.get("delta", 0),
-                entry.get("tombstones", 0),
-            )
+            (entry["index_version"], entry["delta"], entry["tombstones"])
             for entry in shard_entries
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -1095,10 +1091,10 @@ def _print_shard_info(directory: Path) -> int:
     for index, (count, name, (version, delta, tombs)) in enumerate(
         zip(counts, files, maintenance)
     ):
-        state = ""
-        if version is not None:
-            state = f"  [v{version} delta={delta} tombstones={tombs}]"
-        print(f"  shard {index:>4} : {count:>6} sketches  {name}{state}")
+        print(
+            f"  shard {index:>4} : {count:>6} sketches  {name}"
+            f"  [v{version} delta={delta} tombstones={tombs}]"
+        )
     if missing:
         raise _fail(
             f"manifest references missing shard file(s): {', '.join(missing)}"
@@ -1124,24 +1120,17 @@ def build_parser() -> argparse.ArgumentParser:
         "-o",
         "--output",
         required=True,
-        help="catalog path; a .npz extension writes the binary columnar "
-        "snapshot (fast cold starts), .arena the zero-copy mmap arena "
-        "(O(metadata) cold starts, pages shared across processes), "
-        "anything else portable JSON",
+        help="catalog path; an .arena extension writes the binary "
+        "snapshot — a zero-copy mmap arena (O(metadata) cold starts, "
+        "pages shared across processes) — anything else portable JSON",
     )
     p_index.add_argument("--sketch-size", type=_positive_int, default=256)
     p_index.add_argument("--aggregate", default="mean")
     p_index.add_argument(
-        "--no-vectorized",
-        action="store_true",
-        help="build sketches row-at-a-time instead of the (identical but "
-        "much faster) columnar fast path",
-    )
-    p_index.add_argument(
         "--lsh",
         action="store_true",
         help="also build the MinHash-LSH retrieval index before saving; "
-        "a .npz output then ships it warm for `query --retrieval lsh`",
+        "an .arena output then ships it warm for `query --retrieval lsh`",
     )
     p_index.add_argument(
         "--lsh-bands",
@@ -1164,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
         "catalog",
         nargs="?",
         default=None,
-        help="catalog file from `index` (JSON or .npz); omit with "
+        help="catalog file from `index` (JSON or .arena); omit with "
         "--catalog-dir",
     )
     p_query.add_argument(
@@ -1216,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "catalog",
         nargs="?",
         default=None,
-        help="catalog file from `index` (JSON or .npz); omit with "
+        help="catalog file from `index` (JSON or .arena); omit with "
         "--catalog-dir",
     )
     p_serve.add_argument(
@@ -1315,14 +1304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog_info = catalog_sub.add_parser(
         "info", help="sketch count, scheme, size, format, on-disk bytes"
     )
-    p_catalog_info.add_argument("catalog", help="catalog file (JSON or .npz)")
+    p_catalog_info.add_argument("catalog", help="catalog file (JSON or .arena)")
     p_catalog_info.set_defaults(func=cmd_info)
     p_catalog_compact = catalog_sub.add_parser(
         "compact",
         help="fold the pending delta layer (appended sketches + "
         "tombstones) into fresh frozen structures and re-save",
     )
-    p_catalog_compact.add_argument("catalog", help="catalog file (JSON or .npz)")
+    p_catalog_compact.add_argument("catalog", help="catalog file (JSON or .arena)")
     p_catalog_compact.add_argument(
         "-o",
         "--output",
@@ -1332,11 +1321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog_compact.set_defaults(func=cmd_compact)
     p_catalog_convert = catalog_sub.add_parser(
         "convert",
-        help="rewrite a catalog in another format: .npz snapshot, "
-        ".arena mmap arena, or JSON (chosen by the output extension)",
+        help="rewrite a catalog in the other format: .arena mmap arena "
+        "or JSON (chosen by the output extension)",
     )
     p_catalog_convert.add_argument(
-        "catalog", help="input catalog file (JSON, .npz or .arena)"
+        "catalog", help="input catalog file (JSON or .arena)"
     )
     p_catalog_convert.add_argument(
         "-o",
@@ -1351,7 +1340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on mismatch",
     )
     p_catalog_verify.add_argument(
-        "catalog", help="catalog file (.npz, .arena or JSON)"
+        "catalog", help="catalog file (.arena or JSON)"
     )
     p_catalog_verify.set_defaults(func=cmd_catalog_verify)
 
@@ -1372,15 +1361,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         required=True,
         help="output catalog directory (manifest.json + per-shard "
-        "snapshots); serve it with `query --catalog-dir`",
-    )
-    p_shard_build.add_argument(
-        "--layout",
-        choices=("npz", "arena"),
-        default="npz",
-        help="shard snapshot layout: npz (default) or the zero-copy "
-        "mmap arena (O(metadata) shard loads; forked query workers "
-        "share one set of physical pages)",
+        "arena snapshots: O(metadata) shard loads, forked query workers "
+        "share one set of physical pages); serve it with `query "
+        "--catalog-dir`",
     )
     p_shard_build.add_argument(
         "--shards",
@@ -1391,12 +1374,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_shard_build.add_argument("--sketch-size", type=_positive_int, default=256)
     p_shard_build.add_argument("--aggregate", default="mean")
-    p_shard_build.add_argument(
-        "--no-vectorized",
-        action="store_true",
-        help="build sketches row-at-a-time instead of the (identical but "
-        "much faster) columnar fast path",
-    )
     p_shard_build.add_argument(
         "--lsh",
         action="store_true",

@@ -6,8 +6,10 @@
   reconstructing a uniform random sample of the joined table (Theorem 1).
 * :func:`~repro.core.estimation.estimate` — the full estimation pipeline:
   join, correlate, attach error bounds and joinability statistics.
-* :class:`~repro.core.multicolumn.MultiColumnSketch` — shared-key-selection
-  sketch for tables with several numeric columns.
+* :meth:`CorrelationSketch.from_key_column
+  <repro.core.sketch.CorrelationSketch.from_key_column>` — the
+  shared-key-selection build for tables with several numeric columns
+  (Section 3.1, last paragraph).
 * :mod:`repro.core.statistics` — entropy / mutual information / distance
   correlation estimators demonstrating the Section 3.3 flexibility claim.
 """
@@ -23,7 +25,6 @@ from repro.core.estimation import (
 from repro.core.gkmv import ThresholdSketch
 from repro.core.joined_sample import JoinedSample, JoinedSamplePage, join_sketches
 from repro.core.multiaggregate import MultiAggregateSketch
-from repro.core.multicolumn import MultiColumnSketch
 from repro.core.sketch import CorrelationSketch
 from repro.core.statistics import (
     distance_correlation,
@@ -39,7 +40,6 @@ __all__ = [
     "JoinedSample",
     "JoinedSamplePage",
     "MultiAggregateSketch",
-    "MultiColumnSketch",
     "RANGE_PRESERVING_AGGREGATES",
     "StatisticsResult",
     "ThresholdSketch",

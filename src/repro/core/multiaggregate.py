@@ -8,9 +8,9 @@ aggregator per requested function — so a single pass yields sketches for
 ``mean`` *and* ``max`` *and* ``count`` (etc.) simultaneously, instead of
 one pass per function.
 
-As with :class:`~repro.core.multicolumn.MultiColumnSketch`, per-function
-views materialize ordinary :class:`~repro.core.sketch.CorrelationSketch`
-objects, so all join/estimation machinery applies unchanged.
+Per-function views materialize ordinary
+:class:`~repro.core.sketch.CorrelationSketch` objects, so all
+join/estimation machinery applies unchanged.
 """
 
 from __future__ import annotations

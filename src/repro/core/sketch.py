@@ -68,9 +68,7 @@ class _KeyGroups:
     group's unit rank and (on demand) the bottom-``n`` groups: none of it
     depends on the values, so a table ``{K, X, Z, …}`` computes it once
     and every ``⟨K, ·⟩`` sketch reuses it — the shared selection of
-    Section 3.1's multi-column sketch
-    (:class:`repro.core.multicolumn.MultiColumnSketch` states it row at
-    a time).
+    Section 3.1's multi-column sketch.
 
     Attributes:
         uniq: distinct key hashes, ascending (``uint64``).
@@ -405,16 +403,13 @@ class CorrelationSketch:
         aggregate: str = "mean",
         hasher: KeyHasher | None = None,
         name: str | None = None,
-        *,
-        vectorized: bool = True,
     ) -> "CorrelationSketch":
         """Build a sketch from parallel key/value sequences.
 
-        By default construction runs through the columnar
-        :meth:`update_array` fast path, which produces an identical sketch
-        to the streaming path; pass ``vectorized=False`` to force the
-        row-at-a-time :meth:`update_all` (reference implementation, and
-        the baseline ``bench_construction.py`` measures against).
+        Construction runs through the columnar :meth:`update_array`,
+        which produces a sketch identical to the row-at-a-time
+        :meth:`update_all` (the reference ``tests/test_ingest_parity.py``
+        holds it to).
 
         Raises:
             ValueError: if the sequences have different lengths.
@@ -425,10 +420,7 @@ class CorrelationSketch:
                 f"{len(values)}"
             )
         sketch = cls(n, aggregate=aggregate, hasher=hasher, name=name)
-        if vectorized:
-            sketch.update_array(keys, values)
-        else:
-            sketch.update_all(zip(keys, values))
+        sketch.update_array(keys, values)
         return sketch
 
     def _freeze_to(

@@ -15,7 +15,7 @@ from repro.index.arena import (
     backing_storage,
     write_arena,
 )
-from repro.index.catalog import SketchCatalog, SketchMeta
+from repro.index.catalog import SketchCatalog
 from repro.index.engine import (
     RETRIEVAL_BACKENDS,
     CandidatePage,
@@ -30,7 +30,6 @@ from repro.index.options import QueryOptions
 from repro.index.lsh import LshIndex, MinHashSignature
 from repro.index.snapshot import (
     ARENA_VERSION,
-    SNAPSHOT_VERSION,
     detect_format,
     load_snapshot,
     save_snapshot,
@@ -48,9 +47,7 @@ __all__ = [
     "QueryOptions",
     "QueryResult",
     "RETRIEVAL_BACKENDS",
-    "SNAPSHOT_VERSION",
     "SketchCatalog",
-    "SketchMeta",
     "atomic_write",
     "atomic_write_text",
     "backing_storage",

@@ -1,11 +1,10 @@
 """Contiguous mmap-able arena files: the zero-copy snapshot container.
 
-The npz snapshot (:mod:`repro.index.snapshot`) is a zip of ``.npy``
-members: loading it decompresses and copies every array into the
-process heap, so cold-start cost is O(catalog bytes) *per process* and
-two serving processes hold two private copies of the same frozen
-arrays. The arena is the zero-copy alternative: every numeric array is
-packed into **one** contiguous file at a 64-byte-aligned offset, with a
+A snapshot whose arrays must be copied into the process heap costs
+O(catalog bytes) of cold start *per process*, and two serving processes
+hold two private copies of the same frozen arrays. The arena is the
+zero-copy container: every numeric array is packed into **one**
+contiguous file at a 64-byte-aligned offset, with a
 small JSON header describing the extents, so a reader can map the whole
 file once (read-only ``mmap`` wrapped by ``np.frombuffer``) and hand
 out read-only array views into the mapping —
@@ -245,6 +244,10 @@ class ArenaReader:
             if len(prefix) < _PREFIX_BYTES or prefix[:8] != MAGIC:
                 raise ValueError(f"{path} is not an arena snapshot")
             (header_length,) = struct.unpack("<Q", prefix[8:])
+            # Bounded by the file before it sizes a read: the length is
+            # eight bytes of outside input.
+            if header_length > os.fstat(handle.fileno()).st_size:
+                raise ValueError(f"truncated arena header in {path}")
             header_bytes = handle.read(header_length)
             if len(header_bytes) != header_length:
                 raise ValueError(f"truncated arena header in {path}")

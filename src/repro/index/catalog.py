@@ -8,14 +8,14 @@ on first :meth:`SketchCatalog.lsh_index` use). It is the
 sketches are built offline per column pair (one pass each), added here,
 and queried at interactive latency without touching the original data.
 
-Two persistence formats share :meth:`SketchCatalog.save` /
-:meth:`SketchCatalog.load` (dispatched on the ``.npz`` extension, with a
-content sniff on load):
+Two persistence formats, one readable generation each, share
+:meth:`SketchCatalog.save` / :meth:`SketchCatalog.load` (dispatched on
+the ``.arena`` extension, with a content sniff on load):
 
-* **JSON** — the portable, human-inspectable reference format: every
+* **JSON** — the portable, human-inspectable interchange format: every
   sketch round-trips through ``to_dict``/``from_dict`` and the inverted
   index is rebuilt from scratch;
-* **binary snapshot** (:mod:`repro.index.snapshot`) — the serving format:
+* **arena snapshot** (:mod:`repro.index.snapshot`) — the serving format:
   the concatenated columnar sketch arrays plus the frozen CSR postings
   are persisted verbatim, so loading is array reads and nothing per
   sketch: an entry wakes, on first touch, into a (read-only)
@@ -49,7 +49,6 @@ tombstones into new frozen structures and bumps
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -60,19 +59,6 @@ from repro.hashing import KeyHasher
 from repro.index.inverted import ColumnarPostings, InvertedIndex, merge_hits
 from repro.index.lsh import DEFAULT_BANDS, DEFAULT_ROWS, LshIndex
 from repro.table.table import ColumnPair, Table
-
-
-@dataclass(frozen=True)
-class SketchMeta:
-    """Per-sketch scalars persisted alongside the columnar arrays."""
-
-    n: int
-    aggregate: str
-    name: str | None
-    rows_seen: int
-    overflowed: bool
-    value_min: float
-    value_max: float
 
 
 class _DeferredEntryDict(dict):
@@ -131,11 +117,6 @@ class SketchCatalog:
         aggregate: aggregate function for repeated keys.
         hasher: hashing scheme shared by every sketch in the catalog
             (sketches from different schemes cannot be joined).
-        vectorized: build sketches through the columnar
-            :meth:`~repro.core.sketch.CorrelationSketch.update_array` fast
-            path (default). The result is identical to the streaming path;
-            disable only to benchmark or debug against the row-at-a-time
-            reference implementation.
         compact_threshold: fold the delta layer into the frozen
             structures automatically once it holds this many sketches
             (``None``, the default, compacts only on demand — see
@@ -148,7 +129,6 @@ class SketchCatalog:
         aggregate: str = "mean",
         hasher: KeyHasher | None = None,
         *,
-        vectorized: bool = True,
         compact_threshold: int | None = None,
     ) -> None:
         if compact_threshold is not None and compact_threshold <= 0:
@@ -158,7 +138,6 @@ class SketchCatalog:
         self.sketch_size = sketch_size
         self.aggregate = aggregate
         self.hasher = hasher if hasher is not None else KeyHasher()
-        self.vectorized = vectorized
         self.compact_threshold = compact_threshold
         #: id -> CorrelationSketch (insertion-ordered).
         self._sketches: dict[str, CorrelationSketch] = {}
@@ -175,7 +154,7 @@ class SketchCatalog:
         #: ``_lsh_pending`` is non-None at a time.
         self._lsh_pending: tuple | None = None
         #: The arena mapping backing this catalog's arrays after a
-        #: ``layout="arena"`` snapshot load
+        #: snapshot load
         #: (:class:`repro.index.arena.ArenaReader`); None for heap
         #: catalogs. Held so the mapping outlives any view handed out.
         self._arena = None
@@ -263,11 +242,7 @@ class SketchCatalog:
             hasher=self.hasher,
             name=sid,
         )
-        if self.vectorized:
-            keys, values = table.pair_arrays(pair)
-            sketch.update_array(keys, values)
-        else:
-            sketch.update_all(table.pair_rows(pair))
+        sketch.update_array(*table.pair_arrays(pair))
         return sid, sketch
 
     def add_column_pair(
@@ -283,12 +258,7 @@ class SketchCatalog:
     ) -> Iterator[tuple[str, CorrelationSketch]]:
         """Build (but do not register) the sketch of every column pair of
         ``table``, in :meth:`~repro.table.table.Table.column_pairs` order;
-        on the columnar path each key column is hashed and grouped once
-        for all its pairs."""
-        if not self.vectorized:
-            for pair in table.column_pairs():
-                yield self._build_pair_sketch(table, pair)
-            return
+        each key column is hashed and grouped once for all its pairs."""
         value_names = table.numeric_names()
         for key in table.categorical_names():
             ids = [ColumnPair(table.name, key, v).pair_id for v in value_names]
@@ -586,19 +556,6 @@ class SketchCatalog:
         which is the sketch's stored state (snapshot-loaded sketches
         serve slices of the stored arrays)."""
         return self.get(sketch_id).columnar()
-
-    def sketch_meta(self, sketch_id: str) -> SketchMeta:
-        """Per-sketch persisted scalars."""
-        entry = self.get(sketch_id)
-        return SketchMeta(
-            n=entry.n,
-            aggregate=entry.aggregate,
-            name=entry.name,
-            rows_seen=entry.rows_seen,
-            overflowed=not entry.saw_all_keys,
-            value_min=entry.value_min,
-            value_max=entry.value_max,
-        )
 
     # -- delta layer (LSM-style incremental maintenance) ----------------------
 
@@ -974,7 +931,7 @@ class SketchCatalog:
     @property
     def storage(self) -> str:
         """``"mmap"`` while this catalog serves off an arena mapping
-        (``layout="arena"`` snapshot load), ``"heap"`` otherwise.
+        (a snapshot load), ``"heap"`` otherwise.
 
         A mapped catalog is fully mutable: the copy-on-mutation rules
         mean appends and removals only ever touch heap-native delta and
@@ -1095,30 +1052,31 @@ class SketchCatalog:
     def save(self, path: str | Path) -> None:
         """Serialize the catalog; format chosen by extension.
 
-        ``.npz`` writes the binary columnar snapshot
+        ``.arena`` writes the binary snapshot
         (:func:`repro.index.snapshot.save_snapshot` — sketch arrays plus
-        the frozen postings); ``.arena`` writes the same members as one
-        contiguous mmap-able arena (``layout="arena"`` — zero-copy
-        loads, see :mod:`repro.index.arena`); anything else writes the
-        portable JSON reference format (sketches only; the index is
-        rebuilt on load). All three writes are atomic (temp file +
+        the frozen postings in one contiguous mmap-able arena, loaded
+        zero-copy, see :mod:`repro.index.arena`); anything else writes
+        the portable JSON interchange format (sketches only; the index
+        is rebuilt on load). Both writes are atomic (temp file +
         ``os.replace``).
+
+        Raises:
+            ValueError: for a path naming the retired binary format.
         """
         path = Path(path)
-        if path.suffix in (".npz", ".arena"):
+        if path.suffix == ".arena":
             from repro.index.snapshot import save_snapshot
 
-            save_snapshot(
-                self,
-                path,
-                layout="arena" if path.suffix == ".arena" else "npz",
-            )
+            save_snapshot(self, path)
             return
+        _refuse_retired_snapshot(path, sniff=False)
         payload = {
             "sketch_size": self.sketch_size,
             "aggregate": self.aggregate,
             "scheme": list(self.hasher.scheme_id),
-            "vectorized": self.vectorized,
+            # The retired row-at-a-time construction flag: written as a
+            # constant so the file's bytes do not move, never read.
+            "vectorized": True,
             "sketches": {sid: self.get(sid).to_dict() for sid in self},
         }
         from repro.index.arena import atomic_write_text
@@ -1135,23 +1093,27 @@ class SketchCatalog:
     def load(
         cls, path: str | Path, *, on_corruption: str = "raise"
     ) -> "SketchCatalog":
-        """Load a catalog written by :meth:`save`, any format.
+        """Load a catalog written by :meth:`save`, either format.
 
-        Binary snapshots are detected by the ``.npz``/``.arena``
-        extension, the zip magic bytes or the arena magic bytes;
-        everything else parses as JSON. Arena snapshots come back
-        memory-mapped (``storage == "mmap"``) — read-only views, no
-        array data copied.
+        Arena snapshots are detected by the ``.arena`` extension or the
+        arena magic bytes; everything else parses as JSON. Arena
+        snapshots come back memory-mapped (``storage == "mmap"``) —
+        read-only views, no array data copied.
 
         Args:
             on_corruption: ``"raise"`` (default) propagates load errors
                 unchanged. ``"quarantine"`` renames an unreadable file
                 to ``*.quarantined`` and walks the fallback chain —
-                sibling ``.arena``, then ``.npz``, then the portable
-                ``.json`` source — returning the first that loads, with
+                sibling ``.arena``, then the portable ``.json`` source —
+                returning the first that loads, with
                 :attr:`load_recovery` on the result describing exactly
                 what was skipped. Raises ``ValueError`` only when every
                 candidate fails.
+
+        Raises:
+            ValueError: under either policy, for a file in the retired
+                binary format — a refusal, not corruption: nothing is
+                renamed and no fallback is tried.
         """
         path = Path(path)
         if on_corruption not in ("raise", "quarantine"):
@@ -1159,12 +1121,10 @@ class SketchCatalog:
                 f"on_corruption must be 'raise' or 'quarantine', "
                 f"got {on_corruption!r}"
             )
-        import zipfile
-
-        corruption = cls._CORRUPTION_ERRORS + (zipfile.BadZipFile,)
+        _refuse_retired_snapshot(path)
         try:
             return cls._load_file(path)
-        except corruption as exc:
+        except cls._CORRUPTION_ERRORS as exc:
             if on_corruption != "quarantine":
                 raise
             from repro.index.snapshot import quarantine_file
@@ -1175,13 +1135,13 @@ class SketchCatalog:
                 quarantined.append(str(quarantine_file(path)))
             except OSError:
                 pass  # e.g. the path never existed — nothing to move
-            for ext in (".arena", ".npz", ".json"):
+            for ext in (".arena", ".json"):
                 candidate = path.with_suffix(ext)
                 if candidate == path or not candidate.exists():
                     continue
                 try:
                     catalog = cls._load_file(candidate)
-                except corruption as sibling_exc:
+                except cls._CORRUPTION_ERRORS as sibling_exc:
                     errors.append(f"{candidate.name}: {sibling_exc}")
                     try:
                         quarantined.append(str(quarantine_file(candidate)))
@@ -1204,11 +1164,7 @@ class SketchCatalog:
         """One load attempt against one concrete file (no fallbacks)."""
         from repro.index.arena import has_arena_magic
 
-        if (
-            path.suffix in (".npz", ".arena")
-            or _has_zip_magic(path)
-            or has_arena_magic(path)
-        ):
+        if path.suffix == ".arena" or has_arena_magic(path):
             from repro.index.snapshot import load_snapshot
 
             return load_snapshot(path)
@@ -1218,9 +1174,6 @@ class SketchCatalog:
             sketch_size=payload["sketch_size"],
             aggregate=payload["aggregate"],
             hasher=KeyHasher(bits=bits, seed=seed),
-            # Catalogs saved before the flag was persisted default to the
-            # constructor default (vectorized construction).
-            vectorized=payload.get("vectorized", True),
         )
         catalog.add_sketches(
             (sid, CorrelationSketch.from_dict(sketch_payload))
@@ -1229,10 +1182,22 @@ class SketchCatalog:
         return catalog
 
 
-def _has_zip_magic(path: Path) -> bool:
-    """True when the file starts with the npz (zip) magic bytes."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(4) == b"PK\x03\x04"
-    except OSError:
-        return False
+def _refuse_retired_snapshot(path: Path, *, sniff: bool = True) -> None:
+    """Raise for the retired binary snapshot format (a zip of ``.npy``
+    members, conventionally ``.npz``), recognised by extension or — with
+    ``sniff`` — by the zip magic bytes. ``.arena`` replaced it; nothing
+    reads it any more, and it must not be mistaken for a corrupt file of
+    a current format."""
+    retired = path.suffix == ".npz"
+    if not retired and sniff:
+        try:
+            with open(path, "rb") as handle:
+                retired = handle.read(4) == b"PK\x03\x04"
+        except OSError:
+            pass
+    if retired:
+        raise ValueError(
+            f"{path}: the retired .npz snapshot format is no longer read "
+            "or written by this build; rebuild the catalog from its CSVs "
+            "with an .arena output (`index -o catalog.arena`, `shard build`)"
+        )

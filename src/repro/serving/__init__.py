@@ -15,7 +15,7 @@ query-level process parallelism.
 The resilience layer rides on top: per-query deadlines and partial
 scatter-gather on the router (``deadline_ms`` / ``on_shard_error``),
 supervised worker pools that respawn dead forked workers, snapshot
-quarantine with an arena→npz→json fallback chain
+quarantine with an arena→json fallback chain
 (``on_corruption="quarantine"``), and the deterministic fault-injection
 harness (:mod:`repro.serving.faults`) that drives all of it in tests
 and chaos benchmarks.

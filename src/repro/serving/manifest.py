@@ -5,37 +5,39 @@ A sharded catalog on disk is one directory:
 .. code-block:: text
 
     catalog-dir/
-        manifest.json     # layout + config + placement (versioned)
-        shard-0000.npz    # per-shard binary snapshots
-        shard-0001.npz    #   (repro.index.snapshot format, one per shard)
+        manifest.json     # config + placement (versioned)
+        shard-0000.arena  # per-shard arena snapshots
+        shard-0001.arena  #   (repro.index.snapshot format, one per shard)
         ...
 
 ``manifest.json`` is the small, human-inspectable source of truth for
 everything that must be known *before* touching a shard file:
 
-* ``version`` — manifest format version; unknown versions are refused
-  (same contract as the snapshot loader). Version 1 manifests
-  (pre-delta) and version 2 (pre-arena) still load — each newer
-  version only adds fields;
-* catalog config — ``n_shards``, ``sketch_size``, ``aggregate``, the
-  hashing ``scheme`` pair and the ``vectorized`` flag;
-* ``layout`` (since version 3) — the shard snapshot layout, ``"npz"``
-  (the default when absent) or ``"arena"``. Arena-layout directories
-  hold one mmap-able ``shard-NNNN.arena`` per shard
-  (:mod:`repro.index.arena`): every shard materializes zero-copy, and
-  N serving processes mapping the same directory share one set of
-  physical pages;
-* per shard: its snapshot ``file`` name, its ``sketches`` count, its
-  ``ids`` in insertion order — the placement map — and, since version
-  2, its ``index_version`` compaction counter plus the pending
-  ``delta`` / ``tombstones`` counts (so ``shard info`` reports delta
-  state without opening a single shard file, and a recompacted shard
-  snapshot that no longer matches its manifest fails loudly at
-  materialization).
+* ``version`` — manifest format version; exactly one generation is
+  readable (:data:`MANIFEST_VERSION`). Anything else — the retired
+  versions 1 and 2 included — is refused by :func:`read_manifest`
+  rather than guessed at;
+* catalog config — ``n_shards``, ``sketch_size``, ``aggregate`` and the
+  hashing ``scheme`` pair;
+* ``layout`` — always ``"arena"``: one mmap-able ``shard-NNNN.arena``
+  per shard (:mod:`repro.index.arena`), so every shard materializes
+  zero-copy and N serving processes mapping the same directory share
+  one set of physical pages. A manifest recording the retired
+  zip-of-``.npy`` layout is refused. (``layout`` and a constant
+  ``"vectorized": true`` are still written so the file's bytes do not
+  move; only ``layout`` is read, and only to refuse.)
+* per shard: its snapshot ``file`` name — a function of the shard index
+  (:func:`shard_file_name`), checked on read so a manifest can never
+  point outside its own directory — its ``sketches`` count, its ``ids``
+  in insertion order — the placement map — its ``index_version``
+  compaction counter and the pending ``delta`` / ``tombstones`` counts
+  (so ``shard info`` reports delta state without opening a single shard
+  file, and a recompacted shard snapshot that no longer matches its
+  manifest fails loudly at materialization).
 
 Carrying the placement in the manifest is what makes cold starts lazy:
 :func:`load_sharded` rebuilds the full ``sketch_id → shard`` map and all
-shard sizes without opening a single ``.npz``, so lookups route directly
+shard sizes without opening a single shard file, so lookups route directly
 and a shard snapshot is only materialized when an operation actually
 probes that shard. Consistency between manifest and shard files is
 checked at materialization time (scheme and sketch count), so a stale or
@@ -50,52 +52,38 @@ from pathlib import Path
 
 from repro.hashing import KeyHasher
 from repro.index.arena import atomic_write_text
-from repro.index.snapshot import SNAPSHOT_LAYOUTS, save_snapshot
+from repro.index.snapshot import save_snapshot
 from repro.serving.shards import ShardedCatalog
 
-#: Bump on any manifest layout change; load_sharded refuses unknown
-#: versions rather than guessing. v1: layout + config + placement.
-#: v2: adds per-shard index_version / delta / tombstones.
-#: v3: adds the shard snapshot ``layout`` (npz | arena).
+#: Bump on any manifest change; read_manifest reads exactly this
+#: version rather than guessing.
 MANIFEST_VERSION = 3
-
-#: Versions this build can read (each a strict superset of the last).
-_READABLE_VERSIONS = (1, 2, 3)
 
 #: File name of the manifest inside a sharded-catalog directory.
 MANIFEST_NAME = "manifest.json"
 
 
-def shard_file_name(index: int, layout: str = "npz") -> str:
-    """Canonical snapshot file name for shard ``index`` under ``layout``."""
-    suffix = "arena" if layout == "arena" else "npz"
-    return f"shard-{index:04d}.{suffix}"
+def shard_file_name(index: int) -> str:
+    """Canonical snapshot file name for shard ``index``."""
+    return f"shard-{index:04d}.arena"
 
 
-def save_sharded(
-    catalog: ShardedCatalog, directory: str | Path, *, layout: str = "npz"
-) -> Path:
+def save_sharded(catalog: ShardedCatalog, directory: str | Path) -> Path:
     """Write ``catalog`` as a manifest directory; returns the manifest path.
 
-    Every shard is persisted as a binary snapshot (warm frozen postings,
+    Every shard is persisted as an arena snapshot (warm frozen postings,
     LSH signatures when built, pending delta/tombstone state — see
-    :mod:`repro.index.snapshot`), in the requested ``layout`` (``"npz"``
-    or the zero-copy ``"arena"``); the manifest is written last — and
+    :mod:`repro.index.snapshot`); the manifest is written last — and
     atomically — so a crash mid-save never leaves a manifest pointing at
     missing shards.
     """
-    if layout not in SNAPSHOT_LAYOUTS:
-        raise ValueError(
-            f"unknown shard layout {layout!r} (choose from "
-            f"{SNAPSHOT_LAYOUTS})"
-        )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     shards_payload = []
     for index in range(catalog.n_shards):
-        name = shard_file_name(index, layout)
+        name = shard_file_name(index)
         shard = catalog.shard(index)
-        save_snapshot(shard, directory / name, layout=layout)
+        save_snapshot(shard, directory / name)
         # Recorded after shard.save: a never-frozen shard is promoted by
         # the snapshot writer, so the manifest sees the persisted state.
         shards_payload.append(
@@ -115,8 +103,10 @@ def save_sharded(
         "sketch_size": catalog.sketch_size,
         "aggregate": catalog.aggregate,
         "scheme": [bits, seed],
-        "vectorized": catalog.vectorized,
-        "layout": layout,
+        # Constants kept so the manifest's bytes do not move: the
+        # retired construction flag and the only shard layout left.
+        "vectorized": True,
+        "layout": "arena",
         "shards": shards_payload,
     }
     path = directory / MANIFEST_NAME
@@ -129,8 +119,10 @@ def read_manifest(directory: str | Path) -> dict:
 
     Raises:
         FileNotFoundError: when the directory has no manifest.
-        ValueError: for malformed JSON, unknown versions or a shard list
-            inconsistent with ``n_shards``.
+        ValueError: for malformed JSON, any version but
+            :data:`MANIFEST_VERSION`, the retired shard layout, a shard
+            list inconsistent with ``n_shards`` or a shard ``file`` that
+            is not the canonical name for its index.
     """
     directory = Path(directory)
     path = directory / MANIFEST_NAME
@@ -144,16 +136,32 @@ def read_manifest(directory: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt manifest {path}: {exc}") from exc
     version = manifest.get("version")
-    if version not in _READABLE_VERSIONS:
+    if version != MANIFEST_VERSION:
         raise ValueError(
-            f"unsupported manifest version {version!r} in {path} "
-            f"(this build reads versions {_READABLE_VERSIONS})"
+            f"unsupported manifest version {version!r} in {path}: this "
+            f"build reads version {MANIFEST_VERSION} only (versions 1 and "
+            "2 are retired — rebuild the directory with `shard build`)"
+        )
+    if manifest.get("layout") != "arena":
+        raise ValueError(
+            f"manifest {path} records shard layout "
+            f"{manifest.get('layout')!r}: the .npz shard layout is retired "
+            "and only 'arena' is served — rebuild the directory with "
+            "`shard build`"
         )
     shards = manifest.get("shards")
     if not isinstance(shards, list) or len(shards) != manifest.get("n_shards"):
         raise ValueError(
             f"corrupt manifest {path}: shard list does not match n_shards"
         )
+    for index, entry in enumerate(shards):
+        # The name is a function of the index, so anything else — a path
+        # that climbs out of the directory included — is not ours.
+        name = shard_file_name(index)
+        if not isinstance(entry, dict) or entry.get("file") != name:
+            raise ValueError(
+                f"corrupt manifest {path}: shard {index} must name {name!r}"
+            )
     return manifest
 
 
@@ -189,17 +197,13 @@ def load_sharded(
         sketch_size=manifest["sketch_size"],
         aggregate=manifest["aggregate"],
         hasher=KeyHasher(bits=bits, seed=seed),
-        vectorized=manifest["vectorized"],
     )
     catalog.on_corruption = on_corruption
     catalog._shards = [None] * catalog.n_shards
     for index, entry in enumerate(manifest["shards"]):
         catalog._shard_paths[index] = directory / entry["file"]
         catalog._counts[index] = int(entry["sketches"])
-        version = entry.get("index_version")
-        catalog._shard_versions[index] = (
-            int(version) if version is not None else None
-        )
+        catalog._shard_versions[index] = int(entry["index_version"])
         if len(entry["ids"]) != int(entry["sketches"]):
             raise ValueError(
                 f"corrupt manifest {directory / MANIFEST_NAME}: shard "

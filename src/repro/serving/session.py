@@ -241,7 +241,7 @@ class QuerySession:
         """Open a catalog from disk and wrap it in a session.
 
         A directory is a sharded-manifest catalog (served scatter-
-        gather); a file is a monolithic snapshot (JSON/npz/arena).
+        gather); a file is a monolithic snapshot (JSON or arena).
         """
         from repro.serving.shards import ShardedCatalog
 

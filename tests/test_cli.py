@@ -144,29 +144,47 @@ def test_query_min_overlap_prunes_everything(portal, tmp_path, capsys):
 
 
 def test_index_npz_output_and_catalog_info(portal, tmp_path, capsys):
-    """-o catalog.npz writes the binary snapshot; `catalog info` reports
-    format and on-disk bytes for both formats."""
+    """The retired format is refused by name at every verb that could
+    meet it — before any work, with a one-line error and nothing written
+    or renamed — and `catalog info` reports format and on-disk bytes for
+    the two formats that remain."""
     npz = tmp_path / "catalog.npz"
-    assert main(["index", str(portal), "-o", str(npz)]) == 0
-    assert npz.exists()
-    capsys.readouterr()
+    assert main(["index", str(portal), "-o", str(npz)]) == 2
+    assert not npz.exists()
+    assert "retired .npz snapshot format" in capsys.readouterr().err
 
-    rc = main(["catalog", "info", str(npz)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "format       : binary" in out
-    assert "on-disk bytes:" in out
-    assert "sketches     : 3" in out
-
+    npz.write_bytes(b"PK\x03\x04 whatever a zip of .npy members held")
     json_catalog = _index(portal, tmp_path)
     capsys.readouterr()
+    for argv in (
+        ["catalog", "info", str(npz)],
+        ["catalog", "verify", str(npz)],
+        ["query", str(npz), str(portal / "query.csv")],
+        ["catalog", "compact", str(json_catalog), "-o", str(npz)],
+        ["catalog", "convert", str(json_catalog), "-o", str(npz)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "retired .npz" in err
+    assert sorted(p.name for p in tmp_path.glob("catalog.*")) == [
+        "catalog.json", "catalog.npz"
+    ]
+
+    arena = tmp_path / "catalog.arena"
+    assert main(["index", str(portal), "-o", str(arena)]) == 0
+    capsys.readouterr()
+    assert main(["catalog", "info", str(arena)]) == 0
+    out = capsys.readouterr().out
+    assert "format       : arena" in out
+    assert "on-disk bytes:" in out
+    assert "sketches     : 3" in out
     assert main(["catalog", "info", str(json_catalog)]) == 0
     assert "format       : json" in capsys.readouterr().out
 
 
 def test_query_against_binary_catalog_matches_json(portal, tmp_path, capsys):
-    npz = tmp_path / "catalog.npz"
-    assert main(["index", str(portal), "-o", str(npz)]) == 0
+    arena = tmp_path / "catalog.arena"
+    assert main(["index", str(portal), "-o", str(arena)]) == 0
     json_catalog = _index(portal, tmp_path)
     capsys.readouterr()
 
@@ -177,7 +195,7 @@ def test_query_against_binary_catalog_matches_json(portal, tmp_path, capsys):
         out = capsys.readouterr().out
         return [l.split() for l in out.splitlines() if l and l[0].isdigit()]
 
-    assert ranking(npz) == ranking(json_catalog)
+    assert ranking(arena) == ranking(json_catalog)
 
 
 def test_query_profile_prints_phase_split(portal, tmp_path, capsys):
@@ -283,15 +301,15 @@ def test_queries_dir_profile_prints_phase_split(portal, tmp_path, capsys):
 
 
 def test_index_lsh_flag_ships_warm_snapshot(portal, tmp_path, capsys):
-    """index --lsh builds the LSH index before saving, so the .npz
+    """index --lsh builds the LSH index before saving, so the .arena
     snapshot serves --retrieval lsh without a per-process rebuild."""
-    npz = tmp_path / "warm.npz"
-    assert main(["index", str(portal), "-o", str(npz), "--lsh",
+    arena = tmp_path / "warm.arena"
+    assert main(["index", str(portal), "-o", str(arena), "--lsh",
                  "--lsh-bands", "32", "--lsh-rows", "2"]) == 0
-    capsys.readouterr()
-    assert main(["catalog", "info", str(npz)]) == 0
+    assert "--lsh ignored" not in capsys.readouterr().err
+    assert main(["catalog", "info", str(arena)]) == 0
     assert "lsh index    : warm (bands=32 rows=2)" in capsys.readouterr().out
-    rc = main(["query", str(npz), str(portal / "query.csv"),
+    rc = main(["query", str(arena), str(portal / "query.csv"),
                "--retrieval", "lsh", "--bands", "32", "--rows", "2",
                "--scorer", "rp", "-k", "1"])
     assert rc == 0
@@ -304,15 +322,15 @@ def test_catalog_info_reports_lsh_state(portal, tmp_path, capsys):
     """catalog info says whether the snapshot ships a warm LSH index."""
     from repro.index.catalog import SketchCatalog
 
-    npz = tmp_path / "catalog.npz"
-    assert main(["index", str(portal), "-o", str(npz)]) == 0
+    arena = tmp_path / "catalog.arena"
+    assert main(["index", str(portal), "-o", str(arena)]) == 0
     capsys.readouterr()
-    assert main(["catalog", "info", str(npz)]) == 0
+    assert main(["catalog", "info", str(arena)]) == 0
     assert "lsh index    : none" in capsys.readouterr().out
 
-    catalog = SketchCatalog.load(npz)
+    catalog = SketchCatalog.load(arena)
     catalog.lsh_index(bands=32, rows=2)
-    warm = tmp_path / "warm.npz"
+    warm = tmp_path / "warm.arena"
     catalog.save(warm)
     assert main(["catalog", "info", str(warm)]) == 0
     assert "lsh index    : warm (bands=32 rows=2)" in capsys.readouterr().out
@@ -349,7 +367,7 @@ def test_index_lsh_with_json_output_warns_and_skips(portal, tmp_path, capsys):
     out = tmp_path / "catalog.json"
     assert main(["index", str(portal), "-o", str(out), "--lsh"]) == 0
     captured = capsys.readouterr()
-    assert "only .npz snapshots persist the LSH index" in captured.err
+    assert "only .arena snapshots persist the LSH index" in captured.err
 
 
 # -- hardening: missing/corrupt inputs exit 2 with one-line errors -----------
@@ -364,15 +382,15 @@ def test_query_missing_catalog_exits_2(portal, tmp_path, capsys):
 
 
 def test_query_corrupt_catalog_exits_2(portal, tmp_path, capsys):
-    bad = tmp_path / "bad.npz"
-    bad.write_bytes(b"PK\x03\x04 this is not a real zip")
+    bad = tmp_path / "bad.arena"
+    bad.write_bytes(b"RSKARENA this is not a real arena")
     rc = main(["query", str(bad), str(portal / "query.csv")])
     assert rc == 2
     assert "error: cannot load catalog" in capsys.readouterr().err
 
 
 def test_info_missing_catalog_exits_2(tmp_path, capsys):
-    rc = main(["catalog", "info", str(tmp_path / "nope.npz")])
+    rc = main(["catalog", "info", str(tmp_path / "nope.arena")])
     assert rc == 2
     assert "error: cannot load catalog" in capsys.readouterr().err
 
@@ -438,7 +456,7 @@ def test_shard_build_creates_manifest_directory(portal, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sharded 3 column pairs" in out
     assert (catalog_dir / "manifest.json").exists()
-    assert (catalog_dir / "shard-0000.npz").exists()
+    assert (catalog_dir / "shard-0000.arena").exists()
 
 
 def test_shard_info_reports_layout(portal, tmp_path, capsys):
@@ -449,7 +467,8 @@ def test_shard_info_reports_layout(portal, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "shards       : 3" in out
     assert "sketches     : 3" in out
-    assert "shard-0002.npz" in out
+    assert "shard layout : arena" in out
+    assert "shard-0002.arena" in out
 
 
 def test_shard_info_missing_directory_exits_2(tmp_path, capsys):
@@ -557,8 +576,8 @@ def test_shard_info_manifest_missing_keys_exits_2(tmp_path, capsys):
 
     (tmp_path / "manifest.json").write_text(
         json.dumps(
-            {"version": 1, "n_shards": 1,
-             "shards": [{"file": "x.npz", "sketches": 0, "ids": []}]}
+            {"version": 3, "layout": "arena", "n_shards": 1,
+             "shards": [{"file": "shard-0000.arena", "sketches": 0, "ids": []}]}
         )
     )
     rc = main(["shard", "info", str(tmp_path)])
@@ -570,8 +589,8 @@ def test_shard_info_manifest_missing_keys_exits_2(tmp_path, capsys):
 
 
 def test_catalog_info_reports_delta_state(portal, tmp_path, capsys):
-    catalog = _index(portal, tmp_path, extra=["-o", str(tmp_path / "c.npz")])
-    catalog = tmp_path / "c.npz"
+    catalog = _index(portal, tmp_path, extra=["-o", str(tmp_path / "c.arena")])
+    catalog = tmp_path / "c.arena"
     from repro.index.catalog import SketchCatalog
 
     loaded = SketchCatalog.load(catalog)
@@ -587,8 +606,8 @@ def test_catalog_info_reports_delta_state(portal, tmp_path, capsys):
 
 
 def test_catalog_compact_folds_and_bumps_version(portal, tmp_path, capsys):
-    _index(portal, tmp_path, extra=["-o", str(tmp_path / "c.npz")])
-    catalog = tmp_path / "c.npz"
+    _index(portal, tmp_path, extra=["-o", str(tmp_path / "c.arena")])
+    catalog = tmp_path / "c.arena"
     from repro.index.catalog import SketchCatalog
 
     loaded = SketchCatalog.load(catalog)
@@ -596,7 +615,7 @@ def test_catalog_compact_folds_and_bumps_version(portal, tmp_path, capsys):
     loaded.remove_sketch("noise.csv::date->junk")
     loaded.save(catalog)
     capsys.readouterr()
-    out_path = tmp_path / "compacted.npz"
+    out_path = tmp_path / "compacted.arena"
     rc = main(["catalog", "compact", str(catalog), "-o", str(out_path)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -610,7 +629,7 @@ def test_catalog_compact_folds_and_bumps_version(portal, tmp_path, capsys):
 
 
 def test_catalog_compact_missing_file_exits_2(tmp_path, capsys):
-    rc = main(["catalog", "compact", str(tmp_path / "nope.npz")])
+    rc = main(["catalog", "compact", str(tmp_path / "nope.arena")])
     assert rc == 2
     assert "cannot load catalog" in capsys.readouterr().err
 
@@ -673,14 +692,16 @@ def test_index_arena_output_and_catalog_info(portal, tmp_path, capsys):
 def test_catalog_convert_round_trips_each_format(portal, tmp_path, capsys):
     json_catalog = _index(portal, tmp_path)
     arena = tmp_path / "catalog.arena"
-    npz = tmp_path / "catalog.npz"
+    back = tmp_path / "back.json"
     capsys.readouterr()
 
     assert main(["catalog", "convert", str(json_catalog), "-o", str(arena)]) == 0
     out = capsys.readouterr().out
     assert "(json) ->" in out and "(arena)" in out
-    assert main(["catalog", "convert", str(arena), "-o", str(npz)]) == 0
-    assert "(arena) ->" in capsys.readouterr().out
+    assert main(["catalog", "convert", str(arena), "-o", str(back)]) == 0
+    out = capsys.readouterr().out
+    assert "(arena) ->" in out and "(json)" in out
+    assert back.read_bytes() == json_catalog.read_bytes()
 
     def ranking(catalog):
         assert main(
@@ -690,7 +711,7 @@ def test_catalog_convert_round_trips_each_format(portal, tmp_path, capsys):
         return [l.split() for l in out.splitlines() if l and l[0].isdigit()]
 
     assert ranking(arena) == ranking(json_catalog)
-    assert ranking(npz) == ranking(json_catalog)
+    assert ranking(back) == ranking(json_catalog)
 
 
 def test_catalog_convert_missing_input_exits_2(tmp_path, capsys):
@@ -705,7 +726,7 @@ def test_catalog_convert_missing_input_exits_2(tmp_path, capsys):
 def test_shard_build_arena_layout_and_compact_preserves_it(
     portal, tmp_path, capsys
 ):
-    catalog_dir = _shard_build(portal, tmp_path, extra=["--layout", "arena"])
+    catalog_dir = _shard_build(portal, tmp_path)
     assert (catalog_dir / "shard-0000.arena").exists()
     capsys.readouterr()
 
@@ -722,11 +743,11 @@ def test_shard_build_arena_layout_and_compact_preserves_it(
     assert rc == 0
     assert "good.csv" in capsys.readouterr().out
 
-    # Compaction rewrites the shards in the layout they already use.
+    # Compaction rewrites the same files in place, nothing beside them.
+    before = sorted(p.name for p in catalog_dir.iterdir())
     assert main(["shard", "compact", str(catalog_dir)]) == 0
     capsys.readouterr()
-    assert (catalog_dir / "shard-0000.arena").exists()
-    assert not list(catalog_dir.glob("*.npz"))
+    assert sorted(p.name for p in catalog_dir.iterdir()) == before
     assert main(["shard", "info", str(catalog_dir)]) == 0
     assert "shard layout : arena" in capsys.readouterr().out
 
@@ -746,7 +767,7 @@ def test_policy_choices_mirror_serving_constant():
     assert _ON_SHARD_ERROR_CHOICES == ON_SHARD_ERROR_POLICIES
 
 
-@pytest.mark.parametrize("extension", ["npz", "arena"])
+@pytest.mark.parametrize("extension", ["arena"])
 def test_catalog_verify_ok_then_mismatch(portal, tmp_path, capsys, extension):
     catalog = tmp_path / f"catalog.{extension}"
     assert main(["index", str(portal), "-o", str(catalog)]) == 0
@@ -768,12 +789,12 @@ def test_catalog_verify_json_is_unchecked(portal, tmp_path, capsys):
 
 
 def test_catalog_verify_missing_file_exits_2(tmp_path, capsys):
-    assert main(["catalog", "verify", str(tmp_path / "nope.npz")]) == 2
+    assert main(["catalog", "verify", str(tmp_path / "nope.arena")]) == 2
     assert "error: cannot verify" in capsys.readouterr().err
 
 
 def test_shard_verify_clean_corrupt_and_missing(portal, tmp_path, capsys):
-    catalog_dir = _shard_build(portal, tmp_path, extra=["--layout", "arena"])
+    catalog_dir = _shard_build(portal, tmp_path)
     capsys.readouterr()
     assert main(["shard", "verify", str(catalog_dir)]) == 0
     assert "all 3 shard(s) verified" in capsys.readouterr().out

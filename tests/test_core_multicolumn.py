@@ -1,4 +1,16 @@
-"""Unit tests for MultiColumnSketch."""
+"""The multi-column sketch of Section 3.1's last paragraph.
+
+For a table ``T = {K, X, Z, …}`` the paper extends the sketch to
+``L = {⟨h(k), x_k, z_k, …⟩}`` — one bottom-``n`` selection shared by all
+numeric columns, because the selected keys depend only on ``K``.
+``CorrelationSketch.from_key_column`` is that build: it hashes, groups,
+ranks and selects the key column once and returns one ordinary sketch
+per value column. (The row-at-a-time ``MultiColumnSketch`` class these
+cases were first written against is gone; what it promised about the
+sketches is checked here against the builder that replaced it. Its
+by-name ``column("x")`` lookup went with it: the builder returns the
+sketches in column order.)
+"""
 
 import math
 
@@ -6,90 +18,97 @@ import numpy as np
 import pytest
 
 from repro.core.joined_sample import join_sketches
-from repro.core.multicolumn import MultiColumnSketch
 from repro.core.sketch import CorrelationSketch
+from repro.index.catalog import SketchCatalog
+from repro.table.column import CategoricalColumn, NumericColumn
+from repro.table.table import Table
 
 
 def test_validation():
     with pytest.raises(ValueError, match="positive"):
-        MultiColumnSketch(0, ["a"])
-    with pytest.raises(ValueError, match="at least one"):
-        MultiColumnSketch(4, [])
-    with pytest.raises(ValueError, match="duplicate"):
-        MultiColumnSketch(4, ["a", "a"])
+        CorrelationSketch.from_key_column(["k"], [[1.0]], 0)
     with pytest.raises(ValueError, match="unknown aggregate"):
-        MultiColumnSketch(4, ["a"], aggregate="nope")
+        CorrelationSketch.from_key_column(["k"], [[1.0]], 4, aggregate="nope")
+    # No value column is not an error: there is simply nothing to sketch.
+    assert CorrelationSketch.from_key_column(["k"], [], 4) == []
 
 
 def test_row_width_checked():
-    sketch = MultiColumnSketch(4, ["x", "z"])
-    with pytest.raises(ValueError, match="expected 2 values"):
-        sketch.update("k", [1.0])
+    with pytest.raises(ValueError, match="key column has 2 rows"):
+        CorrelationSketch.from_key_column(["k", "j"], [[1.0, 2.0], [1.0]], 4)
 
 
 def test_column_view_matches_direct_sketch():
-    """A column view must be indistinguishable from a directly built
-    sketch of that ⟨key, column⟩ pair."""
+    """Each sketch of the shared build must be indistinguishable from a
+    directly built sketch of that ⟨key, column⟩ pair."""
     rng = np.random.default_rng(3)
     n_rows = 2000
     keys = [f"k{i}" for i in range(n_rows)]
     x = rng.standard_normal(n_rows)
     z = rng.standard_normal(n_rows)
 
-    multi = MultiColumnSketch(64, ["x", "z"], name="t")
-    multi.update_all(zip(keys, zip(x, z)))
-
-    direct_x = CorrelationSketch.from_columns(keys, x, 64)
-    view_x = multi.column("x")
-    assert view_x.key_hashes() == direct_x.key_hashes()
-    assert view_x.entries() == direct_x.entries()
-    assert view_x.value_min == direct_x.value_min
-    assert view_x.value_max == direct_x.value_max
-    assert view_x.saw_all_keys == direct_x.saw_all_keys
+    view_x, view_z = CorrelationSketch.from_key_column(keys, [x, z], 64)
+    for view, column in ((view_x, x), (view_z, z)):
+        direct = CorrelationSketch.from_columns(keys, column, 64)
+        assert view.key_hashes() == direct.key_hashes()
+        assert view.entries() == direct.entries()
+        assert view.value_min == direct.value_min
+        assert view.value_max == direct.value_max
+        assert view.saw_all_keys == direct.saw_all_keys
+        assert view.rows_seen == direct.rows_seen == n_rows
 
 
 def test_shared_selection_across_columns():
-    multi = MultiColumnSketch(16, ["x", "z"])
-    for i in range(500):
-        multi.update(f"k{i}", [float(i), float(-i)])
-    assert multi.column("x").key_hashes() == multi.column("z").key_hashes()
-
-
-def test_unknown_column_view():
-    multi = MultiColumnSketch(4, ["x"])
-    with pytest.raises(KeyError, match="no column"):
-        multi.column("y")
+    keys = [f"k{i}" for i in range(500)]
+    x = np.arange(500.0)
+    sk_x, sk_z = CorrelationSketch.from_key_column(keys, [x, -x], 16)
+    assert sk_x.key_hashes() == sk_z.key_hashes()
+    # Shared, not merely equal: the selection was computed once.
+    assert sk_x.columnar().key_hashes is sk_z.columnar().key_hashes
 
 
 def test_repeated_keys_aggregate_per_column():
-    multi = MultiColumnSketch(8, ["x", "z"], aggregate="mean")
-    multi.update("a", [1.0, 10.0])
-    multi.update("a", [3.0, 30.0])
-    h = multi.hasher.key_hash("a")
-    assert multi.column("x").entries()[h] == 2.0
-    assert multi.column("z").entries()[h] == 20.0
+    sk_x, sk_z = CorrelationSketch.from_key_column(
+        ["a", "a"], [[1.0, 3.0], [10.0, 30.0]], 8, aggregate="mean"
+    )
+    h = sk_x.hasher.key_hash("a")
+    assert sk_x.entries()[h] == 2.0
+    assert sk_z.entries()[h] == 20.0
 
 
 def test_nan_handling_per_column():
-    multi = MultiColumnSketch(8, ["x", "z"])
-    multi.update("a", [math.nan, 5.0])
-    h = multi.hasher.key_hash("a")
-    assert math.isnan(multi.column("x").entries()[h])
-    assert multi.column("z").entries()[h] == 5.0
+    sk_x, sk_z = CorrelationSketch.from_key_column(["a"], [[math.nan], [5.0]], 8)
+    h = sk_x.hasher.key_hash("a")
+    assert math.isnan(sk_x.entries()[h])
+    assert sk_z.entries()[h] == 5.0
 
 
 def test_views_joinable_with_regular_sketches():
     keys = [f"k{i}" for i in range(300)]
     rng = np.random.default_rng(0)
     x = rng.standard_normal(300)
-    multi = MultiColumnSketch(32, ["x"], name="m")
-    multi.update_all(zip(keys, zip(x)))
+    (view,) = CorrelationSketch.from_key_column(keys, [x], 32)
     other = CorrelationSketch.from_columns(keys, x * 2, 32)
-    sample = join_sketches(multi.column("x"), other)
+    sample = join_sketches(view, other)
     assert sample.size > 0
     assert np.allclose(sample.y, 2 * sample.x)
 
 
 def test_view_name_includes_parent():
-    multi = MultiColumnSketch(4, ["x"], name="table1")
-    assert multi.column("x").name == "table1:x"
+    """Names are the caller's, one per column; the catalog — the caller
+    that builds whole tables this way — names each sketch by its pair id,
+    which carries the table (parent), key and value column."""
+    named = CorrelationSketch.from_key_column(["k"], [[1.0], [2.0]], 4, names=["p", None])
+    assert [s.name for s in named] == ["p", None]
+    table = Table(
+        "table1",
+        [
+            CategoricalColumn("key", ["a", "b"]),
+            NumericColumn("x", np.asarray([1.0, 2.0])),
+            NumericColumn("z", np.asarray([3.0, 4.0])),
+        ],
+    )
+    catalog = SketchCatalog(sketch_size=4)
+    ids = catalog.add_table(table)
+    assert ids == ["table1::key->x", "table1::key->z"]
+    assert [catalog.get(sid).name for sid in ids] == ids

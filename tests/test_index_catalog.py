@@ -98,30 +98,30 @@ def test_loaded_catalog_preserves_scheme(tmp_path):
     assert loaded.hasher.scheme_id == (64, 5)
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_save_load_round_trips_vectorized_flag(tmp_path, vectorized):
-    """The construction-path flag must survive persistence: a reloaded
-    catalog used to silently revert to the default."""
-    catalog = SketchCatalog(sketch_size=8, vectorized=vectorized)
-    catalog.add_table(table_from_arrays("t", ["a", "b"], [1.0, 2.0]))
-    path = tmp_path / "c.json"
-    catalog.save(path)
-    assert SketchCatalog.load(path).vectorized is vectorized
-
-
 def test_load_legacy_payload_defaults_vectorized(tmp_path):
-    """Catalogs saved before the flag existed load with the constructor
-    default (vectorized construction)."""
+    """The ``"vectorized"`` key is a constant the writer keeps for byte
+    stability and the reader never looks at: a payload without it, or
+    with the retired row-at-a-time value, loads the same catalog, which
+    builds columnar and saves the constant back."""
     import json
 
-    catalog = SketchCatalog(sketch_size=8, vectorized=False)
+    catalog = SketchCatalog(sketch_size=8)
     catalog.add_table(table_from_arrays("t", ["a", "b"], [1.0, 2.0]))
     path = tmp_path / "c.json"
     catalog.save(path)
-    payload = json.loads(path.read_text())
-    del payload["vectorized"]
-    path.write_text(json.dumps(payload))
-    assert SketchCatalog.load(path).vectorized is True
+    saved = path.read_text()
+    payload = json.loads(saved)
+    assert payload["vectorized"] is True
+    for edited in ({"vectorized": False}, None):
+        if edited is None:
+            del payload["vectorized"]
+        else:
+            payload.update(edited)
+        path.write_text(json.dumps(payload))
+        loaded = SketchCatalog.load(path)
+        assert not hasattr(loaded, "vectorized")
+        loaded.save(path)
+        assert path.read_text() == saved
 
 
 def test_frozen_postings_cached_and_invalidated():
@@ -221,7 +221,7 @@ def test_remove_sketches_validates_batch():
 def test_remove_from_snapshot_loaded_catalog(tmp_path):
     """Removal on a lazily rehydrated catalog: the stale live index is
     simply rebuilt later from the surviving entries."""
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     _catalog().save(path)
     loaded = SketchCatalog.load(path)
     loaded.remove_sketch("t1::key->value")

@@ -224,7 +224,7 @@ def test_snapshot_round_trip_preserves_live_delta(tmp_path):
     loaded catalog still reports pending state and answers identically,
     and compacting afterwards changes nothing either."""
     mutated, oracle, _, query = _build_worlds()
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     mutated.save(path)
     loaded = SketchCatalog.load(path)
     assert loaded.delta_size == mutated.delta_size > 0
@@ -301,7 +301,7 @@ def test_remove_delta_only_id_on_snapshot_loaded_catalog(tmp_path):
     catalog.add_table(table_from_arrays("base", ["a", "b", "c"], [1.0, 2.0, 3.0]))
     catalog.frozen_postings()
     catalog.add_table(table_from_arrays("late", ["a", "b"], [1.0, 2.0]))
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     assert loaded.delta_size == 1

@@ -210,7 +210,7 @@ def test_empty_catalog_lsh():
 def test_lsh_round_trips_through_snapshot(tmp_path):
     catalog, query = _high_containment_world(seed=8, n_tables=6)
     original = catalog.lsh_index(bands=32, rows=2)
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     catalog.save(path)
 
     loaded = SketchCatalog.load(path)
@@ -235,7 +235,7 @@ def test_lsh_round_trips_through_snapshot(tmp_path):
 
 def test_snapshot_without_lsh_has_no_lsh(tmp_path):
     catalog, _ = _high_containment_world(seed=9, n_tables=2, n_rows=300)
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     catalog.save(path)  # no lsh_index() call before saving
     loaded = SketchCatalog.load(path)
     assert loaded.lsh_params is None
@@ -250,7 +250,7 @@ def test_snapshot_persists_layered_lsh_after_mutation(tmp_path):
     catalog.add_table(
         table_from_arrays("late", ["a", "b"], np.asarray([1.0, 2.0]))
     )
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     # The frozen-layer LSH came back warm (its shape, not None)...

@@ -1,12 +1,16 @@
 """Binary catalog snapshots: round trip, lazy rehydration, bulk add.
 
 The snapshot contract (docs/ARCHITECTURE.md): a catalog saved to the
-binary format and to JSON must load back **array-identical** — same
-per-sketch entries, columnar views, metadata and postings — while the
-binary load does no per-entry work (lazy array-view sketches, warm
-frozen-postings cache, deferred inverted-index rebuild).
+binary format (the arena) and to JSON must load back **array-identical**
+— same per-sketch entries, columnar views, metadata and postings — while
+the binary load does no per-entry work (lazy array-view sketches, warm
+frozen-postings cache, deferred inverted-index rebuild). Each format is
+readable in exactly one generation: the retired zip-of-``.npy`` format
+is refused by name, under either corruption policy, and the bytes of a
+current-generation file are pinned to the ones PR 21 wrote.
 """
 
+import hashlib
 import json
 import math
 
@@ -17,12 +21,15 @@ from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import JoinCorrelationEngine
+from repro.index.arena import ArenaReader, backing_storage, write_arena
 from repro.index.snapshot import (
-    SNAPSHOT_VERSION,
+    ARENA_VERSION,
+    QUARANTINE_SUFFIX,
     detect_format,
     load_snapshot,
-    save_snapshot,
+    verify_snapshot,
 )
+from repro.serving import MANIFEST_NAME, ShardedCatalog
 from repro.table.table import table_from_arrays
 
 from scalar_query_oracle import scalar_query
@@ -63,6 +70,14 @@ def _assert_columns_equal(a, b):
     )
 
 
+def _assert_scalars_equal(a: CorrelationSketch, b: CorrelationSketch):
+    """The per-sketch scalars a snapshot persists beside the arrays."""
+    assert (a.n, a.aggregate, a.name) == (b.n, b.aggregate, b.name)
+    assert (a.rows_seen, a.saw_all_keys) == (b.rows_seen, b.saw_all_keys)
+    for x, y in ((a.value_min, b.value_min), (a.value_max, b.value_max)):
+        assert x == y or (math.isnan(x) and math.isnan(y))
+
+
 def _assert_entries_equal(a: dict, b: dict):
     assert set(a) == set(b)
     for kh, value in a.items():
@@ -76,38 +91,38 @@ def _assert_entries_equal(a: dict, b: dict):
 def test_json_binary_round_trip_array_equality(tmp_path):
     catalog, _ = _world()
     json_path = tmp_path / "c.json"
-    npz_path = tmp_path / "c.npz"
+    arena_path = tmp_path / "c.arena"
     catalog.save(json_path)
-    catalog.save(npz_path)
+    catalog.save(arena_path)
 
     from_json = SketchCatalog.load(json_path)
-    from_npz = SketchCatalog.load(npz_path)
-    assert list(from_json) == list(from_npz) == list(catalog)
-    assert from_npz.sketch_size == catalog.sketch_size
-    assert from_npz.aggregate == catalog.aggregate
-    assert from_npz.hasher.scheme_id == catalog.hasher.scheme_id
-    assert from_npz.vectorized == catalog.vectorized
+    from_arena = SketchCatalog.load(arena_path)
+    assert (from_json.storage, from_arena.storage) == ("heap", "mmap")
+    assert list(from_json) == list(from_arena) == list(catalog)
+    assert from_arena.sketch_size == catalog.sketch_size
+    assert from_arena.aggregate == catalog.aggregate
+    assert from_arena.hasher.scheme_id == catalog.hasher.scheme_id
 
     for sid in catalog:
         _assert_columns_equal(
-            catalog.sketch_columns(sid), from_npz.sketch_columns(sid)
+            catalog.sketch_columns(sid), from_arena.sketch_columns(sid)
         )
         _assert_columns_equal(
-            from_json.sketch_columns(sid), from_npz.sketch_columns(sid)
+            from_json.sketch_columns(sid), from_arena.sketch_columns(sid)
         )
-        assert from_npz.sketch_meta(sid) == catalog.sketch_meta(sid)
+        assert backing_storage(from_arena.sketch_columns(sid).key_hashes) == "mmap"
+        _assert_scalars_equal(from_arena.get(sid), catalog.get(sid))
+        _assert_scalars_equal(from_json.get(sid), catalog.get(sid))
         # Full materialization equality, down to every entry.
         _assert_entries_equal(
-            from_npz.get(sid).entries(), catalog.get(sid).entries()
+            from_arena.get(sid).entries(), catalog.get(sid).entries()
         )
-        assert from_npz.get(sid).rows_seen == catalog.get(sid).rows_seen
-        assert from_npz.get(sid).saw_all_keys == catalog.get(sid).saw_all_keys
 
 
 def test_snapshot_persists_frozen_postings(tmp_path):
     catalog, _ = _world(seed=1)
     original = catalog.frozen_postings()
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     restored = loaded.frozen_postings()
@@ -120,12 +135,12 @@ def test_snapshot_persists_frozen_postings(tmp_path):
 
 def test_query_results_identical_across_formats(tmp_path):
     catalog, query = _world(seed=2)
-    json_path, npz_path = tmp_path / "c.json", tmp_path / "c.npz"
+    json_path, arena_path = tmp_path / "c.json", tmp_path / "c.arena"
     catalog.save(json_path)
-    catalog.save(npz_path)
+    catalog.save(arena_path)
     engines = [
         JoinCorrelationEngine(c)
-        for c in (catalog, SketchCatalog.load(json_path), SketchCatalog.load(npz_path))
+        for c in (catalog, SketchCatalog.load(json_path), SketchCatalog.load(arena_path))
     ]
     for scorer in ("rp", "rp_cih", "rb_cib", "jc_est", "random"):
         results = [e.query(query, k=6, scorer=scorer) for e in engines]
@@ -135,16 +150,17 @@ def test_query_results_identical_across_formats(tmp_path):
 
 
 def test_save_of_unmaterialized_snapshot_catalog(tmp_path):
-    """save(npz) -> load -> save(both formats) without ever materializing."""
+    """save(arena) -> load -> save(both formats) without ever materializing."""
     catalog, query = _world(seed=3, n_tables=4)
-    first = tmp_path / "a.npz"
+    first = tmp_path / "a.arena"
     catalog.save(first)
     loaded = SketchCatalog.load(first)
-    second_npz = tmp_path / "b.npz"
+    second_arena = tmp_path / "b.arena"
     second_json = tmp_path / "b.json"
-    loaded.save(second_npz)  # lazy entries persisted from their views
+    loaded.save(second_arena)  # lazy entries persisted from their views
     loaded.save(second_json)  # JSON save materializes on demand
-    again = SketchCatalog.load(second_npz)
+    assert second_arena.read_bytes() == first.read_bytes()
+    again = SketchCatalog.load(second_arena)
     for sid in catalog:
         _assert_columns_equal(
             catalog.sketch_columns(sid), again.sketch_columns(sid)
@@ -158,7 +174,7 @@ def test_save_of_unmaterialized_snapshot_catalog(tmp_path):
 
 def test_empty_catalog_round_trip(tmp_path):
     catalog = SketchCatalog(sketch_size=16)
-    path = tmp_path / "empty.npz"
+    path = tmp_path / "empty.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     assert len(loaded) == 0
@@ -168,67 +184,125 @@ def test_empty_catalog_round_trip(tmp_path):
 
 def test_snapshot_preserves_scheme_and_flags(tmp_path):
     catalog = SketchCatalog(
-        sketch_size=8, hasher=KeyHasher(bits=64, seed=5), vectorized=False,
-        aggregate="sum",
+        sketch_size=8, hasher=KeyHasher(bits=64, seed=5), aggregate="sum"
     )
     catalog.add_table(table_from_arrays("t", ["a", "b", "a"], [1.0, 2.0, 3.0]))
-    path = tmp_path / "c.npz"
-    catalog.save(path)
-    loaded = SketchCatalog.load(path)
-    assert loaded.hasher.scheme_id == (64, 5)
-    assert loaded.vectorized is False
-    assert loaded.aggregate == "sum"
+    for name in ("c.arena", "c.json"):
+        catalog.save(tmp_path / name)
+        loaded = SketchCatalog.load(tmp_path / name)
+        assert loaded.hasher.scheme_id == (64, 5)
+        assert loaded.sketch_size == 8
+        assert loaded.aggregate == "sum"
 
 
 def test_unknown_snapshot_version_rejected(tmp_path):
+    """Exactly one generation is readable: the one this build writes."""
     catalog, _ = _world(seed=4, n_tables=2)
-    path = tmp_path / "c.npz"
-    save_snapshot(catalog, path)
-    payload = dict(np.load(path))
-    payload["version"] = np.asarray([SNAPSHOT_VERSION + 1], dtype=np.int64)
-    np.savez(path, **payload)
-    with pytest.raises(ValueError, match="snapshot version"):
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    reader = ArenaReader(path)
+    arrays = {name: reader.array(name) for name in reader.extents}
+    for version in (ARENA_VERSION - 1, ARENA_VERSION + 1, None):
+        meta = {
+            k: v
+            for k, v in reader.meta.items()
+            if k not in ("arrays", "data_bytes", "payload_crc32")
+        }
+        meta["version"] = version
+        write_arena(tmp_path / "other.arena", meta, arrays)
+        with pytest.raises(ValueError, match="arena version"):
+            load_snapshot(tmp_path / "other.arena")
+    assert len(load_snapshot(path)) == len(catalog)
+
+
+@pytest.mark.parametrize("name", ["c.npz", "c.bin", "c.json", "c.arena"])
+@pytest.mark.parametrize("on_corruption", ["raise", "quarantine"])
+def test_retired_npz_snapshot_refused_not_quarantined(
+    tmp_path, name, on_corruption
+):
+    """A file in the retired format — by extension or by zip magic — is
+    refused by name. A refusal is not corruption: it raises under both
+    policies, renames nothing and never reaches a healthy sibling."""
+    catalog, _ = _world(seed=4, n_tables=2)
+    catalog.save(tmp_path / ("c.arena" if name == "c.json" else "c.json"))
+    path = tmp_path / name
+    # The zip magic, or (for the extension case) bytes that are not even that.
+    path.write_bytes(b"not a zip" if name == "c.npz" else b"PK\x03\x04 members")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(ValueError, match=r"retired \.npz snapshot format"):
+        SketchCatalog.load(path, on_corruption=on_corruption)
+    with pytest.raises(ValueError, match=r"retired \.npz snapshot format"):
+        verify_snapshot(path)
+    with pytest.raises(ValueError, match=r"retired \.npz snapshot format"):
         load_snapshot(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not (tmp_path / (name + QUARANTINE_SUFFIX)).exists()
 
 
-def test_version1_snapshot_still_loads(tmp_path):
-    """Version 2 only *added* the optional LSH members, so a snapshot
-    rewritten with the version-1 layout (no LSH arrays) must load."""
-    catalog, query = _world(seed=4, n_tables=3)
-    catalog.lsh_index()  # v2 save would persist LSH members
-    path = tmp_path / "c.npz"
-    save_snapshot(catalog, path)
-    payload = dict(np.load(path))
-    for key in ("lsh_config", "lsh_slots", "lsh_filled"):
-        payload.pop(key)
-    payload["version"] = np.asarray([1], dtype=np.int64)
-    np.savez(path, **payload)
-    loaded = load_snapshot(path)
-    assert len(loaded) == len(catalog)
-    assert loaded.lsh_params is None  # rebuilt lazily, like JSON catalogs
-    for sid in catalog:
-        _assert_columns_equal(
-            catalog.sketch_columns(sid), loaded.sketch_columns(sid)
+def test_save_refuses_the_retired_extension(tmp_path):
+    catalog, _ = _world(seed=4, n_tables=2)
+    with pytest.raises(ValueError, match=r"retired \.npz snapshot format"):
+        catalog.save(tmp_path / "c.npz")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fixed_tables():
+    tables = []
+    for t in range(5):
+        rows = 40 + 17 * t
+        keys = [f"k{(7 * i + 3 * t) % 97}" for i in range(rows)]
+        values = np.asarray(
+            [((i * i + 5 * t) % 23) / 4.0 - t for i in range(rows)], dtype=np.float64
         )
-    a = JoinCorrelationEngine(catalog).query(query, k=5)
-    b = JoinCorrelationEngine(loaded).query(query, k=5)
-    assert [(e.candidate_id, e.score) for e in a.ranked] == [
-        (e.candidate_id, e.score) for e in b.ranked
-    ]
+        values[t::9] = np.nan
+        tables.append(table_from_arrays(f"fixed{t}", keys, values))
+    return tables
+
+
+def test_current_generation_files_are_byte_identical_to_pr21(tmp_path):
+    """Retiring generations moved no byte of the current one: a fixed
+    catalog — frozen layer, one delta sketch, one tombstone — and its
+    sharded twin hash to the constants recorded from the parent commit
+    (1e139e2), header slots and keys that are no longer read included."""
+    tables = _fixed_tables()
+    catalog = SketchCatalog(sketch_size=16)
+    catalog.add_tables(tables[:4])
+    catalog.compact()
+    catalog.add_table(tables[4])
+    catalog.remove_sketch(next(iter(catalog)))
+    catalog.save(tmp_path / "c.arena")
+    catalog.save(tmp_path / "c.json")
+    sharded = ShardedCatalog(2, sketch_size=16)
+    sharded.add_tables(tables)
+    sharded.save(tmp_path / "dir")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in (
+            "c.arena", "c.json", f"dir/{MANIFEST_NAME}",
+            "dir/shard-0000.arena", "dir/shard-0001.arena",
+        )
+    }
+    assert digests == {
+        "c.arena": "454873bb94cfecf92c34491ee700310bb2d28dcecd3d0d0ffe9ae23169cd211d",
+        "c.json": "2212f75b750122694e9adb0e7e67004f7eccc6d5bc2cf509e6727eb5c1f2cb81",
+        "dir/manifest.json": "614ea182ce9637a4d3521af36884ee48d7a153a46e9b54b07fb6c4f91460594a",
+        "dir/shard-0000.arena": "dc5581cc6f74b9009587b5a24894d098a364f29c596fd323bced6d70fc9a5d70",
+        "dir/shard-0001.arena": "c5e319d133b1a329cfc419fbaaf1aa2e2ffff9586ca5a6f3e56ca5bf65a00bca",
+    }
 
 
 def test_format_detection(tmp_path):
     catalog, _ = _world(seed=5, n_tables=2)
-    npz_path = tmp_path / "c.npz"
+    arena_path = tmp_path / "c.arena"
     json_path = tmp_path / "c.json"
-    catalog.save(npz_path)
+    catalog.save(arena_path)
     catalog.save(json_path)
-    assert detect_format(npz_path) == "binary"
+    assert detect_format(arena_path) == "arena"
     assert detect_format(json_path) == "json"
-    # Content sniff: a snapshot without the .npz extension still loads.
+    # Content sniff: a snapshot without the .arena extension still loads.
     sneaky = tmp_path / "catalog.bin"
-    sneaky.write_bytes(npz_path.read_bytes())
-    assert detect_format(sneaky) == "binary"
+    sneaky.write_bytes(arena_path.read_bytes())
+    assert detect_format(sneaky) == "arena"
     assert len(SketchCatalog.load(sneaky)) == len(catalog)
 
 
@@ -237,7 +311,7 @@ def test_format_detection(tmp_path):
 
 def test_columnar_path_never_materializes(tmp_path):
     catalog, query = _world(seed=6)
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     entries = loaded._sketches
@@ -259,7 +333,7 @@ def test_columnar_path_never_materializes(tmp_path):
 
 def test_get_materializes_once_and_caches(tmp_path):
     catalog, _ = _world(seed=7, n_tables=2)
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     sid = next(iter(loaded))
@@ -271,7 +345,7 @@ def test_get_materializes_once_and_caches(tmp_path):
 
 def test_mutation_after_snapshot_load(tmp_path):
     catalog, query = _world(seed=8, n_tables=3)
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     frozen_before = loaded.frozen_postings()
@@ -290,7 +364,7 @@ def test_mutation_after_snapshot_load(tmp_path):
 
 def test_scalar_index_rebuild_matches_original(tmp_path):
     catalog, query = _world(seed=9)
-    path = tmp_path / "c.npz"
+    path = tmp_path / "c.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     a = catalog.index.top_overlap(query.key_hashes(), 10)

@@ -4,8 +4,9 @@
 each key column once and runs only the aggregation and the merge per value
 column (Section 3.1's shared selection). Every sketch it registers must
 still be, in full state, the sketch the row-at-a-time definition builds
-from that pair alone: ``CorrelationSketch.from_columns(...,
-vectorized=False)`` over ``Table.pair_rows``.
+from that pair alone: ``CorrelationSketch.update_all`` over
+``Table.pair_rows`` — the reference lives here, not behind a flag in
+``src/``.
 """
 
 import math
@@ -36,16 +37,14 @@ def assert_full_state_equal(got: CorrelationSketch, expected: CorrelationSketch)
 
 
 def _reference(table: Table, pair, catalog: SketchCatalog) -> CorrelationSketch:
-    rows = list(table.pair_rows(pair))
-    return CorrelationSketch.from_columns(
-        [k for k, _ in rows],
-        [v for _, v in rows],
+    sketch = CorrelationSketch(
         catalog.sketch_size,
         aggregate=catalog.aggregate,
         hasher=catalog.hasher,
         name=pair.pair_id,
-        vectorized=False,
     )
+    sketch.update_all(table.pair_rows(pair))
+    return sketch
 
 
 key_cell = st.one_of(
@@ -125,10 +124,12 @@ def test_from_key_column_is_from_columns_per_value_column():
     columns = [[1.0, 2.0, 3.0, math.nan, 5.0, 6.0], [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]]
     built = CorrelationSketch.from_key_column(keys, columns, 3, names=["p", "q"])
     for sketch, values, name in zip(built, columns, ["p", "q"]):
-        expected = CorrelationSketch.from_columns(
-            keys, values, 3, name=name, vectorized=False
-        )
+        expected = CorrelationSketch(3, name=name)
+        expected.update_all(zip(keys, values))
         assert_full_state_equal(sketch, expected)
+        assert_full_state_equal(
+            CorrelationSketch.from_columns(keys, values, 3, name=name), expected
+        )
     assert CorrelationSketch.from_key_column(keys, [], 3) == []
     with pytest.raises(ValueError, match="key column has 6 rows"):
         CorrelationSketch.from_key_column(keys, [[1.0]], 3)
@@ -158,11 +159,10 @@ def test_add_table_hashes_each_key_column_once(monkeypatch):
     assert hashed == [198]
 
     hashed.clear()
-    reference = SketchCatalog(sketch_size=16, vectorized=False)
-    reference.add_table(table)
+    references = [_reference(table, pair, catalog) for pair in table.column_pairs()]
     assert hashed == []  # the row-at-a-time build never enters the batch hash
-    for sid in catalog:
-        assert_full_state_equal(catalog.get(sid), reference.get(sid))
+    for sid, reference in zip(catalog, references):
+        assert_full_state_equal(catalog.get(sid), reference)
 
 
 # -- array build ≡ row-at-a-time build, in full state --------------------------

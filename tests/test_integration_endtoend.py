@@ -144,9 +144,8 @@ def test_csv_round_trip_preserves_query_results(tmp_path):
 
 
 def test_multicolumn_sketch_in_catalog_workflow():
-    """MultiColumnSketch views slot into a catalog transparently."""
-    from repro.core.multicolumn import MultiColumnSketch
-
+    """The §3.1 multi-column build (one key selection, one sketch per
+    numeric column) slots into a catalog transparently."""
     rng = np.random.default_rng(6)
     n = 800
     keys = [f"k{i}" for i in range(n)]
@@ -154,12 +153,15 @@ def test_multicolumn_sketch_in_catalog_workflow():
     z = 0.9 * x + 0.45 * rng.standard_normal(n)
 
     catalog = SketchCatalog(sketch_size=128)
-    multi = MultiColumnSketch(
-        128, ["x", "z"], hasher=catalog.hasher, name="wide"
+    ids = ["wide:x", "wide:z"]
+    catalog.add_sketches(
+        zip(
+            ids,
+            CorrelationSketch.from_key_column(
+                keys, [x, z], 128, hasher=catalog.hasher, names=ids
+            ),
+        )
     )
-    multi.update_all(zip(keys, zip(x, z)))
-    catalog.add_sketch("wide:x", multi.column("x"))
-    catalog.add_sketch("wide:z", multi.column("z"))
 
     query = CorrelationSketch.from_columns(keys, x, 128, hasher=catalog.hasher)
     result = JoinCorrelationEngine(catalog).query(query, k=2, scorer="rp")

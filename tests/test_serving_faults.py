@@ -322,10 +322,10 @@ def test_query_pool_forwards_resilience_kwargs(catalog, queries):
 # -- snapshot corruption: truncation, checksums, quarantine -------------------
 
 
-def _saved_dir(tmp_path, layout="arena"):
+def _saved_dir(tmp_path):
     catalog = _build_catalog()
-    directory = tmp_path / f"catalog-{layout}"
-    catalog.save(directory, layout=layout)
+    directory = tmp_path / "catalog-arena"
+    catalog.save(directory)
     return catalog, directory
 
 
@@ -334,13 +334,13 @@ def _truncate(path):
     path.write_bytes(data[: len(data) // 2])
 
 
-@pytest.mark.parametrize("layout", ["arena", "npz"])
+@pytest.mark.parametrize("layout", ["arena"])
 def test_truncated_shard_quarantined_and_served_partial(tmp_path, layout):
     """The ISSUE's acceptance path: a truncated shard snapshot is moved
     to *.quarantined, the manifest load succeeds on the remaining
     shards, and partial queries serve the survivors oracle."""
-    built, directory = _saved_dir(tmp_path, layout)
-    shard_file = directory / f"shard-0001.{'arena' if layout == 'arena' else 'npz'}"
+    built, directory = _saved_dir(tmp_path)
+    shard_file = directory / f"shard-0001.{layout}"
     _truncate(shard_file)
 
     with pytest.raises((ValueError, Exception)):
@@ -364,14 +364,17 @@ def test_truncated_shard_quarantined_and_served_partial(tmp_path, layout):
 
 
 def test_catalog_fallback_chain_arena_to_npz(tmp_path):
-    """A corrupt .arena with a healthy .npz sibling recovers through the
-    fallback chain, reporting exactly what was skipped."""
+    """The chain is arena → json: a corrupt .arena recovers from its
+    healthy .json sibling, reporting exactly what was skipped. The link
+    that ran through a .npz sibling went with the format — such a file
+    is neither tried nor touched."""
     catalog = _build_catalog()
     mono = SketchCatalog(sketch_size=SKETCH_SIZE, hasher=catalog.hasher)
     for sid in sorted(catalog):
         mono.add_sketch(sid, catalog.get(sid))
-    mono.save(tmp_path / "c.npz")
+    mono.save(tmp_path / "c.json")
     mono.save(tmp_path / "c.arena")
+    (tmp_path / "c.npz").write_bytes(b"PK\x03\x04 a retired snapshot")
     _truncate(tmp_path / "c.arena")
 
     recovered = SketchCatalog.load(
@@ -379,9 +382,12 @@ def test_catalog_fallback_chain_arena_to_npz(tmp_path):
     )
     assert sorted(recovered) == sorted(mono)
     recovery = recovered.load_recovery
-    assert recovery["loaded_from"].endswith("c.npz")
+    assert recovery["loaded_from"].endswith("c.json")
     assert [p.split("/")[-1] for p in recovery["quarantined"]] == [
         "c.arena" + QUARANTINE_SUFFIX
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.arena" + QUARANTINE_SUFFIX, "c.json", "c.npz"
     ]
     # and the recovered catalog answers queries like the original
     want = JoinCorrelationEngine(mono).query(catalog.get("p00"), k=5)
@@ -389,7 +395,7 @@ def test_catalog_fallback_chain_arena_to_npz(tmp_path):
     assert _ranking(got) == _ranking(want)
 
 
-@pytest.mark.parametrize("layout", ["arena", "npz"])
+@pytest.mark.parametrize("layout", ["arena"])
 def test_checksum_detects_payload_bit_rot(tmp_path, layout):
     catalog = _build_catalog()
     mono = SketchCatalog(sketch_size=SKETCH_SIZE, hasher=catalog.hasher)
@@ -400,38 +406,18 @@ def test_checksum_detects_payload_bit_rot(tmp_path, layout):
     raw = bytearray(path.read_bytes())
     raw[-3] ^= 0xFF  # flip payload bits, keep the container parseable
     path.write_bytes(bytes(raw))
-    if layout == "arena":
-        assert verify_snapshot(path) is False
-    else:
-        # npz members are zip-framed: a flipped byte either fails the
-        # member CRC inside np.load (structural) or our payload CRC.
-        try:
-            assert verify_snapshot(path) is False
-        except ValueError:
-            pass
+    assert verify_snapshot(path) is False
+    assert sorted(load_snapshot(path)) == ["x"]  # load never checksums
 
 
 def test_pre_checksum_snapshots_load_unchecked(tmp_path):
-    """Files written before checksums existed load fine and verify to
-    None — the compatibility contract."""
+    """Arenas written before checksums existed load fine and verify to
+    None — the compatibility contract (within the one generation)."""
+    from repro.index.arena import ArenaReader
+
     catalog = _build_catalog()
     mono = SketchCatalog(sketch_size=SKETCH_SIZE, hasher=catalog.hasher)
     mono.add_sketch("x", catalog.get("p00"))
-    path = tmp_path / "old.npz"
-    mono.save(path)
-    with np.load(path, allow_pickle=False) as payload:
-        members = {
-            name: payload[name]
-            for name in payload.files
-            if name != "payload_crc32"
-        }
-    np.savez(path, **members)  # an "old" snapshot: no checksum member
-    assert verify_snapshot(path) is None
-    reloaded = load_snapshot(path)
-    assert sorted(reloaded) == ["x"]
-
-    from repro.index.arena import ArenaReader
-
     arena_path = tmp_path / "old.arena"
     mono.save(arena_path)
     reader = ArenaReader(arena_path)

@@ -133,6 +133,52 @@ def test_unknown_manifest_version_refused(saved):
         ShardedCatalog.load(directory)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"version": 1}, "versions 1 and 2 are retired"),
+        ({"version": 2}, "versions 1 and 2 are retired"),
+        ({"layout": "npz"}, r"\.npz shard layout is retired"),
+        ({"layout": None}, r"\.npz shard layout is retired"),
+    ],
+)
+@pytest.mark.parametrize("on_corruption", ["raise", "quarantine"])
+def test_retired_manifest_generations_refused(
+    saved, edit, message, on_corruption
+):
+    """One manifest generation is readable. An earlier version, or a
+    current one recording the retired shard layout, is refused by name —
+    under both corruption policies, and with nothing renamed: a refusal
+    is not corruption."""
+    _, _, directory, manifest_path = saved
+    payload = json.loads(manifest_path.read_text())
+    payload.update(edit)
+    if edit.get("layout", "") is None:
+        del payload["layout"]
+    manifest_path.write_text(json.dumps(payload))
+    before = sorted(p.name for p in directory.iterdir())
+    with pytest.raises(ValueError, match=message):
+        ShardedCatalog.load(directory, lazy=False, on_corruption=on_corruption)
+    assert sorted(p.name for p in directory.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["../x.arena", "/tmp/x.arena", "shard-0001.arena", "shard-0000.npz", None],
+)
+def test_shard_file_must_be_the_canonical_name(saved, tmp_path, name):
+    """The shard file name is a function of the index: a manifest naming
+    anything else — a path out of the directory, another shard's file —
+    is refused before any path is joined."""
+    _, _, directory, manifest_path = saved
+    (tmp_path / "x.arena").write_bytes((directory / "shard-0000.arena").read_bytes())
+    payload = json.loads(manifest_path.read_text())
+    payload["shards"][0]["file"] = name
+    manifest_path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="shard 0 must name 'shard-0000.arena'"):
+        ShardedCatalog.load(directory)
+
+
 def test_corrupt_manifest_json_refused(saved):
     _, _, directory, manifest_path = saved
     manifest_path.write_text("{not json")
@@ -171,12 +217,12 @@ def test_duplicate_id_across_shards_refused(saved):
 
 
 def test_sharded_vs_monolithic_snapshot_same_results(saved, tmp_path):
-    """A sharded manifest and a monolithic npz of the same corpus serve
+    """A sharded manifest and a monolithic arena of the same corpus serve
     identical rankings — the persistence formats agree end to end."""
     catalog, pairs, directory, _ = saved
     mono = SketchCatalog(sketch_size=48, hasher=catalog.hasher)
     mono.add_sketches(pairs)
-    mono_path = tmp_path / "mono.npz"
+    mono_path = tmp_path / "mono.arena"
     mono.save(mono_path)
     rng = np.random.default_rng(21)
     keys = rng.choice(800, 200, replace=False)

@@ -193,12 +193,9 @@ class TestQueryParity:
         ]
         values = np.arange(len(names), dtype=float)
         catalog = SketchCatalog(sketch_size=SKETCH_SIZE)
-        catalog.add_sketch(
-            "indexed",
-            CorrelationSketch.from_columns(
-                names, values, SKETCH_SIZE, name="indexed", vectorized=False
-            ),
-        )
+        indexed = CorrelationSketch(SKETCH_SIZE, name="indexed")
+        indexed.update_all(zip(names, values))  # the scalar port, row by row
+        catalog.add_sketch("indexed", indexed)
         mixed = [1, 2.5] + names[2:]
         session = QuerySession.for_catalog(catalog, QueryOptions(k=3))
         for keys in (names, mixed):
@@ -448,7 +445,7 @@ class TestServeCli:
         """`repro-sketch serve`: start, answer a query over HTTP, drain
         on SIGTERM, exit 0."""
         mono, _, _, (keys, values) = corpus
-        catalog_path = tmp_path / "catalog.npz"
+        catalog_path = tmp_path / "catalog.arena"
         mono.save(catalog_path)
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"

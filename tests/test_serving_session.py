@@ -267,7 +267,7 @@ class TestOptionsRouting:
 class TestConstruction:
     def test_open_monolithic_file(self, corpus, tmp_path):
         mono, _, queries = corpus
-        path = tmp_path / "catalog.npz"
+        path = tmp_path / "catalog.arena"
         mono.save(path)
         session = QuerySession.open(path, QueryOptions(k=4))
         assert isinstance(session.backend, JoinCorrelationEngine)

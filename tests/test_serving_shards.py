@@ -130,7 +130,6 @@ def test_get_and_columns_route_to_owner(catalog):
     sid = "t1::key->value"
     assert catalog.get(sid).name == sid
     assert catalog.sketch_columns(sid).size > 0
-    assert catalog.sketch_meta(sid).name == sid
     with pytest.raises(KeyError, match="no sketch"):
         catalog.get("missing")
     with pytest.raises(KeyError, match="no sketch"):
