@@ -29,19 +29,19 @@ Two execution strategies share these semantics:
   CSR page of samples; :func:`pm1_interval_batch` is its list-shaped
   entry) resamples *all* candidates of a ranked list together: each stopping
   round draws one shared uniform matrix, scales it into per-candidate
-  index draws, and evaluates every active candidate's replicates as one
-  chunked ``(C, B, n_max)`` masked tensor pass. Adaptive stopping (the
-  paper's 0.01 / 0.05% rule, applied per candidate) deactivates
-  converged rows between rounds, so typical candidates draw far fewer
-  than the 599 ``pcorb`` replicates. Statistically equivalent to the
-  per-candidate path, not bit-identical — the ``rng_mode="batched"``
-  contract.
+  index draws, and evaluates the active candidates' replicates in
+  size-ordered, cache-sized ``(C_chunk, B, n_chunk)`` tensor chunks,
+  each padded only to its own widest row. Replicates land in one
+  ``(C, 599)`` pool; adaptive stopping (the paper's 0.01 / 0.05% rule,
+  applied per candidate) deactivates converged rows between rounds, so
+  typical candidates draw far fewer than the 599 ``pcorb`` replicates.
+  Statistically equivalent to the per-candidate path, not bit-identical
+  — the ``rng_mode="batched"`` contract.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,6 +88,23 @@ def _pm1_ci_indices(n: int, b: int) -> tuple[int, int]:
         low_idx = max(1, round(low_idx * b / PM1_REPLICATES))
         high_idx = min(b, round(high_idx * b / PM1_REPLICATES))
     return low_idx, high_idx
+
+
+_PM1_MAX_N, _PM1_LOW, _PM1_HIGH = (np.array(col) for col in zip(*_PM1_INDICES))
+
+
+def _pm1_ci_index_columns(
+    n: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pm1_ci_indices` over arrays of sample sizes and pool sizes.
+
+    ``np.rint`` rounds half to even, as Python's ``round`` does, and at
+    ``b = 599`` the rescaling is the identity, so the two agree everywhere.
+    """
+    size_class = np.searchsorted(_PM1_MAX_N[:-1], n, side="right")
+    low_idx = np.rint(_PM1_LOW[size_class] * b / PM1_REPLICATES).astype(np.intp)
+    high_idx = np.rint(_PM1_HIGH[size_class] * b / PM1_REPLICATES).astype(np.intp)
+    return np.maximum(1, low_idx), np.minimum(b, high_idx)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,28 +225,18 @@ def pm1_interval(
     )
 
 
-#: Per-thread scratch tensors for the batch engine's chunk loop. The
-#: multi-megabyte (C_chunk, B, n_max) temporaries would otherwise be
-#: mmap'd and returned to the OS on every call, paying a page-fault
-#: storm per query in long-lived serving processes.
-_SCRATCH = threading.local()
-
-
-def _scratch_views(
-    chunk_elements: int, shape: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reusable (float32, int32, float32) tensors of ``shape``."""
-    size = shape[0] * shape[1] * shape[2]
-    buffers = getattr(_SCRATCH, "buffers", None)
-    if buffers is None or buffers[0].size < size:
-        alloc = max(size, chunk_elements)
-        buffers = (
-            np.empty(alloc, dtype=np.float32),
-            np.empty(alloc, dtype=np.int32),
-            np.empty(alloc, dtype=np.float32),
-        )
-        _SCRATCH.buffers = buffers
-    return tuple(buf[:size].reshape(shape) for buf in buffers)
+#: Cells (candidates × replicates × padded sample width) per tensor chunk
+#: of the batch engine. Sized to the cache, not to memory: every cell goes
+#: through about a dozen elementwise and reduction passes over a float32
+#: pair, an ``intp`` index tensor and a float64 temporary (24 bytes a
+#: cell, 768 KiB a chunk), and those passes run 2-3x faster per cell on a
+#: chunk that stays cache-resident than on a page-sized tensor. Measured
+#: on the 200 seed-42 ``batch_bootstrap`` pages of the benchmark of record
+#: (100 candidates, mean join sample 73; 2-vCPU Xeon, 4 MiB L2), kernel
+#: ms per page against 6.1 for the page-wide predecessor: 16 Ki 3.5,
+#: 24 Ki 3.2, 32 Ki 3.1, 48 Ki 3.1, 64 Ki 3.3, 128 Ki 3.7, 256 Ki 4.3 —
+#: below, per-chunk call overhead takes over; above, the chunk leaves L2.
+_CHUNK_CELLS = 1 << 15
 
 
 def pm1_interval_batch(
@@ -240,7 +247,6 @@ def pm1_interval_batch(
     active: Sequence[bool] | None = None,
     round_replicates: int = BATCH_ROUND_REPLICATES,
     max_replicates: int = PM1_REPLICATES,
-    chunk_elements: int = 1 << 21,
 ) -> list[BootstrapResult]:
     """PM1 bootstrap intervals for a whole candidate list in one engine run.
 
@@ -256,8 +262,7 @@ def pm1_interval_batch(
             candidates (and, when None, candidates with fewer than 2 pairs
             or an undefined Pearson correlation — the scalar path's guard)
             get the NaN :class:`BootstrapResult`.
-        round_replicates, max_replicates, chunk_elements: as in
-            :func:`pm1_interval_page`.
+        round_replicates, max_replicates: as in :func:`pm1_interval_page`.
     """
     count = len(xs)
     if len(ys) != count:
@@ -282,7 +287,6 @@ def pm1_interval_batch(
         rng,
         round_replicates=round_replicates,
         max_replicates=max_replicates,
-        chunk_elements=chunk_elements,
     )
     return [
         BootstrapResult(math.nan, math.nan, math.nan, b)
@@ -303,7 +307,6 @@ def pm1_interval_page(
     *,
     round_replicates: int = BATCH_ROUND_REPLICATES,
     max_replicates: int = PM1_REPLICATES,
-    chunk_elements: int = 1 << 21,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """PM1 bootstrap intervals for a CSR page of samples, as columns.
 
@@ -315,23 +318,29 @@ def pm1_interval_page(
     1. Every round draws **one** uniform matrix ``u ~ U[0,1)^(B, n_max)``
        shared by all still-active candidates; candidate ``i`` (sample size
        ``n_i``) turns it into index draws ``floor(u[:, :n_i] * n_i)``.
-    2. Replicate correlations for all active candidates are evaluated as a
-       chunked ``(C, B, n_max)`` masked tensor pass: samples are padded
-       (and pre-centered, which leaves Pearson's r unchanged but keeps the
-       one-pass moment arithmetic well-conditioned) into a dense matrix
-       with a zero column at index ``n_max``; out-of-range positions remap
-       to that column, so plain axis sums are exact masked sums.
-    3. Between rounds the paper's stopping rule — one more replicate moves
-       the running mean by more than 0.01 with probability below 0.05% —
-       deactivates converged rows; converged candidates stop drawing while
-       the rest continue, up to the ``pcorb`` pool size of 599.
+    2. The active candidates, kept in ascending sample-size order, are
+       walked in greedy chunks of at most :data:`_CHUNK_CELLS` cells. A
+       chunk is one dense ``(C_chunk, B, n_chunk)`` gather padded only to
+       its own last (widest) row — a row too wide for the budget is a
+       chunk of its own — so a ragged page does almost no padding work
+       and every pass over a chunk runs out of cache. The samples are
+       pre-centered and scaled (which leaves Pearson's r unchanged but
+       keeps the one-pass moment arithmetic well-conditioned) and laid
+       back to back with one trailing zero cell; padding positions gather
+       that cell, so plain axis sums are exact masked sums.
+    3. The round's replicate correlations fill the next columns of one
+       ``(C, max_replicates)`` NaN-initialised pool, and the paper's
+       stopping rule — one more replicate moves the running mean by more
+       than 0.01 with probability below 0.05% — deactivates converged
+       rows; the rest keep drawing, up to the ``pcorb`` pool size of 599.
 
     Each candidate's estimate is the mean of its replicate pool and its CI
     comes from the size-rescaled Wilcox order statistics
-    (:func:`_pm1_ci_indices`), exactly as :func:`pm1_interval` does when
-    degenerate replicates shrink its pool. Results are statistically
-    equivalent to the per-candidate path — identical contract, different
-    rng stream — and deterministic for a given ``rng``.
+    (:func:`_pm1_ci_indices`) of the row-sorted pool, exactly as
+    :func:`pm1_interval` does when degenerate replicates shrink its pool.
+    Results are statistically equivalent to the per-candidate path —
+    identical contract, different rng stream — and deterministic for a
+    given ``rng``.
 
     Args:
         x, y: page-level paired values (float64); candidate ``i`` owns
@@ -345,8 +354,6 @@ def pm1_interval_page(
             minimum pool size before the stopping rule may fire).
         max_replicates: replicate cap per candidate (default: the 599 of
             Wilcox's ``pcorb``).
-        chunk_elements: bound on elements per ``(C_chunk, B, n_max)``
-            tensor, limiting peak memory for large candidate pages.
 
     Returns:
         ``(estimate, low, high, replicates)`` columns aligned with the
@@ -369,34 +376,26 @@ def pm1_interval_page(
     sel = np.nonzero(np.asarray(active, dtype=bool) & (sizes > 0))[0]
     if not sel.size:
         return results
-    # Process candidates in ascending sample-size order: each chunk then
-    # pads to its own (near-uniform) local maximum instead of the global
-    # one, so ragged candidate pages waste almost no tensor work.
     sel = sel[np.argsort(sizes[sel], kind="stable")]
     if rng is None:
         rng = np.random.default_rng(0x5EEDB007)
 
     n_arr = sizes[sel]
-    n_max = int(n_arr.max())
-    # Padded dense samples with a dedicated all-zeros column at n_max:
-    # masked index positions point there, so unweighted sums are exact.
-    # The tensor pass runs in float32: centering plus per-sample scale
-    # normalization keep the one-pass moments well-conditioned, and the
-    # ~1e-5 r error this costs is orders of magnitude below bootstrap
-    # replicate noise — while halving the memory traffic of the hot loop.
-    # Prep is itself segment-vectorized (one gather of the selected
-    # segments, then reduceat) so large candidate pages pay no
-    # per-candidate Python cost.
-    padded_x = np.zeros((len(sel), n_max + 1), dtype=np.float32)
-    padded_y = np.zeros((len(sel), n_max + 1), dtype=np.float32)
-    starts = np.zeros(len(sel), dtype=np.int64)
+    n_max = int(n_arr[-1])
+    total = int(n_arr.sum())
+    # The selected samples back to back in size order, plus the zero cell
+    # at ``total``. The tensor pass runs in float32: centering plus
+    # per-sample scale normalization keep the one-pass moments
+    # well-conditioned, and the ~1e-5 r error this costs is orders of
+    # magnitude below bootstrap replicate noise — while halving the memory
+    # traffic of the hot loop. Prep is segment-vectorized (one gather of
+    # the selected segments, then reduceat), no per-candidate Python.
+    starts = np.zeros(len(sel), dtype=np.intp)
     np.cumsum(n_arr[:-1], out=starts[1:])
-    within = np.arange(int(n_arr.sum())) - np.repeat(starts, n_arr)
-    flat_positions = within + np.repeat(
-        np.arange(len(sel)) * (n_max + 1), n_arr
-    )
-    gather = within + np.repeat(indptr[sel], n_arr)
-    for padded, column in ((padded_x, x), (padded_y, y)):
+    gather = np.arange(total) + np.repeat(indptr[sel] - starts, n_arr)
+    flat_x = np.zeros(total + 1, dtype=np.float32)
+    flat_y = np.zeros(total + 1, dtype=np.float32)
+    for flat, column in ((flat_x, x), (flat_y, y)):
         concat = column[gather]
         means = np.add.reduceat(concat, starts) / n_arr
         centered = concat - np.repeat(means, n_arr)
@@ -405,123 +404,119 @@ def pm1_interval_page(
         scales = np.maximum.reduceat(np.abs(centered), starts)
         scales[scales <= 0] = 1.0
         centered /= np.repeat(scales, n_arr)
-        padded.reshape(-1)[flat_positions] = centered
+        flat[:total] = centered
 
-    # Flat views for the gather: np.take(flat, row * width + idx) is a
-    # plain flat gather, which numpy executes far faster than the
-    # broadcast take_along_axis path. Flat offsets live in the int32
-    # scratch tensor; batches big enough to overflow it fall back to the
-    # per-candidate path (unreachable at query-page scale).
-    width = n_max + 1
-    if len(sel) * width > 2**31 - 1:
-        for i in sel:
-            segment = slice(indptr[i], indptr[i + 1])
-            boot = pm1_interval(x[segment], y[segment], rng=rng)
-            estimate[i], low[i], high[i] = boot.estimate, boot.low, boot.high
-            replicates[i] = boot.replicates
-        return results
-    flat_x = padded_x.reshape(-1)
-    flat_y = padded_y.reshape(-1)
+    # Chunk tensors, allocated once per call. Indices are ``intp``, the
+    # dtype np.take gathers with (any other is first converted, a hidden
+    # pass per gather), and wide enough for any page that fits in memory.
+    cells = max(_CHUNK_CELLS, round_replicates * n_max)
+    buf_x = np.empty(cells, dtype=np.float32)
+    buf_y = np.empty(cells, dtype=np.float32)
+    buf_idx = np.empty(cells, dtype=np.intp)
+    n_f32 = n_arr.astype(np.float32)
+    n_f64 = n_arr.astype(np.float64)[:, None]
+    positions = np.arange(n_max)
+    ones = np.ones(n_max)
 
-    pools: list[list[np.ndarray]] = [[] for _ in sel]
+    pool = np.full((len(sel), max_replicates), math.nan)
     pool_count = np.zeros(len(sel), dtype=np.int64)
-    pool_sum = np.zeros(len(sel), dtype=np.float64)
-    pool_sumsq = np.zeros(len(sel), dtype=np.float64)
+    pool_sum = np.zeros(len(sel))
+    pool_sumsq = np.zeros(len(sel))
 
     active_rows = np.arange(len(sel))
     drawn = 0
     while active_rows.size and drawn < max_replicates:
         b_round = min(round_replicates, max_replicates - drawn)
-        round_n_max = int(n_arr[active_rows].max())
+        active_n = n_arr[active_rows]
+        widths = active_n.tolist()
+        budget = _CHUNK_CELLS // b_round
         # One shared draw per round; per-candidate scaling preserves
         # uniformity over each candidate's own index range.
-        u = rng.random((b_round, round_n_max), dtype=np.float32)
-        rows_per_chunk = max(1, chunk_elements // (b_round * round_n_max))
-        for start in range(0, active_rows.size, rows_per_chunk):
-            rows = active_rows[start : start + rows_per_chunk]
-            rows_n = n_arr[rows]
-            rows_n_col = rows_n[:, None, None]
-            chunk_n_max = int(rows_n.max())
-            shape = (rows.shape[0], b_round, chunk_n_max)
-            scaled, idx, res_y = _scratch_views(chunk_elements, shape)
+        u = rng.random((b_round, widths[-1]), dtype=np.float32)
+        sums = np.empty((2, active_rows.size, b_round))
+        products = np.empty((3, active_rows.size, b_round), dtype=np.float32)
+        start = 0
+        while start < len(widths):
+            # Rows are ascending, so a chunk costs its row count times its
+            # last row's width: extend while that fits, one row at least.
+            end = start + 1
+            while end < len(widths) and (end + 1 - start) * widths[end] <= budget:
+                end += 1
+            rows = active_rows[start:end]
+            width = widths[end - 1]
+            shape = (end - start, b_round, width)
+            size = shape[0] * b_round * width
+            res_x = buf_x[:size].reshape(shape)
+            res_y = buf_y[:size].reshape(shape)
+            idx = buf_idx[:size].reshape(shape)
             # floor(u * n) needs no clamp: u <= 1 - 2^-24 in float32, and
             # u*n rounds to n only if n * 2^-23 < ulp(n)/2 = 2^(e-24) with
             # 2^e <= n — i.e. n < 2^(e-1), impossible. So idx < n always.
+            # (The contiguous copy of the draws lets the (B, n) axes
+            # collapse into one inner loop.)
             np.multiply(
-                u[None, :, :chunk_n_max],
-                rows_n_col.astype(np.float32),
-                out=scaled,
+                np.ascontiguousarray(u[:, :width]),
+                n_f32[rows, None, None],
+                out=res_x,
             )
-            np.copyto(idx, scaled, casting="unsafe")  # truncating cast
-            np.add(idx, (rows * width).astype(np.int32)[:, None, None], out=idx)
-            if int(rows_n.min()) != chunk_n_max:
-                # Ragged chunk: remap padding positions (j >= n_i) to the
-                # candidate's all-zeros slot so plain sums stay exact.
-                positions = np.arange(chunk_n_max)
-                zero_slot = (rows * width + n_max).astype(np.int32)
-                np.copyto(
-                    idx,
-                    zero_slot[:, None, None],
-                    where=positions[None, None, :] >= rows_n_col,
-                )
-            res_x = scaled  # the scaled draws are dead; reuse the buffer
+            np.copyto(idx, res_x, casting="unsafe")  # truncating cast
+            np.add(idx, starts[rows, None, None], out=idx)
+            if widths[start] != width:
+                # Ragged chunk: padding positions (j >= n_i) gather the
+                # zero cell so plain sums stay exact.
+                outside = positions[:width] >= active_n[start:end, None]
+                np.copyto(idx, total, where=outside[:, None, :])
+            # Sums in float64 (float32 rows times a float64 ones vector:
+            # one cast and a BLAS pass), products in float32 — each taken
+            # while its operand is still in cache.
+            chunk = slice(start, end)
             np.take(flat_x, idx, out=res_x, mode="clip")
+            np.matmul(
+                res_x.reshape(-1, width), ones[:width], out=sums[0, chunk].reshape(-1)
+            )
+            np.einsum("cbj,cbj->cb", res_x, res_x, out=products[0, chunk])
             np.take(flat_y, idx, out=res_y, mode="clip")
-            nf = rows_n[:, None].astype(np.float64)
-            sum_x = res_x.sum(axis=2, dtype=np.float64)
-            sum_y = res_y.sum(axis=2, dtype=np.float64)
-            sxx = np.einsum("cbj,cbj->cb", res_x, res_x).astype(np.float64)
-            syy = np.einsum("cbj,cbj->cb", res_y, res_y).astype(np.float64)
-            sxy = np.einsum("cbj,cbj->cb", res_x, res_y).astype(np.float64)
-            var_x = sxx - sum_x * sum_x / nf
-            var_y = syy - sum_y * sum_y / nf
-            cov = sxy - sum_x * sum_y / nf
-            valid = (var_x > 0) & (var_y > 0)
-            r = np.full(cov.shape, np.nan, dtype=np.float64)
-            r[valid] = np.clip(
-                cov[valid] / np.sqrt(var_x[valid] * var_y[valid]), -1.0, 1.0
+            np.matmul(
+                res_y.reshape(-1, width), ones[:width], out=sums[1, chunk].reshape(-1)
             )
-            # Degenerate (NaN) replicates are dropped at finalization; the
-            # running stopping-rule moments skip them here, vectorized
-            # across the chunk instead of one Python pass per candidate.
-            pool_count[rows] += valid.sum(axis=1)
-            pool_sum[rows] += np.nansum(r, axis=1)
-            pool_sumsq[rows] += np.nansum(r * r, axis=1)
-            for offset, row in enumerate(rows):
-                pools[row].append(r[offset])
+            np.einsum("cbj,cbj->cb", res_y, res_y, out=products[1, chunk])
+            np.einsum("cbj,cbj->cb", res_x, res_y, out=products[2, chunk])
+            start = end
+
+        sum_x, sum_y = sums
+        sxx, syy, sxy = products.astype(np.float64)
+        nf = n_f64[active_rows]
+        var_x = sxx - sum_x * sum_x / nf
+        var_y = syy - sum_y * sum_y / nf
+        cov = sxy - sum_x * sum_y / nf
+        valid = (var_x > 0) & (var_y > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = cov / np.sqrt(var_x * var_y)
+        # Degenerate replicates stay NaN in the pool: they sort last and
+        # the running stopping-rule moments skip them.
+        r[~valid] = math.nan
+        np.clip(r, -1.0, 1.0, out=r)
+        pool[active_rows, drawn : drawn + b_round] = r
         drawn += b_round
+        pool_count[active_rows] += valid.sum(axis=1)
+        pool_sum[active_rows] += np.nansum(r, axis=1)
+        pool_sumsq[active_rows] += np.nansum(r * r, axis=1)
 
-        still_active = []
-        for row in active_rows:
-            b = int(pool_count[row])
-            if b <= 1:
-                still_active.append(row)
-                continue
-            var = max(
-                0.0, (pool_sumsq[row] - pool_sum[row] ** 2 / b) / (b - 1)
-            )
-            s = math.sqrt(var)
-            # Same rule as pm1_bootstrap: stop when one more replicate is
-            # overwhelmingly unlikely to move the mean by the tolerance.
-            if s == 0.0 or _STOP_TOLERANCE * (b + 1) / s >= _STOP_Z:
-                continue
-            still_active.append(row)
-        active_rows = np.asarray(still_active, dtype=np.int64)
+        # Same rule as pm1_bootstrap: stop when one more replicate is
+        # overwhelmingly unlikely to move the mean by the tolerance.
+        b = pool_count[active_rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            var = (pool_sumsq[active_rows] - pool_sum[active_rows] ** 2 / b) / (b - 1)
+            s = np.sqrt(np.maximum(0.0, var))
+            stop = (b > 1) & ((s == 0.0) | (_STOP_TOLERANCE * (b + 1) / s >= _STOP_Z))
+        active_rows = active_rows[~stop]
 
-    for row, i in enumerate(sel):
-        pool = (
-            np.concatenate(pools[row])
-            if pools[row]
-            else np.empty(0, dtype=np.float64)
-        )
-        pool = pool[~np.isnan(pool)]
-        b = pool.shape[0]
-        replicates[i] = b
-        if b < 10:
-            continue
-        pool.sort()
-        low_idx, high_idx = _pm1_ci_indices(int(n_arr[row]), b)
-        estimate[i] = pool.mean()
-        low[i] = pool[low_idx - 1]
-        high[i] = pool[high_idx - 1]
+    replicates[sel] = pool_count
+    done = np.nonzero(pool_count >= 10)[0]  # pm1_interval's floor
+    b = pool_count[done]
+    ordered = np.sort(pool[:, :drawn], axis=1)  # NaN sorts last
+    low_idx, high_idx = _pm1_ci_index_columns(n_arr[done], b)
+    estimate[sel[done]] = pool_sum[done] / b
+    low[sel[done]] = ordered[done, low_idx - 1]
+    high[sel[done]] = ordered[done, high_idx - 1]
     return results

@@ -135,6 +135,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
+        if length < 0:
+            # read(-1) would block until the client hangs up.
+            raise ValueError(f"Content-Length must not be negative, got {length}")
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)

@@ -11,6 +11,7 @@ wire untouched, malformed requests get 400s with named fields, and the
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -366,6 +367,27 @@ class TestRobustness:
                 url, {"keys": keys.tolist(), "values": values.tolist()}
             )
             assert status == 200 and body["ranked"]
+            status, health = _get(service.url + "/healthz")
+            assert status == 200 and health["status"] == "ok"
+
+    def test_negative_content_length_gets_400_without_reading(self, corpus):
+        """`Content-Length: -1` reached `rfile.read(-1)`, which held the
+        handler thread until the client hung up. The connection stays
+        open here, so only a reply that does not wait for EOF arrives."""
+        mono, _, _, _ = corpus
+        with QueryService(QuerySession.for_catalog(mono)) as service:
+            with socket.create_connection(service.address) as conn:
+                conn.settimeout(10)
+                conn.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: -1\r\n\r\n{}"
+                )
+                reply = b""
+                while chunk := conn.recv(65536):  # the server closes after replying
+                    reply += chunk
+            assert reply.split(b" ", 2)[1] == b"400"
+            assert b"Content-Length must not be negative" in reply
             status, health = _get(service.url + "/healthz")
             assert status == 200 and health["status"] == "ok"
 
