@@ -236,8 +236,10 @@ class GroupedAggregates:
       key's running sum is the same left-to-right float addition chain
       the scalar ``MeanAggregator``/``SumAggregator`` would produce —
       continuing whatever chain the slots already hold;
-    * ``np.fmax.at``/``np.fmin.at`` skip the NaN that marks "nothing
-      seen yet", exactly like ``MaxAggregator.update``;
+    * ``max``/``min`` take each key's extreme with ``np.fmax.at`` /
+      ``np.fmin.at`` (which skip the NaN that marks "nothing seen yet")
+      and then the *first* row equal to it, so of 0.0 and -0.0 the one
+      ``MaxAggregator.update``'s strict comparison keeps is kept;
     * ``first``/``last`` pick values by position (``np.minimum.at`` /
       ``np.maximum.at`` over row indices of non-NaN rows), matching stream
       order exactly;
@@ -313,10 +315,24 @@ class GroupedAggregates:
         elif name == "sum":
             np.add.at(slots["_total"], vi, vv)
             slots["_seen"][vi] = True
-        elif name == "max":
-            np.fmax.at(slots["_best"], vi, vv)
-        elif name == "min":
-            np.fmin.at(slots["_best"], vi, vv)
+        elif name in ("max", "min"):
+            # The streaming update replaces on a strict comparison, so
+            # of equal extremes (0.0 and -0.0) the first seen stays —
+            # fmax / fmin may return either. Take each key's extreme,
+            # then the first row holding a value equal to it.
+            pick, beats = (
+                (np.fmax, np.greater) if name == "max" else (np.fmin, np.less)
+            )
+            extreme = np.full(size, math.nan)
+            pick.at(extreme, vi, vv)
+            at_extreme = vv == extreme[vi]
+            pos = np.full(size, values.shape[0], dtype=np.int64)
+            np.minimum.at(pos, vi[at_extreme], np.nonzero(valid)[0][at_extreme])
+            rows = np.nonzero(pos < values.shape[0])[0]
+            found = values[pos[rows]]
+            best = slots["_best"]
+            wins = np.isnan(best[rows]) | beats(found, best[rows])
+            best[rows[wins]] = found[wins]
         elif name == "first":
             # Row index of each key's first non-NaN cell in this batch.
             pos = np.full(size, values.shape[0], dtype=np.int64)

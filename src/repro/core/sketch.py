@@ -314,8 +314,10 @@ class CorrelationSketch:
 
         finite = values[~np.isnan(values)]
         if finite.size:
-            lo = float(finite.min())
-            hi = float(finite.max())
+            # First of equals, as the streaming strict comparisons keep:
+            # ``min()`` / ``max()`` may return either of 0.0 and -0.0.
+            lo = float(finite[finite.argmin()])
+            hi = float(finite[finite.argmax()])
             if lo < self.value_min:
                 self.value_min = lo
             if hi > self.value_max:

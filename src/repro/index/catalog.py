@@ -594,6 +594,21 @@ class SketchCatalog:
             )
         return self._banned_cache
 
+    def posting_layers(
+        self,
+    ) -> list[tuple[ColumnarPostings, np.ndarray | None]]:
+        """The live postings as ``(CSR, banned doc indices)`` layers:
+        the frozen CSR behind its tombstone ban, then the delta freeze.
+        Each live sketch is in exactly one layer; a layer that holds
+        nothing is left out."""
+        layers: list[tuple[ColumnarPostings, np.ndarray | None]] = []
+        frozen = self._frozen_postings
+        if frozen is not None and len(frozen):
+            layers.append((frozen, self._banned_doc_indices()))
+        if self._delta_ids:
+            layers.append((self._delta_postings(), None))
+        return layers
+
     def probe_top_overlap(
         self,
         key_hashes,
@@ -621,24 +636,16 @@ class SketchCatalog:
             raise ValueError(f"depth must be positive, got {depth}")
         if not isinstance(key_hashes, np.ndarray):
             key_hashes = np.fromiter(key_hashes, dtype=np.uint64)
-        parts: list[list[tuple[str, int]]] = []
-        frozen = self._frozen_postings
-        if frozen is not None and len(frozen):
-            parts.append(
-                frozen.top_overlap(
-                    key_hashes,
-                    depth,
-                    exclude=exclude,
-                    min_overlap=min_overlap,
-                    banned=self._banned_doc_indices(),
-                )
+        parts = [
+            postings.top_overlap(
+                key_hashes,
+                depth,
+                exclude=exclude,
+                min_overlap=min_overlap,
+                banned=banned,
             )
-        if self._delta_ids:
-            parts.append(
-                self._delta_postings().top_overlap(
-                    key_hashes, depth, exclude=exclude, min_overlap=min_overlap
-                )
-            )
+            for postings, banned in self.posting_layers()
+        ]
         if not parts:
             return []
         if len(parts) == 1:
@@ -668,31 +675,21 @@ class SketchCatalog:
             raise ValueError(
                 f"{len(queries)} queries but {len(excludes)} excludes"
             )
-        frozen = self._frozen_postings
-        frozen_part = None
-        if frozen is not None and len(frozen):
-            frozen_part = frozen.top_overlap_batch(
+        parts = [
+            postings.top_overlap_batch(
                 queries,
                 depth,
                 excludes=excludes,
                 min_overlap=min_overlap,
-                banned=self._banned_doc_indices(),
+                banned=banned,
             )
-        delta_part = None
-        if self._delta_ids:
-            delta_part = self._delta_postings().top_overlap_batch(
-                queries, depth, excludes=excludes, min_overlap=min_overlap
-            )
-        if frozen_part is None and delta_part is None:
-            return [[] for _ in queries]
-        if delta_part is None:
-            return frozen_part
-        if frozen_part is None:
-            return delta_part
-        return [
-            merge_hits([f, d], depth)
-            for f, d in zip(frozen_part, delta_part)
+            for postings, banned in self.posting_layers()
         ]
+        if not parts:
+            return [[] for _ in queries]
+        if len(parts) == 1:
+            return parts[0]
+        return [merge_hits(list(layers), depth) for layers in zip(*parts)]
 
     def lsh_candidate_ids(
         self,
@@ -815,7 +812,7 @@ class SketchCatalog:
             if self._lsh_index is None:
                 self._lsh_index = self._delta_lsh
         elif dirty:
-            new_frozen = self._fold_postings()
+            new_frozen = ColumnarPostings.merged(self.posting_layers())
             if self._lsh_index is not None or self._lsh_pending is not None:
                 self._lsh_index = self._fold_lsh()
                 self._lsh_pending = None
@@ -830,61 +827,6 @@ class SketchCatalog:
         if dirty:
             self.index_version += 1
         return self.index_version
-
-    def _fold_postings(self) -> ColumnarPostings:
-        """Merge the frozen CSR (minus tombstones) with the delta freeze.
-
-        Pure array surgery: both layers expand to ``(hash, doc)`` pairs,
-        tombstoned pairs drop, and one lexsort on ``(hash, doc)``
-        rebuilds the canonical CSR — the same layout
-        :meth:`InvertedIndex.freeze` produces from a from-scratch
-        rebuild, so the fold is bit-identical to one.
-        """
-        old = self._frozen_postings
-        delta = self._delta_postings()
-        tombs = self._tombstones
-        survivors = [sid for sid in old.docs if sid not in tombs]
-        new_docs = sorted(survivors + list(delta.docs))
-        new_index = {sid: i for i, sid in enumerate(new_docs)}
-        old_map = np.full(len(old.docs), -1, dtype=np.int64)
-        for i, sid in enumerate(old.docs):
-            # A tombstoned id may have been re-added (its live copy is in
-            # the delta): the frozen copy still folds to "dropped".
-            if sid not in tombs:
-                old_map[i] = new_index[sid]
-        delta_map = np.asarray(
-            [new_index[sid] for sid in delta.docs], dtype=np.int64
-        )
-        old_rep = np.repeat(
-            np.arange(old.vocab.size, dtype=np.int64), np.diff(old.indptr)
-        )
-        old_docs = old_map[old.doc_ids]
-        keep = old_docs >= 0
-        d_rep = np.repeat(
-            np.arange(delta.vocab.size, dtype=np.int64), np.diff(delta.indptr)
-        )
-        all_hashes = np.concatenate(
-            [old.vocab[old_rep][keep], delta.vocab[d_rep]]
-        )
-        all_docs = np.concatenate([old_docs[keep], delta_map[delta.doc_ids]])
-        order = np.lexsort((all_docs, all_hashes))
-        all_hashes = all_hashes[order]
-        all_docs = all_docs[order]
-        new_vocab, counts = np.unique(all_hashes, return_counts=True)
-        indptr = np.zeros(new_vocab.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        lengths = np.zeros(len(new_docs), dtype=np.int64)
-        lengths[old_map[old_map >= 0]] = old.doc_lengths[old_map >= 0]
-        if len(delta.docs):
-            lengths[delta_map] = delta.doc_lengths
-        return ColumnarPostings(
-            new_vocab,
-            indptr,
-            all_docs.astype(np.int32),
-            new_docs,
-            lengths,
-            new_index,
-        )
 
     def _fold_lsh(self) -> LshIndex:
         """Merge the frozen-layer LSH with the delta signatures.

@@ -254,6 +254,70 @@ class ColumnarPostings:
                 pos += 1
         return cls(vocab, indptr, doc_ids, docs, doc_lengths, doc_index)
 
+    @classmethod
+    def merged(
+        cls, layers: list[tuple["ColumnarPostings", np.ndarray | None]]
+    ) -> "ColumnarPostings":
+        """One canonical CSR over the live documents of several layers.
+
+        ``layers`` are ``(postings, banned)`` pairs — ``banned`` the doc
+        indices of that layer to leave out (None: none) — whose live
+        documents are disjoint. Pure array surgery: every layer expands
+        to ``(hash, doc)`` pairs, banned pairs drop, and one sort on
+        ``(hash, doc)`` rebuilds the canonical layout (ascending
+        vocabulary, ascending doc id per slice, docs sorted by id) —
+        what :meth:`InvertedIndex.freeze` produces from a from-scratch
+        rebuild over the same documents, so the merge is bit-identical
+        to one. No sketch is read: the layers' arrays are the input.
+        """
+        kept = []  # per layer: live doc indices and their ids
+        for postings, banned in layers:
+            live = np.ones(len(postings.docs), dtype=bool)
+            if banned is not None:
+                live[banned] = False
+            alive = np.flatnonzero(live)
+            kept.append((alive, [postings.docs[i] for i in alive.tolist()]))
+        docs = sorted(sid for _, ids in kept for sid in ids)
+        doc_index = {sid: i for i, sid in enumerate(docs)}
+        lengths = np.zeros(len(docs), dtype=np.int64)
+        vocab = np.unique(
+            np.concatenate(
+                [np.empty(0, dtype=np.uint64)] + [p.vocab for p, _ in layers]
+            )
+        )
+        # A pair is one int64, ``vocabulary slot * n_docs + doc``, so
+        # the (hash, doc) order is a plain in-place sort with nothing
+        # to gather; a dropped pair is -1 and sorts to the front.
+        n_docs = max(len(docs), 1)
+        pairs = np.empty(sum(p.doc_ids.size for p, _ in layers), dtype=np.int64)
+        filled = 0
+        for (postings, _), (alive, ids) in zip(layers, kept):
+            # A banned id may be live again in another layer (removed,
+            # then re-added): only this layer's copy maps to "dropped".
+            remap = np.full(len(postings.docs), -1, dtype=np.int64)
+            remap[alive] = [doc_index[sid] for sid in ids]
+            lengths[remap[alive]] = postings.doc_lengths[alive]
+            mapped = remap[postings.doc_ids]
+            layer = pairs[filled : filled + mapped.size]
+            filled += mapped.size
+            layer[:] = np.repeat(
+                np.searchsorted(vocab, postings.vocab), np.diff(postings.indptr)
+            )
+            layer *= n_docs
+            layer += mapped
+            if alive.size < remap.size:
+                layer[mapped < 0] = -1
+        pairs.sort()
+        pairs = pairs[np.searchsorted(pairs, 0) :]
+        doc_ids = (pairs % n_docs).astype(np.int32)
+        pairs //= n_docs
+        # A hash only banned documents carried has no postings left.
+        counts = np.bincount(pairs, minlength=vocab.size)
+        used = counts > 0
+        indptr = np.zeros(int(used.sum()) + 1, dtype=np.int64)
+        np.cumsum(counts[used], out=indptr[1:])
+        return cls(vocab[used], indptr, doc_ids, docs, lengths, doc_index)
+
     def __len__(self) -> int:
         """Number of indexed sketches."""
         return len(self.docs)

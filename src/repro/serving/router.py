@@ -3,36 +3,37 @@
 A :class:`ShardRouter` evaluates top-k join-correlation queries against
 a :class:`~repro.serving.shards.ShardedCatalog` with **exact result
 semantics**: for every scorer, rng mode and retrieval backend, the
-merged result is bit-identical — ids, scores and order — to running the
-same query against one monolithic catalog holding the union of the
-shards. That guarantee decomposes into three facts the rest of the
-stack already pins:
+result is bit-identical — ids, scores and order — to running the same
+query against one monolithic catalog holding the union of the shards.
+What is scattered is only what can differ per shard; the kernels run
+once. Three facts:
 
-* **retrieval merges exactly.** Each shard's candidate probe returns
-  its hits sorted under the total order ``(−overlap, sketch_id)`` and
-  truncated to ``retrieval_depth``. Any candidate in the global
-  top-``depth`` is, within its own shard, among that shard's
-  top-``depth`` under the same order — so a deterministic heap merge of
-  the per-shard lists, re-truncated to ``depth``, reproduces the
-  monolithic hits list exactly. This holds for the LSH backend too:
-  band collisions are a pairwise (query, candidate) predicate, so the
-  union of per-shard collision sets equals the single-index collision
-  set, and survivors are ranked by the same exact overlap either way.
-* **page assembly is per-candidate pure.** Join samples, union
+* **shard availability is scattered.** In both phases every shard
+  passes its fault point and is fetched (lazy load, quarantine,
+  :class:`~repro.serving.shards.ShardUnavailable`) on the worker pool,
+  under the call's deadline and failure policy, timed into its own
+  trace span. That is all a phase does shard by shard.
+* **the probe is global.** Retrieval is one stacked ScanCount over the
+  surviving shards' live postings
+  (:meth:`ShardedCatalog.stacked_postings`: one CSR, documents in global
+  id order), so the hits list — ``(−overlap, sketch_id)`` order,
+  ``retrieval_depth`` cutoff — is the monolithic probe's by
+  construction, with nothing to merge. The LSH backend alone still
+  probes per shard: band collisions are a pairwise (query, candidate)
+  predicate, so the per-shard collision sets unite to the single-index
+  set, ranked by the same exact overlap, and the lists heap-merge.
+* **the page and the scoring are global.** Join samples, union
   statistics and containment inputs depend only on the query and one
-  candidate (never on the rest of the page), so each shard assembles
-  its own candidates (:meth:`repro.index.engine.CandidatePage.assemble`)
-  and the router re-interleaves them into the merged global hit order,
-  bit-identical to a monolithic assembly.
-* **scoring and rng stay global.** Everything page-shaped — the
-  ``rp_cih`` min-max normalization over the candidate list, the
-  ``random`` scorer's draws, both PM1 bootstrap rng disciplines — runs
-  once over the merged page, in the monolithic engine's own pipeline:
-  a :class:`ShardRouter` *is* a
+  candidate (never on the rest of the page) and the catalog reads a
+  candidate from its owning shard, so one
+  :meth:`repro.index.engine.CandidatePage.assemble` over the hits is the
+  monolithic page. Everything page-shaped — the ``rp_cih`` min-max
+  normalization, the ``random`` scorer's draws, both PM1 bootstrap rng
+  disciplines — then runs in the monolithic engine's own pipeline: a
+  :class:`ShardRouter` *is* a
   :class:`~repro.index.engine.JoinCorrelationEngine` whose two stage
-  steps (candidate retrieval, page assembly) scatter over the shards.
-  Scattering the *scoring* would break bit-parity; scattering retrieval
-  and assembly cannot.
+  steps ask the shards first. (The per-shard probes and sub-pages this
+  replaced are the test oracle ``tests/scatter_router_oracle.py``.)
 
 Shard fan-out runs sequentially or on a persistent
 :class:`~repro.serving.workers.ShardWorkerPool` (``workers=N``); for
@@ -44,16 +45,15 @@ query-level parallelism across cores, wrap the router in a
 ``"raise"`` (the default) any shard failure — a probe raising, a
 quarantined shard (:class:`~repro.serving.shards.ShardUnavailable`), or
 the deadline expiring — propagates, lowest shard index first. Under
-``"partial"`` failing shards are dropped from the merge and the answer
-is served from the survivors, flagged via ``QueryResult.shards_failed``
-and ``degraded``. A partial answer equals the exact answer over the
-surviving shards' union whenever ``retrieval_depth`` does not truncate
-(every survivor's candidates still fit the depth); when it does
-truncate, the merged cutoff may admit fewer candidates than a pure
-survivors-only catalog would — the dropped shard's hits are unknowable,
-so the router never invents replacements. With no faults firing, both
-policies execute the identical code path and results stay bit-identical
-to the monolithic engine.
+``"partial"`` failing shards are left out and the answer is served from
+the survivors, flagged via ``QueryResult.shards_failed`` and
+``degraded``. A shard lost before the probe is simply not in the stack:
+the answer is the exact answer over the surviving shards' union. A
+shard lost between probe and page takes its hits with it, so when
+``retrieval_depth`` truncated, the page may hold fewer candidates than a
+survivors-only catalog would — the router never invents replacements.
+With no faults firing, both policies execute the identical code path
+and results stay bit-identical to the monolithic engine.
 """
 
 from __future__ import annotations
@@ -96,12 +96,11 @@ class ShardRouter(JoinCorrelationEngine):
     Args:
         catalog: the sharded catalog to serve.
         retrieval_depth: candidates fetched by key overlap before
-            re-ranking (applied globally after the merge; each shard is
-            probed to the same depth).
-        min_overlap: joinability floor, applied inside every shard.
+            re-ranking, over all shards together.
+        min_overlap: joinability floor for a candidate.
         rng_mode: PM1 bootstrap execution contract for ``rb_cib``
             (see :data:`repro.ranking.scoring.RNG_MODES`).
-        retrieval_backend: per-shard candidate retrieval strategy
+        retrieval_backend: candidate retrieval strategy
             (see :data:`repro.index.engine.RETRIEVAL_BACKENDS`).
         lsh_bands / lsh_rows: LSH banding overrides (``"lsh"`` backend),
             same ``None`` semantics as the engine, applied per shard.
@@ -139,13 +138,14 @@ class ShardRouter(JoinCorrelationEngine):
         return self._pool.workers
 
     def warm(self) -> None:
-        """Materialize every catalog shard now, instead of on first probe.
+        """Materialize every catalog shard and the stacked CSR now,
+        instead of on first probe.
 
         Delegates to :meth:`ShardedCatalog.warm` when the catalog has it
         (a monolithic stand-in without shards simply has nothing to
         warm). :class:`~repro.serving.workers.QueryWorkerPool` calls
         this before forking so every worker inherits the mapped/loaded
-        shards instead of materializing its own copies.
+        shards and the stack instead of building its own copies.
         """
         warm = getattr(self.catalog, "warm", None)
         if warm is not None:
@@ -163,6 +163,40 @@ class ShardRouter(JoinCorrelationEngine):
 
     # -- scatter phases ------------------------------------------------------
 
+    def _scatter(
+        self,
+        site: str,
+        work=None,
+        *,
+        deadline_at: float | None,
+        partial: bool,
+        timings: list | None,
+    ) -> tuple[list, set[int], dict]:
+        """Fan one phase's per-shard step out: what can fail per shard.
+
+        Every shard passes the ``site`` fault point and is fetched
+        (:meth:`ShardedCatalog.shard`); ``work(shard)`` then runs when
+        the phase has shard-local work. With ``timings`` (a pre-sized
+        per-shard list) each step records its ``(start, end)`` wall
+        clock — the source of per-shard trace spans; a shard whose step
+        was cancelled leaves None. Returns :meth:`_supervised_fanout`'s
+        ``(results, failed_shards, errors_by_shard)``.
+        """
+
+        def step(index: int):
+            start = time.perf_counter() if timings is not None else 0.0
+            try:
+                maybe_fire(site, shard=index)
+                shard = self.catalog.shard(index)
+                return None if work is None else work(shard)
+            finally:
+                if timings is not None:
+                    timings[index] = (start, time.perf_counter())
+
+        return self._supervised_fanout(
+            step, self.catalog.n_shards, deadline_at=deadline_at, partial=partial
+        )
+
     def _scatter_retrieve(
         self,
         query_cols: list,
@@ -172,41 +206,41 @@ class ShardRouter(JoinCorrelationEngine):
         partial: bool = False,
         timings: list | None = None,
     ) -> tuple[list[list[tuple[str, int]]], set[int], dict]:
-        """Probe every shard for every query; merge per query.
+        """Every query's hits over the shards that answer.
 
         Returns ``(hits_per_query, failed_shards, errors_by_shard)``.
-        Without a deadline and under the ``"raise"`` policy this is the
-        plain fan-out — any failure propagates and ``failed_shards`` is
-        empty; otherwise probes run supervised, and shards that raised
-        or missed the deadline are excluded from the merge
-        (``partial``) or re-raised lowest-index-first. With ``timings``
-        (a pre-sized per-shard list) each probe records its
-        ``(start, end)`` wall clock — the source of per-shard trace
-        spans; a shard whose probe was cancelled leaves None.
+        Without a deadline and under the ``"raise"`` policy any shard
+        failure propagates and ``failed_shards`` is empty; otherwise
+        shards that raised or missed the deadline are left out of the
+        probe (``partial``) or re-raised lowest-index-first. The probe
+        itself runs once, over the survivors' stacked CSR
+        (:meth:`ShardedCatalog.stacked_postings`); only the LSH backend
+        still probes shard by shard and merges the lists.
         """
+        options = self.options
+        lsh = options.retrieval_backend == "lsh"
 
-        def probe(index: int) -> list[list[tuple[str, int]]]:
-            start = time.perf_counter() if timings is not None else 0.0
-            try:
-                maybe_fire("shard_probe", shard=index)
-                return self._probe(
-                    self.catalog.shard(index), query_cols, exclude_ids
-                )
-            finally:
-                if timings is not None:
-                    timings[index] = (start, time.perf_counter())
+        def probe(shard):
+            return self._probe(shard, query_cols, exclude_ids)
 
-        n_shards = self.catalog.n_shards
-        per_shard, failed, errors = self._supervised_fanout(
-            probe, n_shards, deadline_at=deadline_at, partial=partial
+        per_shard, failed, errors = self._scatter(
+            "shard_probe", probe if lsh else None,
+            deadline_at=deadline_at, partial=partial, timings=timings,
         )
-        survivors = [s for s in range(n_shards) if s not in failed]
-        return [
-            merge_hits(
-                [per_shard[s][q] for s in survivors], self.options.depth
-            )
-            for q in range(len(query_cols))
-        ], failed, errors
+        survivors = [
+            s for s in range(self.catalog.n_shards) if s not in failed
+        ]
+        if lsh:
+            return [
+                merge_hits([per_shard[s][q] for s in survivors], options.depth)
+                for q in range(len(query_cols))
+            ], failed, errors
+        return self.catalog.stacked_postings(survivors).top_overlap_batch(
+            [cols.key_hashes for cols in query_cols],
+            options.depth,
+            excludes=exclude_ids,
+            min_overlap=options.min_overlap,
+        ), failed, errors
 
     def _supervised_fanout(
         self,
@@ -260,69 +294,33 @@ class ShardRouter(JoinCorrelationEngine):
         partial: bool = False,
         timings: list | None = None,
     ) -> tuple[list[CandidatePage], set[int], dict]:
-        """Assemble every query's candidate page, shard-locally.
+        """Assemble every query's candidate page, in one pass per query.
 
-        Each query's merged hits are split by owning shard; every shard
-        assembles its own candidates in one page-level pass, and the
-        sub-pages are merged back into the global hit order with one
-        page-level ``concat`` + ``take`` — bit-identical to a monolithic
-        assembly because every per-candidate value depends only on
-        (query, candidate).
+        Every per-candidate value depends only on (query, candidate),
+        and :meth:`ShardedCatalog.sketch_columns` reads a candidate from
+        its owner, so one :meth:`CandidatePage.assemble` over the merged
+        hits is the monolithic page.
 
         Returns ``(pages, failed_shards, errors_by_shard)``: when a
-        shard fails its assembly pass under the ``partial`` policy, its
-        candidates are not in the pages (the page-shaped scoring that
-        follows must only ever see candidates that were actually
+        shard fails this phase under the ``partial`` policy, its
+        candidates are dropped before the pass (the page-shaped scoring
+        that follows must only ever see candidates that were actually
         assembled).
         """
-        n_shards = self.catalog.n_shards
-        #: shard -> list of (query index, page positions, hits subset)
-        shard_tasks: list[list[tuple[int, list[int], list[tuple[str, int]]]]] = [
-            [] for _ in range(n_shards)
-        ]
-        for q, hits in enumerate(hits_per_query):
-            buckets: dict[int, tuple[list[int], list[tuple[str, int]]]] = {}
-            for pos, hit in enumerate(hits):
-                owner = self.catalog.owner_of(hit[0])
-                positions, subset = buckets.setdefault(owner, ([], []))
-                positions.append(pos)
-                subset.append(hit)
-            for owner, (positions, subset) in buckets.items():
-                shard_tasks[owner].append((q, positions, subset))
-
-        def assemble(index: int):
-            start = time.perf_counter() if timings is not None else 0.0
-            try:
-                maybe_fire("shard_assemble", shard=index)
-                shard = self.catalog.shard(index)
-                return [
-                    (q, positions, CandidatePage.assemble(shard, query_cols[q], subset))
-                    for q, positions, subset in shard_tasks[index]
-                ]
-            finally:
-                if timings is not None:
-                    timings[index] = (start, time.perf_counter())
-
-        shard_results, failed, errors = self._supervised_fanout(
-            assemble, n_shards, deadline_at=deadline_at, partial=partial
+        _, failed, errors = self._scatter(
+            "shard_assemble",
+            deadline_at=deadline_at, partial=partial, timings=timings,
         )
-        #: query -> (page positions, sub-page) per surviving shard
-        parts: list[list[tuple[list[int], CandidatePage]]] = [
-            [] for _ in hits_per_query
-        ]
-        for index, shard_result in enumerate(shard_results):
-            if index not in failed:
-                for q, positions, sub_page in shard_result:
-                    parts[q].append((positions, sub_page))
-        pages: list[CandidatePage] = []
-        for query_parts in parts:
-            page = CandidatePage.concat([sub for _, sub in query_parts])
-            if len(query_parts) > 1:
-                # Sub-pages sit shard by shard; restore the hit order.
-                positions = [pos for held, _ in query_parts for pos in held]
-                page = page.take(np.argsort(positions))
-            pages.append(page)
-        return pages, failed, errors
+        if failed:
+            owner_of = self.catalog.owner_of
+            hits_per_query = [
+                [hit for hit in hits if owner_of(hit[0]) not in failed]
+                for hits in hits_per_query
+            ]
+        return [
+            CandidatePage.assemble(self.catalog, cols, hits)
+            for cols, hits in zip(query_cols, hits_per_query)
+        ], failed, errors
 
     # -- the scatter phases as pipeline stage steps --------------------------
 
@@ -474,9 +472,9 @@ class ShardRouter(JoinCorrelationEngine):
 
         The engine's pipeline (:meth:`JoinCorrelationEngine.query_batch
         <repro.index.engine.JoinCorrelationEngine.query_batch>`) with
-        both stage steps scattered: retrieval scatters once (every shard
-        answers all queries from one stacked probe), assembly scatters
-        once, and everything after is the engine's own code — so the
+        both stage steps asking the shards first: one fan-out and one
+        stacked probe answer all queries, one fan-out precedes the
+        pages, and everything after is the engine's own code — so the
         batch inherits both parity contracts: bit-identical to looping
         :meth:`query`, and bit-identical to the monolithic engine.
 
@@ -489,11 +487,12 @@ class ShardRouter(JoinCorrelationEngine):
         partial = on_shard_error == "partial"
         failed: set[int] = set()
         # The deadline bounds the probe scatter — the phase where a
-        # straggler shard can stall the answer indefinitely. Assembly of
-        # the *surviving* shards always runs to completion (it is
-        # bounded work over already-retrieved candidates), so a blown
-        # deadline yields a degraded answer, never an empty late one;
-        # assembly failures still drop their shard under ``partial``.
+        # straggler shard (a cold load, a slow LSH probe) can stall the
+        # answer indefinitely. The page over the *surviving* shards'
+        # hits always runs to completion (it is bounded work over
+        # already-retrieved candidates), so a blown deadline yields a
+        # degraded answer, never an empty late one; assembly-phase
+        # failures still drop their shard under ``partial``.
         retrieve = self._stage_step(
             self._scatter_retrieve, "retrieval", "shard_probe", failed,
             deadline_at=(

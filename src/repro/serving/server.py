@@ -29,6 +29,9 @@ the non-standard bare literals):
   :class:`~repro.obs.MetricsRegistry`: request counts, per-phase
   latency histograms, coalescer batch sizes, per-shard error counters.
 
+A ``POST`` whose ``Content-Length`` exceeds :data:`MAX_BODY_BYTES` is
+answered 413 from its headers; the body is never read.
+
 **Observability.** The service owns a real registry for its lifetime
 (installed process-globally on :meth:`QueryService.start`, restored to
 the no-op default on :meth:`~QueryService.stop`) and always executes
@@ -71,6 +74,16 @@ __all__ = ["QueryService"]
 _KNOWN_PATHS = frozenset(
     {"/query", "/estimate", "/catalog/info", "/healthz", "/metrics"}
 )
+
+#: Largest request body the service reads. A column pair of a few
+#: thousand rows is tens of KB and the heaviest body the repository sends
+#: (a repeated-key table of ``benchmarks/record``) about 200 KB; anything
+#: above this is refused with 413 before a byte of it is read.
+MAX_BODY_BYTES = 8 << 20
+
+
+class _BodyTooLarge(ValueError):
+    """The declared ``Content-Length`` exceeds :data:`MAX_BODY_BYTES`."""
 
 
 class _Server(ThreadingHTTPServer):
@@ -138,6 +151,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             # read(-1) would block until the client hangs up.
             raise ValueError(f"Content-Length must not be negative, got {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
@@ -173,6 +191,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, service.handle_query(payload))
             else:
                 self._reply(200, service.handle_estimate(payload))
+        except _BodyTooLarge as exc:
+            self._reply(413, {"error": str(exc)})
         except (ValueError, KeyError, TypeError) as exc:
             self._reply(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - one service, many clients

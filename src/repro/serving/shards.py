@@ -41,6 +41,7 @@ from repro.core.sketch import CorrelationSketch, SketchColumns
 from repro.hashing import KeyHasher
 from repro.hashing.murmur3 import murmur3_32
 from repro.index.catalog import SketchCatalog
+from repro.index.inverted import ColumnarPostings
 from repro.table.table import Table
 
 
@@ -112,6 +113,9 @@ class ShardedCatalog:
         #: dicts with ``shard``, ``path`` and either ``error`` (shard
         #: unavailable) or ``recovery`` (loaded through a fallback).
         self.quarantine_events: list[dict] = []
+        #: :meth:`stacked_postings` per shard set, while no write has
+        #: cleared it.
+        self._stacks: dict[tuple[int, ...], ColumnarPostings] = {}
 
     def _new_shard(self) -> SketchCatalog:
         return SketchCatalog(
@@ -216,11 +220,50 @@ class ShardedCatalog:
         best-effort over whatever the degraded catalog can still serve;
         the events log records what was lost.
         """
+        available = []
         for index in range(self.n_shards):
             try:
                 self.shard(index)
             except ShardUnavailable:
                 continue
+            available.append(index)
+        self.stacked_postings(available)
+
+    def stacked_postings(self, shards: Iterable[int]) -> ColumnarPostings:
+        """One CSR over the live postings of ``shards`` — the retrieval
+        index of :class:`~repro.serving.router.ShardRouter`.
+
+        Documents are in global id order, so a top-``depth`` probe of
+        the stack *is* the monolithic probe over those shards' union,
+        ``(−overlap, id)`` tie-break included. Built from the shards'
+        frozen − tombstones + delta CSR arrays
+        (:meth:`ColumnarPostings.merged`; no sketch is read, so no arena
+        entry wakes) and kept until the next write: the catalog owns
+        placement and every write path, so every ``add_*`` / ``remove_*``
+        here drops it. Compaction moves postings between a shard's
+        layers, never in or out of the live set, and leaves it valid.
+        A degraded catalog's survivor set is stable (a quarantined shard
+        is sticky), so beside the full stack one degraded stack is kept.
+
+        Raises what :meth:`shard` raises for a shard that cannot load.
+        """
+        key = tuple(shards)
+        stack = self._stacks.get(key)
+        if stack is None:
+            if len(key) < self.n_shards:
+                self._stacks = {
+                    held: built
+                    for held, built in self._stacks.items()
+                    if len(held) == self.n_shards
+                }
+            stack = self._stacks[key] = ColumnarPostings.merged(
+                [
+                    layer
+                    for index in key
+                    for layer in self.shard(index).posting_layers()
+                ]
+            )
+        return stack
 
     def storage_backends(self) -> list[str | None]:
         """Per-shard storage backend (``"heap"`` / ``"mmap"``; None for
@@ -273,7 +316,14 @@ class ShardedCatalog:
         for sid in ids:
             self._placement[sid] = shard_index
         self._counts[shard_index] += len(ids)
+        self._stacks.clear()
         return ids
+
+    def _forget(self, shard_index: int, sketch_ids: list[str]) -> None:
+        for sid in sketch_ids:
+            del self._placement[sid]
+        self._counts[shard_index] -= len(sketch_ids)
+        self._stacks.clear()
 
     def add_sketch(self, sketch_id: str, sketch: CorrelationSketch) -> int:
         """Register one sketch on its hash-placed shard; returns the
@@ -344,8 +394,7 @@ class ShardedCatalog:
         """
         index = self.owner_of(sketch_id)
         self.shard(index).remove_sketch(sketch_id)
-        del self._placement[sketch_id]
-        self._counts[index] -= 1
+        self._forget(index, [sketch_id])
         return index
 
     def remove_sketches(self, sketch_ids: Iterable[str]) -> list[str]:
@@ -362,9 +411,7 @@ class ShardedCatalog:
             by_shard.setdefault(self.owner_of(sid), []).append(sid)
         for index, group in sorted(by_shard.items()):
             self.shard(index).remove_sketches(group)
-            for sid in group:
-                del self._placement[sid]
-            self._counts[index] -= len(group)
+            self._forget(index, group)
         return ids
 
     # -- access --------------------------------------------------------------

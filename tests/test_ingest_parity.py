@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
@@ -59,27 +59,48 @@ value_cell = st.one_of(
 )
 
 
+@st.composite
+def _table_cells(draw):
+    """``(k1, x, k2, y)``: two key and two value columns of one length."""
+    rows = draw(st.integers(min_value=0, max_value=80))
+    column = lambda cell: draw(st.lists(cell, min_size=rows, max_size=rows))
+    return column(key_cell), column(value_cell), column(key_cell), column(value_cell)
+
+
+#: Both zeros under one key, each sign first once (ROADMAP item 2's
+#: flake, ``--hypothesis-seed=5`` before PR 24): the streaming strict
+#: comparisons keep the first zero seen, for the value range and for the
+#: ``max`` / ``min`` slots alike.
+_BOTH_ZEROS = (
+    ["key-1", "key-1", "key-2", "key-2"],
+    [0.0, -0.0, -0.0, 0.0],
+    ["key-3", "key-3", "key-3", "key-3"],
+    [-0.0, math.nan, 0.0, -0.0],
+)
+
+
 @given(
-    rows=st.integers(min_value=0, max_value=80),
+    cells=_table_cells(),
     n=st.integers(min_value=1, max_value=40),
     aggregate=st.sampled_from(AGGREGATES),
     bits=st.sampled_from([32, 64]),
-    data=st.data(),
 )
+@example(cells=_BOTH_ZEROS, n=8, aggregate="max", bits=32)
+@example(cells=_BOTH_ZEROS, n=8, aggregate="min", bits=64)
 @settings(max_examples=150, deadline=None)
-def test_add_table_equals_one_streamed_sketch_per_pair(rows, n, aggregate, bits, data):
+def test_add_table_equals_one_streamed_sketch_per_pair(cells, n, aggregate, bits):
     """Two key columns (each with its own missing cells and repeats) by
     three value columns (NaN holes, an all-NaN column now and then),
     sketch sizes on both sides of the distinct-key count."""
-    column = lambda cell: data.draw(st.lists(cell, min_size=rows, max_size=rows))
+    k1, x, k2, y = cells
     table = Table(
         "t.csv",
         [
-            CategoricalColumn("k1", column(key_cell)),
-            NumericColumn("x", np.asarray(column(value_cell), dtype=np.float64)),
-            CategoricalColumn("k2", column(key_cell)),
-            NumericColumn("y", np.asarray(column(value_cell), dtype=np.float64)),
-            NumericColumn("z", np.full(rows, math.nan)),
+            CategoricalColumn("k1", k1),
+            NumericColumn("x", np.asarray(x, dtype=np.float64)),
+            CategoricalColumn("k2", k2),
+            NumericColumn("y", np.asarray(y, dtype=np.float64)),
+            NumericColumn("z", np.full(len(k1), math.nan)),
         ],
     )
     catalog = SketchCatalog(

@@ -391,6 +391,34 @@ class TestRobustness:
             status, health = _get(service.url + "/healthz")
             assert status == 200 and health["status"] == "ok"
 
+    @pytest.mark.parametrize("path", ["/query", "/estimate"])
+    def test_oversized_content_length_gets_413_without_reading(self, corpus, path):
+        """A declared body above ``MAX_BODY_BYTES`` is refused from the
+        header alone: the client sends no byte of it and keeps the
+        connection open, so only a reply that never waits on the body
+        arrives. A body exactly at the limit is read as before."""
+        from repro.serving.server import MAX_BODY_BYTES
+
+        mono, _, _, _ = corpus
+        with QueryService(QuerySession.for_catalog(mono)) as service:
+            with socket.create_connection(service.address) as conn:
+                conn.settimeout(10)
+                conn.sendall(
+                    f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+                )
+                reply = b""
+                while chunk := conn.recv(65536):  # the server closes after replying
+                    reply += chunk
+            assert reply.split(b" ", 2)[1] == b"413"
+            assert f"exceeds the {MAX_BODY_BYTES}-byte limit".encode() in reply
+            body = b"{" + b" " * (MAX_BODY_BYTES - 2) + b"}"
+            code, _ = _post_error(service.url + path, body)
+            assert code == 400  # read in full: the empty object lacks its fields
+            status, health = _get(service.url + "/healthz")
+            assert status == 200 and health["status"] == "ok"
+
     def test_infinite_floats_reach_the_wire_as_strict_json(self, corpus):
         """A result carrying ±inf (legal hfd_ci_length on degenerate
         samples) must serialize as the json_float string sentinels,
