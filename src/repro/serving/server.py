@@ -30,7 +30,12 @@ the non-standard bare literals):
   latency histograms, coalescer batch sizes, per-shard error counters.
 
 A ``POST`` whose ``Content-Length`` exceeds :data:`MAX_BODY_BYTES` is
-answered 413 from its headers; the body is never read.
+answered 413 from its headers; the body is never read. Every socket
+read times out after :data:`READ_TIMEOUT_SECONDS` without a byte: a
+body that stops arriving is answered 408 and its connection closed, a
+request line or headers that stop arriving close the connection — so a
+stalled client holds a handler thread, and :meth:`QueryService.stop`,
+for that long at most.
 
 **Observability.** The service owns a real registry for its lifetime
 (installed process-globally on :meth:`QueryService.start`, restored to
@@ -81,9 +86,18 @@ _KNOWN_PATHS = frozenset(
 #: above this is refused with 413 before a byte of it is read.
 MAX_BODY_BYTES = 8 << 20
 
+#: The longest a socket read waits for the client's next byte, in
+#: seconds. Idle time, not a total: an upload that keeps sending is never
+#: cut off, one that stalls is answered 408 (see the module docs).
+READ_TIMEOUT_SECONDS = 10.0
+
 
 class _BodyTooLarge(ValueError):
     """The declared ``Content-Length`` exceeds :data:`MAX_BODY_BYTES`."""
+
+
+class _BodyTimedOut(Exception):
+    """The client stopped sending the declared body."""
 
 
 class _Server(ThreadingHTTPServer):
@@ -101,6 +115,11 @@ class _Server(ThreadingHTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
+    def setup(self) -> None:
+        # StreamRequestHandler.setup applies ``timeout`` to the socket.
+        self.timeout = READ_TIMEOUT_SECONDS
+        super().setup()
+
     # Keep the access log out of stderr — the service is often run
     # under a test harness or a benchmark that parses its output.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -156,7 +175,13 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise _BodyTimedOut(
+                f"request body not received within {self.timeout:g} s "
+                f"of the last byte ({length} bytes declared)"
+            )
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -193,6 +218,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, service.handle_estimate(payload))
         except _BodyTooLarge as exc:
             self._reply(413, {"error": str(exc)})
+        except _BodyTimedOut as exc:
+            self.close_connection = True
+            self._reply(408, {"error": str(exc)})
         except (ValueError, KeyError, TypeError) as exc:
             self._reply(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - one service, many clients

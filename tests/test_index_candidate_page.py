@@ -5,7 +5,8 @@ Eq. 1 union statistics in page-level passes (a scatter-ordered join, one
 row-wise rank partition). The contract is *bit-identical* to the
 per-candidate reference in :mod:`candidate_page_oracle` — same join
 pairs (hash, x, y, order), same ``(k_len, kth, k_inter, exact)`` — on
-any ragged page, for either hasher width, however the page is chunked;
+any ragged page, for either hasher width, however the page is chunked
+and however its key hashes collide in the membership table;
 and the staged public seams (assemble → containments → batch scoring →
 ranking) rank exactly like the engine and the session that string them
 together.
@@ -112,11 +113,32 @@ def _column_pair(draw, universe: int):
     return keys, values
 
 
+#: Low bits every crafted colliding key hash shares: one membership-table
+#: slot for any table of up to 2**16 slots (queries below 512 keys).
+_SLOT = 0x2A5A
+
+
+class _SharedSlotHasher(KeyHasher):
+    """The real scheme, except that every key hash with bit 20 set has
+    its low 16 bits overwritten by ``_SLOT``: about half the keys land on
+    one membership-table slot, so a query's table is anywhere from
+    collision-free to mostly shared. Sketch construction only calls
+    ``hash_batch``."""
+
+    def hash_batch(self, keys):
+        hashes = super().hash_batch(keys)
+        wide = hashes.astype(np.uint64)
+        forced = (wide >> np.uint64(20)) & np.uint64(1) == 1
+        shared = (wide & ~np.uint64(0xFFFF)) | np.uint64(_SLOT)
+        return np.where(forced, shared, wide).astype(hashes.dtype)
+
+
 @st.composite
 def _pages(draw):
     bits = draw(st.sampled_from((32, 64)))
     universe = draw(st.integers(1, 40))
-    hasher = KeyHasher(bits=bits, seed=draw(st.integers(0, 3)))
+    scheme = draw(st.sampled_from((KeyHasher, _SharedSlotHasher)))
+    hasher = scheme(bits=bits, seed=draw(st.integers(0, 3)))
 
     def sketch(name: str) -> CorrelationSketch:
         keys, values = draw(_column_pair(universe))
@@ -203,6 +225,166 @@ def test_ragged_page_edge_cases(bits):
     no_hits = _assemble(query, {})
     _assert_page_matches_oracle(query, {}, no_hits)
     assert len(no_hits.samples) == 0 and no_hits.containments(10.0).shape == (0,)
+
+
+# -- the membership table: forced collisions, counted searches ----------------
+
+
+class _IdentityHasher(KeyHasher):
+    """``h(k)`` is the (integer) key itself, with the scheme's real
+    ``h_u`` — the way to put key hashes on chosen membership-table
+    slots. Sketch construction only calls ``hash_batch``."""
+
+    def hash_batch(self, keys):
+        return np.asarray(keys, dtype=np.uint64)
+
+
+def _on_slot(rng, count, bits):
+    """``count`` distinct key hashes below ``2**bits`` ending in ``_SLOT``."""
+    high = rng.choice(1 << min(bits - 16, 40), count, replace=False)
+    return (high.astype(np.uint64) << np.uint64(16)) | np.uint64(_SLOT)
+
+
+@pytest.mark.parametrize("bits", (32, 64))
+def test_forced_collisions_match_oracle(bits):
+    """Key hashes crafted onto shared membership-table slots — a few
+    clashing keys, every query key on one slot, the extreme hash values
+    0 and ``2**bits - 1``, an empty query and an empty candidate — give
+    the oracle's page bit for bit, whichever way the probe resolves
+    them (slot lookup, searching the shared-slot entries, searching the
+    whole page)."""
+    rng = np.random.default_rng(bits)
+    top = (1 << bits) - 1
+    hasher = _IdentityHasher(bits=bits)
+
+    def sketch(keys, size, name):
+        values = rng.standard_normal(len(keys))
+        values[rng.uniform(size=len(keys)) < 0.1] = np.nan
+        return CorrelationSketch.from_columns(
+            [int(k) for k in keys], values, size, hasher=hasher, name=name
+        )
+
+    def page_ok(query, candidates):
+        _assert_page_matches_oracle(query, candidates, _assemble(query, candidates))
+
+    ordinary, outsiders = np.split(
+        rng.permutation(np.unique(rng.integers(1, top, 400, dtype=np.uint64)))[:360],
+        [160],
+    )
+    clashing = _on_slot(rng, 4, bits)  # a few keys on one slot
+    extremes = np.asarray([0, top], dtype=np.uint64)
+    query_keys = np.concatenate([ordinary, clashing, extremes])
+    # Large enough to keep every key, so the crafted ones are all there.
+    query = sketch(query_keys, 256, "query")
+    assert engine_mod._MembershipTable(query.columnar()).shared
+    candidates = {
+        "clash": sketch(
+            np.concatenate([clashing, _on_slot(rng, 6, bits), ordinary[:40]]),
+            64, "clash",
+        ),
+        "clash-overflowed": sketch(
+            np.concatenate([clashing, ordinary[:40]]), 24, "clash-overflowed"
+        ),
+        # Non-members on the slots of 0 and of 2**bits - 1.
+        "extremes": sketch(
+            np.concatenate([
+                extremes, ordinary[40:90],
+                np.asarray([1 << 16, top - (1 << 16)], dtype=np.uint64),
+            ]),
+            64, "extremes",
+        ),
+        "empty": CorrelationSketch(64, hasher=hasher, name="empty"),
+        "mixed": sketch(np.concatenate([query_keys[::3], outsiders]), 96, "mixed"),
+    }
+    page_ok(query, candidates)
+    page_ok(sketch(extremes, 8, "extremes-only"), candidates)
+
+    # Every query key on one slot: its members are searched, the rest
+    # of the page is looked up ...
+    crowded_keys = _on_slot(rng, 80, bits)
+    crowded = sketch(crowded_keys, 64, "crowded")
+    page_ok(crowded, {
+        "members": sketch(np.concatenate([crowded_keys[:30], outsiders]), 96, "m"),
+        "few": sketch(crowded_keys[::7], 64, "few"),
+        "empty": CorrelationSketch(64, hasher=hasher, name="empty"),
+    })
+    # ... and a page mostly on that slot too is searched whole.
+    page_ok(crowded, {
+        "slot": sketch(
+            np.concatenate([crowded_keys[:40], _on_slot(rng, 60, bits)]), 96, "s"
+        ),
+        "outside": sketch(outsiders[:20], 32, "outside"),
+    })
+
+    # An empty query against all of them.
+    page_ok(CorrelationSketch(64, hasher=hasher, name="empty-query"), candidates)
+
+
+def _count_searches(monkeypatch) -> list[int]:
+    """Record the needle count of every ``np.searchsorted`` call."""
+    needles: list[int] = []
+    real = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        needles.append(int(np.size(v)))
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    return needles
+
+
+def _depth_100_page(rng, query_keys, shared):
+    """A query over ``query_keys`` and 100 random 256-hash candidates
+    drawing ``shared`` of their 300 keys from it (every sketch
+    overflows)."""
+    hasher = _IdentityHasher(bits=64)
+
+    def sketch(keys, name):
+        return CorrelationSketch.from_columns(
+            [int(k) for k in keys], rng.standard_normal(len(keys)), 256,
+            hasher=hasher, name=name,
+        )
+
+    candidates = {}
+    for i in range(100):
+        members = rng.choice(query_keys, shared, replace=False)
+        others = rng.integers(0, 2**64 - 1, 300 - shared, dtype=np.uint64)
+        candidates[f"c{i:03d}"] = sketch(np.concatenate([members, others]), f"c{i:03d}")
+    return sketch(query_keys, "query"), candidates
+
+
+def test_random_page_makes_no_search(monkeypatch):
+    """A depth-100 page of 256-hash sketches under a query whose keys own
+    their slots is assembled by table lookup alone: no
+    ``np.searchsorted`` call at all."""
+    rng = np.random.default_rng(11)
+    # 300 keys with distinct low 15 bits: whichever 256 the query keeps,
+    # each owns its slot of the 2**15-slot table.
+    low = rng.choice(1 << 15, 300, replace=False).astype(np.uint64)
+    high = rng.integers(0, 2**49, 300, dtype=np.uint64)
+    query, candidates = _depth_100_page(rng, (high << np.uint64(15)) | low, 150)
+    needles = _count_searches(monkeypatch)
+    page = _assemble(query, candidates)
+    assert needles == []
+    monkeypatch.undo()
+    _assert_page_matches_oracle(query, candidates, page)
+
+
+def test_all_colliding_query_searches_only_its_slot(monkeypatch):
+    """Every query key on one slot: the one search made covers exactly
+    the page entries on that slot — the members, plus any outsider that
+    lands there — not the page."""
+    rng = np.random.default_rng(12)
+    query, candidates = _depth_100_page(rng, _on_slot(rng, 300, 64), 75)
+    entries = np.concatenate([c.columnar().key_hashes for c in candidates.values()])
+    # The query's 256 keys get a 2**15-slot table.
+    on_slot = int(np.count_nonzero((entries & np.uint64(0x7FFF)) == _SLOT & 0x7FFF))
+    needles = _count_searches(monkeypatch)
+    page = _assemble(query, candidates)
+    assert needles == [on_slot]
+    assert 0 < on_slot < entries.size // 2
+    monkeypatch.undo()
+    _assert_page_matches_oracle(query, candidates, page)
 
 
 def test_concat_and_take_are_page_level_identities():

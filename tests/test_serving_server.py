@@ -14,6 +14,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -390,6 +391,58 @@ class TestRobustness:
             assert b"Content-Length must not be negative" in reply
             status, health = _get(service.url + "/healthz")
             assert status == 200 and health["status"] == "ok"
+
+    def test_stalled_body_gets_408_and_stop_returns(self, corpus, monkeypatch):
+        """A client that sends its headers and part of a body, then
+        nothing, holds a handler thread only until the socket timeout
+        (patched down to 1 s): it is answered 408 and disconnected, and
+        ``stop()`` returns while another such client is still connected
+        (without the timeout the reply never comes and ``stop()`` waits
+        for the client to hang up)."""
+        from repro.serving import server as server_mod
+
+        monkeypatch.setattr(server_mod, "READ_TIMEOUT_SECONDS", 1.0)
+        partial = (
+            b"POST /query HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b'Content-Length: 100\r\n\r\n{"keys": ['
+        )
+
+        def reply_of(conn) -> bytes:
+            reply = b""
+            while chunk := conn.recv(65536):  # the server closes after replying
+                reply += chunk
+            return reply
+
+        mono, _, _, _ = corpus
+        service = QueryService(QuerySession.for_catalog(mono)).start()
+        stopper = threading.Thread(target=service.stop, daemon=True)
+        clients = []
+
+        def stalling_client():
+            conn = socket.create_connection(service.address)
+            clients.append(conn)
+            conn.settimeout(10)
+            conn.sendall(partial)
+            return conn
+
+        try:
+            reply = reply_of(stalling_client())
+            assert reply.split(b" ", 2)[1] == b"408"
+            assert b"request body not received within 1 s" in reply
+
+            stalled = stalling_client()
+            time.sleep(0.3)  # accepted, its handler blocked in the body read
+            stopper.start()
+            stopper.join(10)
+            assert not stopper.is_alive(), "stop() waited on a stalled client"
+            assert reply_of(stalled).split(b" ", 2)[1] == b"408"
+        finally:
+            # Hanging up releases a handler still blocked in its read.
+            for conn in clients:
+                conn.close()
+            if not stopper.is_alive():
+                service.stop()  # idempotent
 
     @pytest.mark.parametrize("path", ["/query", "/estimate"])
     def test_oversized_content_length_gets_413_without_reading(self, corpus, path):
