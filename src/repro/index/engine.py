@@ -179,9 +179,13 @@ class QueryResult:
 #: but every gather through it casts first (membership 0.16 ms against
 #: 0.12 ms per depth-100 page).
 _SLOTS_PER_KEY = 128
-#: Ceiling on the table (2 MiB); past 2 048 keys it fills up and more
-#: slots are shared, which costs time, never exactness.
-_MAX_SLOTS = 1 << 18
+#: Ceiling on the table: past 2**15 slots, zeroing and gathering from it
+#: cost more than the shared slots it saves. Membership per depth-100
+#: page (fetching the page's columns included): at 256 keys 2**13 to
+#: 2**15 slots all take 0.18 ms and 2**16 0.19 ms; at 1 024 keys 2**14 /
+#: 2**15 / 2**16 / 2**17 slots take 0.72 / 0.60 / 0.65 / 0.74 ms. A
+#: bigger query shares more slots, which costs time, never exactness.
+_MAX_SLOTS = 1 << 15
 
 
 class _MembershipTable:
@@ -229,11 +233,10 @@ def _membership_batch(
     query key 0, whose own slot is another. Only entries on a shared
     slot are binary-searched in the sorted query hashes: a random
     256-key query searches a handful of entries, or none, and one whose
-    keys all share a slot (a crafted key set) searches its members
-    only. When most of the page is on shared slots — which takes a
-    crafted query *and* crafted candidates — the whole page is searched
-    instead: one page-wide ``np.searchsorted``, what every page cost
-    before the table, plus the lookup.
+    keys all share a slot (a crafted key set) searches the entries on
+    that slot only. A page whose entries all sit on shared slots — a
+    crafted query *and* crafted candidates — searches every entry after
+    the lookup, which makes it slower than a plain page-wide search.
     """
     offsets = np.zeros(len(candidates) + 1, dtype=np.int64)
     np.cumsum(
@@ -254,13 +257,8 @@ def _membership_batch(
         )
     positions = table.slots[concat.view(np.int64) & table.mask]
     if table.shared:
-        on_shared = positions < 0
-        n_shared = np.count_nonzero(on_shared)
-        if 2 * n_shared > concat.size:
-            # Picking the entries out would cost more than it saves.
-            positions = np.minimum(np.searchsorted(query, concat), query.size - 1)
-        elif n_shared:
-            searched = np.flatnonzero(on_shared)
+        searched = np.flatnonzero(positions < 0)
+        if searched.size:
             positions[searched] = np.minimum(
                 np.searchsorted(query, concat[searched]), query.size - 1
             )

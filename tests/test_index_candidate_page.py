@@ -251,8 +251,7 @@ def test_forced_collisions_match_oracle(bits):
     clashing keys, every query key on one slot, the extreme hash values
     0 and ``2**bits - 1``, an empty query and an empty candidate — give
     the oracle's page bit for bit, whichever way the probe resolves
-    them (slot lookup, searching the shared-slot entries, searching the
-    whole page)."""
+    them (slot lookup or searching the shared-slot entries)."""
     rng = np.random.default_rng(bits)
     top = (1 << bits) - 1
     hasher = _IdentityHasher(bits=bits)
@@ -300,20 +299,13 @@ def test_forced_collisions_match_oracle(bits):
     page_ok(sketch(extremes, 8, "extremes-only"), candidates)
 
     # Every query key on one slot: its members are searched, the rest
-    # of the page is looked up ...
+    # of the page is looked up.
     crowded_keys = _on_slot(rng, 80, bits)
     crowded = sketch(crowded_keys, 64, "crowded")
     page_ok(crowded, {
         "members": sketch(np.concatenate([crowded_keys[:30], outsiders]), 96, "m"),
         "few": sketch(crowded_keys[::7], 64, "few"),
         "empty": CorrelationSketch(64, hasher=hasher, name="empty"),
-    })
-    # ... and a page mostly on that slot too is searched whole.
-    page_ok(crowded, {
-        "slot": sketch(
-            np.concatenate([crowded_keys[:40], _on_slot(rng, 60, bits)]), 96, "s"
-        ),
-        "outside": sketch(outsiders[:20], 32, "outside"),
     })
 
     # An empty query against all of them.
@@ -377,12 +369,12 @@ def test_all_colliding_query_searches_only_its_slot(monkeypatch):
     rng = np.random.default_rng(12)
     query, candidates = _depth_100_page(rng, _on_slot(rng, 300, 64), 75)
     entries = np.concatenate([c.columnar().key_hashes for c in candidates.values()])
-    # The query's 256 keys get a 2**15-slot table.
-    on_slot = int(np.count_nonzero((entries & np.uint64(0x7FFF)) == _SLOT & 0x7FFF))
+    mask = engine_mod._MembershipTable(query.columnar()).mask
+    on_slot = int(np.count_nonzero((entries & np.uint64(mask)) == _SLOT & mask))
     needles = _count_searches(monkeypatch)
     page = _assemble(query, candidates)
     assert needles == [on_slot]
-    assert 0 < on_slot < entries.size // 2
+    assert on_slot > 0
     monkeypatch.undo()
     _assert_page_matches_oracle(query, candidates, page)
 
