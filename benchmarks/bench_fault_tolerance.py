@@ -1,19 +1,20 @@
 """Fault tolerance: latency and degraded-rate under injected faults.
 
-The resilience tentpole's acceptance benchmark. Four scenarios over one
-sharded corpus, all driven by the deterministic fault harness
+The resilience acceptance benchmark. Four scenarios over one sharded
+corpus, all driven by the deterministic fault harness
 (:mod:`repro.serving.faults`, seed pinned so CI runs are reproducible):
 
-* **clean baseline** — the plain scatter-gather path, no resilience
-  knobs: the latency floor every other row is read against;
-* **clean guarded** — ``deadline_ms`` + ``on_shard_error="partial"``
-  engaged but no fault firing. Rankings must stay bit-identical, and
-  (full run) the p50 must sit within 5% of the baseline: the supervised
-  fan-out may not tax the fault-free path;
-* **10% shard delay** — each shard probe delays past the deadline with
-  probability 0.1: late shards are dropped, queries degrade instead of
-  stalling, and the p99 stays bounded by the deadline rather than the
-  straggler;
+* **clean baseline** — the plain router path, default ``raise`` policy:
+  the latency floor every other row is read against;
+* **clean guarded** — ``on_shard_error="partial"`` engaged but no fault
+  firing. Rankings must stay bit-identical, and (full run) the p50 must
+  sit within 5% of the baseline: the policy may not tax the fault-free
+  path;
+* **10% shard exception** — each shard's availability check raises with
+  probability 0.1: failed shards are dropped, queries degrade instead of
+  failing, every degraded flag is exactly ``shards_failed > 0``, and
+  every answer is the exact answer of a monolithic engine over the
+  shards that survived that query;
 * **worker kill mid-batch** — exactly one process-pool chunk dies
   (``times: 1`` — the fork-shared budget makes this deterministic,
   where a per-dispatch probability would draw in rng *copies* the
@@ -35,6 +36,8 @@ import numpy as np
 
 from conftest import write_result
 from repro.core.sketch import CorrelationSketch
+from repro.index.catalog import SketchCatalog
+from repro.index.engine import JoinCorrelationEngine
 from repro.serving import (
     QueryWorkerPool,
     ShardRouter,
@@ -52,8 +55,6 @@ N_QUERIES = 48
 QUICK_QUERIES = 8
 REPEATS = 3
 FAULT_PROBABILITY = 0.1
-STRAGGLER_MS = 40.0
-DEADLINE_MS = 15.0
 
 
 def _build(n_sketches: int, seed: int = 3) -> ShardedCatalog:
@@ -107,22 +108,40 @@ def _percentiles(latencies_ms):
     return p50, p99
 
 
-def _measure(router, queries, **kwargs):
-    """Per-query latency (best of REPEATS) + results of the last pass.
+def _measure(router, queries, plan=None, **kwargs):
+    """Per-query latency (best of REPEATS) + results of the last pass,
+    and the shards each of those queries lost to ``plan``'s faults.
 
     Each repeat re-runs the whole query set so injected probability
     faults draw a fresh stream per pass; the *degraded* flags come from
     the final pass, the latency from the best pass (noise floor).
     """
     best = [float("inf")] * len(queries)
-    results = None
+    results = lost = None
     for _ in range(REPEATS):
-        results = []
+        results, lost = [], []
         for index, query in enumerate(queries):
+            fired = 0 if plan is None else len(plan.fired_log)
             t0 = time.perf_counter()
             results.append(router.query(query, k=10, **kwargs))
             best[index] = min(best[index], (time.perf_counter() - t0) * 1000)
-    return best, results
+            lost.append(
+                frozenset()
+                if plan is None
+                else frozenset(ctx["shard"] for _, ctx in plan.fired_log[fired:])
+            )
+    return best, results, lost
+
+
+def _survivors_engine(catalog, lost):
+    """A monolithic engine over every sketch outside the ``lost`` shards."""
+    mono = SketchCatalog(sketch_size=SKETCH_SIZE, hasher=catalog.hasher)
+    mono.add_sketches(
+        (sid, catalog.get(sid))
+        for sid in sorted(catalog)
+        if catalog.owner_of(sid) not in lost
+    )
+    return JoinCorrelationEngine(mono)
 
 
 def test_fault_tolerance(quick):
@@ -134,8 +153,7 @@ def test_fault_tolerance(quick):
     lines = [
         f"corpus: {n_sketches} sketches x {SKETCH_SIZE} entries, "
         f"{N_SHARDS} shards, {n_queries} queries "
-        f"(fault probability {FAULT_PROBABILITY:.0%}, "
-        f"straggler {STRAGGLER_MS:g} ms, deadline {DEADLINE_MS:g} ms)",
+        f"(fault probability {FAULT_PROBABILITY:.0%})",
         "",
         f"{'scenario':<24}{'p50 ms':>10}{'p99 ms':>10}{'degraded':>10}",
     ]
@@ -146,94 +164,90 @@ def test_fault_tolerance(quick):
         lines.append(f"{label:<24}{p50:>10.2f}{p99:>10.2f}{rate:>10.1%}")
         return p50, p99, rate
 
-    with ShardRouter(catalog, workers=N_SHARDS) as router:
-        base_lat, base_results = _measure(router, queries)
-        base_p50, _, _ = row("clean baseline", base_lat, base_results)
+    router = ShardRouter(catalog)
+    base_lat, base_results, _ = _measure(router, queries)
+    base_p50, _, _ = row("clean baseline", base_lat, base_results)
 
-        guard_lat, guard_results = _measure(
-            router, queries,
-            deadline_ms=60_000, on_shard_error="partial",
-        )
-        guard_p50, _, guard_rate = row(
-            "clean guarded", guard_lat, guard_results
-        )
-        # Bit-identical when no fault fires: the resilience path may
-        # reorder nothing and drop nothing.
-        assert _ranking_key(guard_results) == _ranking_key(base_results)
-        assert guard_rate == 0.0
+    guard_lat, guard_results, _ = _measure(
+        router, queries, on_shard_error="partial"
+    )
+    guard_p50, _, guard_rate = row("clean guarded", guard_lat, guard_results)
+    # Bit-identical when no fault fires: the partial policy may reorder
+    # nothing and drop nothing.
+    assert _ranking_key(guard_results) == _ranking_key(base_results)
+    assert guard_rate == 0.0
 
-        with injected(
-            {
-                "shard_probe": {
-                    "kind": "delay",
-                    "ms": STRAGGLER_MS,
-                    "probability": FAULT_PROBABILITY,
-                    "times": None,
-                }
+    with injected(
+        {
+            "shard_probe": {
+                "kind": "exception",
+                "probability": FAULT_PROBABILITY,
+                "times": None,
             }
-        ):
-            delay_lat, delay_results = _measure(
-                router, queries,
-                deadline_ms=DEADLINE_MS, on_shard_error="partial",
-            )
-        _, delay_p99, delay_rate = row(
-            "10% shard delay", delay_lat, delay_results
+        }
+    ) as plan:
+        fault_lat, fault_results, fault_lost = _measure(
+            router, queries, plan, on_shard_error="partial"
         )
-        # Dropped shards, not stalled queries: every answer arrives, the
-        # degraded ones flagged as such.
-        assert all(r.shards_probed == N_SHARDS for r in delay_results)
-        assert all(
-            (r.shards_failed > 0) == r.degraded for r in delay_results
-        )
+    _, _, fault_rate = row("10% shard exception", fault_lat, fault_results)
+    # Dropped shards, not failed queries: every answer arrives, the
+    # degraded ones flagged as such, each the exact answer over the
+    # shards that survived it.
+    assert all(r.shards_probed == N_SHARDS for r in fault_results)
+    assert all((r.shards_failed > 0) == r.degraded for r in fault_results)
+    assert [r.shards_failed for r in fault_results] == [
+        len(lost) for lost in fault_lost
+    ]
+    oracles: dict = {}
+    for query, result, lost in zip(queries, fault_results, fault_lost):
+        if lost not in oracles:
+            oracles[lost] = _survivors_engine(catalog, lost)
+        want = oracles[lost].query(query, k=10)
+        assert _ranking_key([result]) == _ranking_key([want])
 
-        # -- worker-kill scenario: batch wall-clock under supervision ---------
-        # Workers inherit the installed fault plan at fork, so the kill
-        # run needs its own pool created *under* the plan; both runs are
-        # therefore measured on a cold pool (fork cost on both sides).
-        want_batch = _ranking_key(router.query_batch(queries, k=10))
+    # -- worker-kill scenario: batch wall-clock under supervision -------------
+    # Workers inherit the installed fault plan at fork, so the kill run
+    # needs its own pool created *under* the plan; both runs are
+    # therefore measured on a cold pool (fork cost on both sides).
+    want_batch = _ranking_key(router.query_batch(queries, k=10))
 
-        def cold_batch():
-            with QueryWorkerPool(router, workers=2) as pool:
-                if not pool.parallel:
-                    return None
-                t0 = time.perf_counter()
-                results = pool.query_batch(queries, k=10)
-                elapsed = time.perf_counter() - t0
-                return (
-                    elapsed, results, pool.respawns, pool.sequential_fallback
-                )
+    def cold_batch():
+        with QueryWorkerPool(router, workers=2) as pool:
+            if not pool.parallel:
+                return None
+            t0 = time.perf_counter()
+            results = pool.query_batch(queries, k=10)
+            elapsed = time.perf_counter() - t0
+            return elapsed, results, pool.respawns, pool.sequential_fallback
 
-        clean_run = cold_batch()
-        if clean_run is not None:
-            clean_s, clean_batch, clean_respawns, _ = clean_run
-            assert _ranking_key(clean_batch) == want_batch
-            assert clean_respawns == 0
-            with injected({"worker_chunk": {"kind": "kill", "times": 1}}):
-                killed_s, killed_batch, respawns, fallback = cold_batch()
-            # Supervision re-dispatches: nothing lost, nothing
-            # duplicated, rankings identical to the sequential path.
-            assert _ranking_key(killed_batch) == want_batch
-            assert respawns == 1 and not fallback
-            lines += [
-                "",
-                f"batch of {n_queries} under 2 process workers "
-                "(cold pool, fork included):",
-                f"  clean            : {clean_s * 1000:>8.1f} ms",
-                f"  1 worker killed  : {killed_s * 1000:>8.1f} ms "
-                f"({respawns} respawn(s), fallback={fallback})",
-            ]
-        else:
-            lines += ["", "batch kill scenario skipped: no fork"]
+    clean_run = cold_batch()
+    if clean_run is not None:
+        clean_s, clean_batch, clean_respawns, _ = clean_run
+        assert _ranking_key(clean_batch) == want_batch
+        assert clean_respawns == 0
+        with injected({"worker_chunk": {"kind": "kill", "times": 1}}):
+            killed_s, killed_batch, respawns, fallback = cold_batch()
+        # Supervision re-dispatches: nothing lost, nothing duplicated,
+        # rankings identical to the sequential path.
+        assert _ranking_key(killed_batch) == want_batch
+        assert respawns == 1 and not fallback
+        lines += [
+            "",
+            f"batch of {n_queries} under 2 process workers "
+            "(cold pool, fork included):",
+            f"  clean            : {clean_s * 1000:>8.1f} ms",
+            f"  1 worker killed  : {killed_s * 1000:>8.1f} ms "
+            f"({respawns} respawn(s), fallback={fallback})",
+        ]
+    else:
+        lines += ["", "batch kill scenario skipped: no fork"]
 
     write_result("fault_tolerance.txt", "\n".join(lines))
 
     if not quick:
-        # The resilience machinery may not tax the fault-free path.
+        # The partial policy may not tax the fault-free path.
         assert guard_p50 <= base_p50 * 1.05 + 0.2, (
             f"clean-path p50 regression: guarded {guard_p50:.2f} ms vs "
             f"baseline {base_p50:.2f} ms"
         )
-        assert delay_rate > 0.0
-        # A dropped straggler costs at most the deadline, not the full
-        # injected delay: p99 must undercut straggler-bound latency.
-        assert delay_p99 < base_p50 + STRAGGLER_MS
+        assert fault_rate > 0.0

@@ -35,7 +35,7 @@ Subpackages
 ``repro.index``
     Inverted index, sketch catalog, the top-k query engine.
 ``repro.serving``
-    Sharded catalogs and scatter-gather query routing (horizontal scale).
+    Sharded catalogs, query routing and the HTTP query service.
 ``repro.data``
     Synthetic data generators (SBN, NYC-like, WBF-like).
 ``repro.evalharness``

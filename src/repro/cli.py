@@ -36,11 +36,10 @@ The operations of a join-correlation deployment, as subcommands:
   delta state from the manifest alone, without materializing any shard;
   ``shard compact`` compacts every shard in place; ``shard verify``
   checksums every shard snapshot and lists quarantine candidates.
-  ``query --catalog-dir <dir>`` serves queries from such a directory
-  scatter-gather (``--workers`` fans the shard probes out on threads),
+  ``query --catalog-dir <dir>`` serves queries from such a directory,
   with results bit-identical to a monolithic catalog;
-  ``--deadline-ms``/``--on-shard-error partial`` trade that exactness
-  for availability, serving surviving shards when one is slow or broken.
+  ``--on-shard-error partial`` trades that exactness for availability,
+  serving the surviving shards when one is broken.
 
 Missing or corrupt catalog/CSV inputs print a one-line ``error:`` and
 exit with status 2 instead of a traceback — as do files in a retired
@@ -55,12 +54,12 @@ Examples::
     repro-sketch query catalog.arena --queries-dir my_tables/ -k 5
     repro-sketch query catalog.arena taxi.csv --retrieval lsh --bands 32 --rows 2
     repro-sketch serve catalog.arena --port 8765 --max-batch 16
-    repro-sketch serve --catalog-dir catalog-dir/ --workers 4
+    repro-sketch serve --catalog-dir catalog-dir/
     repro-sketch estimate left.csv right.csv --left-key date --right-key day
     repro-sketch catalog info catalog.arena
     repro-sketch shard build data/portal/ -o catalog-dir/ --shards 4
     repro-sketch shard info catalog-dir/
-    repro-sketch query --catalog-dir catalog-dir/ taxi.csv --workers 4
+    repro-sketch query --catalog-dir catalog-dir/ taxi.csv
 """
 
 from __future__ import annotations
@@ -194,18 +193,10 @@ def _add_query_tuning_args(parser: argparse.ArgumentParser) -> None:
         "per-candidate rng stream bit-for-bit",
     )
     parser.add_argument(
-        "--deadline-ms",
-        type=_positive_float,
-        default=None,
-        help="per-query wall-clock budget for the shard probe scatter "
-        "(with --catalog-dir); shards that miss it are dropped under "
-        "--on-shard-error partial, or fail the query under raise",
-    )
-    parser.add_argument(
         "--on-shard-error",
         default=None,
         choices=_ON_SHARD_ERROR_CHOICES,
-        help="what a failed/late shard does to the query (with "
+        help="what a failed shard does to the query (with "
         "--catalog-dir): 'raise' fails it (default), 'partial' serves "
         "the surviving shards and flags the result degraded",
     )
@@ -356,8 +347,8 @@ def _options_from_args(args: argparse.Namespace) -> QueryOptions:
 
     Shared by ``query`` and ``serve`` (whose flags come from the same
     :func:`_add_query_tuning_args`), so the two verbs cannot silently
-    diverge on what ``--deadline-ms``/``--on-shard-error``/
-    ``--retrieval``/``--rng-mode`` and friends mean.
+    diverge on what ``--on-shard-error``/``--retrieval``/
+    ``--rng-mode`` and friends mean.
     """
     return QueryOptions(
         k=args.k,
@@ -369,14 +360,13 @@ def _options_from_args(args: argparse.Namespace) -> QueryOptions:
         lsh_bands=args.bands,
         lsh_rows=args.rows,
         seed=args.seed,
-        deadline_ms=args.deadline_ms,
         on_shard_error=(
             "raise" if args.on_shard_error is None else args.on_shard_error
         ),
     )
 
 
-def _build_session(catalog_path, catalog_dir, options, workers):
+def _build_session(catalog_path, catalog_dir, options):
     """Load a catalog (file or manifest dir) and wrap it in a warm
     :class:`~repro.serving.session.QuerySession`; returns
     ``(session, catalog, executor_label)``."""
@@ -385,13 +375,9 @@ def _build_session(catalog_path, catalog_dir, options, workers):
     if catalog_dir is not None:
         catalog = _load_sharded(catalog_dir)
         session = QuerySession(
-            ShardRouter.from_options(catalog, options, workers=workers),
-            options,
+            ShardRouter.from_options(catalog, options), options
         )
-        label = (
-            f"sharded ({catalog.n_shards} shards, "
-            f"workers={workers if workers is not None else 1})"
-        )
+        label = f"sharded ({catalog.n_shards} shards)"
     else:
         catalog = _load_catalog(catalog_path)
         session = QuerySession(
@@ -399,20 +385,6 @@ def _build_session(catalog_path, catalog_dir, options, workers):
         )
         label = "monolithic"
     return session, catalog, label
-
-
-def _run_resilient(run, args: argparse.Namespace):
-    """Run a query callable, mapping a missed deadline under the default
-    ``raise`` policy to the one-line-error/exit-2 discipline."""
-    from repro.serving import DeadlineExceeded
-
-    try:
-        return run()
-    except DeadlineExceeded as exc:
-        raise _fail(
-            f"deadline of {args.deadline_ms:g} ms exceeded ({exc}); "
-            "--on-shard-error partial serves the surviving shards instead"
-        ) from exc
 
 
 def _print_degraded(result) -> None:
@@ -476,10 +448,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise SystemExit(
             "error: provide a catalog file or --catalog-dir"
         )
-    if args.workers is not None and args.catalog_dir is None:
-        raise SystemExit(
-            "error: --workers fans shard probes out and needs --catalog-dir"
-        )
     if args.query_csv is not None and args.queries_dir is not None:
         raise SystemExit(
             "error: provide either a query CSV or --queries-dir, not both"
@@ -494,16 +462,14 @@ def cmd_query(args: argparse.Namespace) -> int:
             "error: --key/--value select one pair of a single query CSV; "
             "--queries-dir always evaluates every column pair"
         )
-    if (
-        args.deadline_ms is not None or args.on_shard_error is not None
-    ) and args.catalog_dir is None:
+    if args.on_shard_error is not None and args.catalog_dir is None:
         raise SystemExit(
-            "error: --deadline-ms/--on-shard-error bound the sharded "
-            "scatter-gather and need --catalog-dir"
+            "error: --on-shard-error decides what a lost shard does and "
+            "needs --catalog-dir"
         )
     options = _options_from_args(args)
     session, catalog, executor_label = _build_session(
-        args.catalog, args.catalog_dir, options, args.workers
+        args.catalog, args.catalog_dir, options
     )
     if args.queries_dir is not None:
         return _run_query_batch(catalog, session, executor_label, args)
@@ -512,11 +478,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     pair = _resolve_pair(table, args.key, args.value)
     sketch = _build_query_sketch(table, pair, catalog)
 
-    result = _run_resilient(
-        lambda: session.submit_one(
-            sketch, exclude_id=pair.pair_id, trace=args.profile
-        ),
-        args,
+    result = session.submit_one(
+        sketch, exclude_id=pair.pair_id, trace=args.profile
     )
 
     print(f"query pair : {pair.pair_id}")
@@ -564,11 +527,8 @@ def _run_query_batch(
         return 1
 
     t0 = time.perf_counter()
-    results = _run_resilient(
-        lambda: session.submit(
-            sketches, exclude_ids=pair_ids, trace=args.profile
-        ),
-        args,
+    results = session.submit(
+        sketches, exclude_ids=pair_ids, trace=args.profile
     )
     elapsed = time.perf_counter() - t0
 
@@ -616,16 +576,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             "error: provide a catalog file or --catalog-dir"
         )
-    if args.workers is not None and args.catalog_dir is None:
+    if args.on_shard_error is not None and args.catalog_dir is None:
         raise SystemExit(
-            "error: --workers fans shard probes out and needs --catalog-dir"
-        )
-    if (
-        args.deadline_ms is not None or args.on_shard_error is not None
-    ) and args.catalog_dir is None:
-        raise SystemExit(
-            "error: --deadline-ms/--on-shard-error bound the sharded "
-            "scatter-gather and need --catalog-dir"
+            "error: --on-shard-error decides what a lost shard does and "
+            "needs --catalog-dir"
         )
     if args.seed is not None:
         raise SystemExit(
@@ -642,7 +596,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     options = _options_from_args(args)
     session, catalog, executor_label = _build_session(
-        args.catalog, args.catalog_dir, options, args.workers
+        args.catalog, args.catalog_dir, options
     )
     service = QueryService(
         session,
@@ -724,7 +678,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
     print(
         f"shards     : {shards.get('count', '?')} "
-        f"({shards.get('errors', 0)} probe/assemble errors)"
+        f"({shards.get('errors', 0)} shard errors)"
     )
     if workers.get("count"):
         fallback = (
@@ -1160,15 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--catalog-dir",
         default=None,
         help="sharded catalog directory from `shard build`; queries are "
-        "served scatter-gather with results bit-identical to a monolithic "
-        "catalog",
-    )
-    p_query.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="thread workers for the per-shard fan-out (with --catalog-dir; "
-        "default: sequential scatter)",
+        "served with results bit-identical to a monolithic catalog",
     )
     p_query.add_argument(
         "query_csv",
@@ -1211,15 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--catalog-dir",
         default=None,
-        help="sharded catalog directory from `shard build`, served "
-        "scatter-gather",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="thread workers for the per-shard fan-out (with --catalog-dir; "
-        "default: sequential scatter)",
+        help="sharded catalog directory from `shard build`",
     )
     _add_query_tuning_args(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1", help="bind address")

@@ -39,8 +39,8 @@ result records exist only for the ``k`` entries returned
 (:func:`rerank_pages`). The pipeline asks two *stage steps* for the
 parts that depend on where the sketches live — candidate retrieval and
 page assembly. The engine answers both from its one catalog; a
-:class:`repro.serving.ShardRouter` is the same engine with both steps
-scattered over catalog shards. The row-at-a-time reference (dict-of-
+:class:`repro.serving.ShardRouter` is the same engine whose retrieval
+step checks the catalog's shards first. The row-at-a-time reference (dict-of-
 lists ScanCount, per-candidate dict joins and statistics) that the
 parity suites compare this pipeline against lives in the test tree,
 ``tests/scalar_query_oracle.py``.
@@ -428,7 +428,8 @@ class CandidatePage:
     candidate (never on the rest of the page), so pages assembled in
     shard- or chunk-sized groups and merged with :meth:`concat` /
     :meth:`take` are bit-identical to one monolithic assembly — the
-    property the scatter-gather router relies on.
+    property the sharded router relies on (it assembles once, reading
+    each candidate from its owning shard).
     """
 
     ids: list[str]
@@ -752,13 +753,11 @@ class JoinCorrelationEngine:
         )
 
     @classmethod
-    def from_options(cls, catalog, options: QueryOptions, **kwargs):
+    def from_options(cls, catalog, options: QueryOptions):
         """Build a backend from one :class:`QueryOptions` record.
 
-        Per-call fields (``k``/``scorer``/``seed``/``deadline_ms``/
-        ``on_shard_error``) stay on the record for the caller's
-        ``query``/``submit`` calls. ``kwargs`` are the constructor's
-        other arguments (the router's ``workers``).
+        Per-call fields (``k``/``scorer``/``seed``/``on_shard_error``)
+        stay on the record for the caller's ``query``/``submit`` calls.
         """
         return cls(
             catalog,
@@ -768,7 +767,6 @@ class JoinCorrelationEngine:
             retrieval_backend=options.retrieval_backend,
             lsh_bands=options.lsh_bands,
             lsh_rows=options.lsh_rows,
-            **kwargs,
         )
 
     def query(

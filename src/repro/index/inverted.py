@@ -626,8 +626,8 @@ def merge_hits(
     :meth:`ColumnarPostings.top_overlap` and friends), so ``heapq.merge``
     recovers the global order without re-sorting, and truncation to
     ``depth`` reproduces the monolithic probe's cutoff. This is the one
-    merge primitive behind both horizontal partitioning (shard
-    scatter-gather, :class:`repro.serving.router.ShardRouter`) and
+    merge primitive behind both horizontal partitioning (the LSH
+    backend of :class:`repro.serving.router.ShardRouter`) and
     vertical layering (frozen + delta probes,
     :meth:`repro.index.catalog.SketchCatalog.probe_top_overlap`): any
     candidate in the global top-``depth`` is in its own layer's

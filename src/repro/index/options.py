@@ -2,7 +2,7 @@
 
 Every layer that evaluates top-k join-correlation queries — the
 monolithic :class:`~repro.index.engine.JoinCorrelationEngine`, the
-scatter-gather :class:`~repro.serving.router.ShardRouter`, the forked
+sharded :class:`~repro.serving.router.ShardRouter`, the forked
 :class:`~repro.serving.workers.QueryWorkerPool`, the CLI's ``query`` and
 ``serve`` verbs, and the HTTP query service — historically spelled the
 same ~10 tuning parameters by hand as positional/keyword arguments.
@@ -35,18 +35,12 @@ RETRIEVAL_BACKENDS = ("inverted", "lsh")
 ON_SHARD_ERROR_POLICIES = ("raise", "partial")
 
 
-def validate_resilience(
-    deadline_ms: float | None, on_shard_error: str
-) -> None:
-    """Shared validation for the two resilience knobs.
+def validate_resilience(on_shard_error: str) -> None:
+    """Shared validation for the shard-failure policy.
 
     One function so the router's per-call validation and
     :class:`QueryOptions` construction cannot drift apart.
     """
-    if deadline_ms is not None and deadline_ms <= 0:
-        raise ValueError(
-            f"deadline_ms must be positive, got {deadline_ms}"
-        )
     if on_shard_error not in ON_SHARD_ERROR_POLICIES:
         raise ValueError(
             f"unknown on_shard_error {on_shard_error!r}; expected one "
@@ -79,11 +73,10 @@ class QueryOptions:
             request coalescer relies on). A set seed creates one
             generator per ``submit`` call, consumed in query order
             (exactly the documented ``query_batch`` contract).
-        deadline_ms: wall-clock budget for the shard fan-out (sharded
-            backends only). ``None`` waits indefinitely.
         on_shard_error: ``"raise"`` (default) propagates the
             lowest-index shard failure; ``"partial"`` serves surviving
-            shards and flags the result degraded.
+            shards and flags the result degraded (sharded backends
+            only).
     """
 
     k: int = 10
@@ -95,7 +88,6 @@ class QueryOptions:
     lsh_bands: int | None = None
     lsh_rows: int | None = None
     seed: int | None = None
-    deadline_ms: float | None = None
     on_shard_error: str = "raise"
 
     def __post_init__(self) -> None:
@@ -126,7 +118,7 @@ class QueryOptions:
         ):
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        validate_resilience(self.deadline_ms, self.on_shard_error)
+        validate_resilience(self.on_shard_error)
 
     def merged(self, **overrides) -> "QueryOptions":
         """A copy with the given fields replaced (and re-validated).
@@ -139,7 +131,7 @@ class QueryOptions:
             name: value
             for name, value in overrides.items()
             if value is not None
-            or name in ("lsh_bands", "lsh_rows", "seed", "deadline_ms")
+            or name in ("lsh_bands", "lsh_rows", "seed")
         }
         if not overrides:
             return self

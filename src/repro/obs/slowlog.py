@@ -16,6 +16,10 @@ Record schema::
      "slowest_shard": {"shard": int, "phase": str, "duration_ms": float,
                        "status": str} | null,
      "failed_shards": [int, ...]}
+
+``slowest_shard.phase`` names the phase the shard's child span refines;
+the router checks shards only during ``retrieval``, so it is always
+``"retrieval"``.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A :class:`Trace` is a request-scoped recorder of *named phases*: the
 session creates one per query (with a ``trace_id`` minted from
 :func:`new_trace_id`), the execution layers add spans as they run —
 ``queue_wait``, ``retrieval``, ``assemble``, ``score``, ``merge``,
-``wire_encode``, plus per-shard ``shard_probe``/``shard_assemble``
-children under the scatter phases — and the finished record travels in
+``wire_encode``, plus a per-shard ``shard_probe`` child under
+``retrieval`` on a sharded catalog — and the finished record travels in
 ``QueryResult.trace`` as a plain strict-JSON dict.
 
 Design constraints, in order of importance:

@@ -1,20 +1,21 @@
-"""Sharded catalog + scatter-gather serving subsystem.
+"""Sharded catalog + serving subsystem.
 
-The horizontal-scaling layer over :mod:`repro.index`: a
+Shards are a storage layout over :mod:`repro.index`: a
 :class:`ShardedCatalog` partitions sketches across independent
 :class:`~repro.index.catalog.SketchCatalog` shards (deterministic
 hash-by-id placement, least-loaded table routing, incremental add and
 remove with per-shard index invalidation), a :class:`ShardRouter`
-evaluates top-k queries scatter-gather with results bit-identical to a
-monolithic catalog, and :mod:`repro.serving.manifest` persists the whole
-thing as one directory of per-shard binary snapshots under a versioned
-``manifest.json`` with lazy per-shard rehydration. Worker pools
-(:mod:`repro.serving.workers`) supply shard-level thread fan-out and
+checks the shards' availability once per query and then runs the
+engine's one probe and one page over all of them, with results
+bit-identical to a monolithic catalog, and :mod:`repro.serving.manifest`
+persists the whole thing as one directory of per-shard binary snapshots
+under a versioned ``manifest.json`` with lazy per-shard rehydration. A
+forked :class:`QueryWorkerPool` (:mod:`repro.serving.workers`) supplies
 query-level process parallelism.
 
-The resilience layer rides on top: per-query deadlines and partial
-scatter-gather on the router (``deadline_ms`` / ``on_shard_error``),
-supervised worker pools that respawn dead forked workers, snapshot
+The resilience layer rides on top: partial answers on the router
+(``on_shard_error``), a supervised worker pool that respawns dead
+forked workers, snapshot
 quarantine with an arena→json fallback chain
 (``on_corruption="quarantine"``), and the deterministic fault-injection
 harness (:mod:`repro.serving.faults`) that drives all of it in tests
@@ -50,14 +51,9 @@ from repro.serving.router import ON_SHARD_ERROR_POLICIES, ShardRouter
 from repro.serving.server import QueryService
 from repro.serving.session import QuerySession
 from repro.serving.shards import ShardUnavailable, ShardedCatalog
-from repro.serving.workers import (
-    DeadlineExceeded,
-    QueryWorkerPool,
-    ShardWorkerPool,
-)
+from repro.serving.workers import QueryWorkerPool
 
 __all__ = [
-    "DeadlineExceeded",
     "FaultPlan",
     "InjectedFault",
     "MANIFEST_NAME",
@@ -70,7 +66,6 @@ __all__ = [
     "QueryWorkerPool",
     "ShardRouter",
     "ShardUnavailable",
-    "ShardWorkerPool",
     "ShardedCatalog",
     "active_plan",
     "injected",

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the serving and snapshot stack.
 
-The resilience layer — query deadlines, partial scatter-gather, worker
-supervision, snapshot quarantine — only earns trust if its failure
+The resilience layer — partial answers over the surviving shards,
+worker supervision, snapshot quarantine — only earns trust if its failure
 paths are *driven*, repeatably, in tests and benchmarks. This module is
 the driver: a process-global :class:`FaultPlan` describing which
 injection **sites** misbehave and how, installed explicitly and
@@ -10,10 +10,9 @@ consulted by small hooks threaded through the stack:
 ========================  ====================================================
 site                      fired from (context keys)
 ========================  ====================================================
-``shard_probe``           :meth:`ShardRouter._scatter_retrieve`, once per
-                          shard probe (``shard``)
-``shard_assemble``        :meth:`ShardRouter._scatter_assemble`, once per
-                          shard page-assembly task (``shard``)
+``shard_probe``           :meth:`ShardRouter._check_shards`, once per
+                          shard per query batch, before the shard is
+                          fetched (``shard``)
 ``worker_chunk``          :func:`repro.serving.workers._run_query_chunk`,
                           inside the forked worker before it evaluates its
                           query slice (``chunk``)
@@ -71,7 +70,6 @@ from contextlib import contextmanager
 #: rejected at install time so a typo cannot silently disable a fault.
 FAULT_SITES = (
     "shard_probe",
-    "shard_assemble",
     "worker_chunk",
     "snapshot_read",
     "fsync",

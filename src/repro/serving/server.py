@@ -499,7 +499,7 @@ class QueryService:
         self.registry.declare(
             "repro_shard_errors_total",
             "counter",
-            help="Shard probe/assemble failures, by shard",
+            help="Shards that failed their availability check, by shard",
         )
         self._started_monotonic = time.monotonic()
         self.session.warm()

@@ -2,7 +2,7 @@
 
 Historically each layer that answers top-k join-correlation queries —
 the monolithic :class:`~repro.index.engine.JoinCorrelationEngine`, the
-scatter-gather :class:`~repro.serving.router.ShardRouter`, the forked
+sharded :class:`~repro.serving.router.ShardRouter`, the forked
 :class:`~repro.serving.workers.QueryWorkerPool` — exposed its own
 ``query``/``query_batch`` with ~8 hand-threaded positional/keyword
 arguments, and every caller (CLI, examples, benchmarks, the HTTP
@@ -18,8 +18,8 @@ object that owns
 
 The session adapts to what its backend can do (detected from the
 ``query_batch`` signature, not an isinstance ladder, so any compatible
-object works): a monolithic engine has no ``deadline_ms``/
-``on_shard_error`` surface, and the forked worker pool's rng contract is
+object works): a monolithic engine has no ``on_shard_error``
+surface, and the forked worker pool's rng contract is
 inherently sequential, so a caller-pinned ``seed`` cannot be honored
 there. Asking for a capability the backend lacks raises immediately
 instead of silently dropping the knob.
@@ -94,7 +94,7 @@ class QuerySession:
             :class:`~repro.serving.router.ShardRouter`, or a
             :class:`~repro.serving.workers.QueryWorkerPool`.
         options: per-call defaults (``k``/``scorer``/``seed``/
-            ``deadline_ms``/``on_shard_error``). Engine-level fields
+            ``on_shard_error``). Engine-level fields
             (depth, backend, rng mode, ...) are read back from the
             backend itself when it exposes an ``options`` record, so the
             session always reports the configuration that actually
@@ -137,7 +137,6 @@ class QuerySession:
                 k=options.k,
                 scorer=options.scorer,
                 seed=options.seed,
-                deadline_ms=options.deadline_ms,
                 on_shard_error=options.on_shard_error,
             )
         self._options = options
@@ -145,8 +144,8 @@ class QuerySession:
         #: The forked worker pool has no ``rng`` parameter — a shared
         #: caller generator is an inherently sequential contract.
         self._supports_rng = "rng" in params
-        #: The monolithic engine has no shard fan-out to budget.
-        self._supports_resilience = "deadline_ms" in params
+        #: The monolithic engine has no shards to lose.
+        self._supports_resilience = "on_shard_error" in params
         #: Backends grown in this repo thread per-query Trace recorders
         #: through their phases; a foreign backend without the
         #: parameter still traces, as one umbrella span timed here.
@@ -206,13 +205,11 @@ class QuerySession:
         catalog,
         options: QueryOptions | None = None,
         *,
-        workers: int | None = None,
         query_workers: int | None = None,
     ) -> "QuerySession":
-        """A session over a sharded catalog (scatter-gather router).
+        """A session over a sharded catalog (the router).
 
         Args:
-            workers: thread fan-out for the per-shard scatter.
             query_workers: when set (> 1), wrap the router in a forked
                 :class:`~repro.serving.workers.QueryWorkerPool` for
                 query-level parallelism across cores. A pinned
@@ -224,7 +221,7 @@ class QuerySession:
 
         if options is None:
             options = QueryOptions()
-        backend = ShardRouter.from_options(catalog, options, workers=workers)
+        backend = ShardRouter.from_options(catalog, options)
         if query_workers is not None and query_workers > 1:
             backend = QueryWorkerPool(backend, workers=query_workers)
         return cls(backend, options)
@@ -235,13 +232,12 @@ class QuerySession:
         path: str | Path,
         options: QueryOptions | None = None,
         *,
-        workers: int | None = None,
         query_workers: int | None = None,
     ) -> "QuerySession":
         """Open a catalog from disk and wrap it in a session.
 
-        A directory is a sharded-manifest catalog (served scatter-
-        gather); a file is a monolithic snapshot (JSON or arena).
+        A directory is a sharded-manifest catalog (served by the
+        router); a file is a monolithic snapshot (JSON or arena).
         """
         from repro.serving.shards import ShardedCatalog
 
@@ -250,7 +246,6 @@ class QuerySession:
             return cls.for_sharded(
                 ShardedCatalog.load(path),
                 options,
-                workers=workers,
                 query_workers=query_workers,
             )
         from repro.index.catalog import SketchCatalog
@@ -388,17 +383,14 @@ class QuerySession:
                     "fixed-seed default"
                 )
             kwargs["rng"] = np.random.default_rng(opts.seed)
-        if opts.deadline_ms is not None or opts.on_shard_error != "raise":
+        if opts.on_shard_error != "raise":
             if not self._supports_resilience:
                 raise ValueError(
-                    "deadline_ms/on_shard_error bound the shard "
-                    "fan-out; the monolithic "
-                    f"{type(self.backend).__name__} backend has none"
+                    "on_shard_error decides what a lost shard does; the "
+                    f"monolithic {type(self.backend).__name__} backend "
+                    "has no shards"
                 )
-            if opts.deadline_ms is not None:
-                kwargs["deadline_ms"] = opts.deadline_ms
-            if opts.on_shard_error != "raise":
-                kwargs["on_shard_error"] = opts.on_shard_error
+            kwargs["on_shard_error"] = opts.on_shard_error
         traces: list[Trace] | None = None
         if trace:
             # One shared origin: shared batch spans then carry identical

@@ -2,13 +2,14 @@
 
 A :class:`ShardedCatalog` splits one logical catalog across ``n_shards``
 independent :class:`~repro.index.catalog.SketchCatalog` partitions, all
-sharing one hashing scheme. Shards are the unit of everything the
-serving layer scales over: each has its own inverted index, frozen CSR
-postings, LSH index and LSM delta layer (maintained and compacted
-independently — one ingest dirties exactly one shard's delta and
-invalidates no frozen structure anywhere), its own arena snapshot in
-the manifest directory, and its own slot in the router's scatter-gather
-fan-out.
+sharing one hashing scheme. Shards are a storage layout: each has its
+own inverted index, frozen CSR postings, LSH index and LSM delta layer
+(maintained and compacted independently — one ingest dirties exactly
+one shard's delta and invalidates no frozen structure anywhere) and its
+own arena snapshot in the manifest directory, and is the unit the
+router checks for availability. Queries run over all of them at once:
+one stacked CSR (:meth:`ShardedCatalog.stacked_postings`) and one
+candidate page read from each candidate's owner.
 
 Placement is two-tier, trading determinism against locality:
 

@@ -1,45 +1,28 @@
-"""Worker pools behind the scatter-gather serving subsystem.
+"""Query-level process parallelism for the serving stack.
 
-Two axes of parallelism, matching the two ways a sharded deployment
-spends its cores:
+:class:`QueryWorkerPool` — persistent *forked* process workers that
+partition a multi-query batch across full CPU cores. Each worker
+inherits the parent's :class:`~repro.serving.router.ShardRouter` (and
+every shard) copy-on-write at fork time — no catalog serialization —
+and evaluates its query slice end to end, returning only the small
+ranked-result objects. Per-query results are bit-identical to the
+sequential router because each query's rng is the same fresh fixed-seed
+generator ``query_batch(rng=None)`` would hand it. (Within one query
+the router works on the calling thread: its per-shard step is an
+O(metadata) availability check, nothing worth a thread.)
 
-* :class:`ShardWorkerPool` — a persistent ``concurrent.futures`` thread
-  pool that fans *one* query's (or one batch round's) shard work out
-  across shards. Threads are the right tool here: the per-shard probe
-  and page assembly are NumPy-dominated (searchsorted / bincount /
-  reduceat release the GIL for their hot loops), and shards share the
-  parent's memory, so there is nothing to pickle.
-* :class:`QueryWorkerPool` — persistent *forked* process workers that
-  partition a multi-query batch across full CPU cores. Each worker
-  inherits the parent's :class:`~repro.serving.router.ShardRouter`
-  (and every shard) copy-on-write at fork time — no catalog
-  serialization — and evaluates its query slice end to end, returning
-  only the small ranked-result objects. This is query-level
-  parallelism: per-query results are bit-identical to the sequential
-  router because each query's rng is the same fresh fixed-seed
-  generator ``query_batch(rng=None)`` would hand it.
-
-Both pools are *supervised*:
-
-* :meth:`ShardWorkerPool.map` fails deterministically — when tasks
-  raise, outstanding futures are cancelled and the **lowest-index**
-  task's error propagates, regardless of thread scheduling;
-  :meth:`ShardWorkerPool.map_supervised` returns per-item outcomes
-  instead of failing fast, with an optional wall-clock deadline that
-  converts late completions into :class:`DeadlineExceeded` entries —
-  the primitive behind the router's partial scatter-gather.
-* :class:`QueryWorkerPool` detects dead forked workers (a worker killed
-  mid-chunk surfaces as ``BrokenProcessPool``), respawns the pool with
-  capped exponential backoff plus seeded jitter, and re-dispatches
-  exactly the chunks whose results were never received — completed
-  chunks are kept, so no query is ever lost or evaluated twice. After
-  :attr:`~QueryWorkerPool.MAX_RESPAWN_FAILURES` consecutive
-  zero-progress respawns it falls back to the sequential router path
-  for the rest of the pool's life.
+The pool is *supervised*: it detects dead forked workers (a worker
+killed mid-chunk surfaces as ``BrokenProcessPool``), respawns with
+capped exponential backoff plus seeded jitter, and re-dispatches
+exactly the chunks whose results were never received — completed
+chunks are kept, so no query is ever lost or evaluated twice. After
+:attr:`~QueryWorkerPool.MAX_RESPAWN_FAILURES` consecutive zero-progress
+respawns it falls back to the sequential router path for the rest of
+the pool's life.
 
 Platforms without the ``fork`` start method (and ``workers=1`` pools)
-degrade to sequential execution with identical results — the pools gate
-the capability instead of assuming it.
+degrade to sequential execution with identical results — the pool
+gates the capability instead of assuming it.
 """
 
 from __future__ import annotations
@@ -48,176 +31,12 @@ import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from repro.obs import get_registry
 from repro.serving.faults import maybe_fire
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-class DeadlineExceeded(TimeoutError):
-    """A task (or a whole query) overran its wall-clock deadline.
-
-    Raised by the router when ``on_shard_error="raise"`` and recorded
-    per shard (then folded into ``QueryResult.shards_failed``) when the
-    policy is ``"partial"``.
-    """
-
-
-def _validate_workers(workers: int | None) -> int | None:
-    if workers is not None and workers <= 0:
-        raise ValueError(f"workers must be positive, got {workers}")
-    return workers
-
-
-class ShardWorkerPool:
-    """Persistent thread pool for per-shard fan-out (``map`` semantics).
-
-    Args:
-        workers: thread count. ``None`` or ``1`` runs tasks sequentially
-            on the calling thread — same results, no pool overhead —
-            so callers can treat the pool as always present.
-    """
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = _validate_workers(workers)
-        self._executor: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(max_workers=workers)
-            if workers is not None and workers > 1
-            else None
-        )
-
-    def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-        """Apply ``fn`` to every item, preserving input order.
-
-        Failure is deterministic: when any task raises, outstanding
-        futures are cancelled and the **lowest-index** failing task's
-        exception propagates — the same error a plain sequential loop
-        would surface, whatever order the threads actually failed in.
-        """
-        if self._executor is None:
-            return [fn(item) for item in items]
-        futures = [self._executor.submit(fn, item) for item in items]
-        results: list[_R] = []
-        error: BaseException | None = None
-        for future in futures:
-            if error is not None:
-                future.cancel()
-                continue
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                error = exc
-        if error is not None:
-            raise error
-        return results
-
-    def map_supervised(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        *,
-        deadline_s: float | None = None,
-    ) -> tuple[list[_R | None], list[BaseException | None]]:
-        """Apply ``fn`` to every item, reporting per-item outcomes.
-
-        Returns ``(results, errors)`` — parallel lists where exactly one
-        of ``results[i]`` / ``errors[i]`` is non-None. A raising task
-        contributes its exception; with ``deadline_s`` set, any task
-        that has not *completed* within the budget (measured from this
-        call) contributes :class:`DeadlineExceeded` instead. Completion
-        time is what counts, in both the threaded and the sequential
-        mode: a task that finishes after the deadline is rejected even
-        if its value is already in hand, so an injected fixed delay
-        produces the same outcome whether or not a pool is attached —
-        threads cannot be preempted, only their results refused.
-        """
-        items = list(items)
-        start = time.perf_counter()
-
-        def expired() -> bool:
-            return (
-                deadline_s is not None
-                and time.perf_counter() - start > deadline_s
-            )
-
-        results: list[_R | None] = []
-        errors: list[BaseException | None] = []
-
-        def record(value: _R | None, error: BaseException | None) -> None:
-            results.append(value)
-            errors.append(error)
-
-        if self._executor is None:
-            for item in items:
-                if expired():
-                    record(None, DeadlineExceeded(f"deadline hit before {item!r}"))
-                    continue
-                try:
-                    value = fn(item)
-                except BaseException as exc:  # noqa: BLE001 — reported per item
-                    record(None, exc)
-                    continue
-                if expired():
-                    record(None, DeadlineExceeded(f"{item!r} finished late"))
-                else:
-                    record(value, None)
-            return results, errors
-
-        def timed(item: _T) -> tuple[_R, float]:
-            value = fn(item)
-            return value, time.perf_counter()
-
-        futures = [self._executor.submit(timed, item) for item in items]
-        for item, future in zip(items, futures):
-            if deadline_s is None:
-                timeout = None
-            else:
-                timeout = max(0.0, deadline_s - (time.perf_counter() - start))
-            try:
-                value, finished = future.result(timeout=timeout)
-            except _FutureTimeout:
-                future.cancel()
-                record(None, DeadlineExceeded(f"{item!r} missed the deadline"))
-            except BaseException as exc:  # noqa: BLE001 — reported per item
-                record(None, exc)
-            else:
-                if deadline_s is not None and finished - start > deadline_s:
-                    record(None, DeadlineExceeded(f"{item!r} finished late"))
-                else:
-                    record(value, None)
-        return results, errors
-
-    def reset(self) -> None:
-        """Swap in a fresh executor whose threads have not started yet.
-
-        Must be called in a process about to ``fork`` (see
-        :meth:`QueryWorkerPool._ensure_pool`): live pool threads do not
-        survive into the child, so a forked copy of a *used* executor
-        would queue probes no thread ever drains — a silent deadlock. A
-        fresh :class:`ThreadPoolExecutor` spawns its threads lazily on
-        first submit, in whichever process ends up using it.
-        """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 #: Worker-process state: the pool's router, installed by
 #: :func:`_init_query_worker` (run in each worker, including respawns).
@@ -304,8 +123,10 @@ class QueryWorkerPool:
     MAX_RESPAWN_FAILURES = 3
 
     def __init__(self, router, workers: int | None = None) -> None:
+        if workers is not None and workers <= 0:
+            raise ValueError(f"workers must be positive, got {workers}")
         self.router = router
-        self.workers = _validate_workers(workers)
+        self.workers = workers
         self._pool: ProcessPoolExecutor | None = None
         #: Total workers-pool respawns over this pool's life (telemetry).
         self.respawns = 0
@@ -334,15 +155,6 @@ class QueryWorkerPool:
             warm = getattr(self.router, "warm", None)
             if warm is not None:
                 warm()
-            # A router whose shard thread-pool has already run probes
-            # holds live threads that would not survive the fork; swap
-            # in an unstarted executor so parent and children each
-            # spawn their own threads on first use.
-            reset = getattr(
-                getattr(self.router, "_pool", None), "reset", None
-            )
-            if reset is not None:
-                reset()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
@@ -372,7 +184,6 @@ class QueryWorkerPool:
         *,
         exclude_ids: list[str | None] | None = None,
         true_correlations: list[dict[str, float] | None] | None = None,
-        deadline_ms: float | None = None,
         on_shard_error: str = "raise",
         traces: list | None = None,
     ):
@@ -383,12 +194,11 @@ class QueryWorkerPool:
         :class:`repro.obs.trace.Trace` recorders) are chunked alongside
         the sketches and forwarded to each worker's ``query_batch`` —
         trace spans recorded in a worker come back serialized inside
-        that chunk's ``QueryResult.trace`` dicts. ``deadline_ms`` /
-        ``on_shard_error`` forward to the router's shard fan-out (each
-        worker applies them to its own chunk); the defaults — and an
-        absent ``traces`` — are never forwarded, so any monolithic
-        engine with a plain ``query_batch`` still works as the pool's
-        router.
+        that chunk's ``QueryResult.trace`` dicts. ``on_shard_error``
+        forwards to the router (each worker applies it to its own
+        chunk); the default — and an absent ``traces`` — is never
+        forwarded, so any monolithic engine with a plain
+        ``query_batch`` still works as the pool's router.
         """
         query_sketches = list(query_sketches)
         if exclude_ids is None:
@@ -411,8 +221,6 @@ class QueryWorkerPool:
                 f"{len(traces)} traces"
             )
         extra: dict = {}
-        if deadline_ms is not None:
-            extra["deadline_ms"] = deadline_ms
         if on_shard_error != "raise":
             extra["on_shard_error"] = on_shard_error
         pool = self._ensure_pool()
@@ -486,7 +294,7 @@ class QueryWorkerPool:
                     progressed = True
             if error is not None:
                 # A task-level error (not a dead worker): deterministic
-                # lowest-index propagation, like ShardWorkerPool.map.
+                # lowest-index propagation.
                 raise error
             if not pending:
                 self._consecutive_failures = 0

@@ -71,25 +71,24 @@ def replay(seed: int, scale_name: str = "record") -> dict[str, list]:
             ]
         for rng_mode in RNG_MODES:
             sharded = ShardedCatalog.load(Path(work))
-            with ShardRouter(
-                sharded, retrieval_depth=fixtures.DEPTH, rng_mode=rng_mode
-            ) as router:
-                backends = {
-                    "router": router,
-                    "monolithic": JoinCorrelationEngine(
-                        catalog, retrieval_depth=fixtures.DEPTH, rng_mode=rng_mode
-                    ),
-                }
-                for scorer in SCORER_NAMES:
-                    for side, backend in backends.items():
-                        # One query per call, as the service submits them.
-                        records[side].extend(
-                            [scorer, rng_mode, request["name"],
-                             [entry.to_dict() for entry in backend.query(
-                                 sketch, k=fixtures.K, scorer=scorer
-                             ).ranked]]
-                            for request, sketch in zip(requests, sketches)
-                        )
+            backends = {
+                "router": ShardRouter(
+                    sharded, retrieval_depth=fixtures.DEPTH, rng_mode=rng_mode
+                ),
+                "monolithic": JoinCorrelationEngine(
+                    catalog, retrieval_depth=fixtures.DEPTH, rng_mode=rng_mode
+                ),
+            }
+            for scorer in SCORER_NAMES:
+                for side, backend in backends.items():
+                    # One query per call, as the service submits them.
+                    records[side].extend(
+                        [scorer, rng_mode, request["name"],
+                         [entry.to_dict() for entry in backend.query(
+                             sketch, k=fixtures.K, scorer=scorer
+                         ).ranked]]
+                        for request, sketch in zip(requests, sketches)
+                    )
     return records
 
 

@@ -425,7 +425,7 @@ def test_query_directory_as_catalog_suggests_catalog_dir(portal, tmp_path, capsy
         ["query", "c.json", "q.csv", "--depth", "-3"],
         ["query", "c.json", "q.csv", "--bands", "0"],
         ["query", "c.json", "q.csv", "--rows", "0"],
-        ["query", "--catalog-dir", "d", "q.csv", "--workers", "0"],
+        ["serve", "c.json", "--max-batch", "0"],
         ["index", "p", "-o", "c.json", "--sketch-size", "0"],
         ["shard", "build", "p", "-o", "d", "--shards", "0"],
         ["shard", "build", "p", "-o", "d", "--shards", "-2"],
@@ -504,12 +504,7 @@ def test_query_catalog_dir_matches_single_catalog(portal, tmp_path, capsys):
         ["query", "--catalog-dir", str(catalog_dir), str(portal / "query.csv"),
          "--scorer", "rp"]
     )
-    shard_workers = ranking(
-        ["query", "--catalog-dir", str(catalog_dir), str(portal / "query.csv"),
-         "--scorer", "rp", "--workers", "2"]
-    )
     assert shard == mono
-    assert shard_workers == mono
 
 
 def test_query_catalog_dir_batch(portal, tmp_path, capsys):
@@ -522,7 +517,7 @@ def test_query_catalog_dir_batch(portal, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "queries    : 3 column pair(s)" in out
-    assert "sharded (3 shards" in out
+    assert "executor   : sharded (3 shards)" in out
 
 
 def test_query_catalog_and_dir_mutually_exclusive(portal, tmp_path):
@@ -538,11 +533,18 @@ def test_query_requires_catalog_or_dir(portal):
         main(["query", "--queries-dir", str(portal)])
 
 
-def test_query_workers_requires_catalog_dir(portal, tmp_path):
-    catalog = _index(portal, tmp_path)
-    with pytest.raises(SystemExit, match="--workers"):
-        main(["query", str(catalog), str(portal / "query.csv"),
-              "--workers", "2"])
+@pytest.mark.parametrize("verb", ["query", "serve"])
+@pytest.mark.parametrize(
+    "flag", [["--workers", "2"], ["--deadline-ms", "50"]],
+    ids=["workers", "deadline-ms"],
+)
+def test_retired_fanout_flags_are_argparse_errors(verb, flag, capsys):
+    """There is no shard thread pool or deadline to configure: the flags
+    are unknown arguments (exit status 2), never silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--catalog-dir", "d", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_shard_build_lsh_and_query(portal, tmp_path, capsys):
@@ -752,7 +754,7 @@ def test_shard_build_arena_layout_and_compact_preserves_it(
     assert "shard layout : arena" in capsys.readouterr().out
 
 
-# -- resilience surface: verify subcommands + query deadline flags ------------
+# -- resilience surface: verify subcommands + the shard-failure flag ----------
 
 
 def _truncate(path):
@@ -809,13 +811,8 @@ def test_shard_verify_clean_corrupt_and_missing(portal, tmp_path, capsys):
     )
 
 
-def test_query_deadline_flags_require_catalog_dir(portal, tmp_path):
+def test_query_on_shard_error_requires_catalog_dir(portal, tmp_path):
     catalog = _index(portal, tmp_path)
-    with pytest.raises(SystemExit, match="catalog-dir"):
-        main(
-            ["query", str(catalog), str(portal / "query.csv"),
-             "--deadline-ms", "50"]
-        )
     with pytest.raises(SystemExit, match="catalog-dir"):
         main(
             ["query", str(catalog), str(portal / "query.csv"),
@@ -830,8 +827,7 @@ def test_query_with_resilience_flags_matches_plain(portal, tmp_path, capsys):
             str(portal / "query.csv"), "--scorer", "rp"]
     assert main(argv) == 0
     plain = capsys.readouterr().out
-    assert main(argv + ["--deadline-ms", "60000",
-                        "--on-shard-error", "partial"]) == 0
+    assert main(argv + ["--on-shard-error", "partial"]) == 0
     guarded = capsys.readouterr().out
 
     def stable(text):  # identical modulo the wall-clock timing line
@@ -856,23 +852,6 @@ def test_query_partial_prints_degraded_line(portal, tmp_path, capsys):
     assert "degraded   : 2/3 shard(s) answered, 1 dropped" in (
         capsys.readouterr().out
     )
-
-
-def test_query_missed_deadline_exits_2(portal, tmp_path, capsys):
-    from repro.serving import injected
-
-    catalog_dir = _shard_build(portal, tmp_path)
-    capsys.readouterr()
-    with injected({"shard_probe": {"shard": 0, "kind": "delay", "ms": 300}}):
-        rc = main(
-            ["query", "--catalog-dir", str(catalog_dir),
-             str(portal / "query.csv"), "--scorer", "rp",
-             "--deadline-ms", "80"]
-        )
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: deadline of 80 ms exceeded")
-    assert "--on-shard-error partial" in err
 
 
 def test_query_batch_partial_flags_each_degraded(portal, tmp_path, capsys):
@@ -913,8 +892,7 @@ def test_query_and_serve_share_one_tuning_surface():
     choices, types) without the other noticing."""
     shared = [
         "-k", "--scorer", "--depth", "--retrieval", "--bands", "--rows",
-        "--min-overlap", "--seed", "--rng-mode",
-        "--deadline-ms", "--on-shard-error",
+        "--min-overlap", "--seed", "--rng-mode", "--on-shard-error",
     ]
 
     def tuning_actions(parser):
@@ -943,9 +921,6 @@ def test_query_and_serve_share_one_tuning_surface():
     [
         ([], "provide a catalog file or --catalog-dir"),
         (["catalog.json", "--catalog-dir", "dir"], "not both"),
-        (["catalog.json", "--workers", "2"], "needs --catalog-dir"),
-        (["catalog.json", "--deadline-ms", "50"], "need --catalog-dir"),
-        (["catalog.json", "--on-shard-error", "partial"], "need --catalog-dir"),
         (["catalog.json", "--slow-query-log", "slow.log"], "--slow-query-ms"),
         (["catalog.json", "--seed", "7"], "window composition"),
     ],
@@ -953,6 +928,11 @@ def test_query_and_serve_share_one_tuning_surface():
 def test_serve_argument_validation(extra, message):
     with pytest.raises(SystemExit, match=message):
         main(["serve", *extra])
+
+
+def test_serve_on_shard_error_requires_catalog_dir():
+    with pytest.raises(SystemExit, match="needs --catalog-dir"):
+        main(["serve", "catalog.json", "--on-shard-error", "partial"])
 
 
 def test_serve_help_lists_window_flags(capsys):

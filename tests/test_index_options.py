@@ -68,8 +68,8 @@ class TestValidation:
         assert options.rng_mode == "batched"
         assert options.retrieval_backend == "inverted"
         assert options.seed is None
-        assert options.deadline_ms is None
         assert options.on_shard_error == "raise"
+        assert "deadline_ms" not in options.to_dict()
 
     @pytest.mark.parametrize(
         ("field", "value", "message"),
@@ -86,7 +86,6 @@ class TestValidation:
             ),
             ("lsh_bands", 0, "lsh_bands must be positive, got 0"),
             ("lsh_rows", -1, "lsh_rows must be positive, got -1"),
-            ("deadline_ms", 0, "deadline_ms must be positive, got 0"),
             ("on_shard_error", "bogus", "unknown on_shard_error 'bogus'"),
         ],
     )
@@ -100,16 +99,12 @@ class TestValidation:
             options.k = 5
 
     def test_validate_resilience_shared_rule(self):
-        validate_resilience(None, "raise")
-        validate_resilience(50.0, "partial")
-        with pytest.raises(ValueError, match="deadline_ms must be positive"):
-            validate_resilience(-1, "raise")
+        validate_resilience("raise")
+        validate_resilience("partial")
         with pytest.raises(ValueError, match="unknown on_shard_error"):
-            validate_resilience(None, "retry")
+            validate_resilience("retry")
         # The router's per-call validation is this rule.
         router = ShardRouter(_corpus(n=2)[1])
-        with pytest.raises(ValueError, match="deadline_ms must be positive"):
-            router.query_batch([], deadline_ms=-1)
         with pytest.raises(ValueError, match="unknown on_shard_error"):
             router.query_batch([], on_shard_error="retry")
 
@@ -137,11 +132,11 @@ class TestMerged:
         assert merged.scorer == "jc"
 
     def test_none_meaningful_for_optional_fields(self):
-        options = QueryOptions(seed=11, deadline_ms=50.0, lsh_bands=8)
-        merged = options.merged(seed=None, deadline_ms=None, lsh_bands=None)
+        options = QueryOptions(seed=11, lsh_bands=8, lsh_rows=2)
+        merged = options.merged(seed=None, lsh_bands=None, lsh_rows=None)
         assert merged.seed is None
-        assert merged.deadline_ms is None
         assert merged.lsh_bands is None
+        assert merged.lsh_rows is None
 
     def test_merged_revalidates(self):
         with pytest.raises(ValueError, match="k must be positive"):
@@ -164,7 +159,6 @@ class TestSerialization:
             lsh_bands=16,
             lsh_rows=2,
             seed=42,
-            deadline_ms=125.5,
             on_shard_error="partial",
         )
         payload = json.loads(json.dumps(options.to_dict()))
@@ -221,15 +215,12 @@ class TestRouterFromOptions:
     def test_from_options_equals_hand_threaded(self):
         _, sharded, query = _corpus()
         options = QueryOptions(depth=6, retrieval_backend="inverted")
-        by_options = ShardRouter.from_options(sharded, options, workers=2)
-        by_hand = ShardRouter(sharded, retrieval_depth=6, workers=2)
+        by_options = ShardRouter.from_options(sharded, options)
+        by_hand = ShardRouter(sharded, retrieval_depth=6)
         assert by_options.options == by_hand.options
-        assert by_options.workers == 2
         a = by_options.query(query, k=4, scorer="rp")
         b = by_hand.query(query, k=4, scorer="rp")
         assert a.to_dict()["ranked"] == b.to_dict()["ranked"]
-        by_options.close()
-        by_hand.close()
 
 
 def test_registry_constants_cover_options_domain():

@@ -248,24 +248,26 @@ class TestTraceAccounting:
         assert len(shared) == 2
 
 
-# -- shard fan-out children ---------------------------------------------------
+# -- per-shard children -------------------------------------------------------
 
 
 class TestShardChildSpans:
     def test_every_shard_probed_gets_a_child(self, corpus):
+        """One ``shard_probe`` child per shard, all under ``retrieval``
+        (the one phase that touches shards one by one); ``assemble``
+        runs once over the whole page and has none."""
         _, sharded, queries = corpus
         session = QuerySession.for_sharded(
             sharded, QueryOptions(k=6, depth=12)
         )
         result = session.submit_one(queries[0], trace=True)
         children = child_spans(result.trace)
-        probe = [c for c in children if c["name"] == "shard_probe"]
-        assemble = [c for c in children if c["name"] == "shard_assemble"]
-        assert {c["meta"]["shard"] for c in probe} == {0, 1, 2}
-        assert {c["meta"]["shard"] for c in assemble} == {0, 1, 2}
+        assert sorted(c["meta"]["shard"] for c in children) == [0, 1, 2]
         for child in children:
-            assert child["parent"] in ("retrieval", "assemble")
+            assert child["name"] == "shard_probe"
+            assert child["parent"] == "retrieval"
             assert child["meta"]["status"] == "ok"
+        assert not [c for c in children if c["parent"] == "assemble"]
 
     def test_delayed_shard_child_shows_the_delay(self, corpus):
         _, sharded, queries = corpus
@@ -317,26 +319,6 @@ class TestShardChildSpans:
             registry.counter_value("repro_shard_errors_total", shard="0")
             == 0.0
         )
-
-    def test_timed_out_shard_child_is_marked_timeout(self, corpus):
-        _, sharded, queries = corpus
-        session = QuerySession.for_sharded(
-            sharded,
-            QueryOptions(
-                k=6, depth=12, deadline_ms=120.0, on_shard_error="partial"
-            ),
-        )
-        with injected(
-            {"shard_probe": {"shard": 0, "kind": "delay", "ms": 600}}
-        ):
-            result = session.submit_one(queries[0], trace=True)
-        assert result.degraded
-        probe = {
-            c["meta"]["shard"]: c
-            for c in child_spans(result.trace)
-            if c["name"] == "shard_probe"
-        }
-        assert probe[0]["meta"]["status"] == "timeout"
 
 
 # -- worker pool: spans across the fork boundary ------------------------------

@@ -1,11 +1,11 @@
-"""Scatter-gather parity: sharded serving vs the monolithic engine.
+"""Router parity: sharded serving vs the monolithic engine.
 
 The subsystem's core guarantee — :class:`repro.serving.ShardRouter`
 results are bit-identical (ids, scores, order) to a single-catalog
 :class:`~repro.index.engine.JoinCorrelationEngine` holding the union of
 the shards — pinned for every scorer, both rng modes, both retrieval
 backends and shard counts {1, 2, 7}, for ``query`` and ``query_batch``,
-with and without worker pools.
+with and without the forked query worker pool.
 """
 
 import numpy as np
@@ -25,10 +25,9 @@ from repro.serving import (
     QuerySession,
     QueryWorkerPool,
     ShardRouter,
-    ShardWorkerPool,
     ShardedCatalog,
 )
-from repro.serving.faults import injected
+from scatter_router_oracle import ScatterRouterOracle
 
 SHARD_COUNTS = (1, 2, 7)
 #: rows=1 keeps LSH collision probability high on this moderately
@@ -93,7 +92,7 @@ def _engine(mono, backend, rng_mode="batched", depth=10):
     )
 
 
-def _router(sharded, backend, rng_mode="batched", depth=10, workers=None):
+def _router(sharded, backend, rng_mode="batched", depth=10):
     return ShardRouter(
         sharded,
         retrieval_depth=depth,
@@ -101,7 +100,6 @@ def _router(sharded, backend, rng_mode="batched", depth=10, workers=None):
         retrieval_backend=backend,
         lsh_bands=LSH["lsh_bands"],
         lsh_rows=LSH["lsh_rows"],
-        workers=workers,
     )
 
 
@@ -217,32 +215,27 @@ def _assert_pages_equal(got: CandidatePage, want: CandidatePage):
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_merged_shard_sub_pages_equal_the_monolithic_page(corpus, n_shards):
-    """Shard-local sub-pages, merged with the page-level concat/take,
-    are the monolithic page array for array — also when a failing shard
-    is dropped under ``on_shard_error="partial"`` (the merged page is
-    then the monolithic page of the surviving hits)."""
+    """Shard-local sub-pages (the oracle's kernel), merged with the
+    page-level concat/take, are the monolithic page array for array —
+    and so is the router's one assembly over the sharded catalog, which
+    reads each candidate from its owning shard."""
     mono, sharded, queries, _ = corpus
     catalog = sharded[n_shards]
-    router = _router(catalog, "inverted", depth=20)
     cols = [query.columnar() for query in queries]
     hits = [retrieve_candidates(mono, c, depth=20) for c in cols]
 
-    pages, failed, _ = router._scatter_assemble(cols, hits)
-    assert not failed
-    for page, c, page_hits in zip(pages, cols, hits):
-        assert list(zip(page.ids, page.overlaps.tolist())) == page_hits
-        _assert_pages_equal(page, CandidatePage.assemble(mono, c, page_hits))
-
-    lost = catalog.owner_of(hits[0][0][0])
-    with injected({"shard_assemble": {"shard": lost, "kind": "exception"}}):
-        pages, failed, _ = router._scatter_assemble(cols, hits, partial=True)
-    assert failed == {lost}
-    for page, c, page_hits in zip(pages, cols, hits):
-        survivors = [
-            hit for hit in page_hits if catalog.owner_of(hit[0]) != lost
-        ]
-        assert list(zip(page.ids, page.overlaps.tolist())) == survivors
-        _assert_pages_equal(page, CandidatePage.assemble(mono, c, survivors))
+    merged = ScatterRouterOracle(catalog, retrieval_depth=20)._assemble(
+        cols, hits
+    )
+    direct = _router(catalog, "inverted", depth=20)._assemble(
+        cols, hits, None, 0.0
+    )
+    for pages in (merged, direct):
+        for page, c, page_hits in zip(pages, cols, hits):
+            assert list(zip(page.ids, page.overlaps.tolist())) == page_hits
+            _assert_pages_equal(
+                page, CandidatePage.assemble(mono, c, page_hits)
+            )
 
 
 @pytest.mark.parametrize("n_shards", (2, 7))
@@ -291,19 +284,6 @@ def test_true_correlations_carried_through(corpus):
     ]
 
 
-def test_thread_workers_do_not_change_results(corpus):
-    mono, sharded, queries, _ = corpus
-    sequential = _router(sharded[7], "inverted")
-    with _router(sharded[7], "inverted", workers=3) as threaded:
-        for query in queries:
-            assert _key(threaded.query(query, k=8, scorer="rp_cih")) == _key(
-                sequential.query(query, k=8, scorer="rp_cih")
-            )
-        batch_seq = sequential.query_batch(queries, k=8, scorer="rb_cib")
-        batch_thr = threaded.query_batch(queries, k=8, scorer="rb_cib")
-        assert [_key(r) for r in batch_thr] == [_key(r) for r in batch_seq]
-
-
 def test_query_worker_pool_parity(corpus):
     """Process-partitioned batches match the sequential router exactly
     (per-query fixed-seed rng makes chunk boundaries invisible)."""
@@ -338,8 +318,9 @@ def test_router_rejects_alien_scheme(corpus):
 
 
 def test_constructor_validation(corpus):
-    """Satellite: shard/worker/depth/banding arguments reject <= 0 with
-    clear messages in the router and pool constructors."""
+    """Shard/worker/depth/banding arguments reject <= 0 with clear
+    messages in the router and pool constructors; the router has no
+    thread-pool argument."""
     _, sharded, _, _ = corpus
     catalog = sharded[2]
     with pytest.raises(ValueError, match="retrieval_depth must be positive"):
@@ -354,10 +335,8 @@ def test_constructor_validation(corpus):
         ShardRouter(catalog, lsh_bands=0)
     with pytest.raises(ValueError, match="lsh_rows must be positive"):
         ShardRouter(catalog, lsh_rows=-1)
-    with pytest.raises(ValueError, match="workers must be positive"):
-        ShardRouter(catalog, workers=0)
-    with pytest.raises(ValueError, match="workers must be positive"):
-        ShardWorkerPool(-2)
+    with pytest.raises(TypeError, match="workers"):
+        ShardRouter(catalog, workers=2)
     with pytest.raises(ValueError, match="workers must be positive"):
         QueryWorkerPool(ShardRouter(catalog), workers=0)
     with pytest.raises(ValueError, match="n_shards must be positive"):

@@ -10,8 +10,8 @@ engine where the other serving suites cannot see a difference:
 * through writes — a Hypothesis machine interleaves ``add_table`` /
   ``add_sketches`` / ``remove_sketches`` / ``compact`` with queries
   through one long-lived router, so a stack that outlives a write fails;
-* through failures — one shard and every shard lost at either fault
-  point under ``on_shard_error="partial"``;
+* through failures — one shard and every shard lost under
+  ``on_shard_error="partial"``;
 * in what runs — the LSH backend still probes shard by shard, and a
   depth-100 query over four arena shards costs one ScanCount, one page
   kernel pass and no more woken arena entries than candidates.
@@ -97,10 +97,6 @@ class RouterThroughWritesMachine(RuleBasedStateMachine):
         self.rng = np.random.default_rng(2024)
         self.serial = 0
 
-    def teardown(self):
-        self.router.close()
-        self.oracle.close()
-
     @rule(rows=st.integers(min_value=5, max_value=45))
     def add_table(self, rows):
         self.serial += 1
@@ -178,29 +174,28 @@ def corpus():
     return catalog, live
 
 
-@pytest.mark.parametrize("site", ["shard_probe", "shard_assemble"])
 @pytest.mark.parametrize("lost", [(2,), (0, 1, 2, 3)], ids=["one", "all"])
 @pytest.mark.parametrize("depth", [DEPTH, 100], ids=["truncating", "deep"])
 def test_partial_answer_is_the_exact_answer_over_the_survivors(
-    corpus, site, lost, depth
+    corpus, lost, depth
 ):
-    """Shards lost at either fault point leave the predecessor's answer
-    — at any depth — and, where the depth does not truncate (a shard
-    lost *after* a truncating retrieval cannot be backfilled), the
-    monolithic engine's answer over the surviving shards' sketches."""
+    """Lost shards leave the predecessor's answer and the monolithic
+    engine's answer over the surviving shards' sketches, at any depth:
+    the shards are checked before the probe, so a truncating retrieval
+    is already a retrieval over the survivors."""
     catalog, live = corpus
-    plan = {site: {"kind": "exception", "times": None}}
+    plan = {"shard_probe": {"kind": "exception", "times": None}}
     if len(lost) == 1:
-        plan[site]["shard"] = lost[0]
+        plan["shard_probe"]["shard"] = lost[0]
     ask = dict(k=10, scorer="rp_cih", on_shard_error="partial")
 
-    with ShardRouter(catalog, retrieval_depth=depth) as router:
-        with injected(plan):
-            got = router.query_batch(QUERIES, **ask)
-        clean = router.query_batch(QUERIES, **ask)
-    with ScatterRouterOracle(catalog, retrieval_depth=depth) as oracle:
-        with injected(plan):
-            assert _answers(got) == _answers(oracle.query_batch(QUERIES, **ask))
+    router = ShardRouter(catalog, retrieval_depth=depth)
+    with injected(plan):
+        got = router.query_batch(QUERIES, **ask)
+    clean = router.query_batch(QUERIES, **ask)
+    oracle = ScatterRouterOracle(catalog, retrieval_depth=depth)
+    with injected(plan):
+        assert _answers(got) == _answers(oracle.query_batch(QUERIES, **ask))
     for result in got:
         assert (result.shards_probed, result.shards_failed, result.degraded) == (
             4, len(lost), True
@@ -212,17 +207,16 @@ def test_partial_answer_is_the_exact_answer_over_the_survivors(
         "shards_probed",
     )
 
-    if depth == 100 or site == "shard_probe":
-        survivors = {
-            sid: sketch
-            for sid, sketch in live.items()
-            if catalog.owner_of(sid) not in lost
-        }
-        want = _monolithic(survivors, depth).query_batch(
-            QUERIES, k=10, scorer="rp_cih"
-        )
-        dropped = ("shards_probed", "shards_failed", "degraded")
-        assert _answers(got, *dropped) == _answers(want, *dropped)
+    survivors = {
+        sid: sketch
+        for sid, sketch in live.items()
+        if catalog.owner_of(sid) not in lost
+    }
+    want = _monolithic(survivors, depth).query_batch(
+        QUERIES, k=10, scorer="rp_cih"
+    )
+    dropped = ("shards_probed", "shards_failed", "degraded")
+    assert _answers(got, *dropped) == _answers(want, *dropped)
     if len(lost) == 4:
         assert all(result.ranked == [] for result in got)
 
@@ -256,8 +250,8 @@ def test_only_the_lsh_backend_probes_shard_by_shard(
     catalog, live = corpus
     options = dict(retrieval_backend=backend, lsh_bands=32, lsh_rows=1)
     calls = _count_calls(monkeypatch, JoinCorrelationEngine, "_probe")
-    with ShardRouter(catalog, retrieval_depth=DEPTH, **options) as router:
-        got = router.query_batch(QUERIES, k=DEPTH)
+    router = ShardRouter(catalog, retrieval_depth=DEPTH, **options)
+    got = router.query_batch(QUERIES, k=DEPTH)
     assert len(calls) == probes
     want = _monolithic(live, **options).query_batch(QUERIES, k=DEPTH)
     assert _answers(got, "shards_probed") == _answers(want, "shards_probed")
@@ -281,12 +275,12 @@ def test_depth_100_query_is_one_probe_one_page_and_wakes_its_candidates(
 
     catalog = ShardedCatalog.load(tmp_path / "shards")
     wakes = _count_calls(monkeypatch, _DeferredEntryDict, "_wake")
-    with ShardRouter(catalog, retrieval_depth=100) as router:
-        router.warm()
-        assert catalog.loaded_shards == [True] * 4 and not wakes
-        probes = _count_calls(monkeypatch, ColumnarPostings, "overlap_counts_batch")
-        passes = _count_calls(monkeypatch, CandidatePage, "_assemble_rows")
-        result = router.query(query, k=10)
+    router = ShardRouter(catalog, retrieval_depth=100)
+    router.warm()
+    assert catalog.loaded_shards == [True] * 4 and not wakes
+    probes = _count_calls(monkeypatch, ColumnarPostings, "overlap_counts_batch")
+    passes = _count_calls(monkeypatch, CandidatePage, "_assemble_rows")
+    result = router.query(query, k=10)
     assert result.candidates_considered == 100
     assert (len(probes), len(passes)) == (1, 1)
     assert len(wakes) <= 100

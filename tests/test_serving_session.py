@@ -3,7 +3,7 @@
 Pins the tentpole contract of the service layer: ``submit`` through a
 session is bit-identical to calling the wrapped backend's
 ``query_batch`` directly with the same options, for every backend
-shape; capability mismatches (seed on a pool, deadline on an engine)
+shape; capability mismatches (seed on a pool, shard policy on an engine)
 raise instead of silently dropping knobs; and ``QueryResult`` survives
 the JSON wire format bit-for-bit (property-tested, NaN included).
 """
@@ -200,8 +200,7 @@ class TestOptionsRouting:
             result = routed.submit_one(
                 queries[0],
                 options=routed.options.merged(
-                    k=2, scorer="rp", seed=3, deadline_ms=60_000.0,
-                    on_shard_error="partial",
+                    k=2, scorer="rp", seed=3, on_shard_error="partial",
                 ),
             )
         assert len(result.ranked) == 2
@@ -229,11 +228,6 @@ class TestOptionsRouting:
     def test_resilience_rejected_on_engine(self, corpus):
         mono, _, queries = corpus
         session = QuerySession.for_catalog(
-            mono, QueryOptions(deadline_ms=100.0)
-        )
-        with pytest.raises(ValueError, match="shard"):
-            session.submit(queries[:1])
-        session = QuerySession.for_catalog(
             mono, QueryOptions(on_shard_error="partial")
         )
         with pytest.raises(ValueError, match="shard"):
@@ -241,7 +235,7 @@ class TestOptionsRouting:
 
     def test_resilience_accepted_on_router(self, corpus):
         _, sharded, queries = corpus
-        options = QueryOptions(k=4, deadline_ms=60_000.0, on_shard_error="partial")
+        options = QueryOptions(k=4, on_shard_error="partial")
         with QuerySession.for_sharded(sharded, options) as session:
             results = session.submit(queries)
         # No faults installed: identical to the fault-free answer.

@@ -1,13 +1,11 @@
-"""Direct unit coverage for the serving worker pools.
+"""Direct unit coverage for the forked query worker pool.
 
-``test_serving_router.py`` pins the end-to-end parity contract (worker
-pools never change results); this file covers the pools' *mechanics*:
-executor reuse across calls, the fork-unavailable degradation of
+``test_serving_router.py`` pins the end-to-end parity contract (the
+pool never changes results); this file covers the pool's *mechanics*:
+process reuse across calls, the fork-unavailable degradation of
 :class:`QueryWorkerPool`, shutdown idempotence and post-close re-entry,
-error propagation and argument validation.
+and argument validation.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -18,7 +16,6 @@ from repro.index.catalog import SketchCatalog
 from repro.serving import (
     QueryWorkerPool,
     ShardRouter,
-    ShardWorkerPool,
     ShardedCatalog,
 )
 from repro.serving import workers as workers_mod
@@ -51,67 +48,6 @@ def router():
 def _queries(router, n=4):
     catalog = router.catalog
     return [catalog.get(sid) for sid in sorted(catalog)[:n]]
-
-
-# -- ShardWorkerPool ---------------------------------------------------------
-
-
-def test_shard_pool_sequential_modes_have_no_executor():
-    assert ShardWorkerPool(None)._executor is None
-    assert ShardWorkerPool(1)._executor is None
-    assert ShardWorkerPool(None).map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-
-def test_shard_pool_threaded_map_preserves_order():
-    with ShardWorkerPool(3) as pool:
-        assert pool._executor is not None
-        assert pool.map(lambda x: x * x, range(10)) == [
-            x * x for x in range(10)
-        ]
-
-
-def test_shard_pool_executor_is_reused_across_calls():
-    """The pool is persistent: repeated map calls reuse one executor
-    (thread identity shows work actually leaves the calling thread)."""
-    with ShardWorkerPool(2) as pool:
-        executor = pool._executor
-        seen = set()
-
-        def record(x):
-            seen.add(threading.get_ident())
-            return x
-
-        for _ in range(3):
-            pool.map(record, range(8))
-            assert pool._executor is executor
-        assert threading.get_ident() not in seen
-
-
-def test_shard_pool_propagates_exceptions():
-    def boom(x):
-        if x == 2:
-            raise RuntimeError("shard failed")
-        return x
-
-    with ShardWorkerPool(2) as pool:
-        with pytest.raises(RuntimeError, match="shard failed"):
-            pool.map(boom, range(4))
-    with pytest.raises(RuntimeError, match="shard failed"):
-        ShardWorkerPool(None).map(boom, range(4))
-
-
-def test_shard_pool_close_idempotent_then_sequential():
-    pool = ShardWorkerPool(2)
-    pool.close()
-    pool.close()
-    assert pool._executor is None
-    # A closed pool degrades to the sequential path instead of dying.
-    assert pool.map(lambda x: x + 1, [1, 2]) == [2, 3]
-
-
-def test_shard_pool_rejects_nonpositive_workers():
-    with pytest.raises(ValueError, match="workers"):
-        ShardWorkerPool(0)
 
 
 # -- QueryWorkerPool ---------------------------------------------------------
