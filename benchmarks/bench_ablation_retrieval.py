@@ -49,7 +49,6 @@ def _run(nyc_refs, tmp_dir) -> dict:
     catalog, _by_id = build_catalog(nyc_refs, sketch_size=256)
     serving = _snapshot_round_trip(catalog, tmp_dir)
     lsh = serving.lsh_index(bands=BANDS, rows=ROWS)
-    frozen = serving.frozen_postings()
 
     rng = np.random.default_rng(1)
     query_ids = list(serving)
@@ -62,7 +61,9 @@ def _run(nyc_refs, tmp_dir) -> dict:
         hashes = serving.sketch_columns(qid).key_hashes
 
         t0 = time.perf_counter()
-        exact = frozen.top_overlap(hashes, TOP_K, exclude=qid)
+        exact = serving.probe_top_overlap_batch(
+            [hashes], TOP_K, excludes=[qid]
+        )[0]
         t1 = time.perf_counter()
         approx = lsh.top_candidates(hashes, TOP_K, exclude=qid)
         t2 = time.perf_counter()
@@ -102,7 +103,9 @@ def _high_overlap_recall(nyc_refs) -> float:
         hashes = catalog.get(qid).key_hashes()
         if not hashes:
             continue
-        exact = catalog.index.top_overlap(hashes, 100, exclude=qid)
+        exact = catalog.probe_top_overlap_batch(
+            [catalog.sketch_columns(qid).key_hashes], 100, excludes=[qid]
+        )[0]
         strong = {sid for sid, ov in exact if ov >= 0.5 * len(hashes)}
         if not strong:
             continue

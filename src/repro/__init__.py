@@ -60,7 +60,6 @@ from repro.correlation import (
     spearman,
 )
 from repro.index import (
-    InvertedIndex,
     JoinCorrelationEngine,
     QueryOptions,
     QueryResult,
@@ -78,7 +77,6 @@ __all__ = [
     "CorrelationSketch",
     "ESTIMATORS",
     "EstimateResult",
-    "InvertedIndex",
     "JoinCorrelationEngine",
     "JoinedSample",
     "KMVSynopsis",

@@ -16,16 +16,12 @@ intersection equals "all joint keys with ``g(k)`` below
 ``min(U_X(k), U_Y(k))``" — a bottom-ranked (hence uniform) subset of the
 join keys.
 
-Two join implementations share these semantics:
-
-* :func:`join_sketches` — the scalar reference: dict-set intersection of
-  the two sketches' entry maps, sorted per join (kept as the baseline the
-  parity tests and benchmarks compare against);
-* :func:`join_columns` — the columnar fast path: each sketch hands out
-  its stored state as a :class:`SketchColumns` (sorted key-hash / rank /
-  value arrays), and the join becomes a
-  ``np.searchsorted`` merge of two sorted arrays. Output is bit-identical
-  to :func:`join_sketches`.
+:func:`join_sketches` joins one pair: the dict-set intersection of the
+two sketches' entry maps, sorted by rank. The query pipeline joins a
+whole candidate page at once from the sketches' columnar views
+(:class:`repro.index.engine.CandidatePage`) into a
+:class:`JoinedSamplePage` whose samples are bit-identical to
+``join_sketches(query, candidate).drop_nan()``.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.sketch import CorrelationSketch, SketchColumns
+from repro.core.sketch import CorrelationSketch
 
 
 @dataclass(frozen=True)
@@ -237,53 +233,3 @@ def join_sketches(left: CorrelationSketch, right: CorrelationSketch) -> JoinedSa
         y_range=_range(right),
     )
 
-
-def join_columns(left: SketchColumns, right: SketchColumns) -> JoinedSample:
-    """Columnar sketch join: a sorted-array merge instead of dict sets.
-
-    Both inputs keep their key hashes sorted ascending, so the
-    intersection is one ``np.searchsorted`` probe of the smaller side
-    into the larger plus an equality check — no Python-level hashing or
-    per-key function calls. The matched pairs are then ordered by the
-    cached unit-interval ranks, which reproduces the scalar join's
-    ascending-rank order (ranks are injective over key hashes, so the
-    order is unique) and therefore a bit-identical :class:`JoinedSample`.
-
-    Unlike :func:`join_sketches`, hashing-scheme compatibility cannot be
-    checked here (the columnar view carries no hasher); callers must
-    guarantee it — the catalog enforces one scheme at registration.
-    """
-    if left.size <= right.size:
-        small, large = left, right
-        small_is_left = True
-    else:
-        small, large = right, left
-        small_is_left = False
-
-    pos = np.searchsorted(large.key_hashes, small.key_hashes)
-    pos_clipped = np.minimum(pos, max(large.size - 1, 0))
-    if large.size:
-        mask = large.key_hashes[pos_clipped] == small.key_hashes
-    else:
-        mask = np.zeros(small.size, dtype=bool)
-    small_idx = np.nonzero(mask)[0]
-    large_idx = pos_clipped[small_idx]
-
-    order = np.argsort(small.ranks[small_idx])
-    small_idx = small_idx[order]
-    large_idx = large_idx[order]
-
-    if small_is_left:
-        x = small.values[small_idx]
-        y = large.values[large_idx]
-    else:
-        x = large.values[large_idx]
-        y = small.values[small_idx]
-
-    return JoinedSample(
-        key_hashes=small.key_hashes[small_idx],
-        x=x,
-        y=y,
-        x_range=left.value_range,
-        y_range=right.value_range,
-    )

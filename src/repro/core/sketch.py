@@ -102,10 +102,10 @@ class _KeyGroups:
 class SketchColumns:
     """Read-only columnar view of a sketch's retained entries.
 
-    The arrays are parallel and sorted ascending by ``key_hashes`` so two
-    views can be merge-joined with ``np.searchsorted`` (see
-    :func:`repro.core.joined_sample.join_columns`) and probed against the
-    frozen inverted index without materializing Python sets.
+    The arrays are parallel and sorted ascending by ``key_hashes`` so
+    views can be joined on a candidate page
+    (:class:`repro.index.engine.CandidatePage`) and a query's hashes can
+    probe the frozen inverted index without materializing Python sets.
 
     Attributes:
         key_hashes: retained tuple identifiers ``h(k)``, ascending

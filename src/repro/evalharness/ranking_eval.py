@@ -95,9 +95,11 @@ def evaluate_query(
     """
     if rng is None:
         rng = np.random.default_rng(13)
-    hits = catalog.index.top_overlap(
-        query_sketch.key_hashes(), retrieval_depth, exclude=query_ref.pair_id
-    )
+    hits = catalog.probe_top_overlap_batch(
+        [query_sketch.columnar().key_hashes],
+        retrieval_depth,
+        excludes=[query_ref.pair_id],
+    )[0]
     # Never rank another column of the very same table: trivially
     # joinable and not a discovery.
     hits = [

@@ -25,7 +25,7 @@ from repro.index.engine import (
     retrieve_candidates,
     retrieve_candidates_batch,
 )
-from repro.index.inverted import ColumnarPostings, InvertedIndex
+from repro.index.inverted import ColumnarPostings
 from repro.index.options import QueryOptions
 from repro.index.lsh import LshIndex, MinHashSignature
 from repro.index.snapshot import (
@@ -40,7 +40,6 @@ __all__ = [
     "ArenaReader",
     "CandidatePage",
     "ColumnarPostings",
-    "InvertedIndex",
     "JoinCorrelationEngine",
     "LshIndex",
     "MinHashSignature",

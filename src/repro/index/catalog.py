@@ -25,18 +25,18 @@ the ``.arena`` extension, with a content sniff on load):
 
 The catalog keeps no per-key Python structure: a sketch's postings are
 its own sorted key-hash column, and every CSR is built from those
-columns by concatenate + sort (:meth:`SketchCatalog._freeze`). The
-dict-of-lists :class:`InvertedIndex` survives as the on-demand
-:attr:`SketchCatalog.index` convenience (and as the differential oracle
-the array freeze is held to).
+columns by concatenate + sort (:meth:`SketchCatalog._freeze`). Every
+overlap probe is the stacked batch probe
+(:meth:`SketchCatalog.probe_top_overlap_batch`; a single query is a
+batch of one). The dict-of-lists index that freeze and probe are held
+to is a test oracle, ``tests/scancount_oracle.py``.
 
 Index maintenance is LSM-style. The frozen CSR postings and the
 frozen-layer LSH index are immutable between compactions: appends land
 in a small **delta** (an ordered id set, frozen to its own CSR on the
 first probe after a write, plus an LSH delta ring), removals of frozen
 entries go to a **tombstone** set, and the
-layered probes (:meth:`SketchCatalog.probe_top_overlap`,
-:meth:`SketchCatalog.probe_top_overlap_batch`,
+layered probes (:meth:`SketchCatalog.probe_top_overlap_batch`,
 :meth:`SketchCatalog.lsh_candidate_ids`) answer from
 ``frozen + delta − tombstones``, merging per-layer hits under the shared
 ``(−overlap, id)`` total order — bit-identical to a freshly rebuilt
@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.core.sketch import CorrelationSketch, SketchColumns
 from repro.hashing import KeyHasher
-from repro.index.inverted import ColumnarPostings, InvertedIndex, merge_hits
+from repro.index.inverted import ColumnarPostings, merge_hits
 from repro.index.lsh import DEFAULT_BANDS, DEFAULT_ROWS, LshIndex
 from repro.table.table import ColumnPair, Table
 
@@ -141,8 +141,6 @@ class SketchCatalog:
         self.compact_threshold = compact_threshold
         #: id -> CorrelationSketch (insertion-ordered).
         self._sketches: dict[str, CorrelationSketch] = {}
-        #: :attr:`index`, while no mutation has invalidated it.
-        self._index: InvertedIndex | None = None
         self._frozen_postings: ColumnarPostings | None = None
         self._lsh_index: LshIndex | None = None
         #: Frozen-layer LSH signatures restored by a snapshot load but
@@ -225,7 +223,6 @@ class SketchCatalog:
             return []
         self._sketches.update(batch)
         self._delta_ids.update(dict.fromkeys(batch))
-        self._index = None
         self._delta_frozen = None
         self._delta_lsh = None
         self._maybe_autocompact()
@@ -333,7 +330,6 @@ class SketchCatalog:
         else:
             self._tombstones.add(sketch_id)
             self._banned_cache = None
-        self._index = None
         del self._sketches[sketch_id]
 
     def remove_sketches(self, sketch_ids: Iterable[str]) -> list[str]:
@@ -382,23 +378,6 @@ class SketchCatalog:
             ) from None
 
     @property
-    def index(self) -> InvertedIndex:
-        """A dict-of-lists inverted index over the live sketches
-        (read-only use).
-
-        A convenience for scalar consumers (``evalharness``, the test
-        oracles), built from the sketches' key-hash columns on first
-        access and again after any mutation — the catalog itself never
-        reads it: probes go through the frozen and delta CSRs.
-        """
-        if self._index is None:
-            index = InvertedIndex()
-            for sid, sketch in self._sketches.items():
-                index.add(sid, sketch.columnar().key_hashes.tolist())
-            self._index = index
-        return self._index
-
-    @property
     def vocabulary_size(self) -> int:
         """Distinct key hashes with postings over the *live* sketch set.
 
@@ -429,8 +408,9 @@ class SketchCatalog:
     def _freeze(self, ids) -> ColumnarPostings:
         """The canonical CSR over ``ids`` (ascending vocabulary,
         ascending doc id per slice, docs sorted by id), straight from
-        the sketches' key-hash columns — bit-identical to
-        :meth:`InvertedIndex.freeze` over the same sketches.
+        the sketches' key-hash columns — bit-identical to the
+        dict-of-lists freeze of ``tests/scancount_oracle.py`` over the
+        same sketches.
 
         Documents are laid end to end in id order, so a *stable* sort
         of the concatenated hashes leaves every vocabulary slice in
@@ -457,8 +437,8 @@ class SketchCatalog:
         while a mutated one folds and re-freezes. Binary snapshots
         persist the frozen arrays, so a loaded catalog starts with this
         cache already warm. The serving path never calls this: the
-        layered :meth:`probe_top_overlap` / :meth:`probe_top_overlap_batch`
-        answer from frozen + delta − tombstones without folding.
+        layered :meth:`probe_top_overlap_batch` answers from frozen +
+        delta − tombstones without folding.
         """
         self.compact()
         assert self._frozen_postings is not None
@@ -609,49 +589,6 @@ class SketchCatalog:
             layers.append((self._delta_postings(), None))
         return layers
 
-    def probe_top_overlap(
-        self,
-        key_hashes,
-        depth: int,
-        *,
-        exclude: str | None = None,
-        min_overlap: int = 1,
-    ) -> list[tuple[str, int]]:
-        """Layered top-``depth`` overlap probe: frozen + delta − tombstones.
-
-        Bit-identical to :meth:`frozen_postings`'s
-        :meth:`~repro.index.inverted.ColumnarPostings.top_overlap` on a
-        freshly rebuilt monolithic index, without folding anything: each
-        live sketch lives in exactly one layer (appends in the delta,
-        frozen survivors behind the tombstone ban), each layer's probe is
-        already sorted under the ``(−overlap, id)`` total order, and any
-        candidate in the global top-``depth`` is necessarily in its own
-        layer's top-``depth`` — so
-        :func:`~repro.index.inverted.merge_hits` over the per-layer
-        lists reproduces the monolithic cutoff exactly. This is the
-        inverted-backend retrieval probe of
-        :func:`repro.index.engine.retrieve_candidates`.
-        """
-        if depth <= 0:
-            raise ValueError(f"depth must be positive, got {depth}")
-        if not isinstance(key_hashes, np.ndarray):
-            key_hashes = np.fromiter(key_hashes, dtype=np.uint64)
-        parts = [
-            postings.top_overlap(
-                key_hashes,
-                depth,
-                exclude=exclude,
-                min_overlap=min_overlap,
-                banned=banned,
-            )
-            for postings, banned in self.posting_layers()
-        ]
-        if not parts:
-            return []
-        if len(parts) == 1:
-            return parts[0]
-        return merge_hits(parts, depth)
-
     def probe_top_overlap_batch(
         self,
         queries,
@@ -660,13 +597,21 @@ class SketchCatalog:
         excludes=None,
         min_overlap: int = 1,
     ) -> list[list[tuple[str, int]]]:
-        """:meth:`probe_top_overlap` for many queries at once.
+        """Layered top-``depth`` overlap probe: frozen + delta − tombstones.
 
         Each layer answers the whole batch from its own stacked CSR
-        probe; the per-query layer lists are then merged under the
-        shared total order. Row ``q`` is bit-identical to the
-        single-query call, and to the monolithic
-        :meth:`~repro.index.inverted.ColumnarPostings.top_overlap_batch`.
+        probe (:meth:`~repro.index.inverted.ColumnarPostings.top_overlap_batch`),
+        without folding anything; a single query is a batch of one. Row
+        ``q`` is bit-identical to :meth:`frozen_postings`' probe on a
+        freshly rebuilt monolithic index: each live sketch lives in
+        exactly one layer (appends in the delta, frozen survivors behind
+        the tombstone ban), each layer's list is already sorted under the
+        ``(−overlap, id)`` total order, and any candidate in the global
+        top-``depth`` is necessarily in its own layer's top-``depth`` —
+        so :func:`~repro.index.inverted.merge_hits` over the per-layer
+        lists reproduces the monolithic cutoff exactly. This is the
+        inverted-backend retrieval probe of
+        :func:`repro.index.engine.retrieve_candidates_batch`.
         """
         if depth <= 0:
             raise ValueError(f"depth must be positive, got {depth}")

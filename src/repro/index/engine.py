@@ -344,29 +344,24 @@ def retrieve_candidates(
 ) -> list[tuple[str, int]]:
     """Columnar candidate retrieval against one catalog, either backend.
 
-    The single-query form of the pipeline's retrieval probe (which a
-    :class:`repro.serving.ShardRouter` runs identically per shard):
+    The single-query form of the pipeline's retrieval probe — a batch of
+    one through :func:`retrieve_candidates_batch`:
     ``(sketch_id, overlap)`` pairs sorted by
     ``(−overlap, id)``, floored at ``min_overlap``, truncated to
     ``depth``. Because that ordering is a total order over candidates,
     per-shard lists merged under the same key and re-truncated to
     ``depth`` reproduce the single-catalog hits list exactly.
     """
-    if depth <= 0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    if backend == "lsh":
-        return _lsh_hits_columnar(
-            catalog,
-            query_cols,
-            depth=depth,
-            min_overlap=min_overlap,
-            exclude=exclude,
-            lsh_bands=lsh_bands,
-            lsh_rows=lsh_rows,
-        )
-    return catalog.probe_top_overlap(
-        query_cols.key_hashes, depth, exclude=exclude, min_overlap=min_overlap
-    )
+    return retrieve_candidates_batch(
+        catalog,
+        [query_cols],
+        depth=depth,
+        min_overlap=min_overlap,
+        excludes=[exclude],
+        backend=backend,
+        lsh_bands=lsh_bands,
+        lsh_rows=lsh_rows,
+    )[0]
 
 
 def retrieve_candidates_batch(
@@ -384,8 +379,7 @@ def retrieve_candidates_batch(
 
     The inverted backend answers the whole batch from one stacked CSR
     probe (:meth:`~repro.index.inverted.ColumnarPostings.top_overlap_batch`);
-    LSH probes per query (its cost is already O(bands) each). Row ``q``
-    is bit-identical to the single-query call.
+    LSH probes per query (its cost is already O(bands) each).
     """
     if depth <= 0:
         raise ValueError(f"depth must be positive, got {depth}")

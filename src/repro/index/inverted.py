@@ -3,36 +3,27 @@
 Section 4 notes that because a sketch stores discrete key hashes ``h(k)``,
 off-the-shelf inverted indexes support the candidate-retrieval step of
 query evaluation: find the corpus sketches sharing the most key hashes
-with the query sketch. This module implements exactly that primitive:
+with the query sketch — scan the query's posting lists, accumulate
+per-candidate overlap counts, return the top-``k`` by count (a textbook
+ScanCount set-overlap search; JOSIE/ppjoin+ are optimized variants of
+the same computation).
 
-* posting lists: ``key_hash → [sketch ids containing it]``;
-* :meth:`InvertedIndex.top_overlap` — scan the query's posting lists,
-  accumulate per-candidate overlap counts, return the top-``k`` by count
-  (a textbook ScanCount set-overlap search; JOSIE/ppjoin+ are optimized
-  variants of the same computation).
-
-Two physical layouts implement the same logical index:
-
-* :class:`InvertedIndex` — the mutable dict-of-lists build used while a
-  catalog is being populated, probed one posting list at a time (the
-  scalar reference);
-* :class:`ColumnarPostings` — a frozen CSR-style snapshot
-  (:meth:`InvertedIndex.freeze`): the sorted key-hash vocabulary plus one
-  contiguous ``int32`` doc-id array, probed with ``np.searchsorted`` +
-  ``np.bincount`` and top-``k``-selected with ``np.argpartition``. Its
-  :meth:`~ColumnarPostings.top_overlap` returns exactly the scalar
-  result, including the ``(−overlap, sketch_id)`` tie-break; the
-  multi-query :meth:`~ColumnarPostings.top_overlap_batch` answers a
-  whole query batch from one stacked probe over the concatenated query
-  hashes (the retrieval phase of ``JoinCorrelationEngine.query_batch``).
+:class:`ColumnarPostings` holds the posting lists as a frozen CSR: the
+sorted key-hash vocabulary plus one contiguous ``int32`` doc-id array.
+Its one ScanCount, :meth:`~ColumnarPostings.overlap_counts_batch`,
+answers a whole query batch from one stacked ``np.searchsorted`` +
+``np.bincount`` probe over the concatenated query hashes, and
+:meth:`~ColumnarPostings.top_overlap_batch` selects each query's
+top-``k`` with ``np.argpartition`` under the ``(−overlap, sketch_id)``
+order — the retrieval phase of ``JoinCorrelationEngine.query_batch``,
+and a single query is a batch of one. The dict-of-lists index these
+kernels replaced is their test oracle (``tests/scancount_oracle.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from itertools import islice
-from typing import Iterable
 
 import numpy as np
 
@@ -48,129 +39,8 @@ _PROBE_CHUNK_ENTRIES = 131_072
 _PROBE_MATRIX_CELLS = 4_194_304
 
 
-class InvertedIndex:
-    """Posting-list index from key hashes to sketch identifiers."""
-
-    def __init__(self) -> None:
-        self._postings: dict[int, list[str]] = defaultdict(list)
-        self._doc_keys: dict[str, int] = {}
-
-    def __len__(self) -> int:
-        """Number of indexed sketches."""
-        return len(self._doc_keys)
-
-    def __contains__(self, sketch_id: str) -> bool:
-        return sketch_id in self._doc_keys
-
-    @property
-    def vocabulary_size(self) -> int:
-        """Number of distinct key hashes with postings."""
-        return len(self._postings)
-
-    def add(self, sketch_id: str, key_hashes: Iterable[int]) -> None:
-        """Index a sketch's key hashes under ``sketch_id``.
-
-        Raises:
-            ValueError: if ``sketch_id`` is already indexed (re-indexing
-                would duplicate postings; :meth:`remove` first for
-                catalog churn).
-        """
-        if sketch_id in self._doc_keys:
-            raise ValueError(f"sketch id {sketch_id!r} is already indexed")
-        count = 0
-        for kh in key_hashes:
-            self._postings[kh].append(sketch_id)
-            count += 1
-        self._doc_keys[sketch_id] = count
-
-    def remove(self, sketch_id: str, key_hashes: Iterable[int]) -> None:
-        """Drop a sketch's postings (the catalog deletion path).
-
-        Args:
-            sketch_id: the indexed sketch to remove.
-            key_hashes: exactly the key hashes the sketch was added
-                under — the catalog owns the sketch, so it always has
-                them; passing them in keeps the index from storing a
-                per-document hash copy.
-
-        Posting lists that become empty are deleted so
-        :attr:`vocabulary_size` reflects live postings only; after
-        removal the same id can be re-indexed with :meth:`add`.
-
-        Raises:
-            KeyError: if ``sketch_id`` is not indexed.
-        """
-        if sketch_id not in self._doc_keys:
-            raise KeyError(f"sketch id {sketch_id!r} is not indexed")
-        for kh in key_hashes:
-            postings = self._postings.get(kh)
-            if postings is None:
-                continue
-            try:
-                postings.remove(sketch_id)
-            except ValueError:
-                continue
-            if not postings:
-                del self._postings[kh]
-        del self._doc_keys[sketch_id]
-
-    def overlap_counts(
-        self, key_hashes: Iterable[int], *, exclude: str | None = None
-    ) -> dict[str, int]:
-        """Count shared key hashes per indexed sketch (ScanCount)."""
-        counts: dict[str, int] = defaultdict(int)
-        for kh in key_hashes:
-            postings = self._postings.get(kh)
-            if not postings:
-                continue
-            for sid in postings:
-                counts[sid] += 1
-        if exclude is not None:
-            counts.pop(exclude, None)
-        return dict(counts)
-
-    def top_overlap(
-        self,
-        key_hashes: Iterable[int],
-        k: int,
-        *,
-        exclude: str | None = None,
-        min_overlap: int = 1,
-    ) -> list[tuple[str, int]]:
-        """Top-``k`` indexed sketches by key-hash overlap with the query.
-
-        Args:
-            key_hashes: the query sketch's key hashes.
-            k: number of candidates to return.
-            exclude: optional sketch id to omit (typically the query
-                itself when it is part of the corpus).
-            min_overlap: drop candidates sharing fewer hashes than this.
-
-        Returns:
-            ``(sketch_id, overlap)`` pairs, descending by overlap with id
-            as the deterministic tie-break.
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        counts = self.overlap_counts(key_hashes, exclude=exclude)
-        candidates = [
-            (sid, c) for sid, c in counts.items() if c >= min_overlap
-        ]
-        candidates.sort(key=lambda t: (-t[1], t[0]))
-        return candidates[:k]
-
-    def freeze(self) -> "ColumnarPostings":
-        """Snapshot the current postings into a :class:`ColumnarPostings`.
-
-        The snapshot does not track later :meth:`add` calls — callers that
-        mutate the index must re-freeze (the catalog does this
-        automatically; see :meth:`repro.index.catalog.SketchCatalog.frozen_postings`).
-        """
-        return ColumnarPostings._from_index(self)
-
-
 class ColumnarPostings:
-    """Frozen CSR layout of an :class:`InvertedIndex`.
+    """Frozen CSR layout of the key-hash posting lists.
 
     Three parallel arrays hold the whole index:
 
@@ -182,11 +52,12 @@ class ColumnarPostings:
 
     Document ids are positions into ``docs``, which is sorted
     lexicographically so the integer order *is* the sketch-id order —
-    the scalar path's ``(−overlap, sketch_id)`` tie-break becomes a
-    plain integer comparison.
+    the ``(−overlap, sketch_id)`` tie-break becomes a plain integer
+    comparison.
 
-    Build once with :meth:`InvertedIndex.freeze`; instances are
-    immutable.
+    Built by :meth:`repro.index.catalog.SketchCatalog._freeze` (from the
+    sketches' key-hash columns) or :meth:`merged` (from other layers);
+    instances are immutable.
     """
 
     __slots__ = (
@@ -229,32 +100,6 @@ class ColumnarPostings:
         return self._doc_index_cache
 
     @classmethod
-    def _from_index(cls, index: InvertedIndex) -> "ColumnarPostings":
-        docs = sorted(index._doc_keys)
-        doc_index = {sid: i for i, sid in enumerate(docs)}
-        doc_lengths = np.asarray(
-            [index._doc_keys[sid] for sid in docs], dtype=np.int64
-        )
-        items = sorted(index._postings.items())
-        vocab = np.asarray([kh for kh, _ in items], dtype=np.uint64)
-        lengths = np.asarray([len(p) for _, p in items], dtype=np.int64)
-        indptr = np.zeros(len(items) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        doc_ids = np.empty(int(indptr[-1]), dtype=np.int32)
-        pos = 0
-        # Postings are stored in canonical order: ascending doc id within
-        # each vocabulary slice. Probes are order-insensitive (bincount),
-        # but the canonical layout makes a freeze reproducible from *any*
-        # insertion history — a compaction fold of frozen + delta layers
-        # (repro.index.catalog.SketchCatalog.compact) is bit-identical to
-        # freezing a from-scratch rebuild.
-        for _, postings in items:
-            for did in sorted(doc_index[sid] for sid in postings):
-                doc_ids[pos] = did
-                pos += 1
-        return cls(vocab, indptr, doc_ids, docs, doc_lengths, doc_index)
-
-    @classmethod
     def merged(
         cls, layers: list[tuple["ColumnarPostings", np.ndarray | None]]
     ) -> "ColumnarPostings":
@@ -266,9 +111,10 @@ class ColumnarPostings:
         to ``(hash, doc)`` pairs, banned pairs drop, and one sort on
         ``(hash, doc)`` rebuilds the canonical layout (ascending
         vocabulary, ascending doc id per slice, docs sorted by id) —
-        what :meth:`InvertedIndex.freeze` produces from a from-scratch
-        rebuild over the same documents, so the merge is bit-identical
-        to one. No sketch is read: the layers' arrays are the input.
+        what :meth:`repro.index.catalog.SketchCatalog._freeze` produces
+        from a from-scratch rebuild over the same documents, so the merge
+        is bit-identical to one. No sketch is read: the layers' arrays
+        are the input.
         """
         kept = []  # per layer: live doc indices and their ids
         for postings, banned in layers:
@@ -356,50 +202,6 @@ class ColumnarPostings:
             self.vocab, self.indptr, self.doc_ids, self._doc_lengths
         )
 
-    def overlap_counts_array(self, key_hashes) -> np.ndarray:
-        """Per-document shared-key-hash counts for one query (ScanCount).
-
-        Args:
-            key_hashes: the query's key hashes — any iterable of ints or
-                an integer array. Duplicates count once per occurrence,
-                exactly like the scalar ScanCount (sketch queries pass
-                hash sets, so multiplicity is 1 in practice).
-
-        Returns:
-            ``int64`` array of length ``len(self)``; element ``d`` is the
-            number of query hashes indexed under document ``d``.
-        """
-        if isinstance(key_hashes, np.ndarray):
-            q_arr = key_hashes.astype(np.uint64, copy=False)
-        else:
-            q_arr = np.fromiter(key_hashes, dtype=np.uint64)
-        n_docs = len(self.docs)
-        if q_arr.size == 0 or self.vocab.size == 0:
-            return np.zeros(n_docs, dtype=np.int64)
-        q, mult = np.unique(q_arr, return_counts=True)
-        pos = np.searchsorted(self.vocab, q)
-        in_range = pos < self.vocab.size
-        pos = pos[in_range]
-        matched = self.vocab[pos] == q[in_range]
-        pos = pos[matched]
-        mult = mult[in_range][matched]
-        starts = self.indptr[pos]
-        ends = self.indptr[pos + 1]
-        lens = ends - starts
-        total = int(lens.sum())
-        if total == 0:
-            return np.zeros(n_docs, dtype=np.int64)
-        # Gather all matched posting slices with one fancy index: for each
-        # slice, generate its absolute positions via the repeat/cumsum
-        # trick (no Python-level loop over posting lists).
-        shifts = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-        flat = np.arange(total, dtype=np.int64) + shifts
-        weights = np.repeat(mult, lens)
-        # Float weights are exact for any realistic count (< 2**53).
-        return np.bincount(
-            self.doc_ids[flat], weights=weights, minlength=n_docs
-        ).astype(np.int64)
-
     def _select_top(
         self,
         counts: np.ndarray,
@@ -410,12 +212,12 @@ class ColumnarPostings:
     ) -> list[tuple[str, int]]:
         """Top-``k`` selection over one per-document ScanCount row.
 
-        The shared tail of :meth:`top_overlap` and
-        :meth:`top_overlap_batch`: zero the excluded doc and any banned
-        docs (tombstoned entries of a delta-layered catalog), threshold,
-        then ``np.argpartition`` on a composite ``(overlap, doc)`` key
-        that reproduces the scalar ``(−overlap, sketch_id)`` tie-break.
-        Mutates ``counts`` (callers pass a fresh probe result).
+        The per-query tail of :meth:`top_overlap_batch`: zero the
+        excluded doc and any banned docs (tombstoned entries of a
+        delta-layered catalog), threshold, then ``np.argpartition`` on a
+        composite ``(overlap, doc)`` key that reproduces the
+        ``(−overlap, sketch_id)`` order. Mutates ``counts`` (a row of a
+        fresh probe result).
         """
         if exclude is not None:
             excl = self._doc_index.get(exclude)
@@ -444,32 +246,6 @@ class ColumnarPostings:
             cand = cand[order]
         return [(self.docs[int(d)], int(counts[d])) for d in cand]
 
-    def top_overlap(
-        self,
-        key_hashes,
-        k: int,
-        *,
-        exclude: str | None = None,
-        min_overlap: int = 1,
-        banned: np.ndarray | None = None,
-    ) -> list[tuple[str, int]]:
-        """Top-``k`` sketches by key-hash overlap; scalar-parity output.
-
-        Same contract and same result as
-        :meth:`InvertedIndex.top_overlap` — descending overlap, sketch id
-        as tie-break — computed columnarly: one ScanCount via
-        :meth:`overlap_counts_array`, then an ``np.argpartition``
-        selection on a composite ``(overlap, doc)`` key. ``banned``
-        optionally drops a set of doc indices from consideration (the
-        catalog's tombstone filter).
-        """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        return self._select_top(
-            self.overlap_counts_array(key_hashes), k, exclude, min_overlap,
-            banned,
-        )
-
     def overlap_counts_batch(
         self, concat_hashes: np.ndarray, q_indptr: np.ndarray
     ) -> np.ndarray:
@@ -477,18 +253,16 @@ class ColumnarPostings:
 
         Args:
             concat_hashes: the queries' key hashes concatenated CSR-style
-                (``uint64``-compatible). Each query's hashes must be
-                duplicate-free — sketch hash *sets* always are; this is
-                the one contract :meth:`overlap_counts_array`'s
-                ``np.unique`` multiplicity handling relaxes.
+                (``uint64``-compatible). A hash repeated within one query
+                counts once per occurrence (sketch hash sets repeat
+                none).
             q_indptr: ``int64`` of length ``n_queries + 1`` delimiting
                 each query's slice.
 
         Returns:
-            ``int64`` matrix of shape ``(n_queries, len(self))``; row
-            ``q`` is bit-identical to
-            ``overlap_counts_array(concat_hashes[q_indptr[q]:q_indptr[q+1]])``.
-            The matrix is dense — callers with large batches against
+            ``int64`` matrix of shape ``(n_queries, len(self))``; element
+            ``(q, d)`` is the number of query ``q``'s hashes indexed
+            under document ``d``. The matrix is dense — callers with large batches against
             large corpora should go through :meth:`top_overlap_batch`,
             which bounds the live matrix by processing query row chunks.
 
@@ -519,7 +293,8 @@ class ColumnarPostings:
         total = int(lens.sum())
         if total == 0:
             return out
-        # Same repeat/cumsum slice gather as overlap_counts_array, with
+        # Gather every matched posting slice with one fancy index (each
+        # slice's absolute positions come from the repeat/cumsum trick),
         # the owning query riding along so bincount fills the matrix.
         # Processed in query-aligned chunks of bounded posting entries:
         # the per-entry temporaries (shifts / flat / bins) stay
@@ -568,11 +343,12 @@ class ColumnarPostings:
         min_overlap: int = 1,
         banned: np.ndarray | None = None,
     ) -> list[list[tuple[str, int]]]:
-        """:meth:`top_overlap` for many queries off one stacked probe.
+        """Top-``k`` documents by key-hash overlap, for many queries off
+        one stacked probe.
 
         Args:
-            queries: per-query key-hash arrays (duplicate-free, as sketch
-                hash sets are).
+            queries: per-query key-hash arrays (a single query is a batch
+                of one).
             k: candidates per query.
             excludes: optional per-query exclude ids (None entries allowed).
             min_overlap: joinability floor, shared by all queries.
@@ -580,7 +356,8 @@ class ColumnarPostings:
                 catalog's tombstone filter).
 
         Returns:
-            One :meth:`top_overlap`-identical result list per query.
+            One ``(sketch_id, overlap)`` list per query, descending by
+            overlap with the sketch id as tie-break.
 
         Memory stays bounded for any batch size: queries are probed in
         row chunks holding at most :data:`_PROBE_MATRIX_CELLS` dense
@@ -623,13 +400,13 @@ def merge_hits(
 
     A deterministic heap merge under the shared ``(−overlap, id)`` total
     order: inputs are already sorted (the probe contract of
-    :meth:`ColumnarPostings.top_overlap` and friends), so ``heapq.merge``
+    :meth:`ColumnarPostings.top_overlap_batch`), so ``heapq.merge``
     recovers the global order without re-sorting, and truncation to
     ``depth`` reproduces the monolithic probe's cutoff. This is the one
     merge primitive behind both horizontal partitioning (the LSH
     backend of :class:`repro.serving.router.ShardRouter`) and
     vertical layering (frozen + delta probes,
-    :meth:`repro.index.catalog.SketchCatalog.probe_top_overlap`): any
+    :meth:`repro.index.catalog.SketchCatalog.probe_top_overlap_batch`): any
     candidate in the global top-``depth`` is in its own layer's
     top-``depth`` under the same total order, so merging per-layer lists
     and re-truncating is exact.

@@ -317,9 +317,13 @@ class QuerySession:
             hasher=catalog.hasher,
             name=name,
         )
-        sketch.update_array(
-            np.asarray(keys), np.asarray(values, dtype=float)
-        )
+        try:
+            values = np.asarray(values, dtype=float)
+        except OverflowError:
+            raise ValueError(
+                "values holds a number beyond the float range"
+            ) from None
+        sketch.update_array(np.asarray(keys), values)
         return sketch
 
     def submit(

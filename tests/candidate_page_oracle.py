@@ -92,7 +92,7 @@ def join_from_membership(
 ) -> JoinedSample:
     """Materialize the sketch join from a precomputed membership probe.
 
-    Bit-identical to :func:`repro.core.joined_sample.join_columns` (both
+    Bit-identical to :func:`repro.core.joined_sample.join_sketches` (both
     sides store the same rank for a shared hash, so ordering by the
     candidate's ranks reproduces the canonical ascending-rank order).
     """

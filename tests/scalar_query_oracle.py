@@ -26,6 +26,8 @@ from repro.kmv.estimators import unbiased_dv_estimate
 from repro.ranking.ranker import rank_candidates
 from repro.ranking.scoring import candidate_scores, cib_factor
 
+from scancount_oracle import index_of
+
 #: Scorers whose columnar statistics are bit-identical to the scalar
 #: path's (no reduceat-summed moments in the score formula).
 EXACT_SCORERS = ("rb_cib", "jc", "jc_est", "random")
@@ -130,7 +132,7 @@ def scalar_query(
     if options.retrieval_backend == "lsh":
         hits = lsh_hits(catalog, query_sketch, options, exclude_id)
     else:
-        hits = catalog.index.top_overlap(
+        hits = index_of(catalog).top_overlap(
             query_sketch.key_hashes(),
             options.depth,
             exclude=exclude_id,

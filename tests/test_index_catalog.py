@@ -10,6 +10,8 @@ from repro.table.table import table_from_arrays
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
 
+from scancount_oracle import index_of
+
 
 def _catalog():
     catalog = SketchCatalog(sketch_size=32)
@@ -64,10 +66,13 @@ def test_get_unknown_id():
 def test_index_retrieves_overlapping_sketch():
     catalog = _catalog()
     query = catalog.get("t1::key->value")
-    hits = catalog.index.top_overlap(
+    hits = catalog.probe_top_overlap_batch(
+        [query.columnar().key_hashes], 10, excludes=["t1::key->value"]
+    )[0]
+    assert hits and hits[0][0] == "t2::key->value"
+    assert hits == index_of(catalog).top_overlap(
         query.key_hashes(), 10, exclude="t1::key->value"
     )
-    assert hits and hits[0][0] == "t2::key->value"
 
 
 def test_iteration():
@@ -84,7 +89,9 @@ def test_save_load_round_trip(tmp_path):
         assert loaded.get(sid).entries() == catalog.get(sid).entries()
     # Index is rebuilt and functional.
     query = loaded.get("t1::key->value")
-    hits = loaded.index.top_overlap(query.key_hashes(), 5, exclude="t1::key->value")
+    hits = loaded.probe_top_overlap_batch(
+        [query.columnar().key_hashes], 5, excludes=["t1::key->value"]
+    )[0]
     assert hits[0][0] == "t2::key->value"
 
 
@@ -158,9 +165,8 @@ def test_remove_sketch_tombstones_frozen_entry():
     catalog.remove_sketch("t1::key->value")
     assert "t1::key->value" not in catalog
     assert len(catalog) == 1
-    # Inverted postings dropped immediately...
-    assert catalog.index.vocabulary_size < vocab_before
-    assert "t1::key->value" not in catalog.index
+    # The live vocabulary shrinks immediately...
+    assert catalog.vocabulary_size < vocab_before
     # ...while the frozen structures stay warm: the removed id was in
     # the frozen layer, so it is banned via a tombstone, not rebuilt
     # away.
@@ -169,7 +175,7 @@ def test_remove_sketch_tombstones_frozen_entry():
     assert catalog.tombstone_count == 1
     # Layered probes never surface the tombstoned id.
     query = catalog.get("t2::key->value")
-    hits = catalog.probe_top_overlap(list(query.key_hashes()), 5)
+    hits = catalog.probe_top_overlap_batch([query.columnar().key_hashes], 5)[0]
     assert [sid for sid, _ in hits] == ["t2::key->value"]
     assert "t1::key->value" not in catalog.lsh_candidate_ids(
         query.key_hashes()
@@ -198,9 +204,9 @@ def test_remove_then_readd_same_id():
     catalog.remove_sketch("t1::key->value")
     catalog.add_sketch("t1::key->value", sketch)
     assert len(catalog) == 2
-    hits = catalog.frozen_postings().top_overlap(
-        list(sketch.key_hashes()), 5
-    )
+    hits = catalog.frozen_postings().top_overlap_batch(
+        [sketch.columnar().key_hashes], 5
+    )[0]
     assert hits[0][0] == "t1::key->value"
 
 
@@ -219,15 +225,17 @@ def test_remove_sketches_validates_batch():
 
 
 def test_remove_from_snapshot_loaded_catalog(tmp_path):
-    """Removal on a lazily rehydrated catalog: the stale live index is
-    simply rebuilt later from the surviving entries."""
+    """Removal on a lazily rehydrated catalog: the removed entry is
+    banned at once and folded away by the next freeze."""
     path = tmp_path / "c.arena"
     _catalog().save(path)
     loaded = SketchCatalog.load(path)
     loaded.remove_sketch("t1::key->value")
     assert len(loaded) == 1
-    assert "t1::key->value" not in loaded.index
-    assert "t2::key->value" in loaded.index
+    assert list(loaded) == ["t2::key->value"]
     sketch = loaded.get("t2::key->value")
-    hits = loaded.frozen_postings().top_overlap(list(sketch.key_hashes()), 5)
+    query = [sketch.columnar().key_hashes]
+    hits = loaded.probe_top_overlap_batch(query, 5)[0]
     assert [sid for sid, _ in hits] == ["t2::key->value"]
+    assert loaded.frozen_postings().top_overlap_batch(query, 5)[0] == hits
+    assert loaded.frozen_postings().docs == ["t2::key->value"]

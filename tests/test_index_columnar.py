@@ -1,18 +1,20 @@
-"""Parity tests: frozen columnar postings vs the ScanCount reference.
+"""Parity tests: the stacked columnar probe vs the ScanCount reference.
 
-``ColumnarPostings.top_overlap`` must return *exactly* what the
-dict-of-lists ``InvertedIndex.top_overlap`` returns — same candidates,
-same counts, same ``(−overlap, sketch_id)`` tie-break — on any catalog.
-The suite drives both through randomized catalogs (hypothesis-generated
-posting sets) plus the edge cases the engine exercises: overlap ties,
-``exclude``, ``min_overlap``, and empty queries.
+``ColumnarPostings.top_overlap_batch`` — a single query being a batch
+of one — must return *exactly* what the dict-of-lists
+``InvertedIndex.top_overlap`` of ``scancount_oracle.py`` returns — same
+candidates, same counts, same ``(−overlap, sketch_id)`` tie-break — on
+any catalog. The suite drives both through randomized catalogs
+(hypothesis-generated posting sets, queries with repeated hashes) plus
+the edge cases the engine exercises: overlap ties, ``exclude``,
+``min_overlap``, and empty queries.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.index.inverted import ColumnarPostings, InvertedIndex
+from scancount_oracle import InvertedIndex
 
 
 def _build(posting_sets: list[list[int]]) -> InvertedIndex:
@@ -22,6 +24,18 @@ def _build(posting_sets: list[list[int]]) -> InvertedIndex:
     return index
 
 
+def _top(frozen, query, k, **kwargs):
+    """One query through the stacked probe: a batch of one."""
+    excludes = [kwargs.pop("exclude")] if "exclude" in kwargs else None
+    return frozen.top_overlap_batch([query], k, excludes=excludes, **kwargs)[0]
+
+
+def _counts(frozen, query) -> np.ndarray:
+    """One query's ScanCount row from the stacked probe."""
+    query = np.asarray(query, dtype=np.uint64)
+    return frozen.overlap_counts_batch(query, np.array([0, query.size]))[0]
+
+
 hash_sets = st.lists(
     st.lists(
         st.integers(min_value=0, max_value=60), min_size=1, max_size=25, unique=True
@@ -29,6 +43,8 @@ hash_sets = st.lists(
     min_size=1,
     max_size=30,
 )
+# Not unique: a repeated query hash counts once per occurrence in both
+# kernels.
 queries = st.lists(st.integers(min_value=0, max_value=70), min_size=0, max_size=40)
 
 
@@ -36,7 +52,7 @@ queries = st.lists(st.integers(min_value=0, max_value=70), min_size=0, max_size=
     posting_sets=hash_sets,
     query=queries,
     k=st.integers(min_value=1, max_value=12),
-    min_overlap=st.integers(min_value=1, max_value=4),
+    min_overlap=st.integers(min_value=0, max_value=4),
     exclude_doc=st.one_of(st.none(), st.integers(min_value=0, max_value=35)),
 )
 @settings(max_examples=200, deadline=None)
@@ -53,7 +69,7 @@ def test_top_overlap_matches_scancount_reference(
     frozen = index.freeze()
     exclude = None if exclude_doc is None else f"doc{exclude_doc:03d}"
     expected = index.top_overlap(query, k, exclude=exclude, min_overlap=min_overlap)
-    got = frozen.top_overlap(query, k, exclude=exclude, min_overlap=min_overlap)
+    got = _top(frozen, query, k, exclude=exclude, min_overlap=min_overlap)
     assert got == expected
 
 
@@ -63,7 +79,7 @@ def test_overlap_counts_match_reference(posting_sets, query):
     index = _build(posting_sets)
     frozen = index.freeze()
     expected = index.overlap_counts(query)
-    counts = frozen.overlap_counts_array(query)
+    counts = _counts(frozen, query)
     got = {
         frozen.docs[d]: int(c) for d, c in enumerate(counts) if c > 0
     }
@@ -73,16 +89,15 @@ def test_overlap_counts_match_reference(posting_sets, query):
 def test_empty_query_returns_nothing():
     index = _build([[1, 2, 3], [2, 3, 4]])
     frozen = index.freeze()
-    assert frozen.top_overlap([], 5) == []
-    assert frozen.top_overlap(set(), 5) == index.top_overlap(set(), 5)
-    assert frozen.overlap_counts_array(np.array([], dtype=np.uint64)).sum() == 0
+    assert _top(frozen, [], 5) == [] == index.top_overlap([], 5)
+    assert _counts(frozen, np.array([], dtype=np.uint64)).sum() == 0
 
 
 def test_unindexed_hashes_are_ignored():
     index = _build([[1, 2, 3]])
     frozen = index.freeze()
-    assert frozen.top_overlap([99, 100], 5) == []
-    assert frozen.top_overlap([1, 99], 5) == [("doc000", 1)]
+    assert _top(frozen, [99, 100], 5) == []
+    assert _top(frozen, [1, 99], 5) == [("doc000", 1)]
 
 
 def test_overlap_tie_break_is_lexicographic():
@@ -93,15 +108,17 @@ def test_overlap_tie_break_is_lexicographic():
     index.add("alpha", [1, 2, 4])
     index.add("mid", [1, 2, 5])
     frozen = index.freeze()
-    got = frozen.top_overlap([1, 2], 2)
+    got = _top(frozen, [1, 2], 2)
     assert got == [("alpha", 2), ("mid", 2)]
     assert got == index.top_overlap([1, 2], 2)
 
 
 def test_k_validation_matches_reference():
-    frozen = _build([[1]]).freeze()
-    with pytest.raises(ValueError, match="k must be positive"):
-        frozen.top_overlap([1], 0)
+    index = _build([[1]])
+    frozen = index.freeze()
+    for probe in (frozen.top_overlap_batch, index.top_overlap):
+        with pytest.raises(ValueError, match="k must be positive"):
+            probe([1], 0)
 
 
 def test_min_overlap_zero_behaves_like_reference():
@@ -110,7 +127,7 @@ def test_min_overlap_zero_behaves_like_reference():
     index = _build([[1, 2], [3, 4]])
     frozen = index.freeze()
     for mo in (0, 1):
-        assert frozen.top_overlap([1], 5, min_overlap=mo) == index.top_overlap(
+        assert _top(frozen, [1], 5, min_overlap=mo) == index.top_overlap(
             [1], 5, min_overlap=mo
         )
 
@@ -120,10 +137,10 @@ def test_freeze_is_a_snapshot():
     index = _build([[1, 2]])
     frozen = index.freeze()
     index.add("doc999", [1, 2])
-    assert frozen.top_overlap([1, 2], 5) == [("doc000", 2)]
+    assert _top(frozen, [1, 2], 5) == [("doc000", 2)]
     assert len(frozen) == 1
     refrozen = index.freeze()
-    assert refrozen.top_overlap([1, 2], 5) == [("doc000", 2), ("doc999", 2)]
+    assert _top(refrozen, [1, 2], 5) == [("doc000", 2), ("doc999", 2)]
 
 
 def test_csr_layout_invariants():

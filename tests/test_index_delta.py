@@ -23,10 +23,11 @@ import pytest
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import JoinCorrelationEngine
-from repro.index.inverted import InvertedIndex
 from repro.ranking.scoring import RNG_MODES, SCORER_NAMES
 from repro.serving import ShardedCatalog, ShardRouter
 from repro.table.table import table_from_arrays
+
+from scancount_oracle import InvertedIndex
 
 
 N_ROWS = 600
@@ -309,7 +310,7 @@ def test_remove_delta_only_id_on_snapshot_loaded_catalog(tmp_path):
     assert loaded.delta_size == 0
     assert loaded.tombstone_count == 0
     assert "late::key->value" not in loaded
-    hits = loaded.probe_top_overlap(
-        list(loaded.get("base::key->value").key_hashes()), 5
-    )
+    hits = loaded.probe_top_overlap_batch(
+        [loaded.get("base::key->value").columnar().key_hashes], 5
+    )[0]
     assert [sid for sid, _ in hits] == ["base::key->value"]

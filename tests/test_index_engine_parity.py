@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.joined_sample import join_columns, join_sketches
+from repro.core.joined_sample import join_sketches
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import CandidatePage, JoinCorrelationEngine
@@ -229,27 +229,24 @@ def _random_sketch_pair(rng, *, with_nan=True):
     return left, right
 
 
-def test_join_columns_bit_identical_to_join_sketches():
+def test_membership_join_bit_identical_to_join_sketches():
+    """The page oracle's columnar join (one membership probe, then an
+    argsort of the matched ranks) equals the dict-set join."""
     rng = np.random.default_rng(17)
     for _ in range(25):
         left, right = _random_sketch_pair(rng)
         a = join_sketches(left, right)
         lcols, rcols = left.columnar(), right.columnar()
-        b = join_columns(lcols, rcols)
-        # The oracle's fused single-probe join must match too.
-        c = oracle.join_from_membership(
+        b = oracle.join_from_membership(
             lcols, rcols, *oracle.candidate_membership(lcols, rcols)
         )
-        for other in (b, c):
-            assert (a.key_hashes == other.key_hashes).all()
-            assert np.array_equal(a.x, other.x, equal_nan=True)
-            assert np.array_equal(a.y, other.y, equal_nan=True)
-            for ra, rb in zip(
-                (a.x_range, a.y_range), (other.x_range, other.y_range)
-            ):
-                assert ra == rb or (
-                    all(math.isnan(v) for v in ra) and all(math.isnan(v) for v in rb)
-                )
+        assert (a.key_hashes == b.key_hashes).all()
+        assert np.array_equal(a.x, b.x, equal_nan=True)
+        assert np.array_equal(a.y, b.y, equal_nan=True)
+        for ra, rb in zip((a.x_range, a.y_range), (b.x_range, b.y_range)):
+            assert ra == rb or (
+                all(math.isnan(v) for v in ra) and all(math.isnan(v) for v in rb)
+            )
 
 
 def test_containment_batch_bit_identical_to_scalar():

@@ -1,8 +1,14 @@
-"""Unit tests for the inverted index (set-overlap retrieval)."""
+"""Set-overlap retrieval: the dict-of-lists ScanCount oracle, and the
+stacked columnar probe held to it.
+
+The first half pins the oracle itself (``scancount_oracle.py``); the
+second holds ``ColumnarPostings.overlap_counts_batch`` /
+``top_overlap_batch`` to the oracle's per-query answers.
+"""
 
 import pytest
 
-from repro.index.inverted import InvertedIndex
+from scancount_oracle import InvertedIndex
 
 
 def _index():
@@ -87,7 +93,7 @@ def test_scales_to_many_documents():
 # -- batched (stacked) columnar probe ----------------------------------------
 
 
-def _frozen_random(seed=0, n_docs=60, universe=400):
+def _random_index(seed=0, n_docs=60, universe=400):
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -96,30 +102,43 @@ def _frozen_random(seed=0, n_docs=60, universe=400):
         size = int(rng.integers(1, 60))
         hashes = rng.choice(universe, size=size, replace=False)
         idx.add(f"doc{d:03d}", (int(h) for h in hashes))
+    return idx, rng
+
+
+def _frozen_random(seed=0, n_docs=60, universe=400):
+    idx, rng = _random_index(seed, n_docs, universe)
     return idx.freeze(), rng
 
 
 def test_overlap_counts_batch_rows_match_single_probe():
+    """Row ``q`` of the stacked ScanCount equals the oracle's probe of
+    query ``q`` alone, a query with repeated hashes included."""
     import numpy as np
 
-    frozen, rng = _frozen_random()
+    idx, rng = _random_index()
+    frozen = idx.freeze()
     queries = [
         np.unique(rng.choice(400, size=int(rng.integers(0, 80)), replace=False))
         for _ in range(12)
     ]
+    queries.append(np.concatenate([queries[0], queries[0][:5]]))
     q_indptr = np.zeros(len(queries) + 1, dtype=np.int64)
     np.cumsum(np.asarray([q.size for q in queries]), out=q_indptr[1:])
     concat = np.concatenate(queries).astype(np.uint64)
     counts = frozen.overlap_counts_batch(concat, q_indptr)
     assert counts.shape == (len(queries), len(frozen))
     for q, query in enumerate(queries):
-        assert (counts[q] == frozen.overlap_counts_array(query)).all()
+        expected = idx.overlap_counts(query.tolist())
+        got = {frozen.docs[d]: int(c) for d, c in enumerate(counts[q]) if c}
+        assert got == expected
 
 
 def test_top_overlap_batch_matches_single_calls():
+    """Each row of the batch equals the oracle's single-query call."""
     import numpy as np
 
-    frozen, rng = _frozen_random(seed=3)
+    idx, rng = _random_index(seed=3)
+    frozen = idx.freeze()
     queries = [
         np.unique(rng.choice(400, size=int(rng.integers(0, 80)), replace=False))
         for _ in range(10)
@@ -127,7 +146,9 @@ def test_top_overlap_batch_matches_single_calls():
     excludes = [None, "doc001", None, "doc999", None, "doc010", None, None, None, None]
     batch = frozen.top_overlap_batch(queries, 7, excludes=excludes, min_overlap=2)
     for q, query in enumerate(queries):
-        single = frozen.top_overlap(query, 7, exclude=excludes[q], min_overlap=2)
+        single = idx.top_overlap(
+            query.tolist(), 7, exclude=excludes[q], min_overlap=2
+        )
         assert batch[q] == single
 
 

@@ -4,7 +4,7 @@ The snapshot contract (docs/ARCHITECTURE.md): a catalog saved to the
 binary format (the arena) and to JSON must load back **array-identical**
 — same per-sketch entries, columnar views, metadata and postings — while
 the binary load does no per-entry work (lazy array-view sketches, warm
-frozen-postings cache, deferred inverted-index rebuild). Each format is
+frozen-postings cache). Each format is
 readable in exactly one generation: the retired zip-of-``.npy`` format
 is refused by name, under either corruption policy, and the bytes of a
 current-generation file are pinned to the ones PR 21 wrote.
@@ -33,6 +33,7 @@ from repro.serving import MANIFEST_NAME, ShardedCatalog
 from repro.table.table import table_from_arrays
 
 from scalar_query_oracle import scalar_query
+from scancount_oracle import index_of
 
 
 def _world(seed=0, n_tables=8, n_rows=900, sketch_size=64):
@@ -358,8 +359,8 @@ def test_mutation_after_snapshot_load(tmp_path):
     assert loaded.frozen_postings() is not frozen_before
     result = JoinCorrelationEngine(loaded).query(query, k=10, scorer="rp")
     assert any(e.candidate_id.startswith("late") for e in result.ranked)
-    # The rebuilt live index covers snapshot and post-snapshot sketches.
-    assert len(loaded.index) == len(loaded)
+    # The refrozen postings cover snapshot and post-snapshot sketches.
+    assert len(loaded.frozen_postings()) == len(loaded)
 
 
 def test_scalar_index_rebuild_matches_original(tmp_path):
@@ -367,9 +368,10 @@ def test_scalar_index_rebuild_matches_original(tmp_path):
     path = tmp_path / "c.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
-    a = catalog.index.top_overlap(query.key_hashes(), 10)
-    b = loaded.index.top_overlap(query.key_hashes(), 10)
+    a = index_of(catalog).top_overlap(query.key_hashes(), 10)
+    b = index_of(loaded).top_overlap(query.key_hashes(), 10)
     assert a == b
+    assert loaded.probe_top_overlap_batch([query.columnar().key_hashes], 10)[0] == a
 
 
 # -- bulk registration -------------------------------------------------------

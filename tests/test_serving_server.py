@@ -308,6 +308,24 @@ class TestEndpoints:
             )
             assert code == 400 and "'right'" in body["error"]
 
+    @pytest.mark.parametrize("path", ["/query", "/estimate"])
+    def test_integer_beyond_float_range_gets_400(self, corpus, path):
+        """A JSON integer no float can hold (``10**400``) in ``values``
+        is a bad request naming the field, not a 500 from the float
+        conversion."""
+        mono, _, _, _ = corpus
+        columns = {"keys": ["a", "b"], "values": [10**400, 1.0]}
+        payload = (
+            columns if path == "/query" else {"left": columns, "right": columns}
+        )
+        with QueryService(QuerySession.for_catalog(mono)) as service:
+            code, body = _post_error(
+                service.url + path, json.dumps(payload).encode()
+            )
+            assert code == 400 and "values" in body["error"]
+            status, health = _get(service.url + "/healthz")
+            assert status == 200 and health["status"] == "ok"
+
     def test_unknown_paths_get_404(self, corpus):
         mono, _, _, _ = corpus
         with QueryService(QuerySession.for_catalog(mono)) as service:
