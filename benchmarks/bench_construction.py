@@ -1,20 +1,17 @@
 """Sketch-construction microbenchmarks (the one-pass, bounded-memory claim).
 
 Section 3.4: sketches are built with a single pass while maintaining the
-``n`` minimum-hash tuples in a tree-like structure. These benchmarks
-quantify both construction paths:
+``n`` minimum-hash tuples. There is one construction path — the columnar
+``update_array`` (batch hashing, grouped NumPy reductions, argpartition
+bottom-``n``), bit-identical to the row-at-a-time definition that
+``tests/row_sketch_oracle.py`` keeps — and these benchmarks time it:
 
-* **streaming** — the reference row-at-a-time ``update_all`` loop (one
-  scalar MurmurHash3 + one bounded-structure offer per row); throughput
-  should be nearly flat in sketch size;
-* **vectorized** — the columnar ``update_array`` fast path (batch hashing,
-  grouped NumPy reductions, argpartition bottom-``n``), which produces a
-  bit-identical sketch; ``test_vectorized_speedup`` reports and asserts
-  the streaming-vs-vectorized throughput ratio;
-* the streaming-CSV path versus load-then-sketch at equal output.
+* in memory, ``CorrelationSketch.from_columns`` across sketch sizes;
+* from a CSV file, the block-streaming ``stream_sketch_csv`` against
+  load-then-sketch (``read_csv`` + ``SketchCatalog.add_table``), at equal
+  output.
 
-Run ``--quick`` for a CI-sized smoke pass (smaller workload, ratio
-reported but not asserted).
+Run ``--quick`` for a CI-sized smoke pass (smaller workload).
 """
 
 from __future__ import annotations
@@ -26,14 +23,9 @@ import pytest
 
 from conftest import write_result
 from repro.core.sketch import CorrelationSketch
+from repro.index.catalog import SketchCatalog
+from repro.table.csv_io import read_csv
 from repro.table.streaming import stream_sketch_csv
-
-
-def _streamed(keys, values, n) -> CorrelationSketch:
-    """The row-at-a-time reference build (``update_all``)."""
-    sketch = CorrelationSketch(n)
-    sketch.update_all(zip(keys, values))
-    return sketch
 
 
 N_ROWS = 200_000
@@ -47,23 +39,6 @@ def rows(quick):
     keys = [f"key-{i}" for i in range(n)]
     values = rng.standard_normal(n)
     return keys, values
-
-
-@pytest.mark.parametrize("sketch_size", [64, 1024, 16_384])
-def test_construction_throughput(benchmark, rows, sketch_size):
-    keys, values = rows
-
-    def build():
-        return _streamed(keys, values, sketch_size)
-
-    sketch = benchmark(build)
-    assert len(sketch) == min(sketch_size, len(keys))
-    rate = len(keys) / benchmark.stats["mean"]
-    write_result(
-        f"construction_n{sketch_size}.txt",
-        f"sketch size {sketch_size}: {rate:,.0f} rows/s "
-        f"(mean {benchmark.stats['mean'] * 1000:.1f} ms for {len(keys):,} rows)",
-    )
 
 
 @pytest.mark.parametrize("sketch_size", [64, 1024, 16_384])
@@ -83,51 +58,37 @@ def test_construction_throughput_vectorized(benchmark, rows, sketch_size):
     )
 
 
-def test_vectorized_speedup(rows, quick):
-    """Head-to-head at the paper's query sketch size (n = 1024).
-
-    Asserts the acceptance bar for the columnar path — at least 5x the
-    streaming throughput — and that both paths produce the same sketch.
-    """
-    keys, values = rows
-    n = 1024
-
-    def best_of(build, reps=3):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            sketch = build()
-            times.append(time.perf_counter() - t0)
-        return sketch, min(times)
-
-    streamed, t_stream = best_of(lambda: _streamed(keys, values, n))
-    vectored, t_vec = best_of(
-        lambda: CorrelationSketch.from_columns(keys, values, n)
-    )
-
-    assert streamed.entries() == vectored.entries()
-    assert streamed.rows_seen == vectored.rows_seen
-
-    ratio = t_stream / t_vec
-    write_result(
-        "construction_vectorized_speedup.txt",
-        f"n={n}, {len(keys):,} rows: streaming {len(keys) / t_stream:,.0f} rows/s, "
-        f"vectorized {len(keys) / t_vec:,.0f} rows/s -> {ratio:.1f}x speedup",
-    )
-    if not quick:
-        assert ratio >= 5.0, f"vectorized path only {ratio:.1f}x faster"
-
-
-def test_streaming_csv_construction(benchmark, tmp_path_factory, rows):
+def test_streaming_csv_construction(tmp_path_factory, rows):
+    """Block streaming from the file equals load-then-sketch; both timed
+    (best of 3) and the ratio reported."""
     keys, values = rows
     path = tmp_path_factory.mktemp("bench") / "big.csv"
     lines = ["k,v"] + [f"{k},{v:.5f}" for k, v in zip(keys, values)]
     path.write_text("\n".join(lines) + "\n")
 
-    sketches = benchmark.pedantic(
-        lambda: stream_sketch_csv(path, 1024), rounds=1, iterations=1
-    )
-    assert len(sketches) == 1
+    def best_of(build, reps=3):
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            built = build()
+            times.append(time.perf_counter() - t0)
+        return built, min(times)
+
+    def load_then_sketch():
+        catalog = SketchCatalog(sketch_size=1024)
+        catalog.add_table(read_csv(path))
+        return catalog
+
+    sketches, t_stream = best_of(lambda: stream_sketch_csv(path, 1024))
+    catalog, t_eager = best_of(load_then_sketch)
+    assert list(sketches) == list(catalog)
     (sketch,) = sketches.values()
     assert len(sketch) == 1024
     assert sketch.rows_seen == len(keys)
+    assert sketch.entries() == catalog.get("big.csv::k->v").entries()
+    write_result(
+        "construction_streaming_csv.txt",
+        f"n=1024, {len(keys):,} rows from CSV: streaming "
+        f"{len(keys) / t_stream:,.0f} rows/s, load-then-sketch "
+        f"{len(keys) / t_eager:,.0f} rows/s ({t_stream / t_eager:.2f}x the time)",
+    )

@@ -68,10 +68,12 @@ def _run_queries(nyc_refs, max_queries=None):
     if max_queries is not None:
         queries = queries[:max_queries]
     for query_ref in queries:
-        sketch = CorrelationSketch(
-            SKETCH_SIZE, hasher=catalog.hasher, name=query_ref.pair_id
+        sketch = CorrelationSketch.from_columns(
+            *query_ref.table.pair_arrays(query_ref.pair),
+            SKETCH_SIZE,
+            hasher=catalog.hasher,
+            name=query_ref.pair_id,
         )
-        sketch.update_all(query_ref.table.pair_rows(query_ref.pair))
         result = engine.query(sketch, k=10, scorer="rp_cih")
         total.add(result.total_seconds)
         retrieval.add(result.retrieval_seconds)

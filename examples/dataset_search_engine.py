@@ -109,8 +109,11 @@ def main() -> None:
 
         try:
             for query_ref in workload.queries:
-                query_sketch = CorrelationSketch(SKETCH_SIZE, hasher=served.hasher)
-                query_sketch.update_all(query_ref.table.pair_rows(query_ref.pair))
+                query_sketch = CorrelationSketch.from_columns(
+                    *query_ref.table.pair_arrays(query_ref.pair),
+                    SKETCH_SIZE,
+                    hasher=served.hasher,
+                )
 
                 print(f"\nquery: {query_ref.pair_id}")
                 for scorer in ("rp", "rp_cih"):

@@ -93,8 +93,9 @@ def main() -> None:
     print(f"indexed {len(catalog)} candidate column pairs (mean aggregation)")
 
     pair = query_table.column_pairs()[0]
-    query_sketch = CorrelationSketch(512, hasher=catalog.hasher)
-    query_sketch.update_all(query_table.pair_rows(pair))
+    query_sketch = CorrelationSketch.from_columns(
+        *query_table.pair_arrays(pair), 512, hasher=catalog.hasher
+    )
 
     result = JoinCorrelationEngine(catalog).query(query_sketch, k=3, scorer="rp_sez")
     print("\ntop candidates by risk-penalized estimated correlation:")

@@ -87,10 +87,9 @@ def main() -> None:
         # Build the query sketch from the analyst's table.
         query_table = read_csv(query_csv)
         pair = query_table.column_pairs()[0]
-        query_sketch = CorrelationSketch(
-            256, hasher=catalog.hasher, name=pair.pair_id
+        query_sketch = CorrelationSketch.from_columns(
+            *query_table.pair_arrays(pair), 256, hasher=catalog.hasher, name=pair.pair_id
         )
-        query_sketch.update_all(query_table.pair_rows(pair))
 
         print(
             "\nquery: tables joinable with traffic_fatalities.csv on date, "

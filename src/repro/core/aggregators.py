@@ -246,10 +246,6 @@ class GroupedAggregates:
     * NaN rows are skipped everywhere except under ``count``, which counts
       key occurrences regardless of the cell value — the same missing-data
       policy as :meth:`Aggregator.observe`.
-
-    :meth:`aggregator` / :meth:`from_aggregators` convert one row to and
-    from the object rendering; only the sketch's row-at-a-time builder
-    uses them.
     """
 
     __slots__ = ("name", "slots")
@@ -360,28 +356,6 @@ class GroupedAggregates:
         if name == "count":
             return slots["_count"].astype(np.float64)
         return slots["_best" if name in ("max", "min") else "_value"].copy()
-
-    # -- the object rendering (row-at-a-time builder only) -------------------
-
-    def aggregator(self, row: int) -> Aggregator:
-        """``row``'s state as a live :class:`Aggregator` object."""
-        agg = make_aggregator(self.name)
-        for slot, column in self.slots.items():
-            setattr(agg, slot, column[row].item())
-        return agg
-
-    @classmethod
-    def from_aggregators(cls, name: str, aggs: list) -> "GroupedAggregates":
-        """The inverse of :meth:`aggregator`, over a list of objects."""
-        return cls(
-            name,
-            slots={
-                slot: np.array(
-                    [getattr(agg, slot) for agg in aggs], dtype=_SLOTS[slot][0]
-                )
-                for slot in AGGREGATORS[name].__slots__
-            },
-        )
 
 
 def _read_only(state: GroupedAggregates) -> GroupedAggregates:

@@ -3,27 +3,25 @@
 Section 3.1 ("Handling Repeated Keys"): *"our synopsis is agnostic to
 such aggregations, and can easily be extended to take as input one or
 more functions"*. This module implements that extension: a
-:class:`MultiAggregateSketch` maintains, per retained key, one streaming
-aggregator per requested function — so a single pass yields sketches for
-``mean`` *and* ``max`` *and* ``count`` (etc.) simultaneously, instead of
-one pass per function.
+:class:`MultiAggregateSketch` keeps one
+:class:`~repro.core.sketch.CorrelationSketch` per requested function over
+the same rows — so one pass yields sketches for ``mean`` *and* ``max``
+*and* ``count`` (etc.) simultaneously, instead of one pass per function.
+The retained keys depend on the key column only (Section 3.1), so each
+batch is hashed, grouped and ranked once for all of them, exactly as
+:meth:`~repro.core.sketch.CorrelationSketch.from_key_column` shares a key
+column between value columns.
 
-Per-function views materialize ordinary
-:class:`~repro.core.sketch.CorrelationSketch` objects, so all
-join/estimation machinery applies unchanged.
+Per-function views are those ordinary sketches, so all join/estimation
+machinery applies unchanged.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from repro.core.aggregators import Aggregator, make_aggregator
-from repro.core.sketch import CorrelationSketch
+from repro.core.sketch import CorrelationSketch, _checked_values, _KeyGroups
 from repro.hashing import KeyHasher, default_hasher
-from repro.kmv.bottomk import BottomK
 
 
 class MultiAggregateSketch:
@@ -46,83 +44,56 @@ class MultiAggregateSketch:
         hasher: KeyHasher | None = None,
         name: str | None = None,
     ) -> None:
-        if n <= 0:
-            raise ValueError(f"sketch size n must be positive, got {n}")
         if not aggregates:
             raise ValueError("at least one aggregate function is required")
         if len(set(aggregates)) != len(aggregates):
             raise ValueError(f"duplicate aggregate names in {list(aggregates)}")
-        for agg in aggregates:
-            make_aggregator(agg)  # validate eagerly
         self.n = n
         self.aggregates = tuple(aggregates)
         self.hasher = hasher if hasher is not None else default_hasher()
         self.name = name
-        self._bottom = BottomK(n)
-        self._overflowed = False
-        self.rows_seen = 0
-        self.value_min = math.inf
-        self.value_max = -math.inf
+        # Constructing each sketch validates n and the aggregate name.
+        self._sketches = {
+            agg: CorrelationSketch(
+                n,
+                aggregate=agg,
+                hasher=self.hasher,
+                name=f"{name}:{agg}" if name else agg,
+            )
+            for agg in self.aggregates
+        }
 
-    def update(self, key: object, value: float) -> None:
-        """Offer one ``(key, value)`` row to every aggregate."""
-        self.rows_seen += 1
-        value = float(value)
-        if value == value:
-            if value < self.value_min:
-                self.value_min = value
-            if value > self.value_max:
-                self.value_max = value
-        pair = self.hasher.hash(key)
-        if pair.key_hash in self._bottom:
-            aggs: list[Aggregator] = self._bottom.get(pair.key_hash)
-            for agg in aggs:
-                agg.observe(value)
-            return
-        was_full = len(self._bottom) >= self.n
-        aggs = [make_aggregator(name) for name in self.aggregates]
-        for agg in aggs:
-            agg.observe(value)
-        admitted = self._bottom.offer(pair.unit_hash, pair.key_hash, aggs)
-        if not admitted or was_full:
-            self._overflowed = True
+    def update_array(self, keys, values) -> None:
+        """Offer a batch of rows, as parallel key/value columns, to every
+        aggregate (see :meth:`CorrelationSketch.update_array`)."""
+        values = _checked_values(values, len(keys))
+        groups = _KeyGroups(self.hasher, keys)
+        for sketch in self._sketches.values():
+            sketch._update_grouped(groups, values)
 
-    def update_all(self, rows: Iterable[tuple[object, float]]) -> None:
-        for key, value in rows:
-            self.update(key, value)
+    @property
+    def _first(self) -> CorrelationSketch:
+        return self._sketches[self.aggregates[0]]
 
     def __len__(self) -> int:
-        return len(self._bottom)
+        return len(self._first)
+
+    @property
+    def rows_seen(self) -> int:
+        return self._first.rows_seen
 
     @property
     def saw_all_keys(self) -> bool:
-        return not self._overflowed
+        return self._first.saw_all_keys
 
     def view(self, aggregate: str) -> CorrelationSketch:
-        """Materialize the single-aggregate sketch for ``aggregate``.
-
-        The view carries correct key hashes, ranks, overflow state and —
-        for range-preserving aggregates — the column value range, so it
-        behaves exactly like a sketch built with that aggregate alone.
-        """
+        """The single-aggregate sketch for ``aggregate``: the sketch
+        ``from_columns`` would build over the same rows with that
+        aggregate alone."""
         try:
-            idx = self.aggregates.index(aggregate)
-        except ValueError:
+            return self._sketches[aggregate]
+        except KeyError:
             raise KeyError(
                 f"aggregate {aggregate!r} not tracked; available: "
                 f"{list(self.aggregates)}"
             ) from None
-        key_hashes, ranks, states = self._bottom.key_sorted()
-        return CorrelationSketch.from_frozen_arrays(
-            key_hashes,
-            ranks,
-            np.array([aggs[idx].value() for aggs in states], dtype=np.float64),
-            n=self.n,
-            aggregate=aggregate,
-            hasher=self.hasher,
-            name=f"{self.name}:{aggregate}" if self.name else aggregate,
-            rows_seen=self.rows_seen,
-            overflowed=self._overflowed,
-            value_min=self.value_min,
-            value_max=self.value_max,
-        )

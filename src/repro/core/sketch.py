@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.aggregators import GroupedAggregates, make_aggregator
+from repro.core.aggregators import GroupedAggregates
 from repro.hashing import KeyHasher, default_hasher
-from repro.kmv.bottomk import BottomK, bottom_k_positions
+from repro.kmv.bottomk import bottom_k_positions
 from repro.kmv.estimators import basic_dv_estimate, unbiased_dv_estimate
 
 
@@ -149,13 +149,13 @@ class CorrelationSketch:
     hash — the tuple identifiers ``h(k)``, their unit ranks
     ``h_u(h(k))`` and one array per aggregator slot
     (:class:`repro.core.aggregators.GroupedAggregates`) — plus the
-    scalars. :meth:`update_array` merges a batch into them with array
-    operations only; :meth:`update` / :meth:`update_all` stream rows
-    into a private heap of aggregator objects (Section 3.4's one-pass
-    tree, :class:`repro.kmv.bottomk.BottomK`) that is raised from the
-    columns on the first row and folded back on the next read or batch.
-    Either way the input is never buffered. A sketch rehydrated from a
-    catalog file keeps the aggregated values only and is read-only.
+    scalars. :meth:`update_array` merges a batch of rows into them with
+    array operations only, and a sequence of batches lands on the sketch
+    Section 3.4's one-pass, row-at-a-time tree would build from the same
+    rows in order, so a stream is sketched block by block
+    (:func:`repro.table.streaming.stream_sketch_csv`). A sketch
+    rehydrated from a catalog file keeps the aggregated values only and
+    is read-only.
     """
 
     def __init__(
@@ -178,8 +178,6 @@ class CorrelationSketch:
         #: the aggregate name, so misconfiguration fails at sketch
         #: creation, not at first update.
         self._state: GroupedAggregates | None = GroupedAggregates.empty(aggregate)
-        #: Row-at-a-time builder; holds the entries while it exists.
-        self._rows: BottomK | None = None
         self._columns: SketchColumns | None = None
         self._overflowed = False
         self.value_min = math.inf
@@ -197,71 +195,15 @@ class CorrelationSketch:
             )
         return self._state
 
-    def _row_builder(self) -> BottomK:
-        """The heap behind :meth:`update`, raised from the columns."""
-        if self._rows is None:
-            state = self._live_state()
-            self._rows = BottomK(self.n)
-            self._rows.update_batch(
-                self._ranks,
-                self._key_hashes,
-                [state.aggregator(row) for row in range(len(state))],
-            )
-        return self._rows
-
-    def _fold(self) -> None:
-        """Lower the row builder, if one is live, back into the columns."""
-        if self._rows is None:
-            return
-        self._key_hashes, self._ranks, aggs = self._rows.key_sorted()
-        self._rows = None
-        self._state = GroupedAggregates.from_aggregators(self.aggregate, aggs)
-
-    def update(self, key: object, value: float) -> None:
-        """Offer one ``(key, value)`` row to the sketch.
-
-        ``value`` may be NaN (missing cell); the key still counts toward
-        joinability but contributes no numeric value (except under the
-        ``count`` aggregate, which counts occurrences).
-
-        Raises:
-            ValueError: on a rehydrated sketch (see :meth:`to_dict`).
-        """
-        rows = self._row_builder()
-        self._columns = None
-        self.rows_seen += 1
-        value = float(value)
-        if value == value:  # not NaN: maintain global range for CI bounds
-            if value < self.value_min:
-                self.value_min = value
-            if value > self.value_max:
-                self.value_max = value
-
-        pair = self.hasher.hash(key)
-        if pair.key_hash in rows:
-            rows.get(pair.key_hash).observe(value)
-            return
-
-        was_full = len(rows) >= self.n
-        agg = make_aggregator(self.aggregate)
-        agg.observe(value)
-        admitted = rows.offer(pair.unit_hash, pair.key_hash, agg)
-        if not admitted or was_full:
-            self._overflowed = True
-
-    def update_all(self, rows: Iterable[tuple[object, float]]) -> None:
-        """Offer every ``(key, value)`` pair in ``rows``."""
-        self._live_state()
-        for key, value in rows:
-            self.update(key, value)
-
     def update_array(self, keys, values) -> None:
-        """Vectorized :meth:`update_all` over parallel key/value columns.
+        """Offer a batch of rows, as parallel key/value columns.
 
-        Produces a sketch **identical** to streaming the same rows through
-        :meth:`update` in order — same retained keys, same aggregator
-        state (bit-for-bit float accumulation), same ``value_min`` /
-        ``value_max`` / ``rows_seen`` / overflow flag — at columnar speed:
+        Produces a sketch **identical** to offering the same rows one at
+        a time, in order, to Section 3.4's bounded tree of aggregators —
+        same retained keys, same aggregator state (bit-for-bit float
+        accumulation), same ``value_min`` / ``value_max`` / ``rows_seen``
+        / overflow flag — at columnar speed, and so does any split of
+        the rows into consecutive batches:
 
         1. hash every key in one vectorized pass
            (:meth:`repro.hashing.KeyHasher.hash_batch`) and group repeated
@@ -287,7 +229,8 @@ class CorrelationSketch:
         :meth:`repro.kmv.bottomk.BottomK.update_batch`.) The parity
         suites (``tests/test_core_sketch_batch.py``,
         ``tests/test_ingest_parity.py``) assert full-state equality
-        against :meth:`update_all` on adversarial inputs.
+        against that row-at-a-time build (``tests/row_sketch_oracle.py``)
+        on adversarial inputs and schedules of batches.
 
         Args:
             keys: 1-D array or sequence of join keys (see
@@ -305,7 +248,6 @@ class CorrelationSketch:
     def _update_grouped(self, groups: _KeyGroups, values: np.ndarray) -> None:
         """The per-value-column part of :meth:`update_array`: range,
         grouped aggregation, bottom-``n`` merge."""
-        self._fold()
         live = self._live_state()
         self._columns = None
         self.rows_seen += values.shape[0]
@@ -408,10 +350,7 @@ class CorrelationSketch:
     ) -> "CorrelationSketch":
         """Build a sketch from parallel key/value sequences.
 
-        Construction runs through the columnar :meth:`update_array`,
-        which produces a sketch identical to the row-at-a-time
-        :meth:`update_all` (the reference ``tests/test_ingest_parity.py``
-        holds it to).
+        Construction is one :meth:`update_array` batch.
 
         Raises:
             ValueError: if the sequences have different lengths.
@@ -516,11 +455,9 @@ class CorrelationSketch:
         The key hashes and ranks are the stored arrays themselves; the
         values are each slot's vectorised ``Aggregator.value()``,
         derived once and cached until the next update (catalog sketches
-        are never updated after registration). A live row builder is
-        folded into the columns first.
+        are never updated after registration).
         """
         if self._columns is None:
-            self._fold()
             self._columns = SketchColumns(
                 key_hashes=self._key_hashes,
                 ranks=self._ranks,

@@ -22,9 +22,8 @@ See :data:`repro.ranking.scoring.SCORER_NAMES` — the name table in that
 module's docs is the authoritative registry — and
 :mod:`repro.ranking.ranker` for how scores become a ranked list.
 
-Query sketches for in-memory tables are built through the vectorized
-columnar path (:meth:`repro.core.sketch.CorrelationSketch.update_array`),
-which is bit-identical to streaming construction.
+Query sketches for in-memory tables are built like every other sketch,
+by :meth:`repro.core.sketch.CorrelationSketch.update_array`.
 
 One pipeline evaluates the plan, and a single query is a batch of one
 (:meth:`JoinCorrelationEngine.query_batch`): the query sketches are

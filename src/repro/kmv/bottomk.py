@@ -253,13 +253,3 @@ class BottomK:
     def keys(self) -> Iterator[int]:
         """Yield the retained keys in arbitrary order."""
         return iter(self._by_key)
-
-    def key_sorted(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """``(keys, ranks, payloads)`` of the live entries, ascending by
-        key: the columnar rendering (``uint64`` / ``float64`` / list)."""
-        entries = sorted(self._by_key.values(), key=lambda entry: entry.key)
-        return (
-            np.array([entry.key for entry in entries], dtype=np.uint64),
-            np.array([entry.rank for entry in entries], dtype=np.float64),
-            [entry.payload for entry in entries],
-        )

@@ -15,7 +15,7 @@ import io
 import math
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,15 +36,25 @@ _MISSING_AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
 
 def unique_header(raw: Sequence[str]) -> list[str]:
     """Column names of a header row: stripped, and duplicates
-    disambiguated with ``.N`` suffixes the way spreadsheet tools do."""
+    disambiguated with ``.N`` suffixes the way spreadsheet tools do,
+    skipping a suffix another header already uses (``x, x, x.1`` →
+    ``x, x.2, x.1``)."""
     header = [h.strip() for h in raw]
     if len(set(header)) != len(header):
-        seen: dict[str, int] = {}
+        taken = set(header)
+        count: dict[str, int] = {}
         unique = []
         for h in header:
-            count = seen.get(h, 0)
-            unique.append(h if count == 0 else f"{h}.{count}")
-            seen[h] = count + 1
+            if h not in count:
+                count[h] = 0
+                unique.append(h)
+                continue
+            name = h
+            while name in taken:
+                count[h] += 1
+                name = f"{h}.{count[h]}"
+            taken.add(name)
+            unique.append(name)
         header = unique
     return header
 
@@ -81,11 +91,25 @@ def _split_columns(
     return cells[:width], [cells[width + i :: width] for i in range(width)]
 
 
+def csv_rows(reader, name: str) -> Iterator[list[str]]:
+    """``reader``'s rows; a line ``csv`` cannot parse (a field past
+    ``csv.field_size_limit()``, …) raises ``ValueError`` at its line, so
+    callers catch one exception type for every malformed file."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"CSV {name!r} line {reader.line_num}: {exc}") from None
+
+
 def _reader_columns(
     text: str, name: str, delimiter: str
 ) -> tuple[list[str], list[Sequence[str]]]:
-    """``(header, column cells)`` through ``csv.reader``."""
-    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    """``(header, column cells)`` through ``csv.reader``, which sees the
+    text as it sees a file opened with ``newline=""``: a line feed, a
+    carriage return + line feed and a bare carriage return each end a
+    line."""
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    rows = list(csv_rows(reader, name))
     if not rows:
         raise ValueError(f"CSV {name!r} is empty")
     width = len(rows[0])
@@ -101,26 +125,56 @@ def _reader_columns(
     return rows[0], list(zip(*body)) or [()] * width
 
 
-def _parse_numeric(cells: Sequence[str]) -> np.ndarray | None:
-    """The column as float64 when ``float`` reads every cell as written.
+def _float_map(cells: Sequence[str]) -> np.ndarray:
+    """``float`` of every cell after the exact-token missing map (raises
+    ``ValueError`` at the first cell it cannot read as written).
 
     ``float`` and :func:`try_parse_float` agree on every cell ``float``
-    accepts, except that the latter rejects infinities; and without one
-    finite value the column may be all-missing. None leaves both
-    questions — and ``$``, thousands separators, padded or upper-case
-    missing tokens, text — to the per-cell definitions.
+    accepts, except that the latter rejects infinities; ``$``, thousands
+    separators, padded or upper-case missing tokens and text are left to
+    the per-cell definitions.
     """
+    return np.fromiter(
+        map(float, map(_MISSING_AS_NAN.get, cells, cells)),
+        dtype=np.float64,
+        count=len(cells),
+    )
+
+
+def _parse_numeric(cells: Sequence[str]) -> np.ndarray | None:
+    """The column as float64 when ``float`` reads every cell as written,
+    none is infinite and one is finite (else the type is the per-cell
+    definitions' question)."""
     try:
-        values = np.fromiter(
-            map(float, map(_MISSING_AS_NAN.get, cells, cells)),
-            dtype=np.float64,
-            count=len(cells),
-        )
+        values = _float_map(cells)
     except ValueError:
         return None
     if np.isinf(values).any() or np.isnan(values).all():
         return None
     return values
+
+
+def numeric_cells(cells: Sequence[str]) -> np.ndarray:
+    """Cells of a numeric column as float64: each is what
+    :func:`try_parse_float` reads, NaN where it reads nothing."""
+    try:
+        values = _float_map(cells)
+    except ValueError:
+        return np.fromiter(
+            (math.nan if (v := try_parse_float(c)) is None else v for c in cells),
+            dtype=np.float64,
+            count=len(cells),
+        )
+    values[np.isinf(values)] = math.nan
+    return values
+
+
+def key_cells(cells: Sequence[str]) -> list[str | None]:
+    """Cells of a categorical column: stripped, None where missing."""
+    stripped = list(map(str.strip, cells))
+    if MISSING_TOKENS.isdisjoint(map(str.lower, stripped)):
+        return stripped
+    return [None if is_missing(c) else c for c in stripped]
 
 
 def _build_column(
@@ -133,16 +187,8 @@ def _build_column(
     if ctype is ColumnType.UNSUPPORTED:
         return None
     if ctype is ColumnType.NUMERIC:
-        if values is None:
-            values = np.empty(len(cells), dtype=np.float64)
-            for i, cell in enumerate(cells):
-                parsed = None if is_missing(cell) else try_parse_float(cell)
-                values[i] = math.nan if parsed is None else parsed
-        return NumericColumn(name, values)
-    stripped = list(map(str.strip, cells))
-    if MISSING_TOKENS.isdisjoint(map(str.lower, stripped)):
-        return CategoricalColumn(name, stripped)
-    return CategoricalColumn(name, [None if is_missing(c) else c for c in stripped])
+        return NumericColumn(name, numeric_cells(cells) if values is None else values)
+    return CategoricalColumn(name, key_cells(cells))
 
 
 def read_csv_text(
@@ -164,7 +210,8 @@ def read_csv_text(
             (id-code heuristic; 0 disables).
 
     Raises:
-        ValueError: on empty input or rows with inconsistent width.
+        ValueError: on empty input, rows with inconsistent width or a line
+            ``csv.reader`` refuses.
     """
     text = text.removeprefix("\ufeff")
     raw_header, columns_cells = _split_columns(text, delimiter) or _reader_columns(

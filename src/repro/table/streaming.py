@@ -4,8 +4,11 @@ The motivating setting of the paper is data too large to download and
 join; the sketches themselves only ever need one pass and O(sketch size)
 memory. This module closes the loop for CSV sources: build every
 ⟨categorical, numeric⟩ column-pair sketch of a file *without
-materializing the table* — type inference runs on a buffered prefix,
-then rows stream through the sketches one at a time.
+materializing the table*. Type inference runs on a buffered prefix; then
+the rows are read in blocks, and each block's columns are parsed the way
+``read_csv`` parses them and fed to every sketch through
+:meth:`~repro.core.sketch.CorrelationSketch.update_array`, which lands on
+the sketch the rows offered one at a time would build.
 
 For files smaller than the prefix buffer the result is identical to
 ``read_csv`` + ``SketchCatalog.add_table``; for larger files memory stays
@@ -15,28 +18,49 @@ constant where the eager path grows linearly.
 from __future__ import annotations
 
 import csv
-import math
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
-from repro.table.csv_io import unique_header
-from repro.table.types import ColumnType, infer_column_type, is_missing, try_parse_float
+from repro.table.column import CategoricalColumn, NumericColumn
+from repro.table.csv_io import csv_rows, key_cells, numeric_cells, unique_header
+from repro.table.table import ColumnPair, Table
+from repro.table.types import ColumnType, infer_column_type
+
+#: Rows per block after the type-inference prefix (which is the first
+#: block): large enough that the per-block array work dwarfs the Python
+#: overhead, small enough to keep memory flat.
+BLOCK_ROWS = 8192
 
 
-def _sniff_types(
-    header: Sequence[str],
-    prefix_rows: list[list[str]],
-    categorical_threshold: float,
-) -> list[ColumnType]:
-    types = []
-    for i, _name in enumerate(header):
-        cells = [row[i] for row in prefix_rows]
-        types.append(
-            infer_column_type(cells, categorical_threshold=categorical_threshold)
-        )
-    return types
+def _blocks(
+    rows: Iterator[list[str]], reader, name: str, width: int, first: int
+) -> Iterator[list[list[str]]]:
+    """The body ``rows`` in blocks: ``first`` rows, then ``BLOCK_ROWS`` each.
+
+    Blank lines — common in hand-edited CSV files — are skipped. A row of
+    the wrong width raises at its *physical* line, ``reader.line_num``:
+    blank lines and quoted fields spanning lines advance the file without
+    adding a row, so a row count would undercount.
+    """
+    block: list[list[str]] = []
+    size = first
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(
+                f"CSV {name!r} line {reader.line_num}: expected "
+                f"{width} fields, got {len(row)}"
+            )
+        block.append(row)
+        if len(block) >= size:
+            yield block
+            block, size = [], BLOCK_ROWS
+    if block:
+        yield block
 
 
 def stream_sketch_csv(
@@ -59,7 +83,7 @@ def stream_sketch_csv(
         hasher: hashing scheme (catalog-wide).
         delimiter: field separator.
         type_inference_rows: rows buffered for type sniffing before
-            streaming begins. Memory usage is O(buffer + sketches).
+            streaming begins. Memory usage is O(buffer + block + sketches).
         categorical_threshold: id-code heuristic for type inference.
         encoding: file encoding.
 
@@ -68,7 +92,8 @@ def stream_sketch_csv(
         ``"<file>::<key>-><value>"`` matching ``ColumnPair.pair_id``.
 
     Raises:
-        ValueError: on empty files or rows with the wrong width.
+        ValueError: on empty files, rows with the wrong width or a line
+            ``csv.reader`` refuses.
     """
     path = Path(path)
     if hasher is None:
@@ -78,78 +103,39 @@ def stream_sketch_csv(
         if f.read(1) != "\ufeff":  # a byte-order mark is not part of the header
             f.seek(0)
         reader = csv.reader(f, delimiter=delimiter)
+        rows = csv_rows(reader, path.name)
         try:
-            header = unique_header(next(reader))
+            header = unique_header(next(rows))
         except StopIteration:
             raise ValueError(f"CSV {path.name!r} is empty") from None
-        width = len(header)
-
-        prefix: list[list[str]] = []
-        for row in reader:
-            if not row:
-                continue  # blank line — common in hand-edited CSV files
-            if len(row) != width:
-                raise ValueError(
-                    f"CSV {path.name!r} line {reader.line_num}: expected "
-                    f"{width} fields, got {len(row)}"
-                )
-            prefix.append(row)
-            if len(prefix) >= type_inference_rows:
-                break
-
-        types = _sniff_types(header, prefix, categorical_threshold)
-        key_cols = [i for i, t in enumerate(types) if t is ColumnType.CATEGORICAL]
-        value_cols = [i for i, t in enumerate(types) if t is ColumnType.NUMERIC]
-
-        sketches: dict[str, CorrelationSketch] = {}
-        layout: list[tuple[int, int, CorrelationSketch]] = []
-        for ki in key_cols:
-            for vi in value_cols:
-                pair_id = f"{path.name}::{header[ki]}->{header[vi]}"
-                sketch = CorrelationSketch(
-                    sketch_size, aggregate=aggregate, hasher=hasher, name=pair_id
-                )
-                sketches[pair_id] = sketch
-                layout.append((ki, vi, sketch))
-
-        if not layout:
+        blocks = _blocks(rows, reader, path.name, len(header), type_inference_rows)
+        prefix = next(blocks, [])
+        prefix_columns = list(zip(*prefix)) or [()] * len(header)
+        types = [
+            infer_column_type(cells, categorical_threshold=categorical_threshold)
+            for cells in prefix_columns
+        ]
+        keys = [i for i, t in enumerate(types) if t is ColumnType.CATEGORICAL]
+        values = [i for i, t in enumerate(types) if t is ColumnType.NUMERIC]
+        if not keys or not values:
             return {}
 
-        def feed(row: list[str]) -> None:
-            for ki, vi, sketch in layout:
-                key_cell = row[ki]
-                if is_missing(key_cell):
-                    continue
-                value = try_parse_float(row[vi])
-                if value is None:
-                    value = math.nan
-                sketch.update(key_cell.strip(), value)
-
-        for row in prefix:
-            feed(row)
-        # Error positions come from reader.line_num — the *physical* line
-        # of the last row parsed. Deriving them from the logical row count
-        # (enumerate over the reader seeded with len(prefix)) undercounts
-        # whenever blank lines were skipped inside the prefix region
-        # (blank rows never enter `prefix` but do advance the file), and
-        # whenever a quoted field spans multiple lines.
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(
-                    f"CSV {path.name!r} line {reader.line_num}: expected "
-                    f"{width} fields, got {len(row)}"
-                )
-            feed(row)
+        sketches = {
+            pair_id: CorrelationSketch(
+                sketch_size, aggregate=aggregate, hasher=hasher, name=pair_id
+            )
+            for pair_id in (
+                ColumnPair(path.name, header[k], header[v]).pair_id
+                for k in keys
+                for v in values
+            )
+        }
+        for columns in chain([prefix_columns], (list(zip(*b)) for b in blocks)):
+            table = Table(
+                path.name,
+                [CategoricalColumn(header[i], key_cells(columns[i])) for i in keys]
+                + [NumericColumn(header[i], numeric_cells(columns[i])) for i in values],
+            )
+            for pair in table.column_pairs():
+                sketches[pair.pair_id].update_array(*table.pair_arrays(pair))
     return sketches
-
-
-def iter_csv_rows(
-    path: str | Path, *, delimiter: str = ",", encoding: str = "utf-8"
-) -> Iterator[list[str]]:
-    """Yield raw CSV body rows one at a time (header skipped)."""
-    with open(Path(path), encoding=encoding, newline="") as f:
-        reader = csv.reader(f, delimiter=delimiter)
-        next(reader, None)
-        yield from reader

@@ -9,7 +9,7 @@ pairs (the unit the sketches summarize), and row count. Joins live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,29 +125,14 @@ class Table:
             for value in self.numeric_names()
         ]
 
-    def pair_rows(self, pair: ColumnPair) -> Iterator[tuple[str, float]]:
-        """Yield ``(key, value)`` rows for a pair, skipping missing keys.
-
-        Missing numeric cells are yielded as NaN (the sketch counts the
-        key for joinability but stores no value); missing keys are skipped
-        entirely — a row without a join key can never participate in a
-        join.
-        """
-        keys = self.categorical(pair.key).values
-        values = self.numeric(pair.value).values
-        for k, v in zip(keys, values):
-            if k is None:
-                continue
-            yield k, float(v)
-
     def pair_arrays(self, pair: ColumnPair) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar view of :meth:`pair_rows`: ``(keys, values)`` arrays.
+        """The ``(keys, values)`` arrays a pair's sketch is built from.
 
-        Rows with a missing key are dropped (same policy as
-        :meth:`pair_rows`); missing numeric cells stay as NaN. The arrays
-        feed :meth:`repro.core.sketch.CorrelationSketch.update_array`,
-        which builds a sketch identical to streaming the rows but at
-        columnar speed.
+        Rows with a missing key are dropped — a row without a join key
+        can never participate in a join; missing numeric cells stay as
+        NaN (the sketch counts the key for joinability but stores no
+        value). The arrays feed
+        :meth:`repro.core.sketch.CorrelationSketch.update_array`.
         """
         keys, (values,) = self.key_column_arrays(pair.key, [pair.value])
         return keys, values

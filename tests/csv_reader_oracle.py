@@ -48,15 +48,23 @@ def _column_kind(cells, categorical_threshold):
 def read_csv_text_oracle(text, name, *, delimiter=",", categorical_threshold=0.0):
     if text.startswith("\ufeff"):  # one byte-order mark is not content
         text = text[1:]
-    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"CSV {name!r} line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"CSV {name!r} is empty")
     header = []
-    seen = {}
-    for h in (h.strip() for h in rows[0]):
-        count = seen.get(h, 0)
-        header.append(h if count == 0 else f"{h}.{count}")
-        seen[h] = count + 1
+    names = [h.strip() for h in rows[0]]
+    for i, h in enumerate(names):
+        if h not in names[:i]:
+            header.append(h)
+            continue
+        suffix = 1  # the first .N no other header uses
+        while f"{h}.{suffix}" in names or f"{h}.{suffix}" in header:
+            suffix += 1
+        header.append(f"{h}.{suffix}")
     width = len(header)
     columns_cells = [[] for _ in range(width)]
     for line_no, row in enumerate(rows[1:], start=2):

@@ -8,7 +8,7 @@ Not a test file. Two uses:
   ranks, every aggregator slot, the derived values. The ingest parity
   suites compare two sketches through it
   (``test_ingest_parity.assert_full_state_equal``), with the
-  row-at-a-time build (``update`` / ``update_all``) as the oracle.
+  row-at-a-time build (``row_sketch_oracle.py``) as the oracle.
 * ``PYTHONPATH=src python tests/sketch_state_digest.py DIR`` prints one
   SHA-256 over every ``DIR/*.csv``'s parsed columns, the state of every
   sketch ``add_table`` builds from them, and the catalog's frozen and
@@ -44,7 +44,7 @@ def sketch_state(sketch) -> dict:
     ``slot:<name>`` entries are absent for a rehydrated sketch (which
     keeps values only).
     """
-    columns = sketch.columnar()  # folds a live row builder first
+    columns = sketch.columnar()
     state = {
         "n": sketch.n,
         "aggregate": sketch.aggregate,

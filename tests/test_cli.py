@@ -1,5 +1,6 @@
 """Tests for the repro-sketch command-line interface."""
 
+import csv
 import re
 import numpy as np
 import pytest
@@ -52,6 +53,33 @@ def test_index_empty_directory_fails(tmp_path, capsys):
     rc = main(["index", str(empty), "-o", str(tmp_path / "c.json")])
     assert rc == 1
     assert "no CSV files" in capsys.readouterr().err
+
+
+def test_index_skips_a_file_csv_reader_refuses(portal, tmp_path, capsys):
+    """A field past ``csv.field_size_limit()`` makes a junk file like any
+    other: ``index`` skips it with a warning and indexes the rest, and
+    ``estimate`` prints one line (both used to end in a ``csv.Error``
+    traceback)."""
+    big = "y" * (csv.field_size_limit() + 1)
+    (portal / "zz_junk.csv").write_text(f"date,x\n{big},1\n")
+    _index(portal, tmp_path)
+    captured = capsys.readouterr()
+    assert "indexed 3 column pairs" in captured.out
+    assert "skipping zz_junk.csv: CSV 'zz_junk.csv' line 2: field larger" in captured.err
+    rc = main(["estimate", str(portal / "zz_junk.csv"), str(portal / "good.csv")])
+    assert rc == 2
+    assert "error: cannot read" in capsys.readouterr().err
+
+
+def test_index_reads_classic_mac_line_endings(portal, tmp_path):
+    """A bare ``\\r`` ends a line, as in any file ``csv`` reads with
+    ``newline=""``: the same tables with ``\\r`` endings index to the same
+    catalog, byte for byte (``read_csv`` used to refuse them)."""
+    expected = _index(portal, tmp_path).read_bytes()
+    for path in portal.glob("*.csv"):
+        path.write_text(path.read_text().replace("\n", "\r"), newline="")
+    (tmp_path / "mac").mkdir()
+    assert _index(portal, tmp_path / "mac").read_bytes() == expected
 
 
 def test_query_ranks_correlated_first(portal, tmp_path, capsys):

@@ -69,13 +69,10 @@ def test_repeated_keys_aggregate_sum():
 def test_aggregation_applies_to_retained_keys_only_after_overflow():
     """Values for a retained key keep aggregating after the sketch fills."""
     keys = [f"k{i}" for i in range(100)]
-    sketch = CorrelationSketch(10, aggregate="sum")
-    for k in keys:
-        sketch.update(k, 1.0)
+    sketch = _sketch_from(keys, np.ones(100), n=10, aggregate="sum")
     retained_before = dict(sketch.entries())
     # Send another round of values for every key; only retained keys change.
-    for k in keys:
-        sketch.update(k, 1.0)
+    sketch.update_array(keys, np.ones(100))
     for kh, value in sketch.entries().items():
         assert value == retained_before[kh] + 1.0
 
@@ -161,8 +158,7 @@ class TestSerialization:
         assert clone.value_range == 0.0
 
     def test_custom_hasher_round_trip(self):
-        sketch = CorrelationSketch(4, hasher=KeyHasher(bits=64, seed=3))
-        sketch.update("a", 1.0)
+        sketch = _sketch_from(["a"], [1.0], n=4, hasher=KeyHasher(bits=64, seed=3))
         clone = CorrelationSketch.from_dict(sketch.to_dict())
         assert clone.hasher.scheme_id == (64, 3)
 
@@ -208,17 +204,14 @@ def _from_arena(sketch, tmp_path):
 def test_rehydrated_sketch_rejects_updates(rows, aggregate, rehydrate, tmp_path):
     """No format persists aggregator state, so a rehydrated sketch (an
     empty one included) cannot fold further rows into its values: every
-    update entry point refuses, and reads are untouched. (Before, six of
-    seven aggregates crashed in ``update_array`` and ``update_all``
-    silently folded retained keys under ``last``.)"""
-    built = CorrelationSketch(8, aggregate=aggregate)
-    built.update_all(rows)
+    update refuses, an empty batch included, and reads are untouched.
+    (Before, six of seven aggregates crashed in ``update_array``.)"""
+    built = _sketch_from(
+        [k for k, _ in rows], [v for _, v in rows], n=8, aggregate=aggregate
+    )
     sketch = rehydrate(built, tmp_path)
     before = sketch.to_dict()
     for update in (
-        lambda: sketch.update("a", 10.0),
-        lambda: sketch.update_all([("a", 10.0), ("c", 5.0), ("c", 7.0)]),
-        lambda: sketch.update_all([]),
         lambda: sketch.update_array(["a", "c", "c"], [10.0, 5.0, 7.0]),
         lambda: sketch.update_array([], []),
     ):

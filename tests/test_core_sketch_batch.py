@@ -1,15 +1,15 @@
 """Construction parity: ``update_array`` vs the streaming reference path.
 
-The vectorized columnar path must produce a sketch *identical* to feeding
-the same rows through ``update``/``update_all`` one at a time — same
-bottom-``n`` keys and unit hashes, bit-identical aggregated values (the
-grouped NumPy reductions reproduce the scalar aggregators' left-to-right
-float accumulation), same ``value_min``/``value_max``/``rows_seen`` and
-overflow flag. These tests drive both paths over adversarial inputs —
-heavy key duplication, NaN cells, multi-batch construction interleaved
-with scalar updates, overflowing and non-overflowing sketch sizes — and
-assert full-state equality, plus the ``BottomK.update_batch`` admission
-semantics the sketch relies on.
+The columnar path must produce a sketch *identical* to feeding the same
+rows one at a time to the row-at-a-time oracle
+(``row_sketch_oracle.update_all``) — same bottom-``n`` keys and unit
+hashes, bit-identical aggregated values (the grouped NumPy reductions
+reproduce the scalar aggregators' left-to-right float accumulation), same
+``value_min``/``value_max``/``rows_seen`` and overflow flag. These tests
+drive both over adversarial inputs — heavy key duplication, NaN cells,
+multi-batch construction down to one-row batches, overflowing and
+non-overflowing sketch sizes — and assert full-state equality, plus the
+``BottomK.update_batch`` admission semantics the sketch relies on.
 """
 
 import math
@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
 from repro.kmv.bottomk import BottomK
+from row_sketch_oracle import row_sketch, update_all
 
 AGGREGATES = ("mean", "sum", "max", "min", "first", "last", "count")
 
@@ -44,8 +45,7 @@ def assert_sketch_equal(streamed: CorrelationSketch, vectored: CorrelationSketch
 
 def _build_pair(keys, values, n, aggregate, bits=32):
     hasher = KeyHasher(bits=bits, seed=5)
-    streamed = CorrelationSketch(n, aggregate=aggregate, hasher=hasher)
-    streamed.update_all(zip(keys, values))
+    streamed = row_sketch(zip(keys, values), n, aggregate=aggregate, hasher=hasher)
     vectored = CorrelationSketch(n, aggregate=aggregate, hasher=hasher)
     vectored.update_array(keys, values)
     return streamed, vectored
@@ -105,7 +105,7 @@ def test_update_array_parity_randomized(aggregate, bits):
 
 @pytest.mark.parametrize("aggregate", AGGREGATES)
 def test_multi_batch_and_interleaved_updates(aggregate):
-    """Batches seed live aggregator state; mixing paths stays identical."""
+    """Batches seed live aggregator state, a one-row batch included."""
     rng = np.random.default_rng(9)
     hasher = KeyHasher()
     streamed = CorrelationSketch(16, aggregate=aggregate, hasher=hasher)
@@ -115,12 +115,12 @@ def test_multi_batch_and_interleaved_updates(aggregate):
         keys = [f"k{int(x)}" for x in rng.integers(0, 40, size=m)]
         values = rng.standard_normal(m)
         values[rng.uniform(size=m) < 0.3] = np.nan
-        streamed.update_all(zip(keys, values))
+        update_all(streamed, zip(keys, values))
         vectored.update_array(keys, values)
         assert_sketch_equal(streamed, vectored)
-        # Scalar updates on top of batch-built state (and vice versa).
-        streamed.update("scalar-key", 2.5)
-        vectored.update("scalar-key", 2.5)
+        # One row on top of batch-built state.
+        update_all(streamed, [("scalar-key", 2.5)])
+        vectored.update_array(["scalar-key"], [2.5])
     assert_sketch_equal(streamed, vectored)
 
 

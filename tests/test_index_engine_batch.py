@@ -69,9 +69,9 @@ def test_engine_with_all_nan_query_values(world):
     candidates score 0 and the query still completes."""
     catalog, _ = world
     keys = [f"k{i}" for i in range(100)]
-    sketch = CorrelationSketch(128, hasher=catalog.hasher)
-    for k in keys:
-        sketch.update(k, math.nan)
+    sketch = CorrelationSketch.from_columns(
+        keys, np.full(len(keys), math.nan), 128, hasher=catalog.hasher
+    )
     engine = JoinCorrelationEngine(catalog)
     result = engine.query(sketch, k=3, scorer="rp")
     assert result.candidates_considered > 0

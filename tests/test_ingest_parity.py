@@ -4,8 +4,8 @@
 each key column once and runs only the aggregation and the merge per value
 column (Section 3.1's shared selection). Every sketch it registers must
 still be, in full state, the sketch the row-at-a-time definition builds
-from that pair alone: ``CorrelationSketch.update_all`` over
-``Table.pair_rows`` — the reference lives here, not behind a flag in
+from that pair alone: ``row_sketch_oracle.update_all`` over
+``pair_rows`` — the reference lives in ``tests/``, not behind a flag in
 ``src/``.
 """
 
@@ -20,6 +20,7 @@ from repro.hashing import KeyHasher
 from repro.index.catalog import SketchCatalog
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
+from row_sketch_oracle import pair_rows, row_sketch, update_all
 from sketch_state_digest import assert_states_equal, sketch_state
 from test_core_sketch_batch import assert_sketch_equal
 
@@ -37,14 +38,13 @@ def assert_full_state_equal(got: CorrelationSketch, expected: CorrelationSketch)
 
 
 def _reference(table: Table, pair, catalog: SketchCatalog) -> CorrelationSketch:
-    sketch = CorrelationSketch(
+    return row_sketch(
+        pair_rows(table, pair),
         catalog.sketch_size,
         aggregate=catalog.aggregate,
         hasher=catalog.hasher,
         name=pair.pair_id,
     )
-    sketch.update_all(table.pair_rows(pair))
-    return sketch
 
 
 key_cell = st.one_of(
@@ -145,8 +145,7 @@ def test_from_key_column_is_from_columns_per_value_column():
     columns = [[1.0, 2.0, 3.0, math.nan, 5.0, 6.0], [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]]
     built = CorrelationSketch.from_key_column(keys, columns, 3, names=["p", "q"])
     for sketch, values, name in zip(built, columns, ["p", "q"]):
-        expected = CorrelationSketch(3, name=name)
-        expected.update_all(zip(keys, values))
+        expected = row_sketch(zip(keys, values), 3, name=name)
         assert_full_state_equal(sketch, expected)
         assert_full_state_equal(
             CorrelationSketch.from_columns(keys, values, 3, name=name), expected
@@ -188,10 +187,11 @@ def test_add_table_hashes_each_key_column_once(monkeypatch):
 
 # -- array build ≡ row-at-a-time build, in full state --------------------------
 #
-# The oracle throughout is one sketch fed every row through ``update``, in
-# order (the heap of aggregator objects behind it is the streaming
-# definition of Section 3.4). The sketch under test sees the same rows
-# through a schedule of ``update_array`` batches and ``update_all`` runs.
+# The oracle throughout is one sketch fed every row through
+# ``row_sketch_oracle.update_all``, in order (its heap of aggregator
+# objects is the streaming definition of Section 3.4). The sketch under
+# test sees the same rows through a schedule of ``update_array`` batches
+# and oracle runs.
 
 _NAN = math.nan
 #: Three chunks of rows over keys k0..k11 (+ k12..k51 in the last): repeats
@@ -218,7 +218,7 @@ _SCHEDULES = {
 
 def _feed(sketch: CorrelationSketch, kind: str, rows) -> None:
     if kind == "rows":
-        sketch.update_all(rows)
+        update_all(sketch, rows)
     else:
         sketch.update_array([k for k, _ in rows], [v for _, v in rows])
 
@@ -233,7 +233,7 @@ def test_schedules_of_batches_and_rows_equal_the_row_build(aggregate, bits, n, s
     built = CorrelationSketch(n, aggregate=aggregate, hasher=hasher, name="p")
     overflowed_after = []
     for kind, rows in _SCHEDULES[schedule]:
-        oracle.update_all(rows)
+        update_all(oracle, rows)
         _feed(built, kind, rows)
         # Compared after every step: a fold between steps changes nothing.
         assert_full_state_equal(built, oracle)
@@ -248,8 +248,7 @@ def test_schedules_of_batches_and_rows_equal_the_row_build(aggregate, bits, n, s
 @pytest.mark.parametrize("aggregate", AGGREGATES)
 def test_all_nan_column_in_full_state(aggregate):
     rows = [(f"k{i % 20}", _NAN) for i in range(50)]
-    oracle = CorrelationSketch(8, aggregate=aggregate)
-    oracle.update_all(rows)
+    oracle = row_sketch(rows, 8, aggregate=aggregate)
     built = CorrelationSketch(8, aggregate=aggregate)
     _feed(built, "batch", rows[:25])
     _feed(built, "batch", rows[25:])
@@ -300,7 +299,7 @@ def test_rank_ties_on_the_boundary_at_64_bits():
         built = CorrelationSketch(n, hasher=hasher)
         for keys in batches:
             values = [float(i) for i in range(len(keys))]
-            oracle.update_all(zip(keys, values))
+            update_all(oracle, zip(keys, values))
             built.update_array(keys, values)
         assert_full_state_equal(built, oracle)
         return built.key_hashes()
@@ -329,14 +328,15 @@ def test_array_paths_build_no_per_key_objects(monkeypatch, tmp_path):
     """Counted at the three seams every per-key object passes through
     (an ``Aggregator`` is made by ``make_aggregator``, a heap entry is
     pushed by ``heappush`` or offered through ``BottomK.offer``):
-    registering a table, sketching a query and opening a stored sketch
-    construct none — only ``update`` / ``update_all`` do."""
+    registering a table, stream-sketching a CSV, sketching a query and
+    opening a stored sketch construct none — only the row-at-a-time
+    oracle does."""
     import heapq
 
     import repro.core.aggregators as aggregators_module
-    import repro.core.sketch as sketch_module
     from repro.kmv.bottomk import BottomK
     from repro.serving.session import QuerySession
+    from repro.table.csv_io import write_csv
 
     calls = {"make_aggregator": 0, "heappush": 0, "offer": 0}
 
@@ -347,12 +347,10 @@ def test_array_paths_build_no_per_key_objects(monkeypatch, tmp_path):
 
         return wrapper
 
-    real_make = aggregators_module.make_aggregator
     monkeypatch.setattr(
-        aggregators_module, "make_aggregator", counted("make_aggregator", real_make)
-    )
-    monkeypatch.setattr(
-        sketch_module, "make_aggregator", counted("make_aggregator", real_make)
+        aggregators_module,
+        "make_aggregator",
+        counted("make_aggregator", aggregators_module.make_aggregator),
     )
     monkeypatch.setattr(heapq, "heappush", counted("heappush", heapq.heappush))
     monkeypatch.setattr(BottomK, "offer", counted("offer", BottomK.offer))
@@ -367,6 +365,9 @@ def test_array_paths_build_no_per_key_objects(monkeypatch, tmp_path):
     catalog = SketchCatalog(sketch_size=256)
     ids = catalog.add_table(table)
     assert [len(catalog.get(sid)) for sid in ids] == [256] * 3
+    write_csv(table, tmp_path / "s.csv")
+    streamed = SketchCatalog(sketch_size=256)
+    assert len(streamed.add_csv_streaming(tmp_path / "s.csv", type_inference_rows=50)) == 3
     session = QuerySession.for_catalog(catalog)
     query = session.query_sketch(keys, rng.normal(size=600), name="q")
     assert [c.candidate_id for c in session.submit_one(query).ranked]
@@ -377,6 +378,6 @@ def test_array_paths_build_no_per_key_objects(monkeypatch, tmp_path):
     assert calls == {"make_aggregator": 0, "heappush": 0, "offer": 0}
 
     # The same seams do count the row-at-a-time builder.
-    CorrelationSketch(256).update_all(zip(keys, rng.normal(size=600)))
+    row_sketch(zip(keys, rng.normal(size=600)), 256)
     assert calls["make_aggregator"] == 600 and calls["offer"] == 600
     assert calls["heappush"] >= 256

@@ -53,8 +53,9 @@ def test_csv_to_query_pipeline(csv_world):
 
     query_table = read_csv(csv_world / "fatalities.csv")
     pair = query_table.column_pairs()[0]
-    query_sketch = CorrelationSketch(256, hasher=catalog.hasher, name="query")
-    query_sketch.update_all(query_table.pair_rows(pair))
+    query_sketch = CorrelationSketch.from_columns(
+        *query_table.pair_arrays(pair), 256, hasher=catalog.hasher, name="query"
+    )
 
     engine = JoinCorrelationEngine(catalog)
     # rp: with only two candidates the cih min-max normalization is
@@ -83,8 +84,9 @@ def test_catalog_persistence_round_trip(csv_world, tmp_path):
     reloaded = SketchCatalog.load(path)
     query_table = read_csv(csv_world / "fatalities.csv")
     pair = query_table.column_pairs()[0]
-    query_sketch = CorrelationSketch(128, hasher=reloaded.hasher)
-    query_sketch.update_all(query_table.pair_rows(pair))
+    query_sketch = CorrelationSketch.from_columns(
+        *query_table.pair_arrays(pair), 128, hasher=reloaded.hasher
+    )
 
     result = JoinCorrelationEngine(reloaded).query(query_sketch, k=2, scorer="rp")
     assert result.ranked[0].candidate_id.startswith("precipitation.csv")
@@ -136,10 +138,8 @@ def test_csv_round_trip_preserves_query_results(tmp_path):
 
     pair_o = original.column_pairs()[0]
     pair_r = reloaded.column_pairs()[0]
-    sk_o = CorrelationSketch(64)
-    sk_o.update_all(original.pair_rows(pair_o))
-    sk_r = CorrelationSketch(64)
-    sk_r.update_all(reloaded.pair_rows(pair_r))
+    sk_o = CorrelationSketch.from_columns(*original.pair_arrays(pair_o), 64)
+    sk_r = CorrelationSketch.from_columns(*reloaded.pair_arrays(pair_r), 64)
     assert sk_o.entries() == sk_r.entries()
 
 

@@ -19,23 +19,34 @@ values_strategy = st.floats(
 )
 
 
-@given(keys=keys_strategy, n=st.integers(min_value=1, max_value=64))
-@settings(max_examples=50, deadline=None)
-def test_sketch_size_never_exceeds_n(keys, n):
+def _sketch_in_batches(keys, cuts, value, n) -> CorrelationSketch:
+    """A sketch of ``keys`` fed as consecutive ``update_array`` batches,
+    split at ``cuts`` (the schedule a streamed file produces)."""
     sketch = CorrelationSketch(n)
-    for k in keys:
-        sketch.update(k, 1.0)
+    bounds = [0, *sorted(c % (len(keys) + 1) for c in cuts), len(keys)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        sketch.update_array(keys[lo:hi], np.full(hi - lo, value))
+    return sketch
+
+
+cuts_strategy = st.lists(st.integers(min_value=0, max_value=200), max_size=6)
+
+
+@given(keys=keys_strategy, n=st.integers(min_value=1, max_value=64), cuts=cuts_strategy)
+@settings(max_examples=50, deadline=None)
+def test_sketch_size_never_exceeds_n(keys, n, cuts):
+    sketch = _sketch_in_batches(keys, cuts, 1.0, n)
     assert len(sketch) <= n
     assert len(sketch) <= len(set(keys))
+    assert sketch.rows_seen == len(keys)
 
 
-@given(keys=keys_strategy, n=st.integers(min_value=1, max_value=64))
+@given(keys=keys_strategy, n=st.integers(min_value=1, max_value=64), cuts=cuts_strategy)
 @settings(max_examples=50, deadline=None)
-def test_sketch_retains_exactly_bottom_n(keys, n):
-    """The retained key set is exactly the bottom-n distinct keys by g."""
-    sketch = CorrelationSketch(n)
-    for k in keys:
-        sketch.update(k, 0.0)
+def test_sketch_retains_exactly_bottom_n(keys, n, cuts):
+    """The retained key set is exactly the bottom-n distinct keys by g,
+    however the rows are split into batches."""
+    sketch = _sketch_in_batches(keys, cuts, 0.0, n)
     hasher = sketch.hasher
     distinct = set(keys)
     expected = sorted(distinct, key=lambda k: hasher.hash(k).unit_hash)[:n]
@@ -52,10 +63,12 @@ def test_insertion_order_invariance(keys):
     pairs = [(k, float(i % 7)) for i, k in enumerate(sorted(set(keys)))]
     shuffled = pairs[:]
     random.Random(0).shuffle(shuffled)
-    a = CorrelationSketch(16, aggregate="sum")
-    a.update_all(pairs)
-    b = CorrelationSketch(16, aggregate="sum")
-    b.update_all(shuffled)
+    a = CorrelationSketch.from_columns(
+        [k for k, _ in pairs], [v for _, v in pairs], 16, aggregate="sum"
+    )
+    b = CorrelationSketch.from_columns(
+        [k for k, _ in shuffled], [v for _, v in shuffled], 16, aggregate="sum"
+    )
     assert a.entries() == b.entries()
 
 
@@ -121,9 +134,9 @@ def test_serialization_round_trip_property(data):
         st.lists(st.text(alphabet="xyz01", min_size=1, max_size=5), min_size=0, max_size=50)
     )
     n = data.draw(st.integers(min_value=1, max_value=16))
-    sketch = CorrelationSketch(n)
-    for i, k in enumerate(keys):
-        sketch.update(k, float(i))
+    sketch = CorrelationSketch.from_columns(
+        keys, np.arange(len(keys), dtype=float), n
+    )
     clone = CorrelationSketch.from_dict(sketch.to_dict())
     assert clone.key_hashes() == sketch.key_hashes()
     got = clone.entries()

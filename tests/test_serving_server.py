@@ -33,6 +33,7 @@ from repro.serving import (
     ShardedCatalog,
 )
 from repro.serving.faults import injected
+from row_sketch_oracle import row_sketch
 
 N_SKETCHES = 24
 SKETCH_SIZE = 64
@@ -195,8 +196,8 @@ class TestQueryParity:
         ]
         values = np.arange(len(names), dtype=float)
         catalog = SketchCatalog(sketch_size=SKETCH_SIZE)
-        indexed = CorrelationSketch(SKETCH_SIZE, name="indexed")
-        indexed.update_all(zip(names, values))  # the scalar port, row by row
+        # The scalar port, row by row.
+        indexed = row_sketch(zip(names, values), SKETCH_SIZE, name="indexed")
         catalog.add_sketch("indexed", indexed)
         mixed = [1, 2.5] + names[2:]
         session = QuerySession.for_catalog(catalog, QueryOptions(k=3))

@@ -99,7 +99,8 @@ NAMED_INPUTS = {
     # one column: blank lines are skipped rows, not empty cells
     "one-column-blank-lines": "k\n\na\n\nb\n",
     "crlf-blank-line": "k,x\r\na,1\r\n\r\nb,2\r\n",
-    # csv.reader's own error, verbatim
+    # classic Mac line endings: a bare \r ends a line, as in a file
+    # opened with newline=""
     "bare-cr": "k,x\ra,1\rb,2\r",
     "mixed-terminators": "k,x\na,1\r\nb,2\n",
     "ragged-line-3": "k,x\na,1\nb\nc,3\n",
@@ -149,9 +150,10 @@ def test_type_inference_still_inspects_only_the_first_thousand():
 
 def test_oversized_field_is_csv_readers_call():
     """A line past ``csv.field_size_limit()`` goes to ``csv.reader``,
-    whose limit and error wording apply."""
+    whose limit and error wording apply, raised as the ``ValueError``
+    every malformed file raises, at its line."""
     big = "y" * (csv.field_size_limit() + 1)
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(ValueError, match="line 2: field larger than field limit"):
         read_csv_text(f"k,x\n{big},1\n", "t.csv")
     _both(f"k,x\n{'y' * 1000},1\n")
 

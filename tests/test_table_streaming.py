@@ -1,14 +1,24 @@
 """Tests for streaming sketch construction from CSV files."""
 
+import csv
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.sketch import CorrelationSketch
+import repro.table.streaming as streaming
+from repro.hashing import KeyHasher
 from repro.index.catalog import SketchCatalog
-from repro.table.csv_io import read_csv
-from repro.table.streaming import iter_csv_rows, stream_sketch_csv
+from repro.table.csv_io import read_csv, unique_header
+from repro.table.streaming import stream_sketch_csv
+from repro.table.types import is_missing, try_parse_float
+from row_sketch_oracle import pair_rows, row_sketch
+from test_ingest_parity import AGGREGATES, assert_full_state_equal
+from test_table_csv_parity import csv_texts
 
 
 @pytest.fixture()
@@ -27,21 +37,17 @@ def csv_file(tmp_path):
     return path
 
 
-def test_streaming_matches_eager_path(csv_file):
-    """Streaming sketches must equal sketches built from the loaded table."""
+def test_streaming_matches_eager_path(csv_file, monkeypatch):
+    """Streaming sketches must equal, in full state, the row-at-a-time
+    build over the loaded table's rows — here through the 1 000-row
+    prefix and 32 blocks of 64 rows, each block boundary a batch boundary
+    of ``update_array`` (``fares`` has holes)."""
+    monkeypatch.setattr(streaming, "BLOCK_ROWS", 64)
     streamed = stream_sketch_csv(csv_file, 64)
     table = read_csv(csv_file)
     for pair in table.column_pairs():
-        eager = CorrelationSketch(64, name=pair.pair_id)
-        eager.update_all(table.pair_rows(pair))
-        got = streamed[pair.pair_id]
-        assert got.key_hashes() == eager.key_hashes()
-        got_entries = got.entries()
-        for kh, v in eager.entries().items():
-            assert got_entries[kh] == v or (
-                math.isnan(got_entries[kh]) and math.isnan(v)
-            )
-        assert got.rows_seen == eager.rows_seen
+        expected = row_sketch(pair_rows(table, pair), 64, name=pair.pair_id)
+        assert_full_state_equal(streamed[pair.pair_id], expected)
 
 
 def test_all_pairs_present(csv_file):
@@ -143,8 +149,15 @@ def test_catalog_streaming_integration(csv_file, tmp_path):
         # part of the first header name
         ("k,x\na,1\nb,2\n", "utf-8-sig", ["f.csv::k->x"]),
         ('"k",x, x \na,1,5\nb,2,6\n', "utf-8-sig", ["f.csv::k->x", "f.csv::k->x.1"]),
+        # the suffix a duplicate would take is another header's name: the
+        # next free one (both readers used to make two "x.1" columns)
+        (
+            "x,x,x.1,k\n1,2,3,a\n4,5,6,b\n",
+            "utf-8",
+            ["f.csv::k->x", "f.csv::k->x.2", "f.csv::k->x.1"],
+        ),
     ],
-    ids=["duplicate-names", "bom", "bom-quoted-padded"],
+    ids=["duplicate-names", "bom", "bom-quoted-padded", "suffix-taken"],
 )
 def test_streaming_equals_eager_on_header_edge_cases(
     tmp_path, content, encoding, expected_ids
@@ -168,7 +181,104 @@ def test_streaming_equals_eager_on_header_edge_cases(
         )
 
 
-def test_iter_csv_rows(csv_file):
-    rows = list(iter_csv_rows(csv_file))
-    assert len(rows) == 3000
-    assert len(rows[0]) == 4
+
+# -- differential: any text, against the eager reader and the row feed --------
+#
+# ``csv_texts`` (the CSV parity suite's generator) draws quoted fields,
+# blank lines, ragged rows, bare ``\r`` and mixed line endings, padded and
+# duplicate headers, a byte-order mark, four delimiters and the cells where
+# ``float``, ``try_parse_float`` and ``is_missing`` part ways.
+
+
+def _written(tmp: str, text: str) -> Path:
+    path = Path(tmp) / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except ValueError as exc:
+        return None, type(exc)
+
+
+@given(
+    case=csv_texts(),
+    n=st.integers(min_value=1, max_value=6),
+    aggregate=st.sampled_from(AGGREGATES),
+)
+@settings(max_examples=100, deadline=None)
+def test_short_files_equal_read_csv_add_table(case, n, aggregate):
+    """A file shorter than the prefix is sketched exactly as ``read_csv``
+    + ``add_table`` sketch it — same pair ids in the same order, every
+    sketch in full state — or both refuse it."""
+    text, delimiter, threshold = case
+    hasher = KeyHasher(bits=64, seed=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _written(tmp, text)
+        streamed, stream_error = _outcome(
+            lambda: stream_sketch_csv(
+                path, n, aggregate=aggregate, hasher=hasher,
+                delimiter=delimiter, categorical_threshold=threshold,
+            )
+        )
+        catalog = SketchCatalog(sketch_size=n, aggregate=aggregate, hasher=hasher)
+        ids, eager_error = _outcome(
+            lambda: catalog.add_table(
+                read_csv(path, delimiter=delimiter, categorical_threshold=threshold)
+            )
+        )
+    assert stream_error == eager_error
+    if eager_error is None:
+        assert list(streamed) == ids
+        for sid in ids:
+            assert_full_state_equal(streamed[sid], catalog.get(sid))
+
+
+@given(
+    case=csv_texts(),
+    prefix=st.integers(min_value=1, max_value=4),
+    block=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=6),
+    aggregate=st.sampled_from(AGGREGATES),
+)
+@settings(max_examples=100, deadline=None)
+def test_blocks_equal_the_row_feed(case, prefix, block, n, aggregate):
+    """Prefix and blocks of one to four rows: every sketch equals the
+    row-at-a-time build over the file's rows in order — each row with a
+    key offers ``(key.strip(), try_parse_float(value) or NaN)`` — in full
+    state. (Which pairs exist is the prefix's type sniff, read off the
+    result.)"""
+    text, delimiter, threshold = case
+    hasher = KeyHasher(bits=32, seed=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _written(tmp, text)
+        with mock.patch.object(streaming, "BLOCK_ROWS", block):
+            streamed, error = _outcome(
+                lambda: stream_sketch_csv(
+                    path, n, aggregate=aggregate, hasher=hasher,
+                    delimiter=delimiter, type_inference_rows=prefix,
+                    categorical_threshold=threshold,
+                )
+            )
+        if error is not None:
+            return
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            reader = csv.reader(f, delimiter=delimiter)
+            header = unique_header(next(reader, []))
+            rows = [row for row in reader if row]
+    columns = {
+        f"t.csv::{key}->{value}": (k, v)
+        for k, key in enumerate(header)
+        for v, value in enumerate(header)
+    }
+    for sid, sketch in streamed.items():
+        k, v = columns[sid]
+        feed = (
+            (row[k].strip(), math.nan if (x := try_parse_float(row[v])) is None else x)
+            for row in rows
+            if not is_missing(row[k])
+        )
+        expected = row_sketch(feed, n, aggregate=aggregate, hasher=hasher, name=sid)
+        assert_full_state_equal(sketch, expected)

@@ -92,18 +92,17 @@ class TestColumnPairs:
         assert "t::date->pickups" in ids
         assert "t::zone->fares" in ids
 
-    def test_pair_rows_skip_missing_keys(self):
+    def test_pair_arrays_skip_missing_keys(self):
         t = _table()
-        pair = ColumnPair("t", "date", "fares")
-        rows = list(t.pair_rows(pair))
-        assert rows == [("d1", 10.0), ("d2", 20.0)]
+        keys, values = t.pair_arrays(ColumnPair("t", "date", "fares"))
+        assert keys.tolist() == ["d1", "d2"]
+        assert values.tolist() == [10.0, 20.0]
 
-    def test_pair_rows_keep_nan_values(self):
+    def test_pair_arrays_keep_nan_values(self):
         t = _table()
-        pair = ColumnPair("t", "date", "pickups")
-        rows = list(t.pair_rows(pair))
-        assert rows[0] == ("d1", 1.0)
-        assert rows[1][0] == "d2" and math.isnan(rows[1][1])
+        keys, values = t.pair_arrays(ColumnPair("t", "date", "pickups"))
+        assert keys.tolist() == ["d1", "d2"]
+        assert values[0] == 1.0 and math.isnan(values[1])
 
 
 def test_table_from_arrays():

@@ -21,12 +21,12 @@ from repro.hashing import KeyHasher
 
 def _build_pair(keys_x, keys_y, n, seed):
     hasher = KeyHasher(seed=seed)
-    left = CorrelationSketch(n, hasher=hasher)
-    for i, k in enumerate(keys_x):
-        left.update(k, float(i))
-    right = CorrelationSketch(n, hasher=hasher)
-    for i, k in enumerate(keys_y):
-        right.update(k, float(i))
+    left = CorrelationSketch.from_columns(
+        keys_x, np.arange(len(keys_x), dtype=float), n, hasher=hasher
+    )
+    right = CorrelationSketch.from_columns(
+        keys_y, np.arange(len(keys_y), dtype=float), n, hasher=hasher
+    )
     return left, right
 
 
@@ -85,11 +85,10 @@ def test_sample_mean_is_unbiased():
     estimates = []
     for seed in range(60):
         hasher = KeyHasher(seed=seed)
-        left = CorrelationSketch(150, hasher=hasher)
-        right = CorrelationSketch(150, hasher=hasher)
-        for k, v in zip(keys, values):
-            left.update(k, v)
-            right.update(k, 0.0)
+        left = CorrelationSketch.from_columns(keys, values, 150, hasher=hasher)
+        right = CorrelationSketch.from_columns(
+            keys, np.zeros(n_keys), 150, hasher=hasher
+        )
         sample = join_sketches(left, right)
         estimates.append(float(sample.x.mean()))
     bias = float(np.mean(estimates)) - true_mean
