@@ -94,7 +94,7 @@ def _touch_catalog(catalog) -> float:
     """
     source = catalog._sketches._source
     total = float(source.key_hashes.sum())
-    total += float(source.ranks.sum()) + float(source.values.sum())
+    total += float(source.values.sum())
     postings = catalog._frozen_postings
     if postings is not None:
         total += float(postings.vocab.sum()) + float(postings.indptr.sum())

@@ -30,15 +30,14 @@ import numpy as np
 
 from repro.core.aggregators import GroupedAggregates
 from repro.hashing import KeyHasher, default_hasher
+from repro.hashing.fibonacci import to_unit_interval_batch
 from repro.kmv.bottomk import bottom_k_positions
 from repro.kmv.estimators import basic_dv_estimate, unbiased_dv_estimate
 
 
 #: What every empty sketch holds (shared, hence read-only).
 _NO_KEY_HASHES = np.empty(0, dtype=np.uint64)
-_NO_RANKS = np.empty(0, dtype=np.float64)
 _NO_KEY_HASHES.setflags(write=False)
-_NO_RANKS.setflags(write=False)
 
 
 def _value_range_of(value_min: float, value_max: float) -> tuple[float, float]:
@@ -65,8 +64,9 @@ class _KeyGroups:
     """Everything columnar construction derives from the key column alone.
 
     One hash pass, the ``np.unique`` grouping of repeated keys, each
-    group's unit rank and (on demand) the bottom-``n`` groups: none of it
-    depends on the values, so a table ``{K, X, Z, …}`` computes it once
+    group's unit rank (to select with; a built sketch keeps only the key
+    hashes) and (on demand) the bottom-``n`` groups: none of it depends
+    on the values, so a table ``{K, X, Z, …}`` computes it once
     and every ``⟨K, ·⟩`` sketch reuses it — the shared selection of
     Section 3.1's multi-column sketch.
 
@@ -106,22 +106,31 @@ class SketchColumns:
     views can be joined on a candidate page
     (:class:`repro.index.engine.CandidatePage`) and a query's hashes can
     probe the frozen inverted index without materializing Python sets.
+    Ranks are not among them: ``h_u`` is Fibonacci hashing of the key
+    hash (Section 3.4), so :attr:`ranks` derives them on access.
 
     Attributes:
         key_hashes: retained tuple identifiers ``h(k)``, ascending
             (``uint64``).
-        ranks: aligned unit-interval hashes ``h_u(h(k))`` (``float64``).
         values: aligned aggregated numeric values (``float64``).
         value_range: global ``(min, max)`` of the source column, or
             ``(nan, nan)`` when no finite value was observed.
         saw_all_keys: True when the sketch never overflowed.
+        bits: the hashing scheme's width (32 or 64), which fixes ``h_u``.
     """
 
     key_hashes: np.ndarray
-    ranks: np.ndarray
     values: np.ndarray
     value_range: tuple[float, float]
     saw_all_keys: bool
+    bits: int
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """Unit-interval hashes ``h_u(h(k))`` aligned with
+        ``key_hashes`` (``float64``), derived afresh on every access —
+        hold the result rather than asking twice."""
+        return to_unit_interval_batch(self.key_hashes, self.bits)
 
     @property
     def size(self) -> int:
@@ -146,11 +155,12 @@ class CorrelationSketch:
             in query results.
 
     The stored state *is* the columns: parallel arrays sorted by key
-    hash — the tuple identifiers ``h(k)``, their unit ranks
-    ``h_u(h(k))`` and one array per aggregator slot
-    (:class:`repro.core.aggregators.GroupedAggregates`) — plus the
-    scalars. :meth:`update_array` merges a batch of rows into them with
-    array operations only, and a sequence of batches lands on the sketch
+    hash — the tuple identifiers ``h(k)`` and one array per aggregator
+    slot (:class:`repro.core.aggregators.GroupedAggregates`) — plus the
+    scalars. The unit ranks ``h_u(h(k))`` are derived from the key
+    hashes whenever a selection or an estimate needs them.
+    :meth:`update_array` merges a batch of rows into them with array
+    operations only, and a sequence of batches lands on the sketch
     Section 3.4's one-pass, row-at-a-time tree would build from the same
     rows in order, so a stream is sketched block by block
     (:func:`repro.table.streaming.stream_sketch_csv`). A sketch
@@ -172,7 +182,6 @@ class CorrelationSketch:
         self.hasher = hasher if hasher is not None else default_hasher()
         self.name = name
         self._key_hashes = _NO_KEY_HASHES
-        self._ranks = _NO_RANKS
         #: Aggregator slots aligned with ``_key_hashes``; ``None`` once
         #: rehydrated (only the values persist). Building it validates
         #: the aggregate name, so misconfiguration fails at sketch
@@ -290,20 +299,22 @@ class CorrelationSketch:
         new_groups, new_keys, new_ranks = groups.bottom(self.n, new_groups)
         if not n_live:
             # Same key column, same selection: sibling sketches share
-            # these two arrays (they are replaced, never written).
-            self._key_hashes, self._ranks = new_keys, new_ranks
+            # this array (it is replaced, never written).
+            self._key_hashes = new_keys
             self._state = grouped.take(new_groups)
             return
         if new_groups.size == 0:
             return
         key_hashes = np.concatenate([self._key_hashes, new_keys])
-        ranks = np.concatenate([self._ranks, new_ranks])
         if key_hashes.shape[0] > self.n:
+            ranks = np.concatenate(
+                [self.hasher.unit_hash_batch(self._key_hashes), new_ranks]
+            )
             keep = bottom_k_positions(ranks, key_hashes, self.n, n_live)
             keep = keep[np.argsort(key_hashes[keep])]
         else:
             keep = np.argsort(key_hashes)
-        self._key_hashes, self._ranks = key_hashes[keep], ranks[keep]
+        self._key_hashes = key_hashes[keep]
         self._state = live.extended(grouped.take(new_groups)).take(keep)
 
     @classmethod
@@ -364,24 +375,21 @@ class CorrelationSketch:
         sketch.update_array(keys, values)
         return sketch
 
-    def _freeze_to(
-        self, key_hashes: np.ndarray, ranks: np.ndarray, values: np.ndarray
-    ) -> None:
+    def _freeze_to(self, key_hashes: np.ndarray, values: np.ndarray) -> None:
         """Install rehydrated columns: values without aggregator state."""
-        self._key_hashes, self._ranks, self._state = key_hashes, ranks, None
+        self._key_hashes, self._state = key_hashes, None
         self._columns = SketchColumns(
             key_hashes=key_hashes,
-            ranks=ranks,
             values=values,
             value_range=_value_range_of(self.value_min, self.value_max),
             saw_all_keys=not self._overflowed,
+            bits=self.hasher.bits,
         )
 
     @classmethod
     def from_frozen_arrays(
         cls,
         key_hashes: np.ndarray,
-        ranks: np.ndarray,
         values: np.ndarray,
         *,
         n: int,
@@ -397,19 +405,19 @@ class CorrelationSketch:
 
         The array-level inverse of :meth:`columnar`, used by binary
         catalog snapshots (:mod:`repro.index.snapshot`): ``key_hashes``
-        must be sorted ascending with ``ranks``/``values`` aligned —
-        exactly the :class:`SketchColumns` layout. The arrays are
-        adopted, not copied (a mapped snapshot stays mapped). Like
-        :meth:`from_dict`, the result is frozen for estimation purposes;
-        unlike it, the stored unit-hash ranks are trusted rather than
-        recomputed.
+        must be sorted ascending with ``values`` aligned — exactly the
+        :class:`SketchColumns` layout. The arrays are adopted, not copied
+        (a mapped snapshot stays mapped), and nothing else is allocated:
+        like every sketch, the result derives its unit-hash ranks from
+        ``key_hashes`` when asked. Like :meth:`from_dict`, the result is
+        frozen for estimation purposes.
         """
         sketch = cls(n, aggregate=aggregate, hasher=hasher, name=name)
         sketch.rows_seen = rows_seen
         sketch._overflowed = overflowed
         sketch.value_min = value_min
         sketch.value_max = value_max
-        sketch._freeze_to(key_hashes, ranks, values)
+        sketch._freeze_to(key_hashes, values)
         return sketch
 
     # -- introspection -----------------------------------------------------
@@ -452,18 +460,18 @@ class CorrelationSketch:
     def columnar(self) -> SketchColumns:
         """The retained entries as a :class:`SketchColumns` view.
 
-        The key hashes and ranks are the stored arrays themselves; the
-        values are each slot's vectorised ``Aggregator.value()``,
-        derived once and cached until the next update (catalog sketches
-        are never updated after registration).
+        The key hashes are the stored array itself; the values are each
+        slot's vectorised ``Aggregator.value()``, derived once and cached
+        until the next update (catalog sketches are never updated after
+        registration).
         """
         if self._columns is None:
             self._columns = SketchColumns(
                 key_hashes=self._key_hashes,
-                ranks=self._ranks,
                 values=self._state.values(),
                 value_range=_value_range_of(self.value_min, self.value_max),
                 saw_all_keys=not self._overflowed,
+                bits=self.hasher.bits,
             )
         return self._columns
 
@@ -539,10 +547,8 @@ class CorrelationSketch:
         if payload.get("value_max") is not None:
             sketch.value_max = payload["value_max"]
         entries = sorted(payload["entries"], key=lambda entry: entry[0])
-        key_hashes = np.array([kh for kh, _ in entries], dtype=np.uint64)
         sketch._freeze_to(
-            key_hashes,
-            sketch.hasher.unit_hash_batch(key_hashes),
+            np.array([kh for kh, _ in entries], dtype=np.uint64),
             np.array([value for _, value in entries], dtype=np.float64),
         )
         return sketch

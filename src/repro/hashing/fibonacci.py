@@ -53,9 +53,11 @@ def to_unit_interval_64(value: int) -> float:
 #
 # A single multiply maps a whole array of tuple identifiers to the unit
 # interval. Unsigned NumPy arithmetic wraps modulo 2**w exactly like the
-# masked scalar code, and dividing by the exact power of two afterwards is
+# masked scalar code, and scaling by the exact power of two afterwards is
 # lossless, so each element is bit-identical to the scalar function — the
-# property CorrelationSketch.update_array's parity guarantee rests on.
+# property CorrelationSketch.update_array's parity guarantee rests on, and
+# the reason a sketch never stores its ranks (SketchColumns.ranks derives
+# them from the key hashes).
 
 
 def fibonacci_hash_32_batch(values: np.ndarray) -> np.ndarray:
@@ -68,13 +70,32 @@ def fibonacci_hash_64_batch(values: np.ndarray) -> np.ndarray:
     return np.asarray(values).astype(np.uint64) * np.uint64(FIB_MULTIPLIER_64)
 
 
+def _unit_interval_batch(values, dtype, multiplier: int, bits: int) -> np.ndarray:
+    """Fibonacci-scramble ``values`` at width ``dtype`` and scale into
+    ``[0, 1)``, in one fused pass over a single private copy: the cast to
+    ``dtype`` (which truncates wider integers exactly as the scalar mask
+    does) is scrambled in place, cast once to float64 and scaled in
+    place by ``2**-bits`` — exact, so it equals dividing by ``2**bits``."""
+    scrambled = np.asarray(values).astype(dtype)
+    scrambled *= dtype(multiplier)
+    units = scrambled.astype(np.float64)
+    units *= 2.0**-bits
+    return units
+
+
 def to_unit_interval_32_batch(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`to_unit_interval_32`; returns float64 in [0, 1)."""
-    return fibonacci_hash_32_batch(values).astype(np.float64) / 4294967296.0
+    return _unit_interval_batch(values, np.uint32, FIB_MULTIPLIER_32, 32)
 
 
 def to_unit_interval_64_batch(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`to_unit_interval_64`; returns float64 in [0, 1)."""
-    return (
-        fibonacci_hash_64_batch(values).astype(np.float64) / 18446744073709551616.0
-    )
+    return _unit_interval_batch(values, np.uint64, FIB_MULTIPLIER_64, 64)
+
+
+def to_unit_interval_batch(values: np.ndarray, bits: int) -> np.ndarray:
+    """``h_u`` at ``bits`` (32 or 64) over an array of tuple identifiers:
+    the ranks a sketch derives from its stored key hashes."""
+    if bits == 32:
+        return to_unit_interval_32_batch(values)
+    return to_unit_interval_64_batch(values)

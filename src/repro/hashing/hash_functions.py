@@ -16,9 +16,8 @@ import numpy as np
 
 from repro.hashing.fibonacci import (
     to_unit_interval_32,
-    to_unit_interval_32_batch,
     to_unit_interval_64,
-    to_unit_interval_64_batch,
+    to_unit_interval_batch,
 )
 from repro.hashing.murmur3 import murmur3_32, murmur3_x64_64
 from repro.hashing.vectorized import murmur3_32_batch, murmur3_x64_64_batch
@@ -107,9 +106,7 @@ class KeyHasher:
         Returns a float64 array; each element is bit-identical to the
         scalar Fibonacci map of the same tuple identifier.
         """
-        if self.bits == 32:
-            return to_unit_interval_32_batch(key_hashes)
-        return to_unit_interval_64_batch(key_hashes)
+        return to_unit_interval_batch(key_hashes, self.bits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KeyHasher):

@@ -531,10 +531,10 @@ class SketchCatalog:
         return None
 
     def sketch_columns(self, sketch_id: str) -> SketchColumns:
-        """Columnar (sorted key-hash / rank / value / range) view of a
-        sketch: :meth:`repro.core.sketch.CorrelationSketch.columnar`,
-        which is the sketch's stored state (snapshot-loaded sketches
-        serve slices of the stored arrays)."""
+        """Columnar (sorted key-hash / value / range) view of a sketch:
+        :meth:`repro.core.sketch.CorrelationSketch.columnar`, which is
+        the sketch's stored state (snapshot-loaded sketches serve slices
+        of the stored arrays; ranks are derived from the key hashes)."""
         return self.get(sketch_id).columnar()
 
     # -- delta layer (LSM-style incremental maintenance) ----------------------
@@ -865,7 +865,7 @@ class SketchCatalog:
         for entry in dict.values(self._sketches):
             if type(entry) is not int:  # not asleep in the snapshot
                 columns = entry.columnar()
-                _add(columns.key_hashes, columns.ranks, columns.values)
+                _add(columns.key_hashes, columns.values)
         info = {
             "backend": self.storage,
             "mapped_bytes": arena.data_bytes if arena is not None else 0,
@@ -899,9 +899,7 @@ class SketchCatalog:
             columns = entry.columnar()
             if arena.owns(columns.key_hashes):
                 entry._freeze_to(
-                    np.array(columns.key_hashes),
-                    np.array(columns.ranks),
-                    np.array(columns.values),
+                    np.array(columns.key_hashes), np.array(columns.values)
                 )
         # Every entry is awake now; a plain dict lets go of the source.
         self._sketches = dict(self._sketches)
@@ -998,9 +996,10 @@ class SketchCatalog:
                 candidate fails.
 
         Raises:
-            ValueError: under either policy, for a file in the retired
-                binary format — a refusal, not corruption: nothing is
-                renamed and no fallback is tried.
+            SnapshotRefused: under either policy, for a file in the
+                retired binary format or of another arena version — a
+                refusal, not corruption: nothing is renamed and no
+                fallback is tried.
         """
         path = Path(path)
         if on_corruption not in ("raise", "quarantine"):
@@ -1011,6 +1010,8 @@ class SketchCatalog:
         _refuse_retired_snapshot(path)
         try:
             return cls._load_file(path)
+        except SnapshotRefused:
+            raise
         except cls._CORRUPTION_ERRORS as exc:
             if on_corruption != "quarantine":
                 raise
@@ -1069,6 +1070,13 @@ class SketchCatalog:
         return catalog
 
 
+class SnapshotRefused(ValueError):
+    """A catalog file of a generation this build does not read (the
+    retired ``.npz`` format, another arena version). A refusal, not
+    corruption: no ``on_corruption`` policy renames it or walks past it
+    to a fallback."""
+
+
 def _refuse_retired_snapshot(path: Path, *, sniff: bool = True) -> None:
     """Raise for the retired binary snapshot format (a zip of ``.npy``
     members, conventionally ``.npz``), recognised by extension or — with
@@ -1083,7 +1091,7 @@ def _refuse_retired_snapshot(path: Path, *, sniff: bool = True) -> None:
         except OSError:
             pass
     if retired:
-        raise ValueError(
+        raise SnapshotRefused(
             f"{path}: the retired .npz snapshot format is no longer read "
             "or written by this build; rebuild the catalog from its CSVs "
             "with an .arena output (`index -o catalog.arena`, `shard build`)"

@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.core.joined_sample import JoinedSamplePage
 from repro.core.sketch import CorrelationSketch, SketchColumns
+from repro.hashing.fibonacci import to_unit_interval_batch
 from repro.index.catalog import SketchCatalog
 from repro.index.options import RETRIEVAL_BACKENDS, QueryOptions
 from repro.kmv.estimators import unbiased_dv_estimate_batch
@@ -442,20 +443,26 @@ class CandidatePage:
     ) -> "CandidatePage":
         """Join + union statistics for a hits list, in page-level passes.
 
-        One membership table for the query, then one membership probe,
-        one scatter-ordered join and one row-wise rank partition per row
-        chunk (:meth:`_assemble_rows`), merged with the page-level
-        :meth:`concat`.
+        One membership table and one rank derivation for the query, then
+        one membership probe, one scatter-ordered join and one row-wise
+        rank partition per row chunk (:meth:`_assemble_rows`), merged
+        with the page-level :meth:`concat`.
         """
         page_cols = [catalog.sketch_columns(sid) for sid, _ in hits]
         table = _MembershipTable(query_cols)
+        query_ranks = query_cols.ranks
         # Where each query entry stands in ascending rank order.
         rank_pos = np.empty(query_cols.size, dtype=np.int64)
-        rank_pos[np.argsort(query_cols.ranks)] = np.arange(query_cols.size)
+        rank_pos[np.argsort(query_ranks)] = np.arange(query_cols.size)
         return cls.concat(
             [
                 cls._assemble_rows(
-                    query_cols, table, rank_pos, hits[lo:hi], page_cols[lo:hi]
+                    query_cols,
+                    table,
+                    query_ranks,
+                    rank_pos,
+                    hits[lo:hi],
+                    page_cols[lo:hi],
                 )
                 for lo, hi in _row_chunks(query_cols, page_cols)
             ]
@@ -466,11 +473,16 @@ class CandidatePage:
         cls,
         query: SketchColumns,
         table: _MembershipTable,
+        query_ranks: np.ndarray,
         rank_pos: np.ndarray,
         hits: list[tuple[str, int]],
         page_cols: list[SketchColumns],
     ) -> "CandidatePage":
         """The two page kernels over one row chunk.
+
+        The candidates' ranks are derived from the chunk's concatenated
+        key hashes (the membership probe's own array) in one pass, the
+        query's ranks and rank positions were derived once per page.
 
         **Join.** A shared key hash carries the same rank on both sides
         and ranks are injective over hashes, so a candidate's matched
@@ -494,7 +506,6 @@ class CandidatePage:
             table, page_cols
         )
         sizes = np.diff(offsets)
-        cat_ranks = np.concatenate([c.ranks for c in page_cols])
         cat_values = np.concatenate([c.values for c in page_cols])
         row_of = np.repeat(np.arange(n), sizes)
         members = np.nonzero(in_query)[0]
@@ -523,19 +534,20 @@ class CandidatePage:
         k_inter = np.zeros(n, dtype=np.int64)
         live = k_len > 0
         if live.any():
+            cat_ranks = to_unit_interval_batch(cat_hashes, query.bits)
+            member_ranks = cat_ranks[members]
+            cat_ranks[members] = np.inf
             max_size = int(sizes.max())
             ranks = np.empty((n, q_size + max_size))
-            ranks[:, :q_size] = query.ranks
+            ranks[:, :q_size] = query_ranks
             padded = ranks[:, q_size:]
             padded[...] = np.inf
             # A boolean-mask store fills row-major, i.e. in page order.
-            padded[np.arange(max_size) < sizes[:, None]] = np.where(
-                in_query, np.inf, cat_ranks
-            )
+            padded[np.arange(max_size) < sizes[:, None]] = cat_ranks
             k_index = np.maximum(k_len, 1) - 1
             ranks.partition(np.unique(k_index[live]), axis=1)
             kth[live] = ranks[np.arange(n), k_index][live]
-            inside = live[member_rows] & (cat_ranks[members] <= kth[member_rows])
+            inside = live[member_rows] & (member_ranks <= kth[member_rows])
             k_inter = np.bincount(member_rows[inside], minlength=n)
 
         return cls(

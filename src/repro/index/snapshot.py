@@ -7,10 +7,13 @@ is rebuilt on every cold start. This module holds the one serving
 format, the **arena**, which persists:
 
 * the **concatenated columnar sketch arrays** — all sketches' sorted
-  key hashes, unit-hash ranks and aggregated values laid end to end with
-  one CSR-style ``entry_indptr`` delimiting each sketch's slice, plus
-  per-sketch scalar columns (capacity, rows seen, overflow flag, value
-  min/max, names);
+  key hashes and aggregated values laid end to end with one CSR-style
+  ``entry_indptr`` delimiting each sketch's slice, plus per-sketch
+  scalar columns (capacity, rows seen, overflow flag, value min/max,
+  names). A persisted entry is Section 3.1's ``⟨h(k), x_k⟩``: the unit
+  rank ``h_u(h(k))`` is Fibonacci hashing of the stored key hash, so it
+  is derived on read (:attr:`repro.core.sketch.SketchColumns.ranks`),
+  never stored;
 * the **frozen CSR postings** of the inverted index
   (:class:`repro.index.inverted.ColumnarPostings` — vocabulary,
   ``indptr``, doc ids, doc table), persisted verbatim;
@@ -29,18 +32,63 @@ format, the **arena**, which persists:
 
 An arena is one contiguous 64-byte-aligned file
 (:mod:`repro.index.arena`): a small JSON header of (name, dtype, shape,
-offset) extents followed by the packed array payloads. Loading maps the
-file read-only and rehydrates the catalog as **zero-copy views into the
-mapping**: no decompression, no copy, load time O(metadata) — and N
-processes serving the same arena share one set of physical pages
-through the page cache.
+offset) extents followed by the packed array payloads. Version 5 holds,
+for ``S`` sketches, ``E`` retained entries in all, ``V`` vocabulary
+hashes, ``P`` postings and ``D`` frozen documents:
+
+========================  ===========  =====================================
+header key                JSON         meaning
+========================  ===========  =====================================
+``catalog_config``        3 ints       sketch size, hash bits, hash seed
+``catalog_aggregate``     str          the catalog's aggregate
+``index_version``         int          compaction counter
+``ids``                   S strs       sketch ids, in catalog order
+``names``                 object       ``{position: name}`` for named
+                                       sketches whose name is not their id
+``aggregates``            S strs       each sketch's aggregate
+``delta_ids``             strs         ids still in the delta layer
+``tombstones``            strs         ids banned from the frozen layer
+``lsh``                   object/null  LSH config and covered ids
+========================  ===========  =====================================
+
+========================  =========  =====================================
+array member              dtype      shape / meaning
+========================  =========  =====================================
+``has_name``              bool       S; False for an unnamed sketch
+``capacities``            int64      S; each sketch's ``n``
+``rows_seen``             int64      S
+``overflowed``            bool       S
+``value_min``             float64    S; ``±inf`` when no finite value
+``value_max``             float64    S
+``entry_indptr``          int64      S + 1; sketch ``i`` owns entries
+                                     ``[indptr[i], indptr[i + 1])``
+``key_hashes``            uint64     E; ascending within each sketch
+``values``                float64    E; aligned with ``key_hashes``
+``postings_vocab``        uint64     V
+``postings_indptr``       int64      V + 1
+``postings_doc_ids``      int32      P; positions into the documents
+``postings_docs``         int32      D; each document's position in
+                                     ``ids + tombstones``
+``postings_doc_lengths``  int64      D
+``lsh_slots``             uint64     (L, slots); only with ``lsh``
+``lsh_filled``            bool       (L, slots); only with ``lsh``
+========================  =========  =====================================
+
+(``L`` is the number of sketches the LSH index covers.) A frozen
+document is either a live id or a tombstoned one, so its position in
+``ids + tombstones`` always exists; a live id takes the first match.
+
+Loading maps the file read-only and rehydrates the catalog as
+**zero-copy views into the mapping**: no decompression, no copy, load
+time O(metadata) — and N processes serving the same arena share one set
+of physical pages through the page cache.
 
 Loading does no per-entry work at all: an entry is an integer position
 until first touched, when it wakes — in O(1) — into a read-only
 :class:`~repro.core.sketch.CorrelationSketch` whose columns are
 zero-copy slices of the stored arrays (one type for fresh, loaded and
 query-side sketches; only aggregator state is not persisted, so a
-loaded sketch rejects further rows). The postings snapshot is
+loaded sketch rejects further rows; waking allocates no array). The postings snapshot is
 reconstructed directly from its stored arrays (the catalog's
 ``frozen_postings`` cache starts warm), and persisted LSH signatures
 are kept as a deferred pending payload that expands into bucket state
@@ -50,7 +98,10 @@ Format contract:
 
 * exactly one generation is readable: the header's ``version`` must
   equal :data:`ARENA_VERSION`, anything else raises ``ValueError``
-  rather than guessing. The earlier binary format — a zip of ``.npy``
+  rather than guessing — naming the bridge from an older file: convert
+  it to JSON with ``catalog convert`` on the build that wrote it (the
+  JSON interchange has not changed), then back with this one, or
+  re-index. The earlier binary format — a zip of ``.npy``
   members — is retired: such a file is refused by name
   (:func:`repro.index.catalog._refuse_retired_snapshot`), never parsed,
   and never treated as a corrupt arena;
@@ -79,6 +130,7 @@ from repro.hashing import KeyHasher
 from repro.index.arena import ArenaReader, _fault, has_arena_magic, write_arena
 from repro.index.catalog import (
     SketchCatalog,
+    SnapshotRefused,
     _DeferredEntryDict,
     _refuse_retired_snapshot,
 )
@@ -86,7 +138,7 @@ from repro.index.inverted import ColumnarPostings
 
 #: The arena's format version, recorded in its header. Bump on any
 #: member change; load_snapshot reads exactly this version.
-ARENA_VERSION = 4
+ARENA_VERSION = 5
 
 #: Suffix appended (to the full file name) when a corrupt snapshot is
 #: quarantined: ``shard-0001.arena`` → ``shard-0001.arena.quarantined``.
@@ -151,20 +203,26 @@ def save_snapshot(catalog: SketchCatalog, path: str | Path) -> None:
         return np.concatenate(arrays).astype(dtype, copy=False)
 
     bits, seed = catalog.hasher.scheme_id
+    tombstones = sorted(catalog._tombstones)
+    # A frozen document's position in ids + tombstones; a live id wins
+    # over a tombstoned copy of itself (a re-add).
+    doc_position = {sid: i for i, sid in enumerate(ids + tombstones)}
+    doc_position.update(zip(ids, range(len(ids))))
     meta = {
         "format": "correlation-sketches-arena",
         "version": ARENA_VERSION,
-        # Fourth slot: the retired row-at-a-time construction flag,
-        # written as a constant so the header's bytes do not move.
-        "catalog_config": [catalog.sketch_size, bits, seed, 1],
+        "catalog_config": [catalog.sketch_size, bits, seed],
         "catalog_aggregate": catalog.aggregate,
         "index_version": catalog.index_version,
         "ids": ids,
-        "names": [s.name or "" for s in sketches],
+        "names": {
+            position: s.name
+            for position, (sid, s) in enumerate(zip(ids, sketches))
+            if s.name is not None and s.name != sid
+        },
         "aggregates": [s.aggregate for s in sketches],
-        "postings_docs": list(postings.docs),
         "delta_ids": sorted(catalog._delta_ids),
-        "tombstones": sorted(catalog._tombstones),
+        "tombstones": tombstones,
         "lsh": None,
     }
     arrays = {
@@ -176,11 +234,15 @@ def save_snapshot(catalog: SketchCatalog, path: str | Path) -> None:
         "value_max": np.asarray([s.value_max for s in sketches], dtype=np.float64),
         "entry_indptr": entry_indptr,
         "key_hashes": _concat([c.key_hashes for c in columns], np.uint64),
-        "ranks": _concat([c.ranks for c in columns], np.float64),
         "values": _concat([c.values for c in columns], np.float64),
         "postings_vocab": postings.vocab,
         "postings_indptr": postings.indptr,
         "postings_doc_ids": postings.doc_ids,
+        "postings_docs": np.fromiter(
+            (doc_position[doc] for doc in postings.docs),
+            np.int32,
+            len(postings.docs),
+        ),
         "postings_doc_lengths": postings.doc_lengths,
     }
     # The LSH index rides along whenever the catalog built (or loaded)
@@ -212,8 +274,8 @@ class _EntrySource:
     """
 
     __slots__ = (
-        "entry_indptr", "key_hashes", "ranks", "values",
-        "names", "has_name", "aggregates", "capacities",
+        "entry_indptr", "key_hashes", "values",
+        "ids", "names", "has_name", "aggregates", "capacities",
         "rows_seen", "overflowed", "value_min", "value_max",
     )
 
@@ -227,13 +289,12 @@ class _EntrySource:
         end = int(self.entry_indptr[position + 1])
         return CorrelationSketch.from_frozen_arrays(
             self.key_hashes[start:end],
-            self.ranks[start:end],
             self.values[start:end],
             n=int(self.capacities[position]),
             aggregate=str(self.aggregates[position]),
             hasher=hasher,
             name=(
-                str(self.names[position])
+                self.names.get(position, self.ids[position])
                 if bool(self.has_name[position])
                 else None
             ),
@@ -278,8 +339,9 @@ def load_snapshot(path: str | Path) -> SketchCatalog:
     with every array a read-only view into the shared mapping.
 
     Raises:
-        ValueError: for a file that is not an arena, is in the retired
-            binary format, or was written by another format version.
+        SnapshotRefused: (a ``ValueError``) for a file in the retired
+            binary format or written by another arena version.
+        ValueError: for a file that is not an arena or is corrupt.
     """
     _fault("snapshot_read", path=str(path))
     try:
@@ -290,23 +352,26 @@ def load_snapshot(path: str | Path) -> SketchCatalog:
     meta = arena.meta
     version = meta.get("version")
     if version != ARENA_VERSION:
-        raise ValueError(
+        raise SnapshotRefused(
             f"unsupported catalog arena version {version!r} "
-            f"(this build reads version {ARENA_VERSION})"
+            f"(this build reads version {ARENA_VERSION}): convert it to "
+            f"JSON with `catalog convert` on the build that wrote it and "
+            f"back to .arena with this one, or re-index the source CSVs"
         )
-    sketch_size, bits, seed, _ = meta["catalog_config"]
+    sketch_size, bits, seed = meta["catalog_config"]
     catalog = SketchCatalog(
         sketch_size=int(sketch_size),
         aggregate=str(meta["catalog_aggregate"]),
         hasher=KeyHasher(bits=int(bits), seed=int(seed)),
     )
     ids = list(meta["ids"])
+    tombstones = list(meta["tombstones"])
     source = _EntrySource(
         entry_indptr=arena.array("entry_indptr"),
         key_hashes=arena.array("key_hashes"),
-        ranks=arena.array("ranks"),
         values=arena.array("values"),
-        names=meta["names"],
+        ids=ids,
+        names={int(position): name for position, name in meta["names"].items()},
         has_name=arena.array("has_name"),
         aggregates=meta["aggregates"],
         capacities=arena.array("capacities"),
@@ -316,15 +381,24 @@ def load_snapshot(path: str | Path) -> SketchCatalog:
         value_max=arena.array("value_max"),
     )
     catalog._sketches = _DeferredEntryDict(ids, source, catalog.hasher)
+    doc_names = ids + tombstones
+    doc_positions = arena.array("postings_docs").tolist()
+    if doc_positions and not (
+        0 <= min(doc_positions) and max(doc_positions) < len(doc_names)
+    ):
+        raise ValueError(
+            f"corrupt arena {path}: a postings document position lies "
+            f"outside its {len(doc_names)} ids and tombstones"
+        )
     catalog._frozen_postings = ColumnarPostings(
         arena.array("postings_vocab"),
         arena.array("postings_indptr"),
         arena.array("postings_doc_ids"),
-        list(meta["postings_docs"]),
+        [doc_names[i] for i in doc_positions],
         arena.array("postings_doc_lengths"),
     )
     catalog.index_version = int(meta["index_version"])
-    catalog._tombstones = set(meta["tombstones"])
+    catalog._tombstones = set(tombstones)
     catalog._delta_ids = dict.fromkeys(meta["delta_ids"])
     lsh_meta = meta.get("lsh")
     if lsh_meta:

@@ -244,7 +244,27 @@ def _columns(payload: dict, *path: str) -> tuple[list, list]:
         )
     if not keys:
         raise ValueError(f"{where}keys/{where}values must be non-empty")
+    for field, cells in (("keys", keys), ("values", values)):
+        # One C-speed pass over the cell types; the index is looked up
+        # only for a body that is refused anyway.
+        nested = {list, dict} & set(map(type, cells))
+        if nested:
+            at = next(i for i, c in enumerate(cells) if type(c) in nested)
+            raise ValueError(
+                f"{where}{field}[{at}] is a JSON "
+                f"{'array' if type(cells[at]) is list else 'object'}; "
+                f"{where}{field} must hold scalars"
+            )
     return keys, values
+
+
+def _optional(payload: dict, field: str, kind: type, name: str):
+    """``payload[field]`` — ``None`` when absent or null — refusing any
+    other JSON type than ``kind`` with an error that names the field."""
+    value = payload.get(field)
+    if value is not None and type(value) is not kind:
+        raise ValueError(f"{field} must be a JSON {name} or null")
+    return value
 
 
 class QueryService:
@@ -308,12 +328,13 @@ class QueryService:
     # -- request handling (shared by HTTP and in-process callers) ------------
 
     def handle_query(self, payload: dict) -> dict:
-        keys, values = _columns(payload)
-        want_trace = bool(payload.get("trace", False))
+        # The sketch phase runs from the decoded body to the query
+        # sketch: checking the fields is part of it.
         start = time.perf_counter()
-        sketch = self.session.query_sketch(
-            keys, values, name=payload.get("name")
-        )
+        keys, values = _columns(payload)
+        want_trace = _optional(payload, "trace", bool, "boolean")
+        name = _optional(payload, "name", str, "string")
+        sketch = self.session.query_sketch(keys, values, name=name)
         sketched = time.perf_counter()
         sketch_ms = (sketched - start) * 1000.0
         # Always trace: the phase histograms and the slow-query log need

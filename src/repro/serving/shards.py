@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 from repro.core.sketch import CorrelationSketch, SketchColumns
 from repro.hashing import KeyHasher
 from repro.hashing.murmur3 import murmur3_32
-from repro.index.catalog import SketchCatalog
+from repro.index.catalog import SketchCatalog, SnapshotRefused
 from repro.index.inverted import ColumnarPostings
 from repro.table.table import Table
 
@@ -156,6 +156,8 @@ class ShardedCatalog:
             path = self._shard_paths[index]
             try:
                 shard = self._materialize(index, path)
+            except SnapshotRefused:
+                raise
             except (OSError, ValueError, KeyError, EOFError) as exc:
                 if self.on_corruption != "quarantine":
                     raise

@@ -55,7 +55,7 @@ def _raise_heap(sketch: CorrelationSketch) -> BottomK:
     state = sketch._live_state()  # a rehydrated sketch raises here
     heap = BottomK(sketch.n)
     heap.update_batch(
-        sketch._ranks,
+        sketch.hasher.unit_hash_batch(sketch._key_hashes),
         sketch._key_hashes,
         [_aggregator(state, row) for row in range(len(state))],
     )
@@ -69,7 +69,6 @@ def _fold_heap(sketch: CorrelationSketch, heap: BottomK) -> None:
     for slot, column in state.slots.items():
         column[:] = [getattr(agg, slot) for _, _, agg in entries]
     sketch._key_hashes = np.array([key for _, key, _ in entries], dtype=np.uint64)
-    sketch._ranks = np.array([rank for rank, _, _ in entries], dtype=np.float64)
     sketch._state = state
     sketch._columns = None
 

@@ -176,7 +176,6 @@ def _from_frozen_arrays(sketch, tmp_path):
     columns = sketch.columnar()
     return CorrelationSketch.from_frozen_arrays(
         columns.key_hashes,
-        columns.ranks,
         columns.values,
         n=sketch.n,
         aggregate=sketch.aggregate,

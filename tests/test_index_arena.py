@@ -292,9 +292,15 @@ def test_loaded_views_reject_writes(tmp_path):
     catalog.save(path)
     loaded = SketchCatalog.load(path)
     columns = loaded.sketch_columns(next(iter(loaded)))
-    for array in (columns.key_hashes, columns.ranks, columns.values):
+    for array in (columns.key_hashes, columns.values):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+    # Ranks are derived, not stored: each access is a private heap array
+    # that writing to cannot reach the mapping.
+    ranks = columns.ranks
+    assert not loaded._arena.owns(ranks)
+    ranks[0] = 2.0
+    assert columns.ranks[0] != 2.0
     frozen = loaded.frozen_postings()
     with pytest.raises(ValueError, match="read-only"):
         frozen.doc_ids[0] = 0

@@ -520,10 +520,10 @@ def _synthetic_columns(rng, hasher, universe, size) -> SketchColumns:
     hashes = universe[picked]
     return SketchColumns(
         key_hashes=hashes,
-        ranks=hasher.unit_hash_batch(hashes),
         values=rng.standard_normal(size),
         value_range=(-5.0, 5.0),
         saw_all_keys=False,
+        bits=hasher.bits,
     )
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
-from repro.index.catalog import SketchCatalog
+from repro.index.catalog import SketchCatalog, SnapshotRefused
 from repro.index.engine import JoinCorrelationEngine
 from repro.index.arena import ArenaReader, backing_storage, write_arena
 from repro.index.snapshot import (
@@ -216,6 +216,76 @@ def test_unknown_snapshot_version_rejected(tmp_path):
     assert len(load_snapshot(path)) == len(catalog)
 
 
+@pytest.mark.parametrize("position", [-1, 99])
+def test_postings_doc_position_out_of_range_is_corruption(tmp_path, position):
+    """A document position outside ``ids + tombstones`` is a corrupt
+    file (quarantinable), never a silently wrapped or missing name."""
+    catalog, _ = _world(seed=4, n_tables=2)
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    reader = ArenaReader(path)
+    meta = {
+        k: v
+        for k, v in reader.meta.items()
+        if k not in ("arrays", "data_bytes", "payload_crc32")
+    }
+    arrays = {name: np.array(reader.array(name)) for name in reader.extents}
+    arrays["postings_docs"][0] = position
+    write_arena(path, meta, arrays)
+    with pytest.raises(ValueError, match="postings document position"):
+        load_snapshot(path)
+
+
+def _as_version_4(path):
+    reader = ArenaReader(path)
+    meta = {
+        k: v
+        for k, v in reader.meta.items()
+        if k not in ("arrays", "data_bytes", "payload_crc32")
+    }
+    meta["version"] = 4
+    write_arena(path, meta, {name: reader.array(name) for name in reader.extents})
+
+
+@pytest.mark.parametrize("on_corruption", ["raise", "quarantine"])
+def test_version_4_arena_refusal_names_the_bridge(tmp_path, on_corruption):
+    """A file from the build before ranks were derived is refused with
+    the way across: convert it to JSON on that build, or re-index. A
+    refusal is not corruption: under either policy nothing is renamed
+    and the healthy sibling JSON is not loaded in its place."""
+    catalog, _ = _world(seed=4, n_tables=2)
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    catalog.save(tmp_path / "c.json")
+    _as_version_4(path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SnapshotRefused) as excinfo:
+        SketchCatalog.load(path, on_corruption=on_corruption)
+    message = str(excinfo.value)
+    assert "arena version 4" in message and "reads version 5" in message
+    assert "catalog convert" in message and "re-index" in message
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_version_4_shard_is_refused_not_quarantined(tmp_path):
+    """A shard directory whose shard files predate version 5 raises the
+    refusal on first touch under the quarantine policy too, instead of
+    serving degraded with the shard renamed aside."""
+    catalog, _ = _world(seed=4, n_tables=4)
+    sharded = ShardedCatalog(2, sketch_size=catalog.sketch_size)
+    sharded.add_sketches((sid, catalog.get(sid)) for sid in catalog)
+    directory = tmp_path / "dir"
+    sharded.save(directory)
+    for shard_file in sorted(directory.glob("shard-*.arena")):
+        _as_version_4(shard_file)
+    before = sorted(p.name for p in directory.iterdir())
+    loaded = ShardedCatalog.load(directory, on_corruption="quarantine")
+    with pytest.raises(SnapshotRefused, match="catalog convert"):
+        loaded.shard(0)
+    assert loaded.quarantine_events == []
+    assert sorted(p.name for p in directory.iterdir()) == before
+
+
 @pytest.mark.parametrize("name", ["c.npz", "c.bin", "c.json", "c.arena"])
 @pytest.mark.parametrize("on_corruption", ["raise", "quarantine"])
 def test_retired_npz_snapshot_refused_not_quarantined(
@@ -261,10 +331,13 @@ def _fixed_tables():
 
 
 def test_current_generation_files_are_byte_identical_to_pr21(tmp_path):
-    """Retiring generations moved no byte of the current one: a fixed
-    catalog — frozen layer, one delta sketch, one tombstone — and its
-    sharded twin hash to the constants recorded from the parent commit
-    (1e139e2), header slots and keys that are no longer read included."""
+    """A fixed catalog — frozen layer, one delta sketch, one tombstone —
+    and its sharded twin hash to recorded constants. The JSON catalog
+    and the manifest still hash to what commit 1e139e2 wrote (their
+    constant keys included): no arena change may move them. The three
+    ``.arena`` digests pin arena version 5 — entries ``⟨h(k), x_k⟩``
+    without ranks, a three-slot ``catalog_config``, no names equal to
+    their id, postings docs as positions into ``ids + tombstones``."""
     tables = _fixed_tables()
     catalog = SketchCatalog(sketch_size=16)
     catalog.add_tables(tables[:4])
@@ -284,11 +357,11 @@ def test_current_generation_files_are_byte_identical_to_pr21(tmp_path):
         )
     }
     assert digests == {
-        "c.arena": "454873bb94cfecf92c34491ee700310bb2d28dcecd3d0d0ffe9ae23169cd211d",
+        "c.arena": "42d0dda2b7ce7da826e90de2d2e403b4ab0d86c8948493f51ad9bd87d76c19a4",
         "c.json": "2212f75b750122694e9adb0e7e67004f7eccc6d5bc2cf509e6727eb5c1f2cb81",
         "dir/manifest.json": "614ea182ce9637a4d3521af36884ee48d7a153a46e9b54b07fb6c4f91460594a",
-        "dir/shard-0000.arena": "dc5581cc6f74b9009587b5a24894d098a364f29c596fd323bced6d70fc9a5d70",
-        "dir/shard-0001.arena": "c5e319d133b1a329cfc419fbaaf1aa2e2ffff9586ca5a6f3e56ca5bf65a00bca",
+        "dir/shard-0000.arena": "6a80b9407086557ef036e9ab96fb594d6f9906bbf5ead5724fd1780012959073",
+        "dir/shard-0001.arena": "3afba2430a714c86e3ef25010346296b983947b62395ab7d458f8b3ab45fde73",
     }
 
 

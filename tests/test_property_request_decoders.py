@@ -8,7 +8,10 @@ either raise one of those three or return a body that survives strict
 JSON encoding — and, for ``/query``, that ``QueryResult.from_dict``
 accepts. Fields are drawn from arbitrary JSON values (huge integers,
 non-finite floats, strings, nested arrays and objects) mixed with
-well-formed ones, so most examples reach the engine.
+well-formed ones, so most examples reach the engine. Some bodies are
+refused whatever else they hold: a key or value cell that is a JSON
+array or object (it hashes to no key a client could mean), and a
+``trace`` / ``name`` of the wrong JSON type.
 """
 
 import json
@@ -100,6 +103,23 @@ def _assert_wire_safe(body) -> None:
     json.dumps(body, allow_nan=False)
 
 
+def _nested(cells) -> bool:
+    return isinstance(cells, list) and any(
+        isinstance(cell, (list, dict)) for cell in cells
+    )
+
+
+def _must_refuse(payload: dict) -> bool:
+    """A ``/query`` body no answer is right for."""
+    trace, name = payload.get("trace"), payload.get("name")
+    return (
+        _nested(payload.get("keys"))
+        or _nested(payload.get("values"))
+        or (trace is not None and type(trace) is not bool)
+        or (name is not None and type(name) is not str)
+    )
+
+
 @given(
     body=columns(),
     k=optional(st.integers(-2, 12)),
@@ -127,8 +147,45 @@ def test_handle_query_answers_or_raises_a_bad_request(
         result = service.handle_query(payload)
     except BAD_REQUEST:
         return
+    assert not _must_refuse(payload), payload
     _assert_wire_safe(result)
     QueryResult.from_dict(result)
+
+
+nested_cells = st.one_of(
+    st.lists(scalars, max_size=2), st.dictionaries(text, scalars, max_size=2)
+)
+
+
+@st.composite
+def columns_with_a_nested_cell(draw):
+    """Well-formed columns but for one key or value cell that is a JSON
+    array or object; returns ``(columns, field, position)``."""
+    n = draw(st.integers(1, 8))
+    body = {
+        "keys": draw(st.lists(st.integers(0, UNIVERSE) | text, min_size=n, max_size=n)),
+        "values": draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)),
+    }
+    field = draw(st.sampled_from(["keys", "values"]))
+    position = draw(st.integers(0, n - 1))
+    body[field][position] = draw(nested_cells)
+    return body, field, position
+
+
+@given(case=columns_with_a_nested_cell())
+@example(case=({"keys": [["a"]], "values": [1.0]}, "keys", 0))
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_nested_cells_are_bad_requests_naming_the_cell(service, case):
+    body, field, position = case
+    with pytest.raises(ValueError, match=rf"^{field}\[{position}\]"):
+        service.handle_query(body)
+    plain = {"keys": ["a"], "values": [1.0]}
+    with pytest.raises(ValueError, match=rf"^right\.{field}\[{position}\]"):
+        service.handle_estimate({"left": plain, "right": body})
 
 
 @given(left=columns(), right=columns(), estimator=optional(st.sampled_from(sorted(ESTIMATORS))))

@@ -18,6 +18,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +328,52 @@ class TestEndpoints:
             status, health = _get(service.url + "/healthz")
             assert status == 200 and health["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "path, fields, named",
+        [
+            ("/query", {"keys": [["a"]], "values": [1.0]}, "keys[0]"),
+            ("/query", {"keys": ["a", {"b": 1}], "values": [1.0, 2.0]}, "keys[1]"),
+            ("/query", {"keys": ["a", "b"], "values": [1.0, [2.0]]}, "values[1]"),
+            ("/query", {"trace": "no"}, "trace"),
+            ("/query", {"trace": 1}, "trace"),
+            ("/query", {"name": 5}, "name"),
+            ("/query", {"name": ["q"]}, "name"),
+            (
+                "/estimate",
+                {"left": {"keys": [["a"], "b"], "values": [1.0, 2.0]}},
+                "left.keys[0]",
+            ),
+        ],
+    )
+    def test_malformed_fields_get_400_naming_the_field(
+        self, corpus, path, fields, named
+    ):
+        """A key that is a JSON array or object hashes to no key a client
+        could mean, and a ``trace`` or ``name`` of the wrong JSON type
+        would be read as something it does not say: each is a bad
+        request whose error names the field."""
+        mono, _, _, _ = corpus
+        columns = {"keys": ["a", "b"], "values": [1.0, 2.0]}
+        if path == "/query":
+            payload = {**columns, **fields}
+        else:
+            payload = {"left": columns, "right": columns, **fields}
+        with QueryService(QuerySession.for_catalog(mono)) as service:
+            code, body = _post_error(
+                service.url + path, json.dumps(payload).encode()
+            )
+        assert code == 400
+        assert body["error"].startswith(named)
+
+    def test_null_trace_and_name_are_absent(self, corpus):
+        mono, _, _, (keys, values) = corpus
+        columns = {"keys": keys.tolist(), "values": values.tolist()}
+        with QueryService(QuerySession.for_catalog(mono)) as service:
+            status, body = _post(
+                service.url + "/query", {**columns, "trace": None, "name": None}
+            )
+        assert status == 200 and "trace" not in body
+
     def test_unknown_paths_get_404(self, corpus):
         mono, _, _, _ = corpus
         with QueryService(QuerySession.for_catalog(mono)) as service:
@@ -569,8 +616,11 @@ class TestServeCli:
         mono, _, _, (keys, values) = corpus
         catalog_path = tmp_path / "catalog.arena"
         mono.save(catalog_path)
+        # The checkout this test file lives in, whatever the working
+        # directory: the server must run the code under test.
+        root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
-        env["PYTHONPATH"] = "src"
+        env["PYTHONPATH"] = str(root / "src")
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
@@ -580,7 +630,7 @@ class TestServeCli:
             stderr=subprocess.PIPE,
             text=True,
             env=env,
-            cwd="/root/repo",
+            cwd=root,
         )
         try:
             url = None
