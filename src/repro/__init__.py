@@ -23,7 +23,7 @@ Subpackages
 ``repro.hashing``
     MurmurHash3 + Fibonacci hashing (the ``h`` / ``h_u`` of the paper).
 ``repro.kmv``
-    KMV synopses, DV estimation, set-operation estimates.
+    Bottom-k selection, DV and Eq. 1 estimators, the HLL baseline.
 ``repro.correlation``
     Pearson / Spearman / RIN / Qn / PM1-bootstrap estimators, Fisher z.
 ``repro.bounds``
@@ -49,6 +49,7 @@ from repro.core import (
     JoinedSample,
     estimate,
     join_sketches,
+    set_estimates,
 )
 from repro.correlation import (
     ESTIMATORS,
@@ -65,7 +66,6 @@ from repro.index import (
     QueryResult,
     SketchCatalog,
 )
-from repro.kmv import KMVSynopsis
 from repro.ranking import SCORER_NAMES, rank_candidates
 from repro.serving import QuerySession, ShardRouter, ShardedCatalog
 from repro.table import Table, read_csv, read_csv_text
@@ -79,7 +79,6 @@ __all__ = [
     "EstimateResult",
     "JoinCorrelationEngine",
     "JoinedSample",
-    "KMVSynopsis",
     "QueryOptions",
     "QueryResult",
     "QuerySession",
@@ -100,6 +99,7 @@ __all__ = [
     "read_csv",
     "read_csv_text",
     "rin",
+    "set_estimates",
     "spearman",
     "__version__",
 ]

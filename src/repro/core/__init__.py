@@ -6,6 +6,8 @@
   reconstructing a uniform random sample of the joined table (Theorem 1).
 * :func:`~repro.core.estimation.estimate` — the full estimation pipeline:
   join, correlate, attach error bounds and joinability statistics.
+* :func:`~repro.core.estimation.set_estimates` — the KMV statistics of a
+  sketch pair: union, intersection (= join size), Jaccard, containment.
 * :meth:`CorrelationSketch.from_key_column
   <repro.core.sketch.CorrelationSketch.from_key_column>` — the
   shared-key-selection build for tables with several numeric columns
@@ -18,9 +20,11 @@ from repro.core.aggregators import AGGREGATORS, Aggregator, make_aggregator
 from repro.core.estimation import (
     RANGE_PRESERVING_AGGREGATES,
     EstimateResult,
+    SetEstimates,
     StatisticsResult,
     estimate,
     estimate_statistics,
+    set_estimates,
 )
 from repro.core.gkmv import ThresholdSketch
 from repro.core.joined_sample import JoinedSample, JoinedSamplePage, join_sketches
@@ -41,6 +45,7 @@ __all__ = [
     "JoinedSamplePage",
     "MultiAggregateSketch",
     "RANGE_PRESERVING_AGGREGATES",
+    "SetEstimates",
     "StatisticsResult",
     "ThresholdSketch",
     "distance_correlation",
@@ -50,4 +55,5 @@ __all__ = [
     "make_aggregator",
     "sample_entropy",
     "sample_mutual_information",
+    "set_estimates",
 ]

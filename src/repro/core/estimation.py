@@ -4,8 +4,10 @@
 reconstruct the uniform sample, apply a correlation estimator — and
 attaches everything the ranking layer needs: sample size, Fisher z
 standard error, Hoeffding/HFD intervals, and the KMV-derived joinability
-statistics (cardinalities, containment, join size) that Section 3.3 notes
-come for free.
+statistics (containment, join size) that Section 3.3 notes come for free.
+:func:`set_estimates` computes those from the two sketches' columns —
+union, intersection (= join size), Jaccard and containment: a
+correlation sketch retains everything a KMV synopsis supports.
 """
 
 from __future__ import annotations
@@ -13,13 +15,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.bounds.hoeffding import hfd_interval, hoeffding_interval
 from repro.bounds.intervals import ConfidenceInterval
 from repro.core.joined_sample import JoinedSample, join_sketches
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.estimators import get_estimator
 from repro.correlation.fisher import clamped_fisher_se
-from repro.kmv.estimators import unbiased_dv_estimate
+from repro.hashing.fibonacci import to_unit_interval_batch
+from repro.kmv.estimators import (
+    containment_estimate_batch,
+    intersection_estimate_batch,
+    unbiased_dv_estimate,
+)
 
 #: Aggregates whose output always lies within the input value range, making
 #: the single-pass column min/max valid Hoeffding bounds (Section 4.3).
@@ -59,6 +68,95 @@ class EstimateResult:
     containment_est: float
     join_size_est: float
     range_bounds_valid: bool
+
+
+@dataclass(frozen=True)
+class SetEstimates:
+    """Section 3.3's KMV statistics of a sketch pair ``(A, B)``.
+
+    Attributes:
+        k: size of the combined bottom-``k``, ``min(|L_A|, |L_B|)``; 0
+            when both sketches saw all their keys (the estimates are
+            then exact) or one sketch is empty.
+        kth_unit_value: ``U(k)``, the ``k``-th smallest unit hash of
+            ``L_A ∪ L_B`` (1.0 when ``k`` is 0).
+        k_inter: ``K∩``, the combined bottom-``k`` hashes retained on
+            both sides.
+        exact: True when both sketches saw all their keys.
+        overlap: key hashes retained on both sides.
+        union: estimated ``|K_A ∪ K_B|``.
+        intersection: estimated ``|K_A ∩ K_B|`` (Eq. 1). With per-key
+            aggregation the joined table has one row per shared key, so
+            this is also the join size.
+        jaccard: estimated ``|K_A ∩ K_B| / |K_A ∪ K_B|``.
+        containment: estimated ``|K_A ∩ K_B| / |K_A|``, clipped to
+            ``[0, 1]`` (the ``ĵc`` baseline).
+    """
+
+    k: int
+    kth_unit_value: float
+    k_inter: int
+    exact: bool
+    overlap: int
+    union: float
+    intersection: float
+    jaccard: float
+    containment: float
+
+
+def set_estimates(left: CorrelationSketch, right: CorrelationSketch) -> SetEstimates:
+    """Union, intersection, Jaccard and containment of two sketches' key
+    sets, computed on their sorted key-hash columns.
+
+    ``k`` is ``min(|L_A|, |L_B|)``, the retained sizes, exactly as a
+    candidate page (:class:`repro.index.engine.CandidatePage`) takes it,
+    and the intersection goes through the same Eq. 1 kernel, so the
+    containment equals the served ``ĵc`` bit for bit.
+
+    Raises:
+        ValueError: if the sketches use different hashing schemes.
+    """
+    if left.hasher.scheme_id != right.hasher.scheme_id:
+        raise ValueError(
+            "cannot combine sketches built with different hashing schemes: "
+            f"{left.hasher!r} vs {right.hasher!r}"
+        )
+    lc, rc = left.columnar(), right.columnar()
+    shared = np.isin(lc.key_hashes, rc.key_hashes, assume_unique=True)
+    overlap = int(np.count_nonzero(shared))
+    exact = lc.saw_all_keys and rc.saw_all_keys
+    k = 0 if exact else min(lc.size, rc.size)
+    kth, k_inter = 1.0, 0
+    if k > 0:
+        union_ranks = to_unit_interval_batch(
+            np.union1d(lc.key_hashes, rc.key_hashes), lc.bits
+        )
+        kth = float(np.partition(union_ranks, k - 1)[k - 1])
+        shared_ranks = to_unit_interval_batch(lc.key_hashes[shared], lc.bits)
+        k_inter = int(np.count_nonzero(shared_ranks <= kth))
+
+    inter = intersection_estimate_batch(
+        *(np.array([v]) for v in (k, kth, k_inter, exact, overlap))
+    )
+    d_left = left.distinct_keys()
+    if k == 0:
+        # Both sides exact, or one empty: the union is plain counting.
+        union = d_left + right.distinct_keys() - overlap
+        jaccard = float(inter[0]) / union if union > 0 else 0.0
+    else:
+        union = unbiased_dv_estimate(k, kth)
+        jaccard = k_inter / k
+    return SetEstimates(
+        k=k,
+        kth_unit_value=kth,
+        k_inter=k_inter,
+        exact=exact,
+        overlap=overlap,
+        union=union,
+        intersection=float(inter[0]),
+        jaccard=jaccard,
+        containment=float(containment_estimate_batch(inter, d_left)[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -151,8 +249,7 @@ def estimate(
             estimator name is unknown.
     """
     fn = get_estimator(estimator)
-    raw = join_sketches(left, right)
-    sample = raw.drop_nan()
+    sample = join_sketches(left, right).drop_nan()
 
     r = fn(sample.x, sample.y)
     n = sample.size
@@ -168,30 +265,7 @@ def estimate(
 
     hoeff = hoeffding_interval(sample.x, sample.y, c_low, c_high, alpha)
     hfd = hfd_interval(sample.x, sample.y, c_low, c_high, alpha)
-
-    overlap = raw.size  # overlap counts keys even when values are missing
-    d_left = left.distinct_keys()
-    containment = 0.0
-    join_size = 0.0
-    if overlap > 0:
-        combined_k = min(len(left), len(right))
-        if left.saw_all_keys and right.saw_all_keys:
-            inter = float(overlap)
-        else:
-            # Eq. 1 applied to the sketch pair: (K∩ / k) * D̂_union.
-            left_hashes = left.key_hashes()
-            right_hashes = right.key_hashes()
-            ordered = sorted(
-                left_hashes | right_hashes, key=left.hasher.unit_hash_of_key_hash
-            )
-            ordered = ordered[:combined_k]
-            kth = left.hasher.unit_hash_of_key_hash(ordered[-1])
-            k_inter = sum(1 for kh in ordered if kh in left_hashes and kh in right_hashes)
-            d_union = unbiased_dv_estimate(len(ordered), kth)
-            inter = (k_inter / len(ordered)) * d_union
-        join_size = inter
-        if d_left > 0:
-            containment = max(0.0, min(1.0, inter / d_left))
+    sets = set_estimates(left, right)
 
     return EstimateResult(
         correlation=r,
@@ -201,8 +275,8 @@ def estimate(
         fisher_se=clamped_fisher_se(n),
         hoeffding=hoeff,
         hfd=hfd,
-        key_overlap=overlap,
-        containment_est=containment,
-        join_size_est=join_size,
+        key_overlap=sets.overlap,
+        containment_est=sets.containment,
+        join_size_est=sets.intersection,
         range_bounds_valid=range_ok,
     )

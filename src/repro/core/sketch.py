@@ -12,7 +12,8 @@ statistic (correlation, mutual information, …) can be estimated from it.
 
 The sketch also retains everything a plain KMV synopsis holds, so
 cardinality / Jaccard / containment / join-size estimation come for free
-(Section 3.3) — see the ``to_kmv``/estimation helpers.
+(Section 3.3) — see :meth:`CorrelationSketch.distinct_keys` and
+:func:`repro.core.estimation.set_estimates`.
 
 Beyond the sketch itself we track two scalars per column that cost nothing
 extra during the single construction pass and that Section 4.3's Hoeffding
@@ -32,7 +33,7 @@ from repro.core.aggregators import GroupedAggregates
 from repro.hashing import KeyHasher, default_hasher
 from repro.hashing.fibonacci import to_unit_interval_batch
 from repro.kmv.bottomk import bottom_k_positions
-from repro.kmv.estimators import basic_dv_estimate, unbiased_dv_estimate
+from repro.kmv.estimators import unbiased_dv_estimate
 
 
 #: What every empty sketch holds (shared, hence read-only).
@@ -495,18 +496,16 @@ class CorrelationSketch:
 
     # -- KMV statistics (Section 3.3: everything KMV supports still works) --
 
-    def distinct_keys(self, *, estimator: str = "unbiased") -> float:
-        """Estimate the number of distinct keys in the key column."""
+    def distinct_keys(self) -> float:
+        """Estimate the number of distinct keys in the key column with
+        the unbiased estimator ``(k - 1) / U(k)`` (exact when the sketch
+        saw all its keys)."""
         size = len(self)
         if size == 0:
             return 0.0
         saw_all = self.saw_all_keys
         ukth = self.kth_unit_value() if not saw_all else 1.0
-        if estimator == "unbiased":
-            return unbiased_dv_estimate(size, ukth, saw_all=saw_all)
-        if estimator == "basic":
-            return basic_dv_estimate(size, ukth, saw_all=saw_all)
-        raise ValueError(f"unknown estimator {estimator!r}")
+        return unbiased_dv_estimate(size, ukth, saw_all=saw_all)
 
     # -- serialization -----------------------------------------------------
 

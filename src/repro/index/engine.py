@@ -70,7 +70,10 @@ from repro.core.sketch import CorrelationSketch, SketchColumns
 from repro.hashing.fibonacci import to_unit_interval_batch
 from repro.index.catalog import SketchCatalog
 from repro.index.options import RETRIEVAL_BACKENDS, QueryOptions
-from repro.kmv.estimators import unbiased_dv_estimate_batch
+from repro.kmv.estimators import (
+    containment_estimate_batch,
+    intersection_estimate_batch,
+)
 from repro.ranking.ranker import RankedCandidate, rank_candidates
 from repro.ranking.scoring import apply_bootstrap, candidate_scores_batch
 
@@ -608,22 +611,16 @@ class CandidatePage:
 
         Applies the arithmetic of the per-candidate reference
         (``containment_estimate`` in ``tests/scalar_query_oracle.py``)
-        elementwise — one :func:`unbiased_dv_estimate_batch` call for the
-        whole page — so each estimate is bit-identical to the scalar
-        function's.
+        elementwise, through the one Eq. 1 kernel
+        (:func:`repro.kmv.estimators.intersection_estimate_batch`), so
+        each estimate is bit-identical to the scalar function's.
         """
-        count = len(self.ids)
-        if d_query <= 0:
-            return np.zeros(count)
-        dv = unbiased_dv_estimate_batch(
-            self.k_len, self.kth, np.zeros(count, dtype=bool)
+        return containment_estimate_batch(
+            intersection_estimate_batch(
+                self.k_len, self.kth, self.k_inter, self.exact, self.overlaps
+            ),
+            d_query,
         )
-        safe_len = np.maximum(self.k_len, 1).astype(np.float64)
-        inter = (self.k_inter.astype(np.float64) / safe_len) * dv
-        inter = np.where(self.exact, self.overlaps.astype(np.float64), inter)
-        contained = np.minimum(1.0, np.maximum(0.0, inter / d_query))
-        zero = (~self.exact & (self.k_len == 0)) | (self.overlaps <= 0)
-        return np.where(zero, 0.0, contained)
 
 
 def _truths(

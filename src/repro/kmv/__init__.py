@@ -1,47 +1,29 @@
-"""K-Minimum-Values (bottom-k) synopses and distinct-value estimation.
+"""K-Minimum-Values (bottom-k) substrate and distinct-value estimation.
 
 This subpackage implements the cardinality-estimation substrate the paper
 builds on (Section 2.1):
 
-* :class:`~repro.kmv.synopsis.KMVSynopsis` — the classic bottom-``k``
-  synopsis of Bar-Yossef et al. (2002) maintained with a single pass and a
-  bounded-size ordered structure (:mod:`repro.kmv.bottomk`).
-* Distinct-value estimators (:mod:`repro.kmv.estimators`): the basic
-  estimator ``k / U(k)`` and the unbiased estimator ``(k-1) / U(k)`` of
-  Beyer et al. (2007).
-* Multiset-operation estimators (:mod:`repro.kmv.setops`): union,
-  intersection (Eq. 1 in the paper), Jaccard similarity, containment and
-  join-size estimation from two independently built synopses.
+* :class:`~repro.kmv.bottomk.BottomK` — a bounded-size ordered structure
+  holding the ``k`` minimum-rank entries, and ``bottom_k_positions``, the
+  one-``argpartition`` selection columnar sketch construction uses.
+* Estimators (:mod:`repro.kmv.estimators`): the unbiased DV estimator
+  ``(k-1) / U(k)`` of Beyer et al. (2007) and the Eq. 1 intersection
+  kernel behind containment and join size.
+* :class:`~repro.kmv.hll.HyperLogLog` — the cardinality baseline.
+
+The KMV synopsis itself is the correlation sketch
+(:class:`repro.core.sketch.CorrelationSketch`): its distinct-value
+estimate is :meth:`~repro.core.sketch.CorrelationSketch.distinct_keys`
+and a pair's union, intersection, Jaccard and containment are
+:func:`repro.core.estimation.set_estimates` (Section 3.3).
 """
 
 from repro.kmv.bottomk import BottomK
 from repro.kmv.hll import HyperLogLog
-from repro.kmv.estimators import (
-    basic_dv_estimate,
-    unbiased_dv_estimate,
-    unbiased_dv_variance,
-)
-from repro.kmv.setops import (
-    estimate_containment,
-    estimate_intersection,
-    estimate_jaccard,
-    estimate_join_size,
-    estimate_union,
-    merge_synopses,
-)
-from repro.kmv.synopsis import KMVSynopsis
+from repro.kmv.estimators import unbiased_dv_estimate
 
 __all__ = [
     "BottomK",
     "HyperLogLog",
-    "KMVSynopsis",
-    "basic_dv_estimate",
-    "estimate_containment",
-    "estimate_intersection",
-    "estimate_jaccard",
-    "estimate_join_size",
-    "estimate_union",
-    "merge_synopses",
     "unbiased_dv_estimate",
-    "unbiased_dv_variance",
 ]

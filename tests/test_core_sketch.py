@@ -120,11 +120,6 @@ def test_distinct_keys_estimate_large():
     assert abs(est - 30_000) / 30_000 < 0.15
 
 
-def test_distinct_keys_unknown_estimator():
-    with pytest.raises(ValueError, match="unknown"):
-        _sketch_from(["a"], [1.0]).distinct_keys(estimator="nope")
-
-
 def test_repr_mentions_name_and_size():
     sketch = _sketch_from(["a"], [1.0], name="tbl::k->v")
     assert "tbl::k->v" in repr(sketch)

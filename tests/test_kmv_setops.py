@@ -1,106 +1,102 @@
-"""Unit tests for KMV set-operation estimators (union, ∩, Jaccard, jc)."""
+"""Unit tests for the KMV set-operation estimates of a sketch pair
+(union, ∩, Jaccard, containment, join size): ``set_estimates``.
 
+The row-at-a-time synopsis these behaviours were first pinned on is
+``kmv_synopsis_oracle``; ``test_core_set_estimates.py`` holds
+``set_estimates`` to it.
+"""
+
+import numpy as np
 import pytest
 
+from repro.core.estimation import estimate, set_estimates
+from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
-from repro.kmv import (
-    KMVSynopsis,
-    estimate_containment,
-    estimate_intersection,
-    estimate_jaccard,
-    estimate_join_size,
-    estimate_union,
-    merge_synopses,
-)
 
 
-def _synopses(n_a, n_b, n_shared, k=256):
+def _sketch(keys, n, hasher=None):
+    keys = list(keys)
+    return CorrelationSketch.from_columns(keys, np.zeros(len(keys)), n, hasher=hasher)
+
+
+def _sketches(n_a, n_b, n_shared, n=256):
     shared = [f"shared-{i}" for i in range(n_shared)]
     only_a = [f"a-{i}" for i in range(n_a - n_shared)]
     only_b = [f"b-{i}" for i in range(n_b - n_shared)]
-    a = KMVSynopsis.from_keys(shared + only_a, k=k)
-    b = KMVSynopsis.from_keys(shared + only_b, k=k)
-    return a, b
+    return _sketch(shared + only_a, n), _sketch(shared + only_b, n)
 
 
 def test_incompatible_hashers_rejected():
-    a = KMVSynopsis.from_keys(["x"], k=4, hasher=KeyHasher(seed=1))
-    b = KMVSynopsis.from_keys(["x"], k=4, hasher=KeyHasher(seed=2))
+    a = _sketch(["x"], 4, hasher=KeyHasher(seed=1))
+    b = _sketch(["x"], 4, hasher=KeyHasher(seed=2))
     with pytest.raises(ValueError, match="hashing schemes"):
-        merge_synopses(a, b)
+        set_estimates(a, b)
 
 
 def test_exact_when_small():
-    a = KMVSynopsis.from_keys(["a", "b", "c"], k=64)
-    b = KMVSynopsis.from_keys(["b", "c", "d", "e"], k=64)
-    assert estimate_union(a, b) == 5.0
-    assert estimate_intersection(a, b) == 2.0
-    assert estimate_jaccard(a, b) == pytest.approx(2.0 / 5.0)
-    assert estimate_containment(a, b) == pytest.approx(2.0 / 3.0)
+    sets = set_estimates(_sketch(["a", "b", "c"], 64), _sketch(["b", "c", "d", "e"], 64))
+    assert sets.exact
+    assert sets.union == 5.0
+    assert sets.intersection == 2.0
+    assert sets.jaccard == pytest.approx(2.0 / 5.0)
+    assert sets.containment == pytest.approx(2.0 / 3.0)
 
 
 def test_union_estimate_large():
-    a, b = _synopses(20_000, 20_000, 10_000)
-    est = estimate_union(a, b)
+    est = set_estimates(*_sketches(20_000, 20_000, 10_000)).union
     true = 30_000
     assert abs(est - true) / true < 0.15
 
 
 def test_intersection_estimate_large():
-    a, b = _synopses(20_000, 20_000, 10_000)
-    est = estimate_intersection(a, b)
+    est = set_estimates(*_sketches(20_000, 20_000, 10_000)).intersection
     assert abs(est - 10_000) / 10_000 < 0.3
 
 
 def test_jaccard_estimate_large():
-    a, b = _synopses(15_000, 15_000, 5_000)
     true_j = 5_000 / 25_000
-    assert abs(estimate_jaccard(a, b) - true_j) < 0.1
+    assert abs(set_estimates(*_sketches(15_000, 15_000, 5_000)).jaccard - true_j) < 0.1
 
 
 def test_containment_estimate_large():
-    a, b = _synopses(10_000, 40_000, 8_000)
     true_c = 8_000 / 10_000
-    assert abs(estimate_containment(a, b) - true_c) < 0.2
+    est = set_estimates(*_sketches(10_000, 40_000, 8_000)).containment
+    assert abs(est - true_c) < 0.2
 
 
 def test_containment_clipped_to_unit_interval():
-    a, b = _synopses(5_000, 5_000, 5_000)
-    assert 0.0 <= estimate_containment(a, b) <= 1.0
+    assert 0.0 <= set_estimates(*_sketches(5_000, 5_000, 5_000)).containment <= 1.0
 
 
 def test_disjoint_sets():
-    a = KMVSynopsis.from_keys((f"a{i}" for i in range(5000)), k=128)
-    b = KMVSynopsis.from_keys((f"b{i}" for i in range(5000)), k=128)
-    assert estimate_intersection(a, b) == pytest.approx(0.0)
-    assert estimate_jaccard(a, b) == pytest.approx(0.0)
+    a = _sketch((f"a{i}" for i in range(5000)), 128)
+    b = _sketch((f"b{i}" for i in range(5000)), 128)
+    sets = set_estimates(a, b)
+    assert sets.intersection == pytest.approx(0.0)
+    assert sets.jaccard == pytest.approx(0.0)
 
 
 def test_empty_synopses():
-    a = KMVSynopsis(16)
-    b = KMVSynopsis(16)
-    assert estimate_union(a, b) == 0.0
-    assert estimate_intersection(a, b) == 0.0
-    assert estimate_jaccard(a, b) == 0.0
-    assert estimate_containment(a, b) == 0.0
+    sets = set_estimates(_sketch([], 16), _sketch([], 16))
+    assert sets.union == 0.0
+    assert sets.intersection == 0.0
+    assert sets.jaccard == 0.0
+    assert sets.containment == 0.0
 
 
 def test_join_size_equals_intersection():
-    a, b = _synopses(8_000, 8_000, 4_000)
-    assert estimate_join_size(a, b) == estimate_intersection(a, b)
+    a, b = _sketches(8_000, 8_000, 4_000)
+    assert estimate(a, b).join_size_est == set_estimates(a, b).intersection
 
 
 def test_merge_uses_min_k():
-    a = KMVSynopsis.from_keys((f"k{i}" for i in range(10_000)), k=64)
-    b = KMVSynopsis.from_keys((f"k{i}" for i in range(10_000)), k=256)
-    combined = merge_synopses(a, b)
-    assert combined.k == 64
+    a = _sketch((f"k{i}" for i in range(10_000)), 64)
+    b = _sketch((f"k{i}" for i in range(10_000)), 256)
+    assert set_estimates(a, b).k == 64
 
 
 def test_merge_intersection_count_identical_sets():
     keys = [f"k{i}" for i in range(10_000)]
-    a = KMVSynopsis.from_keys(keys, k=128)
-    b = KMVSynopsis.from_keys(keys, k=128)
-    combined = merge_synopses(a, b)
-    # Identical key sets: every combined hash appears in both synopses.
-    assert combined.intersection_count == combined.k
+    sets = set_estimates(_sketch(keys, 128), _sketch(keys, 128))
+    # Identical key sets: every combined hash appears in both sketches.
+    assert sets.k_inter == sets.k

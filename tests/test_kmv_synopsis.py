@@ -1,14 +1,10 @@
-"""Unit tests for the KMV synopsis and DV estimation."""
+"""Unit tests for the KMV synopsis oracle and DV estimation."""
 
 import pytest
 
+from kmv_synopsis_oracle import KMVSynopsis, basic_dv_estimate, unbiased_dv_variance
 from repro.hashing import KeyHasher
-from repro.kmv import KMVSynopsis
-from repro.kmv.estimators import (
-    basic_dv_estimate,
-    unbiased_dv_estimate,
-    unbiased_dv_variance,
-)
+from repro.kmv.estimators import unbiased_dv_estimate
 
 
 def test_invalid_k():

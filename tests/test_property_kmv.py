@@ -1,15 +1,11 @@
-"""Property-based tests for KMV synopses and set-operation estimates."""
+"""Property-based tests for the correlation sketch as a KMV synopsis and
+for its set-operation estimates (``set_estimates``)."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.kmv import (
-    KMVSynopsis,
-    estimate_containment,
-    estimate_intersection,
-    estimate_jaccard,
-    estimate_union,
-    merge_synopses,
-)
+from repro.core.estimation import set_estimates
+from repro.core.sketch import CorrelationSketch
 
 key_lists = st.lists(
     st.text(alphabet="abcdef012345", min_size=1, max_size=8),
@@ -18,29 +14,32 @@ key_lists = st.lists(
 )
 
 
+def _sketch(keys, n):
+    return CorrelationSketch.from_columns(keys, np.zeros(len(keys)), n)
+
+
 @given(keys=key_lists, k=st.integers(min_value=1, max_value=64))
 @settings(max_examples=60, deadline=None)
 def test_size_bounded_and_duplicates_collapse(keys, k):
-    syn = KMVSynopsis.from_keys(keys, k=k)
-    assert len(syn) <= k
-    assert len(syn) <= len(set(keys))
-    again = KMVSynopsis.from_keys(keys + keys, k=k)
-    assert again.key_hashes() == syn.key_hashes()
+    sketch = _sketch(keys, k)
+    assert len(sketch) <= k
+    assert len(sketch) <= len(set(keys))
+    again = _sketch(keys + keys, k)
+    assert again.key_hashes() == sketch.key_hashes()
 
 
 @given(keys=key_lists, k=st.integers(min_value=1, max_value=64))
 @settings(max_examples=60, deadline=None)
 def test_dv_estimate_exact_when_not_overflowed(keys, k):
-    syn = KMVSynopsis.from_keys(keys, k=k)
-    if syn.saw_all_keys:
-        assert syn.distinct_values() == len(set(keys))
+    sketch = _sketch(keys, k)
+    if sketch.saw_all_keys:
+        assert sketch.distinct_keys() == len(set(keys))
 
 
 @given(keys=key_lists)
 @settings(max_examples=60, deadline=None)
 def test_dv_estimate_positive_when_nonempty(keys):
-    syn = KMVSynopsis.from_keys(keys, k=16)
-    est = syn.distinct_values()
+    est = _sketch(keys, 16).distinct_keys()
     if keys:
         assert est > 0
     else:
@@ -50,36 +49,29 @@ def test_dv_estimate_positive_when_nonempty(keys):
 @given(a_keys=key_lists, b_keys=key_lists, k=st.integers(min_value=2, max_value=64))
 @settings(max_examples=60, deadline=None)
 def test_set_estimates_basic_sanity(a_keys, b_keys, k):
-    a = KMVSynopsis.from_keys(a_keys, k=k)
-    b = KMVSynopsis.from_keys(b_keys, k=k)
-    union = estimate_union(a, b)
-    inter = estimate_intersection(a, b)
-    jaccard = estimate_jaccard(a, b)
-    containment = estimate_containment(a, b)
-    assert union >= 0.0
-    assert inter >= 0.0
-    assert inter <= union + 1e-9
-    assert 0.0 <= jaccard <= 1.0
-    assert 0.0 <= containment <= 1.0
+    sets = set_estimates(_sketch(a_keys, k), _sketch(b_keys, k))
+    assert sets.union >= 0.0
+    assert sets.intersection >= 0.0
+    assert sets.intersection <= sets.union + 1e-9
+    assert 0.0 <= sets.jaccard <= 1.0
+    assert 0.0 <= sets.containment <= 1.0
 
 
 @given(keys=key_lists, k=st.integers(min_value=2, max_value=64))
 @settings(max_examples=60, deadline=None)
 def test_self_similarity_is_maximal(keys, k):
-    syn_a = KMVSynopsis.from_keys(keys, k=k)
-    syn_b = KMVSynopsis.from_keys(keys, k=k)
+    sets = set_estimates(_sketch(keys, k), _sketch(keys, k))
     if keys:
-        assert estimate_jaccard(syn_a, syn_b) == 1.0
-        assert estimate_containment(syn_a, syn_b) == 1.0
+        assert sets.jaccard == 1.0
+        assert sets.containment == 1.0
 
 
 @given(a_keys=key_lists, b_keys=key_lists, k=st.integers(min_value=2, max_value=32))
 @settings(max_examples=60, deadline=None)
 def test_merge_symmetry(a_keys, b_keys, k):
-    a = KMVSynopsis.from_keys(a_keys, k=k)
-    b = KMVSynopsis.from_keys(b_keys, k=k)
-    ab = merge_synopses(a, b)
-    ba = merge_synopses(b, a)
+    a, b = _sketch(a_keys, k), _sketch(b_keys, k)
+    ab, ba = set_estimates(a, b), set_estimates(b, a)
     assert ab.k == ba.k
     assert ab.kth_unit_value == ba.kth_unit_value
-    assert ab.intersection_count == ba.intersection_count
+    assert ab.k_inter == ba.k_inter
+    assert (ab.union, ab.intersection, ab.jaccard) == (ba.union, ba.intersection, ba.jaccard)
