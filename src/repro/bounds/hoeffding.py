@@ -52,6 +52,25 @@ def hoeffding_radii(n: int, value_range: float, alpha: float) -> tuple[float, fl
     return t, t_prime
 
 
+def _shifted_moments(
+    x: np.ndarray, y: np.ndarray, c_low: float, c: float
+) -> dict[str, float] | None:
+    """The five parameters of both columns shifted into ``[0, C]``.
+
+    None when ``C²`` or a moment is not a finite float64 — values of
+    magnitude around 1.3e154 and beyond. The second moments' domain
+    ``[0, C²]`` is then unrepresentable, and both intervals fall back to
+    the vacuous one rather than overflow.
+    """
+    if not math.isfinite(c * c):
+        return None
+    with np.errstate(over="ignore"):
+        moments = pearson_moments(x - c_low, y - c_low)
+    if not all(math.isfinite(v) for v in moments.values()):
+        return None
+    return moments
+
+
 def _clamp(center: float, radius: float, lo: float, hi: float) -> tuple[float, float]:
     """Intersect ``[center − radius, center + radius]`` with ``[lo, hi]``."""
     return max(lo, center - radius), min(hi, center + radius)
@@ -111,7 +130,9 @@ def hoeffding_interval(
         # Both columns constant: correlation undefined; vacuous interval.
         return ConfidenceInterval(-1.0, 1.0, alpha, "hoeffding")
 
-    moments = pearson_moments(x - c_low, y - c_low)
+    moments = _shifted_moments(x, y, c_low, c)
+    if moments is None:
+        return ConfidenceInterval(-1.0, 1.0, alpha, "hoeffding")
     t, t_prime = hoeffding_radii(n, c, alpha)
 
     # The shifted columns live in [0, C], so every population parameter is
@@ -172,9 +193,9 @@ def hfd_interval(
     if c == 0.0:
         return ConfidenceInterval(-1.0, 1.0, math.nan, "hfd")
 
-    a = x - c_low
-    b = y - c_low
-    moments = pearson_moments(a, b)
+    moments = _shifted_moments(x, y, c_low, c)
+    if moments is None:
+        return ConfidenceInterval(-1.0, 1.0, math.nan, "hfd")
     t, t_prime = hoeffding_radii(n, c, alpha)
 
     # Same domain clamping as hoeffding_interval (see comment there).

@@ -102,55 +102,26 @@ class JoinedSamplePage(Sequence):
     y_ranges: np.ndarray
 
     @classmethod
-    def from_samples(cls, samples: Sequence[JoinedSample]) -> "JoinedSamplePage":
-        """Lower a plain sample list to the CSR form."""
-        if isinstance(samples, cls):
-            return samples
-        count = len(samples)
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(
-            np.asarray([s.size for s in samples], dtype=np.int64),
-            out=indptr[1:],
-        )
+    def concat(cls, pages: Sequence["JoinedSamplePage"]) -> "JoinedSamplePage":
+        """The pages' samples back to back (one page is returned as is)."""
+        if len(pages) == 1:
+            return pages[0]
+        offsets = np.cumsum([0] + [page.indptr[-1] for page in pages[:-1]])
 
-        def column(name: str, dtype) -> np.ndarray:
-            if not count:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate([getattr(s, name) for s in samples])
-
-        def ranges(name: str) -> np.ndarray:
-            return np.asarray(
-                [getattr(s, name) for s in samples], dtype=np.float64
-            ).reshape(count, 2)
+        def column(name: str, dtype, shape=(0,)) -> np.ndarray:
+            parts = [np.empty(shape, dtype=dtype)]
+            return np.concatenate(parts + [getattr(page, name) for page in pages])
 
         return cls(
             key_hashes=column("key_hashes", np.uint64),
             x=column("x", np.float64),
             y=column("y", np.float64),
-            indptr=indptr,
-            x_ranges=ranges("x_range"),
-            y_ranges=ranges("y_range"),
-        )
-
-    @classmethod
-    def concat(cls, pages: Sequence["JoinedSamplePage"]) -> "JoinedSamplePage":
-        """The pages' samples back to back (one page is returned as is)."""
-        if len(pages) == 1:
-            return pages[0]
-        if not pages:
-            return cls.from_samples([])
-        ends = np.cumsum([page.indptr[-1] for page in pages])
-        indptr = np.concatenate(
-            [pages[0].indptr]
-            + [page.indptr[1:] + end for page, end in zip(pages[1:], ends)]
-        )
-        return cls(
-            key_hashes=np.concatenate([page.key_hashes for page in pages]),
-            x=np.concatenate([page.x for page in pages]),
-            y=np.concatenate([page.y for page in pages]),
-            indptr=indptr,
-            x_ranges=np.concatenate([page.x_ranges for page in pages]),
-            y_ranges=np.concatenate([page.y_ranges for page in pages]),
+            indptr=np.concatenate(
+                [np.zeros(1, dtype=np.int64)]
+                + [page.indptr[1:] + end for page, end in zip(pages, offsets)]
+            ),
+            x_ranges=column("x_ranges", np.float64, (0, 2)),
+            y_ranges=column("y_ranges", np.float64, (0, 2)),
         )
 
     def take(self, rows: np.ndarray) -> "JoinedSamplePage":

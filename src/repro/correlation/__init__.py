@@ -12,7 +12,6 @@ from repro.correlation.bootstrap import (
     BootstrapResult,
     pm1_bootstrap,
     pm1_interval,
-    pm1_interval_batch,
     pm1_interval_page,
 )
 from repro.correlation.estimators import (
@@ -51,7 +50,6 @@ __all__ = [
     "pearson_moments",
     "pm1_bootstrap",
     "pm1_interval",
-    "pm1_interval_batch",
     "pm1_interval_page",
     "population_reference",
     "qn_correlation",

@@ -26,11 +26,11 @@ Two execution strategies share these semantics:
   replicates — the reference implementation and the ``rng_mode="compat"``
   contract of the query engine (bit-reproducible rng stream);
 * the **cross-candidate batch engine** (:func:`pm1_interval_page` over a
-  CSR page of samples; :func:`pm1_interval_batch` is its list-shaped
-  entry) resamples *all* candidates of a ranked list together: each stopping
-  round draws one shared uniform matrix, scales it into per-candidate
-  index draws, and evaluates the active candidates' replicates in
-  size-ordered, cache-sized ``(C_chunk, B, n_chunk)`` tensor chunks,
+  CSR page of samples) resamples *all* candidates of a ranked list
+  together: each stopping round draws one shared uniform matrix, scales
+  it into per-candidate index draws, and evaluates the active
+  candidates' replicates in size-ordered, cache-sized
+  ``(C_chunk, B, n_chunk)`` tensor chunks,
   each padded only to its own widest row. Replicates land in one
   ``(C, 599)`` pool; adaptive stopping (the paper's 0.01 / 0.05% rule,
   applied per candidate) deactivates converged rows between rounds, so
@@ -237,65 +237,6 @@ def pm1_interval(
 #: 24 Ki 3.2, 32 Ki 3.1, 48 Ki 3.1, 64 Ki 3.3, 128 Ki 3.7, 256 Ki 4.3 —
 #: below, per-chunk call overhead takes over; above, the chunk leaves L2.
 _CHUNK_CELLS = 1 << 15
-
-
-def pm1_interval_batch(
-    xs: Sequence[np.ndarray],
-    ys: Sequence[np.ndarray],
-    rng: np.random.Generator | None = None,
-    *,
-    active: Sequence[bool] | None = None,
-    round_replicates: int = BATCH_ROUND_REPLICATES,
-    max_replicates: int = PM1_REPLICATES,
-) -> list[BootstrapResult]:
-    """PM1 bootstrap intervals for a whole candidate list in one engine run.
-
-    The list-shaped face of :func:`pm1_interval_page`: the samples are
-    laid back to back (CSR) and resampled by that one engine, so both
-    entries return identical statistics for identical samples and rng.
-
-    Args:
-        xs, ys: per-candidate paired samples (1-D float arrays).
-        rng: shared generator; a fixed-seed default is used when None so
-            identical calls reproduce identical results.
-        active: optional per-candidate eligibility mask. Ineligible
-            candidates (and, when None, candidates with fewer than 2 pairs
-            or an undefined Pearson correlation — the scalar path's guard)
-            get the NaN :class:`BootstrapResult`.
-        round_replicates, max_replicates: as in :func:`pm1_interval_page`.
-    """
-    count = len(xs)
-    if len(ys) != count:
-        raise ValueError(f"{count} x samples but {len(ys)} y samples")
-    if active is None:
-        active = [
-            xs[i].shape[0] >= 2 and not math.isnan(pearson(xs[i], ys[i]))
-            for i in range(count)
-        ]
-    elif len(active) != count:
-        raise ValueError(f"{count} samples but {len(active)} active flags")
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(
-        np.asarray([x.shape[0] for x in xs], dtype=np.int64), out=indptr[1:]
-    )
-    empty = [np.empty(0, dtype=np.float64)]
-    estimate, low, high, replicates = pm1_interval_page(
-        np.concatenate(empty + [np.asarray(x, dtype=np.float64) for x in xs]),
-        np.concatenate(empty + [np.asarray(y, dtype=np.float64) for y in ys]),
-        indptr,
-        active,
-        rng,
-        round_replicates=round_replicates,
-        max_replicates=max_replicates,
-    )
-    return [
-        BootstrapResult(math.nan, math.nan, math.nan, b)
-        if math.isnan(est)
-        else BootstrapResult(est, lo, hi, b)
-        for est, lo, hi, b in zip(
-            estimate.tolist(), low.tolist(), high.tolist(), replicates.tolist()
-        )
-    ]
 
 
 def pm1_interval_page(

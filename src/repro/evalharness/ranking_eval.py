@@ -25,7 +25,7 @@ from repro.index.catalog import SketchCatalog
 from repro.index.engine import CandidatePage
 from repro.ranking.metrics import average_precision, ndcg_at
 from repro.ranking.ranker import rank_candidates, relevance_flags, relevance_gains
-from repro.ranking.scoring import CandidateScores, candidate_scores
+from repro.ranking.scoring import ScoreColumns, candidate_scores_batch
 from repro.table.join import jaccard_containment, join_tables, true_correlation
 from repro.correlation.pearson import pearson
 
@@ -36,7 +36,7 @@ class QueryEvaluation:
 
     query_id: str
     candidate_ids: list[str]
-    stats: list[CandidateScores]
+    stats: ScoreColumns
     truths: list[float]
 
 
@@ -90,7 +90,10 @@ def evaluate_query(
 ) -> QueryEvaluation:
     """Retrieve and fully evaluate all joinable candidates for one query.
 
-    Candidate statistics come from sketches; ground-truth correlation and
+    Candidate statistics come from sketches, scored the way a query is
+    served: one :func:`candidate_scores_batch` pass over the assembled
+    :class:`CandidatePage` (PM1 bootstrap under ``rng_mode="compat"``,
+    one ``rng`` stream in candidate order). Ground-truth correlation and
     exact containment come from complete-data joins.
     """
     if rng is None:
@@ -106,33 +109,35 @@ def evaluate_query(
         hit for hit in hits if by_id[hit[0]].table.name != query_ref.table.name
     ]
     page = CandidatePage.assemble(catalog, query_sketch.columnar(), hits)
-    containments = page.containments(query_sketch.distinct_keys()).tolist()
     query_keys = list(query_ref.table.categorical(query_ref.pair.key).values)
 
-    ids: list[str] = []
-    stats: list[CandidateScores] = []
+    containment_trues: list[float] = []
     truths: list[float] = []
-    for sid, sample, containment_est in zip(page.ids, page.samples, containments):
+    for sid in page.ids:
         cand_ref = by_id[sid]
-        containment_true = jaccard_containment(
-            query_keys, list(cand_ref.table.categorical(cand_ref.pair.key).values)
-        )
-        stat = candidate_scores(
-            sample,
-            containment_est=containment_est,
-            containment_true=containment_true,
-            rng=rng,
+        containment_trues.append(
+            jaccard_containment(
+                query_keys,
+                list(cand_ref.table.categorical(cand_ref.pair.key).values),
+            )
         )
         join = join_tables(
             query_ref.table, query_ref.pair, cand_ref.table, cand_ref.pair,
             aggregate=aggregate,
         )
-        truth = true_correlation(join, pearson)
-        ids.append(sid)
-        stats.append(stat)
-        truths.append(truth)
+        truths.append(true_correlation(join, pearson))
+    stats = candidate_scores_batch(
+        page.samples,
+        containment_ests=page.containments(query_sketch.distinct_keys()),
+        containment_trues=containment_trues,
+        rng=rng,
+        rng_mode="compat",
+    )
     return QueryEvaluation(
-        query_id=query_ref.pair_id, candidate_ids=ids, stats=stats, truths=truths
+        query_id=query_ref.pair_id,
+        candidate_ids=list(page.ids),
+        stats=stats,
+        truths=truths,
     )
 
 

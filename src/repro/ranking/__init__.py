@@ -25,12 +25,8 @@ from repro.ranking.scoring import (
     CandidateScores,
     ScoreColumns,
     apply_bootstrap,
-    candidate_scores,
     candidate_scores_batch,
-    cib_factor,
-    cih_factors,
     score_candidates,
-    sez_factor,
 )
 
 __all__ = [
@@ -41,10 +37,7 @@ __all__ = [
     "ScoreColumns",
     "apply_bootstrap",
     "average_precision",
-    "candidate_scores",
     "candidate_scores_batch",
-    "cib_factor",
-    "cih_factors",
     "dcg_at",
     "mean_average_precision",
     "mean_ndcg_at",
@@ -54,5 +47,4 @@ __all__ = [
     "relevance_flags",
     "relevance_gains",
     "score_candidates",
-    "sez_factor",
 ]

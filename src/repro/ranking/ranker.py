@@ -10,7 +10,6 @@ evaluation metrics, and produce the relevance sequences
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,7 @@ class RankedCandidate:
 
 def rank_candidates(
     candidate_ids: list[str],
-    stats: Sequence[CandidateScores],
+    stats: ScoreColumns,
     scorer: str,
     *,
     true_correlations: list[float] | None = None,
@@ -94,14 +93,9 @@ def rank_candidates(
         range(len(candidate_ids)), key=lambda i: (-scores[i], candidate_ids[i])
     )
     top = order[:k]
-    records = (
-        stats.records(top)
-        if isinstance(stats, ScoreColumns)
-        else [stats[i] for i in top]
-    )
     return [
         RankedCandidate(candidate_ids[i], scores[i], record, true_correlations[i])
-        for i, record in zip(top, records)
+        for i, record in zip(top, stats.records(top))
     ]
 
 

@@ -53,18 +53,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.bounds.hoeffding import hfd_interval
 from repro.correlation.bootstrap import pm1_interval, pm1_interval_page
-from repro.correlation.fisher import clamped_fisher_se
-from repro.correlation.pearson import pearson
-from repro.core.joined_sample import JoinedSample, JoinedSamplePage
+from repro.core.joined_sample import JoinedSamplePage
 
 SCORER_NAMES = ("rp", "rp_sez", "rb_cib", "rp_cih", "jc", "jc_est", "random")
 
-#: How batched scoring runs the PM1 bootstrap across a candidate list:
+#: How scoring runs the PM1 bootstrap across a candidate page:
 #: ``"batched"`` (default) drives all candidates through the
 #: cross-candidate engine (:func:`repro.correlation.bootstrap
-#: .pm1_interval_batch` — shared draws per stopping round, adaptive
+#: .pm1_interval_page` — shared draws per stopping round, adaptive
 #: early stopping, one masked tensor pass); ``"compat"`` reproduces the
 #: per-candidate rng stream bit-for-bit (one 599-replicate
 #: :func:`~repro.correlation.bootstrap.pm1_interval` per candidate, in
@@ -81,7 +78,9 @@ def _check_rng_mode(rng_mode: str) -> None:
 
 @dataclass(frozen=True)
 class CandidateScores:
-    """Per-candidate statistics every scoring function draws from.
+    """One candidate's scoring statistics: the record a ranked entry
+    carries (``RankedCandidate.stats``). Scoring reads
+    :class:`ScoreColumns`.
 
     Attributes:
         r_pearson: Pearson estimate from the sketch join (NaN-safe).
@@ -208,101 +207,8 @@ def unjson_float(value: float | str | None) -> float:
     return float(value)
 
 
-def _abs_or_zero(r: float) -> float:
-    return 0.0 if math.isnan(r) else abs(r)
-
-
-def sez_factor(sample_size: int) -> float:
-    """``1 − 1/sqrt(max(4, n) − 3)`` — in [0, 1), 0 at n ≤ 4."""
-    return 1.0 - clamped_fisher_se(sample_size)
-
-
-def cib_factor(ci_low: float, ci_high: float) -> float:
-    """``1 − (ρ^high − ρ^low)/2`` from the PM1 interval, floored at 0."""
-    if math.isnan(ci_low) or math.isnan(ci_high):
-        return 0.0
-    return max(0.0, 1.0 - (ci_high - ci_low) / 2.0)
-
-
-def cih_factors(ci_lengths: list[float]) -> list[float]:
-    """Min-max normalize HFD CI lengths over a ranked list (the ``cih``).
-
-    Candidates with NaN lengths receive factor 0 (maximum risk). When all
-    finite lengths are equal the normalization is degenerate; every finite
-    candidate then gets factor 1 (no discrimination, no penalty).
-    """
-    finite = [c for c in ci_lengths if not math.isnan(c)]
-    if not finite:
-        return [0.0 for _ in ci_lengths]
-    lo, hi = min(finite), max(finite)
-    span = hi - lo
-    out = []
-    for c in ci_lengths:
-        if math.isnan(c):
-            out.append(0.0)
-        elif span <= 0:
-            out.append(1.0)
-        else:
-            out.append(1.0 - (c - lo) / span)
-    return out
-
-
-def candidate_scores(
-    sample: JoinedSample,
-    *,
-    containment_est: float = 0.0,
-    containment_true: float = math.nan,
-    alpha: float = 0.05,
-    rng: np.random.Generator | None = None,
-    with_bootstrap: bool = True,
-) -> CandidateScores:
-    """Compute all per-candidate scoring statistics from a sketch join.
-
-    Args:
-        sample: NaN-filtered joined sample from ``join_sketches(...)``.
-        containment_est: sketch-based containment estimate (``ĵc``).
-        containment_true: exact containment when available (``jc``).
-        alpha: miscoverage level for the HFD interval.
-        rng: generator for the PM1 bootstrap (seeded per-sample if None).
-        with_bootstrap: the PM1 bootstrap is by far the most expensive
-            statistic (hundreds of resamples); pass False when the scoring
-            function in use does not need ``r_b``/``cib`` — this is what
-            keeps query latency interactive (Section 5.5, and the paper's
-            point that Hoeffding CIs deliver bootstrap-quality rankings at
-            a fraction of the cost).
-    """
-    r_p = pearson(sample.x, sample.y)
-    n = sample.size
-
-    if rng is None:
-        rng = np.random.default_rng(n * 2_654_435_761 % (2**32) + 17)
-
-    if with_bootstrap and n >= 2 and not math.isnan(r_p):
-        boot = pm1_interval(sample.x, sample.y, rng=rng)
-        r_b = boot.estimate
-        cib = cib_factor(boot.low, boot.high)
-    else:
-        r_b = math.nan
-        cib = 0.0
-
-    c_low, c_high = sample.combined_range()
-    hfd = hfd_interval(sample.x, sample.y, c_low, c_high, alpha)
-    hfd_len = hfd.length if not math.isnan(hfd.length) else math.nan
-
-    return CandidateScores(
-        r_pearson=r_p,
-        r_bootstrap=r_b,
-        sample_size=n,
-        sez_factor=sez_factor(n),
-        cib_factor=cib,
-        hfd_ci_length=hfd_len,
-        containment_est=containment_est,
-        containment_true=containment_true,
-    )
-
-
 def candidate_scores_batch(
-    samples: Sequence[JoinedSample],
+    page: JoinedSamplePage,
     *,
     containment_ests: Sequence[float] | None = None,
     containment_trues: Sequence[float] | None = None,
@@ -311,38 +217,33 @@ def candidate_scores_batch(
     with_bootstrap: bool = True,
     rng_mode: str = "batched",
 ) -> ScoreColumns:
-    """Batched :func:`candidate_scores` over a whole candidate list.
+    """Every scoring statistic of a candidate page, as columns.
 
     The query pipeline's scoring stage: Pearson, Fisher-z SE and
     Hoeffding-CI statistics for *all* candidates are computed from the
-    page-level sample arrays with segment reductions
-    (``np.add.reduceat``), replacing one Python/NumPy round-trip per
-    candidate with a fixed number of whole-list array passes. A
-    :class:`~repro.core.joined_sample.JoinedSamplePage` is read as is; a
-    plain sample list is lowered to that CSR form at entry. Ragged
-    sample lengths are handled by segment offsets; empty samples get the
-    same degenerate statistics as the scalar path (NaN Pearson, vacuous
-    ``[-1, 1]`` Hoeffding interval).
+    page's CSR sample arrays with segment reductions
+    (``np.add.reduceat``) — a fixed number of whole-page array passes, no
+    per-candidate Python. Ragged sample lengths are handled by segment
+    offsets; an empty sample gets NaN Pearson and the vacuous ``[-1, 1]``
+    Hoeffding interval (length 2).
 
     The PM1 bootstrap — when ``with_bootstrap`` — follows ``rng_mode``
     (see :func:`apply_bootstrap`).
 
-    The reduceat-based moment statistics differ from the scalar
-    per-candidate reductions only in float summation order (a few ulps);
-    the parity suite pins rankings to be identical and these statistics
-    to agree within that rounding.
-
     Args:
-        samples: NaN-filtered joined samples, one per candidate.
+        page: the NaN-filtered joined samples, one per candidate
+            (``CandidatePage.samples``).
         containment_ests: per-candidate ``ĵc`` estimates (default 0.0).
         containment_trues: per-candidate exact containments (default NaN).
         alpha: miscoverage level for the HFD interval.
         rng: generator for the PM1 bootstrap. When None, ``"compat"``
-            falls back to the scalar path's per-sample seeded defaults
-            and ``"batched"`` to the batch engine's fixed-seed default —
-            both deterministic.
-        with_bootstrap: compute ``r_b``/``cib`` (expensive; see
-            :func:`candidate_scores`).
+            falls back to per-sample seeded defaults and ``"batched"`` to
+            the batch engine's fixed-seed default — both deterministic.
+        with_bootstrap: compute ``r_b``/``cib``. The PM1 bootstrap is by
+            far the most expensive statistic (hundreds of resamples);
+            pass False when the scorer in use does not read it — this is
+            what keeps query latency interactive (§5.5: Hoeffding CIs
+            give bootstrap-quality rankings at a fraction of the cost).
         rng_mode: bootstrap execution contract (see :data:`RNG_MODES`).
 
     Returns:
@@ -352,7 +253,6 @@ def candidate_scores_batch(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     _check_rng_mode(rng_mode)
-    page = JoinedSamplePage.from_samples(samples)
     count = len(page)
     if containment_ests is None:
         containment_ests = np.zeros(count)
@@ -466,8 +366,8 @@ def apply_bootstrap(
     """Write the PM1 bootstrap columns of ``scores`` in place.
 
     Fills ``r_bootstrap`` / ``cib_factor`` for every eligible candidate
-    (at least 2 pairs and a defined Pearson estimate — the scalar path's
-    guard); the others keep NaN / 0. ``rng_mode`` selects the contract:
+    (at least 2 pairs and a defined Pearson estimate); the others keep
+    NaN / 0. ``rng_mode`` selects the contract:
 
     * ``"batched"`` (default): all eligible candidates are resampled
       together by the cross-candidate engine
@@ -477,8 +377,9 @@ def apply_bootstrap(
       per-candidate path and deterministic per ``rng``, but a different
       rng stream; the parity suite pins identical *rankings*.
     * ``"compat"``: one per-candidate :func:`pm1_interval` call in list
-      order, consuming ``rng`` draws exactly as the scalar path does, so
-      ``r_b``/``cib`` are bit-identical to pre-batch-engine behavior.
+      order, consuming ``rng`` draws exactly as a per-candidate scoring
+      loop does, so ``r_b``/``cib`` are bit-identical to
+      pre-batch-engine behavior.
     """
     _check_rng_mode(rng_mode)
     eligible = (scores.sample_size >= 2) & ~np.isnan(scores.r_pearson)
@@ -502,59 +403,67 @@ def apply_bootstrap(
                 samples.x[start:end], samples.y[start:end], rng=sample_rng
             )
             estimate[i], low[i], high[i] = boot.estimate, boot.low, boot.high
-    # cib_factor(), columnwise: no interval -> 0, else 1 - length/2 >= 0.
+    # The cib factor: no interval -> 0, else 1 - length/2 floored at 0.
     with np.errstate(invalid="ignore"):
         cib = np.maximum(0.0, 1.0 - (high - low) / 2.0)
     scores.r_bootstrap[:] = estimate
     scores.cib_factor[:] = np.where(np.isnan(low) | np.isnan(high), 0.0, cib)
 
 
+def _cih_factors(lengths: np.ndarray) -> np.ndarray:
+    """The ``cih`` factor: HFD CI lengths min-max normalized over the list.
+
+    A NaN length gets factor 0 (maximum risk). When every non-NaN length
+    is equal the normalization is degenerate and each of them gets 1 (no
+    discrimination, no penalty).
+    """
+    known = ~np.isnan(lengths)
+    if not known.any():
+        return np.zeros(lengths.shape)
+    lo, hi = lengths[known].min(), lengths[known].max()
+    span = hi - lo
+    factors = np.ones(lengths.shape) if span <= 0 else 1.0 - (lengths - lo) / span
+    return np.where(known, factors, 0.0)
+
+
 def score_candidates(
-    scores: Sequence[CandidateScores],
+    scores: ScoreColumns,
     scorer: str,
     rng: np.random.Generator | None = None,
 ) -> list[float]:
     """Apply one named scoring function to a whole candidate list.
 
     ``cih`` needs the full list for normalization and ``random`` needs a
-    generator, so scoring is list-at-a-time. :class:`ScoreColumns` are
-    read by column, a plain record list field by field — the arithmetic
-    is the same Python-float code either way.
+    generator, so scoring is list-at-a-time: column arithmetic over
+    ``scores``, where a NaN estimate contributes ``|r̂| = 0``.
 
     Raises:
         ValueError: for unknown scorer names (see :data:`SCORER_NAMES`).
     """
-    if isinstance(scores, ScoreColumns):
 
-        def column(name: str) -> list:
-            return getattr(scores, name).tolist()
+    def magnitude(r: np.ndarray) -> np.ndarray:
+        return np.where(np.isnan(r), 0.0, np.abs(r))
 
-    else:
-
-        def column(name: str) -> list:
-            return [getattr(s, name) for s in scores]
-
-    if scorer == "rp":
-        return [_abs_or_zero(r) for r in column("r_pearson")]
-    if scorer == "rp_sez":
-        return [
-            _abs_or_zero(r) * f
-            for r, f in zip(column("r_pearson"), column("sez_factor"))
-        ]
-    if scorer == "rb_cib":
-        return [
-            _abs_or_zero(r) * f
-            for r, f in zip(column("r_bootstrap"), column("cib_factor"))
-        ]
-    if scorer == "rp_cih":
-        cih = cih_factors(column("hfd_ci_length"))
-        return [_abs_or_zero(r) * f for r, f in zip(column("r_pearson"), cih)]
-    if scorer == "jc":
-        return [0.0 if math.isnan(c) else c for c in column("containment_true")]
-    if scorer == "jc_est":
-        return column("containment_est")
-    if scorer == "random":
-        if rng is None:
-            rng = np.random.default_rng()
-        return list(rng.uniform(0.0, 1.0, size=len(scores)))
-    raise ValueError(f"unknown scorer {scorer!r}; expected one of {SCORER_NAMES}")
+    with np.errstate(invalid="ignore"):
+        if scorer == "rp":
+            values = magnitude(scores.r_pearson)
+        elif scorer == "rp_sez":
+            values = magnitude(scores.r_pearson) * scores.sez_factor
+        elif scorer == "rb_cib":
+            values = magnitude(scores.r_bootstrap) * scores.cib_factor
+        elif scorer == "rp_cih":
+            values = magnitude(scores.r_pearson) * _cih_factors(scores.hfd_ci_length)
+        elif scorer == "jc":
+            truth = scores.containment_true
+            values = np.where(np.isnan(truth), 0.0, truth)
+        elif scorer == "jc_est":
+            values = scores.containment_est
+        elif scorer == "random":
+            if rng is None:
+                rng = np.random.default_rng()
+            values = rng.uniform(0.0, 1.0, size=len(scores))
+        else:
+            raise ValueError(
+                f"unknown scorer {scorer!r}; expected one of {SCORER_NAMES}"
+            )
+    return values.tolist()

@@ -87,6 +87,25 @@ class TestHoeffdingInterval:
         ci = hoeffding_interval(np.ones(5), np.ones(5), 1.0, 1.0)
         assert (ci.low, ci.high) == (-1.0, 1.0)
 
+    @pytest.mark.parametrize("scale", [1.4e154, 1e155, 1e300])
+    def test_vacuous_when_range_squared_overflows(self, scale):
+        """C² (the second moments' domain) beyond float64: the vacuous
+        interval, not an OverflowError."""
+        x, y = _population(n=100)
+        x, y = x * scale, y * scale
+        lo, hi = float(min(x.min(), y.min())), float(max(x.max(), y.max()))
+        for interval in (hoeffding_interval, hfd_interval):
+            ci = interval(x, y, lo, hi)
+            assert (ci.low, ci.high) == (-1.0, 1.0), interval.__name__
+
+    def test_below_overflow_not_vacuous(self):
+        x, y = _population(n=2000, rho=0.9)
+        x, y = x * 1e150, y * 1e150
+        lo, hi = float(min(x.min(), y.min())), float(max(x.max(), y.max()))
+        ci = hfd_interval(x, y, lo, hi)
+        assert ci.low <= pearson(x, y) <= ci.high
+        assert (ci.low, ci.high) != (-1.0, 1.0)
+
     def test_clipped_to_correlation_space(self):
         x, y = _population(n=100)
         ci = hoeffding_interval(x[:50], y[:50], -4.0, 4.0)

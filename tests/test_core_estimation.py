@@ -53,6 +53,22 @@ def test_hoeffding_interval_is_interval():
     assert result.hoeffding.high <= 1.0
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+def test_estimate_on_huge_finite_values_does_not_overflow(scale):
+    """Values whose range squared overflows float64 get the vacuous
+    Hoeffding/HFD intervals, and every field stays strict-JSON encodable."""
+    rng = np.random.default_rng(3)
+    keys = [f"k{i}" for i in range(400)]
+    x = rng.standard_normal(400)
+    y = 0.8 * x + 0.6 * rng.standard_normal(400)
+    left = CorrelationSketch.from_columns(keys, x * scale, 64)
+    right = CorrelationSketch.from_columns(keys, y * scale, 64, hasher=left.hasher)
+    result = estimate(left, right)
+    assert result.sample_size == 64
+    assert (result.hoeffding.low, result.hoeffding.high) == (-1.0, 1.0)
+    assert (result.hfd.low, result.hfd.high) == (-1.0, 1.0)
+
+
 def test_hfd_interval_contains_estimate():
     left, right = _correlated_sketches()
     result = estimate(left, right)

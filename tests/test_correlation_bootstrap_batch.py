@@ -4,10 +4,13 @@ Three contracts are pinned here:
 
 1. **Compat bit-parity** — ``rng_mode="compat"`` must reproduce the
    pre-batch-engine per-candidate bootstrap stream bit-for-bit (the
-   scalar :func:`candidate_scores` loop over :func:`pm1_interval`).
+   scalar :func:`candidate_scores` loop over :func:`pm1_interval`; both
+   the loop and the list-shaped :func:`pm1_interval_batch` entry live in
+   ``tests/scalar_query_oracle.py``).
 2. **Batched statistical equivalence** — :func:`pm1_interval_batch`
-   must agree with the per-candidate path to within bootstrap noise,
-   honor the adaptive stopping rule, and be deterministic per rng.
+   (a sample list through the page engine) must agree with the
+   per-candidate path to within bootstrap noise, honor the adaptive
+   stopping rule, and be deterministic per rng.
 3. **Ranking equivalence** — on candidates with separated correlations,
    ``rng_mode="batched"`` must produce the identical ranking to
    ``rng_mode="compat"`` for every scorer in ``SCORER_NAMES``, with
@@ -20,23 +23,20 @@ import math
 import numpy as np
 import pytest
 
-from repro.correlation.bootstrap import (
-    PM1_REPLICATES,
-    pm1_interval,
-    pm1_interval_batch,
-)
+from repro.correlation.bootstrap import PM1_REPLICATES, pm1_interval
 from repro.core.joined_sample import join_sketches
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import JoinCorrelationEngine
-from repro.ranking.scoring import (
-    SCORER_NAMES,
-    candidate_scores,
-    candidate_scores_batch,
-)
+from repro.ranking.scoring import SCORER_NAMES, candidate_scores_batch
 from repro.table.table import table_from_arrays
 
-from scalar_query_oracle import scalar_query
+from scalar_query_oracle import (
+    candidate_scores,
+    page_of,
+    pm1_interval_batch,
+    scalar_query,
+)
 
 
 def _correlated_samples(rng, count, *, n_lo=50, n_hi=800):
@@ -180,7 +180,7 @@ def test_compat_mode_bit_identical_to_scalar_bootstrap():
     rng_b = np.random.default_rng(42)
     scalar = [candidate_scores(s, rng=rng_a, with_bootstrap=True) for s in samples]
     compat = candidate_scores_batch(
-        samples, rng=rng_b, with_bootstrap=True, rng_mode="compat"
+        page_of(samples), rng=rng_b, with_bootstrap=True, rng_mode="compat"
     )
     for a, b in zip(scalar, compat):
         assert a.r_bootstrap == b.r_bootstrap or (
@@ -191,7 +191,9 @@ def test_compat_mode_bit_identical_to_scalar_bootstrap():
 
 def test_compat_mode_without_rng_uses_per_sample_seeds():
     samples = _joined_samples(1, count=4)
-    a = candidate_scores_batch(samples, with_bootstrap=True, rng_mode="compat")
+    a = candidate_scores_batch(
+        page_of(samples), with_bootstrap=True, rng_mode="compat"
+    )
     b = [candidate_scores(s, with_bootstrap=True) for s in samples]
     for got, ref in zip(a, b):
         assert got.r_bootstrap == ref.r_bootstrap or (
@@ -201,7 +203,7 @@ def test_compat_mode_without_rng_uses_per_sample_seeds():
 
 
 def test_batched_mode_close_to_compat_statistics():
-    samples = _joined_samples(2)
+    samples = page_of(_joined_samples(2))
     compat = candidate_scores_batch(
         samples, rng=np.random.default_rng(1), with_bootstrap=True, rng_mode="compat"
     )
@@ -221,7 +223,7 @@ def test_batched_mode_close_to_compat_statistics():
 
 def test_unknown_rng_mode_rejected():
     with pytest.raises(ValueError, match="rng_mode"):
-        candidate_scores_batch([], rng_mode="magic")
+        candidate_scores_batch(page_of([]), rng_mode="magic")
     catalog = SketchCatalog(sketch_size=8)
     with pytest.raises(ValueError, match="rng_mode"):
         JoinCorrelationEngine(catalog, rng_mode="magic")

@@ -1,16 +1,22 @@
 """Unit + integration tests for the ranking evaluation harness (Table 1)."""
 
 import math
+import struct
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.data.opendata import make_nyc_like_collection
 from repro.data.workloads import collection_column_pairs
 from repro.evalharness.ranking_eval import (
     build_catalog,
+    evaluate_query,
     evaluate_ranking,
     score_histogram,
 )
+from repro.index.engine import CandidatePage, retrieve_candidates
+from repro.ranking.scoring import ScoreColumns, candidate_scores_batch
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +69,55 @@ def test_correlation_scorers_beat_jc_baseline(small_report):
     """The paper's headline: correlation-aware rankers >> containment."""
     assert small_report.ndcg_10["rp"] > small_report.ndcg_10["jc"]
     assert small_report.ndcg_10["rp_cih"] > small_report.ndcg_10["jc"]
+
+
+def test_evaluate_query_grades_the_served_page():
+    """Table 1 grades what is served: a query's statistics are the served
+    candidate page run through ``candidate_scores_batch`` (PM1 bootstrap
+    under ``rng_mode="compat"``), column for column and bit for bit."""
+    collection = make_nyc_like_collection(n_tables=25, seed=11, key_universe=250)
+    refs = collection_column_pairs(collection)
+    catalog, by_id = build_catalog(refs, sketch_size=128)
+    for query_ref in refs:
+        query_sketch = catalog.get(query_ref.pair_id)
+        evaluation = evaluate_query(
+            query_ref, query_sketch, catalog, by_id,
+            rng=np.random.default_rng(5),
+        )
+        if len(evaluation.candidate_ids) >= 5:
+            break
+    else:
+        pytest.fail("no query with 5 candidates")
+
+    cols = query_sketch.columnar()
+    hits = retrieve_candidates(
+        catalog, cols, depth=100, exclude=query_ref.pair_id
+    )
+    page = CandidatePage.assemble(
+        catalog,
+        cols,
+        [hit for hit in hits if by_id[hit[0]].table.name != query_ref.table.name],
+    )
+    truth = [s.containment_true for s in evaluation.stats]
+    served = candidate_scores_batch(
+        page.samples,
+        containment_ests=page.containments(query_sketch.distinct_keys()),
+        containment_trues=truth,
+        rng=np.random.default_rng(5),
+        rng_mode="compat",
+    )
+
+    def bits(values) -> list:
+        return [
+            "nan" if v != v else struct.pack("<d", v)
+            for v in np.asarray(values, dtype=np.float64).tolist()
+        ]
+
+    assert evaluation.candidate_ids == page.ids
+    for field in fields(ScoreColumns):
+        got = [getattr(s, field.name) for s in evaluation.stats]
+        want = getattr(served, field.name)
+        assert bits(got) == bits(want), field.name
 
 
 def test_relative_improvement_table(small_report):

@@ -37,7 +37,7 @@ from repro.serving.session import QuerySession
 from repro.table.table import table_from_arrays
 
 import candidate_page_oracle as oracle
-from scalar_query_oracle import containment_estimate
+from scalar_query_oracle import candidate_scores, containment_estimate, page_of
 
 
 class _Columns:
@@ -467,26 +467,32 @@ def test_staged_seams_rank_like_engine_and_session(scorer):
 
 
 def test_plain_sample_list_is_lowered_to_the_same_scoring():
-    """One scoring implementation: a ``list[JoinedSample]`` is lowered to
-    the CSR form at entry, so it scores exactly like the page it came
-    from — bootstrap columns and rng consumption included."""
+    """Scoring reads only the CSR page: a ``list[JoinedSample]`` lowered by
+    the oracle's ``page_of`` scores exactly like the page it came from —
+    bootstrap columns and rng consumption included — and an empty
+    ``concat`` is the empty lowering."""
     catalog, query = _corpus(seed=6)
     cols = query.columnar()
     page = CandidatePage.assemble(
         catalog, cols, retrieve_candidates(catalog, cols, depth=10)
     )
+    lowered = page_of(list(page.samples))
     for rng_mode in ("batched", "compat"):
         from_page = candidate_scores_batch(
             page.samples, rng=np.random.default_rng(3), rng_mode=rng_mode
         )
         from_list = candidate_scores_batch(
-            list(page.samples), rng=np.random.default_rng(3), rng_mode=rng_mode
+            lowered, rng=np.random.default_rng(3), rng_mode=rng_mode
         )
         assert isinstance(from_list, ScoreColumns)
         assert list(from_page) == list(from_list)
-    lowered = JoinedSamplePage.from_samples(list(page.samples))
     assert lowered.indptr.tolist() == page.samples.indptr.tolist()
     assert _same_floats(lowered.y_ranges, page.samples.y_ranges)
+    empty, none = JoinedSamplePage.concat([]), page_of([])
+    for name in ("key_hashes", "x", "y", "indptr", "x_ranges", "y_ranges"):
+        a, b = getattr(empty, name), getattr(none, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+    assert len(candidate_scores_batch(empty)) == 0
 
 
 def test_combined_range_nan_rules_hold_columnwise():
@@ -501,9 +507,7 @@ def test_combined_range_nan_rules_hold_columnwise():
         JoinedSample(hashes, x, y, (0.0, 5.0), nan),
         JoinedSample(hashes, x, y, nan, nan),
     ]
-    from repro.ranking.scoring import candidate_scores
-
-    batch = candidate_scores_batch(samples, with_bootstrap=False)
+    batch = candidate_scores_batch(page_of(samples), with_bootstrap=False)
     for sample, got in zip(samples, batch):
         want = candidate_scores(sample, with_bootstrap=False)
         assert math.isclose(

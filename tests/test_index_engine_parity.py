@@ -22,18 +22,15 @@ from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import CandidatePage, JoinCorrelationEngine
 from repro.index.options import QueryOptions
-from repro.ranking.scoring import (
-    RNG_MODES,
-    SCORER_NAMES,
-    candidate_scores,
-    candidate_scores_batch,
-)
+from repro.ranking.scoring import RNG_MODES, SCORER_NAMES, candidate_scores_batch
 from repro.table.table import table_from_arrays
 
 import candidate_page_oracle as oracle
 from scalar_query_oracle import (
     assert_results_match,
+    candidate_scores,
     containment_estimate,
+    page_of,
     scalar_query,
 )
 
@@ -277,7 +274,7 @@ def test_candidate_scores_batch_matches_scalar():
     rng_b = np.random.default_rng(101)
     scalar = [candidate_scores(s, rng=rng_a, with_bootstrap=True) for s in samples]
     batch = candidate_scores_batch(
-        samples, rng=rng_b, with_bootstrap=True, rng_mode="compat"
+        page_of(samples), rng=rng_b, with_bootstrap=True, rng_mode="compat"
     )
     for s, b in zip(scalar, batch):
         assert s.sample_size == b.sample_size
@@ -318,7 +315,7 @@ def test_candidate_scores_batch_degenerate_samples():
         (2.0, 2.0), (1.0, 3.0),
     )
     samples = [empty, single, constant]
-    batch = candidate_scores_batch(samples, with_bootstrap=False)
+    batch = candidate_scores_batch(page_of(samples), with_bootstrap=False)
     for sample, got in zip(samples, batch):
         ref = candidate_scores(sample, with_bootstrap=False)
         assert got.sample_size == ref.sample_size

@@ -259,6 +259,30 @@ class TestEndpoints:
         assert body["estimator"] == "pearson"
         assert body["sample_size"] > 0
 
+    def test_estimate_huge_values_answers_strict_json(self, corpus):
+        """Values whose range squared overflows float64 (×1e155) answer 200
+        with the vacuous intervals, not a 500 OverflowError."""
+        mono, _, _, (keys, values) = corpus
+        side = {"keys": keys.tolist(), "values": (values * 1e155).tolist()}
+        with QueryService(QuerySession.for_catalog(mono)) as service:
+            request = urllib.request.Request(
+                service.url + "/estimate",
+                data=json.dumps({"left": side, "right": side}).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                status, raw = response.status, response.read()
+
+        def strict(token):
+            raise AssertionError(f"non-strict JSON literal {token}")
+
+        body = json.loads(raw, parse_constant=strict)
+        assert status == 200
+        assert body["sample_size"] > 0
+        assert body["hoeffding"] == {"low": -1.0, "high": 1.0}
+        assert body["hfd"] == {"low": -1.0, "high": 1.0}
+
     def test_healthz_and_catalog_info(self, corpus):
         mono, _, _, (keys, values) = corpus
         session = QuerySession.for_catalog(mono, QueryOptions(k=7))
