@@ -18,7 +18,7 @@ import numpy as np
 
 from conftest import write_result
 from repro.core.aggregators import AGGREGATORS
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.pearson import pearson
 from repro.data.keygen import random_string_keys, zipf_multiplicities
@@ -55,7 +55,7 @@ def _run() -> list[dict]:
         truth = pearson(join.x, join.y)
         left = CorrelationSketch.from_columns(lk, lv, 256, aggregate=agg)
         right = CorrelationSketch.from_columns(rk, rv, 256, aggregate=agg)
-        sample = join_sketches(left, right).drop_nan()
+        sample = join_pair(left, right).samples[0]
         est = pearson(sample.x, sample.y)
         rows.append(
             {"aggregate": agg, "truth": truth, "estimate": est,

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from conftest import write_result
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.pearson import pearson
 from repro.hashing import KeyHasher
@@ -49,7 +49,7 @@ def _accuracy_and_cost() -> dict:
             left = CorrelationSketch.from_columns(keys, x, 256, hasher=hasher)
             right = CorrelationSketch.from_columns(keys, y, 256, hasher=hasher)
             elapsed = time.perf_counter() - t0
-            sample = join_sketches(left, right).drop_nan()
+            sample = join_pair(left, right).samples[0]
             est = pearson(sample.x, sample.y)
             if not math.isnan(est):
                 results[bits]["errors"].append(est - truth)

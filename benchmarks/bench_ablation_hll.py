@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from conftest import write_result
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.pearson import pearson
 from repro.kmv.hll import HyperLogLog
@@ -62,7 +62,7 @@ def _capability_gap() -> dict:
 
     left = CorrelationSketch.from_columns(keys, x, 1024)
     right = CorrelationSketch.from_columns(keys, y, 1024)
-    sample = join_sketches(left, right).drop_nan()
+    sample = join_pair(left, right).samples[0]
     estimate = pearson(sample.x, sample.y)
 
     hll = HyperLogLog.from_keys(keys, precision=12)

@@ -20,7 +20,7 @@ import numpy as np
 
 from conftest import write_result
 from repro.core.gkmv import ThresholdSketch
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.pearson import pearson
 from repro.data.sbn import generate_sbn_pair
@@ -57,7 +57,7 @@ def _run() -> dict:
 
         fixed_l = CorrelationSketch.from_columns(lk, lv, BUDGET, hasher=hasher)
         fixed_r = CorrelationSketch.from_columns(rk, rv, BUDGET, hasher=hasher)
-        fs = join_sketches(fixed_l, fixed_r).drop_nan()
+        fs = join_pair(fixed_l, fixed_r).samples[0]
         fr = pearson(fs.x, fs.y)
 
         # Threshold tuned for the same *expected* size on the left table.
@@ -66,7 +66,7 @@ def _run() -> dict:
         th_l.update_all(zip(lk, lv))
         th_r = ThresholdSketch(tau, hasher=hasher)
         th_r.update_all(zip(rk, rv))
-        ts = join_sketches(th_l, th_r).drop_nan()
+        ts = join_pair(th_l, th_r).samples[0]
         tr = pearson(ts.x, ts.y)
 
         fixed_sizes.append(len(fixed_l) + len(fixed_r))

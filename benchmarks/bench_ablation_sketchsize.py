@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from conftest import write_result
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.pearson import pearson
 from repro.data.sbn import generate_sbn_pair
@@ -48,7 +48,7 @@ def _run() -> list[dict]:
         for lk, lv, rk, rv, truth in pairs:
             left = CorrelationSketch.from_columns(lk, lv, n)
             right = CorrelationSketch.from_columns(rk, rv, n)
-            sample = join_sketches(left, right).drop_nan()
+            sample = join_pair(left, right).samples[0]
             joins.append(sample.size)
             est = pearson(sample.x, sample.y)
             if not (math.isnan(est) or math.isnan(truth)):

@@ -20,7 +20,7 @@ import math
 import pytest
 
 from conftest import write_result
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.estimators import ESTIMATORS, get_estimator, population_reference
 from repro.data.workloads import sample_combinations
@@ -68,7 +68,7 @@ def _collect_records(refs):
                 # so the pair carries no signal for the RMSE figure (the
                 # paper's tables are always much larger than the sketch).
                 continue
-            sample = join_sketches(left, right).drop_nan()
+            sample = join_pair(left, right).samples[0]
             if sample.size < 3:
                 continue
             for name in ESTIMATOR_NAMES:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import write_result
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.pearson import pearson
 from repro.correlation.spearman import spearman
@@ -67,7 +67,7 @@ def _measure() -> TimingTable:
         sk_holder = {}
         t_sjoin = timed(
             lambda: sk_holder.setdefault(
-                "s", join_sketches(left_sketch, right_sketch).drop_nan()
+                "s", join_pair(left_sketch, right_sketch).samples[0]
             )
         )
         sample = sk_holder["s"]

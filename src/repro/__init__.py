@@ -42,13 +42,13 @@ Subpackages
     Experiment runners behind the benchmark suite.
 """
 
-from repro.bounds import ConfidenceInterval, hfd_interval, hoeffding_interval
+from repro.bounds import ConfidenceInterval
 from repro.core import (
     CorrelationSketch,
     EstimateResult,
     JoinedSample,
     estimate,
-    join_sketches,
+    join_pair,
     set_estimates,
 )
 from repro.correlation import (
@@ -89,9 +89,7 @@ __all__ = [
     "Table",
     "estimate",
     "fisher_interval",
-    "hfd_interval",
-    "hoeffding_interval",
-    "join_sketches",
+    "join_pair",
     "pearson",
     "pm1_bootstrap",
     "qn_correlation",

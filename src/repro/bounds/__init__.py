@@ -7,16 +7,16 @@ Three families, trading assumptions against cost (Sections 4.2–4.3):
 * **Hoeffding** (:mod:`repro.bounds.hoeffding`) — distribution-free; costs
   O(n); needs the column value ranges (collected during sketch
   construction). The ``hfd`` variant stays informative at small samples.
+  Both are column kernels over a page of joined samples.
 * **PM1 bootstrap** (:mod:`repro.correlation.bootstrap`) — distribution-
   free; costs hundreds of resamples; the accuracy yardstick.
 """
 
-from repro.bounds.hoeffding import hfd_interval, hoeffding_interval, hoeffding_radii
+from repro.bounds.hoeffding import hfd_intervals, hoeffding_intervals
 from repro.bounds.intervals import ConfidenceInterval
 
 __all__ = [
     "ConfidenceInterval",
-    "hfd_interval",
-    "hoeffding_interval",
-    "hoeffding_radii",
+    "hfd_intervals",
+    "hoeffding_intervals",
 ]

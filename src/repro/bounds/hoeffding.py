@@ -21,6 +21,16 @@ interval. The paper's remedy (the **HFD** variant) replaces both
 denominator bounds by the *sample* standard-deviation product — no longer
 a probabilistic bound, but its length is still a meaningful dispersion
 measure, and it is what the ``cih`` ranking factor uses (Section 4.4).
+
+Both are column kernels over a page of joined samples — CSR arrays
+``x``, ``y``, ``indptr`` and per-sample bounds ``c_low``, ``c_high`` —
+sharing one shifted-moment pass of segment reductions. A sample gets
+the vacuous interval ``[-1, 1]`` when it is empty, its bounds are
+unknown, inverted or equal, a sample variance is zero, or ``C²`` or a
+shifted moment is not a finite float64 (values of magnitude around
+1.3e154 and beyond, where the second moments' domain ``[0, C²]`` is
+unrepresentable). The scalar pair functions these replaced are the test
+oracle ``tests/sketch_join_oracle.py``.
 """
 
 from __future__ import annotations
@@ -29,190 +39,160 @@ import math
 
 import numpy as np
 
-from repro.bounds.intervals import ConfidenceInterval
-from repro.correlation.pearson import pearson_moments
-
-
-def hoeffding_radii(n: int, value_range: float, alpha: float) -> tuple[float, float]:
-    """Return the deviation radii ``(t, t')`` for the five parameters.
-
-    Args:
-        n: sketch-join sample size.
-        value_range: ``C = C_high − C_low`` over both columns.
-        alpha: total miscoverage; each parameter gets ``alpha / 5``.
-    """
-    if n <= 0:
-        return math.inf, math.inf
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    log_term = math.log(10.0 / alpha)
-    c2 = value_range * value_range
-    t = math.sqrt(log_term * c2 / (2.0 * n))
-    t_prime = math.sqrt(log_term * c2 * c2 / (2.0 * n))
-    return t, t_prime
+#: Overflow to ±inf and the NaN it breeds are handled by the per-row
+#: guard and the zero-denominator rules, never reported.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _shifted_moments(
-    x: np.ndarray, y: np.ndarray, c_low: float, c: float
-) -> dict[str, float] | None:
-    """The five parameters of both columns shifted into ``[0, C]``.
+    x: np.ndarray,
+    y: np.ndarray,
+    indptr: np.ndarray,
+    c_low: np.ndarray,
+    c_high: np.ndarray,
+    alpha: float,
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """The pass both intervals share, over the non-empty samples.
 
-    None when ``C²`` or a moment is not a finite float64 — values of
-    magnitude around 1.3e154 and beyond. The second moments' domain
-    ``[0, C²]`` is then unrepresentable, and both intervals fall back to
-    the vacuous one rather than overflow.
+    Returns ``(rows, defined, m)``: the non-empty samples, which of them
+    have usable bounds and moments (False where the interval is vacuous
+    by the bounds alone — unknown, inverted or equal — or by overflow,
+    the per-row guard), and per row the range ``c``, the radius ``t'``,
+    the five parameters of both columns shifted into ``[0, C]`` and
+    Eq. 6's numerator bounds with the clamped means they use. The
+    shifted columns live in ``[0, C]``, so every population parameter
+    is confined to a known domain (means in ``[0, C]``, second moments
+    in ``[0, C²]``); intersecting the Hoeffding intervals with those
+    domains preserves coverage and is *required* for the numerator:
+    ``-μ_Aμ_B`` is only monotone in ``(μ_A, μ_B)`` on the non-negative
+    orthant.
     """
-    if not math.isfinite(c * c):
-        return None
-    with np.errstate(over="ignore"):
-        moments = pearson_moments(x - c_low, y - c_low)
-    if not all(math.isfinite(v) for v in moments.values()):
-        return None
-    return moments
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    lengths = np.diff(indptr)
+    rows = np.nonzero(lengths > 0)[0]
+    seg_len = lengths[rows]
+    seg_n = seg_len.astype(np.float64)
+    starts = indptr[rows]
+    clo, chi = c_low[rows], c_high[rows]
+    c = chi - clo
+    m: dict[str, np.ndarray] = {"c": c}
+    with np.errstate(**_QUIET):
+        a = x - np.repeat(clo, seg_len)
+        b = y - np.repeat(clo, seg_len)
+        for name, terms in (
+            ("mu_a", a), ("mu_b", b), ("nu_a", a * a), ("nu_b", b * b), ("nu_ab", a * b)
+        ):
+            m[name] = np.add.reduceat(terms, starts) / seg_n if rows.size else c
+        log_term = math.log(10.0 / alpha)
+        c2 = c * c
+        t = np.sqrt(log_term * c2 / (2.0 * seg_n))
+        m["t_prime"] = t_prime = np.sqrt(log_term * c2 * c2 / (2.0 * seg_n))
+        defined = ~(np.isnan(clo) | np.isnan(chi) | (chi < clo) | (c == 0.0))
+        for value in (c2, m["mu_a"], m["mu_b"], m["nu_a"], m["nu_b"], m["nu_ab"]):
+            defined &= np.isfinite(value)
+        m["mu_a_low"] = np.maximum(0.0, m["mu_a"] - t)
+        m["mu_a_high"] = np.minimum(c, m["mu_a"] + t)
+        m["mu_b_low"] = np.maximum(0.0, m["mu_b"] - t)
+        m["mu_b_high"] = np.minimum(c, m["mu_b"] + t)
+        nu_ab_low = np.maximum(0.0, m["nu_ab"] - t_prime)
+        nu_ab_high = np.minimum(c * c, m["nu_ab"] + t_prime)
+        m["num_low"] = nu_ab_low - m["mu_a_high"] * m["mu_b_high"]
+        m["num_high"] = nu_ab_high - m["mu_a_low"] * m["mu_b_low"]
+    return rows, defined, m
 
 
-def _clamp(center: float, radius: float, lo: float, hi: float) -> tuple[float, float]:
-    """Intersect ``[center − radius, center + radius]`` with ``[lo, hi]``."""
-    return max(lo, center - radius), min(hi, center + radius)
+def hfd_intervals(
+    x: np.ndarray,
+    y: np.ndarray,
+    indptr: np.ndarray,
+    c_low: np.ndarray,
+    c_high: np.ndarray,
+    alpha: float = 0.05,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's small-sample HFD variant ``(ρ^low_HFD, ρ^high_HFD)``
+    of every sample on a page.
 
+    The true interval's numerator with both denominator bounds replaced
+    by the product of the *sample* standard deviations. Not a
+    probabilistic bound; its length ``high − low`` is the dispersion
+    measure behind the ``cih`` ranking factor. The endpoints are not
+    clipped (they can exceed ±1).
 
-def _interval_quotient(
-    num_low: float, num_high: float, den_low: float, den_high: float
-) -> tuple[float, float]:
-    """Apply the paper's Eq. 6–7 sign-aware interval division.
-
-    ``den_low ≤ den_high`` are non-negative; a zero denominator yields
-    ±inf, which the caller clips to [-1, 1] (the vacuous interval).
+    Args:
+        x, y: the page's NaN-free joined values, sample ``i`` owning
+            ``indptr[i]:indptr[i + 1]``.
+        c_low, c_high: per-sample value bounds over both columns
+            (:meth:`~repro.core.joined_sample.JoinedSamplePage.combined_ranges`).
+        alpha: total miscoverage level.
     """
-
-    def _div(num: float, den: float) -> float:
-        if den <= 0.0:
-            if num == 0.0:
-                return 0.0
-            return math.inf if num > 0 else -math.inf
-        return num / den
-
-    low = _div(num_low, den_high) if num_low >= 0 else _div(num_low, den_low)
-    high = _div(num_high, den_low) if num_high >= 0 else _div(num_high, den_high)
+    low, high = np.full(len(indptr) - 1, -1.0), np.full(len(indptr) - 1, 1.0)
+    rows, defined, m = _shifted_moments(x, y, indptr, c_low, c_high, alpha)
+    with np.errstate(**_QUIET):
+        var_a = np.maximum(0.0, m["nu_a"] - m["mu_a"] * m["mu_a"])
+        var_b = np.maximum(0.0, m["nu_b"] - m["mu_b"] * m["mu_b"])
+        den = np.sqrt(var_a) * np.sqrt(var_b)
+        # Both denominator bounds equal the sample-SD product, so the
+        # sign-aware interval quotient (Eqs. 6-7) is plain division.
+        informative = defined & (den > 0.0)
+        low[rows] = np.where(informative, m["num_low"] / den, -1.0)
+        high[rows] = np.where(informative, m["num_high"] / den, 1.0)
     return low, high
 
 
-def hoeffding_interval(
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` with a zero denominator giving 0 or ±inf by the
+    numerator's sign (the caller clips to ``[-1, 1]``)."""
+    unbounded = np.where(num == 0.0, 0.0, np.copysign(np.inf, num))
+    return np.where(den > 0.0, num / den, unbounded)
+
+
+def hoeffding_intervals(
     x: np.ndarray,
     y: np.ndarray,
-    c_low: float,
-    c_high: float,
+    indptr: np.ndarray,
+    c_low: np.ndarray,
+    c_high: np.ndarray,
     alpha: float = 0.05,
-) -> ConfidenceInterval:
-    """True ``1 − α`` Hoeffding interval for ρ (Eqs. 6–7).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The true ``1 − α`` Hoeffding interval for ρ (Eqs. 6–7) of every
+    sample on a page, clipped to ``[-1, 1]``.
 
-    Args:
-        x, y: the sketch-join sample (NaN-free, equal length).
-        c_low, c_high: global value bounds over *both* original columns
-            (Section 4.3: since the joined columns are subsets of the
-            originals, single-pass column min/max are valid bounds).
-        alpha: total miscoverage level.
-
-    Returns:
-        An interval clipped to ``[-1, 1]``; vacuous (``[-1, 1]``) when the
-        sample is too small for the variance lower bounds to stay positive.
+    Arguments as :func:`hfd_intervals`. ``c_low`` / ``c_high`` must
+    bound the values for the coverage to hold (Section 4.3: the joined
+    columns are subsets of the originals, so single-pass column min/max
+    are valid bounds under a range-preserving aggregate). Vacuous when
+    even the optimistic variance bound is zero: the data then carries no
+    scale information and the quotient is unconstrained.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    n = x.shape[0]
-    if n == 0 or math.isnan(c_low) or math.isnan(c_high) or c_high < c_low:
-        return ConfidenceInterval(-1.0, 1.0, alpha, "hoeffding")
+    low, high = np.full(len(indptr) - 1, -1.0), np.full(len(indptr) - 1, 1.0)
+    rows, defined, m = _shifted_moments(x, y, indptr, c_low, c_high, alpha)
+    with np.errstate(**_QUIET):
+        c2, t_prime = m["c"] * m["c"], m["t_prime"]
 
-    c = c_high - c_low
-    if c == 0.0:
-        # Both columns constant: correlation undefined; vacuous interval.
-        return ConfidenceInterval(-1.0, 1.0, alpha, "hoeffding")
+        def variance_bound(nu, mu):
+            return np.maximum(0.0, nu - mu * mu)
 
-    moments = _shifted_moments(x, y, c_low, c)
-    if moments is None:
-        return ConfidenceInterval(-1.0, 1.0, alpha, "hoeffding")
-    t, t_prime = hoeffding_radii(n, c, alpha)
-
-    # The shifted columns live in [0, C], so every population parameter is
-    # confined to a known domain (means in [0, C], second moments in
-    # [0, C²]). Intersecting the Hoeffding intervals with those domains
-    # preserves coverage and is *required* for the numerator bounds below:
-    # -μ_Aμ_B is only monotone in (μ_A, μ_B) on the non-negative orthant.
-    mu_a_low, mu_a_high = _clamp(moments["mu_a"], t, 0.0, c)
-    mu_b_low, mu_b_high = _clamp(moments["mu_b"], t, 0.0, c)
-    nu_a_low, nu_a_high = _clamp(moments["nu_a"], t_prime, 0.0, c * c)
-    nu_b_low, nu_b_high = _clamp(moments["nu_b"], t_prime, 0.0, c * c)
-    nu_ab_low, nu_ab_high = _clamp(moments["nu_ab"], t_prime, 0.0, c * c)
-
-    num_low = nu_ab_low - mu_a_high * mu_b_high
-    num_high = nu_ab_high - mu_a_low * mu_b_low
-
-    den_low = math.sqrt(
-        max(0.0, nu_a_low - mu_a_high**2) * max(0.0, nu_b_low - mu_b_high**2)
-    )
-    den_high = math.sqrt(
-        max(0.0, nu_a_high - mu_a_low**2) * max(0.0, nu_b_high - mu_b_low**2)
-    )
-    if den_high <= 0.0:
-        # Even the optimistic variance bound is zero: the data carries no
-        # scale information and the quotient is unconstrained.
-        return ConfidenceInterval(-1.0, 1.0, alpha, "hoeffding")
-
-    low, high = _interval_quotient(num_low, num_high, den_low, den_high)
-    return ConfidenceInterval(
-        low=max(-1.0, low), high=min(1.0, high), alpha=alpha, method="hoeffding"
-    )
-
-
-def hfd_interval(
-    x: np.ndarray,
-    y: np.ndarray,
-    c_low: float,
-    c_high: float,
-    alpha: float = 0.05,
-) -> ConfidenceInterval:
-    """The paper's small-sample HFD variant (ρ^low_HFD, ρ^high_HFD).
-
-    Identical to :func:`hoeffding_interval` in the numerator but with both
-    denominator bounds replaced by the product of the *sample* standard
-    deviations of the sketch-join sample. Not a true probabilistic bound;
-    its length is the dispersion measure behind the ``cih`` ranking factor.
-    The endpoints are not clipped (they can exceed ±1).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    n = x.shape[0]
-    if n == 0 or math.isnan(c_low) or math.isnan(c_high) or c_high < c_low:
-        return ConfidenceInterval(-1.0, 1.0, math.nan, "hfd")
-
-    c = c_high - c_low
-    if c == 0.0:
-        return ConfidenceInterval(-1.0, 1.0, math.nan, "hfd")
-
-    moments = _shifted_moments(x, y, c_low, c)
-    if moments is None:
-        return ConfidenceInterval(-1.0, 1.0, math.nan, "hfd")
-    t, t_prime = hoeffding_radii(n, c, alpha)
-
-    # Same domain clamping as hoeffding_interval (see comment there).
-    mu_a_low, mu_a_high = _clamp(moments["mu_a"], t, 0.0, c)
-    mu_b_low, mu_b_high = _clamp(moments["mu_b"], t, 0.0, c)
-    nu_ab_low, nu_ab_high = _clamp(moments["nu_ab"], t_prime, 0.0, c * c)
-
-    num_low = nu_ab_low - mu_a_high * mu_b_high
-    num_high = nu_ab_high - mu_a_low * mu_b_low
-
-    var_a = max(0.0, moments["nu_a"] - moments["mu_a"] ** 2)
-    var_b = max(0.0, moments["nu_b"] - moments["mu_b"] ** 2)
-    den = math.sqrt(var_a) * math.sqrt(var_b)
-    if den <= 0.0:
-        # Zero sample variance: the normalization is void; fall back to
-        # the vacuous correlation range so the CI length stays finite.
-        return ConfidenceInterval(-1.0, 1.0, math.nan, "hfd")
-
-    low, high = _interval_quotient(num_low, num_high, den, den)
-    return ConfidenceInterval(low=low, high=high, alpha=math.nan, method="hfd")
+        # ν's Hoeffding interval intersected with its domain [0, C²].
+        den_low = np.sqrt(
+            variance_bound(np.maximum(0.0, m["nu_a"] - t_prime), m["mu_a_high"])
+            * variance_bound(np.maximum(0.0, m["nu_b"] - t_prime), m["mu_b_high"])
+        )
+        den_high = np.sqrt(
+            variance_bound(np.minimum(c2, m["nu_a"] + t_prime), m["mu_a_low"])
+            * variance_bound(np.minimum(c2, m["nu_b"] + t_prime), m["mu_b_low"])
+        )
+        informative = defined & (den_high > 0.0)
+        # Eqs. 6-7's sign-aware division: a non-negative numerator bound
+        # is smallest over the largest denominator, a negative one over
+        # the smallest.
+        num_low, num_high = m["num_low"], m["num_high"]
+        q_low = np.where(
+            num_low >= 0, _quotient(num_low, den_high), _quotient(num_low, den_low)
+        )
+        q_high = np.where(
+            num_high >= 0, _quotient(num_high, den_low), _quotient(num_high, den_high)
+        )
+        low[rows] = np.where(informative, np.maximum(-1.0, q_low), -1.0)
+        high[rows] = np.where(informative, np.minimum(1.0, q_high), 1.0)
+    return low, high

@@ -2,8 +2,10 @@
 
 * :class:`~repro.core.sketch.CorrelationSketch` — single-pass bottom-``n``
   sketch of a ``⟨key, value⟩`` column pair (Section 3.1).
-* :func:`~repro.core.joined_sample.join_sketches` — sketch join
-  reconstructing a uniform random sample of the joined table (Theorem 1).
+* :func:`~repro.core.joined_sample.join_page` — the sketch join: one
+  query against a page of candidates, reconstructing a uniform random
+  sample of each joined table (Theorem 1); a pair is a page of one
+  (:func:`~repro.core.joined_sample.join_pair`).
 * :func:`~repro.core.estimation.estimate` — the full estimation pipeline:
   join, correlate, attach error bounds and joinability statistics.
 * :func:`~repro.core.estimation.set_estimates` — the KMV statistics of a
@@ -16,9 +18,13 @@
   correlation estimators demonstrating the Section 3.3 flexibility claim.
 """
 
-from repro.core.aggregators import AGGREGATORS, Aggregator, make_aggregator
-from repro.core.estimation import (
+from repro.core.aggregators import (
+    AGGREGATORS,
     RANGE_PRESERVING_AGGREGATES,
+    Aggregator,
+    make_aggregator,
+)
+from repro.core.estimation import (
     EstimateResult,
     SetEstimates,
     StatisticsResult,
@@ -27,7 +33,13 @@ from repro.core.estimation import (
     set_estimates,
 )
 from repro.core.gkmv import ThresholdSketch
-from repro.core.joined_sample import JoinedSample, JoinedSamplePage, join_sketches
+from repro.core.joined_sample import (
+    JoinedSample,
+    JoinedSamplePage,
+    PageJoin,
+    join_page,
+    join_pair,
+)
 from repro.core.multiaggregate import MultiAggregateSketch
 from repro.core.sketch import CorrelationSketch
 from repro.core.statistics import (
@@ -43,6 +55,7 @@ __all__ = [
     "EstimateResult",
     "JoinedSample",
     "JoinedSamplePage",
+    "PageJoin",
     "MultiAggregateSketch",
     "RANGE_PRESERVING_AGGREGATES",
     "SetEstimates",
@@ -51,7 +64,8 @@ __all__ = [
     "distance_correlation",
     "estimate",
     "estimate_statistics",
-    "join_sketches",
+    "join_page",
+    "join_pair",
     "make_aggregator",
     "sample_entropy",
     "sample_mutual_information",

@@ -187,6 +187,12 @@ AGGREGATORS: dict[str, Callable[[], Aggregator]] = {
     "count": CountAggregator,
 }
 
+#: Aggregates whose output always lies within the input value range, so
+#: the single-pass column min/max bounds the aggregated values — the
+#: value bounds Section 4.3's Hoeffding analysis needs. ``sum`` and
+#: ``count`` leave the range.
+RANGE_PRESERVING_AGGREGATES = frozenset({"mean", "max", "min", "first", "last"})
+
 
 def _aggregator_class(name: str) -> Callable[[], Aggregator]:
     try:

@@ -1,11 +1,16 @@
 """High-level estimation façade over a pair of correlation sketches.
 
+A sketch pair is a page of one: :func:`repro.core.joined_sample.join_pair`
+joins it with the query pipeline's page kernel, and the §4.3 intervals
+come from the same column kernels that score a candidate page
+(:mod:`repro.bounds.hoeffding`).
+
 :func:`estimate` runs the full Section 3.2 pipeline — join the sketches,
 reconstruct the uniform sample, apply a correlation estimator — and
 attaches everything the ranking layer needs: sample size, Fisher z
 standard error, Hoeffding/HFD intervals, and the KMV-derived joinability
 statistics (containment, join size) that Section 3.3 notes come for free.
-:func:`set_estimates` computes those from the two sketches' columns —
+:func:`set_estimates` computes those from the join's Eq. 1 statistics —
 union, intersection (= join size), Jaccard and containment: a
 correlation sketch retains everything a KMV synopsis supports.
 """
@@ -15,25 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.bounds.hoeffding import hfd_interval, hoeffding_interval
+from repro.bounds.hoeffding import hfd_intervals, hoeffding_intervals
 from repro.bounds.intervals import ConfidenceInterval
-from repro.core.joined_sample import JoinedSample, join_sketches
+from repro.core.aggregators import RANGE_PRESERVING_AGGREGATES
+from repro.core.joined_sample import JoinedSample, PageJoin, join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.estimators import get_estimator
 from repro.correlation.fisher import clamped_fisher_se
-from repro.hashing.fibonacci import to_unit_interval_batch
-from repro.kmv.estimators import (
-    containment_estimate_batch,
-    intersection_estimate_batch,
-    unbiased_dv_estimate,
-)
-
-#: Aggregates whose output always lies within the input value range, making
-#: the single-pass column min/max valid Hoeffding bounds (Section 4.3).
-RANGE_PRESERVING_AGGREGATES = frozenset({"mean", "max", "min", "first", "last"})
-
+from repro.kmv.estimators import containment_estimate_batch, unbiased_dv_estimate
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -106,38 +100,25 @@ class SetEstimates:
 
 def set_estimates(left: CorrelationSketch, right: CorrelationSketch) -> SetEstimates:
     """Union, intersection, Jaccard and containment of two sketches' key
-    sets, computed on their sorted key-hash columns.
+    sets, from their page-of-one join.
 
     ``k`` is ``min(|L_A|, |L_B|)``, the retained sizes, exactly as a
-    candidate page (:class:`repro.index.engine.CandidatePage`) takes it,
-    and the intersection goes through the same Eq. 1 kernel, so the
-    containment equals the served ``ĵc`` bit for bit.
+    candidate page (:class:`repro.index.engine.CandidatePage`) takes it —
+    it *is* that page's row, so the containment equals the served ``ĵc``
+    bit for bit.
 
     Raises:
         ValueError: if the sketches use different hashing schemes.
     """
-    if left.hasher.scheme_id != right.hasher.scheme_id:
-        raise ValueError(
-            "cannot combine sketches built with different hashing schemes: "
-            f"{left.hasher!r} vs {right.hasher!r}"
-        )
-    lc, rc = left.columnar(), right.columnar()
-    shared = np.isin(lc.key_hashes, rc.key_hashes, assume_unique=True)
-    overlap = int(np.count_nonzero(shared))
-    exact = lc.saw_all_keys and rc.saw_all_keys
-    k = 0 if exact else min(lc.size, rc.size)
-    kth, k_inter = 1.0, 0
-    if k > 0:
-        union_ranks = to_unit_interval_batch(
-            np.union1d(lc.key_hashes, rc.key_hashes), lc.bits
-        )
-        kth = float(np.partition(union_ranks, k - 1)[k - 1])
-        shared_ranks = to_unit_interval_batch(lc.key_hashes[shared], lc.bits)
-        k_inter = int(np.count_nonzero(shared_ranks <= kth))
+    return _set_estimates(left, right, join_pair(left, right))
 
-    inter = intersection_estimate_batch(
-        *(np.array([v]) for v in (k, kth, k_inter, exact, overlap))
-    )
+
+def _set_estimates(
+    left: CorrelationSketch, right: CorrelationSketch, joined: PageJoin
+) -> SetEstimates:
+    k, kth = int(joined.k_len[0]), float(joined.kth[0])
+    k_inter, overlap = int(joined.k_inter[0]), int(joined.overlaps[0])
+    inter = joined.intersections()
     d_left = left.distinct_keys()
     if k == 0:
         # Both sides exact, or one empty: the union is plain counting.
@@ -150,7 +131,7 @@ def set_estimates(left: CorrelationSketch, right: CorrelationSketch) -> SetEstim
         k=k,
         kth_unit_value=kth,
         k_inter=k_inter,
-        exact=exact,
+        exact=bool(joined.exact[0]),
         overlap=overlap,
         union=union,
         intersection=float(inter[0]),
@@ -210,7 +191,7 @@ def estimate_statistics(
     )
     from repro.correlation.pearson import pearson as pearson_fn
 
-    sample = join_sketches(left, right).drop_nan()
+    sample = join_pair(left, right).samples[0]
     return StatisticsResult(
         sample_size=sample.size,
         mutual_information=sample_mutual_information(sample.x, sample.y, bins=bins),
@@ -219,15 +200,6 @@ def estimate_statistics(
         distance_correlation=distance_correlation(sample.x, sample.y),
         pearson=pearson_fn(sample.x, sample.y),
     )
-
-
-def _sample_range(sample: JoinedSample) -> tuple[float, float]:
-    """Observed combined min/max of the joined sample values."""
-    if sample.size == 0:
-        return (math.nan, math.nan)
-    lo = min(float(sample.x.min()), float(sample.y.min()))
-    hi = max(float(sample.x.max()), float(sample.y.max()))
-    return (lo, hi)
 
 
 def estimate(
@@ -249,34 +221,34 @@ def estimate(
             estimator name is unknown.
     """
     fn = get_estimator(estimator)
-    sample = join_sketches(left, right).drop_nan()
-
-    r = fn(sample.x, sample.y)
+    joined = join_pair(left, right)
+    page = joined.samples
+    sample = page[0]
     n = sample.size
 
-    range_ok = (
-        left.aggregate in RANGE_PRESERVING_AGGREGATES
-        and right.aggregate in RANGE_PRESERVING_AGGREGATES
-    )
-    if range_ok:
-        c_low, c_high = sample.combined_range()
-    else:
-        c_low, c_high = _sample_range(sample)
-
-    hoeff = hoeffding_interval(sample.x, sample.y, c_low, c_high, alpha)
-    hfd = hfd_interval(sample.x, sample.y, c_low, c_high, alpha)
-    sets = set_estimates(left, right)
+    # The page's bounds are the stored column ranges only when both
+    # aggregates preserve the value range, else the sample's own.
+    c_low, c_high = page.combined_ranges()
+    bounds = (page.x, page.y, page.indptr, c_low, c_high, alpha)
+    hoeffding = hoeffding_intervals(*bounds)
+    hfd = hfd_intervals(*bounds)
+    sets = _set_estimates(left, right, joined)
 
     return EstimateResult(
-        correlation=r,
+        correlation=fn(sample.x, sample.y),
         estimator=estimator,
         sample=sample,
         sample_size=n,
         fisher_se=clamped_fisher_se(n),
-        hoeffding=hoeff,
-        hfd=hfd,
+        hoeffding=ConfidenceInterval(
+            float(hoeffding[0][0]), float(hoeffding[1][0]), alpha, "hoeffding"
+        ),
+        hfd=ConfidenceInterval(float(hfd[0][0]), float(hfd[1][0]), math.nan, "hfd"),
         key_overlap=sets.overlap,
         containment_est=sets.containment,
         join_size_est=sets.intersection,
-        range_bounds_valid=range_ok,
+        range_bounds_valid=(
+            left.aggregate in RANGE_PRESERVING_AGGREGATES
+            and right.aggregate in RANGE_PRESERVING_AGGREGATES
+        ),
     )

@@ -12,8 +12,9 @@ performance").
 
 :class:`ThresholdSketch` implements the strategy with the same join
 interface as :class:`~repro.core.sketch.CorrelationSketch` (duck-typed:
-``entries`` / ``key_hashes`` / ``hasher`` / value range), so
-:func:`repro.core.joined_sample.join_sketches` works on either kind. The
+``hasher`` and a :meth:`~ThresholdSketch.columnar` view), so
+:func:`repro.core.joined_sample.join_pair` and
+:func:`repro.core.estimation.estimate` work on either kind. The
 ablation benchmark compares the two at matched *expected* storage.
 """
 
@@ -22,7 +23,14 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.core.aggregators import Aggregator, make_aggregator
+import numpy as np
+
+from repro.core.aggregators import (
+    RANGE_PRESERVING_AGGREGATES,
+    Aggregator,
+    make_aggregator,
+)
+from repro.core.sketch import SketchColumns, _value_range_of
 from repro.hashing import KeyHasher, default_hasher
 
 
@@ -91,6 +99,21 @@ class ThresholdSketch:
 
     def entries(self) -> dict[int, float]:
         return {kh: agg.value() for kh, agg in self._entries.items()}
+
+    def columnar(self) -> SketchColumns:
+        """The retained entries as a :class:`SketchColumns` view (sorted
+        by key hash), built afresh on every call."""
+        key_hashes = sorted(self._entries)
+        return SketchColumns(
+            key_hashes=np.array(key_hashes, dtype=np.uint64),
+            values=np.array(
+                [self._entries[kh].value() for kh in key_hashes], dtype=np.float64
+            ),
+            value_range=_value_range_of(self.value_min, self.value_max),
+            saw_all_keys=self.saw_all_keys,
+            bits=self.hasher.bits,
+            range_preserving=self.aggregate in RANGE_PRESERVING_AGGREGATES,
+        )
 
     def distinct_keys(self) -> float:
         """DV estimate: retained count scaled by the inclusion rate."""

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.aggregators import GroupedAggregates
+from repro.core.aggregators import RANGE_PRESERVING_AGGREGATES, GroupedAggregates
 from repro.hashing import KeyHasher, default_hasher
 from repro.hashing.fibonacci import to_unit_interval_batch
 from repro.kmv.bottomk import bottom_k_positions
@@ -104,8 +104,8 @@ class SketchColumns:
     """Read-only columnar view of a sketch's retained entries.
 
     The arrays are parallel and sorted ascending by ``key_hashes`` so
-    views can be joined on a candidate page
-    (:class:`repro.index.engine.CandidatePage`) and a query's hashes can
+    views can be joined a page at a time
+    (:func:`repro.core.joined_sample.join_page`) and a query's hashes can
     probe the frozen inverted index without materializing Python sets.
     Ranks are not among them: ``h_u`` is Fibonacci hashing of the key
     hash (Section 3.4), so :attr:`ranks` derives them on access.
@@ -118,6 +118,9 @@ class SketchColumns:
             ``(nan, nan)`` when no finite value was observed.
         saw_all_keys: True when the sketch never overflowed.
         bits: the hashing scheme's width (32 or 64), which fixes ``h_u``.
+        range_preserving: True when ``value_range`` also bounds
+            ``values`` — the aggregate is one of
+            :data:`~repro.core.aggregators.RANGE_PRESERVING_AGGREGATES`.
     """
 
     key_hashes: np.ndarray
@@ -125,6 +128,7 @@ class SketchColumns:
     value_range: tuple[float, float]
     saw_all_keys: bool
     bits: int
+    range_preserving: bool
 
     @property
     def ranks(self) -> np.ndarray:
@@ -385,6 +389,7 @@ class CorrelationSketch:
             value_range=_value_range_of(self.value_min, self.value_max),
             saw_all_keys=not self._overflowed,
             bits=self.hasher.bits,
+            range_preserving=self.aggregate in RANGE_PRESERVING_AGGREGATES,
         )
 
     @classmethod
@@ -473,6 +478,7 @@ class CorrelationSketch:
                 value_range=_value_range_of(self.value_min, self.value_max),
                 saw_all_keys=not self._overflowed,
                 bits=self.hasher.bits,
+                range_preserving=self.aggregate in RANGE_PRESERVING_AGGREGATES,
             )
         return self._columns
 

@@ -27,7 +27,7 @@ from repro.correlation.fisher import (
     fisher_z,
     inverse_fisher_z,
 )
-from repro.correlation.pearson import pearson, pearson_moments
+from repro.correlation.pearson import pearson
 from repro.correlation.qn import qn_correlation, qn_scale
 from repro.correlation.ranks import average_ranks, rankit
 from repro.correlation.rin import rin
@@ -47,7 +47,6 @@ __all__ = [
     "get_estimator",
     "inverse_fisher_z",
     "pearson",
-    "pearson_moments",
     "pm1_bootstrap",
     "pm1_interval",
     "pm1_interval_page",

@@ -22,7 +22,8 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
 
     Args:
         x, y: equal-length 1-D arrays of paired samples. NaN pairs must be
-            removed by the caller (see ``JoinedSample.drop_nan``).
+            removed by the caller (a sketch join drops them, see
+            :func:`repro.core.joined_sample.join_page`).
 
     Returns:
         ``r`` in ``[-1, 1]``, or NaN when undefined.
@@ -55,27 +56,3 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     r = float(np.dot(dx, dy)) / denom
     return max(-1.0, min(1.0, r))
 
-
-def pearson_moments(x: np.ndarray, y: np.ndarray) -> dict[str, float]:
-    """Return the five moment parameters the Hoeffding CI analysis uses.
-
-    Section 4.3 decomposes ``r`` into ``μ_a, μ_b, ν_a, ν_b, ν_ab`` (first
-    and second raw moments plus the cross moment), each an average of ``n``
-    bounded terms. Exposing them here keeps the bound code in
-    :mod:`repro.bounds.hoeffding` purely algebraic.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if x.shape[0] == 0:
-        nan = math.nan
-        return {"mu_a": nan, "mu_b": nan, "nu_a": nan, "nu_b": nan, "nu_ab": nan, "n": 0}
-    return {
-        "mu_a": float(x.mean()),
-        "mu_b": float(y.mean()),
-        "nu_a": float(np.mean(x * x)),
-        "nu_b": float(np.mean(y * y)),
-        "nu_ab": float(np.mean(x * y)),
-        "n": int(x.shape[0]),
-    }

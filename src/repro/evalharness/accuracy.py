@@ -3,7 +3,8 @@
 For each sampled combination of column pairs the harness:
 
 1. builds both correlation sketches (size ``sketch_size``),
-2. estimates the after-join correlation from the sketch join,
+2. estimates the after-join correlation from the sketch join (a page
+   of one, :func:`repro.core.joined_sample.join_pair`),
 3. computes the *actual* after-join correlation with a full join,
 4. records both plus the sketch-join sample size.
 
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.estimators import get_estimator, population_reference
 from repro.data.sbn import SBNPair
@@ -81,7 +82,7 @@ def evaluate_pair_refs(
             sketch_size,
             aggregate=aggregate,
         )
-        sample = join_sketches(left, right).drop_nan()
+        sample = join_pair(left, right).samples[0]
         if sample.size < min_sample:
             continue
         estimate = fn(sample.x, sample.y)
@@ -125,7 +126,7 @@ def evaluate_sbn_pairs(
             pair.table_y.numeric(y_pair.value).values,
             sketch_size,
         )
-        sample = join_sketches(left, right).drop_nan()
+        sample = join_pair(left, right).samples[0]
         if sample.size < min_sample:
             continue
         estimate = fn(sample.x, sample.y)

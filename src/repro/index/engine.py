@@ -65,15 +65,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.joined_sample import JoinedSamplePage
+from repro.core.joined_sample import (
+    JoinedSamplePage,
+    PageJoin,
+    join_page,
+    key_overlaps,
+)
 from repro.core.sketch import CorrelationSketch, SketchColumns
-from repro.hashing.fibonacci import to_unit_interval_batch
 from repro.index.catalog import SketchCatalog
 from repro.index.options import RETRIEVAL_BACKENDS, QueryOptions
-from repro.kmv.estimators import (
-    containment_estimate_batch,
-    intersection_estimate_batch,
-)
 from repro.ranking.ranker import RankedCandidate, rank_candidates
 from repro.ranking.scoring import apply_bootstrap, candidate_scores_batch
 
@@ -175,122 +175,6 @@ class QueryResult:
         )
 
 
-#: Slots per query key in the membership table (a power of two): a
-#: 256-key query gets 2**15 slots, 256 KiB of ``intp``, and a random key
-#: set puts about one pair of keys in a shared slot. ``intp`` because the
-#: slots index the query's arrays: an ``int32`` table is half the size
-#: but every gather through it casts first (membership 0.16 ms against
-#: 0.12 ms per depth-100 page).
-_SLOTS_PER_KEY = 128
-#: Ceiling on the table: past 2**15 slots, zeroing and gathering from it
-#: cost more than the shared slots it saves. Membership per depth-100
-#: page (fetching the page's columns included): at 256 keys 2**13 to
-#: 2**15 slots all take 0.18 ms and 2**16 0.19 ms; at 1 024 keys 2**14 /
-#: 2**15 / 2**16 / 2**17 slots take 0.72 / 0.60 / 0.65 / 0.74 ms. A
-#: bigger query shares more slots, which costs time, never exactness.
-_MAX_SLOTS = 1 << 15
-
-
-class _MembershipTable:
-    """Direct-address table over one query's key hashes.
-
-    Slot ``h & mask`` of a query key holds its index in the query's
-    arrays. A slot no key owns holds 0, and one that two or more keys
-    share holds -1 (``shared`` says whether there is any). Built once
-    per query and shared by every row chunk of its page.
-    """
-
-    __slots__ = ("hashes", "mask", "slots", "shared")
-
-    def __init__(self, query: SketchColumns) -> None:
-        hashes = query.key_hashes
-        wanted = 1 << (hashes.size * _SLOTS_PER_KEY - 1).bit_length()
-        n_slots = min(_MAX_SLOTS, wanted)
-        low = hashes.view(np.int64) & (n_slots - 1)
-        slots = np.zeros(n_slots, dtype=np.intp)
-        slots[low] = np.arange(hashes.size)
-        low.sort()
-        clashing = low[1:][low[1:] == low[:-1]]
-        slots[clashing] = -1
-        self.hashes, self.mask, self.slots = hashes, n_slots - 1, slots
-        self.shared = clashing.size > 0
-
-
-def _membership_batch(
-    table: _MembershipTable, candidates: list[SketchColumns]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Probe a whole candidate page against the query's key hashes.
-
-    Concatenates the candidates' hash arrays and looks every entry up in
-    the query's :class:`_MembershipTable`: one gather of its slot and one
-    compare of the query hash the slot names with the entry's own.
-    Returns ``(in_query, positions, offsets, hashes)``: a boolean
-    membership mask over the page's entries, for members their index in
-    the query's arrays, the candidates' segment bounds and the
-    concatenated hash array itself. Membership is per-element, so a
-    candidate's slice is what probing it alone gives.
-
-    Exact: a query key lives in the slot of its low bits, so an entry
-    on a slot one key owns is a member if and only if it equals that
-    key, and one on a slot no key owns equals none — the slot names
-    query key 0, whose own slot is another. Only entries on a shared
-    slot are binary-searched in the sorted query hashes: a random
-    256-key query searches a handful of entries, or none, and one whose
-    keys all share a slot (a crafted key set) searches the entries on
-    that slot only. A page whose entries all sit on shared slots — a
-    crafted query *and* crafted candidates — searches every entry after
-    the lookup, which makes it slower than a plain page-wide search.
-    """
-    offsets = np.zeros(len(candidates) + 1, dtype=np.int64)
-    np.cumsum(
-        np.asarray([c.size for c in candidates], dtype=np.int64),
-        out=offsets[1:],
-    )
-    if candidates:
-        concat = np.concatenate([c.key_hashes for c in candidates])
-    else:
-        concat = np.empty(0, dtype=np.uint64)
-    query = table.hashes
-    if not query.size:
-        return (
-            np.zeros(concat.size, dtype=bool),
-            np.zeros(concat.size, dtype=np.intp),
-            offsets,
-            concat,
-        )
-    positions = table.slots[concat.view(np.int64) & table.mask]
-    if table.shared:
-        searched = np.flatnonzero(positions < 0)
-        if searched.size:
-            positions[searched] = np.minimum(
-                np.searchsorted(query, concat[searched]), query.size - 1
-            )
-    return query[positions] == concat, positions, offsets, concat
-
-
-#: Scratch cells one page-kernel pass may allocate (the join grid and the
-#: union rank matrix are each ``rows x width``): 512 KiB of float64, so a
-#: paper-sized page (depth 100, sketch size 256: 51 200 cells) is one
-#: pass and only deeper or wider pages are processed in row chunks, each
-#: chunk costing ~0.1-0.2 ms of call overhead. A pass works through a
-#: dozen ``rows x max|C|`` temporaries; whether those cost page faults
-#: is the allocator's doing, not the chunk size's — see
-#: ``repro.serving.session._pin_malloc_thresholds``.
-_PAGE_SCRATCH_CELLS = 64 << 10
-
-
-def _row_chunks(
-    query: SketchColumns, candidates: list[SketchColumns]
-) -> list[tuple[int, int]]:
-    """Row ranges whose ``rows x (|Q| + max|C|)`` scratch fits the bound."""
-    width = query.size + max((c.size for c in candidates), default=0)
-    rows = max(1, _PAGE_SCRATCH_CELLS // max(width, 1))
-    return [
-        (lo, min(lo + rows, len(candidates)))
-        for lo in range(0, len(candidates), rows)
-    ]
-
-
 def _lsh_hits_columnar(
     catalog: SketchCatalog,
     query_cols: SketchColumns,
@@ -318,18 +202,14 @@ def _lsh_hits_columnar(
             query_cols.key_hashes, exclude=exclude, bands=lsh_bands, rows=lsh_rows
         )
     )
-    columns = [catalog.sketch_columns(sid) for sid in ids]
-    table = _MembershipTable(query_cols)
-    hits: list[tuple[str, int]] = []
-    for lo, hi in _row_chunks(query_cols, columns):
-        in_query, _, offsets, _ = _membership_batch(table, columns[lo:hi])
-        members = np.concatenate(([0], np.cumsum(in_query)))
-        overlaps = members[offsets[1:]] - members[offsets[:-1]]
-        hits.extend(
-            (sid, overlap)
-            for sid, overlap in zip(ids[lo:hi], overlaps.tolist())
-            if overlap >= threshold
-        )
+    overlaps = key_overlaps(
+        query_cols, [catalog.sketch_columns(sid) for sid in ids]
+    )
+    hits = [
+        (sid, overlap)
+        for sid, overlap in zip(ids, overlaps.tolist())
+        if overlap >= threshold
+    ]
     hits.sort(key=lambda t: (-t[1], t[0]))
     return hits[:depth]
 
@@ -410,16 +290,14 @@ def retrieve_candidates_batch(
 
 
 @dataclass(frozen=True, eq=False)
-class CandidatePage:
+class CandidatePage(PageJoin):
     """One query's assembled candidate page: everything re-ranking needs.
 
     The merge seam between retrieval and scoring, held columnar: the
-    candidates' join samples are one CSR block (``samples``) and their
-    Eq. 1 combined-bottom-k statistics four arrays, all aligned with
-    ``ids``. ``k_len`` / ``kth`` / ``k_inter`` describe the first
-    ``min(|Q|, |C|)`` entries of the rank-ordered union of query and
-    candidate hashes; ``exact`` marks the both-sketches-saw-everything
-    shortcut where the raw overlap count is the exact intersection size.
+    query's :class:`~repro.core.joined_sample.PageJoin` with its
+    candidates — the join samples as one CSR block (``samples``) and the
+    Eq. 1 combined-bottom-k statistics as four arrays — aligned with
+    ``ids``; ``overlaps`` are the retrieval hits' own counts.
 
     Every per-candidate value depends only on the query and that
     candidate (never on the rest of the page), so pages assembled in
@@ -430,12 +308,6 @@ class CandidatePage:
     """
 
     ids: list[str]
-    overlaps: np.ndarray
-    samples: JoinedSamplePage
-    k_len: np.ndarray
-    kth: np.ndarray
-    k_inter: np.ndarray
-    exact: np.ndarray
 
     @classmethod
     def assemble(
@@ -444,183 +316,29 @@ class CandidatePage:
         query_cols: SketchColumns,
         hits: list[tuple[str, int]],
     ) -> "CandidatePage":
-        """Join + union statistics for a hits list, in page-level passes.
-
-        One membership table and one rank derivation for the query, then
-        one membership probe, one scatter-ordered join and one row-wise
-        rank partition per row chunk (:meth:`_assemble_rows`), merged
-        with the page-level :meth:`concat`.
-        """
-        page_cols = [catalog.sketch_columns(sid) for sid, _ in hits]
-        table = _MembershipTable(query_cols)
-        query_ranks = query_cols.ranks
-        # Where each query entry stands in ascending rank order.
-        rank_pos = np.empty(query_cols.size, dtype=np.int64)
-        rank_pos[np.argsort(query_ranks)] = np.arange(query_cols.size)
-        return cls.concat(
-            [
-                cls._assemble_rows(
-                    query_cols,
-                    table,
-                    query_ranks,
-                    rank_pos,
-                    hits[lo:hi],
-                    page_cols[lo:hi],
-                )
-                for lo, hi in _row_chunks(query_cols, page_cols)
-            ]
+        """Join + union statistics for a hits list: one
+        :func:`~repro.core.joined_sample.join_page` of the hit sketches."""
+        joined = join_page(
+            query_cols, [catalog.sketch_columns(sid) for sid, _ in hits]
         )
-
-    @classmethod
-    def _assemble_rows(
-        cls,
-        query: SketchColumns,
-        table: _MembershipTable,
-        query_ranks: np.ndarray,
-        rank_pos: np.ndarray,
-        hits: list[tuple[str, int]],
-        page_cols: list[SketchColumns],
-    ) -> "CandidatePage":
-        """The two page kernels over one row chunk.
-
-        The candidates' ranks are derived from the chunk's concatenated
-        key hashes (the membership probe's own array) in one pass, the
-        query's ranks and rank positions were derived once per page.
-
-        **Join.** A shared key hash carries the same rank on both sides
-        and ranks are injective over hashes, so a candidate's matched
-        pairs in ascending rank order are its members in ascending
-        *query* rank position. Scattering each member's page index into
-        the dense ``(candidate row, query rank position)`` grid and
-        reading the filled cells row-major therefore yields every
-        candidate's join in canonical order with no sort at all.
-
-        **Union k-th rank.** The rank-ordered union of query and
-        candidate hashes is the query's ranks plus the candidate's
-        *non-member* ranks. Laying those side by side in one
-        ``(rows, |Q| + max|C|)`` matrix — members and padding at
-        ``+inf``, which can never be among the first ``k_len <= |Q|`` —
-        one row-wise ``partition`` puts every row's ``k_len``-th
-        smallest in place; ``k_inter`` is then the members ranked at or
-        below it.
-        """
-        n, q_size = len(page_cols), query.size
-        in_query, positions, offsets, cat_hashes = _membership_batch(
-            table, page_cols
-        )
-        sizes = np.diff(offsets)
-        cat_values = np.concatenate([c.values for c in page_cols])
-        row_of = np.repeat(np.arange(n), sizes)
-        members = np.nonzero(in_query)[0]
-        member_rows = row_of[members]
-
-        grid = np.full(n * q_size, -1, dtype=np.int64)
-        grid[member_rows * q_size + rank_pos[positions[members]]] = members
-        ordered = grid[grid >= 0]
-        pair_rows = row_of[ordered]
-        key_hashes = cat_hashes[ordered]
-        x = query.values[positions[ordered]]
-        y = cat_values[ordered]
-        missing = np.isnan(x)
-        missing |= np.isnan(y)
-        if missing.any():
-            keep = ~missing
-            key_hashes, x, y = key_hashes[keep], x[keep], y[keep]
-            pair_rows = pair_rows[keep]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pair_rows, minlength=n), out=indptr[1:])
-
-        exact = np.asarray([c.saw_all_keys for c in page_cols], dtype=bool)
-        exact &= query.saw_all_keys
-        k_len = np.where(exact, 0, np.minimum(q_size, sizes))
-        kth = np.ones(n)
-        k_inter = np.zeros(n, dtype=np.int64)
-        live = k_len > 0
-        if live.any():
-            cat_ranks = to_unit_interval_batch(cat_hashes, query.bits)
-            member_ranks = cat_ranks[members]
-            cat_ranks[members] = np.inf
-            max_size = int(sizes.max())
-            ranks = np.empty((n, q_size + max_size))
-            ranks[:, :q_size] = query_ranks
-            padded = ranks[:, q_size:]
-            padded[...] = np.inf
-            # A boolean-mask store fills row-major, i.e. in page order.
-            padded[np.arange(max_size) < sizes[:, None]] = cat_ranks
-            k_index = np.maximum(k_len, 1) - 1
-            ranks.partition(np.unique(k_index[live]), axis=1)
-            kth[live] = ranks[np.arange(n), k_index][live]
-            inside = live[member_rows] & (member_ranks <= kth[member_rows])
-            k_inter = np.bincount(member_rows[inside], minlength=n)
-
         return cls(
-            ids=[sid for sid, _ in hits],
+            samples=joined.samples,
             overlaps=np.asarray([overlap for _, overlap in hits], dtype=np.int64),
-            samples=JoinedSamplePage(
-                key_hashes=key_hashes,
-                x=x,
-                y=y,
-                indptr=indptr,
-                x_ranges=np.broadcast_to(
-                    np.asarray(query.value_range, dtype=np.float64), (n, 2)
-                ),
-                y_ranges=np.asarray(
-                    [c.value_range for c in page_cols], dtype=np.float64
-                ),
-            ),
-            k_len=k_len,
-            kth=kth,
-            k_inter=k_inter,
-            exact=exact,
+            k_len=joined.k_len,
+            kth=joined.kth,
+            k_inter=joined.k_inter,
+            exact=joined.exact,
+            ids=[sid for sid, _ in hits],
         )
 
     @classmethod
     def concat(cls, pages: list["CandidatePage"]) -> "CandidatePage":
         """The pages' candidates back to back (one page is returned as is)."""
-        if len(pages) == 1:
-            return pages[0]
-
-        def column(name: str, dtype) -> np.ndarray:
-            parts = [np.empty(0, dtype=dtype)] + [getattr(p, name) for p in pages]
-            return np.concatenate(parts)
-
-        return cls(
-            ids=[sid for page in pages for sid in page.ids],
-            overlaps=column("overlaps", np.int64),
-            samples=JoinedSamplePage.concat([page.samples for page in pages]),
-            k_len=column("k_len", np.int64),
-            kth=column("kth", np.float64),
-            k_inter=column("k_inter", np.int64),
-            exact=column("exact", bool),
-        )
+        return super().concat(pages, ids=[sid for page in pages for sid in page.ids])
 
     def take(self, rows: np.ndarray) -> "CandidatePage":
         """The candidates at ``rows``, in that order, as a new page."""
-        return CandidatePage(
-            ids=[self.ids[i] for i in rows.tolist()],
-            overlaps=self.overlaps[rows],
-            samples=self.samples.take(rows),
-            k_len=self.k_len[rows],
-            kth=self.kth[rows],
-            k_inter=self.k_inter[rows],
-            exact=self.exact[rows],
-        )
-
-    def containments(self, d_query: float) -> np.ndarray:
-        """Vectorized Eq. 1 containment estimates for the page.
-
-        Applies the arithmetic of the per-candidate reference
-        (``containment_estimate`` in ``tests/scalar_query_oracle.py``)
-        elementwise, through the one Eq. 1 kernel
-        (:func:`repro.kmv.estimators.intersection_estimate_batch`), so
-        each estimate is bit-identical to the scalar function's.
-        """
-        return containment_estimate_batch(
-            intersection_estimate_batch(
-                self.k_len, self.kth, self.k_inter, self.exact, self.overlaps
-            ),
-            d_query,
-        )
+        return super().take(rows, ids=[self.ids[i] for i in rows.tolist()])
 
 
 def _truths(

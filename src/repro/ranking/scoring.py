@@ -53,6 +53,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.bounds.hoeffding import hfd_intervals
 from repro.correlation.bootstrap import pm1_interval, pm1_interval_page
 from repro.core.joined_sample import JoinedSamplePage
 
@@ -223,9 +224,10 @@ def candidate_scores_batch(
     Hoeffding-CI statistics for *all* candidates are computed from the
     page's CSR sample arrays with segment reductions
     (``np.add.reduceat``) — a fixed number of whole-page array passes, no
-    per-candidate Python. Ragged sample lengths are handled by segment
-    offsets; an empty sample gets NaN Pearson and the vacuous ``[-1, 1]``
-    Hoeffding interval (length 2).
+    per-candidate Python; the HFD length is
+    :func:`repro.bounds.hoeffding.hfd_intervals`'s. Ragged sample lengths
+    are handled by segment offsets; an empty sample gets NaN Pearson and
+    the vacuous ``[-1, 1]`` Hoeffding interval (length 2).
 
     The PM1 bootstrap — when ``with_bootstrap`` — follows ``rng_mode``
     (see :func:`apply_bootstrap`).
@@ -265,81 +267,49 @@ def candidate_scores_batch(
         )
 
     lengths = page.sizes
-    # Combined range (§4.3): a NaN side is skipped, both NaN stays NaN.
-    c_low = np.fmin(page.x_ranges[:, 0], page.y_ranges[:, 0])
-    c_high = np.fmax(page.x_ranges[:, 1], page.y_ranges[:, 1])
-
     r_pearson = np.full(count, math.nan, dtype=np.float64)
-    hfd_len = np.full(count, 2.0, dtype=np.float64)
-
     nonempty = np.nonzero(lengths > 0)[0]
-    if nonempty.size:
-        seg_len = lengths[nonempty]
-        seg_n = seg_len.astype(np.float64)
-        x, y = page.x, page.y
-        starts = page.indptr[nonempty]
+    # Values past ~1e154 overflow the sums of squares: Pearson is NaN
+    # there and the HFD kernel's per-row guard answers the vacuous
+    # interval, so the pass reports no floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if nonempty.size:
+            seg_len = lengths[nonempty]
+            seg_n = seg_len.astype(np.float64)
+            x, y = page.x, page.y
+            starts = page.indptr[nonempty]
 
-        # -- Pearson (Eq. 3), centered two-pass as in pearson() ------------
-        mean_x = np.add.reduceat(x, starts) / seg_n
-        mean_y = np.add.reduceat(y, starts) / seg_n
-        dx = x - np.repeat(mean_x, seg_len)
-        dy = y - np.repeat(mean_y, seg_len)
-        sxx = np.add.reduceat(dx * dx, starts)
-        syy = np.add.reduceat(dy * dy, starts)
-        sxy = np.add.reduceat(dx * dy, starts)
-        eps = np.finfo(np.float64).eps
-        absmax_x = np.maximum.reduceat(np.abs(x), starts)
-        absmax_y = np.maximum.reduceat(np.abs(y), starts)
-        tol_x = (8.0 * eps * absmax_x) ** 2 * seg_n
-        tol_y = (8.0 * eps * absmax_y) ** 2 * seg_n
-        with np.errstate(invalid="ignore", divide="ignore"):
+            # -- Pearson (Eq. 3), centered two-pass as in pearson() --------
+            mean_x = np.add.reduceat(x, starts) / seg_n
+            mean_y = np.add.reduceat(y, starts) / seg_n
+            dx = x - np.repeat(mean_x, seg_len)
+            dy = y - np.repeat(mean_y, seg_len)
+            sxx = np.add.reduceat(dx * dx, starts)
+            syy = np.add.reduceat(dy * dy, starts)
+            sxy = np.add.reduceat(dx * dy, starts)
+            eps = np.finfo(np.float64).eps
+            absmax_x = np.maximum.reduceat(np.abs(x), starts)
+            absmax_y = np.maximum.reduceat(np.abs(y), starts)
+            tol_x = (8.0 * eps * absmax_x) ** 2 * seg_n
+            tol_y = (8.0 * eps * absmax_y) ** 2 * seg_n
             denom = np.sqrt(sxx) * np.sqrt(syy)
             r = np.clip(sxy / denom, -1.0, 1.0)
-        defined = (
-            (seg_len >= 2)
-            & (sxx > tol_x)
-            & (syy > tol_y)
-            & (denom > 0.0)
-            & np.isfinite(denom)
-        )
-        r_pearson[nonempty] = np.where(defined, r, math.nan)
+            defined = (
+                (seg_len >= 2)
+                & (sxx > tol_x)
+                & (syy > tol_y)
+                & (denom > 0.0)
+                & np.isfinite(denom)
+            )
+            r_pearson[nonempty] = np.where(defined, r, math.nan)
 
         # -- HFD interval length (§4.3, sample-SD denominator) -------------
-        clo = c_low[nonempty]
-        chi = c_high[nonempty]
-        c = chi - clo
-        a = x - np.repeat(clo, seg_len)
-        b = y - np.repeat(clo, seg_len)
-        mu_a = np.add.reduceat(a, starts) / seg_n
-        mu_b = np.add.reduceat(b, starts) / seg_n
-        nu_a = np.add.reduceat(a * a, starts) / seg_n
-        nu_b = np.add.reduceat(b * b, starts) / seg_n
-        nu_ab = np.add.reduceat(a * b, starts) / seg_n
-        log_term = math.log(10.0 / alpha)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c2 = c * c
-            t = np.sqrt(log_term * c2 / (2.0 * seg_n))
-            t_prime = np.sqrt(log_term * c2 * c2 / (2.0 * seg_n))
-            mu_a_low = np.maximum(0.0, mu_a - t)
-            mu_a_high = np.minimum(c, mu_a + t)
-            mu_b_low = np.maximum(0.0, mu_b - t)
-            mu_b_high = np.minimum(c, mu_b + t)
-            nu_ab_low = np.maximum(0.0, nu_ab - t_prime)
-            nu_ab_high = np.minimum(c * c, nu_ab + t_prime)
-            num_low = nu_ab_low - mu_a_high * mu_b_high
-            num_high = nu_ab_high - mu_a_low * mu_b_low
-            var_a = np.maximum(0.0, nu_a - mu_a * mu_a)
-            var_b = np.maximum(0.0, nu_b - mu_b * mu_b)
-            den = np.sqrt(var_a) * np.sqrt(var_b)
-            # Both denominator bounds equal the sample-SD product, so the
-            # sign-aware interval quotient (Eq. 6-7) collapses to plain
-            # division; the length mirrors ConfidenceInterval.length as
-            # high - low (not the algebraically equal (num_high-num_low)/den).
-            length = num_high / den - num_low / den
-        degenerate = (
-            np.isnan(clo) | np.isnan(chi) | (chi < clo) | (c == 0.0) | (den <= 0.0)
+        # Its length as ConfidenceInterval.length takes it, high - low;
+        # an empty or degenerate sample gets the vacuous [-1, 1] (2.0).
+        hfd_low, hfd_high = hfd_intervals(
+            page.x, page.y, page.indptr, *page.combined_ranges(), alpha
         )
-        hfd_len[nonempty] = np.where(degenerate, 2.0, length)
+        hfd_len = hfd_high - hfd_low
 
     scores = ScoreColumns(
         r_pearson=r_pearson,

@@ -15,6 +15,8 @@ import numpy as np
 from repro.core.joined_sample import JoinedSample
 from repro.core.sketch import SketchColumns
 
+from sketch_join_oracle import drop_nan
+
 
 @dataclass(frozen=True)
 class UnionStats:
@@ -92,7 +94,7 @@ def join_from_membership(
 ) -> JoinedSample:
     """Materialize the sketch join from a precomputed membership probe.
 
-    Bit-identical to :func:`repro.core.joined_sample.join_sketches` (both
+    Bit-identical to ``sketch_join_oracle.join_sketches`` (both
     sides store the same rank for a shared hash, so ordering by the
     candidate's ranks reproduces the canonical ascending-rank order).
     """
@@ -112,6 +114,8 @@ def join_from_membership(
 
 def join(query: SketchColumns, candidate: SketchColumns) -> JoinedSample:
     """The NaN-filtered join a candidate page holds for one candidate."""
-    return join_from_membership(
-        query, candidate, *candidate_membership(query, candidate)
-    ).drop_nan()
+    return drop_nan(
+        join_from_membership(
+            query, candidate, *candidate_membership(query, candidate)
+        )
+    )

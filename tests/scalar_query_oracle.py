@@ -24,8 +24,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from repro.bounds.hoeffding import hfd_interval
-from repro.core.joined_sample import JoinedSample, JoinedSamplePage, join_sketches
+from repro.core.joined_sample import JoinedSample, JoinedSamplePage
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.bootstrap import (
     BATCH_ROUND_REPLICATES,
@@ -44,6 +43,7 @@ from repro.ranking.ranker import RankedCandidate
 from repro.ranking.scoring import SCORER_NAMES, CandidateScores, ScoreColumns
 
 from scancount_oracle import index_of
+from sketch_join_oracle import combined_range, hfd_interval, pair_sample
 
 # -- per-candidate statistics and the per-record scorer -----------------------
 
@@ -99,7 +99,8 @@ def candidate_scores(
     """Compute all per-candidate scoring statistics from a sketch join.
 
     Args:
-        sample: NaN-filtered joined sample from ``join_sketches(...)``.
+        sample: NaN-filtered joined sample, value bounds by the range
+            rule (``sketch_join_oracle.pair_sample``).
         containment_est: sketch-based containment estimate (``ĵc``).
         containment_true: exact containment when available (``jc``).
         alpha: miscoverage level for the HFD interval.
@@ -125,7 +126,7 @@ def candidate_scores(
         r_b = math.nan
         cib = 0.0
 
-    c_low, c_high = sample.combined_range()
+    c_low, c_high = combined_range(sample)
     hfd = hfd_interval(sample.x, sample.y, c_low, c_high, alpha)
     hfd_len = hfd.length if not math.isnan(hfd.length) else math.nan
 
@@ -424,7 +425,7 @@ def scalar_query(
     ids, samples, stats = [], [], []
     for sid, overlap in hits:
         candidate = catalog.get(sid)
-        sample = join_sketches(query_sketch, candidate).drop_nan()
+        sample = pair_sample(query_sketch, candidate)
         ids.append(sid)
         samples.append(sample)
         stats.append(

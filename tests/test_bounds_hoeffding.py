@@ -1,18 +1,28 @@
-"""Unit tests for the Section 4.3 Hoeffding confidence bounds."""
+"""Unit tests for the Section 4.3 Hoeffding confidence bounds.
+
+The interval tests run the column kernels on a page of one sample; the
+radii and the sign-aware quotient are the scalar oracle's
+(``sketch_join_oracle``), which the kernels are held to in
+``test_core_page_of_one.py``."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.bounds.hoeffding import (
-    hfd_interval,
-    hoeffding_interval,
-    hoeffding_radii,
-    _interval_quotient,
-)
+from repro.bounds.hoeffding import hfd_intervals, hoeffding_intervals
 from repro.bounds.intervals import ConfidenceInterval
 from repro.correlation.pearson import pearson
+
+from sketch_join_oracle import _interval_quotient, hoeffding_radii, one_sample
+
+
+def hoeffding_interval(x, y, c_low, c_high, alpha=0.05):
+    return one_sample(hoeffding_intervals, x, y, c_low, c_high, alpha)
+
+
+def hfd_interval(x, y, c_low, c_high, alpha=0.05):
+    return one_sample(hfd_intervals, x, y, c_low, c_high, alpha)
 
 
 def _population(n=100_000, rho=0.5, seed=0, scale=1.0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.gkmv import ThresholdSketch
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.pearson import pearson
 from repro.hashing import KeyHasher
@@ -78,7 +78,7 @@ def test_joins_with_fixed_size_sketch():
     threshold = ThresholdSketch(256 / n, hasher=hasher)
     threshold.update_all(zip(keys, y))
 
-    sample = join_sketches(fixed, threshold)
+    sample = join_pair(fixed, threshold).samples[0]
     assert sample.size > 50
     assert pearson(sample.x, sample.y) == pytest.approx(0.8, abs=0.2)
 
@@ -98,7 +98,7 @@ def test_two_threshold_sketches_estimate_correlation():
 
     # Key coordination: same threshold + same hasher -> identical key sets.
     assert a.key_hashes() == b.key_hashes()
-    sample = join_sketches(a, b)
+    sample = join_pair(a, b).samples[0]
     assert pearson(sample.x, sample.y) == pytest.approx(-0.7, abs=0.12)
 
 

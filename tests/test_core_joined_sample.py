@@ -1,31 +1,41 @@
-"""Unit tests for sketch joins and JoinedSample (Theorem 1 machinery)."""
+"""Unit tests for sketch joins and JoinedSample (Theorem 1 machinery).
+
+A pair joins as a page of one (``join_pair``); the dict-set pair join,
+``drop_nan`` and ``combined_range`` are the oracle's
+(``sketch_join_oracle``)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.joined_sample import JoinedSample, join_sketches
+from repro.core.joined_sample import JoinedSample, join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
+
+from sketch_join_oracle import combined_range, drop_nan, join_sketches
 
 
 def _sketch(keys, values, n=64, **kwargs):
     return CorrelationSketch.from_columns(list(keys), list(values), n, **kwargs)
 
 
+def _join(a, b):
+    return join_pair(a, b).samples[0]
+
+
 def test_join_requires_same_scheme():
     a = _sketch(["x"], [1.0], hasher=KeyHasher(seed=1))
     b = _sketch(["x"], [1.0], hasher=KeyHasher(seed=2))
     with pytest.raises(ValueError, match="hashing schemes"):
-        join_sketches(a, b)
+        join_pair(a, b)
 
 
 def test_identical_keys_full_overlap():
     keys = [f"k{i}" for i in range(30)]
     a = _sketch(keys, np.arange(30.0))
     b = _sketch(keys, np.arange(30.0) * 2)
-    sample = join_sketches(a, b)
+    sample = _join(a, b)
     assert sample.size == 30
     # Alignment: y must be exactly 2x for every pair.
     assert np.allclose(sample.y, 2 * sample.x)
@@ -34,7 +44,7 @@ def test_identical_keys_full_overlap():
 def test_disjoint_keys_empty_join():
     a = _sketch([f"a{i}" for i in range(20)], np.ones(20))
     b = _sketch([f"b{i}" for i in range(20)], np.ones(20))
-    sample = join_sketches(a, b)
+    sample = _join(a, b)
     assert sample.size == 0
     assert len(sample) == 0
 
@@ -42,7 +52,7 @@ def test_disjoint_keys_empty_join():
 def test_partial_overlap_alignment():
     a = _sketch(["a", "b", "c", "d"], [1.0, 2.0, 3.0, 4.0])
     b = _sketch(["c", "d", "e"], [30.0, 40.0, 50.0])
-    sample = join_sketches(a, b)
+    sample = _join(a, b)
     assert sample.size == 2
     pairs = set(zip(sample.x.tolist(), sample.y.tolist()))
     assert pairs == {(3.0, 30.0), (4.0, 40.0)}
@@ -56,7 +66,7 @@ def test_join_extreme_dependence_beats_uniform_sampling():
     keys = [f"k{i}" for i in range(n_keys)]
     a = _sketch(keys, np.zeros(n_keys), n=100)
     b = _sketch(keys, np.zeros(n_keys), n=100)
-    sample = join_sketches(a, b)
+    sample = _join(a, b)
     assert sample.size == 100  # maximum possible
 
 
@@ -64,7 +74,7 @@ def test_key_hashes_ascending_by_rank():
     keys = [f"k{i}" for i in range(500)]
     a = _sketch(keys, np.zeros(500), n=50)
     b = _sketch(keys, np.zeros(500), n=50)
-    sample = join_sketches(a, b)
+    sample = _join(a, b)
     units = [a.hasher.unit_hash_of_key_hash(int(kh)) for kh in sample.key_hashes]
     assert units == sorted(units)
 
@@ -72,10 +82,12 @@ def test_key_hashes_ascending_by_rank():
 def test_ranges_carried_from_sketches():
     a = _sketch(["a", "b"], [-5.0, 10.0])
     b = _sketch(["a", "b"], [0.0, 2.0])
-    sample = join_sketches(a, b)
+    sample = _join(a, b)
     assert sample.x_range == (-5.0, 10.0)
     assert sample.y_range == (0.0, 2.0)
-    assert sample.combined_range() == (-5.0, 10.0)
+    assert combined_range(sample) == (-5.0, 10.0)
+    lows, highs = join_pair(a, b).samples.combined_ranges()
+    assert (lows.tolist(), highs.tolist()) == ([-5.0], [10.0])
 
 
 def test_combined_range_with_unknown_side():
@@ -86,7 +98,7 @@ def test_combined_range_with_unknown_side():
         x_range=(math.nan, math.nan),
         y_range=(0.0, 1.0),
     )
-    assert sample.combined_range() == (0.0, 1.0)
+    assert combined_range(sample) == (0.0, 1.0)
 
 
 def test_combined_range_all_unknown():
@@ -95,7 +107,7 @@ def test_combined_range_all_unknown():
         x=np.array([]),
         y=np.array([]),
     )
-    lo, hi = sample.combined_range()
+    lo, hi = combined_range(sample)
     assert math.isnan(lo) and math.isnan(hi)
 
 
@@ -105,7 +117,7 @@ def test_drop_nan_filters_pairs():
         x=np.array([1.0, math.nan, 3.0, 4.0]),
         y=np.array([1.0, 2.0, math.nan, 4.0]),
     )
-    clean = sample.drop_nan()
+    clean = drop_nan(sample)
     assert clean.size == 2
     assert clean.x.tolist() == [1.0, 4.0]
     assert clean.key_hashes.tolist() == [1, 4]
@@ -117,7 +129,7 @@ def test_drop_nan_no_copies_when_clean():
         x=np.array([1.0]),
         y=np.array([2.0]),
     )
-    assert sample.drop_nan() is sample
+    assert drop_nan(sample) is sample
 
 
 def test_missing_values_flow_through_join_as_nan():
@@ -125,4 +137,7 @@ def test_missing_values_flow_through_join_as_nan():
     b = _sketch(["a", "b"], [1.0, 3.0])
     sample = join_sketches(a, b)
     assert sample.size == 2
-    assert sample.drop_nan().size == 1
+    assert drop_nan(sample).size == 1
+    joined = join_pair(a, b)
+    assert joined.samples[0].size == 1
+    assert joined.overlaps.tolist() == [2]

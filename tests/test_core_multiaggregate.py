@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.multiaggregate import MultiAggregateSketch
 from repro.core.sketch import CorrelationSketch
 from test_ingest_parity import assert_full_state_equal
@@ -64,7 +64,7 @@ def test_views_joinable():
     multi = MultiAggregateSketch(64, ["mean", "last"])
     multi.update_array(keys, x)
     other = CorrelationSketch.from_columns(keys, 2 * x, 64)
-    sample = join_sketches(multi.view("mean"), other)
+    sample = join_pair(multi.view("mean"), other).samples[0]
     assert sample.size > 0
     assert np.allclose(sample.y, 2 * sample.x)
 

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
 from repro.table.column import CategoricalColumn, NumericColumn
@@ -89,7 +89,7 @@ def test_views_joinable_with_regular_sketches():
     x = rng.standard_normal(300)
     (view,) = CorrelationSketch.from_key_column(keys, [x], 32)
     other = CorrelationSketch.from_columns(keys, x * 2, 32)
-    sample = join_sketches(view, other)
+    sample = join_pair(view, other).samples[0]
     assert sample.size > 0
     assert np.allclose(sample.y, 2 * sample.x)
 

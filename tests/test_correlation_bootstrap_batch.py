@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.correlation.bootstrap import PM1_REPLICATES, pm1_interval
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import JoinCorrelationEngine
@@ -169,7 +169,7 @@ def _joined_samples(seed, count=12):
         right = CorrelationSketch.from_columns(
             keys, y, 128, hasher=left.hasher, name="R"
         )
-        samples.append(join_sketches(left, right).drop_nan())
+        samples.append(join_pair(left, right).samples[0])
     return samples
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.correlation.pearson import pearson, pearson_moments
+from repro.correlation.pearson import pearson
+
+from sketch_join_oracle import pearson_moments
 
 
 def test_perfect_positive():

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.joined_sample import JoinedSample, JoinedSamplePage
 from repro.core.sketch import CorrelationSketch, SketchColumns
 from repro.hashing import KeyHasher
-from repro.index import engine as engine_mod
+from repro.core import joined_sample as kernel_mod
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import (
     CandidatePage,
@@ -168,12 +168,12 @@ def test_row_chunking_does_not_change_the_page(page_input, cells):
     """Any scratch bound — down to one row per chunk — gives the oracle's
     page: chunks are merged with the page-level ``concat``."""
     query, candidates = page_input
-    saved = engine_mod._PAGE_SCRATCH_CELLS
-    engine_mod._PAGE_SCRATCH_CELLS = cells
+    saved = kernel_mod._PAGE_SCRATCH_CELLS
+    kernel_mod._PAGE_SCRATCH_CELLS = cells
     try:
         page = _assemble(query, candidates)
     finally:
-        engine_mod._PAGE_SCRATCH_CELLS = saved
+        kernel_mod._PAGE_SCRATCH_CELLS = saved
     _assert_page_matches_oracle(query, candidates, page)
 
 
@@ -275,7 +275,7 @@ def test_forced_collisions_match_oracle(bits):
     query_keys = np.concatenate([ordinary, clashing, extremes])
     # Large enough to keep every key, so the crafted ones are all there.
     query = sketch(query_keys, 256, "query")
-    assert engine_mod._MembershipTable(query.columnar()).shared
+    assert kernel_mod._MembershipTable(query.columnar()).shared
     candidates = {
         "clash": sketch(
             np.concatenate([clashing, _on_slot(rng, 6, bits), ordinary[:40]]),
@@ -369,7 +369,7 @@ def test_all_colliding_query_searches_only_its_slot(monkeypatch):
     rng = np.random.default_rng(12)
     query, candidates = _depth_100_page(rng, _on_slot(rng, 300, 64), 75)
     entries = np.concatenate([c.columnar().key_hashes for c in candidates.values()])
-    mask = engine_mod._MembershipTable(query.columnar()).mask
+    mask = kernel_mod._MembershipTable(query.columnar()).mask
     on_slot = int(np.count_nonzero((entries & np.uint64(mask)) == _SLOT & mask))
     needles = _count_searches(monkeypatch)
     page = _assemble(query, candidates)
@@ -528,6 +528,7 @@ def _synthetic_columns(rng, hasher, universe, size) -> SketchColumns:
         value_range=(-5.0, 5.0),
         saw_all_keys=False,
         bits=hasher.bits,
+        range_preserving=True,
     )
 
 
@@ -561,5 +562,5 @@ def test_deep_page_of_big_sketches_assembles_in_bounded_scratch(monkeypatch):
 
     assert _assemble_peak_bytes(catalog, query_cols, hits) < budget
     # The budget is a real constraint: unchunked, the same page breaks it.
-    monkeypatch.setattr(engine_mod, "_PAGE_SCRATCH_CELLS", 1 << 40)
+    monkeypatch.setattr(kernel_mod, "_PAGE_SCRATCH_CELLS", 1 << 40)
     assert _assemble_peak_bytes(catalog, query_cols, hits) > budget

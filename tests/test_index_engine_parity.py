@@ -17,7 +17,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.joined_sample import join_sketches
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import CandidatePage, JoinCorrelationEngine
@@ -26,6 +25,7 @@ from repro.ranking.scoring import RNG_MODES, SCORER_NAMES, candidate_scores_batc
 from repro.table.table import table_from_arrays
 
 import candidate_page_oracle as oracle
+from sketch_join_oracle import drop_nan, join_sketches
 from scalar_query_oracle import (
     assert_results_match,
     candidate_scores,
@@ -268,7 +268,7 @@ def test_candidate_scores_batch_matches_scalar():
     samples = []
     for _ in range(20):
         left, right = _random_sketch_pair(rng)
-        samples.append(join_sketches(left, right).drop_nan())
+        samples.append(drop_nan(join_sketches(left, right)))
 
     rng_a = np.random.default_rng(101)
     rng_b = np.random.default_rng(101)

@@ -10,7 +10,7 @@ and the unit hash never needs storing because it derives from h(k).
 import numpy as np
 import pytest
 
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.table.join import join_columns
 
@@ -55,7 +55,7 @@ def test_joined_sketch_aligns_values_by_key():
     """Every pair in L_{X⋈Y} must match the corresponding row of the
     full aggregated join T_{X⋈Y} (Figure 1, right table)."""
     left, right = _sketches(n=4)
-    sample = join_sketches(left, right)
+    sample = join_pair(left, right).samples[0]
     assert sample.size >= 1
     hasher = left.hasher
     truth = {
@@ -71,7 +71,7 @@ def test_joined_sketch_aligns_values_by_key():
 
 def test_sketch_join_is_subset_of_full_join():
     left, right = _sketches(n=3)
-    sample = join_sketches(left, right)
+    sample = join_pair(left, right).samples[0]
     full = join_columns(TX_KEYS, np.array(TX_VALS), TY_KEYS, np.array(TY_VALS))
     full_pairs = set(zip(full.x.tolist(), full.y.tolist()))
     sample_pairs = set(zip(sample.x.tolist(), sample.y.tolist()))

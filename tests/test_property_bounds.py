@@ -6,9 +6,20 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.bounds.hoeffding import hfd_interval, hoeffding_interval, hoeffding_radii
+from repro.bounds.hoeffding import hfd_intervals, hoeffding_intervals
 from repro.correlation.fisher import fisher_interval
 from repro.correlation.pearson import pearson
+
+from sketch_join_oracle import hoeffding_radii, one_sample
+
+
+def hoeffding_interval(x, y, c_low, c_high, alpha=0.05):
+    """The column kernel on a page of one sample."""
+    return one_sample(hoeffding_intervals, x, y, c_low, c_high, alpha)
+
+
+def hfd_interval(x, y, c_low, c_high, alpha=0.05):
+    return one_sample(hfd_intervals, x, y, c_low, c_high, alpha)
 
 bounded_floats = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 paired_arrays = st.integers(min_value=2, max_value=80).flatmap(

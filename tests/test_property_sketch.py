@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
 
@@ -105,7 +105,7 @@ def test_join_size_never_exceeds_either_sketch(shared, only_left, only_right, n)
     right_keys = [f"s{i}" for i in range(shared)] + [f"r{i}" for i in range(only_right)]
     left = CorrelationSketch.from_columns(left_keys, np.ones(len(left_keys)), n)
     right = CorrelationSketch.from_columns(right_keys, np.ones(len(right_keys)), n)
-    sample = join_sketches(left, right)
+    sample = join_pair(left, right).samples[0]
     assert sample.size <= min(len(left), len(right))
     assert sample.size <= shared
 
@@ -121,8 +121,8 @@ def test_join_is_symmetric_in_size(shared, n, seed):
     keys = [f"s{i}" for i in range(shared)]
     a = CorrelationSketch.from_columns(keys, np.arange(float(shared)), n, hasher=hasher)
     b = CorrelationSketch.from_columns(keys, np.arange(float(shared)) * 2, n, hasher=hasher)
-    ab = join_sketches(a, b)
-    ba = join_sketches(b, a)
+    ab = join_pair(a, b).samples[0]
+    ba = join_pair(b, a).samples[0]
     assert ab.size == ba.size
     assert set(map(int, ab.key_hashes)) == set(map(int, ba.key_hashes))
 

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core import joined_sample
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
 from repro.index.catalog import SketchCatalog, _DeferredEntryDict
@@ -279,7 +280,7 @@ def test_depth_100_query_is_one_probe_one_page_and_wakes_its_candidates(
     router.warm()
     assert catalog.loaded_shards == [True] * 4 and not wakes
     probes = _count_calls(monkeypatch, ColumnarPostings, "overlap_counts_batch")
-    passes = _count_calls(monkeypatch, CandidatePage, "_assemble_rows")
+    passes = _count_calls(monkeypatch, joined_sample, "_join_rows")
     result = router.query(query, k=10)
     assert result.candidates_considered == 100
     assert (len(probes), len(passes)) == (1, 1)

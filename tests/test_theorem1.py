@@ -14,7 +14,7 @@ joined table. These tests check the operational consequences:
 import numpy as np
 import pytest
 
-from repro.core.joined_sample import join_sketches
+from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
 
@@ -39,7 +39,7 @@ def test_join_keys_are_bottom_ranked_joint_keys():
     joint = sorted(set(keys_x) & set(keys_y))
 
     left, right = _build_pair(keys_x, keys_y, n=100, seed=1)
-    sample = join_sketches(left, right)
+    sample = join_pair(left, right).samples[0]
     got = set(int(kh) for kh in sample.key_hashes)
 
     hasher = KeyHasher(seed=1)
@@ -59,7 +59,7 @@ def test_inclusion_is_uniform_across_hash_seeds():
     counts = {k: 0 for k in keys}
     for seed in range(trials):
         left, right = _build_pair(keys, keys, n=sketch_n, seed=seed)
-        sample = join_sketches(left, right)
+        sample = join_pair(left, right).samples[0]
         hasher = KeyHasher(seed=seed)
         included = set(int(kh) for kh in sample.key_hashes)
         for k in keys:
@@ -89,7 +89,7 @@ def test_sample_mean_is_unbiased():
         right = CorrelationSketch.from_columns(
             keys, np.zeros(n_keys), 150, hasher=hasher
         )
-        sample = join_sketches(left, right)
+        sample = join_pair(left, right).samples[0]
         estimates.append(float(sample.x.mean()))
     bias = float(np.mean(estimates)) - true_mean
     # Standard error of the mean-of-means ~ sigma/sqrt(150*60) ~ 0.01.
@@ -113,6 +113,6 @@ def test_correlation_estimates_unbiased_over_seeds():
         hasher = KeyHasher(seed=seed)
         left = CorrelationSketch.from_columns(keys, x, 128, hasher=hasher)
         right = CorrelationSketch.from_columns(keys, y, 128, hasher=hasher)
-        sample = join_sketches(left, right)
+        sample = join_pair(left, right).samples[0]
         estimates.append(pearson(sample.x, sample.y))
     assert float(np.mean(estimates)) == pytest.approx(true_r, abs=0.03)
