@@ -1,6 +1,6 @@
 """Fault tolerance: latency and degraded-rate under injected faults.
 
-The resilience acceptance benchmark. Four scenarios over one sharded
+The resilience acceptance benchmark. Three scenarios over one sharded
 corpus, all driven by the deterministic fault harness
 (:mod:`repro.serving.faults`, seed pinned so CI runs are reproducible):
 
@@ -14,14 +14,7 @@ corpus, all driven by the deterministic fault harness
   probability 0.1: failed shards are dropped, queries degrade instead of
   failing, every degraded flag is exactly ``shards_failed > 0``, and
   every answer is the exact answer of a monolithic engine over the
-  shards that survived that query;
-* **worker kill mid-batch** — exactly one process-pool chunk dies
-  (``times: 1`` — the fork-shared budget makes this deterministic,
-  where a per-dispatch probability would draw in rng *copies* the
-  workers inherit at fork): supervision respawns the pool and
-  re-dispatches the lost chunk, so the batch completes with rankings
-  identical to the sequential path — the cost is wall-clock, which is
-  what this row measures.
+  shards that survived that query.
 
 Results land in ``benchmarks/results/fault_tolerance.txt``; ``--quick``
 shrinks the corpus to a CI smoke and skips the regression assertion.
@@ -38,12 +31,7 @@ from conftest import write_result
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import JoinCorrelationEngine
-from repro.serving import (
-    QueryWorkerPool,
-    ShardRouter,
-    ShardedCatalog,
-    injected,
-)
+from repro.serving import ShardRouter, ShardedCatalog, injected
 
 CATALOG_SKETCHES = 2048
 QUICK_SKETCHES = 256
@@ -204,43 +192,6 @@ def test_fault_tolerance(quick):
             oracles[lost] = _survivors_engine(catalog, lost)
         want = oracles[lost].query(query, k=10)
         assert _ranking_key([result]) == _ranking_key([want])
-
-    # -- worker-kill scenario: batch wall-clock under supervision -------------
-    # Workers inherit the installed fault plan at fork, so the kill run
-    # needs its own pool created *under* the plan; both runs are
-    # therefore measured on a cold pool (fork cost on both sides).
-    want_batch = _ranking_key(router.query_batch(queries, k=10))
-
-    def cold_batch():
-        with QueryWorkerPool(router, workers=2) as pool:
-            if not pool.parallel:
-                return None
-            t0 = time.perf_counter()
-            results = pool.query_batch(queries, k=10)
-            elapsed = time.perf_counter() - t0
-            return elapsed, results, pool.respawns, pool.sequential_fallback
-
-    clean_run = cold_batch()
-    if clean_run is not None:
-        clean_s, clean_batch, clean_respawns, _ = clean_run
-        assert _ranking_key(clean_batch) == want_batch
-        assert clean_respawns == 0
-        with injected({"worker_chunk": {"kind": "kill", "times": 1}}):
-            killed_s, killed_batch, respawns, fallback = cold_batch()
-        # Supervision re-dispatches: nothing lost, nothing duplicated,
-        # rankings identical to the sequential path.
-        assert _ranking_key(killed_batch) == want_batch
-        assert respawns == 1 and not fallback
-        lines += [
-            "",
-            f"batch of {n_queries} under 2 process workers "
-            "(cold pool, fork included):",
-            f"  clean            : {clean_s * 1000:>8.1f} ms",
-            f"  1 worker killed  : {killed_s * 1000:>8.1f} ms "
-            f"({respawns} respawn(s), fallback={fallback})",
-        ]
-    else:
-        lines += ["", "batch kill scenario skipped: no fork"]
 
     write_result("fault_tolerance.txt", "\n".join(lines))
 

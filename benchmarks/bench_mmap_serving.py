@@ -11,8 +11,7 @@ stays ~flat as workers are added instead of growing by one private heap
 copy each. Bar (full run, 4096 sketches): 2 workers combined ≤ 1.2x
 one. Per-worker load times land in the results file too; save / load /
 verify latency and bytes per sketch are the record's
-``index.snapshot.*`` metrics, and forked-worker batch throughput is
-``bench_shard_scaling.py``'s.
+``index.snapshot.*`` metrics.
 
 Results land in ``benchmarks/results/mmap_serving.txt``; ``--quick``
 shrinks to a CI smoke (256 sketches, no assertions).

@@ -663,7 +663,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     coalescer = health.get("coalescer", {})
     shards = health.get("shards", {})
-    workers = health.get("workers", {})
     print(f"service    : {base}")
     print(
         f"status     : {health.get('status', '?')} "
@@ -680,16 +679,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         f"shards     : {shards.get('count', '?')} "
         f"({shards.get('errors', 0)} shard errors)"
     )
-    if workers.get("count"):
-        fallback = (
-            ", sequential fallback"
-            if workers.get("sequential_fallback")
-            else ""
-        )
-        print(
-            f"workers    : {workers['count']} "
-            f"({workers.get('respawns', 0)} respawns{fallback})"
-        )
 
     def served(family: str) -> float:
         return sum(
@@ -1299,8 +1288,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         required=True,
         help="output catalog directory (manifest.json + per-shard "
-        "arena snapshots: O(metadata) shard loads, forked query workers "
-        "share one set of physical pages); serve it with `query "
+        "arena snapshots: O(metadata) shard loads, file-backed pages "
+        "shared through the page cache); serve it with `query "
         "--catalog-dir`",
     )
     p_shard_build.add_argument(

@@ -8,6 +8,12 @@ explicit, documented semantics:
 * fewer than 2 pairs → NaN (correlation undefined);
 * zero variance in either column → NaN (denominator is zero);
 * result clipped to ``[-1, 1]`` to absorb floating-point drift.
+
+``r`` is scale-invariant, so each column is first scaled by the power of
+two that brings its largest magnitude into ``[0.5, 1)``. That scaling is
+exact and every later step commutes with it, so it moves no answer bit
+while keeping the centered sums of huge finite values (×1e155 and
+beyond) from overflowing to ``inf``.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     if n < 2:
         return math.nan
 
+    x, y = _unit_scaled(x), _unit_scaled(y)
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(np.dot(dx, dx))
@@ -56,3 +63,9 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     r = float(np.dot(dx, dy)) / denom
     return max(-1.0, min(1.0, r))
 
+
+def _unit_scaled(column: np.ndarray) -> np.ndarray:
+    """``column * 2**-e`` with ``e`` the binary exponent of its largest
+    magnitude (exact; an all-zero or non-finite maximum is left as is)."""
+    _, exponent = np.frexp(np.abs(column).max())
+    return np.ldexp(column, -exponent)

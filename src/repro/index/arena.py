@@ -13,9 +13,9 @@ out read-only array views into the mapping —
   views. No array data is read until a query touches it (the kernel
   faults pages in on demand);
 * the mapped pages are file-backed and shared: every process serving
-  the same arena — forked or independently started — references the
-  same physical pages through the page cache, so N workers cost one
-  catalog's worth of resident memory, not N;
+  the same arena references the same physical pages through the page
+  cache, so N processes cost one catalog's worth of resident memory,
+  not N;
 * views are read-only (``ACCESS_READ``), so nothing can scribble on
   the shared pages; mutations go to heap-native delta structures
   (see the copy-on-mutation rules in

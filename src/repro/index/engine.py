@@ -459,7 +459,7 @@ class JoinCorrelationEngine:
     ) -> None:
         self.catalog = catalog
         #: All tuning state, as one frozen validated record — the same
-        #: seam every other query entry point (router, worker pool, CLI,
+        #: seam every other query entry point (router, session, CLI,
         #: HTTP service) constructs itself from, so the validation rules
         #: and messages cannot drift between layers. A built backend is
         #: not re-tuned: build another from ``options.merged(...)``.

@@ -2,8 +2,7 @@
 
 Every layer that evaluates top-k join-correlation queries — the
 monolithic :class:`~repro.index.engine.JoinCorrelationEngine`, the
-sharded :class:`~repro.serving.router.ShardRouter`, the forked
-:class:`~repro.serving.workers.QueryWorkerPool`, the CLI's ``query`` and
+sharded :class:`~repro.serving.router.ShardRouter`, the CLI's ``query`` and
 ``serve`` verbs, and the HTTP query service — historically spelled the
 same ~10 tuning parameters by hand as positional/keyword arguments.
 :class:`QueryOptions` is the single seam: one immutable, validated,

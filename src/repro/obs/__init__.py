@@ -4,14 +4,13 @@ Three pieces, all stdlib-only and rng-neutral (instrumentation never
 touches a query's random stream, so results stay bit-identical with
 observability on or off):
 
-* :mod:`repro.obs.metrics` — a process-global, thread-safe, fork-aware
+* :mod:`repro.obs.metrics` — a process-global, thread-safe
   :class:`MetricsRegistry` (counters, gauges, log-bucket latency
   histograms with exact-from-buckets p50/p95/p99). The process default
   is a :class:`NullRegistry` that no-ops everything; the HTTP service
   installs a real one via :func:`set_registry` for its lifetime.
 * :mod:`repro.obs.trace` — per-query :class:`Trace`/``span()`` phase
-  recording, carried in ``QueryResult.trace`` and across the
-  :class:`~repro.serving.workers.QueryWorkerPool` fork boundary.
+  recording, carried in ``QueryResult.trace``.
 * :mod:`repro.obs.exposition` / :mod:`repro.obs.slowlog` — Prometheus
   text rendering + parsing for ``GET /metrics`` and the
   ``repro-sketch stats`` verb, and the threshold-gated slow-query log.

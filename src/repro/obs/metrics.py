@@ -1,6 +1,6 @@
 """Process-global metrics: counters, gauges, log-bucket histograms.
 
-Dependency-free (stdlib only) and built for the serving stack's three
+Dependency-free (stdlib only) and built for the serving stack's two
 hard requirements:
 
 * **Thread safety without lost updates.** Every read-modify-write holds
@@ -8,13 +8,6 @@ hard requirements:
   histogram account for every increment (pinned by
   ``tests/test_obs_metrics.py``). The lock is held for a few dict
   operations — far below the cost of the query work being measured.
-* **Fork awareness.** A :class:`~repro.serving.workers.QueryWorkerPool`
-  worker inherits the parent's registry object at fork time. Its counts
-  describe the *parent* process; letting the child keep incrementing
-  them would double-count whatever the child reports elsewhere. Every
-  public method therefore checks ``os.getpid()`` and resets the
-  inherited state the first time a *different* process touches the
-  registry — each process owns exactly its own numbers.
 * **Zero overhead when disabled.** :class:`NullRegistry` no-ops every
   method; it is the process default (see :func:`repro.obs.get_registry`)
   so library callers pay one attribute call per metric site unless a
@@ -30,7 +23,6 @@ pass explicit ``buckets=`` at first observation.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from bisect import bisect_left
 
@@ -115,7 +107,7 @@ def sample_name(name: str, labels: tuple) -> str:
 
 
 class MetricsRegistry:
-    """Thread-safe, fork-aware metric store (see module docs).
+    """Thread-safe metric store (see module docs).
 
     All mutators take the metric ``name`` plus ``**labels``; a family's
     type (counter/gauge/histogram) is fixed by its first use and a
@@ -125,7 +117,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._pid = os.getpid()
         self._counters: dict[tuple, float] = {}
         self._gauges: dict[tuple, float] = {}
         self._histograms: dict[tuple, _Histogram] = {}
@@ -139,15 +130,6 @@ class MetricsRegistry:
         return True
 
     # -- internal (lock held) ------------------------------------------------
-
-    def _fork_check(self) -> None:
-        pid = os.getpid()
-        if pid != self._pid:
-            # Forked child: the inherited series describe the parent.
-            self._pid = pid
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
 
     def _declare(self, name: str, kind: str, help: str | None) -> None:
         known = self._families.get(name)
@@ -169,7 +151,6 @@ class MetricsRegistry:
         """Add ``value`` to a counter series (creating it at 0)."""
         key = _series_key(name, labels)
         with self._lock:
-            self._fork_check()
             self._declare(name, "counter", help)
             self._counters[key] = self._counters.get(key, 0.0) + value
 
@@ -179,7 +160,6 @@ class MetricsRegistry:
     ) -> None:
         key = _series_key(name, labels)
         with self._lock:
-            self._fork_check()
             self._declare(name, "gauge", help)
             self._gauges[key] = float(value)
 
@@ -199,7 +179,6 @@ class MetricsRegistry:
         """
         key = _series_key(name, labels)
         with self._lock:
-            self._fork_check()
             self._declare(name, "histogram", help)
             bounds = self._bounds.get(name)
             if bounds is None:
@@ -222,9 +201,8 @@ class MetricsRegistry:
     ) -> None:
         """Record many ``(value, labels)`` observations in one lock
         round-trip — the hot-path form used per served query (one
-        fork-check and one acquisition instead of one per phase)."""
+        acquisition instead of one per phase)."""
         with self._lock:
-            self._fork_check()
             self._declare(name, "histogram", help)
             bounds = self._bounds.get(name)
             if bounds is None:
@@ -250,7 +228,6 @@ class MetricsRegistry:
         """Pre-register a family so ``/metrics`` lists it before first
         use (a scrape of a fresh service should already show the schema)."""
         with self._lock:
-            self._fork_check()
             self._declare(name, kind, help)
             if kind == "histogram" and name not in self._bounds:
                 self._bounds[name] = (
@@ -261,13 +238,11 @@ class MetricsRegistry:
 
     def counter_value(self, name: str, **labels: str) -> float:
         with self._lock:
-            self._fork_check()
             return self._counters.get(_series_key(name, labels), 0.0)
 
     def counter_samples(self, name: str) -> list[tuple[dict, float]]:
         """Every ``(labels, value)`` series of one counter family."""
         with self._lock:
-            self._fork_check()
             return [
                 (dict(key[1]), value)
                 for key, value in sorted(self._counters.items())
@@ -276,7 +251,6 @@ class MetricsRegistry:
 
     def quantile(self, name: str, q: float, **labels: str) -> float:
         with self._lock:
-            self._fork_check()
             histogram = self._histograms.get(_series_key(name, labels))
             return math.nan if histogram is None else histogram.quantile(q)
 
@@ -284,7 +258,6 @@ class MetricsRegistry:
         """One JSON-safe dict of every series — counters and gauges by
         sample name, histograms summarized as count/sum/p50/p95/p99."""
         with self._lock:
-            self._fork_check()
             return {
                 "counters": {
                     sample_name(*key): value
@@ -310,7 +283,6 @@ class MetricsRegistry:
         """Full raw state (bucket counts included) for the Prometheus
         renderer — one consistent cut taken under the lock."""
         with self._lock:
-            self._fork_check()
             return {
                 "families": dict(self._families),
                 "counters": dict(self._counters),
@@ -330,7 +302,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every series (test isolation helper)."""
         with self._lock:
-            self._pid = os.getpid()
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()

@@ -14,13 +14,10 @@ Design constraints, in order of importance:
   :func:`os.urandom` and timestamps from :func:`time.perf_counter`, so
   tracing cannot perturb any scored result — the bit-parity suites run
   with tracing on and off and compare rankings bit for bit.
-* **Fork-safe timestamps.** Spans are recorded relative to the trace's
-  ``origin`` (a ``perf_counter`` reading captured at creation).
-  ``CLOCK_MONOTONIC`` is system-wide on Linux, so a :class:`Trace`
-  pickled into a forked :class:`~repro.serving.workers.QueryWorkerPool`
-  worker records spans on the *same* clock as its parent — the span
-  dicts serialized back inside ``QueryResult.trace`` line up with
-  parent-side spans without any clock translation.
+* **One clock.** Spans are recorded relative to the trace's
+  ``origin`` (a ``perf_counter`` reading captured at creation), so
+  spans from every layer — and the session's ``queue_wait``, which
+  predates the origin — line up without any clock translation.
 * **Cheap.** A span is one dict append bracketed by two
   ``perf_counter`` calls; layers skip even that when no trace was
   requested (``trace is None`` is the no-op path).

@@ -9,20 +9,17 @@ checks the shards' availability once per query and then runs the
 engine's one probe and one page over all of them, with results
 bit-identical to a monolithic catalog, and :mod:`repro.serving.manifest`
 persists the whole thing as one directory of per-shard binary snapshots
-under a versioned ``manifest.json`` with lazy per-shard rehydration. A
-forked :class:`QueryWorkerPool` (:mod:`repro.serving.workers`) supplies
-query-level process parallelism.
+under a versioned ``manifest.json`` with lazy per-shard rehydration.
+Queries are answered in the serving process itself.
 
 The resilience layer rides on top: partial answers on the router
-(``on_shard_error``), a supervised worker pool that respawns dead
-forked workers, snapshot
-quarantine with an arena→json fallback chain
+(``on_shard_error``), snapshot quarantine with an arena→json fallback chain
 (``on_corruption="quarantine"``), and the deterministic fault-injection
 harness (:mod:`repro.serving.faults`) that drives all of it in tests
 and chaos benchmarks.
 
 The service layer sits at the top: a :class:`QuerySession` unifies the
-engine/router/worker-pool query surfaces behind one warm backend plus
+engine and router query surfaces behind one warm backend plus
 one frozen :class:`~repro.index.options.QueryOptions` record, a
 :class:`QueryCoalescer` micro-batches concurrent requests into the
 amortized ``query_batch`` path with bit-identical responses, and a
@@ -51,7 +48,6 @@ from repro.serving.router import ON_SHARD_ERROR_POLICIES, ShardRouter
 from repro.serving.server import QueryService
 from repro.serving.session import QuerySession
 from repro.serving.shards import ShardUnavailable, ShardedCatalog
-from repro.serving.workers import QueryWorkerPool
 
 __all__ = [
     "FaultPlan",
@@ -63,7 +59,6 @@ __all__ = [
     "QueryOptions",
     "QueryService",
     "QuerySession",
-    "QueryWorkerPool",
     "ShardRouter",
     "ShardUnavailable",
     "ShardedCatalog",

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the serving and snapshot stack.
 
-The resilience layer — partial answers over the surviving shards,
-worker supervision, snapshot quarantine — only earns trust if its failure
+The resilience layer — partial answers over the surviving shards and
+snapshot quarantine — only earns trust if its failure
 paths are *driven*, repeatably, in tests and benchmarks. This module is
 the driver: a process-global :class:`FaultPlan` describing which
 injection **sites** misbehave and how, installed explicitly and
@@ -13,9 +13,6 @@ site                      fired from (context keys)
 ``shard_probe``           :meth:`ShardRouter._check_shards`, once per
                           shard per query batch, before the shard is
                           fetched (``shard``)
-``worker_chunk``          :func:`repro.serving.workers._run_query_chunk`,
-                          inside the forked worker before it evaluates its
-                          query slice (``chunk``)
 ``snapshot_read``         :func:`repro.index.snapshot.load_snapshot`, before
                           a snapshot file is opened (``path``)
 ``fsync``                 :func:`repro.index.arena.atomic_write`, at each
@@ -26,18 +23,15 @@ site                      fired from (context keys)
 A plan is a mapping ``site -> rule`` (or ``site -> [rules]``); each rule
 is a dict with a ``kind`` plus matchers and scoping:
 
-* ``kind`` — ``"delay"`` (sleep ``ms`` milliseconds inside the site),
-  ``"exception"`` (raise :class:`InjectedFault`), or ``"kill"``
-  (``os._exit`` — only legal at ``worker_chunk``, where it simulates a
-  crashed forked worker; anywhere else it would kill the caller);
+* ``kind`` — ``"delay"`` (sleep ``ms`` milliseconds inside the site)
+  or ``"exception"`` (raise :class:`InjectedFault`);
 * matchers — any other key is compared against the site's context:
   equality for scalars (``{"shard": 1}``), substring for ``path``
   (``{"path": "shard-0001"}`` matches the file name);
 * ``times`` — fire at most this many times (default ``1``; ``None`` is
-  unlimited). The counter is a fork-shared :class:`multiprocessing.Value`,
-  so a one-shot worker-kill stays one-shot across the respawned worker
-  re-running the same chunk — the decrement made in the killed child is
-  visible to the parent and every later fork;
+  unlimited). Budgets and the plan's firing count change under one plan
+  lock, so threaded HTTP handlers probing shards concurrently fire a
+  ``times=n`` rule exactly ``n`` times;
 * ``probability`` — fire on this fraction of matching hits, drawn from
   the plan's seeded :class:`random.Random` stream (chaos benchmarks;
   omit for the deterministic always-fire used by the test matrix).
@@ -60,9 +54,9 @@ Determinism and overhead contract:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
+import threading
 import time
 from contextlib import contextmanager
 
@@ -70,16 +64,12 @@ from contextlib import contextmanager
 #: rejected at install time so a typo cannot silently disable a fault.
 FAULT_SITES = (
     "shard_probe",
-    "worker_chunk",
     "snapshot_read",
     "fsync",
 )
 
 #: Fault behaviours a rule may request.
-FAULT_KINDS = ("delay", "exception", "kill")
-
-#: Exit status of a fault-killed worker process (distinctive in logs).
-KILL_EXIT_STATUS = 17
+FAULT_KINDS = ("delay", "exception")
 
 
 class InjectedFault(ValueError):
@@ -95,7 +85,7 @@ class InjectedFault(ValueError):
 class FaultRule:
     """One normalized fault rule: kind + matchers + firing budget."""
 
-    __slots__ = ("site", "kind", "ms", "probability", "match", "_remaining")
+    __slots__ = ("site", "kind", "ms", "probability", "match", "remaining")
 
     def __init__(self, site: str, spec: dict) -> None:
         spec = dict(spec)
@@ -104,12 +94,6 @@ class FaultRule:
             raise ValueError(
                 f"fault rule for site {site!r} has kind {kind!r}; "
                 f"expected one of {FAULT_KINDS}"
-            )
-        if kind == "kill" and site != "worker_chunk":
-            raise ValueError(
-                f"kind 'kill' is only legal at site 'worker_chunk' "
-                f"(got site {site!r}) — anywhere else it would kill the "
-                "serving process itself"
             )
         self.site = site
         self.kind = kind
@@ -127,11 +111,8 @@ class FaultRule:
         times = spec.pop("times", 1)
         if times is not None and (not isinstance(times, int) or times <= 0):
             raise ValueError(f"times must be a positive int or None, got {times!r}")
-        # Fork-shared so a child's firing (e.g. a worker kill) consumes
-        # the budget for the parent and every subsequently forked worker.
-        self._remaining = (
-            multiprocessing.Value("q", times) if times is not None else None
-        )
+        #: Firings left (``None``: unlimited); the plan lock guards it.
+        self.remaining = times
         self.match = spec  # whatever is left matches against site context
 
     def matches(self, context: dict) -> bool:
@@ -145,14 +126,13 @@ class FaultRule:
         return True
 
     def consume(self) -> bool:
-        """Claim one firing from the budget (atomically, cross-process)."""
-        if self._remaining is None:
+        """Claim one firing from the budget (caller holds the plan lock)."""
+        if self.remaining is None:
             return True
-        with self._remaining.get_lock():
-            if self._remaining.value <= 0:
-                return False
-            self._remaining.value -= 1
-            return True
+        if self.remaining <= 0:
+            return False
+        self.remaining -= 1
+        return True
 
 
 class FaultPlan:
@@ -180,40 +160,38 @@ class FaultPlan:
             if isinstance(rules, dict):
                 rules = [rules]
             self.rules[site] = [FaultRule(site, rule) for rule in rules]
-        # Fork-shared firing counter: tests assert faults actually fired
-        # even when the firing happened inside a (since dead) worker.
-        self._fired = multiprocessing.Value("q", 0)
-        #: Per-process log of (site, context) pairs that fired — the
-        #: parent's view only; the shared count above is authoritative.
+        #: Guards the rules' budgets, the firing count and the log:
+        #: threaded HTTP handlers reach ``shard_probe`` concurrently.
+        self._lock = threading.Lock()
+        self._fired = 0
+        #: The (site, context) pairs that fired, in firing order.
         self.fired_log: list[tuple[str, dict]] = []
 
     @property
     def fired_count(self) -> int:
-        """Total firings across every process sharing this plan."""
-        return int(self._fired.value)
+        """Total firings of this plan so far."""
+        return self._fired
 
     def fire(self, site: str, **context) -> None:
         """Trigger every matching rule for ``site`` (may sleep or raise)."""
         for rule in self.rules.get(site, ()):
             if not rule.matches(context):
                 continue
-            if rule.probability is not None and (
-                self._rng.random() >= rule.probability
-            ):
-                continue
-            if not rule.consume():
-                continue
-            with self._fired.get_lock():
-                self._fired.value += 1
-            self.fired_log.append((site, context))
+            with self._lock:
+                if rule.probability is not None and (
+                    self._rng.random() >= rule.probability
+                ):
+                    continue
+                if not rule.consume():
+                    continue
+                self._fired += 1
+                self.fired_log.append((site, context))
             if rule.kind == "delay":
                 time.sleep(rule.ms / 1000.0)
-            elif rule.kind == "exception":
+            else:
                 raise InjectedFault(
                     f"injected fault at {site} ({context})"
                 )
-            else:  # kill — only reachable at worker_chunk
-                os._exit(KILL_EXIT_STATUS)
 
 
 #: The process-global plan; ``None`` means fault injection is off.
@@ -221,11 +199,8 @@ _PLAN: FaultPlan | None = None
 
 
 def install(spec: dict | FaultPlan, seed: int | None = None) -> FaultPlan:
-    """Install a fault plan process-globally; returns it.
-
-    Install *before* forking worker pools so children inherit the plan
-    (and its shared counters). Installing replaces any previous plan.
-    """
+    """Install a fault plan process-globally (replacing any previous
+    plan); returns it."""
     global _PLAN
     plan = spec if isinstance(spec, FaultPlan) else FaultPlan(spec, seed=seed)
     _PLAN = plan

@@ -35,9 +35,6 @@ over all of them. Three facts:
   step asks the shards first. (The per-shard probes and sub-pages this
   replaced are the test oracle ``tests/scatter_router_oracle.py``.)
 
-For query-level parallelism across cores, wrap the router in a
-:class:`~repro.serving.workers.QueryWorkerPool`.
-
 **Failure model.** ``query``/``query_batch`` take an ``on_shard_error``
 policy. A shard fails when its check raises (an injected fault, or a
 quarantined shard); every failed shard bumps the per-shard
@@ -90,9 +87,9 @@ class ShardRouter(JoinCorrelationEngine):
 
         Delegates to :meth:`ShardedCatalog.warm` when the catalog has it
         (a monolithic stand-in without shards simply has nothing to
-        warm). :class:`~repro.serving.workers.QueryWorkerPool` calls
-        this before forking so every worker inherits the mapped/loaded
-        shards and the stack instead of building its own copies.
+        warm). :meth:`QuerySession.warm
+        <repro.serving.session.QuerySession.warm>` calls it so a
+        service's first queries find every shard mapped.
         """
         warm = getattr(self.catalog, "warm", None)
         if warm is not None:

@@ -23,8 +23,8 @@ the non-standard bare literals):
 * ``GET /catalog/info`` — catalog summary + the session's options.
 * ``GET /healthz`` — versioned liveness payload: ``status``,
   ``version``, ``uptime_seconds``, coalescer counters (snapshotted
-  under the stats lock — no torn cross-counter reads), shard and
-  worker summaries.
+  under the stats lock — no torn cross-counter reads) and the shard
+  summary.
 * ``GET /metrics`` — Prometheus text exposition of the process
   :class:`~repro.obs.MetricsRegistry`: request counts, per-phase
   latency histograms, coalescer batch sizes, per-shard error counters.
@@ -433,7 +433,6 @@ class QueryService:
         # attribute is not bound yet at our import time.
         from repro import __version__
 
-        backend = self.session.backend
         uptime = (
             0.0
             if self._started_monotonic is None
@@ -453,13 +452,6 @@ class QueryService:
                             "repro_shard_errors_total"
                         )
                     )
-                ),
-            },
-            "workers": {
-                "count": getattr(backend, "workers", None) or 0,
-                "respawns": int(getattr(backend, "respawns", 0)),
-                "sequential_fallback": bool(
-                    getattr(backend, "sequential_fallback", False)
                 ),
             },
         }

@@ -1,32 +1,26 @@
 """One uniform seam over every query entry point.
 
-Historically each layer that answers top-k join-correlation queries —
-the monolithic :class:`~repro.index.engine.JoinCorrelationEngine`, the
-sharded :class:`~repro.serving.router.ShardRouter`, the forked
-:class:`~repro.serving.workers.QueryWorkerPool` — exposed its own
-``query``/``query_batch`` with ~8 hand-threaded positional/keyword
-arguments, and every caller (CLI, examples, benchmarks, the HTTP
-service) re-spelled them. :class:`QuerySession` replaces that with one
-object that owns
+Both backends that answer top-k join-correlation queries — the
+monolithic :class:`~repro.index.engine.JoinCorrelationEngine` and the
+sharded :class:`~repro.serving.router.ShardRouter`, which is an engine
+whose retrieval asks the shards first — take ~8 keyword arguments per
+``query_batch`` call. :class:`QuerySession` spells them once for every
+caller (CLI, examples, benchmarks, the HTTP service): it owns
 
-* a **warm backend** — engine, router, or worker pool, built once and
-  reused across requests (the whole point of a long-lived service);
+* a **warm backend** — engine or router, built once and reused across
+  requests (the whole point of a long-lived service);
 * one frozen :class:`~repro.index.options.QueryOptions` record naming
   every knob exactly once; and
 * a uniform ``submit(queries) -> list[QueryResult]`` surface whose
   results carry JSON-serializable ``to_dict()``/``from_dict()``.
 
-The session adapts to what its backend can do (detected from the
-``query_batch`` signature, not an isinstance ladder, so any compatible
-object works): a monolithic engine has no ``on_shard_error``
-surface, and the forked worker pool's rng contract is
-inherently sequential, so a caller-pinned ``seed`` cannot be honored
-there. Asking for a capability the backend lacks raises immediately
-instead of silently dropping the knob.
+A monolithic engine has no shards, so asking it for an
+``on_shard_error`` policy raises immediately instead of silently
+dropping the knob.
 
 Results are bit-identical to calling the backend's ``query_batch``
 directly with the same options — the session adds no execution layer,
-only construction, capability routing and serialization. With the
+only construction, option routing and serialization. With the
 default ``seed=None``, every query gets the backend's own fresh
 fixed-seed generator, which also makes results independent of how
 queries are grouped into ``submit`` calls — the property the request
@@ -36,9 +30,7 @@ coalescer (:mod:`repro.serving.coalescer`) is built on.
 from __future__ import annotations
 
 import ctypes
-import inspect
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +41,7 @@ from repro.index.engine import JoinCorrelationEngine, QueryResult
 from repro.index.options import QueryOptions
 from repro.obs import Trace, get_registry
 from repro.ranking.scoring import json_float
+from repro.serving.router import ShardRouter
 
 __all__ = ["QuerySession"]
 
@@ -89,16 +82,14 @@ class QuerySession:
     """A warm query backend plus one :class:`QueryOptions` record.
 
     Args:
-        backend: anything with the engine-shaped ``query_batch`` —
-            a :class:`~repro.index.engine.JoinCorrelationEngine`, a
-            :class:`~repro.serving.router.ShardRouter`, or a
-            :class:`~repro.serving.workers.QueryWorkerPool`.
+        backend: a :class:`~repro.index.engine.JoinCorrelationEngine`
+            (a :class:`~repro.serving.router.ShardRouter` is one).
         options: per-call defaults (``k``/``scorer``/``seed``/
             ``on_shard_error``). Engine-level fields
             (depth, backend, rng mode, ...) are read back from the
-            backend itself when it exposes an ``options`` record, so the
-            session always reports the configuration that actually
-            serves; explicitly setting one of them to a value the warm
+            backend's own ``options`` record, so the session always
+            reports the configuration that actually serves; explicitly
+            setting one of them to a value the warm
             backend disagrees with raises (a session cannot re-tune a
             built backend) — build backends with :meth:`for_catalog` /
             :meth:`for_sharded` to set those fields from the same
@@ -122,34 +113,21 @@ class QuerySession:
         self.backend = backend
         if options is None:
             options = QueryOptions()
-        backend_options = self._backend_options(backend)
-        if backend_options is not None:
-            # The backend's construction is the truth for engine-level
-            # fields; the caller's record contributes the per-call ones.
-            # A default-valued caller field just means "unspecified" and
-            # adopts the backend's, but an explicitly divergent value
-            # cannot be served by this warm backend — silently answering
-            # with the backend's configuration would mask the mistake.
-            self._reject_engine_level_conflicts(
-                options, backend_options, unset=QueryOptions()
-            )
-            options = backend_options.merged(
-                k=options.k,
-                scorer=options.scorer,
-                seed=options.seed,
-                on_shard_error=options.on_shard_error,
-            )
-        self._options = options
-        params = inspect.signature(backend.query_batch).parameters
-        #: The forked worker pool has no ``rng`` parameter — a shared
-        #: caller generator is an inherently sequential contract.
-        self._supports_rng = "rng" in params
-        #: The monolithic engine has no shards to lose.
-        self._supports_resilience = "on_shard_error" in params
-        #: Backends grown in this repo thread per-query Trace recorders
-        #: through their phases; a foreign backend without the
-        #: parameter still traces, as one umbrella span timed here.
-        self._supports_traces = "traces" in params
+        # The backend's construction is the truth for engine-level
+        # fields; the caller's record contributes the per-call ones.
+        # A default-valued caller field just means "unspecified" and
+        # adopts the backend's, but an explicitly divergent value
+        # cannot be served by this warm backend — silently answering
+        # with the backend's configuration would mask the mistake.
+        self._reject_engine_level_conflicts(
+            options, backend.options, unset=QueryOptions()
+        )
+        self._options = backend.options.merged(
+            k=options.k,
+            scorer=options.scorer,
+            seed=options.seed,
+            on_shard_error=options.on_shard_error,
+        )
 
     @classmethod
     def _reject_engine_level_conflicts(
@@ -176,16 +154,6 @@ class QuerySession:
                 "open) or drop the override"
             )
 
-    @staticmethod
-    def _backend_options(backend) -> QueryOptions | None:
-        options = getattr(backend, "options", None)
-        if options is None:
-            # A QueryWorkerPool fronts a router; read through it.
-            options = getattr(
-                getattr(backend, "router", None), "options", None
-            )
-        return options
-
     # -- construction --------------------------------------------------------
 
     @classmethod
@@ -201,38 +169,16 @@ class QuerySession:
 
     @classmethod
     def for_sharded(
-        cls,
-        catalog,
-        options: QueryOptions | None = None,
-        *,
-        query_workers: int | None = None,
+        cls, catalog, options: QueryOptions | None = None
     ) -> "QuerySession":
-        """A session over a sharded catalog (the router).
-
-        Args:
-            query_workers: when set (> 1), wrap the router in a forked
-                :class:`~repro.serving.workers.QueryWorkerPool` for
-                query-level parallelism across cores. A pinned
-                ``options.seed`` is rejected on such a session at
-                submit time (the pool's rng contract is sequential).
-        """
-        from repro.serving.router import ShardRouter
-        from repro.serving.workers import QueryWorkerPool
-
+        """A session over a sharded catalog (the router)."""
         if options is None:
             options = QueryOptions()
-        backend = ShardRouter.from_options(catalog, options)
-        if query_workers is not None and query_workers > 1:
-            backend = QueryWorkerPool(backend, workers=query_workers)
-        return cls(backend, options)
+        return cls(ShardRouter.from_options(catalog, options), options)
 
     @classmethod
     def open(
-        cls,
-        path: str | Path,
-        options: QueryOptions | None = None,
-        *,
-        query_workers: int | None = None,
+        cls, path: str | Path, options: QueryOptions | None = None
     ) -> "QuerySession":
         """Open a catalog from disk and wrap it in a session.
 
@@ -243,11 +189,7 @@ class QuerySession:
 
         path = Path(path)
         if path.is_dir():
-            return cls.for_sharded(
-                ShardedCatalog.load(path),
-                options,
-                query_workers=query_workers,
-            )
+            return cls.for_sharded(ShardedCatalog.load(path), options)
         from repro.index.catalog import SketchCatalog
 
         return cls.for_catalog(SketchCatalog.load(path), options)
@@ -260,10 +202,7 @@ class QuerySession:
 
     @property
     def catalog(self):
-        catalog = getattr(self.backend, "catalog", None)
-        if catalog is None:
-            catalog = getattr(self.backend, "router").catalog
-        return catalog
+        return self.backend.catalog
 
     def catalog_info(self) -> dict:
         """A JSON-safe summary of what this session serves."""
@@ -293,9 +232,8 @@ class QuerySession:
         _pin_malloc_thresholds()
 
     def close(self) -> None:
-        close = getattr(self.backend, "close", None)
-        if close is not None:
-            close()
+        """Nothing to release — the session owns no thread or process;
+        kept so ``with QuerySession...`` scopes a session."""
 
     def __enter__(self) -> "QuerySession":
         return self
@@ -378,17 +316,10 @@ class QuerySession:
             return []
         kwargs: dict = {}
         if opts.seed is not None:
-            if not self._supports_rng:
-                raise ValueError(
-                    "options.seed pins one shared rng consumed in query "
-                    "order — an inherently sequential contract the "
-                    f"{type(self.backend).__name__} backend does not "
-                    "support; leave seed=None for the per-query "
-                    "fixed-seed default"
-                )
             kwargs["rng"] = np.random.default_rng(opts.seed)
         if opts.on_shard_error != "raise":
-            if not self._supports_resilience:
+            # The monolithic engine has no shards to lose.
+            if not isinstance(self.backend, ShardRouter):
                 raise ValueError(
                     "on_shard_error decides what a lost shard does; the "
                     f"monolithic {type(self.backend).__name__} backend "
@@ -401,9 +332,9 @@ class QuerySession:
             # (start_ms, duration_ms) in every query's trace, which is
             # what lets aggregators count them once.
             origin = time.perf_counter()
-            traces = [Trace(origin=origin) for _ in range(n)]
-            if self._supports_traces:
-                kwargs["traces"] = traces
+            traces = kwargs["traces"] = [
+                Trace(origin=origin) for _ in range(n)
+            ]
         start = time.perf_counter()
         results = self.backend.query_batch(
             queries,
@@ -427,28 +358,16 @@ class QuerySession:
         end: float,
         arrivals: list[float] | None,
     ) -> list[QueryResult]:
-        """Attach trace blocks, queue_wait spans, and registry samples.
-
-        Backends that accept ``traces`` attached their own blocks to the
-        results; a foreign backend gets one shared umbrella ``execute``
-        span timed around the whole batch call instead.
-        """
+        """Add queue_wait spans to the trace blocks the backend attached
+        to the results (in place) and record the registry samples."""
         n = len(results)
         registry = get_registry()
         total_s = end - start
-        if not self._supports_traces:
-            for t in traces:
-                t.add(
-                    "execute", start, end, shared=True, batch_size=n
-                )
-        finished: list[QueryResult] = []
         metered = registry.enabled
         query_samples: list[tuple[float, dict]] = []
         phase_samples: list[tuple[float, dict]] = []
         for q, result in enumerate(results):
             block = result.trace
-            if block is None:
-                block = traces[q].to_dict()
             wait = (
                 0.0
                 if arrivals is None
@@ -468,14 +387,6 @@ class QuerySession:
                         "meta": {"window": n},
                     },
                 )
-            # ``replace`` re-runs the frozen dataclass __init__; skip it
-            # when the backend already attached this very block (the
-            # queue_wait insert above mutates it in place).
-            finished.append(
-                result
-                if result.trace is block
-                else replace(result, trace=block)
-            )
             if metered:
                 query_samples.append((wait + total_s / n, {}))
                 phase_samples.extend(
@@ -502,7 +413,7 @@ class QuerySession:
                 phase_samples,
                 help="Per-query time in each top-level query phase",
             )
-        return finished
+        return results
 
     def submit_one(
         self,

@@ -211,12 +211,9 @@ class ShardedCatalog:
     def warm(self) -> None:
         """Materialize every shard now (cold shards load their snapshots).
 
-        This maps every cold shard's arena — cheap
-        (O(metadata) per shard) and the key step before forking query
-        workers: shards mapped *before* the fork are shared between
-        parent and children (file-backed pages, plus copy-on-write for
-        the Python-object metadata), while shards each worker maps on
-        its own still share physical pages but re-parse headers.
+        This maps every cold shard's arena — cheap (O(metadata) per
+        shard), so a service pays it at start-up rather than on its
+        first queries.
 
         Quarantined shards (:class:`ShardUnavailable`, only possible
         under ``on_corruption="quarantine"``) are skipped — warming is

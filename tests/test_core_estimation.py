@@ -53,10 +53,13 @@ def test_hoeffding_interval_is_interval():
     assert result.hoeffding.high <= 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e155, 1e300])
 def test_estimate_on_huge_finite_values_does_not_overflow(scale):
     """Values whose range squared overflows float64 get the vacuous
-    Hoeffding/HFD intervals, and every field stays strict-JSON encodable."""
+    Hoeffding/HFD intervals, every field stays strict-JSON encodable, and
+    the Pearson estimate is the unit-scale one (``r`` is scale-invariant)
+    — computed without a single overflow warning."""
     rng = np.random.default_rng(3)
     keys = [f"k{i}" for i in range(400)]
     x = rng.standard_normal(400)
@@ -67,6 +70,12 @@ def test_estimate_on_huge_finite_values_does_not_overflow(scale):
     assert result.sample_size == 64
     assert (result.hoeffding.low, result.hoeffding.high) == (-1.0, 1.0)
     assert (result.hfd.low, result.hfd.high) == (-1.0, 1.0)
+    unit = estimate(
+        CorrelationSketch.from_columns(keys, x, 64, hasher=left.hasher),
+        CorrelationSketch.from_columns(keys, y, 64, hasher=left.hasher),
+    )
+    assert math.isfinite(result.correlation)
+    assert result.correlation == pytest.approx(unit.correlation, rel=1e-12, abs=0)
 
 
 def test_hfd_interval_contains_estimate():

@@ -237,8 +237,7 @@ def test_served_hfd_length_is_never_negative(aggregate):
     assert (lengths >= 0.0).all(), lengths
 
 
-# estimate()'s own Pearson overflows there (its NaN is out of scope here).
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_served_hfd_is_vacuous_without_warnings_past_overflow():
     catalog, keys, values = _catalog("mean", scale=1e155)
     session = QuerySession.for_catalog(catalog, QueryOptions(k=12))

@@ -36,7 +36,6 @@ from repro.index.snapshot import ARENA_VERSION, detect_format, load_snapshot
 from repro.ranking.scoring import RNG_MODES, SCORER_NAMES
 from repro.serving import (
     MANIFEST_NAME,
-    QueryWorkerPool,
     ShardRouter,
     ShardedCatalog,
 )
@@ -608,27 +607,22 @@ def test_sharded_warm_maps_every_shard(sharded_world):
     assert loaded.storage_backends() == ["mmap", "mmap"]
 
 
-def test_worker_pool_warms_mapped_shards_before_fork(sharded_world):
+def test_router_warm_maps_shards_and_answers_unchanged(sharded_world):
+    """A warmed router has mapped every arena shard before its first
+    query, and answers exactly as the in-memory sharded router."""
     dirs, queries = sharded_world
     catalog, directory = dirs[2]
     loaded = ShardedCatalog.load(directory)
     router = ShardRouter(loaded, retrieval_depth=10)
-    pool = QueryWorkerPool(router, workers=2)
-    try:
-        if pool.parallel:
-            pool._ensure_pool()
-            # warm() ran in the parent before the fork: both shards are
-            # mapped here, so the workers inherited shared pages.
-            assert loaded.storage_backends() == ["mmap", "mmap"]
-        expected = [
-            _key(r)
-            for r in ShardRouter(catalog, retrieval_depth=10).query_batch(
-                queries, k=8
-            )
-        ]
-        assert [_key(r) for r in pool.query_batch(queries, k=8)] == expected
-    finally:
-        pool.close()
+    router.warm()
+    assert loaded.storage_backends() == ["mmap", "mmap"]
+    expected = [
+        _key(r)
+        for r in ShardRouter(catalog, retrieval_depth=10).query_batch(
+            queries, k=8
+        )
+    ]
+    assert [_key(r) for r in router.query_batch(queries, k=8)] == expected
 
 
 def test_unknown_layout_rejected(sharded_world, tmp_path):

@@ -1,15 +1,13 @@
-"""Metrics registry: thread safety, quantile fidelity, fork awareness.
+"""Metrics registry: thread safety, quantile fidelity, the null default.
 
 The registry is the ground truth behind ``/metrics``; these tests pin
 the properties the serving stack leans on: concurrent increments are
 never lost (every write holds the registry lock), histogram
 p50/p95/p99 reconstructed from bucket counts track a NumPy percentile
-oracle to within one log-bucket width, a forked child resets the
-inherited series instead of double-reporting them, and the
-:class:`NullRegistry` default records nothing at all.
+oracle to within one log-bucket width, and the :class:`NullRegistry`
+default records nothing at all.
 """
 
-import os
 import threading
 
 import numpy as np
@@ -135,38 +133,6 @@ class TestQuantileOracle:
         snap = registry.snapshot()["histograms"]["batch"]
         assert snap["count"] == 5
         assert snap["sum"] == 24.0
-
-
-# -- fork awareness -----------------------------------------------------------
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fork-based test (POSIX only)"
-)
-class TestForkAwareness:
-    def test_child_resets_inherited_series(self):
-        registry = MetricsRegistry()
-        registry.inc("parent_total", 41.0)
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child
-            os.close(read_fd)
-            try:
-                # First touch in the child must drop the inherited 41.
-                registry.inc("parent_total")
-                value = registry.counter_value("parent_total")
-                os.write(write_fd, repr(value).encode())
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        try:
-            child_value = float(os.read(read_fd, 64).decode())
-        finally:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-        assert child_value == 1.0
-        # The parent's series is untouched by the child's reset.
-        assert registry.counter_value("parent_total") == 41.0
 
 
 # -- the disabled default -----------------------------------------------------

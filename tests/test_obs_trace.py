@@ -1,7 +1,7 @@
 """Trace recorder: span schema, id minting, JSON wire safety.
 
 The heavier end-to-end properties (spans across shard fan-out, the
-fork boundary, the coalescer window) live in
+coalescer window) live in
 ``test_serving_observability.py``; this file pins the recorder itself.
 """
 
@@ -76,7 +76,8 @@ class TestWireSafety:
         assert [s["name"] for s in decoded["spans"]] == ["a", "b"]
 
     def test_trace_pickles_across_fork_boundary(self):
-        """Worker-pool chunk tasks carry Trace objects through pickle."""
+        """A Trace pickled into another process keeps its id, origin
+        and timeline."""
         trace = Trace()
         trace.add("before", trace.origin, trace.origin + 0.001)
         clone = pickle.loads(pickle.dumps(trace))

@@ -124,3 +124,51 @@ def test_qn_correlation_bounded_or_nan(xy):
 def test_rin_bounded_or_nan(xy):
     r = rin(*xy)
     assert math.isnan(r) or -1.0 <= r <= 1.0
+
+
+def _unscaled_pearson(x, y):
+    """``pearson`` as written before its power-of-two column scaling:
+    centers and sums the raw values (so ×1e155 overflows to ``inf``)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.shape[0]
+    if n < 2:
+        return math.nan
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(np.dot(dx, dx))
+    syy = float(np.dot(dy, dy))
+    eps = np.finfo(np.float64).eps
+    tol_x = (8.0 * eps * float(np.abs(x).max(initial=0.0))) ** 2 * n
+    tol_y = (8.0 * eps * float(np.abs(y).max(initial=0.0))) ** 2 * n
+    if sxx <= tol_x or syy <= tol_y:
+        return math.nan
+    denom = math.sqrt(sxx) * math.sqrt(syy)
+    if denom <= 0.0 or math.isinf(denom):
+        return math.nan
+    r = float(np.dot(dx, dy)) / denom
+    return max(-1.0, min(1.0, r))
+
+
+#: Unit-scale values: 0 or a magnitude in [1e-3, 1e3], either sign — far
+#: from both float64 overflow and the subnormal range.
+unit_scale = st.just(0.0) | st.tuples(
+    st.booleans(), st.floats(min_value=1e-3, max_value=1e3)
+).map(lambda signed: -signed[1] if signed[0] else signed[1])
+paired_unit = st.integers(min_value=2, max_value=80).flatmap(
+    lambda n: st.tuples(
+        arrays(np.float64, n, elements=unit_scale),
+        arrays(np.float64, n, elements=unit_scale),
+    )
+)
+
+
+@given(xy=paired_unit)
+@settings(max_examples=100, deadline=None)
+def test_pearson_scaling_is_bit_identical_on_unit_scale(xy):
+    """The power-of-two column scaling is exact: on values where the raw
+    sums cannot overflow, ``pearson`` answers the unscaled formula's
+    float bit for bit (NaN where it is NaN)."""
+    x, y = xy
+    got, want = pearson(x, y), _unscaled_pearson(x, y)
+    assert (math.isnan(got) and math.isnan(want)) or got == want

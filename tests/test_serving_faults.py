@@ -1,9 +1,9 @@
 """Fault-injection matrix for the resilient serving stack.
 
-Crosses fault kind (exception / worker-kill / truncated-snapshot /
-bad-checksum / fsync) with every surface that must degrade gracefully
-(router single + batch, the forked worker pool, catalog and manifest
-load, the HTTP service's shard accounting), and pins the two contracts
+Crosses fault kind (exception / truncated-snapshot / bad-checksum /
+fsync) with every surface that must degrade gracefully (router single +
+batch, catalog and manifest load, the HTTP service's shard accounting),
+and pins the two contracts
 everything hangs on:
 
 * **fault-free parity** — with no plan installed (and even with
@@ -17,6 +17,9 @@ everything hangs on:
 Plan mechanics (sites, matchers, budgets, seeds) are covered at the
 unit level at the bottom.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -35,7 +38,6 @@ from repro.serving import (
     InjectedFault,
     QueryService,
     QuerySession,
-    QueryWorkerPool,
     ShardRouter,
     ShardUnavailable,
     ShardedCatalog,
@@ -44,7 +46,7 @@ from repro.serving import (
     uninstall,
 )
 from repro.serving import faults as faults_mod
-from repro.serving.faults import KILL_EXIT_STATUS, active_plan, maybe_fire
+from repro.serving.faults import active_plan, maybe_fire
 
 SKETCH_SIZE = 32
 N_SHARDS = 3
@@ -199,75 +201,6 @@ def test_router_validates_resilience_arguments(catalog, queries):
         router.query_batch(queries, on_shard_error="retry")
     with pytest.raises(TypeError, match="deadline_ms"):
         router.query(queries[0], deadline_ms=50)
-
-
-# -- worker-kill faults -------------------------------------------------------
-
-
-def _require_fork(router):
-    if not QueryWorkerPool(router, workers=2).parallel:
-        pytest.skip("fork start method unavailable")
-
-
-def test_worker_kill_respawns_and_serves_next_batches(catalog, queries):
-    """A killed forked worker breaks the pool once: the chunk is
-    re-dispatched after respawn, no query is lost or duplicated, and
-    later batches are served by the respawned pool."""
-    router = ShardRouter(catalog)
-    _require_fork(router)
-    want = [_ranking(r) for r in router.query_batch(queries, k=5)]
-    install({"worker_chunk": {"chunk": 0, "kind": "kill"}})
-    with QueryWorkerPool(router, workers=2) as pool:
-        got = pool.query_batch(queries, k=5)
-        assert [_ranking(r) for r in got] == want
-        assert pool.respawns == 1
-        assert not pool.sequential_fallback
-        assert active_plan().fired_count == 1
-        again = pool.query_batch(queries, k=5)
-        assert [_ranking(r) for r in again] == want
-        assert pool.respawns == 1  # no further deaths, no churn
-
-
-def test_unkillable_workload_falls_back_to_sequential(catalog, queries):
-    """When every respawn dies again, supervision gives up after the cap
-    and the batch completes on the sequential router path."""
-    router = ShardRouter(catalog)
-    _require_fork(router)
-    want = [_ranking(r) for r in router.query_batch(queries, k=5)]
-    install({"worker_chunk": {"kind": "kill", "times": None}})
-    with QueryWorkerPool(router, workers=2) as pool:
-        pool.RESPAWN_BACKOFF_BASE = 0.01  # keep the test fast
-        got = pool.query_batch(queries, k=5)
-        assert [_ranking(r) for r in got] == want
-        assert pool.sequential_fallback
-        assert not pool.parallel  # sticky for the pool's life
-        assert pool.respawns == pool.MAX_RESPAWN_FAILURES
-        uninstall()
-        again = pool.query_batch(queries, k=5)  # sequential, still right
-        assert [_ranking(r) for r in again] == want
-
-
-def test_worker_exception_propagates_to_caller(catalog, queries):
-    """A task-level error in a worker (not a death) is a real failure:
-    it propagates instead of being retried or absorbed."""
-    router = ShardRouter(catalog)
-    _require_fork(router)
-    install({"worker_chunk": {"chunk": 1, "kind": "exception"}})
-    with QueryWorkerPool(router, workers=2) as pool:
-        with pytest.raises(InjectedFault, match="worker_chunk"):
-            pool.query_batch(queries, k=5)
-        assert pool.respawns == 0
-
-
-def test_query_pool_forwards_resilience_kwargs(catalog, queries):
-    """on_shard_error forwarded through the pool reaches the router in
-    each worker; fault-free results stay bit-identical."""
-    router = ShardRouter(catalog)
-    want = [_ranking(r) for r in router.query_batch(queries, k=5)]
-    with QueryWorkerPool(router, workers=2) as pool:
-        got = pool.query_batch(queries, k=5, on_shard_error="partial")
-    assert [_ranking(r) for r in got] == want
-    assert all(not r.degraded for r in got)
 
 
 # -- snapshot corruption: truncation, checksums, quarantine -------------------
@@ -448,6 +381,38 @@ def test_rule_budget_and_matchers():
     assert [ctx["shard"] for _, ctx in plan.fired_log] == [1, 1]
 
 
+def test_rule_budget_holds_under_threads():
+    """Threaded HTTP handlers reach ``shard_probe`` concurrently: a
+    ``times=5`` rule fires exactly five times across 8 threads × 50
+    hits, and the plan counts exactly those five."""
+    plan = install({"shard_probe": {"kind": "exception", "times": 5}})
+    raised = []
+    barrier = threading.Barrier(8)
+
+    def hammer():
+        barrier.wait()
+        for _ in range(50):
+            try:
+                maybe_fire("shard_probe", shard=0)
+            except InjectedFault:
+                raised.append(1)
+
+    threads = [threading.Thread(target=hammer) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(raised) == 5
+    assert plan.fired_count == 5
+    assert len(plan.fired_log) == 5
+
+
 def test_path_matcher_is_substring():
     plan = install(
         {"snapshot_read": {"path": "shard-0001", "kind": "exception"}}
@@ -489,8 +454,7 @@ def test_seed_env_default(monkeypatch):
     assert FaultPlan({}).seed == 7
 
 
-def test_kill_exit_status_constant_is_distinctive():
-    assert KILL_EXIT_STATUS == 17
+def test_injected_fault_is_a_value_error():
     assert issubclass(InjectedFault, ValueError)
     assert faults_mod.active_plan() is None
 
@@ -498,40 +462,20 @@ def test_kill_exit_status_constant_is_distinctive():
 # -- the acceptance scenario, end to end -------------------------------------
 
 
-def test_acceptance_one_failing_shard_plus_one_worker_kill(catalog, queries):
-    """One plan injecting a failing shard and a 1-worker kill:
+def test_acceptance_one_persistently_failing_shard(catalog, queries):
+    """One plan breaking shard 1 for good: every
     query_batch(on_shard_error="partial") serves the survivors with
-    degraded=True and correct shards_failed, and the pool respawns and
-    serves subsequent batches."""
+    degraded=True and shards_failed == 1, batch after batch."""
     router = ShardRouter(catalog)
-    _require_fork(router)
-    # The shard-1 failure is persistent ("times": None): a one-shot
-    # fault can be consumed by a chunk whose in-flight result the worker
-    # kill then discards (BrokenProcessPool abandons every pending
-    # future), making the re-dispatched run fault-free. A broken shard
-    # stays broken across the respawn, so every chunk deterministically
-    # loses it.
-    install(
-        {
-            "shard_probe": {"shard": 1, "kind": "exception", "times": None},
-            "worker_chunk": {"chunk": 0, "kind": "kill"},
-        }
+    oracle = _survivor_oracle(catalog, {1})
+    want = [_ranking(r) for r in oracle.query_batch(queries, k=5)]
+    plan = install(
+        {"shard_probe": {"shard": 1, "kind": "exception", "times": None}}
     )
-    with QueryWorkerPool(router, workers=2) as pool:
-        got = pool.query_batch(queries, k=5, on_shard_error="partial")
-        assert pool.respawns == 1
-        assert active_plan().fired_count >= 2  # kill + >=1 shard failure
+    for batch in (1, 2):
+        got = router.query_batch(queries, k=5, on_shard_error="partial")
         assert len(got) == len(queries)
         assert all(r.degraded and r.shards_failed == 1 for r in got)
-        oracle = _survivor_oracle(catalog, {1})
-        want_part = [
-            _ranking(r) for r in oracle.query_batch(queries, k=5)
-        ]
-        assert [_ranking(r) for r in got] == want_part
-        # The respawned workers inherited the plan with the fork, so the
-        # shard is still broken there: the next batch is served, by the
-        # same workers, with the same survivors answer.
-        again = pool.query_batch(queries, k=5, on_shard_error="partial")
-        assert [_ranking(r) for r in again] == want_part
-        assert all(r.degraded and r.shards_failed == 1 for r in again)
-        assert pool.respawns == 1
+        assert [_ranking(r) for r in got] == want
+        # One shard check per batch, not per query.
+        assert plan.fired_count == batch

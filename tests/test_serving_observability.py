@@ -16,7 +16,6 @@ The contract under test, layer by layer:
 """
 
 import json
-import os
 import threading
 import time
 import urllib.request
@@ -33,14 +32,12 @@ from repro.index.options import QueryOptions
 from repro.obs import (
     MetricsRegistry,
     Trace,
-    get_registry,
     parse_prometheus_text,
     set_registry,
 )
 from repro.serving import (
     QueryService,
     QuerySession,
-    QueryWorkerPool,
     ShardedCatalog,
 )
 from repro.serving.coalescer import QueryCoalescer
@@ -130,7 +127,7 @@ class TestBitParity:
     @pytest.mark.parametrize("scorer", ["rp_cih", "rb_cib"])
     @pytest.mark.parametrize("rng_mode", ["batched", "compat"])
     @pytest.mark.parametrize(
-        "backend", ["engine", "engine-scalar", "router", "pool"]
+        "backend", ["engine", "engine-scalar", "router"]
     )
     def test_traced_equals_untraced(self, corpus, backend, rng_mode, scorer):
         mono, sharded, queries = corpus
@@ -152,12 +149,8 @@ class TestBitParity:
             return
         if backend == "engine":
             session = QuerySession.for_catalog(mono, options)
-        elif backend == "router":
-            session = QuerySession.for_sharded(sharded, options)
         else:
-            session = QuerySession.for_sharded(
-                sharded, options, query_workers=2
-            )
+            session = QuerySession.for_sharded(sharded, options)
         with session:
             plain = session.submit(queries)
             traced = session.submit(queries, trace=True)
@@ -321,100 +314,6 @@ class TestShardChildSpans:
         )
 
 
-# -- worker pool: spans across the fork boundary ------------------------------
-
-
-class _ForkProbeRouter:
-    """Stub pool router that reports the forked child's registry state.
-
-    ``query_batch`` increments a sentinel counter and smuggles the
-    resulting value out in ``candidates_considered`` (and the worker
-    pid in ``shards_probed``): a fork-aware registry must have dropped
-    the parent's pre-seeded count on first touch in the child.
-    """
-
-    def query_batch(
-        self,
-        query_sketches,
-        *,
-        k,
-        scorer,
-        exclude_ids,
-        true_correlations=None,
-        traces=None,
-    ):
-        registry = get_registry()
-        registry.inc("fork_probe_total")
-        value = int(registry.counter_value("fork_probe_total"))
-        results = []
-        for i, _ in enumerate(query_sketches):
-            trace_block = None
-            if traces is not None:
-                traces[i].add("probe", 0.0, 0.0)
-                trace_block = traces[i].to_dict()
-            results.append(
-                QueryResult(
-                    ranked=[],
-                    candidates_considered=value,
-                    retrieval_seconds=0.0,
-                    rerank_seconds=0.0,
-                    shards_probed=os.getpid(),
-                    trace=trace_block,
-                )
-            )
-        return results
-
-
-class TestWorkerPoolObservability:
-    def test_spans_cross_the_fork_boundary(self, corpus):
-        _, sharded, queries = corpus
-        options = QueryOptions(k=6, depth=12)
-        with QuerySession.for_sharded(
-            sharded, options, query_workers=2
-        ) as session:
-            assert isinstance(session.backend, QueryWorkerPool)
-            results = session.submit(queries, trace=True)
-        for result in results:
-            names = [s["name"] for s in top_spans(result.trace)]
-            assert names == ["retrieval", "assemble", "score", "merge"]
-            # Worker-recorded spans share the parent's monotonic
-            # timeline: starts at/after the trace origin, sane widths.
-            for span in result.trace["spans"]:
-                assert span["start_ms"] >= -1.0
-                assert 0.0 <= span["duration_ms"] < 60_000.0
-
-    @pytest.mark.skipif(
-        not hasattr(os, "fork"), reason="fork-based test (POSIX only)"
-    )
-    def test_fork_aware_registry_reset_through_pool(self, corpus):
-        _, _, queries = corpus
-        registry = MetricsRegistry()
-        registry.inc("fork_probe_total", 50.0)  # parent-side history
-        set_registry(registry)
-        pool = QueryWorkerPool(_ForkProbeRouter(), workers=2)
-        try:
-            if not pool.parallel:
-                pytest.skip("platform lacks the fork start method")
-            results = pool.query_batch(
-                queries * 2,
-                k=3,
-                scorer="rp_cih",
-                exclude_ids=[None] * (len(queries) * 2),
-            )
-        finally:
-            pool.close()
-            set_registry(None)
-        child_pids = {r.shards_probed for r in results}
-        assert os.getpid() not in child_pids  # chunks really forked
-        # A forked child's first registry touch dropped the inherited
-        # parent count: its counter restarts at 1, not 51.
-        assert all(r.candidates_considered <= 2 for r in results), [
-            r.candidates_considered for r in results
-        ]
-        # And the parent's own series is untouched by child resets.
-        assert registry.counter_value("fork_probe_total") == 50.0
-
-
 # -- session-level metrics and queue wait -------------------------------------
 
 
@@ -556,11 +455,7 @@ class TestHttpSurfaces:
             "largest_batch",
         }
         assert health["shards"] == {"count": 1, "errors": 0}
-        assert set(health["workers"]) == {
-            "count",
-            "respawns",
-            "sequential_fallback",
-        }
+        assert "workers" not in health
 
     def test_response_has_no_trace_unless_requested(self, corpus):
         mono, _, _ = corpus

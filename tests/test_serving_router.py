@@ -4,8 +4,7 @@ The subsystem's core guarantee — :class:`repro.serving.ShardRouter`
 results are bit-identical (ids, scores, order) to a single-catalog
 :class:`~repro.index.engine.JoinCorrelationEngine` holding the union of
 the shards — pinned for every scorer, both rng modes, both retrieval
-backends and shard counts {1, 2, 7}, for ``query`` and ``query_batch``,
-with and without the forked query worker pool.
+backends and shard counts {1, 2, 7}, for ``query`` and ``query_batch``.
 """
 
 import numpy as np
@@ -23,7 +22,6 @@ from repro.obs import Trace
 from repro.ranking.scoring import RNG_MODES, SCORER_NAMES
 from repro.serving import (
     QuerySession,
-    QueryWorkerPool,
     ShardRouter,
     ShardedCatalog,
 )
@@ -284,20 +282,6 @@ def test_true_correlations_carried_through(corpus):
     ]
 
 
-def test_query_worker_pool_parity(corpus):
-    """Process-partitioned batches match the sequential router exactly
-    (per-query fixed-seed rng makes chunk boundaries invisible)."""
-    mono, sharded, queries, _ = corpus
-    router = _router(sharded[2], "inverted")
-    expected = [_key(r) for r in router.query_batch(queries, k=8)]
-    with QueryWorkerPool(router, workers=2) as pool:
-        got = pool.query_batch(queries, k=8)
-    assert [_key(r) for r in got] == expected
-    # workers=1 degrades to the sequential path, same results.
-    with QueryWorkerPool(router, workers=1) as pool:
-        assert [_key(r) for r in pool.query_batch(queries, k=8)] == expected
-
-
 def test_router_query_batch_empty(corpus):
     _, sharded, _, _ = corpus
     assert _router(sharded[2], "inverted").query_batch([]) == []
@@ -318,9 +302,8 @@ def test_router_rejects_alien_scheme(corpus):
 
 
 def test_constructor_validation(corpus):
-    """Shard/worker/depth/banding arguments reject <= 0 with clear
-    messages in the router and pool constructors; the router has no
-    thread-pool argument."""
+    """Shard/depth/banding arguments reject <= 0 with clear messages in
+    the router constructor; the router has no worker-pool argument."""
     _, sharded, _, _ = corpus
     catalog = sharded[2]
     with pytest.raises(ValueError, match="retrieval_depth must be positive"):
@@ -337,7 +320,5 @@ def test_constructor_validation(corpus):
         ShardRouter(catalog, lsh_rows=-1)
     with pytest.raises(TypeError, match="workers"):
         ShardRouter(catalog, workers=2)
-    with pytest.raises(ValueError, match="workers must be positive"):
-        QueryWorkerPool(ShardRouter(catalog), workers=0)
     with pytest.raises(ValueError, match="n_shards must be positive"):
         ShardedCatalog(0)

@@ -259,9 +259,11 @@ class TestEndpoints:
         assert body["estimator"] == "pearson"
         assert body["sample_size"] > 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_estimate_huge_values_answers_strict_json(self, corpus):
         """Values whose range squared overflows float64 (×1e155) answer 200
-        with the vacuous intervals, not a 500 OverflowError."""
+        with a finite correlation and the vacuous intervals, not a 500
+        OverflowError."""
         mono, _, _, (keys, values) = corpus
         side = {"keys": keys.tolist(), "values": (values * 1e155).tolist()}
         with QueryService(QuerySession.for_catalog(mono)) as service:
@@ -280,6 +282,7 @@ class TestEndpoints:
         body = json.loads(raw, parse_constant=strict)
         assert status == 200
         assert body["sample_size"] > 0
+        assert -1.0 <= body["correlation"] <= 1.0  # scale-invariant, finite
         assert body["hoeffding"] == {"low": -1.0, "high": 1.0}
         assert body["hfd"] == {"low": -1.0, "high": 1.0}
 

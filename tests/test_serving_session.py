@@ -1,10 +1,9 @@
-"""QuerySession: one seam over engine / router / worker-pool backends.
+"""QuerySession: one seam over engine and router backends.
 
-Pins the tentpole contract of the service layer: ``submit`` through a
-session is bit-identical to calling the wrapped backend's
-``query_batch`` directly with the same options, for every backend
-shape; capability mismatches (seed on a pool, shard policy on an engine)
-raise instead of silently dropping knobs; and ``QueryResult`` survives
+Pins the contract of the service layer: ``submit`` through a session is
+bit-identical to calling the wrapped backend's ``query_batch`` directly
+with the same options, for both backends; a shard policy on an engine
+raises instead of silently dropping the knob; and ``QueryResult`` survives
 the JSON wire format bit-for-bit (property-tested, NaN included).
 """
 
@@ -27,7 +26,6 @@ from repro.ranking.ranker import RankedCandidate
 from repro.ranking.scoring import CandidateScores, SCORER_NAMES
 from repro.serving import (
     QuerySession,
-    QueryWorkerPool,
     ShardRouter,
     ShardedCatalog,
 )
@@ -109,18 +107,6 @@ class TestSubmitParity:
             direct = session.backend.query_batch(queries, k=6)
             assert [_key(r) for r in session.submit(queries)] == [
                 _key(r) for r in direct
-            ]
-
-    def test_worker_pool_backend(self, corpus):
-        _, sharded, queries = corpus
-        options = QueryOptions(k=6, depth=12)
-        with QuerySession.for_sharded(
-            sharded, options, query_workers=2
-        ) as session:
-            assert isinstance(session.backend, QueryWorkerPool)
-            reference = QuerySession.for_sharded(sharded, options)
-            assert [_key(r) for r in session.submit(queries)] == [
-                _key(r) for r in reference.submit(queries)
             ]
 
     def test_all_backends_agree(self, corpus):
@@ -217,13 +203,14 @@ class TestOptionsRouting:
             _key(r) for r in direct
         ]
 
-    def test_seed_rejected_on_worker_pool(self, corpus):
-        _, sharded, queries = corpus
-        with QuerySession.for_sharded(
-            sharded, QueryOptions(seed=7), query_workers=2
-        ) as session:
-            with pytest.raises(ValueError, match="sequential contract"):
-                session.submit(queries[:1])
+    def test_sessions_have_no_worker_keyword(self, corpus):
+        """Queries are answered in the serving process: neither
+        constructor takes a process-pool size."""
+        _, sharded, _ = corpus
+        with pytest.raises(TypeError, match="query_workers"):
+            QuerySession.for_sharded(sharded, query_workers=2)
+        with pytest.raises(TypeError, match="query_workers"):
+            QuerySession.open("catalog-dir", query_workers=2)
 
     def test_resilience_rejected_on_engine(self, corpus):
         mono, _, queries = corpus
