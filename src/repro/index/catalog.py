@@ -897,14 +897,16 @@ class SketchCatalog:
             return
         for entry in self._sketches.values():
             columns = entry.columnar()
-            if arena.owns(columns.key_hashes):
+            # Values are always a view (32-bit-scheme hashes were widened
+            # into a heap copy when the entry woke).
+            if arena.owns(columns.values):
                 entry._freeze_to(
                     np.array(columns.key_hashes), np.array(columns.values)
                 )
         # Every entry is awake now; a plain dict lets go of the source.
         self._sketches = dict(self._sketches)
         frozen = self._frozen_postings
-        if frozen is not None and arena.owns(frozen.vocab):
+        if frozen is not None and arena.owns(frozen.indptr):
             self._frozen_postings = ColumnarPostings(
                 np.array(frozen.vocab),
                 np.array(frozen.indptr),

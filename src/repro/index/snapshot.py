@@ -13,7 +13,8 @@ format, the **arena**, which persists:
   names). A persisted entry is Section 3.1's ``⟨h(k), x_k⟩``: the unit
   rank ``h_u(h(k))`` is Fibonacci hashing of the stored key hash, so it
   is derived on read (:attr:`repro.core.sketch.SketchColumns.ranks`),
-  never stored;
+  never stored. The key hash is stored at the hashing scheme's width —
+  4 bytes under the 32-bit scheme, 8 under the 64-bit one;
 * the **frozen CSR postings** of the inverted index
   (:class:`repro.index.inverted.ColumnarPostings` — vocabulary,
   ``indptr``, doc ids, doc table), persisted verbatim;
@@ -32,9 +33,11 @@ format, the **arena**, which persists:
 
 An arena is one contiguous 64-byte-aligned file
 (:mod:`repro.index.arena`): a small JSON header of (name, dtype, shape,
-offset) extents followed by the packed array payloads. Version 5 holds,
+offset) extents followed by the packed array payloads. Version 6 holds,
 for ``S`` sketches, ``E`` retained entries in all, ``V`` vocabulary
-hashes, ``P`` postings and ``D`` frozen documents:
+hashes, ``P`` postings and ``D`` frozen documents (``hash`` is
+``uint32`` when ``catalog_config`` records 32 hash bits, ``uint64`` at
+64):
 
 ========================  ===========  =====================================
 header key                JSON         meaning
@@ -45,7 +48,9 @@ header key                JSON         meaning
 ``ids``                   S strs       sketch ids, in catalog order
 ``names``                 object       ``{position: name}`` for named
                                        sketches whose name is not their id
-``aggregates``            S strs       each sketch's aggregate
+``aggregates``            object       ``{position: aggregate}`` for
+                                       sketches whose aggregate is not
+                                       ``catalog_aggregate``
 ``delta_ids``             strs         ids still in the delta layer
 ``tombstones``            strs         ids banned from the frozen layer
 ``lsh``                   object/null  LSH config and covered ids
@@ -62,9 +67,9 @@ array member              dtype      shape / meaning
 ``value_max``             float64    S
 ``entry_indptr``          int64      S + 1; sketch ``i`` owns entries
                                      ``[indptr[i], indptr[i + 1])``
-``key_hashes``            uint64     E; ascending within each sketch
+``key_hashes``            hash       E; ascending within each sketch
 ``values``                float64    E; aligned with ``key_hashes``
-``postings_vocab``        uint64     V
+``postings_vocab``        hash       V
 ``postings_indptr``       int64      V + 1
 ``postings_doc_ids``      int32      P; positions into the documents
 ``postings_docs``         int32      D; each document's position in
@@ -84,15 +89,19 @@ time O(metadata) — and N processes serving the same arena share one set
 of physical pages through the page cache.
 
 Loading does no per-entry work at all: an entry is an integer position
-until first touched, when it wakes — in O(1) — into a read-only
-:class:`~repro.core.sketch.CorrelationSketch` whose columns are
-zero-copy slices of the stored arrays (one type for fresh, loaded and
-query-side sketches; only aggregator state is not persisted, so a
-loaded sketch rejects further rows; waking allocates no array). The postings snapshot is
-reconstructed directly from its stored arrays (the catalog's
-``frozen_postings`` cache starts warm), and persisted LSH signatures
-are kept as a deferred pending payload that expands into bucket state
-only if an LSH probe happens.
+until first touched, when it wakes into a read-only
+:class:`~repro.core.sketch.CorrelationSketch` (one type for fresh,
+loaded and query-side sketches; only aggregator state is not persisted,
+so a loaded sketch rejects further rows). In memory every key-hash
+array is ``uint64``, whatever width it was stored at: a woken sketch's
+values are a zero-copy slice of the stored array, and so are its key
+hashes under the 64-bit scheme; under the 32-bit scheme waking widens
+its slice into a read-only ``uint64`` copy, O(n) for that sketch alone.
+The postings snapshot is reconstructed directly from its stored arrays
+(the catalog's ``frozen_postings`` cache starts warm) — its 32-bit
+vocabulary widened once at load, in O(V), so no probe ever casts it —
+and persisted LSH signatures are kept as a deferred pending payload
+that expands into bucket state only if an LSH probe happens.
 
 Format contract:
 
@@ -138,7 +147,10 @@ from repro.index.inverted import ColumnarPostings
 
 #: The arena's format version, recorded in its header. Bump on any
 #: member change; load_snapshot reads exactly this version.
-ARENA_VERSION = 5
+ARENA_VERSION = 6
+
+#: The stored dtype of key hashes and vocabulary per hash width (bits).
+_HASH_DTYPES = {32: np.dtype(np.uint32), 64: np.dtype(np.uint64)}
 
 #: Suffix appended (to the full file name) when a corrupt snapshot is
 #: quarantined: ``shard-0001.arena`` → ``shard-0001.arena.quarantined``.
@@ -184,6 +196,10 @@ def save_snapshot(catalog: SketchCatalog, path: str | Path) -> None:
     forces a fold. Works on any catalog, including one that was itself
     snapshot-loaded (its entries' columns are the stored array slices,
     mapped or not).
+
+    Raises:
+        ValueError: when a key hash does not fit the width of the
+            catalog's hashing scheme (it is never truncated).
     """
     if catalog._frozen_postings is None:
         catalog.compact()
@@ -203,6 +219,7 @@ def save_snapshot(catalog: SketchCatalog, path: str | Path) -> None:
         return np.concatenate(arrays).astype(dtype, copy=False)
 
     bits, seed = catalog.hasher.scheme_id
+    hash_dtype = _HASH_DTYPES[bits]
     tombstones = sorted(catalog._tombstones)
     # A frozen document's position in ids + tombstones; a live id wins
     # over a tombstoned copy of itself (a re-add).
@@ -220,7 +237,11 @@ def save_snapshot(catalog: SketchCatalog, path: str | Path) -> None:
             for position, (sid, s) in enumerate(zip(ids, sketches))
             if s.name is not None and s.name != sid
         },
-        "aggregates": [s.aggregate for s in sketches],
+        "aggregates": {
+            position: s.aggregate
+            for position, s in enumerate(sketches)
+            if s.aggregate != catalog.aggregate
+        },
         "delta_ids": sorted(catalog._delta_ids),
         "tombstones": tombstones,
         "lsh": None,
@@ -233,9 +254,11 @@ def save_snapshot(catalog: SketchCatalog, path: str | Path) -> None:
         "value_min": np.asarray([s.value_min for s in sketches], dtype=np.float64),
         "value_max": np.asarray([s.value_max for s in sketches], dtype=np.float64),
         "entry_indptr": entry_indptr,
-        "key_hashes": _concat([c.key_hashes for c in columns], np.uint64),
+        "key_hashes": _narrowed(
+            _concat([c.key_hashes for c in columns], np.uint64), hash_dtype
+        ),
         "values": _concat([c.values for c in columns], np.float64),
-        "postings_vocab": postings.vocab,
+        "postings_vocab": _narrowed(postings.vocab, hash_dtype),
         "postings_indptr": postings.indptr,
         "postings_doc_ids": postings.doc_ids,
         "postings_docs": np.fromiter(
@@ -261,6 +284,29 @@ def save_snapshot(catalog: SketchCatalog, path: str | Path) -> None:
     write_arena(path, meta, arrays)
 
 
+def _narrowed(hashes: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``hashes`` cast to the stored ``dtype``, refusing (never
+    truncating) a value that does not fit it."""
+    if hashes.dtype == dtype:
+        return hashes
+    if hashes.size and int(hashes.max()) > np.iinfo(dtype).max:
+        raise ValueError(
+            f"key hash {int(hashes.max())} does not fit the {dtype.itemsize * 8}"
+            f"-bit hashing scheme's stored width"
+        )
+    return hashes.astype(dtype)
+
+
+def _widened(hashes: np.ndarray) -> np.ndarray:
+    """A stored hash array as the ``uint64`` every in-memory hash array
+    is: a ``uint64`` view as is, a ``uint32`` one as a read-only copy."""
+    if hashes.dtype == np.uint64:
+        return hashes
+    wide = hashes.astype(np.uint64)
+    wide.flags.writeable = False
+    return wide
+
+
 class _EntrySource:
     """Shared backing store behind deferred snapshot entries.
 
@@ -275,7 +321,7 @@ class _EntrySource:
 
     __slots__ = (
         "entry_indptr", "key_hashes", "values",
-        "ids", "names", "has_name", "aggregates", "capacities",
+        "ids", "names", "has_name", "aggregate", "aggregates", "capacities",
         "rows_seen", "overflowed", "value_min", "value_max",
     )
 
@@ -284,14 +330,15 @@ class _EntrySource:
             setattr(self, name, members[name])
 
     def sketch_of(self, position: int, hasher: KeyHasher) -> CorrelationSketch:
-        """The sketch at ``position``, around its slices of the arrays."""
+        """The sketch at ``position``, around its slices of the arrays
+        (the key-hash slice widened to ``uint64``)."""
         start = int(self.entry_indptr[position])
         end = int(self.entry_indptr[position + 1])
         return CorrelationSketch.from_frozen_arrays(
-            self.key_hashes[start:end],
+            _widened(self.key_hashes[start:end]),
             self.values[start:end],
             n=int(self.capacities[position]),
-            aggregate=str(self.aggregates[position]),
+            aggregate=self.aggregates.get(position, self.aggregate),
             hasher=hasher,
             name=(
                 self.names.get(position, self.ids[position])
@@ -336,7 +383,9 @@ def load_snapshot(path: str | Path) -> SketchCatalog:
     """Load an arena snapshot into a lazily rehydrated catalog.
 
     The catalog comes back memory-mapped (``catalog.storage == "mmap"``)
-    with every array a read-only view into the shared mapping.
+    with every array read-only: a view into the shared mapping, except
+    32-bit-scheme hashes, which are widened to ``uint64`` copies (the
+    vocabulary here, a sketch's key hashes when it wakes).
 
     Raises:
         SnapshotRefused: (a ``ValueError``) for a file in the retired
@@ -364,16 +413,28 @@ def load_snapshot(path: str | Path) -> SketchCatalog:
         aggregate=str(meta["catalog_aggregate"]),
         hasher=KeyHasher(bits=int(bits), seed=int(seed)),
     )
+    key_hashes = arena.array("key_hashes")
+    vocab = arena.array("postings_vocab")
+    hash_dtype = _HASH_DTYPES[catalog.hasher.bits]
+    if key_hashes.dtype != hash_dtype or vocab.dtype != hash_dtype:
+        raise ValueError(
+            f"corrupt arena {path}: {catalog.hasher.bits}-bit hashes stored "
+            f"as {key_hashes.dtype} / {vocab.dtype}, not {hash_dtype}"
+        )
     ids = list(meta["ids"])
     tombstones = list(meta["tombstones"])
     source = _EntrySource(
         entry_indptr=arena.array("entry_indptr"),
-        key_hashes=arena.array("key_hashes"),
+        key_hashes=key_hashes,
         values=arena.array("values"),
         ids=ids,
         names={int(position): name for position, name in meta["names"].items()},
         has_name=arena.array("has_name"),
-        aggregates=meta["aggregates"],
+        aggregate=catalog.aggregate,
+        aggregates={
+            int(position): aggregate
+            for position, aggregate in meta["aggregates"].items()
+        },
         capacities=arena.array("capacities"),
         rows_seen=arena.array("rows_seen"),
         overflowed=arena.array("overflowed"),
@@ -391,7 +452,7 @@ def load_snapshot(path: str | Path) -> SketchCatalog:
             f"outside its {len(doc_names)} ids and tombstones"
         )
     catalog._frozen_postings = ColumnarPostings(
-        arena.array("postings_vocab"),
+        _widened(vocab),
         arena.array("postings_indptr"),
         arena.array("postings_doc_ids"),
         [doc_names[i] for i in doc_positions],

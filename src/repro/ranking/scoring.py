@@ -269,17 +269,21 @@ def candidate_scores_batch(
     lengths = page.sizes
     r_pearson = np.full(count, math.nan, dtype=np.float64)
     nonempty = np.nonzero(lengths > 0)[0]
-    # Values past ~1e154 overflow the sums of squares: Pearson is NaN
-    # there and the HFD kernel's per-row guard answers the vacuous
-    # interval, so the pass reports no floating-point warnings.
+    # Values past ~1e154 would overflow the HFD kernel's squared range:
+    # its per-row guard answers the vacuous interval there, so the pass
+    # reports no floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if nonempty.size:
             seg_len = lengths[nonempty]
             seg_n = seg_len.astype(np.float64)
-            x, y = page.x, page.y
             starts = page.indptr[nonempty]
 
             # -- Pearson (Eq. 3), centered two-pass as in pearson() --------
+            # Each segment is scaled by the power of two of its largest
+            # magnitude first, as pearson() does: exact, so no answer bit
+            # moves, and huge finite values no longer overflow the sums.
+            x, absmax_x = _unit_scaled_segments(page.x, starts, seg_len)
+            y, absmax_y = _unit_scaled_segments(page.y, starts, seg_len)
             mean_x = np.add.reduceat(x, starts) / seg_n
             mean_y = np.add.reduceat(y, starts) / seg_n
             dx = x - np.repeat(mean_x, seg_len)
@@ -288,8 +292,6 @@ def candidate_scores_batch(
             syy = np.add.reduceat(dy * dy, starts)
             sxy = np.add.reduceat(dx * dy, starts)
             eps = np.finfo(np.float64).eps
-            absmax_x = np.maximum.reduceat(np.abs(x), starts)
-            absmax_y = np.maximum.reduceat(np.abs(y), starts)
             tol_x = (8.0 * eps * absmax_x) ** 2 * seg_n
             tol_y = (8.0 * eps * absmax_y) ** 2 * seg_n
             denom = np.sqrt(sxx) * np.sqrt(syy)
@@ -325,6 +327,21 @@ def candidate_scores_batch(
     if with_bootstrap:
         apply_bootstrap(page, scores, rng, rng_mode)
     return scores
+
+
+def _unit_scaled_segments(
+    values: np.ndarray, starts: np.ndarray, seg_len: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each nonempty segment of ``values`` times ``2**-e``, ``e`` the
+    binary exponent of the segment's largest magnitude, and those scaled
+    maxima — the page form of :func:`repro.correlation.pearson`'s
+    scaling (exact; an all-zero or non-finite maximum is left as is)."""
+    absmax = np.maximum.reduceat(np.abs(values), starts)
+    _, exponent = np.frexp(absmax)
+    return (
+        np.ldexp(values, np.repeat(-exponent, seg_len)),
+        np.ldexp(absmax, -exponent),
+    )
 
 
 def apply_bootstrap(

@@ -237,17 +237,31 @@ def test_served_hfd_length_is_never_negative(aggregate):
     assert (lengths >= 0.0).all(), lengths
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_served_hfd_is_vacuous_without_warnings_past_overflow():
-    catalog, keys, values = _catalog("mean", scale=1e155)
+def _served_entries(scale: float):
+    catalog, keys, values = _catalog("mean", scale=scale)
     session = QuerySession.for_catalog(catalog, QueryOptions(k=12))
     query = session.query_sketch(keys, values, name="q")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ranked = session.submit_one(query).ranked
-    assert ranked
-    for entry in ranked:
+    return catalog, query, {entry.candidate_id: entry for entry in ranked}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_served_hfd_is_vacuous_without_warnings_past_overflow():
+    """Past ~1e154 the HFD interval is vacuous, while the served Pearson
+    r stays finite: ``estimate()``'s for the pair and the unit-scale
+    page's, each to within rounding (``estimate()`` sums with ``np.dot``,
+    the page by segments, so they differ in the last bits at unit scale
+    too)."""
+    catalog, query, served = _served_entries(1e155)
+    _, _, unit = _served_entries(1.0)
+    assert served and served.keys() == unit.keys()
+    for sid, entry in served.items():
         assert entry.stats.hfd_ci_length == 2.0
-        assert math.isnan(entry.stats.r_pearson)
-        result = estimate(query, catalog.get(entry.candidate_id))
+        r = entry.stats.r_pearson
+        assert math.isfinite(r)
+        assert r == pytest.approx(unit[sid].stats.r_pearson, rel=1e-12)
+        result = estimate(query, catalog.get(sid))
+        assert result.correlation == pytest.approx(r, rel=1e-12)
         assert (result.hfd.low, result.hfd.high) == (-1.0, 1.0)

@@ -526,6 +526,34 @@ def test_storage_info_accounting(tmp_path):
     assert after["materialized_bytes"] > before
 
 
+def test_widened_hashes_are_materialized_then_detached(tmp_path):
+    """32-bit-scheme hashes are widened into heap copies — the vocabulary
+    at load, a sketch's key hashes when it wakes — and storage_info
+    counts exactly those; detach still copies every mapped value column
+    (whose sketch's key hashes are already off the mapping)."""
+    catalog = _corpus_catalog(n=8)
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    loaded = SketchCatalog.load(path)
+    vocab = loaded.frozen_postings().vocab
+    assert vocab.dtype == np.uint64 and not loaded._arena.owns(vocab)
+    assert loaded.storage_info()["materialized_bytes"] == vocab.nbytes
+    woken = [loaded.get(sid) for sid in list(loaded)[:3]]
+    widened = sum(s.columnar().key_hashes.nbytes for s in woken)
+    assert widened == 8 * sum(len(s) for s in woken)
+    assert loaded.storage_info()["materialized_bytes"] == vocab.nbytes + widened
+    query = _query(catalog)
+    before = _key(JoinCorrelationEngine(loaded).query(query, k=8))
+
+    loaded.detach()
+    for sid in loaded:
+        columns = loaded.sketch_columns(sid)
+        assert backing_storage(columns.key_hashes, columns.values) == "heap"
+    assert loaded.frozen_postings().storage == "heap"
+    os.unlink(path)
+    assert _key(JoinCorrelationEngine(loaded).query(query, k=8)) == before
+
+
 # -- deferred entry dict ------------------------------------------------------
 
 
@@ -542,10 +570,15 @@ def test_deferred_entries_wake_lazily(tmp_path):
     assert "pair000" in entries
     assert all(type(dict.__getitem__(entries, sid)) is int for sid in entries)
     # Access through any read path wakes the placeholder exactly once,
-    # into a sketch around the mapped slices; the rest stay asleep.
+    # into a sketch around the mapped values and its 32-bit key hashes
+    # widened to a read-only uint64 copy; the rest stay asleep.
     woken = entries["pair000"]
     assert isinstance(woken, CorrelationSketch)
-    assert loaded._arena.owns(woken.columnar().key_hashes)
+    columns = woken.columnar()
+    assert loaded._arena.owns(columns.values)
+    assert not loaded._arena.owns(columns.key_hashes)
+    assert columns.key_hashes.dtype == np.uint64
+    assert not columns.key_hashes.flags.writeable
     assert entries.get("pair000") is woken is loaded.get("pair000")
     assert entries.get("missing") is None
     asleep = [sid for sid in entries if type(dict.__getitem__(entries, sid)) is int]

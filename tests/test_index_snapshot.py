@@ -7,7 +7,7 @@ the binary load does no per-entry work (lazy array-view sketches, warm
 frozen-postings cache). Each format is
 readable in exactly one generation: the retired zip-of-``.npy`` format
 is refused by name, under either corruption policy, and the bytes of a
-current-generation file are pinned to the ones PR 21 wrote.
+current-generation file are pinned to recorded digests.
 """
 
 import hashlib
@@ -36,11 +36,11 @@ from scalar_query_oracle import scalar_query
 from scancount_oracle import index_of
 
 
-def _world(seed=0, n_tables=8, n_rows=900, sketch_size=64):
+def _world(seed=0, n_tables=8, n_rows=900, sketch_size=64, hasher=None):
     rng = np.random.default_rng(seed)
     keys = [f"k{i}" for i in range(n_rows)]
     q = rng.standard_normal(n_rows)
-    catalog = SketchCatalog(sketch_size=sketch_size)
+    catalog = SketchCatalog(sketch_size=sketch_size, hasher=hasher)
     for t in range(n_tables):
         rho = float(rng.uniform(-1.0, 1.0))
         vals = rho * q + math.sqrt(max(0.0, 1 - rho * rho)) * rng.standard_normal(
@@ -111,13 +111,119 @@ def test_json_binary_round_trip_array_equality(tmp_path):
         _assert_columns_equal(
             from_json.sketch_columns(sid), from_arena.sketch_columns(sid)
         )
-        assert backing_storage(from_arena.sketch_columns(sid).key_hashes) == "mmap"
+        assert backing_storage(from_arena.sketch_columns(sid).values) == "mmap"
         _assert_scalars_equal(from_arena.get(sid), catalog.get(sid))
         _assert_scalars_equal(from_json.get(sid), catalog.get(sid))
         # Full materialization equality, down to every entry.
         _assert_entries_equal(
             from_arena.get(sid).entries(), catalog.get(sid).entries()
         )
+
+
+def _assert_postings_equal(a, b):
+    for name in ("vocab", "indptr", "doc_ids", "doc_lengths"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert list(a.docs) == list(b.docs)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_hashes_are_stored_at_the_scheme_width(tmp_path, bits):
+    """A 32-bit h(k) takes 4 bytes on disk and a 64-bit one 8; loaded,
+    every hash array is uint64 again and equal to the JSON round trip's:
+    key hashes, vocabulary, columnar views and postings."""
+    catalog, _ = _world(seed=3, hasher=KeyHasher(bits=bits, seed=5))
+    catalog.save(tmp_path / "c.arena")
+    catalog.save(tmp_path / "c.json")
+    stored = np.dtype(np.uint32 if bits == 32 else np.uint64)
+    reader = ArenaReader(tmp_path / "c.arena")
+    assert reader.array("key_hashes").dtype == stored
+    assert reader.array("postings_vocab").dtype == stored
+    from_arena = SketchCatalog.load(tmp_path / "c.arena")
+    from_json = SketchCatalog.load(tmp_path / "c.json")
+    for sid in catalog:
+        columns = from_arena.sketch_columns(sid)
+        assert columns.key_hashes.dtype == np.uint64
+        assert not columns.key_hashes.flags.writeable
+        _assert_columns_equal(columns, from_json.sketch_columns(sid))
+    vocab = from_arena.frozen_postings().vocab
+    assert vocab.dtype == np.uint64 and not vocab.flags.writeable
+    _assert_postings_equal(from_arena.frozen_postings(), from_json.frozen_postings())
+
+
+def test_save_refuses_a_hash_wider_than_the_scheme(tmp_path):
+    """A 32-bit-scheme hash of 2**32 cannot be stored in 4 bytes: the
+    save raises instead of truncating, and writes nothing."""
+    hasher = KeyHasher(bits=32)
+    catalog = SketchCatalog(sketch_size=4, hasher=hasher)
+    catalog.add_sketch(
+        "wide",
+        CorrelationSketch.from_frozen_arrays(
+            np.asarray([7, 2**32], dtype=np.uint64),
+            np.asarray([1.0, 2.0]),
+            n=4,
+            hasher=hasher,
+        ),
+    )
+    with pytest.raises(ValueError, match="does not fit the 32-bit"):
+        catalog.save(tmp_path / "c.arena")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mixed_aggregate_catalog_round_trips(tmp_path):
+    """Only the sketches whose aggregate differs from the catalog's are
+    named in the header, and every sketch loads with its own."""
+    catalog, _ = _world(seed=2, n_tables=3)
+    keys = [f"k{i}" for i in range(60)]
+    values = np.arange(60, dtype=np.float64)
+    for aggregate in ("sum", "max"):
+        catalog.add_sketch(
+            aggregate,
+            CorrelationSketch.from_columns(
+                keys + keys, np.concatenate([values, values]), 64,
+                aggregate=aggregate, hasher=catalog.hasher, name=aggregate,
+            ),
+        )
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    ids = list(catalog)
+    assert ArenaReader(path).meta["aggregates"] == {
+        str(ids.index("sum")): "sum", str(ids.index("max")): "max"
+    }
+    loaded = SketchCatalog.load(path)
+    for sid in catalog:
+        _assert_scalars_equal(loaded.get(sid), catalog.get(sid))
+        _assert_columns_equal(loaded.sketch_columns(sid), catalog.sketch_columns(sid))
+    assert loaded.get("sum").aggregate == "sum"
+    assert loaded.get(ids[0]).aggregate == catalog.aggregate
+
+
+def test_probe_over_narrow_frozen_layer_and_wide_delta(tmp_path):
+    """After load + add_table the frozen layer comes from uint32 arena
+    members and the delta from uint64 heap sketches; the probe and the
+    ranking equal a heap catalog's that took the same write."""
+    heap, query = _world(seed=10)
+    heap.compact()
+    path = tmp_path / "c.arena"
+    heap.save(path)
+    assert ArenaReader(path).array("postings_vocab").dtype == np.uint32
+    loaded = SketchCatalog.load(path)
+    n = 900
+    late = table_from_arrays(
+        "late", [f"k{i}" for i in range(0, n, 2)],
+        np.random.default_rng(4).standard_normal(n // 2),
+    )
+    for catalog in (heap, loaded):
+        catalog.add_table(late)
+    assert loaded._delta_ids and loaded.storage == "mmap"
+    probe = [query.columnar().key_hashes]
+    assert loaded.probe_top_overlap_batch(probe, 20) == (
+        heap.probe_top_overlap_batch(probe, 20)
+    )
+    expected = JoinCorrelationEngine(heap).query(query, k=8, scorer="rp")
+    got = JoinCorrelationEngine(loaded).query(query, k=8, scorer="rp")
+    assert [(e.candidate_id, e.score) for e in got.ranked] == [
+        (e.candidate_id, e.score) for e in expected.ranked
+    ]
 
 
 def test_snapshot_persists_frozen_postings(tmp_path):
@@ -236,14 +342,14 @@ def test_postings_doc_position_out_of_range_is_corruption(tmp_path, position):
         load_snapshot(path)
 
 
-def _as_version_4(path):
+def _as_version(path, version):
     reader = ArenaReader(path)
     meta = {
         k: v
         for k, v in reader.meta.items()
         if k not in ("arrays", "data_bytes", "payload_crc32")
     }
-    meta["version"] = 4
+    meta["version"] = version
     write_arena(path, meta, {name: reader.array(name) for name in reader.extents})
 
 
@@ -257,12 +363,12 @@ def test_version_4_arena_refusal_names_the_bridge(tmp_path, on_corruption):
     path = tmp_path / "c.arena"
     catalog.save(path)
     catalog.save(tmp_path / "c.json")
-    _as_version_4(path)
+    _as_version(path, 4)
     before = sorted(p.name for p in tmp_path.iterdir())
     with pytest.raises(SnapshotRefused) as excinfo:
         SketchCatalog.load(path, on_corruption=on_corruption)
     message = str(excinfo.value)
-    assert "arena version 4" in message and "reads version 5" in message
+    assert "arena version 4" in message and "reads version 6" in message
     assert "catalog convert" in message and "re-index" in message
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
@@ -277,13 +383,32 @@ def test_version_4_shard_is_refused_not_quarantined(tmp_path):
     directory = tmp_path / "dir"
     sharded.save(directory)
     for shard_file in sorted(directory.glob("shard-*.arena")):
-        _as_version_4(shard_file)
+        _as_version(shard_file, 4)
     before = sorted(p.name for p in directory.iterdir())
     loaded = ShardedCatalog.load(directory, on_corruption="quarantine")
     with pytest.raises(SnapshotRefused, match="catalog convert"):
         loaded.shard(0)
     assert loaded.quarantine_events == []
     assert sorted(p.name for p in directory.iterdir()) == before
+
+
+@pytest.mark.parametrize("on_corruption", ["raise", "quarantine"])
+def test_version_5_arena_is_refused_not_quarantined(tmp_path, on_corruption):
+    """A file from the build that stored every hash in 8 bytes is refused
+    by version, naming the ``catalog convert`` bridge; nothing is renamed
+    and the healthy sibling JSON is not loaded in its place."""
+    catalog, _ = _world(seed=4, n_tables=2)
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    catalog.save(tmp_path / "c.json")
+    _as_version(path, 5)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SnapshotRefused) as excinfo:
+        SketchCatalog.load(path, on_corruption=on_corruption)
+    message = str(excinfo.value)
+    assert "arena version 5" in message and "reads version 6" in message
+    assert "catalog convert" in message
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("name", ["c.npz", "c.bin", "c.json", "c.arena"])
@@ -335,9 +460,11 @@ def test_current_generation_files_are_byte_identical_to_pr21(tmp_path):
     and its sharded twin hash to recorded constants. The JSON catalog
     and the manifest still hash to what commit 1e139e2 wrote (their
     constant keys included): no arena change may move them. The three
-    ``.arena`` digests pin arena version 5 — entries ``⟨h(k), x_k⟩``
+    ``.arena`` digests pin arena version 5's layout — entries ``⟨h(k), x_k⟩``
     without ranks, a three-slot ``catalog_config``, no names equal to
-    their id, postings docs as positions into ``ids + tombstones``."""
+    their id, postings docs as positions into ``ids + tombstones`` — and
+    version 6's: 32-bit key hashes and vocabulary in 4 bytes, aggregates
+    named only where they differ from the catalog's."""
     tables = _fixed_tables()
     catalog = SketchCatalog(sketch_size=16)
     catalog.add_tables(tables[:4])
@@ -357,11 +484,11 @@ def test_current_generation_files_are_byte_identical_to_pr21(tmp_path):
         )
     }
     assert digests == {
-        "c.arena": "42d0dda2b7ce7da826e90de2d2e403b4ab0d86c8948493f51ad9bd87d76c19a4",
+        "c.arena": "59bb4401f1e00a50793b1940cbdbd779bfb236645b818efe6951035c1692a829",
         "c.json": "2212f75b750122694e9adb0e7e67004f7eccc6d5bc2cf509e6727eb5c1f2cb81",
         "dir/manifest.json": "614ea182ce9637a4d3521af36884ee48d7a153a46e9b54b07fb6c4f91460594a",
-        "dir/shard-0000.arena": "6a80b9407086557ef036e9ab96fb594d6f9906bbf5ead5724fd1780012959073",
-        "dir/shard-0001.arena": "3afba2430a714c86e3ef25010346296b983947b62395ab7d458f8b3ab45fde73",
+        "dir/shard-0000.arena": "0afc28b27fbec945ef2fa80e2322c742dd3693165bcfb8481dd9272d0dab5d0b",
+        "dir/shard-0001.arena": "454712b07353ae46b0e9ce96a9b9353d278e06c359b00a65ed465818e0d0f9cf",
     }
 
 

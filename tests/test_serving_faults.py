@@ -20,6 +20,7 @@ unit level at the bottom.
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -381,11 +382,26 @@ def test_rule_budget_and_matchers():
     assert [ctx["shard"] for _, ctx in plan.fired_log] == [1, 1]
 
 
+class _YieldingBudget(int):
+    """A rule budget whose compare yields the GIL, so another thread
+    always runs between ``consume``'s check and its decrement."""
+
+    def __le__(self, other):
+        time.sleep(0)
+        return int(self) <= other
+
+    def __sub__(self, other):
+        return _YieldingBudget(int(self) - other)
+
+
 def test_rule_budget_holds_under_threads():
     """Threaded HTTP handlers reach ``shard_probe`` concurrently: a
     ``times=5`` rule fires exactly five times across 8 threads × 50
-    hits, and the plan counts exactly those five."""
+    hits, and the plan counts exactly those five. The budget yields the
+    GIL inside its check-then-decrement window, so without the plan
+    lock the threads overdraw it."""
     plan = install({"shard_probe": {"kind": "exception", "times": 5}})
+    plan.rules["shard_probe"][0].remaining = _YieldingBudget(5)
     raised = []
     barrier = threading.Barrier(8)
 
