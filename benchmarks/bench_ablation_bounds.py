@@ -25,7 +25,7 @@ from conftest import write_result
 from repro.bounds.hoeffding import hfd_intervals, hoeffding_intervals
 from repro.correlation.bootstrap import pm1_interval
 from repro.correlation.fisher import fisher_interval
-from repro.correlation.pearson import pearson
+from repro.correlation.pearson import page_moments, pearson
 
 N_POP = 50_000
 N_SAMPLE = 256
@@ -56,13 +56,17 @@ def _run() -> dict[str, dict[str, float]]:
         r = pearson(sx, sy)
 
         t0 = time.perf_counter()
-        h_low, h_high = hoeffding_intervals(sx, sy, indptr, c_low, c_high, 0.05)
+        h_low, h_high = hoeffding_intervals(
+            page_moments(sx, sy, indptr), c_low, c_high, 0.05
+        )
         t1 = time.perf_counter()
         ci_f = fisher_interval(r, N_SAMPLE, 0.05)
         t2 = time.perf_counter()
         ci_b = pm1_interval(sx, sy, rng=np.random.default_rng(trial))
         t3 = time.perf_counter()
-        d_low, d_high = hfd_intervals(sx, sy, indptr, c_low, c_high, 0.05)
+        d_low, d_high = hfd_intervals(
+            page_moments(sx, sy, indptr), c_low, c_high, 0.05
+        )
         t4 = time.perf_counter()
 
         for name, (low, high, dt) in {

@@ -7,7 +7,7 @@ Three families, trading assumptions against cost (Sections 4.2–4.3):
 * **Hoeffding** (:mod:`repro.bounds.hoeffding`) — distribution-free; costs
   O(n); needs the column value ranges (collected during sketch
   construction). The ``hfd`` variant stays informative at small samples.
-  Both are column kernels over a page of joined samples.
+  Both are column kernels over a page's one centered moment pass.
 * **PM1 bootstrap** (:mod:`repro.correlation.bootstrap`) — distribution-
   free; costs hundreds of resamples; the accuracy yardstick.
 """

@@ -22,15 +22,20 @@ denominator bounds by the *sample* standard-deviation product — no longer
 a probabilistic bound, but its length is still a meaningful dispersion
 measure, and it is what the ``cih`` ranking factor uses (Section 4.4).
 
-Both are column kernels over a page of joined samples — CSR arrays
-``x``, ``y``, ``indptr`` and per-sample bounds ``c_low``, ``c_high`` —
-sharing one shifted-moment pass of segment reductions. A sample gets
-the vacuous interval ``[-1, 1]`` when it is empty, its bounds are
-unknown, inverted or equal, a sample variance is zero, or ``C²`` or a
-shifted moment is not a finite float64 (values of magnitude around
-1.3e154 and beyond, where the second moments' domain ``[0, C²]`` is
-unrepresentable). The scalar pair functions these replaced are the test
-oracle ``tests/sketch_join_oracle.py``.
+Both are column kernels over a page's one centered moment pass
+(:func:`repro.correlation.pearson.page_moments`, the seven reductions
+Pearson's ``r`` reads; a second, raw pass of five used to run) and
+per-sample bounds ``c_low``, ``c_high``. The shifted parameters are
+derived, μ_A = x̄ − C_low, ν_A = s_xx/n + μ_A², ν_AB = s_xy/n + μ_A·μ_B,
+and the HFD denominator is the centered √(s_xx/n)·√(s_yy/n), never the
+cancelling ν_A − μ_A² (which lost every digit at 1e8 + N). μ_A keeps
+x̄'s rounding, a relative error near ε·|x̄|/C when both columns sit far
+from zero relative to their range. A sample gets the vacuous ``[-1, 1]``
+when it is empty, its bounds are unknown, inverted or equal, or ``C²``
+or a parameter is not a finite float64 (magnitudes around 1.3e154 and
+beyond); the HFD interval also when a column is numerically constant.
+The scalar raw-moment functions these replaced are the test oracle
+``tests/sketch_join_oracle.py``.
 """
 
 from __future__ import annotations
@@ -39,73 +44,69 @@ import math
 
 import numpy as np
 
+from repro.correlation.pearson import PageMoments
+
 #: Overflow to ±inf and the NaN it breeds are handled by the per-row
 #: guard and the zero-denominator rules, never reported.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _shifted_moments(
-    x: np.ndarray,
-    y: np.ndarray,
-    indptr: np.ndarray,
+def _shifted_parameters(
+    moments: PageMoments,
     c_low: np.ndarray,
     c_high: np.ndarray,
     alpha: float,
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """The pass both intervals share, over the non-empty samples.
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """What both intervals share, over the non-empty samples
+    (``moments.rows``), derived from the moment pass.
 
-    Returns ``(rows, defined, m)``: the non-empty samples, which of them
-    have usable bounds and moments (False where the interval is vacuous
-    by the bounds alone — unknown, inverted or equal — or by overflow,
-    the per-row guard), and per row the range ``c``, the radius ``t'``,
-    the five parameters of both columns shifted into ``[0, C]`` and
-    Eq. 6's numerator bounds with the clamped means they use. The
-    shifted columns live in ``[0, C]``, so every population parameter
-    is confined to a known domain (means in ``[0, C]``, second moments
-    in ``[0, C²]``); intersecting the Hoeffding intervals with those
-    domains preserves coverage and is *required* for the numerator:
-    ``-μ_Aμ_B`` is only monotone in ``(μ_A, μ_B)`` on the non-negative
-    orthant.
+    Returns ``(defined, m)``: which rows have usable bounds and
+    parameters (False where the interval is vacuous by the bounds alone
+    — unknown, inverted or equal — or by overflow, the per-row guard),
+    and per row the range ``c``, the radius ``t'``, the sample variances
+    ``s_xx/n``, ``s_yy/n``, the five parameters of both columns shifted
+    into ``[0, C]`` and Eq. 6's numerator bounds with the clamped means
+    they use. The shifted columns live in ``[0, C]``, so every population
+    parameter is confined to a known domain (means in ``[0, C]``, second
+    moments in ``[0, C²]``); intersecting the Hoeffding intervals with
+    those domains preserves coverage and is *required* for the
+    numerator: ``-μ_Aμ_B`` is only monotone in ``(μ_A, μ_B)`` on the
+    non-negative orthant.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    lengths = np.diff(indptr)
-    rows = np.nonzero(lengths > 0)[0]
-    seg_len = lengths[rows]
-    seg_n = seg_len.astype(np.float64)
-    starts = indptr[rows]
+    rows, n, ex, ey = moments.rows, moments.n, moments.exp_x, moments.exp_y
     clo, chi = c_low[rows], c_high[rows]
-    c = chi - clo
-    m: dict[str, np.ndarray] = {"c": c}
     with np.errstate(**_QUIET):
-        a = x - np.repeat(clo, seg_len)
-        b = y - np.repeat(clo, seg_len)
-        for name, terms in (
-            ("mu_a", a), ("mu_b", b), ("nu_a", a * a), ("nu_b", b * b), ("nu_ab", a * b)
-        ):
-            m[name] = np.add.reduceat(terms, starts) / seg_n if rows.size else c
-        log_term = math.log(10.0 / alpha)
+        # The pass's scaling undone exactly; past float64's range, ±inf.
+        mu_a = np.ldexp(moments.mean_x, ex) - clo
+        mu_b = np.ldexp(moments.mean_y, ey) - clo
+        var_x = np.ldexp(moments.sxx / n, 2 * ex)
+        var_y = np.ldexp(moments.syy / n, 2 * ey)
+        nu_a, nu_b = var_x + mu_a * mu_a, var_y + mu_b * mu_b
+        nu_ab = np.ldexp(moments.sxy / n, ex + ey) + mu_a * mu_b
+        c = chi - clo
         c2 = c * c
-        t = np.sqrt(log_term * c2 / (2.0 * seg_n))
-        m["t_prime"] = t_prime = np.sqrt(log_term * c2 * c2 / (2.0 * seg_n))
+        log_term = math.log(10.0 / alpha)
+        t = np.sqrt(log_term * c2 / (2.0 * n))
+        t_prime = np.sqrt(log_term * c2 * c2 / (2.0 * n))
         defined = ~(np.isnan(clo) | np.isnan(chi) | (chi < clo) | (c == 0.0))
-        for value in (c2, m["mu_a"], m["mu_b"], m["nu_a"], m["nu_b"], m["nu_ab"]):
+        for value in (c2, mu_a, mu_b, nu_a, nu_b, nu_ab):
             defined &= np.isfinite(value)
-        m["mu_a_low"] = np.maximum(0.0, m["mu_a"] - t)
-        m["mu_a_high"] = np.minimum(c, m["mu_a"] + t)
-        m["mu_b_low"] = np.maximum(0.0, m["mu_b"] - t)
-        m["mu_b_high"] = np.minimum(c, m["mu_b"] + t)
-        nu_ab_low = np.maximum(0.0, m["nu_ab"] - t_prime)
-        nu_ab_high = np.minimum(c * c, m["nu_ab"] + t_prime)
-        m["num_low"] = nu_ab_low - m["mu_a_high"] * m["mu_b_high"]
-        m["num_high"] = nu_ab_high - m["mu_a_low"] * m["mu_b_low"]
-    return rows, defined, m
+        mu_a_low, mu_a_high = np.maximum(0.0, mu_a - t), np.minimum(c, mu_a + t)
+        mu_b_low, mu_b_high = np.maximum(0.0, mu_b - t), np.minimum(c, mu_b + t)
+        m = dict(
+            c=c, t_prime=t_prime, var_x=var_x, var_y=var_y, nu_a=nu_a, nu_b=nu_b,
+            mu_a_low=mu_a_low, mu_a_high=mu_a_high,
+            mu_b_low=mu_b_low, mu_b_high=mu_b_high,
+            num_low=np.maximum(0.0, nu_ab - t_prime) - mu_a_high * mu_b_high,
+            num_high=np.minimum(c2, nu_ab + t_prime) - mu_a_low * mu_b_low,
+        )
+    return defined, m
 
 
 def hfd_intervals(
-    x: np.ndarray,
-    y: np.ndarray,
-    indptr: np.ndarray,
+    moments: PageMoments,
     c_low: np.ndarray,
     c_high: np.ndarray,
     alpha: float = 0.05,
@@ -120,21 +121,20 @@ def hfd_intervals(
     clipped (they can exceed ±1).
 
     Args:
-        x, y: the page's NaN-free joined values, sample ``i`` owning
-            ``indptr[i]:indptr[i + 1]``.
+        moments: the page's moment pass
+            (:func:`~repro.correlation.pearson.page_moments`).
         c_low, c_high: per-sample value bounds over both columns
             (:meth:`~repro.core.joined_sample.JoinedSamplePage.combined_ranges`).
         alpha: total miscoverage level.
     """
-    low, high = np.full(len(indptr) - 1, -1.0), np.full(len(indptr) - 1, 1.0)
-    rows, defined, m = _shifted_moments(x, y, indptr, c_low, c_high, alpha)
+    low, high = np.full(moments.count, -1.0), np.full(moments.count, 1.0)
+    defined, m = _shifted_parameters(moments, c_low, c_high, alpha)
     with np.errstate(**_QUIET):
-        var_a = np.maximum(0.0, m["nu_a"] - m["mu_a"] * m["mu_a"])
-        var_b = np.maximum(0.0, m["nu_b"] - m["mu_b"] * m["mu_b"])
-        den = np.sqrt(var_a) * np.sqrt(var_b)
+        den = np.sqrt(m["var_x"]) * np.sqrt(m["var_y"])
         # Both denominator bounds equal the sample-SD product, so the
         # sign-aware interval quotient (Eqs. 6-7) is plain division.
-        informative = defined & (den > 0.0)
+        informative = defined & moments.varies & (den > 0.0)
+        rows = moments.rows
         low[rows] = np.where(informative, m["num_low"] / den, -1.0)
         high[rows] = np.where(informative, m["num_high"] / den, 1.0)
     return low, high
@@ -148,9 +148,7 @@ def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def hoeffding_intervals(
-    x: np.ndarray,
-    y: np.ndarray,
-    indptr: np.ndarray,
+    moments: PageMoments,
     c_low: np.ndarray,
     c_high: np.ndarray,
     alpha: float = 0.05,
@@ -165,8 +163,9 @@ def hoeffding_intervals(
     even the optimistic variance bound is zero: the data then carries no
     scale information and the quotient is unconstrained.
     """
-    low, high = np.full(len(indptr) - 1, -1.0), np.full(len(indptr) - 1, 1.0)
-    rows, defined, m = _shifted_moments(x, y, indptr, c_low, c_high, alpha)
+    low, high = np.full(moments.count, -1.0), np.full(moments.count, 1.0)
+    defined, m = _shifted_parameters(moments, c_low, c_high, alpha)
+    rows = moments.rows
     with np.errstate(**_QUIET):
         c2, t_prime = m["c"] * m["c"], m["t_prime"]
 

@@ -848,24 +848,23 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_status(path: Path) -> tuple[str, bool]:
-    """Checksum one snapshot file: (human status, is_failure).
-
-    ``verify_snapshot`` answers True (payload matches), False (bit rot),
-    or None (a format with no checksum: JSON, or a pre-checksum arena);
-    an unreadable/truncated container is itself a failure.
-    """
+def _verify_status(path: Path) -> tuple[str, str]:
+    """Checksum one snapshot file: (human status, outcome), the outcome
+    ``"ok"`` (a JSON catalog has no checksum), ``"corrupt"`` (bit rot or
+    an unreadable container: a quarantine candidate) or ``"refused"``
+    (another arena version, which load refuses too: not damage)."""
+    from repro.index.catalog import SnapshotRefused
     from repro.index.snapshot import verify_snapshot
 
     try:
         verdict = verify_snapshot(path)
+    except SnapshotRefused as exc:
+        return f"REFUSED ({exc})", "refused"
     except (OSError, ValueError, KeyError) as exc:
-        return f"FAILED (unreadable: {exc})", True
-    if verdict is True:
-        return "ok", False
-    if verdict is False:
-        return "FAILED (checksum mismatch)", True
-    return f"unchecked (no checksum: {detect_format(path)})", False
+        return f"FAILED (unreadable: {exc})", "corrupt"
+    if verdict is None:
+        return f"unchecked (no checksum: {detect_format(path)})", "ok"
+    return ("ok", "ok") if verdict else ("FAILED (checksum mismatch)", "corrupt")
 
 
 def cmd_catalog_verify(args: argparse.Namespace) -> int:
@@ -879,15 +878,15 @@ def cmd_catalog_verify(args: argparse.Namespace) -> int:
     if not path.is_file():
         raise _fail(f"cannot verify catalog {path}: no such file")
     _refuse_retired(path)
-    status, failed = _verify_status(path)
+    status, outcome = _verify_status(path)
     print(f"{path}: {status}")
-    if failed:
+    if outcome == "corrupt":
         print(
             "1 file failed verification — loading with "
             "on_corruption='quarantine' sets the damaged file aside",
             file=sys.stderr,
         )
-    return 1 if failed else 0
+    return 0 if outcome == "ok" else 1
 
 
 def cmd_shard_verify(args: argparse.Namespace) -> int:
@@ -901,15 +900,16 @@ def cmd_shard_verify(args: argparse.Namespace) -> int:
         files = [entry["file"] for entry in manifest["shards"]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _fail(f"cannot read sharded catalog {directory}: {exc}") from exc
-    bad = []
+    bad, failed = [], False
     for index, name in enumerate(files):
         shard_path = directory / name
         if not shard_path.is_file():
-            status, failed = "FAILED (missing file)", True
+            status, outcome = "FAILED (missing file)", "corrupt"
         else:
-            status, failed = _verify_status(shard_path)
-        if failed:
+            status, outcome = _verify_status(shard_path)
+        if outcome == "corrupt":
             bad.append(name)
+        failed |= outcome != "ok"
         print(f"  shard {index:>4} : {status}  {name}")
     if bad:
         print(
@@ -919,6 +919,7 @@ def cmd_shard_verify(args: argparse.Namespace) -> int:
             "gracefully",
             file=sys.stderr,
         )
+    if failed:
         return 1
     print(f"all {len(files)} shard(s) verified")
     return 0
@@ -1264,7 +1265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog_verify = catalog_sub.add_parser(
         "verify",
         help="checksum a snapshot's payload without loading it; exit 1 "
-        "on mismatch",
+        "on mismatch or on an arena of another version",
     )
     p_catalog_verify.add_argument(
         "catalog", help="catalog file (.arena or JSON)"
@@ -1339,7 +1340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard_verify = shard_sub.add_parser(
         "verify",
         help="checksum every shard snapshot the manifest names and list "
-        "quarantine candidates; exit 1 if any fails",
+        "quarantine candidates; exit 1 if any fails or is of another "
+        "arena version",
     )
     p_shard_verify.add_argument(
         "catalog_dir", help="catalog directory from `shard build`"

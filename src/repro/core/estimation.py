@@ -2,8 +2,10 @@
 
 A sketch pair is a page of one: :func:`repro.core.joined_sample.join_pair`
 joins it with the query pipeline's page kernel, and the §4.3 intervals
-come from the same column kernels that score a candidate page
-(:mod:`repro.bounds.hoeffding`).
+come from the same moment pass and column kernels that score a candidate
+page (:func:`repro.correlation.pearson.page_moments`,
+:mod:`repro.bounds.hoeffding`); the Pearson estimate is that pass on the
+pair's sample, so it equals the served ranked entry's bit for bit.
 
 :func:`estimate` runs the full Section 3.2 pipeline — join the sketches,
 reconstruct the uniform sample, apply a correlation estimator — and
@@ -27,6 +29,7 @@ from repro.core.joined_sample import JoinedSample, PageJoin, join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.estimators import get_estimator
 from repro.correlation.fisher import clamped_fisher_se
+from repro.correlation.pearson import page_moments, pearson
 from repro.kmv.estimators import containment_estimate_batch, unbiased_dv_estimate
 
 @dataclass(frozen=True)
@@ -189,7 +192,6 @@ def estimate_statistics(
         sample_entropy,
         sample_mutual_information,
     )
-    from repro.correlation.pearson import pearson as pearson_fn
 
     sample = join_pair(left, right).samples[0]
     return StatisticsResult(
@@ -198,7 +200,7 @@ def estimate_statistics(
         entropy_x=sample_entropy(sample.x, bins=bins),
         entropy_y=sample_entropy(sample.y, bins=bins),
         distance_correlation=distance_correlation(sample.x, sample.y),
-        pearson=pearson_fn(sample.x, sample.y),
+        pearson=pearson(sample.x, sample.y),
     )
 
 
@@ -226,10 +228,10 @@ def estimate(
     sample = page[0]
     n = sample.size
 
+    moments = page_moments(page.x, page.y, page.indptr)
     # The page's bounds are the stored column ranges only when both
     # aggregates preserve the value range, else the sample's own.
-    c_low, c_high = page.combined_ranges()
-    bounds = (page.x, page.y, page.indptr, c_low, c_high, alpha)
+    bounds = (moments, *page.combined_ranges(), alpha)
     hoeffding = hoeffding_intervals(*bounds)
     hfd = hfd_intervals(*bounds)
     sets = _set_estimates(left, right, joined)

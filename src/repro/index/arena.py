@@ -46,7 +46,8 @@ the old inode alive for existing mappings; the old catalog keeps
 serving its old bytes). The header additionally carries a CRC32 of the
 packed payload (``payload_crc32``), verified on demand by
 :meth:`ArenaReader.verify_payload` — never on load, which must stay
-O(metadata); files written before checksums load unchecked.
+O(metadata). Every arena this version writes records one, so a header
+without it is corrupt.
 """
 
 from __future__ import annotations
@@ -297,24 +298,18 @@ class ArenaReader:
         nbytes = dtype.itemsize * math.prod(shape)
         return self._map[start : start + nbytes].view(dtype).reshape(shape)
 
-    @property
-    def payload_crc32(self) -> int | None:
-        """Checksum recorded at write time; ``None`` for pre-checksum files."""
-        value = self.meta.get("payload_crc32")
-        return None if value is None else int(value)
+    def verify_payload(self) -> bool:
+        """Checksum the mapped data region against the header's CRC32:
+        ``True`` when it matches. This reads every payload page, so it is
+        an explicit verification step (``catalog verify`` /
+        ``shard verify``), never part of load.
 
-    def verify_payload(self) -> bool | None:
-        """Checksum the mapped data region against the header's CRC32.
-
-        Returns ``True``/``False`` for files carrying a checksum, or
-        ``None`` for files written before checksums existed (those load
-        and serve unchecked — the compatibility contract). This reads
-        every payload page, so it is an explicit verification step
-        (``catalog verify`` / ``shard verify``), never part of load.
+        Raises:
+            ValueError: the header records no checksum (a corrupt header).
         """
-        recorded = self.payload_crc32
+        recorded = self.meta.get("payload_crc32")
         if recorded is None:
-            return None
+            raise ValueError(f"corrupt arena header in {self.path}: no payload_crc32")
         region = self._map[self._data_start : self._data_start + self.data_bytes]
         return zlib.crc32(region) == recorded
 

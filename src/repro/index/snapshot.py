@@ -356,27 +356,43 @@ def verify_snapshot(path: str | Path) -> bool | None:
     """Checksum a snapshot file against its recorded CRC32.
 
     Returns ``True`` (checksum matches), ``False`` (payload corrupt),
-    or ``None`` for files that carry no checksum (JSON catalogs, and
-    arenas written before checksums existed — those load unchecked by
-    contract). Reads every payload byte, so this is the explicit
-    verification step behind ``catalog verify`` / ``shard verify``,
-    never part of load (arena loads stay O(metadata)).
+    or ``None`` for a JSON catalog, which carries no checksum. Reads
+    every payload byte, so this is the explicit verification step behind
+    ``catalog verify`` / ``shard verify``, never part of load (arena
+    loads stay O(metadata)).
 
     Raises:
+        SnapshotRefused: (a ``ValueError``) for an arena written by
+            another arena version — what :func:`load_snapshot` refuses,
+            before a byte of payload is read.
         ValueError: when the file is too mangled to parse at all (bad
-            header, truncated payload) — structural corruption, as
-            opposed to the bit-rot ``False`` reports — or is in the
-            retired binary format.
+            header, no recorded checksum, truncated payload) — structural
+            corruption, as opposed to the bit-rot ``False`` reports — or
+            is in the retired binary format.
     """
     path = Path(path)
     if has_arena_magic(path):
-        return ArenaReader(path).verify_payload()
+        arena = ArenaReader(path)
+        _check_arena_version(arena.meta)
+        return arena.verify_payload()
     _refuse_retired_snapshot(path)
     if path.suffix == ".arena":
         raise ValueError(
             f"unreadable snapshot {path}: no recognizable snapshot magic"
         )
     return None  # JSON catalogs carry no checksum
+
+
+def _check_arena_version(meta: dict) -> None:
+    """Refuse any header version but :data:`ARENA_VERSION`."""
+    version = meta.get("version")
+    if version != ARENA_VERSION:
+        raise SnapshotRefused(
+            f"unsupported catalog arena version {version!r} "
+            f"(this build reads version {ARENA_VERSION}): convert it to "
+            f"JSON with `catalog convert` on the build that wrote it and "
+            f"back to .arena with this one, or re-index the source CSVs"
+        )
 
 
 def load_snapshot(path: str | Path) -> SketchCatalog:
@@ -399,14 +415,7 @@ def load_snapshot(path: str | Path) -> SketchCatalog:
         _refuse_retired_snapshot(Path(path))  # named as retired, not as a bad arena
         raise
     meta = arena.meta
-    version = meta.get("version")
-    if version != ARENA_VERSION:
-        raise SnapshotRefused(
-            f"unsupported catalog arena version {version!r} "
-            f"(this build reads version {ARENA_VERSION}): convert it to "
-            f"JSON with `catalog convert` on the build that wrote it and "
-            f"back to .arena with this one, or re-index the source CSVs"
-        )
+    _check_arena_version(meta)
     sketch_size, bits, seed = meta["catalog_config"]
     catalog = SketchCatalog(
         sketch_size=int(sketch_size),

@@ -19,6 +19,11 @@ with ``r_p`` the absolute Pearson estimate and ``r_b`` the absolute PM1
 bootstrap estimate. NaN estimates score 0 (a candidate whose correlation
 cannot even be estimated is ranked last, tied with zero-correlation ones).
 
+A page is scored from one centered moment pass
+(:func:`repro.correlation.pearson.page_moments`, seven segment
+reductions): ``r_p`` and the HFD length behind ``cih`` both read it, and
+``sez`` needs only the sample sizes.
+
 Scorer names
 ------------
 :data:`SCORER_NAMES` is the registry every entry point accepts — the CLI's
@@ -55,6 +60,7 @@ import numpy as np
 
 from repro.bounds.hoeffding import hfd_intervals
 from repro.correlation.bootstrap import pm1_interval, pm1_interval_page
+from repro.correlation.pearson import page_moments
 from repro.core.joined_sample import JoinedSamplePage
 
 SCORER_NAMES = ("rp", "rp_sez", "rb_cib", "rp_cih", "jc", "jc_est", "random")
@@ -221,13 +227,13 @@ def candidate_scores_batch(
     """Every scoring statistic of a candidate page, as columns.
 
     The query pipeline's scoring stage: Pearson, Fisher-z SE and
-    Hoeffding-CI statistics for *all* candidates are computed from the
-    page's CSR sample arrays with segment reductions
-    (``np.add.reduceat``) — a fixed number of whole-page array passes, no
-    per-candidate Python; the HFD length is
-    :func:`repro.bounds.hoeffding.hfd_intervals`'s. Ragged sample lengths
-    are handled by segment offsets; an empty sample gets NaN Pearson and
-    the vacuous ``[-1, 1]`` Hoeffding interval (length 2).
+    Hoeffding-CI statistics for *all* candidates, with no per-candidate
+    Python. Pearson's ``r`` and the HFD length
+    (:func:`repro.bounds.hoeffding.hfd_intervals`) both read the page's
+    one moment pass (:func:`repro.correlation.pearson.page_moments`,
+    seven segment reductions over the CSR sample arrays). An empty
+    sample gets NaN Pearson and the vacuous ``[-1, 1]`` Hoeffding
+    interval (length 2).
 
     The PM1 bootstrap — when ``with_bootstrap`` — follows ``rng_mode``
     (see :func:`apply_bootstrap`).
@@ -267,81 +273,26 @@ def candidate_scores_batch(
         )
 
     lengths = page.sizes
-    r_pearson = np.full(count, math.nan, dtype=np.float64)
-    nonempty = np.nonzero(lengths > 0)[0]
-    # Values past ~1e154 would overflow the HFD kernel's squared range:
-    # its per-row guard answers the vacuous interval there, so the pass
-    # reports no floating-point warnings.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if nonempty.size:
-            seg_len = lengths[nonempty]
-            seg_n = seg_len.astype(np.float64)
-            starts = page.indptr[nonempty]
-
-            # -- Pearson (Eq. 3), centered two-pass as in pearson() --------
-            # Each segment is scaled by the power of two of its largest
-            # magnitude first, as pearson() does: exact, so no answer bit
-            # moves, and huge finite values no longer overflow the sums.
-            x, absmax_x = _unit_scaled_segments(page.x, starts, seg_len)
-            y, absmax_y = _unit_scaled_segments(page.y, starts, seg_len)
-            mean_x = np.add.reduceat(x, starts) / seg_n
-            mean_y = np.add.reduceat(y, starts) / seg_n
-            dx = x - np.repeat(mean_x, seg_len)
-            dy = y - np.repeat(mean_y, seg_len)
-            sxx = np.add.reduceat(dx * dx, starts)
-            syy = np.add.reduceat(dy * dy, starts)
-            sxy = np.add.reduceat(dx * dy, starts)
-            eps = np.finfo(np.float64).eps
-            tol_x = (8.0 * eps * absmax_x) ** 2 * seg_n
-            tol_y = (8.0 * eps * absmax_y) ** 2 * seg_n
-            denom = np.sqrt(sxx) * np.sqrt(syy)
-            r = np.clip(sxy / denom, -1.0, 1.0)
-            defined = (
-                (seg_len >= 2)
-                & (sxx > tol_x)
-                & (syy > tol_y)
-                & (denom > 0.0)
-                & np.isfinite(denom)
-            )
-            r_pearson[nonempty] = np.where(defined, r, math.nan)
-
-        # -- HFD interval length (§4.3, sample-SD denominator) -------------
-        # Its length as ConfidenceInterval.length takes it, high - low;
-        # an empty or degenerate sample gets the vacuous [-1, 1] (2.0).
-        hfd_low, hfd_high = hfd_intervals(
-            page.x, page.y, page.indptr, *page.combined_ranges(), alpha
-        )
-        hfd_len = hfd_high - hfd_low
+    moments = page_moments(page.x, page.y, page.indptr)
+    # -- HFD interval length (§4.3, sample-SD denominator) -----------------
+    # Its length as ConfidenceInterval.length takes it, high - low; an
+    # empty or degenerate sample gets the vacuous [-1, 1] (2.0).
+    hfd_low, hfd_high = hfd_intervals(moments, *page.combined_ranges(), alpha)
 
     scores = ScoreColumns(
-        r_pearson=r_pearson,
+        r_pearson=moments.pearson(),
         r_bootstrap=np.full(count, math.nan),
         sample_size=lengths,
         # -- Fisher-z SE factor (§4.2) --
         sez_factor=1.0 - 1.0 / np.sqrt(np.maximum(4, lengths) - 3.0),
         cib_factor=np.zeros(count),
-        hfd_ci_length=hfd_len,
+        hfd_ci_length=hfd_high - hfd_low,
         containment_est=np.array(containment_ests, dtype=np.float64),
         containment_true=np.array(containment_trues, dtype=np.float64),
     )
     if with_bootstrap:
         apply_bootstrap(page, scores, rng, rng_mode)
     return scores
-
-
-def _unit_scaled_segments(
-    values: np.ndarray, starts: np.ndarray, seg_len: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each nonempty segment of ``values`` times ``2**-e``, ``e`` the
-    binary exponent of the segment's largest magnitude, and those scaled
-    maxima — the page form of :func:`repro.correlation.pearson`'s
-    scaling (exact; an all-zero or non-finite maximum is left as is)."""
-    absmax = np.maximum.reduceat(np.abs(values), starts)
-    _, exponent = np.frexp(absmax)
-    return (
-        np.ldexp(values, np.repeat(-exponent, seg_len)),
-        np.ldexp(absmax, -exponent),
-    )
 
 
 def apply_bootstrap(

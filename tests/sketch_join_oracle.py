@@ -12,12 +12,16 @@ parameters. They were ``repro.core.joined_sample.join_sketches``,
 until a sketch pair became a page of one: ``src/`` joins every pair
 through the page kernel ``repro.core.joined_sample.join_page`` and
 bounds it with the column kernels ``hfd_intervals`` /
-``hoeffding_intervals``.
+``hoeffding_intervals`` over the page's one centered moment pass
+(``repro.correlation.pearson.page_moments``).
 
 The join is held to the kernel bit for bit, the intervals to within
-float summation order (``np.mean``'s pairwise sums against
-``np.add.reduceat``'s running ones). :func:`pair_sample` is the page of
-one as this oracle states it: the NaN-filtered join whose value bounds
+float rounding: this oracle's raw moments ``ν − μ²`` against the
+kernels' centered sums, which agree closely only on well-scaled samples
+(``test_property_bounds.py`` holds the HFD kernel to
+:func:`hfd_interval_exact` on the offset and scale families where the
+raw form cancels). :func:`pair_sample` is the page of one as this
+oracle states it: the NaN-filtered join whose value bounds
 follow the range rule — the stored column ranges when both aggregates
 are range-preserving, else the sample's own.
 """
@@ -31,6 +35,7 @@ import numpy as np
 from repro.bounds.intervals import ConfidenceInterval
 from repro.core.aggregators import RANGE_PRESERVING_AGGREGATES
 from repro.core.joined_sample import JoinedSample
+from repro.correlation.pearson import page_moments
 
 # -- the sketch join ---------------------------------------------------------
 
@@ -134,9 +139,8 @@ def one_sample(kernel, x, y, c_low, c_high, alpha=0.05) -> ConfidenceInterval:
     sample, answered as the scalar functions below answer."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    low, high = kernel(
-        x, y, np.array([0, x.size]), np.array([c_low]), np.array([c_high]), alpha
-    )
+    moments = page_moments(x, y, np.array([0, x.size]))
+    low, high = kernel(moments, np.array([c_low]), np.array([c_high]), alpha)
     if kernel.__name__ == "hfd_intervals":
         return ConfidenceInterval(float(low[0]), float(high[0]), math.nan, "hfd")
     return ConfidenceInterval(float(low[0]), float(high[0]), alpha, "hoeffding")
@@ -339,3 +343,51 @@ def hfd_interval(
 
     low, high = _interval_quotient(num_low, num_high, den, den)
     return ConfidenceInterval(low=low, high=high, alpha=math.nan, method="hfd")
+
+
+def hfd_interval_exact(
+    x: np.ndarray,
+    y: np.ndarray,
+    c_low: float,
+    c_high: float,
+    alpha: float = 0.05,
+) -> tuple[float, float]:
+    """:func:`hfd_interval`'s formula in exact rational arithmetic.
+
+    Every moment, clamp and numerator bound is a ``Fraction`` of the
+    float64 inputs; the radii ``t``, ``t'`` are irrational, so both this
+    and the kernel take :func:`hoeffding_radii`'s float64 values. The
+    endpoints ``num / (sd_A · sd_B)`` are rounded once, through the
+    correctly rounded ``float(num² / (var_A · var_B))`` and ``math.sqrt``
+    — within an ulp or two of exact. Vacuous ``(-1, 1)`` exactly where
+    :func:`hfd_interval` is: no pairs, unusable bounds, or a zero
+    sample variance.
+    """
+    from fractions import Fraction
+
+    n = len(x)
+    if n == 0 or math.isnan(c_low) or math.isnan(c_high) or c_high <= c_low:
+        return -1.0, 1.0
+    lo = Fraction(c_low)
+    c = Fraction(c_high) - lo
+    a = [Fraction(float(v)) - lo for v in x]
+    b = [Fraction(float(v)) - lo for v in y]
+    mu_a, mu_b = sum(a) / n, sum(b) / n
+    var_a = sum(v * v for v in a) / n - mu_a * mu_a
+    var_b = sum(v * v for v in b) / n - mu_b * mu_b
+    if var_a == 0 or var_b == 0:
+        return -1.0, 1.0
+    nu_ab = sum(u * v for u, v in zip(a, b)) / n
+    t, t_prime = (Fraction(r) for r in hoeffding_radii(n, c_high - c_low, alpha))
+    mu_a_low, mu_a_high = max(Fraction(0), mu_a - t), min(c, mu_a + t)
+    mu_b_low, mu_b_high = max(Fraction(0), mu_b - t), min(c, mu_b + t)
+    nu_ab_low = max(Fraction(0), nu_ab - t_prime)
+    nu_ab_high = min(c * c, nu_ab + t_prime)
+
+    def endpoint(num: Fraction) -> float:
+        return math.copysign(math.sqrt(float(num * num / (var_a * var_b))), num)
+
+    return (
+        endpoint(nu_ab_low - mu_a_high * mu_b_high),
+        endpoint(nu_ab_high - mu_a_low * mu_b_low),
+    )

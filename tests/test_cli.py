@@ -839,6 +839,45 @@ def test_shard_verify_clean_corrupt_and_missing(portal, tmp_path, capsys):
     )
 
 
+def _as_arena_version(path, version):
+    """Rewrite an arena's header as another arena version's."""
+    from repro.index.arena import ArenaReader, write_arena
+
+    reader = ArenaReader(path)
+    reserved = ("arrays", "data_bytes", "payload_crc32")
+    meta = {k: v for k, v in reader.meta.items() if k not in reserved}
+    meta["version"] = version
+    write_arena(path, meta, {name: reader.array(name) for name in reader.extents})
+
+
+def test_catalog_verify_refuses_another_arena_version(portal, tmp_path, capsys):
+    """verify refuses what query refuses: exit 1, the version and the
+    `catalog convert` bridge named, and no quarantine advice."""
+    catalog = tmp_path / "catalog.arena"
+    assert main(["index", str(portal), "-o", str(catalog)]) == 0
+    _as_arena_version(catalog, 5)
+    capsys.readouterr()
+    assert main(["catalog", "verify", str(catalog)]) == 1
+    captured = capsys.readouterr()
+    assert "REFUSED (unsupported catalog arena version 5" in captured.out
+    assert "catalog convert" in captured.out
+    assert "quarantine" not in captured.err
+
+
+def test_shard_verify_refuses_another_arena_version(portal, tmp_path, capsys):
+    catalog_dir = _shard_build(portal, tmp_path)
+    _as_arena_version(catalog_dir / "shard-0001.arena", 5)
+    capsys.readouterr()
+    assert main(["shard", "verify", str(catalog_dir)]) == 1
+    captured = capsys.readouterr()
+    refused = [line for line in captured.out.splitlines() if "REFUSED" in line]
+    assert len(refused) == 1 and refused[0].endswith("shard-0001.arena")
+    assert "unsupported catalog arena version 5" in refused[0]
+    assert "catalog convert" in refused[0]
+    assert "quarantine" not in captured.err
+    assert "verified" not in captured.out
+
+
 def test_query_on_shard_error_requires_catalog_dir(portal, tmp_path):
     catalog = _index(portal, tmp_path)
     with pytest.raises(SystemExit, match="catalog-dir"):

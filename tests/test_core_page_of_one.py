@@ -12,7 +12,8 @@ contract:
 * the column kernels are within 1e-9 relative of the scalar oracle
   intervals on zero-mean unit-scale samples;
 * ``estimate()`` and the served ranked entry agree bit for bit on the
-  HFD length, the sample size and ``ĵc``, whatever the aggregate: the
+  Pearson r (one moment pass, the scalar ``pearson`` its page of one),
+  the HFD length, the sample size and ``ĵc``, whatever the aggregate: the
   value-bound rule (stored ranges only when both aggregates preserve
   the range) is applied once, in the join;
 * the served HFD length is never negative, and is the vacuous 2.0 —
@@ -33,6 +34,7 @@ from repro.core.estimation import estimate, set_estimates
 from repro.core.gkmv import ThresholdSketch
 from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
+from repro.correlation.pearson import page_moments
 from repro.hashing import KeyHasher
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import CandidatePage
@@ -164,8 +166,9 @@ def test_column_kernels_match_scalar_oracle(page):
         (hfd_intervals, hfd_interval),
         (hoeffding_intervals, hoeffding_interval),
     )
+    moments = page_moments(x, y, indptr)
     for kernel, scalar in kernels:
-        low, high = kernel(x, y, indptr, c_low, c_high, alpha)
+        low, high = kernel(moments, c_low, c_high, alpha)
         for i in range(len(indptr) - 1):
             s = slice(indptr[i], indptr[i + 1])
             want = scalar(x[s], y[s], c_low[i], c_high[i], alpha)
@@ -176,7 +179,8 @@ def test_column_kernels_match_scalar_oracle(page):
 
 
 def test_kernels_reject_bad_alpha():
-    args = (np.ones(2), np.ones(2), np.array([0, 2]), np.zeros(1), np.ones(1))
+    moments = page_moments(np.ones(2), np.ones(2), np.array([0, 2]))
+    args = (moments, np.zeros(1), np.ones(1))
     for kernel in (hfd_intervals, hoeffding_intervals):
         for alpha in (0.0, 1.0):
             with pytest.raises(ValueError, match="alpha"):
@@ -215,6 +219,7 @@ def test_estimate_agrees_with_the_served_entry(aggregate):
     assert len(ranked) == 12
     for entry in ranked:
         result = estimate(query, catalog.get(entry.candidate_id))
+        assert _same(result.correlation, entry.stats.r_pearson)
         assert result.hfd.high - result.hfd.low == entry.stats.hfd_ci_length
         assert result.sample_size == entry.stats.sample_size
         assert result.containment_est == entry.stats.containment_est
@@ -250,12 +255,11 @@ def _served_entries(scale: float):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_served_hfd_is_vacuous_without_warnings_past_overflow():
     """Past ~1e154 the HFD interval is vacuous, while the served Pearson
-    r stays finite: ``estimate()``'s for the pair and the unit-scale
-    page's, each to within rounding (``estimate()`` sums with ``np.dot``,
-    the page by segments, so they differ in the last bits at unit scale
-    too)."""
+    r stays finite, within rounding of the unit-scale page's. At either
+    scale ``estimate()`` answers the served r bit for bit: the scalar
+    estimate is the same moment pass on a page of one."""
     catalog, query, served = _served_entries(1e155)
-    _, _, unit = _served_entries(1.0)
+    unit_catalog, unit_query, unit = _served_entries(1.0)
     assert served and served.keys() == unit.keys()
     for sid, entry in served.items():
         assert entry.stats.hfd_ci_length == 2.0
@@ -263,5 +267,7 @@ def test_served_hfd_is_vacuous_without_warnings_past_overflow():
         assert math.isfinite(r)
         assert r == pytest.approx(unit[sid].stats.r_pearson, rel=1e-12)
         result = estimate(query, catalog.get(sid))
-        assert result.correlation == pytest.approx(r, rel=1e-12)
+        assert result.correlation == r
         assert (result.hfd.low, result.hfd.high) == (-1.0, 1.0)
+        unit_result = estimate(unit_query, unit_catalog.get(sid))
+        assert unit_result.correlation == unit[sid].stats.r_pearson

@@ -408,6 +408,10 @@ def test_version_5_arena_is_refused_not_quarantined(tmp_path, on_corruption):
     message = str(excinfo.value)
     assert "arena version 5" in message and "reads version 6" in message
     assert "catalog convert" in message
+    # verify refuses what load refuses, with the same message.
+    with pytest.raises(SnapshotRefused) as verified:
+        verify_snapshot(path)
+    assert str(verified.value) == message
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 

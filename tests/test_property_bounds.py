@@ -8,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from repro.bounds.hoeffding import hfd_intervals, hoeffding_intervals
 from repro.correlation.fisher import fisher_interval
-from repro.correlation.pearson import pearson
+from repro.correlation.pearson import page_moments, pearson
 
-from sketch_join_oracle import hoeffding_radii, one_sample
+from sketch_join_oracle import hfd_interval_exact, hoeffding_radii, one_sample
 
 
 def hoeffding_interval(x, y, c_low, c_high, alpha=0.05):
@@ -20,6 +20,65 @@ def hoeffding_interval(x, y, c_low, c_high, alpha=0.05):
 
 def hfd_interval(x, y, c_low, c_high, alpha=0.05):
     return one_sample(hfd_intervals, x, y, c_low, c_high, alpha)
+
+
+#: ``(location, scale)`` of the x column, y ~ N(0, 1): the unit case and
+#: the offset and scale families on which ν − μ² cancels.
+FAMILIES = ((0.0, 1.0), (1e6, 1e3), (0.0, 1e6), (1e4, 1e-3), (1e8, 1.0))
+
+
+@st.composite
+def family_pages(draw):
+    """A ragged page of 1–6 samples (sizes 0–60), each drawn from one of
+    :data:`FAMILIES` with correlation ρ, the offset column on either side,
+    and bounds that are the sample's own range widened by a margin, or
+    unknown."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(0, 60), min_size=1, max_size=6))
+    xs, ys, lows, highs = [], [], [], []
+    for size in sizes:
+        location, scale = draw(st.sampled_from(FAMILIES))
+        rho = draw(st.floats(-0.99, 0.99))
+        z = rng.standard_normal(size)
+        x = location + scale * z
+        y = rho * z + math.sqrt(1.0 - rho * rho) * rng.standard_normal(size)
+        if draw(st.booleans()):
+            x, y = y, x
+        xs.append(x)
+        ys.append(y)
+        if size and draw(st.integers(0, 4)):
+            margin = draw(st.floats(0.0, 2.0))
+            lows.append(min(x.min(), y.min()) - margin)
+            highs.append(max(x.max(), y.max()) + margin)
+        else:
+            lows.append(math.nan)
+            highs.append(math.nan)
+    return (
+        np.concatenate(xs),
+        np.concatenate(ys),
+        np.concatenate(([0], np.cumsum(sizes))),
+        np.array(lows),
+        np.array(highs),
+        draw(st.sampled_from((0.01, 0.05, 0.1))),
+    )
+
+
+@given(page=family_pages())
+@settings(max_examples=150, deadline=None)
+def test_hfd_endpoints_match_exact_arithmetic(page):
+    """The page's HFD endpoints are within 1e-12 relative of the same
+    formula in exact arithmetic, on the offset and scale families too:
+    the centered moment pass does not cancel where ν − μ² did (1.0
+    relative at 1e8 + N, where the raw form answered the vacuous
+    interval)."""
+    x, y, indptr, c_low, c_high, alpha = page
+    low, high = hfd_intervals(page_moments(x, y, indptr), c_low, c_high, alpha)
+    for i in range(len(indptr) - 1):
+        s = slice(indptr[i], indptr[i + 1])
+        want = hfd_interval_exact(x[s], y[s], c_low[i], c_high[i], alpha)
+        for got, ref in zip((low[i], high[i]), want):
+            assert math.isclose(got, ref, rel_tol=1e-12), (i, got, ref)
+
 
 bounded_floats = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 paired_arrays = st.integers(min_value=2, max_value=80).flatmap(

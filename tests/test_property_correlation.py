@@ -127,17 +127,22 @@ def test_rin_bounded_or_nan(xy):
 
 
 def _unscaled_pearson(x, y):
-    """``pearson`` as written before its power-of-two column scaling:
-    centers and sums the raw values (so ×1e155 overflows to ``inf``)."""
+    """``pearson`` without its power-of-two column scaling: centers and
+    sums the raw values (so ×1e155 overflows to ``inf``), in the moment
+    pass's reduction order (``np.add.reduceat`` over one segment)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         return math.nan
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
+
+    def total(values):
+        return float(np.add.reduceat(values, [0])[0])
+
+    dx = x - total(x) / n
+    dy = y - total(y) / n
+    sxx = total(dx * dx)
+    syy = total(dy * dy)
     eps = np.finfo(np.float64).eps
     tol_x = (8.0 * eps * float(np.abs(x).max(initial=0.0))) ** 2 * n
     tol_y = (8.0 * eps * float(np.abs(y).max(initial=0.0))) ** 2 * n
@@ -146,7 +151,7 @@ def _unscaled_pearson(x, y):
     denom = math.sqrt(sxx) * math.sqrt(syy)
     if denom <= 0.0 or math.isinf(denom):
         return math.nan
-    r = float(np.dot(dx, dy)) / denom
+    r = total(dx * dy) / denom
     return max(-1.0, min(1.0, r))
 
 

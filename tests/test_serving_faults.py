@@ -294,19 +294,22 @@ def test_checksum_detects_payload_bit_rot(tmp_path, layout):
     assert sorted(load_snapshot(path)) == ["x"]  # load never checksums
 
 
-def test_pre_checksum_snapshots_load_unchecked(tmp_path):
-    """Arenas written before checksums existed load fine and verify to
-    None — the compatibility contract (within the one generation)."""
+def test_arena_header_without_checksum_is_corrupt(tmp_path):
+    """Every arena of this version records its payload CRC32, so a header
+    without one is corrupt: verification raises instead of answering
+    "unchecked"."""
     from repro.index.arena import ArenaReader
 
     catalog = _build_catalog()
     mono = SketchCatalog(sketch_size=SKETCH_SIZE, hasher=catalog.hasher)
     mono.add_sketch("x", catalog.get("p00"))
-    arena_path = tmp_path / "old.arena"
+    arena_path = tmp_path / "c.arena"
     mono.save(arena_path)
     reader = ArenaReader(arena_path)
+    assert reader.verify_payload() is True
     reader.meta.pop("payload_crc32")
-    assert reader.verify_payload() is None  # pre-checksum header → unchecked
+    with pytest.raises(ValueError, match="no payload_crc32"):
+        reader.verify_payload()
 
 
 def test_snapshot_read_fault_exercises_quarantine(tmp_path):
