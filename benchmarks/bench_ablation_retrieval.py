@@ -27,13 +27,21 @@ import time
 import numpy as np
 
 from conftest import write_result
-from repro.evalharness.ranking_eval import build_catalog
 from repro.index.catalog import SketchCatalog
 
 TOP_K = 25
 RECALL_KS = (10, 25)
 BANDS = 32
 ROWS = 2
+
+
+def _catalog(refs) -> SketchCatalog:
+    """Every column pair sketched (size 256) into one catalog."""
+    catalog = SketchCatalog(sketch_size=256)
+    for ref in refs:
+        if ref.pair_id not in catalog:
+            catalog.add_column_pair(ref.table, ref.pair, sketch_id=ref.pair_id)
+    return catalog
 
 
 def _snapshot_round_trip(catalog, tmp_dir) -> SketchCatalog:
@@ -46,7 +54,7 @@ def _snapshot_round_trip(catalog, tmp_dir) -> SketchCatalog:
     return loaded
 
 def _run(nyc_refs, tmp_dir) -> dict:
-    catalog, _by_id = build_catalog(nyc_refs, sketch_size=256)
+    catalog = _catalog(nyc_refs)
     serving = _snapshot_round_trip(catalog, tmp_dir)
     lsh = serving.lsh_index(bands=BANDS, rows=ROWS)
 
@@ -94,7 +102,7 @@ def _run(nyc_refs, tmp_dir) -> dict:
 def _high_overlap_recall(nyc_refs) -> float:
     """Recall restricted to candidates sharing >= 50% of the query's
     retained keys — the joinable candidates that actually matter."""
-    catalog, _by_id = build_catalog(nyc_refs, sketch_size=256)
+    catalog = _catalog(nyc_refs)
     lsh = catalog.lsh_index(bands=BANDS, rows=ROWS)
 
     hits = 0

@@ -29,13 +29,15 @@ are skipped there).
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
+from typing import Sequence
+
 import numpy as np
 
 from conftest import write_result
 from repro.core.sketch import CorrelationSketch
 from repro.data.workloads import split_query_workload
-from repro.evalharness.ranking_eval import build_catalog
-from repro.evalharness.timing import LatencyReport
 from repro.index.catalog import SketchCatalog
 from repro.index.engine import JoinCorrelationEngine
 
@@ -55,9 +57,48 @@ BOOTSTRAP_QUICK_QUERIES = 1
 BOOTSTRAP_REPEATS = 3
 
 
+@dataclass
+class LatencyReport:
+    """Query-latency distribution (Section 5.5's interactive-use claim)."""
+
+    latencies_seconds: list[float] = field(default_factory=list)
+
+    def add(self, seconds: float) -> None:
+        self.latencies_seconds.append(seconds)
+
+    def fraction_under(self, threshold_ms: float) -> float:
+        """Fraction of queries completing under ``threshold_ms``."""
+        if not self.latencies_seconds:
+            return math.nan
+        hits = sum(
+            1 for s in self.latencies_seconds if s * 1000.0 < threshold_ms
+        )
+        return hits / len(self.latencies_seconds)
+
+    def percentile_ms(self, p: float) -> float:
+        if not self.latencies_seconds:
+            return math.nan
+        return float(
+            np.percentile(np.asarray(self.latencies_seconds) * 1000.0, p)
+        )
+
+    def format(self, thresholds_ms: Sequence[float] = (100.0, 200.0)) -> str:
+        lines = [f"queries: {len(self.latencies_seconds)}"]
+        for t in thresholds_ms:
+            lines.append(
+                f"under {t:g} ms: {self.fraction_under(t) * 100.0:.1f}%"
+            )
+        for p in (50.0, 90.0, 99.0):
+            lines.append(f"p{p:g}: {self.percentile_ms(p):.2f} ms")
+        return "\n".join(lines)
+
+
 def _run_queries(nyc_refs, max_queries=None):
     workload = split_query_workload(nyc_refs, query_fraction=0.3, seed=9)
-    catalog, _by_id = build_catalog(workload.corpus, SKETCH_SIZE)
+    catalog = SketchCatalog(sketch_size=SKETCH_SIZE)
+    for ref in workload.corpus:
+        if ref.pair_id not in catalog:
+            catalog.add_column_pair(ref.table, ref.pair, sketch_id=ref.pair_id)
     engine = JoinCorrelationEngine(catalog, retrieval_depth=RETRIEVAL_DEPTH)
 
     total = LatencyReport()

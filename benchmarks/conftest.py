@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.data.opendata import make_nyc_like_collection, make_wbf_like_collection
+from repro.data.opendata import make_nyc_like_collection
 from repro.data.workloads import collection_column_pairs
 
 #: Where benchmarks write their regenerated tables/figures.
@@ -70,39 +70,5 @@ def nyc_collection():
 
 
 @pytest.fixture(scope="session")
-def wbf_collection():
-    """WBF-shaped collection (paper and here: 64 tables)."""
-    return make_wbf_like_collection(
-        n_tables=64, seed=7, key_universe=800, key_fraction_range=(0.03, 0.8)
-    )
-
-
-@pytest.fixture(scope="session")
 def nyc_refs(nyc_collection):
     return collection_column_pairs(nyc_collection)
-
-
-@pytest.fixture(scope="session")
-def ranking_report(nyc_refs):
-    """Shared Table 1 / Figure 5 evaluation (computed once per session).
-
-    Paper protocol (Section 5.4): every column pair in the NYC collection
-    acts as a query retrieving all other joinable column pairs; rankings
-    from all scoring functions are compared on the same retrieved lists
-    against full-join ground truth.
-    """
-    from repro.evalharness.ranking_eval import evaluate_ranking
-
-    return evaluate_ranking(
-        nyc_refs,
-        sketch_size=256,
-        max_queries=80,
-        min_candidates=3,
-        retrieval_depth=100,
-        seed=0,
-    )
-
-
-@pytest.fixture(scope="session")
-def wbf_refs(wbf_collection):
-    return collection_column_pairs(wbf_collection)

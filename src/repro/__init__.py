@@ -38,8 +38,6 @@ Subpackages
     Sharded catalogs, query routing and the HTTP query service.
 ``repro.data``
     Synthetic data generators (SBN, NYC-like, WBF-like).
-``repro.evalharness``
-    Experiment runners behind the benchmark suite.
 """
 
 from repro.bounds import ConfidenceInterval

@@ -22,15 +22,19 @@ denominator bounds by the *sample* standard-deviation product — no longer
 a probabilistic bound, but its length is still a meaningful dispersion
 measure, and it is what the ``cih`` ranking factor uses (Section 4.4).
 
-Both are column kernels over a page's one centered moment pass
-(:func:`repro.correlation.pearson.page_moments`, the seven reductions
-Pearson's ``r`` reads; a second, raw pass of five used to run) and
-per-sample bounds ``c_low``, ``c_high``. The shifted parameters are
+Both read a page's one centered moment pass
+(:func:`repro.correlation.pearson.page_moments`, the reductions
+Pearson's ``r`` reads plus the means' two-pass corrections) and
+per-sample bounds ``c_low``, ``c_high``. The HFD interval, which scores
+every served candidate, is a column kernel over the page; the true
+interval, which only a pair's estimate reads, is computed sample by
+sample in Python floats with the same operations. The shifted parameters are
 derived, μ_A = x̄ − C_low, ν_A = s_xx/n + μ_A², ν_AB = s_xy/n + μ_A·μ_B,
 and the HFD denominator is the centered √(s_xx/n)·√(s_yy/n), never the
-cancelling ν_A − μ_A² (which lost every digit at 1e8 + N). μ_A keeps
-x̄'s rounding, a relative error near ε·|x̄|/C when both columns sit far
-from zero relative to their range. A sample gets the vacuous ``[-1, 1]``
+cancelling ν_A − μ_A² (which lost every digit at 1e8 + N). μ_A adds the
+pass's two-pass correction Σ(x − x̄)/n after the shift, so x̄'s rounding
+(a relative error near ε·|x̄|/C when a column sits far from zero
+relative to its range) does not reach it. A sample gets the vacuous ``[-1, 1]``
 when it is empty, its bounds are unknown, inverted or equal, or ``C²``
 or a parameter is not a finite float64 (magnitudes around 1.3e154 and
 beyond); the HFD interval also when a column is numerically constant.
@@ -57,21 +61,20 @@ def _shifted_parameters(
     c_high: np.ndarray,
     alpha: float,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """What both intervals share, over the non-empty samples
+    """What the HFD interval reads, over the non-empty samples
     (``moments.rows``), derived from the moment pass.
 
     Returns ``(defined, m)``: which rows have usable bounds and
     parameters (False where the interval is vacuous by the bounds alone
     — unknown, inverted or equal — or by overflow, the per-row guard),
-    and per row the range ``c``, the radius ``t'``, the sample variances
-    ``s_xx/n``, ``s_yy/n``, the five parameters of both columns shifted
-    into ``[0, C]`` and Eq. 6's numerator bounds with the clamped means
-    they use. The shifted columns live in ``[0, C]``, so every population
-    parameter is confined to a known domain (means in ``[0, C]``, second
-    moments in ``[0, C²]``); intersecting the Hoeffding intervals with
-    those domains preserves coverage and is *required* for the
-    numerator: ``-μ_Aμ_B`` is only monotone in ``(μ_A, μ_B)`` on the
-    non-negative orthant.
+    and per row the sample variances ``s_xx/n``, ``s_yy/n`` and Eq. 6's
+    numerator bounds. The shifted columns live in ``[0, C]``, so every
+    population parameter is confined to a known domain (means in
+    ``[0, C]``, second moments in ``[0, C²]``); intersecting the
+    Hoeffding intervals with those domains preserves coverage and is
+    *required* for the numerator: ``-μ_Aμ_B`` is only monotone in
+    ``(μ_A, μ_B)`` on the non-negative orthant. :func:`_hoeffding_one`
+    derives the same values for one sample in Python floats.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -79,8 +82,10 @@ def _shifted_parameters(
     clo, chi = c_low[rows], c_high[rows]
     with np.errstate(**_QUIET):
         # The pass's scaling undone exactly; past float64's range, ±inf.
-        mu_a = np.ldexp(moments.mean_x, ex) - clo
-        mu_b = np.ldexp(moments.mean_y, ey) - clo
+        # The two-pass correction is added after the shift, where it is
+        # not rounded away against a mean far from zero.
+        mu_a = (np.ldexp(moments.mean_x, ex) - clo) + np.ldexp(moments.dmean_x, ex)
+        mu_b = (np.ldexp(moments.mean_y, ey) - clo) + np.ldexp(moments.dmean_y, ey)
         var_x = np.ldexp(moments.sxx / n, 2 * ex)
         var_y = np.ldexp(moments.syy / n, 2 * ey)
         nu_a, nu_b = var_x + mu_a * mu_a, var_y + mu_b * mu_b
@@ -96,9 +101,7 @@ def _shifted_parameters(
         mu_a_low, mu_a_high = np.maximum(0.0, mu_a - t), np.minimum(c, mu_a + t)
         mu_b_low, mu_b_high = np.maximum(0.0, mu_b - t), np.minimum(c, mu_b + t)
         m = dict(
-            c=c, t_prime=t_prime, var_x=var_x, var_y=var_y, nu_a=nu_a, nu_b=nu_b,
-            mu_a_low=mu_a_low, mu_a_high=mu_a_high,
-            mu_b_low=mu_b_low, mu_b_high=mu_b_high,
+            var_x=var_x, var_y=var_y,
             num_low=np.maximum(0.0, nu_ab - t_prime) - mu_a_high * mu_b_high,
             num_high=np.minimum(c2, nu_ab + t_prime) - mu_a_low * mu_b_low,
         )
@@ -140,13 +143,6 @@ def hfd_intervals(
     return low, high
 
 
-def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``num / den`` with a zero denominator giving 0 or ±inf by the
-    numerator's sign (the caller clips to ``[-1, 1]``)."""
-    unbounded = np.where(num == 0.0, 0.0, np.copysign(np.inf, num))
-    return np.where(den > 0.0, num / den, unbounded)
-
-
 def hoeffding_intervals(
     moments: PageMoments,
     c_low: np.ndarray,
@@ -162,36 +158,79 @@ def hoeffding_intervals(
     are valid bounds under a range-preserving aggregate). Vacuous when
     even the optimistic variance bound is zero: the data then carries no
     scale information and the quotient is unconstrained.
+
+    Only a pair's ``estimate()`` reads the true interval, on a page of
+    one, so it is computed sample by sample in Python floats
+    (:func:`_hoeffding_one`): about ten times cheaper there than a NumPy
+    column kernel, whose per-call cost on one-element arrays is most of
+    its time.
     """
-    low, high = np.full(moments.count, -1.0), np.full(moments.count, 1.0)
-    defined, m = _shifted_parameters(moments, c_low, c_high, alpha)
-    rows = moments.rows
-    with np.errstate(**_QUIET):
-        c2, t_prime = m["c"] * m["c"], m["t_prime"]
-
-        def variance_bound(nu, mu):
-            return np.maximum(0.0, nu - mu * mu)
-
-        # ν's Hoeffding interval intersected with its domain [0, C²].
-        den_low = np.sqrt(
-            variance_bound(np.maximum(0.0, m["nu_a"] - t_prime), m["mu_a_high"])
-            * variance_bound(np.maximum(0.0, m["nu_b"] - t_prime), m["mu_b_high"])
-        )
-        den_high = np.sqrt(
-            variance_bound(np.minimum(c2, m["nu_a"] + t_prime), m["mu_a_low"])
-            * variance_bound(np.minimum(c2, m["nu_b"] + t_prime), m["mu_b_low"])
-        )
-        informative = defined & (den_high > 0.0)
-        # Eqs. 6-7's sign-aware division: a non-negative numerator bound
-        # is smallest over the largest denominator, a negative one over
-        # the smallest.
-        num_low, num_high = m["num_low"], m["num_high"]
-        q_low = np.where(
-            num_low >= 0, _quotient(num_low, den_high), _quotient(num_low, den_low)
-        )
-        q_high = np.where(
-            num_high >= 0, _quotient(num_high, den_low), _quotient(num_high, den_high)
-        )
-        low[rows] = np.where(informative, np.maximum(-1.0, q_low), -1.0)
-        high[rows] = np.where(informative, np.minimum(1.0, q_high), 1.0)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    log_term = math.log(10.0 / alpha)
+    m, rows = moments, moments.rows
+    low, high = np.full(m.count, -1.0), np.full(m.count, 1.0)
+    for row, *sample in zip(
+        rows.tolist(), c_low[rows].tolist(), c_high[rows].tolist(), m.n.tolist(),
+        m.mean_x.tolist(), m.mean_y.tolist(), m.dmean_x.tolist(), m.dmean_y.tolist(),
+        m.sxx.tolist(), m.syy.tolist(), m.sxy.tolist(), m.exp_x.tolist(), m.exp_y.tolist(),
+    ):
+        low[row], high[row] = _hoeffding_one(*sample, log_term)
     return low, high
+
+
+def _quotient(num: float, den: float) -> float:
+    """``num / den``; over a zero denominator 0 or ±inf by the
+    numerator's sign (the caller clips to ``[-1, 1]``)."""
+    if den > 0.0:
+        return num / den
+    return 0.0 if num == 0.0 else math.copysign(math.inf, num)
+
+
+def _hoeffding_one(
+    clo: float, chi: float, n: float,
+    mean_x: float, mean_y: float, dmean_x: float, dmean_y: float,
+    sxx: float, syy: float, sxy: float, ex: int, ey: int, log_term: float,
+) -> tuple[float, float]:
+    """Eqs. 6–7 for one non-empty sample with bounds ``clo``, ``chi``,
+    from its row of the moment pass and ``ln(10/α)``: the parameters of
+    :func:`_shifted_parameters` in the same IEEE operations, then the
+    denominator bounds. Every value is finite once the guard has passed,
+    so ``max`` and ``min`` never meet a NaN."""
+    try:
+        mu_a = (math.ldexp(mean_x, ex) - clo) + math.ldexp(dmean_x, ex)
+        mu_b = (math.ldexp(mean_y, ey) - clo) + math.ldexp(dmean_y, ey)
+        nu_a = math.ldexp(sxx / n, 2 * ex) + mu_a * mu_a
+        nu_b = math.ldexp(syy / n, 2 * ey) + mu_b * mu_b
+        nu_ab = math.ldexp(sxy / n, ex + ey) + mu_a * mu_b
+    except OverflowError:  # past float64's range: the per-row guard
+        return -1.0, 1.0
+    c = chi - clo
+    c2 = c * c
+    t = math.sqrt(log_term * c2 / (2.0 * n))
+    t_prime = math.sqrt(log_term * c2 * c2 / (2.0 * n))
+    # c > 0 fails on unknown, inverted or equal bounds.
+    if not (c > 0.0 and all(map(math.isfinite, (c2, mu_a, mu_b, nu_a, nu_b, nu_ab)))):
+        return -1.0, 1.0
+    mu_a_low, mu_a_high = max(0.0, mu_a - t), min(c, mu_a + t)
+    mu_b_low, mu_b_high = max(0.0, mu_b - t), min(c, mu_b + t)
+    num_low = max(0.0, nu_ab - t_prime) - mu_a_high * mu_b_high
+    num_high = min(c2, nu_ab + t_prime) - mu_a_low * mu_b_low
+    # ν's Hoeffding interval intersected with its domain [0, C²], less
+    # the squared mean bound that makes the variance smallest (largest).
+    den_low = math.sqrt(
+        max(0.0, max(0.0, nu_a - t_prime) - mu_a_high * mu_a_high)
+        * max(0.0, max(0.0, nu_b - t_prime) - mu_b_high * mu_b_high)
+    )
+    den_high = math.sqrt(
+        max(0.0, min(c2, nu_a + t_prime) - mu_a_low * mu_a_low)
+        * max(0.0, min(c2, nu_b + t_prime) - mu_b_low * mu_b_low)
+    )
+    if not den_high > 0.0:
+        return -1.0, 1.0
+    # Eqs. 6-7's sign-aware division: a non-negative numerator bound is
+    # smallest over the largest denominator, a negative one over the
+    # smallest.
+    q_low = _quotient(num_low, den_high if num_low >= 0 else den_low)
+    q_high = _quotient(num_high, den_low if num_high >= 0 else den_high)
+    return max(-1.0, q_low), min(1.0, q_high)

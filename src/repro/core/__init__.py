@@ -32,7 +32,6 @@ from repro.core.estimation import (
     estimate_statistics,
     set_estimates,
 )
-from repro.core.gkmv import ThresholdSketch
 from repro.core.joined_sample import (
     JoinedSample,
     JoinedSamplePage,
@@ -40,7 +39,6 @@ from repro.core.joined_sample import (
     join_page,
     join_pair,
 )
-from repro.core.multiaggregate import MultiAggregateSketch
 from repro.core.sketch import CorrelationSketch
 from repro.core.statistics import (
     distance_correlation,
@@ -56,11 +54,9 @@ __all__ = [
     "JoinedSample",
     "JoinedSamplePage",
     "PageJoin",
-    "MultiAggregateSketch",
     "RANGE_PRESERVING_AGGREGATES",
     "SetEstimates",
     "StatisticsResult",
-    "ThresholdSketch",
     "distance_correlation",
     "estimate",
     "estimate_statistics",

@@ -389,8 +389,7 @@ def join_page(
 def join_pair(left, right) -> PageJoin:
     """A sketch pair as a page of one: ``left`` the query, ``right`` its
     one candidate. Takes any sketch with a ``hasher`` and a
-    ``columnar()`` view (:class:`~repro.core.sketch.CorrelationSketch`,
-    :class:`~repro.core.gkmv.ThresholdSketch`).
+    ``columnar()`` view (:class:`~repro.core.sketch.CorrelationSketch`).
 
     Raises:
         ValueError: if the sketches use different hashing schemes — their

@@ -2,9 +2,10 @@
 one centered moment pass that every served statistic reads.
 
 :func:`page_moments` reduces a page of joined samples (CSR ``x``, ``y``,
-``indptr``) to each sample's size, means and centered sums in seven
-segment reductions (two ``|max|``, two means, ``s_xx``, ``s_yy``,
-``s_xy``); Pearson's ``r`` and both §4.3 intervals
+``indptr``) to each sample's size, means and centered sums in nine
+segment reductions (two ``|max|``, two means, their two two-pass
+corrections, ``s_xx``, ``s_yy``, ``s_xy``; the pairs run as five calls
+over both columns at once); Pearson's ``r`` and both §4.3 intervals
 (:mod:`repro.bounds.hoeffding`) derive from them. The scalar
 :func:`pearson` is the pass on a page of one, so a pair's ``r`` equals
 the served page's bit for bit. ``r`` is NaN for fewer than 2 pairs or a
@@ -25,6 +26,10 @@ import numpy as np
 #: breeds are masked by the callers' rules, never reported.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
+#: A column is numerically constant when its centered sum of squares is
+#: within ``n · (8ε · max|x|)²``.
+_FLAT = 8.0 * np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class PageMoments:
@@ -32,15 +37,19 @@ class PageMoments:
     of ``count`` samples, per row: size ``n`` (float64), scaled means and
     centered sums — ``np.ldexp(mean_x, exp_x)`` is x̄,
     ``np.ldexp(sxx, 2 * exp_x)`` is s_xx and
-    ``np.ldexp(sxy, exp_x + exp_y)`` is s_xy — and ``varies``: at least
-    two pairs and neither column numerically constant, where ``r`` is
-    defined and the sample standard deviations are nonzero."""
+    ``np.ldexp(sxy, exp_x + exp_y)`` is s_xy — the scaled two-pass
+    corrections ``dmean_x`` = Σ(x − x̄)/n and ``dmean_y`` (what the
+    rounded means missed, Chan, Golub & LeVeque 1983), and ``varies``:
+    at least two pairs and neither column numerically constant, where
+    ``r`` is defined and the sample standard deviations are nonzero."""
 
     count: int
     rows: np.ndarray
     n: np.ndarray
     mean_x: np.ndarray
     mean_y: np.ndarray
+    dmean_x: np.ndarray
+    dmean_y: np.ndarray
     sxx: np.ndarray
     syy: np.ndarray
     sxy: np.ndarray
@@ -59,42 +68,37 @@ class PageMoments:
 
 def page_moments(x: np.ndarray, y: np.ndarray, indptr: np.ndarray) -> PageMoments:
     """The one moment pass over a page whose sample ``i`` owns
-    ``x[indptr[i]:indptr[i + 1]]`` and ``y[...]`` (NaN-free)."""
-    lengths = np.diff(indptr)
-    rows = np.nonzero(lengths > 0)[0]
+    ``x[indptr[i]:indptr[i + 1]]`` and ``y[...]`` (NaN-free; ``indptr``
+    runs from 0 to ``len(x)``). Both columns go through each step
+    together, as the first and second half of one array of twice the
+    segments: half the NumPy calls, the same bits."""
+    lengths = indptr[1:] - indptr[:-1]
+    rows = np.flatnonzero(lengths)
     seg_len = lengths[rows]
     n = seg_len.astype(np.float64)
     starts = indptr[rows]
+    r = rows.size
+    xy = np.concatenate((x, y))
+    starts2 = np.concatenate((starts, starts + x.size))
+    seg_len2, n2 = np.concatenate((seg_len, seg_len)), np.concatenate((n, n))
     with np.errstate(**_QUIET):
-        x, absmax_x, exp_x = _unit_scaled(x, starts, seg_len)
-        y, absmax_y, exp_y = _unit_scaled(y, starts, seg_len)
-        mean_x = np.add.reduceat(x, starts) / n
-        mean_y = np.add.reduceat(y, starts) / n
-        dx = x - np.repeat(mean_x, seg_len)
-        dy = y - np.repeat(mean_y, seg_len)
-        sxx = np.add.reduceat(dx * dx, starts)
-        syy = np.add.reduceat(dy * dy, starts)
-        sxy = np.add.reduceat(dx * dy, starts)
-    eps = np.finfo(np.float64).eps
-    varies = (seg_len >= 2) & (sxx > (8.0 * eps * absmax_x) ** 2 * n)
-    varies &= syy > (8.0 * eps * absmax_y) ** 2 * n
+        # Each segment times 2**-e, e the binary exponent of its largest
+        # magnitude (an all-zero or non-finite maximum is left as is).
+        absmax = np.maximum.reduceat(np.abs(xy), starts2)
+        _, exp = np.frexp(absmax)
+        xy = np.ldexp(xy, (-exp).repeat(seg_len2))
+        absmax = np.ldexp(absmax, -exp)
+        mean = np.add.reduceat(xy, starts2) / n2
+        d = xy - mean.repeat(seg_len2)
+        dmean = np.add.reduceat(d, starts2) / n2
+        ss = np.add.reduceat(d * d, starts2)
+        sxy = np.add.reduceat(d[: x.size] * d[x.size :], starts)
+    tol = _FLAT * absmax
+    spread = ss > tol * tol * n2
+    varies = (seg_len >= 2) & spread[:r] & spread[r:]
     return PageMoments(
-        len(indptr) - 1, rows, n, mean_x, mean_y, sxx, syy, sxy, exp_x, exp_y, varies
-    )
-
-
-def _unit_scaled(
-    values: np.ndarray, starts: np.ndarray, seg_len: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each segment of ``values`` times ``2**-e``, ``e`` the binary
-    exponent of its largest magnitude; those scaled maxima; the ``e``
-    (an all-zero or non-finite maximum is left as is)."""
-    absmax = np.maximum.reduceat(np.abs(values), starts)
-    _, exponent = np.frexp(absmax)
-    return (
-        np.ldexp(values, np.repeat(-exponent, seg_len)),
-        np.ldexp(absmax, -exponent),
-        exponent,
+        len(indptr) - 1, rows, n, mean[:r], mean[r:], dmean[:r], dmean[r:],
+        ss[:r], ss[r:], sxy, exp[:r], exp[r:], varies,
     )
 
 

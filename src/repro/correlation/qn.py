@@ -96,10 +96,14 @@ def qn_correlation(x: np.ndarray, y: np.ndarray) -> float:
     if not (sx > 0.0) or not (sy > 0.0):
         return math.nan
 
-    xs = x / sx
-    ys = y / sy
-    u = (xs + ys) / math.sqrt(2.0)
-    v = (xs - ys) / math.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = x / sx
+        ys = y / sy
+        u = (xs + ys) / math.sqrt(2.0)
+        v = (xs - ys) / math.sqrt(2.0)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        # A subnormal scale: the standardized columns overflow.
+        return math.nan
     qu = qn_scale(u)
     qv = qn_scale(v)
     qu2 = qu * qu

@@ -109,6 +109,18 @@ class _DeferredEntryDict(dict):
         return [(sid, self[sid]) for sid in self]
 
 
+def check_scheme(catalog, sketch: CorrelationSketch, role: str) -> None:
+    """Raise ``ValueError`` unless ``sketch`` hashes keys with the scheme
+    of ``catalog`` (a :class:`SketchCatalog` or a sharded one): only then
+    do its hashes join the catalog's. ``role`` names the sketch in the
+    message."""
+    if sketch.hasher.scheme_id != catalog.hasher.scheme_id:
+        raise ValueError(
+            f"{role} hashing scheme {sketch.hasher!r} differs from "
+            f"catalog scheme {catalog.hasher!r}"
+        )
+
+
 class SketchCatalog:
     """Keyed store of correlation sketches plus the overlap index.
 
@@ -185,11 +197,7 @@ class SketchCatalog:
     def _validate_new(self, sketch_id: str, sketch: CorrelationSketch) -> None:
         if sketch_id in self._sketches:
             raise ValueError(f"sketch id {sketch_id!r} already in catalog")
-        if sketch.hasher.scheme_id != self.hasher.scheme_id:
-            raise ValueError(
-                "sketch hashing scheme "
-                f"{sketch.hasher!r} differs from catalog scheme {self.hasher!r}"
-            )
+        check_scheme(self, sketch, "sketch")
 
     def add_sketch(self, sketch_id: str, sketch: CorrelationSketch) -> None:
         """Register an externally built sketch under ``sketch_id``.

@@ -72,7 +72,7 @@ from repro.core.joined_sample import (
     key_overlaps,
 )
 from repro.core.sketch import CorrelationSketch, SketchColumns
-from repro.index.catalog import SketchCatalog
+from repro.index.catalog import SketchCatalog, check_scheme
 from repro.index.options import RETRIEVAL_BACKENDS, QueryOptions
 from repro.ranking.ranker import RankedCandidate, rank_candidates
 from repro.ranking.scoring import apply_bootstrap, candidate_scores_batch
@@ -649,16 +649,10 @@ class JoinCorrelationEngine:
             raise ValueError(
                 f"{n_queries} query sketches but {len(traces)} traces"
             )
-        scheme_id = self.catalog.hasher.scheme_id
         for sketch in query_sketches:
-            if sketch.hasher.scheme_id != scheme_id:
-                # The columnar join has no hasher to check against, so
-                # comparability is enforced up front.
-                raise ValueError(
-                    "query sketch hashing scheme "
-                    f"{sketch.hasher!r} differs from catalog scheme "
-                    f"{self.catalog.hasher!r}"
-                )
+            # The columnar join has no hasher to check against, so
+            # comparability is enforced up front.
+            check_scheme(self.catalog, sketch, "query sketch")
         if n_queries == 0:
             return []
 

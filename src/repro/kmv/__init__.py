@@ -9,7 +9,6 @@ builds on (Section 2.1):
 * Estimators (:mod:`repro.kmv.estimators`): the unbiased DV estimator
   ``(k-1) / U(k)`` of Beyer et al. (2007) and the Eq. 1 intersection
   kernel behind containment and join size.
-* :class:`~repro.kmv.hll.HyperLogLog` — the cardinality baseline.
 
 The KMV synopsis itself is the correlation sketch
 (:class:`repro.core.sketch.CorrelationSketch`): its distinct-value
@@ -19,11 +18,9 @@ and a pair's union, intersection, Jaccard and containment are
 """
 
 from repro.kmv.bottomk import BottomK
-from repro.kmv.hll import HyperLogLog
 from repro.kmv.estimators import unbiased_dv_estimate
 
 __all__ = [
     "BottomK",
-    "HyperLogLog",
     "unbiased_dv_estimate",
 ]

@@ -20,7 +20,7 @@ bootstrap estimate. NaN estimates score 0 (a candidate whose correlation
 cannot even be estimated is ranked last, tied with zero-correlation ones).
 
 A page is scored from one centered moment pass
-(:func:`repro.correlation.pearson.page_moments`, seven segment
+(:func:`repro.correlation.pearson.page_moments`, nine segment
 reductions): ``r_p`` and the HFD length behind ``cih`` both read it, and
 ``sez`` needs only the sample sizes.
 
@@ -231,7 +231,7 @@ def candidate_scores_batch(
     Python. Pearson's ``r`` and the HFD length
     (:func:`repro.bounds.hoeffding.hfd_intervals`) both read the page's
     one moment pass (:func:`repro.correlation.pearson.page_moments`,
-    seven segment reductions over the CSR sample arrays). An empty
+    nine segment reductions over the CSR sample arrays). An empty
     sample gets NaN Pearson and the vacuous ``[-1, 1]`` Hoeffding
     interval (length 2).
 

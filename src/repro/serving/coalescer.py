@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.index.catalog import check_scheme
 from repro.index.engine import QueryResult
 from repro.obs import BATCH_SIZE_BUCKETS, get_registry
 from repro.serving.session import QuerySession
@@ -149,10 +150,11 @@ class QueryCoalescer:
         options = self.session.options
         k = options.k if k is None else k
         scorer = options.scorer if scorer is None else scorer
-        # Validate per-request knobs on the caller's thread, before the
-        # request can enter a shared window: a bad value (wrong type,
-        # unknown scorer, unhashable JSON like k=[5]) must fail only
-        # this call, never reach the flusher or a window-mate.
+        # Validate per-request knobs and the sketch on the caller's
+        # thread, before the request can enter a shared window: a bad
+        # value (wrong type, unknown scorer, unhashable JSON like k=[5],
+        # another hashing scheme) must fail only this call, never reach
+        # the flusher or a window-mate.
         if not isinstance(k, int) or isinstance(k, bool):
             raise TypeError(f"k must be an integer, got {type(k).__name__}")
         if not isinstance(scorer, str):
@@ -165,6 +167,9 @@ class QueryCoalescer:
                 f"{type(exclude_id).__name__}"
             )
         options.merged(k=k, scorer=scorer)  # value validation (k>0, names)
+        # The engine refuses a foreign hashing scheme for its whole
+        # sub-batch, so a window-mate of such a sketch would fail too.
+        check_scheme(self.session.catalog, sketch, "query sketch")
         request = _Pending(
             sketch, k, scorer, exclude_id, bool(trace), arrived
         )

@@ -11,16 +11,16 @@ parameters. They were ``repro.core.joined_sample.join_sketches``,
 ``repro.bounds.hoeffding`` and ``repro.correlation.pearson_moments``
 until a sketch pair became a page of one: ``src/`` joins every pair
 through the page kernel ``repro.core.joined_sample.join_page`` and
-bounds it with the column kernels ``hfd_intervals`` /
+bounds it with ``hfd_intervals`` (a column kernel) and
 ``hoeffding_intervals`` over the page's one centered moment pass
 (``repro.correlation.pearson.page_moments``).
 
 The join is held to the kernel bit for bit, the intervals to within
 float rounding: this oracle's raw moments ``ν − μ²`` against the
 kernels' centered sums, which agree closely only on well-scaled samples
-(``test_property_bounds.py`` holds the HFD kernel to
-:func:`hfd_interval_exact` on the offset and scale families where the
-raw form cancels). :func:`pair_sample` is the page of one as this
+(``test_property_bounds.py`` holds both kernels to
+:func:`hfd_interval_exact` and :func:`hoeffding_interval_exact` on the
+offset and scale families where the raw form cancels). :func:`pair_sample` is the page of one as this
 oracle states it: the NaN-filtered join whose value bounds
 follow the range rule — the stored column ranges when both aggregates
 are range-preserving, else the sample's own.
@@ -345,6 +345,47 @@ def hfd_interval(
     return ConfidenceInterval(low=low, high=high, alpha=math.nan, method="hfd")
 
 
+def _exact_parameters(x, y, c_low: float, c_high: float, alpha: float):
+    """The shifted §4.3 parameters of one sample as ``Fraction``s of the
+    float64 inputs, with the numerator bounds; None where every interval
+    is vacuous by the bounds alone (no pairs, unknown or inverted or
+    equal bounds). The radii ``t``, ``t'`` are irrational, so both this
+    and the kernels take :func:`hoeffding_radii`'s float64 values."""
+    from fractions import Fraction
+
+    n = len(x)
+    if n == 0 or math.isnan(c_low) or math.isnan(c_high) or c_high <= c_low:
+        return None
+    lo = Fraction(c_low)
+    c = Fraction(c_high) - lo
+    a = [Fraction(float(v)) - lo for v in x]
+    b = [Fraction(float(v)) - lo for v in y]
+    mu_a, mu_b = sum(a) / n, sum(b) / n
+    nu_a = sum(v * v for v in a) / n
+    nu_b = sum(v * v for v in b) / n
+    nu_ab = sum(u * v for u, v in zip(a, b)) / n
+    t, t_prime = (Fraction(r) for r in hoeffding_radii(n, c_high - c_low, alpha))
+    zero = Fraction(0)
+    mu_a_low, mu_a_high = max(zero, mu_a - t), min(c, mu_a + t)
+    mu_b_low, mu_b_high = max(zero, mu_b - t), min(c, mu_b + t)
+    return dict(
+        c=c, t_prime=t_prime, mu_a=mu_a, mu_b=mu_b, nu_a=nu_a, nu_b=nu_b,
+        mu_a_low=mu_a_low, mu_a_high=mu_a_high,
+        mu_b_low=mu_b_low, mu_b_high=mu_b_high,
+        num_low=max(zero, nu_ab - t_prime) - mu_a_high * mu_b_high,
+        num_high=min(c * c, nu_ab + t_prime) - mu_a_low * mu_b_low,
+    )
+
+
+def _exact_quotient(num, den_squared) -> float:
+    """``num / sqrt(den_squared)`` of ``Fraction``s, rounded once through
+    the correctly rounded ``float(num² / den²)`` and ``math.sqrt``;
+    ±inf (or 0) on a zero denominator."""
+    if den_squared == 0:
+        return 0.0 if num == 0 else math.copysign(math.inf, num)
+    return math.copysign(math.sqrt(float(num * num / den_squared)), num)
+
+
 def hfd_interval_exact(
     x: np.ndarray,
     y: np.ndarray,
@@ -355,39 +396,55 @@ def hfd_interval_exact(
     """:func:`hfd_interval`'s formula in exact rational arithmetic.
 
     Every moment, clamp and numerator bound is a ``Fraction`` of the
-    float64 inputs; the radii ``t``, ``t'`` are irrational, so both this
-    and the kernel take :func:`hoeffding_radii`'s float64 values. The
-    endpoints ``num / (sd_A · sd_B)`` are rounded once, through the
-    correctly rounded ``float(num² / (var_A · var_B))`` and ``math.sqrt``
-    — within an ulp or two of exact. Vacuous ``(-1, 1)`` exactly where
-    :func:`hfd_interval` is: no pairs, unusable bounds, or a zero
-    sample variance.
+    float64 inputs (:func:`_exact_parameters`). The endpoints
+    ``num / (sd_A · sd_B)`` are rounded once — within an ulp or two of
+    exact. Vacuous ``(-1, 1)`` exactly where :func:`hfd_interval` is: no
+    pairs, unusable bounds, or a zero sample variance.
     """
-    from fractions import Fraction
-
-    n = len(x)
-    if n == 0 or math.isnan(c_low) or math.isnan(c_high) or c_high <= c_low:
+    m = _exact_parameters(x, y, c_low, c_high, alpha)
+    if m is None:
         return -1.0, 1.0
-    lo = Fraction(c_low)
-    c = Fraction(c_high) - lo
-    a = [Fraction(float(v)) - lo for v in x]
-    b = [Fraction(float(v)) - lo for v in y]
-    mu_a, mu_b = sum(a) / n, sum(b) / n
-    var_a = sum(v * v for v in a) / n - mu_a * mu_a
-    var_b = sum(v * v for v in b) / n - mu_b * mu_b
+    var_a = m["nu_a"] - m["mu_a"] ** 2
+    var_b = m["nu_b"] - m["mu_b"] ** 2
     if var_a == 0 or var_b == 0:
         return -1.0, 1.0
-    nu_ab = sum(u * v for u, v in zip(a, b)) / n
-    t, t_prime = (Fraction(r) for r in hoeffding_radii(n, c_high - c_low, alpha))
-    mu_a_low, mu_a_high = max(Fraction(0), mu_a - t), min(c, mu_a + t)
-    mu_b_low, mu_b_high = max(Fraction(0), mu_b - t), min(c, mu_b + t)
-    nu_ab_low = max(Fraction(0), nu_ab - t_prime)
-    nu_ab_high = min(c * c, nu_ab + t_prime)
-
-    def endpoint(num: Fraction) -> float:
-        return math.copysign(math.sqrt(float(num * num / (var_a * var_b))), num)
-
     return (
-        endpoint(nu_ab_low - mu_a_high * mu_b_high),
-        endpoint(nu_ab_high - mu_a_low * mu_b_low),
+        _exact_quotient(m["num_low"], var_a * var_b),
+        _exact_quotient(m["num_high"], var_a * var_b),
     )
+
+
+def hoeffding_interval_exact(
+    x: np.ndarray,
+    y: np.ndarray,
+    c_low: float,
+    c_high: float,
+    alpha: float = 0.05,
+) -> tuple[float, float]:
+    """:func:`hoeffding_interval`'s formula (Eqs. 6–7) in exact rational
+    arithmetic: the variance bounds ``ν − μ²`` from the parameters'
+    Hoeffding intervals intersected with their domains, the sign-aware
+    quotient, each endpoint rounded once and clipped to ``[-1, 1]``.
+    Vacuous where even the optimistic variance bound is zero."""
+    from fractions import Fraction
+
+    m = _exact_parameters(x, y, c_low, c_high, alpha)
+    if m is None:
+        return -1.0, 1.0
+    zero, c2, t_prime = Fraction(0), m["c"] * m["c"], m["t_prime"]
+
+    def variance_bound(nu, mu):
+        return max(zero, nu - mu * mu)
+
+    den_low_sq = variance_bound(
+        max(zero, m["nu_a"] - t_prime), m["mu_a_high"]
+    ) * variance_bound(max(zero, m["nu_b"] - t_prime), m["mu_b_high"])
+    den_high_sq = variance_bound(
+        min(c2, m["nu_a"] + t_prime), m["mu_a_low"]
+    ) * variance_bound(min(c2, m["nu_b"] + t_prime), m["mu_b_low"])
+    if den_high_sq == 0:
+        return -1.0, 1.0
+    num_low, num_high = m["num_low"], m["num_high"]
+    low = _exact_quotient(num_low, den_high_sq if num_low >= 0 else den_low_sq)
+    high = _exact_quotient(num_high, den_low_sq if num_high >= 0 else den_high_sq)
+    return max(-1.0, low), min(1.0, high)

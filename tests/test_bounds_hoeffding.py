@@ -108,6 +108,16 @@ class TestHoeffdingInterval:
             ci = interval(x, y, lo, hi)
             assert (ci.low, ci.high) == (-1.0, 1.0), interval.__name__
 
+    def test_vacuous_when_range_squared_underflows(self):
+        """C² (and every variance bound) rounds to 0: the vacuous
+        interval, not a division by zero."""
+        x, y = _population(n=100)
+        x, y = x * 1e-170, y * 1e-170
+        lo, hi = float(min(x.min(), y.min())), float(max(x.max(), y.max()))
+        for interval in (hoeffding_interval, hfd_interval):
+            ci = interval(x, y, lo, hi)
+            assert (ci.low, ci.high) == (-1.0, 1.0), interval.__name__
+
     def test_below_overflow_not_vacuous(self):
         x, y = _population(n=2000, rho=0.9)
         x, y = x * 1e150, y * 1e150

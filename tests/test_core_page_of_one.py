@@ -31,7 +31,6 @@ import kmv_synopsis_oracle as kmv
 from repro.bounds.hoeffding import hfd_intervals, hoeffding_intervals
 from repro.core.aggregators import AGGREGATORS
 from repro.core.estimation import estimate, set_estimates
-from repro.core.gkmv import ThresholdSketch
 from repro.core.joined_sample import join_pair
 from repro.core.sketch import CorrelationSketch
 from repro.correlation.pearson import page_moments
@@ -103,19 +102,6 @@ def test_page_of_one_is_the_dict_join_bit_for_bit(pair):
     sets = set_estimates(a, b)
     assert sets.intersection == joined.intersections()[0]
     assert sets.overlap == int(joined.overlaps[0])
-
-
-def test_threshold_sketches_join_through_the_page_kernel():
-    rng = np.random.default_rng(5)
-    keys = [f"k{i}" for i in range(3_000)]
-    hasher = KeyHasher()
-    a, b = ThresholdSketch(0.05, hasher=hasher), ThresholdSketch(0.05, hasher=hasher)
-    a.update_all(zip(keys, rng.standard_normal(3_000)))
-    b.update_all(zip(keys, rng.standard_normal(3_000)))
-    got, want = join_pair(a, b).samples[0], drop_nan(join_sketches(a, b))
-    assert got.size > 100
-    assert _same(got.key_hashes, want.key_hashes)
-    assert _same(got.x, want.x) and _same(got.y, want.y)
 
 
 def test_scheme_mismatch_is_one_error():

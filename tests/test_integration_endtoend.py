@@ -21,7 +21,6 @@ from repro import (
 from repro.correlation.pearson import pearson
 from repro.data.opendata import make_nyc_like_collection
 from repro.data.workloads import collection_column_pairs
-from repro.evalharness.ranking_eval import build_catalog
 from repro.table.csv_io import write_csv
 from repro.table.join import join_tables, true_correlation
 
@@ -97,7 +96,10 @@ def test_estimate_matches_truth_across_collection():
     open-data collection (the Figure 3 claim, miniature)."""
     collection = make_nyc_like_collection(n_tables=15, seed=3)
     refs = collection_column_pairs(collection)
-    catalog, by_id = build_catalog(refs, sketch_size=256)
+    catalog = SketchCatalog(sketch_size=256)
+    for ref in refs:
+        if ref.pair_id not in catalog:
+            catalog.add_column_pair(ref.table, ref.pair, sketch_id=ref.pair_id)
 
     checked = 0
     errors = []

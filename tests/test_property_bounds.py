@@ -10,7 +10,12 @@ from repro.bounds.hoeffding import hfd_intervals, hoeffding_intervals
 from repro.correlation.fisher import fisher_interval
 from repro.correlation.pearson import page_moments, pearson
 
-from sketch_join_oracle import hfd_interval_exact, hoeffding_radii, one_sample
+from sketch_join_oracle import (
+    hfd_interval_exact,
+    hoeffding_interval_exact,
+    hoeffding_radii,
+    one_sample,
+)
 
 
 def hoeffding_interval(x, y, c_low, c_high, alpha=0.05):
@@ -22,28 +27,29 @@ def hfd_interval(x, y, c_low, c_high, alpha=0.05):
     return one_sample(hfd_intervals, x, y, c_low, c_high, alpha)
 
 
-#: ``(location, scale)`` of the x column, y ~ N(0, 1): the unit case and
-#: the offset and scale families on which ν − μ² cancels.
+#: ``(location, scale)`` of a column: the unit case and the offset and
+#: scale families on which ν − μ² cancels (and, with both columns
+#: offset, on which a rounded mean shifted by C_low does).
 FAMILIES = ((0.0, 1.0), (1e6, 1e3), (0.0, 1e6), (1e4, 1e-3), (1e8, 1.0))
 
 
 @st.composite
 def family_pages(draw):
-    """A ragged page of 1–6 samples (sizes 0–60), each drawn from one of
-    :data:`FAMILIES` with correlation ρ, the offset column on either side,
-    and bounds that are the sample's own range widened by a margin, or
-    unknown."""
+    """A ragged page of 1–6 samples (sizes 0–60), each column drawn from
+    one of :data:`FAMILIES` on its own (so either, both or neither is
+    offset) with correlation ρ, and bounds that are the sample's own
+    range widened by a margin, or unknown."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(0, 60), min_size=1, max_size=6))
     xs, ys, lows, highs = [], [], [], []
     for size in sizes:
-        location, scale = draw(st.sampled_from(FAMILIES))
+        (x_loc, x_scale), (y_loc, y_scale) = draw(st.sampled_from(FAMILIES)), draw(
+            st.sampled_from(FAMILIES)
+        )
         rho = draw(st.floats(-0.99, 0.99))
         z = rng.standard_normal(size)
-        x = location + scale * z
-        y = rho * z + math.sqrt(1.0 - rho * rho) * rng.standard_normal(size)
-        if draw(st.booleans()):
-            x, y = y, x
+        w = rho * z + math.sqrt(1.0 - rho * rho) * rng.standard_normal(size)
+        x, y = x_loc + x_scale * z, y_loc + y_scale * w
         xs.append(x)
         ys.append(y)
         if size and draw(st.integers(0, 4)):
@@ -70,12 +76,60 @@ def test_hfd_endpoints_match_exact_arithmetic(page):
     formula in exact arithmetic, on the offset and scale families too:
     the centered moment pass does not cancel where ν − μ² did (1.0
     relative at 1e8 + N, where the raw form answered the vacuous
-    interval)."""
+    interval), and the two-pass mean keeps μ_A exact where both columns
+    sit far from zero (1.1e-8 relative from the rounded mean alone)."""
     x, y, indptr, c_low, c_high, alpha = page
     low, high = hfd_intervals(page_moments(x, y, indptr), c_low, c_high, alpha)
     for i in range(len(indptr) - 1):
         s = slice(indptr[i], indptr[i + 1])
         want = hfd_interval_exact(x[s], y[s], c_low[i], c_high[i], alpha)
+        for got, ref in zip((low[i], high[i]), want):
+            assert math.isclose(got, ref, rel_tol=1e-12), (i, got, ref)
+
+
+@st.composite
+def informative_pages(draw):
+    """A page of 1–2 samples large enough (1 000–2 000 pairs) for the
+    true Hoeffding interval to inform: both columns two-valued plus a
+    little jitter, so each variance is near its C²/4 maximum, both in
+    one family, with the sample's own range as bounds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1000, 2000), min_size=1, max_size=2))
+    xs, ys, lows, highs = [], [], [], []
+    for size in sizes:
+        location, scale = draw(st.sampled_from(FAMILIES))
+        agree = draw(st.floats(0.0, 1.0))
+        bits = rng.integers(0, 2, size)
+        flips = rng.random(size) >= agree
+        x = location + scale * (bits + 0.01 * rng.standard_normal(size))
+        y = location + scale * ((bits ^ flips) + 0.01 * rng.standard_normal(size))
+        xs.append(x)
+        ys.append(y)
+        lows.append(min(x.min(), y.min()))
+        highs.append(max(x.max(), y.max()))
+    return (
+        np.concatenate(xs),
+        np.concatenate(ys),
+        np.concatenate(([0], np.cumsum(sizes))),
+        np.array(lows),
+        np.array(highs),
+        draw(st.sampled_from((0.01, 0.05, 0.1))),
+    )
+
+
+@given(page=informative_pages())
+@settings(max_examples=25, deadline=None)
+def test_hoeffding_endpoints_match_exact_arithmetic(page):
+    """The page's true Hoeffding endpoints are within 1e-12 relative of
+    Eqs. 6–7 in exact arithmetic on samples where they inform, with both
+    columns in each family (7.5e-8 relative at 1e8 + N from a rounded
+    mean shifted by C_low)."""
+    x, y, indptr, c_low, c_high, alpha = page
+    low, high = hoeffding_intervals(page_moments(x, y, indptr), c_low, c_high, alpha)
+    for i in range(len(indptr) - 1):
+        s = slice(indptr[i], indptr[i + 1])
+        want = hoeffding_interval_exact(x[s], y[s], c_low[i], c_high[i], alpha)
+        assert want != (-1.0, 1.0), f"sample {i} is vacuous: the check is empty"
         for got, ref in zip((low[i], high[i]), want):
             assert math.isclose(got, ref, rel_tol=1e-12), (i, got, ref)
 

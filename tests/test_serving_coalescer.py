@@ -266,17 +266,18 @@ class TestCoalescedParity:
             )
             assert _wire(result) == _wire(expected)
 
-    def test_error_reaches_only_the_failing_caller(self, corpus):
+    def test_unknown_scorer_is_rejected_on_the_caller_thread(self, corpus):
         mono, _, queries = corpus
         session = QuerySession.for_catalog(mono)
         # Fast path: the error surfaces on the caller thread.
         with QueryCoalescer(session) as coalescer:
             with pytest.raises(ValueError, match="unknown scorer"):
                 coalescer.submit(queries[0], scorer="bogus")
-        # Batched path: the bad request's window-mates still succeed
-        # (they are a different (k, scorer) sub-batch).
+        # Windowed coalescer: the bogus scorer never enters the window,
+        # so the good request waits out ``max_wait_ms`` alone and still
+        # succeeds.
         with QueryCoalescer(
-            session, max_batch=2, max_wait_ms=10_000.0
+            session, max_batch=2, max_wait_ms=50.0
         ) as coalescer:
             outcome = {}
 
@@ -298,6 +299,47 @@ class TestCoalescedParity:
             for t in threads:
                 t.join()
         assert "unknown scorer" in str(outcome["bad"])
+        assert _wire(outcome["good"]) == _wire(session.submit_one(queries[1]))
+
+    def test_foreign_hashing_scheme_fails_only_its_caller(self, corpus):
+        """A sketch of another hashing scheme submitted in the same
+        window as a good one: only its caller gets the error, and the
+        good caller's answer is the per-request one."""
+        mono, _, queries = corpus
+        session = QuerySession.for_catalog(mono)
+        rng = np.random.default_rng(5)
+        foreign = CorrelationSketch.from_columns(
+            rng.choice(UNIVERSE, 240, replace=False),
+            rng.standard_normal(240),
+            SKETCH_SIZE,
+            hasher=KeyHasher(bits=64),
+            name="foreign",
+        )
+        outcome = {}
+        start = threading.Barrier(2)
+        with QueryCoalescer(
+            session, max_batch=2, max_wait_ms=500.0
+        ) as coalescer:
+
+            def call(name, sketch):
+                start.wait()
+                try:
+                    outcome[name] = coalescer.submit(sketch)
+                except ValueError as exc:
+                    outcome[name] = exc
+
+            threads = [
+                threading.Thread(target=call, args=("good", queries[1])),
+                threading.Thread(target=call, args=("bad", foreign)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        assert isinstance(outcome["bad"], ValueError)
+        assert "hashing scheme" in str(outcome["bad"])
+        assert not isinstance(outcome["good"], BaseException), outcome["good"]
         assert _wire(outcome["good"]) == _wire(session.submit_one(queries[1]))
 
 
