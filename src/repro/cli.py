@@ -6,40 +6,39 @@ The operations of a join-correlation deployment, as subcommands:
   CSV file in a directory and persist the catalog (offline). The output
   extension picks the format: ``.arena`` writes the binary snapshot — a
   zero-copy mmap arena, O(metadata) cold starts — anything else the
-  portable JSON. ``--lsh`` additionally builds the MinHash-LSH
-  retrieval index so an ``.arena`` snapshot ships it warm.
+  portable JSON. ``--shards N`` partitions the collection across N
+  shards instead and writes a manifest directory of per-shard arenas
+  (:mod:`repro.serving`). ``--lsh`` additionally builds the MinHash-LSH
+  retrieval index so arena snapshots ship it warm.
 * ``query``    — run a top-k join-correlation query against a saved
-  catalog, using one column pair of a query CSV (online). ``--retrieval
-  lsh`` serves the candidate phase from the approximate MinHash-LSH
-  backend (``--bands``/``--rows`` tune it); ``--queries-dir`` evaluates
-  every column pair of every CSV in a directory as one batched
-  multi-query round trip (:meth:`JoinCorrelationEngine.query_batch`).
+  catalog, using one column pair of a query CSV (online). A manifest
+  directory is named with ``--catalog-dir`` and answers bit-identically
+  to the same corpus in one file; ``--on-shard-error partial`` trades
+  that exactness for availability, serving the surviving shards when
+  one is broken. ``--retrieval lsh`` serves the candidate phase from the
+  approximate MinHash-LSH backend (``--bands``/``--rows`` tune it);
+  ``--queries-dir`` evaluates every column pair of every CSV in a
+  directory as one batched multi-query round trip
+  (:meth:`JoinCorrelationEngine.query_batch`).
 * ``serve``    — a long-lived HTTP query service over a warm catalog
-  (monolithic or ``--catalog-dir`` sharded): ``POST /query`` sketches a
-  client-supplied column pair and answers through a request-coalescing
-  window (``--max-batch``/``--max-wait-ms``) with responses
-  bit-identical to per-request evaluation; ``POST /estimate``,
+  (a file or a ``--catalog-dir`` manifest directory): ``POST /query``
+  sketches a client-supplied column pair and answers through a
+  request-coalescing window (``--max-batch``/``--max-wait-ms``) with
+  responses bit-identical to per-request evaluation; ``POST /estimate``,
   ``GET /catalog/info`` and ``GET /healthz`` ride along. SIGTERM/SIGINT
   drain gracefully. Shares the ``query`` verb's tuning flags — one
   options-building helper feeds both, so they cannot diverge.
 * ``estimate`` — one-off: estimate the after-join correlation between two
   CSV column pairs directly from freshly built sketches.
-* ``catalog``  — catalog management; ``catalog info <path>`` reports
-  statistics, format, on-disk size and pending delta/tombstone state
-  (``info <path>`` is the shorthand); ``catalog compact <path>`` folds
-  the delta layer into fresh frozen structures and re-saves;
-  ``catalog verify <path>`` checksums a snapshot's payload without
-  loading it (exit 1 on mismatch).
-* ``shard``    — sharded-catalog management: ``shard build`` partitions a
-  CSV collection across N shards into a manifest directory
-  (:mod:`repro.serving`); ``shard info`` reports the layout and per-shard
-  delta state from the manifest alone, without materializing any shard;
-  ``shard compact`` compacts every shard in place; ``shard verify``
-  checksums every shard snapshot and lists quarantine candidates.
-  ``query --catalog-dir <dir>`` serves queries from such a directory,
-  with results bit-identical to a monolithic catalog;
-  ``--on-shard-error partial`` trades that exactness for availability,
-  serving the surviving shards when one is broken.
+* ``catalog``  — catalog management; each verb takes a catalog file or a
+  manifest directory alike. ``catalog info <path>`` reports statistics,
+  format, on-disk size and pending delta/tombstone state (a directory's
+  layout and per-shard state come from the manifest alone, without
+  materializing any shard); ``catalog compact <path>`` folds the delta
+  layer — every shard's — into fresh frozen structures and re-saves;
+  ``catalog verify <path>`` checksums a snapshot's payload, or every
+  shard's, without loading it and lists quarantine candidates (exit 1 on
+  mismatch); ``catalog convert`` rewrites a file in the other format.
 
 Missing or corrupt catalog/CSV inputs print a one-line ``error:`` and
 exit with status 2 instead of a traceback — as do files in a retired
@@ -49,17 +48,16 @@ refused by name, never parsed.
 Examples::
 
     repro-sketch index data/portal/ -o catalog.arena --sketch-size 256
+    repro-sketch index data/portal/ -o catalog-dir/ --shards 4
     repro-sketch query catalog.arena taxi.csv --key date --value pickups -k 10
     repro-sketch query catalog.arena taxi.csv --scorer rb_cib --profile
     repro-sketch query catalog.arena --queries-dir my_tables/ -k 5
     repro-sketch query catalog.arena taxi.csv --retrieval lsh --bands 32 --rows 2
+    repro-sketch query --catalog-dir catalog-dir/ taxi.csv
     repro-sketch serve catalog.arena --port 8765 --max-batch 16
     repro-sketch serve --catalog-dir catalog-dir/
     repro-sketch estimate left.csv right.csv --left-key date --right-key day
-    repro-sketch catalog info catalog.arena
-    repro-sketch shard build data/portal/ -o catalog-dir/ --shards 4
-    repro-sketch shard info catalog-dir/
-    repro-sketch query --catalog-dir catalog-dir/ taxi.csv
+    repro-sketch catalog info catalog-dir/
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ from pathlib import Path
 from repro.core.estimation import estimate as estimate_pair
 from repro.core.sketch import CorrelationSketch
 from repro.index.catalog import SketchCatalog, _refuse_retired_snapshot
-from repro.index.engine import RETRIEVAL_BACKENDS, JoinCorrelationEngine
+from repro.index.engine import RETRIEVAL_BACKENDS
 from repro.index.lsh import DEFAULT_BANDS, DEFAULT_ROWS
 from repro.index.options import QueryOptions
 from repro.index.snapshot import detect_format
@@ -94,37 +92,27 @@ def _fail(message: str) -> "_CliError":
     return _CliError(message)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer, clear message otherwise."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _number_type(convert, noun: str, rule: str, breaks):
+    """An argparse type: ``convert(text)`` unless that fails or
+    ``breaks(value)``, each with a clear message."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if breaks(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a strictly positive float, clear message otherwise."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    """argparse type: a float >= 0, clear message otherwise."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
+_positive_int = _number_type(int, "an integer", "positive", lambda v: v <= 0)
+_positive_float = _number_type(float, "a number", "positive", lambda v: v <= 0)
+_non_negative_float = _number_type(
+    float, "a number", "non-negative", lambda v: v < 0
+)
 
 
 #: Mirrors repro.serving.ON_SHARD_ERROR_POLICIES; kept literal so building
@@ -202,18 +190,30 @@ def _add_query_tuning_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_catalog(path: str | Path) -> SketchCatalog:
-    """Load a single-file catalog, mapping failures to one-line errors."""
-    path = Path(path)
-    if path.is_dir():
-        raise _fail(
-            f"{path} is a directory — sharded catalogs are served with "
-            "--catalog-dir (or inspected with `shard info`)"
-        )
+def _load_catalog(path: Path):
+    """Load a catalog file, or a manifest directory with every shard
+    materialized, mapping failures (a truncated or missing shard
+    included) to one-line errors."""
+    sharded = path.is_dir()
     try:
-        return SketchCatalog.load(path)
+        if not sharded:
+            return SketchCatalog.load(path)
+        from repro.serving import ShardedCatalog
+
+        return ShardedCatalog.load(path, lazy=False)
     except (OSError, ValueError, KeyError) as exc:
-        raise _fail(f"cannot load catalog {path}: {exc}") from exc
+        kind = "sharded catalog" if sharded else "catalog"
+        raise _fail(f"cannot load {kind} {path}: {exc}") from exc
+
+
+def _read_manifest(directory: Path) -> dict:
+    """A manifest directory's parsed manifest, or a one-line error."""
+    from repro.serving import read_manifest
+
+    try:
+        return read_manifest(directory)
+    except (OSError, ValueError, KeyError) as exc:
+        raise _fail(f"cannot read sharded catalog {directory}: {exc}") from exc
 
 
 def _refuse_retired(path: str | Path, *, sniff: bool = True) -> None:
@@ -224,16 +224,6 @@ def _refuse_retired(path: str | Path, *, sniff: bool = True) -> None:
         _refuse_retired_snapshot(Path(path), sniff=sniff)
     except ValueError as exc:
         raise _fail(str(exc)) from exc
-
-
-def _load_sharded(directory: str | Path):
-    """Load a sharded-catalog manifest directory (lazy shards)."""
-    from repro.serving import ShardedCatalog
-
-    try:
-        return ShardedCatalog.load(directory)
-    except (OSError, ValueError, KeyError) as exc:
-        raise _fail(f"cannot load sharded catalog {directory}: {exc}") from exc
 
 
 def _read_csv_table(path: str | Path) -> Table:
@@ -264,20 +254,6 @@ def _resolve_pair(table: Table, key: str | None, value: str | None) -> ColumnPai
     )
 
 
-def _build_query_sketch(
-    table: Table, pair: ColumnPair, catalog: SketchCatalog
-) -> CorrelationSketch:
-    sketch = CorrelationSketch(
-        catalog.sketch_size,
-        aggregate=catalog.aggregate,
-        hasher=catalog.hasher,
-        name=pair.pair_id,
-    )
-    keys, values = table.pair_arrays(pair)
-    sketch.update_array(keys, values)
-    return sketch
-
-
 def _ingest_csvs(catalog, csv_files, verbose: bool) -> int:
     """Sketch every CSV into ``catalog`` (monolithic or sharded —
     ``add_table`` is the shared ingest surface); returns the pair count.
@@ -303,31 +279,51 @@ def cmd_index(args: argparse.Namespace) -> int:
     if not csv_files:
         print(f"error: no CSV files under {directory}", file=sys.stderr)
         return 1
-    _refuse_retired(args.output, sniff=False)  # before the ingest, not after
-    catalog = SketchCatalog(
-        sketch_size=args.sketch_size, aggregate=args.aggregate
-    )
+    output = Path(args.output)
+    sharded = args.shards is not None
+    # Every refusal comes before the ingest, not after it.
+    _refuse_retired(output, sniff=False)
+    if sharded and output.exists() and not output.is_dir():
+        raise _fail(f"cannot write catalog {output}: a file is in the way")
+    if not sharded and not output.parent.is_dir():
+        raise _fail(f"cannot write catalog {output}: no directory {output.parent}")
+    config = {"sketch_size": args.sketch_size, "aggregate": args.aggregate}
+    if sharded:
+        from repro.serving import ShardedCatalog
+
+        catalog = ShardedCatalog(args.shards, **config)
+        parts = [catalog.shard(index) for index in range(args.shards)]
+    else:
+        catalog = SketchCatalog(**config)
+        parts = [catalog]
     t0 = time.perf_counter()
     n_pairs = _ingest_csvs(catalog, csv_files, args.verbose)
-    if args.lsh:
-        if Path(args.output).suffix == ".arena":
-            # Build the LSH index now so the snapshot ships it warm — the
-            # serving process then probes --retrieval lsh without a rebuild.
-            catalog.lsh_index(bands=args.lsh_bands, rows=args.lsh_rows)
-        else:
-            # JSON persists no LSH members; building one here would be
-            # silently thrown away.
-            print(
-                "warning: --lsh ignored — only .arena snapshots persist the "
-                "LSH index (JSON catalogs rebuild it lazily)",
-                file=sys.stderr,
-            )
-    catalog.save(args.output)
-    elapsed = time.perf_counter() - t0
-    print(
-        f"indexed {n_pairs} column pairs from {len(csv_files)} files "
-        f"in {elapsed:.2f}s -> {args.output}"
-    )
+    if args.lsh and not sharded and output.suffix != ".arena":
+        # JSON persists no LSH members; building one here would be
+        # silently thrown away.
+        print(
+            "warning: --lsh ignored — only .arena snapshots persist the "
+            "LSH index (JSON catalogs rebuild it lazily)",
+            file=sys.stderr,
+        )
+    elif args.lsh:
+        # Build the LSH index now so every snapshot ships it warm — the
+        # serving process then probes --retrieval lsh without a rebuild.
+        for part in parts:
+            part.lsh_index(bands=args.lsh_bands, rows=args.lsh_rows)
+    try:
+        catalog.save(output)
+    except OSError as exc:
+        raise _fail(f"cannot write catalog {output}: {exc}") from exc
+    done = f"in {time.perf_counter() - t0:.2f}s -> {args.output}"
+    if sharded:
+        sizes = "/".join(str(n) for n in catalog.shard_sizes())
+        print(
+            f"sharded {n_pairs} column pairs from {len(csv_files)} files "
+            f"across {catalog.n_shards} shards ({sizes}) {done}"
+        )
+    else:
+        print(f"indexed {n_pairs} column pairs from {len(csv_files)} files {done}")
     return 0
 
 
@@ -366,25 +362,46 @@ def _options_from_args(args: argparse.Namespace) -> QueryOptions:
     )
 
 
-def _build_session(catalog_path, catalog_dir, options):
-    """Load a catalog (file or manifest dir) and wrap it in a warm
+def _open_session(args: argparse.Namespace, options: QueryOptions):
+    """Open the catalog ``query``/``serve`` name — a file, or a manifest
+    directory with ``--catalog-dir`` — as a warm
     :class:`~repro.serving.session.QuerySession`; returns
-    ``(session, catalog, executor_label)``."""
-    from repro.serving import QuerySession, ShardRouter
+    ``(session, executor_label)``.
 
-    if catalog_dir is not None:
-        catalog = _load_sharded(catalog_dir)
-        session = QuerySession(
-            ShardRouter.from_options(catalog, options), options
+    Warming loads every shard, so a broken one fails here under the
+    ``raise`` policy, as a one-line error before any query runs.
+    """
+    from repro.serving import QuerySession
+
+    if args.catalog_dir is not None and args.catalog is not None:
+        raise SystemExit(
+            "error: provide either a catalog file or --catalog-dir, not both"
         )
-        label = f"sharded ({catalog.n_shards} shards)"
-    else:
-        catalog = _load_catalog(catalog_path)
-        session = QuerySession(
-            JoinCorrelationEngine.from_options(catalog, options), options
+    if args.catalog is None and args.catalog_dir is None:
+        raise SystemExit("error: provide a catalog file or --catalog-dir")
+    if args.on_shard_error is not None and args.catalog_dir is None:
+        raise SystemExit(
+            "error: --on-shard-error decides what a lost shard does and "
+            "needs --catalog-dir"
         )
-        label = "monolithic"
-    return session, catalog, label
+    sharded = args.catalog_dir is not None
+    path = Path(args.catalog_dir if sharded else args.catalog)
+    kind = "sharded catalog" if sharded else "catalog"
+    if sharded and not path.is_dir():
+        raise _fail(f"cannot load sharded catalog {path}: not a directory")
+    if not sharded and path.is_dir():
+        raise _fail(
+            f"{path} is a directory — sharded catalogs are served with "
+            "--catalog-dir"
+        )
+    try:
+        session = QuerySession.open(path, options)
+        session.warm()
+    except (OSError, ValueError, KeyError) as exc:
+        raise _fail(f"cannot load {kind} {path}: {exc}") from exc
+    if sharded:
+        return session, f"sharded ({session.catalog.n_shards} shards)"
+    return session, "monolithic"
 
 
 def _print_degraded(result) -> None:
@@ -433,21 +450,10 @@ def _print_profile(results) -> None:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    if args.catalog_dir is not None and args.catalog is not None:
+    if args.catalog_dir is not None and args.query_csv is None:
         # `query --catalog-dir DIR some.csv` parses the CSV into the
         # catalog positional; reinterpret it as the query CSV.
-        if args.query_csv is None:
-            args.query_csv = args.catalog
-            args.catalog = None
-        else:
-            raise SystemExit(
-                "error: provide either a catalog file or --catalog-dir, "
-                "not both"
-            )
-    if args.catalog is None and args.catalog_dir is None:
-        raise SystemExit(
-            "error: provide a catalog file or --catalog-dir"
-        )
+        args.query_csv, args.catalog = args.catalog, None
     if args.query_csv is not None and args.queries_dir is not None:
         raise SystemExit(
             "error: provide either a query CSV or --queries-dir, not both"
@@ -462,21 +468,13 @@ def cmd_query(args: argparse.Namespace) -> int:
             "error: --key/--value select one pair of a single query CSV; "
             "--queries-dir always evaluates every column pair"
         )
-    if args.on_shard_error is not None and args.catalog_dir is None:
-        raise SystemExit(
-            "error: --on-shard-error decides what a lost shard does and "
-            "needs --catalog-dir"
-        )
-    options = _options_from_args(args)
-    session, catalog, executor_label = _build_session(
-        args.catalog, args.catalog_dir, options
-    )
+    session, executor_label = _open_session(args, _options_from_args(args))
     if args.queries_dir is not None:
-        return _run_query_batch(catalog, session, executor_label, args)
+        return _run_query_batch(session, executor_label, args)
 
     table = _read_csv_table(args.query_csv)
     pair = _resolve_pair(table, args.key, args.value)
-    sketch = _build_query_sketch(table, pair, catalog)
+    sketch = session.query_sketch(*table.pair_arrays(pair), name=pair.pair_id)
 
     result = session.submit_one(
         sketch, exclude_id=pair.pair_id, trace=args.profile
@@ -502,7 +500,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _run_query_batch(
-    catalog, session, executor_label: str, args: argparse.Namespace
+    session, executor_label: str, args: argparse.Namespace
 ) -> int:
     """``query --queries-dir``: every column pair of every CSV in the
     directory becomes one query of a single ``query_batch`` round."""
@@ -520,7 +518,9 @@ def _run_query_batch(
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
             continue
         for pair in table.column_pairs():
-            sketches.append(_build_query_sketch(table, pair, catalog))
+            sketches.append(
+                session.query_sketch(*table.pair_arrays(pair), name=pair.pair_id)
+            )
             pair_ids.append(pair.pair_id)
     if not sketches:
         print(f"error: no sketchable column pairs under {directory}", file=sys.stderr)
@@ -567,20 +567,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     bit-identical to per-request evaluation. SIGTERM/SIGINT drain
     gracefully: accepted requests finish, then the process exits.
     """
-    if args.catalog_dir is not None and args.catalog is not None:
-        raise SystemExit(
-            "error: provide either a catalog file or --catalog-dir, "
-            "not both"
-        )
-    if args.catalog is None and args.catalog_dir is None:
-        raise SystemExit(
-            "error: provide a catalog file or --catalog-dir"
-        )
-    if args.on_shard_error is not None and args.catalog_dir is None:
-        raise SystemExit(
-            "error: --on-shard-error decides what a lost shard does and "
-            "needs --catalog-dir"
-        )
     if args.seed is not None:
         raise SystemExit(
             "error: --seed pins one shared rng stream, which would make "
@@ -595,9 +581,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import QueryService
 
     options = _options_from_args(args)
-    session, catalog, executor_label = _build_session(
-        args.catalog, args.catalog_dir, options
-    )
+    session, executor_label = _open_session(args, options)
     service = QueryService(
         session,
         host=args.host,
@@ -608,7 +592,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slow_query_log=args.slow_query_log,
     )
     source = args.catalog_dir if args.catalog_dir is not None else args.catalog
-    print(f"serving    : {source} ({len(catalog)} sketches, {executor_label})")
+    print(
+        f"serving    : {source} ({len(session.catalog)} sketches, "
+        f"{executor_label})"
+    )
     print(f"scorer     : {options.scorer} (k={options.k})")
     print(f"retrieval  : {options.retrieval_backend}")
     print(
@@ -801,11 +788,19 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
-    """``catalog compact``: fold the delta layer into fresh frozen
-    structures and persist the result (in place unless ``-o``)."""
+    """``catalog compact``: fold the delta layer — every shard's, for a
+    manifest directory — into fresh frozen structures and persist the
+    result (in place unless ``-o``)."""
     path = Path(args.catalog)
+    sharded = path.is_dir()
     catalog = _load_catalog(path)
-    delta, tombstones = catalog.delta_size, catalog.tombstone_count
+    if sharded:
+        # Every shard is loaded, so these count live state, not cold-shard
+        # zeros.
+        delta = sum(catalog.delta_sizes())
+        tombstones = sum(catalog.tombstone_counts())
+    else:
+        delta, tombstones = catalog.delta_size, catalog.tombstone_count
     t0 = time.perf_counter()
     version = catalog.compact()
     output = Path(args.output) if args.output is not None else path
@@ -814,11 +809,19 @@ def cmd_compact(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise _fail(f"cannot write catalog {output}: {exc}") from exc
     elapsed = time.perf_counter() - t0
-    print(
-        f"compacted {path}: folded {delta} delta sketch(es) and "
-        f"{tombstones} tombstone(s) in {elapsed:.2f}s -> {output} "
-        f"(index version {version})"
-    )
+    if sharded:
+        print(
+            f"compacted {catalog.n_shards} shard(s): folded {delta} delta "
+            f"sketch(es) and {tombstones} tombstone(s) in {elapsed:.2f}s "
+            f"-> {output} (index versions "
+            f"{'/'.join(str(v) for v in version)})"
+        )
+    else:
+        print(
+            f"compacted {path}: folded {delta} delta sketch(es) and "
+            f"{tombstones} tombstone(s) in {elapsed:.2f}s -> {output} "
+            f"(index version {version})"
+        )
     return 0
 
 
@@ -833,6 +836,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
     """
     path = Path(args.catalog)
     output = Path(args.output)
+    if path.is_dir():
+        raise _fail(f"cannot convert {path}: a manifest directory, not a file")
     catalog = _load_catalog(path)
     t0 = time.perf_counter()
     try:
@@ -868,13 +873,11 @@ def _verify_status(path: Path) -> tuple[str, str]:
 
 
 def cmd_catalog_verify(args: argparse.Namespace) -> int:
-    """``catalog verify``: checksum one snapshot without loading it."""
+    """``catalog verify``: checksum one snapshot, or every shard snapshot
+    a manifest names, without loading any; lists quarantine candidates."""
     path = Path(args.catalog)
     if path.is_dir():
-        raise _fail(
-            f"{path} is a directory — sharded catalogs are verified with "
-            "`shard verify`"
-        )
+        return _verify_shards(path)
     if not path.is_file():
         raise _fail(f"cannot verify catalog {path}: no such file")
     _refuse_retired(path)
@@ -889,17 +892,9 @@ def cmd_catalog_verify(args: argparse.Namespace) -> int:
     return 0 if outcome == "ok" else 1
 
 
-def cmd_shard_verify(args: argparse.Namespace) -> int:
-    """``shard verify``: checksum every shard snapshot a manifest names,
-    reporting quarantine candidates without materializing any shard."""
-    from repro.serving import read_manifest
-
-    directory = Path(args.catalog_dir)
-    try:
-        manifest = read_manifest(directory)
-        files = [entry["file"] for entry in manifest["shards"]]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _fail(f"cannot read sharded catalog {directory}: {exc}") from exc
+def _verify_shards(directory: Path) -> int:
+    """``catalog verify`` on a manifest directory: one line per shard."""
+    files = [entry["file"] for entry in _read_manifest(directory)["shards"]]
     bad, failed = [], False
     for index, name in enumerate(files):
         shard_path = directory / name
@@ -925,72 +920,12 @@ def cmd_shard_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shard_compact(args: argparse.Namespace) -> int:
-    """``shard compact``: compact every shard of a manifest directory and
-    rewrite its snapshots + manifest."""
-    directory = Path(args.catalog_dir)
-    catalog = _load_sharded(directory)
-    # Materialize every shard up front so the pre-compaction delta and
-    # tombstone totals count loaded state, not cold-shard zeros.
-    deltas = sum(
-        catalog.shard(i).delta_size for i in range(catalog.n_shards)
-    )
-    tombstones = sum(catalog.tombstone_counts())
-    t0 = time.perf_counter()
-    versions = catalog.compact()
-    try:
-        catalog.save(directory)
-    except OSError as exc:
-        raise _fail(f"cannot write sharded catalog {directory}: {exc}") from exc
-    elapsed = time.perf_counter() - t0
-    print(
-        f"compacted {catalog.n_shards} shard(s): folded {deltas} delta "
-        f"sketch(es) and {tombstones} tombstone(s) in {elapsed:.2f}s "
-        f"-> {directory} (index versions "
-        f"{'/'.join(str(v) for v in versions)})"
-    )
-    return 0
-
-
-def cmd_shard_build(args: argparse.Namespace) -> int:
-    from repro.serving import ShardedCatalog
-
-    directory = Path(args.directory)
-    csv_files = sorted(directory.glob("*.csv"))
-    if not csv_files:
-        print(f"error: no CSV files under {directory}", file=sys.stderr)
-        return 1
-    catalog = ShardedCatalog(
-        args.shards, sketch_size=args.sketch_size, aggregate=args.aggregate
-    )
-    t0 = time.perf_counter()
-    n_pairs = _ingest_csvs(catalog, csv_files, args.verbose)
-    if args.lsh:
-        # Build every shard's LSH index now so the snapshots ship warm
-        # for `query --catalog-dir --retrieval lsh`.
-        for index in range(catalog.n_shards):
-            catalog.shard(index).lsh_index(
-                bands=args.lsh_bands, rows=args.lsh_rows
-            )
-    catalog.save(args.output)
-    elapsed = time.perf_counter() - t0
-    sizes = "/".join(str(n) for n in catalog.shard_sizes())
-    print(
-        f"sharded {n_pairs} column pairs from {len(csv_files)} files across "
-        f"{catalog.n_shards} shards ({sizes}) in {elapsed:.2f}s "
-        f"-> {args.output}"
-    )
-    return 0
-
-
 def _print_shard_info(directory: Path) -> int:
-    """Report a sharded catalog's layout from the manifest alone."""
-    from repro.serving import MANIFEST_NAME, read_manifest
+    """``catalog info`` on a manifest directory: the sharded layout, from
+    the manifest alone."""
+    from repro.serving import MANIFEST_NAME
 
-    try:
-        manifest = read_manifest(directory)
-    except (OSError, ValueError, KeyError) as exc:
-        raise _fail(f"cannot read sharded catalog {directory}: {exc}") from exc
+    manifest = _read_manifest(directory)
     try:
         shard_entries = manifest["shards"]
         bits, seed = manifest["scheme"]
@@ -1046,10 +981,6 @@ def _print_shard_info(directory: Path) -> int:
     return 0
 
 
-def cmd_shard_info(args: argparse.Namespace) -> int:
-    return _print_shard_info(Path(args.catalog_dir))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sketch",
@@ -1066,15 +997,26 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="catalog path; an .arena extension writes the binary "
         "snapshot — a zero-copy mmap arena (O(metadata) cold starts, "
-        "pages shared across processes) — anything else portable JSON",
+        "pages shared across processes) — anything else portable JSON. "
+        "With --shards, the manifest directory to write",
+    )
+    p_index.add_argument(
+        "--shards",
+        type=_positive_int,
+        default=None,
+        help="partition the tables across this many shards and write -o "
+        "as a manifest directory of per-shard arena snapshots, served "
+        "with `query --catalog-dir`; each table routes to the "
+        "least-loaded shard",
     )
     p_index.add_argument("--sketch-size", type=_positive_int, default=256)
     p_index.add_argument("--aggregate", default="mean")
     p_index.add_argument(
         "--lsh",
         action="store_true",
-        help="also build the MinHash-LSH retrieval index before saving; "
-        "an .arena output then ships it warm for `query --retrieval lsh`",
+        help="also build the MinHash-LSH retrieval index (every shard's, "
+        "with --shards) before saving; an arena output then ships it "
+        "warm for `query --retrieval lsh`",
     )
     p_index.add_argument(
         "--lsh-bands",
@@ -1103,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--catalog-dir",
         default=None,
-        help="sharded catalog directory from `shard build`; queries are "
+        help="sharded catalog directory from `index --shards`; queries are "
         "served with results bit-identical to a monolithic catalog",
     )
     p_query.add_argument(
@@ -1147,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--catalog-dir",
         default=None,
-        help="sharded catalog directory from `shard build`",
+        help="sharded catalog directory from `index --shards`",
     )
     _add_query_tuning_args(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -1227,19 +1169,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_est.set_defaults(func=cmd_estimate)
 
-    p_catalog = sub.add_parser("catalog", help="catalog management")
-    catalog_sub = p_catalog.add_subparsers(dest="catalog_command", required=True)
-    p_catalog_info = catalog_sub.add_parser(
-        "info", help="sketch count, scheme, size, format, on-disk bytes"
+    p_catalog = sub.add_parser(
+        "catalog", help="catalog management, for a file or a manifest directory"
     )
-    p_catalog_info.add_argument("catalog", help="catalog file (JSON or .arena)")
+    catalog_sub = p_catalog.add_subparsers(dest="catalog_command", required=True)
+    catalog_path = "catalog file (JSON or .arena) or manifest directory"
+    p_catalog_info = catalog_sub.add_parser(
+        "info",
+        help="sketch count, scheme, size, format, on-disk bytes; a "
+        "directory's per-shard layout from the manifest alone",
+    )
+    p_catalog_info.add_argument("catalog", help=catalog_path)
     p_catalog_info.set_defaults(func=cmd_info)
     p_catalog_compact = catalog_sub.add_parser(
         "compact",
         help="fold the pending delta layer (appended sketches + "
-        "tombstones) into fresh frozen structures and re-save",
+        "tombstones) of the catalog or every shard into fresh frozen "
+        "structures and re-save",
     )
-    p_catalog_compact.add_argument("catalog", help="catalog file (JSON or .arena)")
+    p_catalog_compact.add_argument("catalog", help=catalog_path)
     p_catalog_compact.add_argument(
         "-o",
         "--output",
@@ -1264,89 +1212,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog_convert.set_defaults(func=cmd_convert)
     p_catalog_verify = catalog_sub.add_parser(
         "verify",
-        help="checksum a snapshot's payload without loading it; exit 1 "
-        "on mismatch or on an arena of another version",
+        help="checksum a snapshot's payload, or every shard's, without "
+        "loading it and list quarantine candidates; exit 1 on mismatch, "
+        "a missing shard or an arena of another version",
     )
-    p_catalog_verify.add_argument(
-        "catalog", help="catalog file (.arena or JSON)"
-    )
+    p_catalog_verify.add_argument("catalog", help=catalog_path)
     p_catalog_verify.set_defaults(func=cmd_catalog_verify)
 
-    # Shorthand kept for compatibility with earlier releases.
-    p_info = sub.add_parser("info", help="catalog statistics (alias of `catalog info`)")
-    p_info.add_argument("catalog")
-    p_info.set_defaults(func=cmd_info)
-
-    p_shard = sub.add_parser("shard", help="sharded catalog management")
-    shard_sub = p_shard.add_subparsers(dest="shard_command", required=True)
-    p_shard_build = shard_sub.add_parser(
-        "build",
-        help="shard-index every CSV in a directory into a manifest dir",
-    )
-    p_shard_build.add_argument("directory", help="directory containing CSV files")
-    p_shard_build.add_argument(
-        "-o",
-        "--output",
-        required=True,
-        help="output catalog directory (manifest.json + per-shard "
-        "arena snapshots: O(metadata) shard loads, file-backed pages "
-        "shared through the page cache); serve it with `query "
-        "--catalog-dir`",
-    )
-    p_shard_build.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=4,
-        help="number of shards (default 4); each table routes to the "
-        "least-loaded shard",
-    )
-    p_shard_build.add_argument("--sketch-size", type=_positive_int, default=256)
-    p_shard_build.add_argument("--aggregate", default="mean")
-    p_shard_build.add_argument(
-        "--lsh",
-        action="store_true",
-        help="also build every shard's MinHash-LSH index before saving, so "
-        "the snapshots ship warm for `query --catalog-dir --retrieval lsh`",
-    )
-    p_shard_build.add_argument(
-        "--lsh-bands", type=_positive_int, default=DEFAULT_BANDS,
-        help="LSH bands for --lsh",
-    )
-    p_shard_build.add_argument(
-        "--lsh-rows", type=_positive_int, default=DEFAULT_ROWS,
-        help="LSH rows per band for --lsh",
-    )
-    p_shard_build.add_argument("-v", "--verbose", action="store_true")
-    p_shard_build.set_defaults(func=cmd_shard_build)
-
-    p_shard_info = shard_sub.add_parser(
-        "info",
-        help="layout, per-shard sizes and on-disk bytes, from the manifest "
-        "alone (no shard is materialized)",
-    )
-    p_shard_info.add_argument("catalog_dir", help="catalog directory from `shard build`")
-    p_shard_info.set_defaults(func=cmd_shard_info)
-
-    p_shard_compact = shard_sub.add_parser(
-        "compact",
-        help="compact every shard's delta layer and rewrite the manifest "
-        "directory in place",
-    )
-    p_shard_compact.add_argument(
-        "catalog_dir", help="catalog directory from `shard build`"
-    )
-    p_shard_compact.set_defaults(func=cmd_shard_compact)
-
-    p_shard_verify = shard_sub.add_parser(
-        "verify",
-        help="checksum every shard snapshot the manifest names and list "
-        "quarantine candidates; exit 1 if any fails or is of another "
-        "arena version",
-    )
-    p_shard_verify.add_argument(
-        "catalog_dir", help="catalog directory from `shard build`"
-    )
-    p_shard_verify.set_defaults(func=cmd_shard_verify)
     return parser
 
 

@@ -301,8 +301,8 @@ class ArenaReader:
     def verify_payload(self) -> bool:
         """Checksum the mapped data region against the header's CRC32:
         ``True`` when it matches. This reads every payload page, so it is
-        an explicit verification step (``catalog verify`` /
-        ``shard verify``), never part of load.
+        an explicit verification step (``catalog verify``), never part
+        of load.
 
         Raises:
             ValueError: the header records no checksum (a corrupt header).

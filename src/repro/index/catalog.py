@@ -831,8 +831,7 @@ class SketchCatalog:
         A mapped catalog is fully mutable: the copy-on-mutation rules
         mean appends and removals only ever touch heap-native delta and
         tombstone structures, and :meth:`compact` folds into fresh heap
-        arrays — nothing ever writes to the mapping. The flag flips to
-        ``"heap"`` only via :meth:`detach`.
+        arrays — nothing ever writes to the mapping.
         """
         return "mmap" if self._arena is not None else "heap"
 
@@ -887,60 +886,6 @@ class SketchCatalog:
                 "header_bytes": arena.header_bytes,
             }
         return info
-
-    def detach(self) -> None:
-        """Copy every arena-backed array to a private heap copy and
-        release the mapping.
-
-        Serving never requires this — queries read the mapping directly
-        and mutations are heap-native by construction (appends land in
-        the delta, removals in the tombstone set, and :meth:`compact`'s
-        folds allocate fresh arrays). Detach exists for processes that
-        want to outlive the snapshot file's *contents*: after it, the
-        catalog holds no reference into the file and :attr:`storage`
-        reports ``"heap"``. Queries are bit-identical before and after.
-        """
-        arena = self._arena
-        if arena is None:
-            return
-        for entry in self._sketches.values():
-            columns = entry.columnar()
-            # Values are always a view (32-bit-scheme hashes were widened
-            # into a heap copy when the entry woke).
-            if arena.owns(columns.values):
-                entry._freeze_to(
-                    np.array(columns.key_hashes), np.array(columns.values)
-                )
-        # Every entry is awake now; a plain dict lets go of the source.
-        self._sketches = dict(self._sketches)
-        frozen = self._frozen_postings
-        if frozen is not None and arena.owns(frozen.indptr):
-            self._frozen_postings = ColumnarPostings(
-                np.array(frozen.vocab),
-                np.array(frozen.indptr),
-                np.array(frozen.doc_ids),
-                frozen.docs,
-                np.array(frozen.doc_lengths),
-                frozen._doc_index_cache,
-            )
-            self._banned_cache = None
-        if self._lsh_pending is not None:
-            ids, slots, filled, bands, rows, bits = self._lsh_pending
-            self._lsh_pending = (
-                ids, np.array(slots), np.array(filled), bands, rows, bits
-            )
-        elif self._lsh_index is not None and self._lsh_index.storage == "mmap":
-            lsh = self._lsh_index
-            slots, filled = lsh.export_arrays()  # np.stack: already a copy
-            self._lsh_index = LshIndex.from_arrays(
-                list(lsh.ids),
-                slots,
-                filled,
-                bands=lsh.bands,
-                rows=lsh.rows,
-                bits=lsh.bits,
-            )
-        self._arena = None
 
     # -- persistence ----------------------------------------------------------
 
@@ -1104,5 +1049,5 @@ def _refuse_retired_snapshot(path: Path, *, sniff: bool = True) -> None:
         raise SnapshotRefused(
             f"{path}: the retired .npz snapshot format is no longer read "
             "or written by this build; rebuild the catalog from its CSVs "
-            "with an .arena output (`index -o catalog.arena`, `shard build`)"
+            "with an .arena output (`index -o catalog.arena`, `index --shards`)"
         )

@@ -358,8 +358,8 @@ def verify_snapshot(path: str | Path) -> bool | None:
     Returns ``True`` (checksum matches), ``False`` (payload corrupt),
     or ``None`` for a JSON catalog, which carries no checksum. Reads
     every payload byte, so this is the explicit verification step behind
-    ``catalog verify`` / ``shard verify``, never part of load (arena
-    loads stay O(metadata)).
+    ``catalog verify``, never part of load (arena loads stay
+    O(metadata)).
 
     Raises:
         SnapshotRefused: (a ``ValueError``) for an arena written by

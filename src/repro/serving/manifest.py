@@ -31,7 +31,7 @@ everything that must be known *before* touching a shard file:
   point outside its own directory — its ``sketches`` count, its ``ids``
   in insertion order — the placement map — its ``index_version``
   compaction counter and the pending ``delta`` / ``tombstones`` counts
-  (so ``shard info`` reports delta state without opening a single shard
+  (so ``catalog info`` reports delta state without opening a single shard
   file, and a recompacted shard snapshot that no longer matches its
   manifest fails loudly at materialization).
 
@@ -53,7 +53,7 @@ from pathlib import Path
 from repro.hashing import KeyHasher
 from repro.index.arena import atomic_write_text
 from repro.index.snapshot import save_snapshot
-from repro.serving.shards import ShardedCatalog
+from repro.serving.shards import ShardedCatalog, ShardUnavailable
 
 #: Bump on any manifest change; read_manifest reads exactly this
 #: version rather than guessing.
@@ -140,14 +140,14 @@ def read_manifest(directory: str | Path) -> dict:
         raise ValueError(
             f"unsupported manifest version {version!r} in {path}: this "
             f"build reads version {MANIFEST_VERSION} only (versions 1 and "
-            "2 are retired — rebuild the directory with `shard build`)"
+            "2 are retired — rebuild the directory with `index --shards`)"
         )
     if manifest.get("layout") != "arena":
         raise ValueError(
             f"manifest {path} records shard layout "
             f"{manifest.get('layout')!r}: the .npz shard layout is retired "
             "and only 'arena' is served — rebuild the directory with "
-            "`shard build`"
+            "`index --shards`"
         )
     shards = manifest.get("shards")
     if not isinstance(shards, list) or len(shards) != manifest.get("n_shards"):
@@ -218,8 +218,14 @@ def load_sharded(
                 )
             catalog._placement[sid] = index
     if not lazy:
-        # warm() skips quarantined shards under the "quarantine" policy
-        # and propagates the first error under "raise" — exactly the
-        # eager-load semantics each policy wants.
-        catalog.warm()
+        # Quarantined shards are skipped under the "quarantine" policy;
+        # any other failure (every one under "raise") propagates, the
+        # lowest-index first — the eager-load semantics each policy wants.
+        failures = {
+            index: exc
+            for index, exc in catalog.warm().items()
+            if not isinstance(exc, ShardUnavailable)
+        }
+        if failures:
+            raise failures[min(failures)]
     return catalog

@@ -81,19 +81,20 @@ class ShardRouter(JoinCorrelationEngine):
     ``retrieval_depth`` counts candidates over all shards together.
     """
 
-    def warm(self) -> None:
+    def warm(self) -> dict[int, Exception]:
         """Materialize every catalog shard and the stacked CSR now,
-        instead of on first probe.
+        instead of on first probe; returns the shards that failed to
+        load (index → error), which warming skips.
 
         Delegates to :meth:`ShardedCatalog.warm` when the catalog has it
         (a monolithic stand-in without shards simply has nothing to
         warm). :meth:`QuerySession.warm
         <repro.serving.session.QuerySession.warm>` calls it so a
-        service's first queries find every shard mapped.
+        service's first queries find every shard mapped, and judges the
+        failures by the session's ``on_shard_error`` policy.
         """
         warm = getattr(self.catalog, "warm", None)
-        if warm is not None:
-            warm()
+        return {} if warm is None else warm()
 
     # -- the retrieval stage step --------------------------------------------
 

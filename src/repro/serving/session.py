@@ -225,11 +225,18 @@ class QuerySession:
     def warm(self) -> None:
         """Ready the process for steady-state serving (idempotent):
         materialize lazily-loaded backend state now and pin the
-        allocator (:func:`_pin_malloc_thresholds`, process-wide)."""
+        allocator (:func:`_pin_malloc_thresholds`, process-wide).
+
+        A shard that fails to load is judged by the router's rule: under
+        ``on_shard_error="raise"`` the lowest-index failure raises here,
+        at start-up; under ``"partial"`` warming skips it and every
+        answer reports it lost.
+        """
         warm = getattr(self.backend, "warm", None)
-        if warm is not None:
-            warm()
+        failures = {} if warm is None else warm()
         _pin_malloc_thresholds()
+        if failures and self._options.on_shard_error == "raise":
+            raise failures[min(failures)]
 
     def close(self) -> None:
         """Nothing to release — the session owns no thread or process;

@@ -29,7 +29,7 @@ router's page assembly never scan shards.
 Shards rehydrate lazily after :meth:`ShardedCatalog.load`: the manifest
 carries enough metadata (ids, counts, config) that only the shards an
 operation actually touches are materialized from their snapshots — a
-targeted ``get`` loads one shard; per-shard stats (``shard info``) load
+targeted ``get`` loads one shard; per-shard stats (``catalog info``) load
 none.
 """
 
@@ -208,26 +208,29 @@ class ShardedCatalog:
         """Which shards are materialized (cold shards cost no memory)."""
         return [shard is not None for shard in self._shards]
 
-    def warm(self) -> None:
+    def warm(self) -> dict[int, Exception]:
         """Materialize every shard now (cold shards load their snapshots).
 
         This maps every cold shard's arena — cheap (O(metadata) per
         shard), so a service pays it at start-up rather than on its
         first queries.
 
-        Quarantined shards (:class:`ShardUnavailable`, only possible
-        under ``on_corruption="quarantine"``) are skipped — warming is
-        best-effort over whatever the degraded catalog can still serve;
-        the events log records what was lost.
+        A shard that fails to load — quarantined
+        (:class:`ShardUnavailable`), truncated, stale or refused — is
+        skipped: warming is best-effort over whatever the catalog can
+        still serve. The failures come back as shard index → error, for
+        the caller's policy to judge as a query's shard check would.
         """
-        available = []
+        failures = {}
         for index in range(self.n_shards):
             try:
                 self.shard(index)
-            except ShardUnavailable:
-                continue
-            available.append(index)
-        self.stacked_postings(available)
+            except Exception as exc:  # noqa: BLE001 — the caller's policy decides
+                failures[index] = exc
+        self.stacked_postings(
+            index for index in range(self.n_shards) if index not in failures
+        )
+        return failures
 
     def stacked_postings(self, shards: Iterable[int]) -> ColumnarPostings:
         """One CSR over the live postings of ``shards`` — the retrieval

@@ -34,6 +34,16 @@ def _index(portal, tmp_path, extra=()):
     return catalog
 
 
+def _index_shards(portal, tmp_path, shards=3, extra=()):
+    catalog_dir = tmp_path / "catalog-dir"
+    rc = main(
+        ["index", str(portal), "-o", str(catalog_dir),
+         "--shards", str(shards), *extra]
+    )
+    assert rc == 0
+    return catalog_dir
+
+
 def test_index_creates_catalog(portal, tmp_path, capsys):
     catalog = _index(portal, tmp_path)
     assert catalog.exists()
@@ -145,7 +155,7 @@ def test_estimate_with_spearman(portal, capsys):
 def test_info_reports_statistics(portal, tmp_path, capsys):
     catalog = _index(portal, tmp_path)
     capsys.readouterr()
-    rc = main(["info", str(catalog)])
+    rc = main(["catalog", "info", str(catalog)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "sketches     : 3" in out
@@ -443,6 +453,44 @@ def test_query_directory_as_catalog_suggests_catalog_dir(portal, tmp_path, capsy
     assert "--catalog-dir" in capsys.readouterr().err
 
 
+def test_index_output_in_missing_directory_exits_2(portal, tmp_path, capsys):
+    """Refused before the ingest runs, not with a traceback after it."""
+    rc = main(["index", str(portal), "-o", str(tmp_path / "nope" / "c.arena")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write catalog")
+    assert "Traceback" not in captured.err and "indexed" not in captured.out
+
+
+def test_index_shards_onto_a_file_exits_2(portal, tmp_path, capsys):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("not a directory")
+    rc = main(["index", str(portal), "-o", str(occupied), "--shards", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot write catalog")
+    assert occupied.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shard", "build", "p", "-o", "d"],
+        ["shard", "info", "d"],
+        ["shard", "compact", "d"],
+        ["shard", "verify", "d"],
+        ["info", "c.json"],
+    ],
+    ids=["shard-build", "shard-info", "shard-compact", "shard-verify", "info"],
+)
+def test_retired_verbs_are_argparse_errors(argv, capsys):
+    """`index --shards` and `catalog info|compact|verify` take a manifest
+    directory; the old spellings are unknown commands (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # -- validation: positive-integer arguments ----------------------------------
 
 
@@ -455,8 +503,8 @@ def test_query_directory_as_catalog_suggests_catalog_dir(portal, tmp_path, capsy
         ["query", "c.json", "q.csv", "--rows", "0"],
         ["serve", "c.json", "--max-batch", "0"],
         ["index", "p", "-o", "c.json", "--sketch-size", "0"],
-        ["shard", "build", "p", "-o", "d", "--shards", "0"],
-        ["shard", "build", "p", "-o", "d", "--shards", "-2"],
+        ["index", "p", "-o", "d", "--shards", "0"],
+        ["index", "p", "-o", "d", "--shards", "-2"],
     ],
 )
 def test_nonpositive_arguments_rejected(argv, capsys):
@@ -469,18 +517,9 @@ def test_nonpositive_arguments_rejected(argv, capsys):
 # -- sharded serving surface -------------------------------------------------
 
 
-def _shard_build(portal, tmp_path, shards=3, extra=()):
-    catalog_dir = tmp_path / "catalog-dir"
-    rc = main(
-        ["shard", "build", str(portal), "-o", str(catalog_dir),
-         "--shards", str(shards), *extra]
-    )
-    assert rc == 0
-    return catalog_dir
-
-
 def test_shard_build_creates_manifest_directory(portal, tmp_path, capsys):
-    catalog_dir = _shard_build(portal, tmp_path)
+    """`index --shards` writes a manifest directory of arena shards."""
+    catalog_dir = _index_shards(portal, tmp_path)
     out = capsys.readouterr().out
     assert "sharded 3 column pairs" in out
     assert (catalog_dir / "manifest.json").exists()
@@ -488,9 +527,10 @@ def test_shard_build_creates_manifest_directory(portal, tmp_path, capsys):
 
 
 def test_shard_info_reports_layout(portal, tmp_path, capsys):
-    catalog_dir = _shard_build(portal, tmp_path)
+    """`catalog info` on a manifest directory reports the shard layout."""
+    catalog_dir = _index_shards(portal, tmp_path)
     capsys.readouterr()
-    rc = main(["shard", "info", str(catalog_dir)])
+    rc = main(["catalog", "info", str(catalog_dir)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "shards       : 3" in out
@@ -500,15 +540,17 @@ def test_shard_info_reports_layout(portal, tmp_path, capsys):
 
 
 def test_shard_info_missing_directory_exits_2(tmp_path, capsys):
-    rc = main(["shard", "info", str(tmp_path / "nope")])
+    """A directory without a manifest is a one-line exit-2 error."""
+    (tmp_path / "no-manifest").mkdir()
+    rc = main(["catalog", "info", str(tmp_path / "no-manifest")])
     assert rc == 2
     assert "error: cannot read sharded catalog" in capsys.readouterr().err
 
 
 def test_catalog_info_on_manifest_directory(portal, tmp_path, capsys):
     """`catalog info` on a sharded directory reports the sharded layout
-    instead of failing on a directory read."""
-    catalog_dir = _shard_build(portal, tmp_path)
+    from the manifest instead of failing on a directory read."""
+    catalog_dir = _index_shards(portal, tmp_path)
     capsys.readouterr()
     rc = main(["catalog", "info", str(catalog_dir)])
     assert rc == 0
@@ -519,7 +561,7 @@ def test_query_catalog_dir_matches_single_catalog(portal, tmp_path, capsys):
     """The acceptance check at CLI level: sharded scatter-gather output
     ranks identically to the monolithic catalog."""
     catalog = _index(portal, tmp_path)
-    catalog_dir = _shard_build(portal, tmp_path)
+    catalog_dir = _index_shards(portal, tmp_path)
     capsys.readouterr()
 
     def ranking(argv):
@@ -536,7 +578,7 @@ def test_query_catalog_dir_matches_single_catalog(portal, tmp_path, capsys):
 
 
 def test_query_catalog_dir_batch(portal, tmp_path, capsys):
-    catalog_dir = _shard_build(portal, tmp_path)
+    catalog_dir = _index_shards(portal, tmp_path)
     capsys.readouterr()
     rc = main(
         ["query", "--catalog-dir", str(catalog_dir), "--queries-dir",
@@ -550,7 +592,7 @@ def test_query_catalog_dir_batch(portal, tmp_path, capsys):
 
 def test_query_catalog_and_dir_mutually_exclusive(portal, tmp_path):
     catalog = _index(portal, tmp_path)
-    catalog_dir = _shard_build(portal, tmp_path)
+    catalog_dir = _index_shards(portal, tmp_path)
     with pytest.raises(SystemExit, match="not both"):
         main(["query", str(catalog), str(portal / "query.csv"),
               "--catalog-dir", str(catalog_dir)])
@@ -575,11 +617,15 @@ def test_retired_fanout_flags_are_argparse_errors(verb, flag, capsys):
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
+# -- incremental maintenance (compact / delta reporting) ----------------------
+
+
 def test_shard_build_lsh_and_query(portal, tmp_path, capsys):
-    catalog_dir = _shard_build(
+    """`index --shards --lsh` ships every shard's LSH index warm."""
+    catalog_dir = _index_shards(
         portal, tmp_path, extra=["--lsh", "--lsh-bands", "32", "--lsh-rows", "2"]
     )
-    capsys.readouterr()
+    assert "--lsh ignored" not in capsys.readouterr().err
     rc = main(
         ["query", "--catalog-dir", str(catalog_dir), str(portal / "query.csv"),
          "--retrieval", "lsh", "--bands", "32", "--rows", "2",
@@ -594,7 +640,7 @@ def test_shard_build_lsh_and_query(portal, tmp_path, capsys):
 def test_shard_build_empty_directory_fails(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
-    rc = main(["shard", "build", str(empty), "-o", str(tmp_path / "d")])
+    rc = main(["index", str(empty), "-o", str(tmp_path / "d"), "--shards", "2"])
     assert rc == 1
     assert "no CSV files" in capsys.readouterr().err
 
@@ -610,12 +656,9 @@ def test_shard_info_manifest_missing_keys_exits_2(tmp_path, capsys):
              "shards": [{"file": "shard-0000.arena", "sketches": 0, "ids": []}]}
         )
     )
-    rc = main(["shard", "info", str(tmp_path)])
+    rc = main(["catalog", "info", str(tmp_path)])
     assert rc == 2
     assert "corrupt manifest" in capsys.readouterr().err
-
-
-# -- incremental maintenance (compact / delta reporting) ----------------------
 
 
 def test_catalog_info_reports_delta_state(portal, tmp_path, capsys):
@@ -665,7 +708,10 @@ def test_catalog_compact_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_shard_info_and_compact_report_delta(portal, tmp_path, capsys):
-    catalog_dir = _shard_build(portal, tmp_path)
+    """`catalog info` / `catalog compact` on a manifest directory report
+    and fold every shard's delta; compaction rewrites the same arena
+    files in place, nothing beside them."""
+    catalog_dir = _index_shards(portal, tmp_path)
     from repro.serving import ShardedCatalog
     from repro.table.csv_io import read_csv
 
@@ -677,20 +723,23 @@ def test_shard_info_and_compact_report_delta(portal, tmp_path, capsys):
     loaded.add_table(read_csv(late))
     loaded.save(catalog_dir)
     capsys.readouterr()
-    rc = main(["shard", "info", str(catalog_dir)])
+    rc = main(["catalog", "info", str(catalog_dir)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "delta layer  : 1 pending sketch(es), 0 tombstone(s)" in out
     assert "delta=1" in out
-    rc = main(["shard", "compact", str(catalog_dir)])
+    before = sorted(p.name for p in catalog_dir.iterdir())
+    rc = main(["catalog", "compact", str(catalog_dir)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "folded 1 delta sketch(es)" in out
-    rc = main(["shard", "info", str(catalog_dir)])
+    assert "compacted 3 shard(s): folded 1 delta sketch(es)" in out
+    assert sorted(p.name for p in catalog_dir.iterdir()) == before
+    rc = main(["catalog", "info", str(catalog_dir)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "delta layer  : 0 pending sketch(es), 0 tombstone(s)" in out
     assert "v2 delta=0" in out
+    assert "shard layout : arena" in out
 
 
 # -- arena layout (zero-copy snapshots) ---------------------------------------
@@ -751,16 +800,21 @@ def test_catalog_convert_missing_input_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "error: cannot load catalog" in capsys.readouterr().err
+    # convert rewrites one file; a manifest directory is refused.
+    rc = main(["catalog", "convert", str(tmp_path), "-o", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert "error: cannot convert" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_shard_build_arena_layout_and_compact_preserves_it(
     portal, tmp_path, capsys
 ):
-    catalog_dir = _shard_build(portal, tmp_path)
+    catalog_dir = _index_shards(portal, tmp_path)
     assert (catalog_dir / "shard-0000.arena").exists()
     capsys.readouterr()
 
-    rc = main(["shard", "info", str(catalog_dir)])
+    rc = main(["catalog", "info", str(catalog_dir)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "shard layout : arena" in out
@@ -775,10 +829,10 @@ def test_shard_build_arena_layout_and_compact_preserves_it(
 
     # Compaction rewrites the same files in place, nothing beside them.
     before = sorted(p.name for p in catalog_dir.iterdir())
-    assert main(["shard", "compact", str(catalog_dir)]) == 0
+    assert main(["catalog", "compact", str(catalog_dir)]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in catalog_dir.iterdir()) == before
-    assert main(["shard", "info", str(catalog_dir)]) == 0
+    assert main(["catalog", "info", str(catalog_dir)]) == 0
     assert "shard layout : arena" in capsys.readouterr().out
 
 
@@ -824,14 +878,17 @@ def test_catalog_verify_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_shard_verify_clean_corrupt_and_missing(portal, tmp_path, capsys):
-    catalog_dir = _shard_build(portal, tmp_path)
+    """`catalog verify` on a manifest directory: one ok line per shard,
+    then a truncated and a missing shard are quarantine candidates."""
+    catalog_dir = _index_shards(portal, tmp_path)
     capsys.readouterr()
-    assert main(["shard", "verify", str(catalog_dir)]) == 0
-    assert "all 3 shard(s) verified" in capsys.readouterr().out
-
+    assert main(["catalog", "verify", str(catalog_dir)]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": ok  shard-") == 3
+    assert "all 3 shard(s) verified" in out
     _truncate(catalog_dir / "shard-0001.arena")
     (catalog_dir / "shard-0002.arena").unlink()
-    assert main(["shard", "verify", str(catalog_dir)]) == 1
+    assert main(["catalog", "verify", str(catalog_dir)]) == 1
     captured = capsys.readouterr()
     assert "FAILED (missing file)" in captured.out
     assert "quarantine candidates: shard-0001.arena, shard-0002.arena" in (
@@ -865,10 +922,11 @@ def test_catalog_verify_refuses_another_arena_version(portal, tmp_path, capsys):
 
 
 def test_shard_verify_refuses_another_arena_version(portal, tmp_path, capsys):
-    catalog_dir = _shard_build(portal, tmp_path)
+    """The same refusal for one shard of a manifest directory."""
+    catalog_dir = _index_shards(portal, tmp_path)
     _as_arena_version(catalog_dir / "shard-0001.arena", 5)
     capsys.readouterr()
-    assert main(["shard", "verify", str(catalog_dir)]) == 1
+    assert main(["catalog", "verify", str(catalog_dir)]) == 1
     captured = capsys.readouterr()
     refused = [line for line in captured.out.splitlines() if "REFUSED" in line]
     assert len(refused) == 1 and refused[0].endswith("shard-0001.arena")
@@ -876,6 +934,51 @@ def test_shard_verify_refuses_another_arena_version(portal, tmp_path, capsys):
     assert "catalog convert" in refused[0]
     assert "quarantine" not in captured.err
     assert "verified" not in captured.out
+
+
+def test_catalog_compact_directory_with_truncated_shard_exits_2(
+    portal, tmp_path, capsys
+):
+    catalog_dir = _index_shards(portal, tmp_path, shards=2)
+    _truncate(catalog_dir / "shard-0001.arena")
+    before = {p.name: p.read_bytes() for p in catalog_dir.iterdir()}
+    capsys.readouterr()
+    assert main(["catalog", "compact", str(catalog_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load sharded catalog")
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in catalog_dir.iterdir()} == before
+
+
+def test_query_catalog_dir_with_truncated_shard(portal, tmp_path, capsys):
+    """Under the default `raise` policy a broken shard is a one-line
+    error before any query runs; `partial` answers from the survivor."""
+    catalog_dir = _index_shards(portal, tmp_path, shards=2)
+    _truncate(catalog_dir / "shard-0001.arena")
+    capsys.readouterr()
+    argv = ["query", "--catalog-dir", str(catalog_dir),
+            str(portal / "query.csv"), "--scorer", "rp"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load sharded catalog")
+    assert "truncated" in err and "Traceback" not in err
+    assert main(argv + ["--on-shard-error", "partial"]) == 0
+    assert "degraded   : 1/2 shard(s) answered, 1 dropped" in (
+        capsys.readouterr().out
+    )
+
+
+def test_serve_catalog_dir_with_truncated_shard_exits_2(portal, tmp_path, capsys):
+    """The default `raise` policy refuses to start on a broken shard,
+    with a one-line error and no listening socket."""
+    catalog_dir = _index_shards(portal, tmp_path, shards=2)
+    _truncate(catalog_dir / "shard-0001.arena")
+    capsys.readouterr()
+    rc = main(["serve", "--catalog-dir", str(catalog_dir), "--port", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot load sharded catalog")
+    assert "listening" not in captured.out
 
 
 def test_query_on_shard_error_requires_catalog_dir(portal, tmp_path):
@@ -888,7 +991,7 @@ def test_query_on_shard_error_requires_catalog_dir(portal, tmp_path):
 
 
 def test_query_with_resilience_flags_matches_plain(portal, tmp_path, capsys):
-    catalog_dir = _shard_build(portal, tmp_path)
+    catalog_dir = _index_shards(portal, tmp_path)
     capsys.readouterr()
     argv = ["query", "--catalog-dir", str(catalog_dir),
             str(portal / "query.csv"), "--scorer", "rp"]
@@ -907,7 +1010,7 @@ def test_query_with_resilience_flags_matches_plain(portal, tmp_path, capsys):
 def test_query_partial_prints_degraded_line(portal, tmp_path, capsys):
     from repro.serving import injected
 
-    catalog_dir = _shard_build(portal, tmp_path)
+    catalog_dir = _index_shards(portal, tmp_path)
     capsys.readouterr()
     with injected({"shard_probe": {"shard": 0, "kind": "exception"}}):
         rc = main(
@@ -924,7 +1027,7 @@ def test_query_partial_prints_degraded_line(portal, tmp_path, capsys):
 def test_query_batch_partial_flags_each_degraded(portal, tmp_path, capsys):
     from repro.serving import injected
 
-    catalog_dir = _shard_build(portal, tmp_path)
+    catalog_dir = _index_shards(portal, tmp_path)
     capsys.readouterr()
     with injected(
         {"shard_probe": {"shard": 1, "kind": "exception", "times": None}}

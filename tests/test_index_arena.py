@@ -479,26 +479,6 @@ def test_mapping_survives_replace_and_unlink(tmp_path):
     assert _key(JoinCorrelationEngine(live).query(query, k=8)) == before
 
 
-def test_detach_copies_to_heap_with_identical_results(tmp_path):
-    catalog = _corpus_catalog()
-    catalog.lsh_index(bands=LSH["lsh_bands"], rows=LSH["lsh_rows"])
-    path = tmp_path / "c.arena"
-    catalog.save(path)
-    loaded = SketchCatalog.load(path)
-    query = _query(catalog)
-    engine = JoinCorrelationEngine(loaded, retrieval_backend="lsh", **LSH)
-    before = _key(engine.query(query, k=8))
-
-    loaded.detach()
-    assert loaded.storage == "heap"
-    info = loaded.storage_info()
-    assert info["backend"] == "heap"
-    assert info["mapped_bytes"] == 0 and info["arena"] is None
-    os.unlink(path)  # catalog holds no reference into the file
-    assert _key(engine.query(query, k=8)) == before
-    assert loaded.detach() is None  # second detach is a no-op
-
-
 def test_storage_info_accounting(tmp_path):
     catalog = _corpus_catalog(n=8)
     path = tmp_path / "c.arena"
@@ -526,11 +506,10 @@ def test_storage_info_accounting(tmp_path):
     assert after["materialized_bytes"] > before
 
 
-def test_widened_hashes_are_materialized_then_detached(tmp_path):
+def test_storage_info_counts_widened_hash_copies(tmp_path):
     """32-bit-scheme hashes are widened into heap copies — the vocabulary
     at load, a sketch's key hashes when it wakes — and storage_info
-    counts exactly those; detach still copies every mapped value column
-    (whose sketch's key hashes are already off the mapping)."""
+    counts exactly those."""
     catalog = _corpus_catalog(n=8)
     path = tmp_path / "c.arena"
     catalog.save(path)
@@ -542,16 +521,6 @@ def test_widened_hashes_are_materialized_then_detached(tmp_path):
     widened = sum(s.columnar().key_hashes.nbytes for s in woken)
     assert widened == 8 * sum(len(s) for s in woken)
     assert loaded.storage_info()["materialized_bytes"] == vocab.nbytes + widened
-    query = _query(catalog)
-    before = _key(JoinCorrelationEngine(loaded).query(query, k=8))
-
-    loaded.detach()
-    for sid in loaded:
-        columns = loaded.sketch_columns(sid)
-        assert backing_storage(columns.key_hashes, columns.values) == "heap"
-    assert loaded.frozen_postings().storage == "heap"
-    os.unlink(path)
-    assert _key(JoinCorrelationEngine(loaded).query(query, k=8)) == before
 
 
 # -- deferred entry dict ------------------------------------------------------

@@ -236,6 +236,32 @@ class TestQueryParity:
         assert body["degraded"] is True
         assert body["ranked"]  # partial answer, not an empty one
 
+    def test_partial_service_starts_over_a_truncated_shard(self, corpus, tmp_path):
+        """A shard that cannot load stops a service at start-up only under
+        the default `raise` policy; under `partial` warming skips it and
+        /query answers 200 from the survivor, flagged degraded."""
+        _, sharded, _, (keys, values) = corpus
+        copy = ShardedCatalog(2, sketch_size=SKETCH_SIZE, hasher=sharded.hasher)
+        copy.add_sketches((sid, sharded.get(sid)) for sid in sharded)
+        directory = tmp_path / "shards"
+        copy.save(directory)
+        shard_file = directory / "shard-0001.arena"
+        shard_file.write_bytes(shard_file.read_bytes()[: shard_file.stat().st_size // 2])
+        with pytest.raises(ValueError, match="truncated"):
+            QuerySession.open(directory, QueryOptions(k=5)).warm()
+        session = QuerySession.open(
+            directory, QueryOptions(k=5, on_shard_error="partial")
+        )
+        with QueryService(session) as service:
+            status, body = _post(
+                service.url + "/query",
+                {"keys": keys.tolist(), "values": values.tolist()},
+            )
+        assert status == 200
+        assert (body["shards_probed"], body["shards_failed"]) == (2, 1)
+        assert body["degraded"] is True
+        assert body["ranked"]
+
 
 # -- other endpoints ----------------------------------------------------------
 
