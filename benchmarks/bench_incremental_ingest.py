@@ -12,8 +12,9 @@ over a sustained ingest stream.
 every batch to keep the index serving-warm, exactly what a freshness-
 sensitive deployment does) under two maintenance strategies:
 
-* **delta** — appends land in the delta layer; a threshold compaction
-  folds them in occasionally; probes are layered (frozen + delta);
+* **delta** — appends land in the delta layer; a ``compact()`` every
+  ``FOLD_EVERY`` batches folds them in; probes are layered (frozen +
+  delta);
 * **rebuild** — appends go straight to the live index and every batch
   re-freezes the full monolithic CSR before serving (the only way to
   keep frozen-path probes fresh without a delta layer).
@@ -75,16 +76,17 @@ def _sketch_stream(n, rng, hasher, prefix):
     return batch
 
 
-def _replay(catalog, batches, query, *, rebuild_per_batch):
-    """Ingest every batch, probing once per batch; returns per-batch ms."""
+def _replay(catalog, batches, query, *, fold_every):
+    """Ingest every batch, compacting after every ``fold_every``-th and
+    probing once per batch; returns per-batch ms. ``fold_every=1`` is
+    the pre-delta maintenance story: fold everything into a fresh
+    monolithic CSR so the frozen probe path stays fresh."""
     engine = JoinCorrelationEngine(catalog, retrieval_depth=50)
     timings = []
-    for batch in batches:
+    for i, batch in enumerate(batches):
         t0 = time.perf_counter()
         catalog.add_sketches(batch)
-        if rebuild_per_batch:
-            # The pre-delta maintenance story: fold everything into a
-            # fresh monolithic CSR so the frozen probe path stays fresh.
+        if (i + 1) % fold_every == 0:
             catalog.compact()
         engine.query(query, k=10, scorer="rp")
         timings.append((time.perf_counter() - t0) * 1000)
@@ -112,20 +114,16 @@ def test_incremental_ingest_throughput(quick):
         name="query",
     )
 
-    def fresh(compact_threshold=None):
-        catalog = SketchCatalog(
-            sketch_size=SKETCH_SIZE,
-            hasher=base.hasher,
-            compact_threshold=compact_threshold,
-        )
+    def fresh():
+        catalog = SketchCatalog(sketch_size=SKETCH_SIZE, hasher=base.hasher)
         catalog.add_sketches(base_batch)
         catalog.frozen_postings()  # the pre-loaded, already-compacted state
         return catalog
 
-    delta_catalog = fresh(compact_threshold=FOLD_EVERY * batch_size)
-    delta_ms = _replay(delta_catalog, stream, query, rebuild_per_batch=False)
+    delta_catalog = fresh()
+    delta_ms = _replay(delta_catalog, stream, query, fold_every=FOLD_EVERY)
     rebuild_catalog = fresh()
-    rebuild_ms = _replay(rebuild_catalog, stream, query, rebuild_per_batch=True)
+    rebuild_ms = _replay(rebuild_catalog, stream, query, fold_every=1)
 
     # Same stream, same answers: the maintenance strategy is invisible.
     a = JoinCorrelationEngine(delta_catalog).query(query, k=10, scorer="rp")

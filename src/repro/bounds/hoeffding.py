@@ -193,16 +193,18 @@ def _hoeffding_one(
     sxx: float, syy: float, sxy: float, ex: int, ey: int, log_term: float,
 ) -> tuple[float, float]:
     """Eqs. 6–7 for one non-empty sample with bounds ``clo``, ``chi``,
-    from its row of the moment pass and ``ln(10/α)``: the parameters of
-    :func:`_shifted_parameters` in the same IEEE operations, then the
-    denominator bounds. Every value is finite once the guard has passed,
-    so ``max`` and ``min`` never meet a NaN."""
+    from its row of the moment pass and ``ln(10/α)``: the means of
+    :func:`_shifted_parameters`, centered moments less the rounded means'
+    offset (s_xy/n − Δx̄·Δȳ, which an endpoint near zero cannot ignore),
+    then the numerator and denominator bounds. Every value is finite once
+    the guard has passed, so ``max`` and ``min`` never meet a NaN."""
     try:
         mu_a = (math.ldexp(mean_x, ex) - clo) + math.ldexp(dmean_x, ex)
         mu_b = (math.ldexp(mean_y, ey) - clo) + math.ldexp(dmean_y, ey)
-        nu_a = math.ldexp(sxx / n, 2 * ex) + mu_a * mu_a
-        nu_b = math.ldexp(syy / n, 2 * ey) + mu_b * mu_b
-        nu_ab = math.ldexp(sxy / n, ex + ey) + mu_a * mu_b
+        nu_a = math.ldexp(sxx / n - dmean_x * dmean_x, 2 * ex) + mu_a * mu_a
+        nu_b = math.ldexp(syy / n - dmean_y * dmean_y, 2 * ey) + mu_b * mu_b
+        cov = math.ldexp(sxy / n - dmean_x * dmean_y, ex + ey)
+        nu_ab = cov + mu_a * mu_b
     except OverflowError:  # past float64's range: the per-row guard
         return -1.0, 1.0
     c = chi - clo
@@ -214,8 +216,18 @@ def _hoeffding_one(
         return -1.0, 1.0
     mu_a_low, mu_a_high = max(0.0, mu_a - t), min(c, mu_a + t)
     mu_b_low, mu_b_high = max(0.0, mu_b - t), min(c, mu_b + t)
-    num_low = max(0.0, nu_ab - t_prime) - mu_a_high * mu_b_high
-    num_high = min(c2, nu_ab + t_prime) - mu_a_low * mu_b_low
+    # Eq. 6's numerator: ν_AB − μ_A·μ_B is the centered covariance, so
+    # where ν_AB's domain clamp does not bind only the means' moves
+    # (μ^high − μ = min(C − μ, t), μ − μ^low = min(μ, t)) are added to
+    # it, never the O(C²) μ_A·μ_B that would cancel in the rounding.
+    num_low = -(mu_a_high * mu_b_high)
+    if nu_ab > t_prime:
+        moves = mu_a_high * min(c - mu_b, t) + min(c - mu_a, t) * mu_b
+        num_low = (cov - t_prime) - moves
+    num_high = c2 - mu_a_low * mu_b_low
+    if nu_ab + t_prime < c2:
+        moves = mu_a_low * min(mu_b, t) + min(mu_a, t) * mu_b
+        num_high = (cov + t_prime) + moves
     # ν's Hoeffding interval intersected with its domain [0, C²], less
     # the squared mean bound that makes the variance smallest (largest).
     den_low = math.sqrt(

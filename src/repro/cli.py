@@ -191,16 +191,18 @@ def _add_query_tuning_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_catalog(path: Path):
-    """Load a catalog file, or a manifest directory with every shard
-    materialized, mapping failures (a truncated or missing shard
-    included) to one-line errors."""
+    """Load a catalog file or a manifest directory, mapping failures (a
+    truncated or missing shard included) to one-line errors."""
     sharded = path.is_dir()
     try:
         if not sharded:
             return SketchCatalog.load(path)
         from repro.serving import ShardedCatalog
 
-        return ShardedCatalog.load(path, lazy=False)
+        catalog = ShardedCatalog.load(path)
+        for index in range(catalog.n_shards):
+            catalog.shard(index)  # raises a shard's recorded failure
+        return catalog
     except (OSError, ValueError, KeyError) as exc:
         kind = "sharded catalog" if sharded else "catalog"
         raise _fail(f"cannot load {kind} {path}: {exc}") from exc
@@ -795,8 +797,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
     sharded = path.is_dir()
     catalog = _load_catalog(path)
     if sharded:
-        # Every shard is loaded, so these count live state, not cold-shard
-        # zeros.
         delta = sum(catalog.delta_sizes())
         tombstones = sum(catalog.tombstone_counts())
     else:
@@ -885,8 +885,8 @@ def cmd_catalog_verify(args: argparse.Namespace) -> int:
     print(f"{path}: {status}")
     if outcome == "corrupt":
         print(
-            "1 file failed verification — loading with "
-            "on_corruption='quarantine' sets the damaged file aside",
+            "1 file failed verification — rebuild it from its CSVs with "
+            "`index`",
             file=sys.stderr,
         )
     return 0 if outcome == "ok" else 1
@@ -909,9 +909,9 @@ def _verify_shards(directory: Path) -> int:
     if bad:
         print(
             f"{len(bad)} of {len(files)} shard(s) failed verification — "
-            f"quarantine candidates: {', '.join(bad)}; serving with "
-            "on_corruption='quarantine' sets them aside and degrades "
-            "gracefully",
+            f"quarantine candidates: {', '.join(bad)}; `query` and `serve` "
+            "answer from the other shards with `--on-shard-error partial`, "
+            "or rebuild the directory with `index --shards`",
             file=sys.stderr,
         )
     if failed:

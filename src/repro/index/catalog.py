@@ -42,8 +42,8 @@ layered probes (:meth:`SketchCatalog.probe_top_overlap_batch`,
 ``(−overlap, id)`` total order — bit-identical to a freshly rebuilt
 monolithic index. :meth:`SketchCatalog.compact` folds the delta and
 tombstones into new frozen structures and bumps
-:attr:`SketchCatalog.index_version`; it runs on demand, at the
-``compact_threshold`` delta size, or via the CLI's ``catalog compact``.
+:attr:`SketchCatalog.index_version`; it runs on demand, or via the CLI's
+``catalog compact``.
 """
 
 from __future__ import annotations
@@ -129,10 +129,6 @@ class SketchCatalog:
         aggregate: aggregate function for repeated keys.
         hasher: hashing scheme shared by every sketch in the catalog
             (sketches from different schemes cannot be joined).
-        compact_threshold: fold the delta layer into the frozen
-            structures automatically once it holds this many sketches
-            (``None``, the default, compacts only on demand — see
-            :meth:`compact`).
     """
 
     def __init__(
@@ -140,17 +136,10 @@ class SketchCatalog:
         sketch_size: int = 256,
         aggregate: str = "mean",
         hasher: KeyHasher | None = None,
-        *,
-        compact_threshold: int | None = None,
     ) -> None:
-        if compact_threshold is not None and compact_threshold <= 0:
-            raise ValueError(
-                f"compact_threshold must be positive, got {compact_threshold}"
-            )
         self.sketch_size = sketch_size
         self.aggregate = aggregate
         self.hasher = hasher if hasher is not None else KeyHasher()
-        self.compact_threshold = compact_threshold
         #: id -> CorrelationSketch (insertion-ordered).
         self._sketches: dict[str, CorrelationSketch] = {}
         self._frozen_postings: ColumnarPostings | None = None
@@ -233,7 +222,6 @@ class SketchCatalog:
         self._delta_ids.update(dict.fromkeys(batch))
         self._delta_frozen = None
         self._delta_lsh = None
-        self._maybe_autocompact()
         return list(batch)
 
     def _build_pair_sketch(
@@ -730,13 +718,6 @@ class SketchCatalog:
                 self._delta_lsh.candidate_ids(key_hashes, exclude=exclude)
             )
         return sorted(hits)
-
-    def _maybe_autocompact(self) -> None:
-        if (
-            self.compact_threshold is not None
-            and len(self._delta_ids) >= self.compact_threshold
-        ):
-            self.compact()
 
     def compact(self) -> int:
         """Fold the delta and tombstones into new frozen structures.

@@ -9,7 +9,8 @@ checks the shards' availability once per query and then runs the
 engine's one probe and one page over all of them, with results
 bit-identical to a monolithic catalog, and :mod:`repro.serving.manifest`
 persists the whole thing as one directory of per-shard binary snapshots
-under a versioned ``manifest.json`` with lazy per-shard rehydration.
+under a versioned ``manifest.json``, every shard of which
+:meth:`ShardedCatalog.load` opens once (a shard that fails stays down).
 Queries are answered in the serving process itself.
 
 The resilience layer rides on top: partial answers on the router
@@ -40,7 +41,6 @@ from repro.serving.faults import (
 from repro.serving.manifest import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
-    load_sharded,
     read_manifest,
     save_sharded,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "active_plan",
     "injected",
     "install",
-    "load_sharded",
     "read_manifest",
     "save_sharded",
     "uninstall",

@@ -32,28 +32,28 @@ everything that must be known *before* touching a shard file:
   in insertion order — the placement map — its ``index_version``
   compaction counter and the pending ``delta`` / ``tombstones`` counts
   (so ``catalog info`` reports delta state without opening a single shard
-  file, and a recompacted shard snapshot that no longer matches its
-  manifest fails loudly at materialization).
+  file).
 
-Carrying the placement in the manifest is what makes cold starts lazy:
-:func:`load_sharded` rebuilds the full ``sketch_id → shard`` map and all
-shard sizes without opening a single shard file, so lookups route directly
-and a shard snapshot is only materialized when an operation actually
-probes that shard. Consistency between manifest and shard files is
-checked at materialization time (scheme and sketch count), so a stale or
-swapped shard snapshot fails loudly instead of silently serving the
-wrong corpus.
+:meth:`ShardedCatalog.load <repro.serving.shards.ShardedCatalog.load>`
+reads the manifest, rebuilds the ``sketch_id → shard`` map from it and
+opens every shard snapshot once, checking each against its entry
+(scheme, sketch count, compaction version), so a stale or swapped shard
+snapshot is recorded as failed instead of silently serving the wrong
+corpus. ``catalog info`` and ``catalog verify`` read the manifest and
+the files alone.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.hashing import KeyHasher
 from repro.index.arena import atomic_write_text
 from repro.index.snapshot import save_snapshot
-from repro.serving.shards import ShardedCatalog, ShardUnavailable
+
+if TYPE_CHECKING:
+    from repro.serving.shards import ShardedCatalog
 
 #: Bump on any manifest change; read_manifest reads exactly this
 #: version rather than guessing.
@@ -164,68 +164,3 @@ def read_manifest(directory: str | Path) -> dict:
             )
     return manifest
 
-
-def load_sharded(
-    directory: str | Path, *, lazy: bool = True, on_corruption: str = "raise"
-) -> ShardedCatalog:
-    """Load a sharded catalog from its manifest directory.
-
-    With ``lazy`` (the default) only the manifest is read: every shard
-    starts cold and materializes from its snapshot on first access
-    (:meth:`ShardedCatalog.shard`), so a cold start pays for exactly the
-    shards the workload touches. ``lazy=False`` materializes everything
-    up front (and therefore surfaces any stale shard file immediately).
-
-    ``on_corruption`` sets the catalog's shard-materialization policy:
-    ``"raise"`` (default) fails on the first unreadable shard snapshot;
-    ``"quarantine"`` renames bad files to ``*.quarantined``, walks each
-    shard's fallback chain, and marks unrecoverable shards unavailable
-    instead of failing the whole load — with ``lazy=False`` the load
-    then succeeds on the remaining shards, and
-    ``catalog.quarantine_events`` reports exactly what was skipped.
-    """
-    if on_corruption not in ("raise", "quarantine"):
-        raise ValueError(
-            f"on_corruption must be 'raise' or 'quarantine', "
-            f"got {on_corruption!r}"
-        )
-    directory = Path(directory)
-    manifest = read_manifest(directory)
-    bits, seed = manifest["scheme"]
-    catalog = ShardedCatalog(
-        manifest["n_shards"],
-        sketch_size=manifest["sketch_size"],
-        aggregate=manifest["aggregate"],
-        hasher=KeyHasher(bits=bits, seed=seed),
-    )
-    catalog.on_corruption = on_corruption
-    catalog._shards = [None] * catalog.n_shards
-    for index, entry in enumerate(manifest["shards"]):
-        catalog._shard_paths[index] = directory / entry["file"]
-        catalog._counts[index] = int(entry["sketches"])
-        catalog._shard_versions[index] = int(entry["index_version"])
-        if len(entry["ids"]) != int(entry["sketches"]):
-            raise ValueError(
-                f"corrupt manifest {directory / MANIFEST_NAME}: shard "
-                f"{index} lists {len(entry['ids'])} ids but records "
-                f"{entry['sketches']} sketches"
-            )
-        for sid in entry["ids"]:
-            if sid in catalog._placement:
-                raise ValueError(
-                    f"corrupt manifest {directory / MANIFEST_NAME}: sketch "
-                    f"id {sid!r} appears in more than one shard"
-                )
-            catalog._placement[sid] = index
-    if not lazy:
-        # Quarantined shards are skipped under the "quarantine" policy;
-        # any other failure (every one under "raise") propagates, the
-        # lowest-index first — the eager-load semantics each policy wants.
-        failures = {
-            index: exc
-            for index, exc in catalog.warm().items()
-            if not isinstance(exc, ShardUnavailable)
-        }
-        if failures:
-            raise failures[min(failures)]
-    return catalog

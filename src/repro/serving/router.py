@@ -11,9 +11,10 @@ over all of them. Three facts:
 * **availability is checked once per call.** The retrieval stage step
   walks the shards in index order, on the calling thread: every shard
   passes the ``shard_probe`` fault point and is fetched
-  (:meth:`~repro.serving.shards.ShardedCatalog.shard`: lazy load,
-  sticky quarantine, :class:`~repro.serving.shards.ShardUnavailable`).
-  That check is all the router does shard by shard.
+  (:meth:`~repro.serving.shards.ShardedCatalog.shard`, which raises the
+  error a shard failed to open with at load — a quarantined one's is
+  :class:`~repro.serving.shards.ShardUnavailable`). That check is all
+  the router does shard by shard.
 * **the probe is global.** Retrieval is one stacked ScanCount over the
   surviving shards' live postings
   (:meth:`ShardedCatalog.stacked_postings`: one CSR, documents in global
@@ -82,19 +83,13 @@ class ShardRouter(JoinCorrelationEngine):
     """
 
     def warm(self) -> dict[int, Exception]:
-        """Materialize every catalog shard and the stacked CSR now,
-        instead of on first probe; returns the shards that failed to
-        load (index → error), which warming skips.
-
-        Delegates to :meth:`ShardedCatalog.warm` when the catalog has it
-        (a monolithic stand-in without shards simply has nothing to
-        warm). :meth:`QuerySession.warm
-        <repro.serving.session.QuerySession.warm>` calls it so a
-        service's first queries find every shard mapped, and judges the
-        failures by the session's ``on_shard_error`` policy.
+        """Build the surviving shards' stacked CSR now, instead of on
+        first probe; returns the shards that failed to open (index →
+        error) — :meth:`ShardedCatalog.warm`. :meth:`QuerySession.warm
+        <repro.serving.session.QuerySession.warm>` calls it and judges
+        the failures by the session's ``on_shard_error`` policy.
         """
-        warm = getattr(self.catalog, "warm", None)
-        return {} if warm is None else warm()
+        return self.catalog.warm()
 
     # -- the retrieval stage step --------------------------------------------
 

@@ -224,10 +224,10 @@ class QuerySession:
 
     def warm(self) -> None:
         """Ready the process for steady-state serving (idempotent):
-        materialize lazily-loaded backend state now and pin the
-        allocator (:func:`_pin_malloc_thresholds`, process-wide).
+        build the backend's retrieval state now and pin the allocator
+        (:func:`_pin_malloc_thresholds`, process-wide).
 
-        A shard that fails to load is judged by the router's rule: under
+        A shard that failed to open is judged by the router's rule: under
         ``on_shard_error="raise"`` the lowest-index failure raises here,
         at start-up; under ``"partial"`` warming skips it and every
         answer reports it lost.

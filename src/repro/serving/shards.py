@@ -26,11 +26,10 @@ Either way the catalog tracks ``sketch_id → shard`` in an in-memory
 placement map (persisted in the manifest), so lookups, removals and the
 router's page assembly never scan shards.
 
-Shards rehydrate lazily after :meth:`ShardedCatalog.load`: the manifest
-carries enough metadata (ids, counts, config) that only the shards an
-operation actually touches are materialized from their snapshots — a
-targeted ``get`` loads one shard; per-shard stats (``catalog info``) load
-none.
+:meth:`ShardedCatalog.load` opens every shard snapshot a manifest
+directory names, once, when it opens the catalog; a shard that fails to
+open is recorded then and stays down for the catalog's life
+(:meth:`ShardedCatalog.shard` raises its recorded error).
 """
 
 from __future__ import annotations
@@ -43,17 +42,19 @@ from repro.hashing import KeyHasher
 from repro.hashing.murmur3 import murmur3_32
 from repro.index.catalog import SketchCatalog, SnapshotRefused
 from repro.index.inverted import ColumnarPostings
+from repro.serving.manifest import MANIFEST_NAME, read_manifest, save_sharded
 from repro.table.table import Table
 
 
 class ShardUnavailable(RuntimeError):
     """A shard's snapshot is quarantined with no loadable fallback.
 
-    Raised by :meth:`ShardedCatalog.shard` under
+    Recorded by :meth:`ShardedCatalog.load` under
     ``on_corruption="quarantine"`` once a shard's whole fallback chain
-    failed. Sticky: every later touch of the shard re-raises without
-    re-attempting the load, so the router's ``on_shard_error="partial"``
-    policy can keep dropping the shard at probe cost, not load cost.
+    failed, and raised by :meth:`ShardedCatalog.shard` on every touch of
+    that shard — like any shard that failed to open, it is never
+    re-read, so the router's ``on_shard_error="partial"`` policy keeps
+    dropping it at probe cost, not load cost.
     """
 
 
@@ -66,9 +67,6 @@ class ShardedCatalog:
             resharding is a rebuild, as for any hash-partitioned store).
         sketch_size / aggregate / hasher: shared
             :class:`SketchCatalog` configuration, applied to every shard.
-        compact_threshold: per-shard delta-size compaction trigger,
-            passed through to every :class:`SketchCatalog` partition
-            (``None`` compacts only on demand).
 
     Raises:
         ValueError: if ``n_shards`` is not positive.
@@ -81,156 +79,86 @@ class ShardedCatalog:
         sketch_size: int = 256,
         aggregate: str = "mean",
         hasher: KeyHasher | None = None,
-        compact_threshold: int | None = None,
     ) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
-        self.n_shards = n_shards
+        hasher = hasher if hasher is not None else KeyHasher()
+        self._setup(
+            sketch_size,
+            aggregate,
+            hasher,
+            [
+                SketchCatalog(
+                    sketch_size=sketch_size, aggregate=aggregate, hasher=hasher
+                )
+                for _ in range(n_shards)
+            ],
+            {},
+            {},
+            [],
+        )
+
+    def _setup(
+        self,
+        sketch_size: int,
+        aggregate: str,
+        hasher: KeyHasher,
+        shards: list[SketchCatalog | None],
+        placement: dict[str, int],
+        failures: dict[int, Exception],
+        quarantine_events: list[dict],
+    ) -> None:
+        """Every field, set once: by :meth:`__init__` for an empty
+        catalog, by :meth:`load` for one opened from disk."""
+        self.n_shards = len(shards)
         self.sketch_size = sketch_size
         self.aggregate = aggregate
-        self.hasher = hasher if hasher is not None else KeyHasher()
-        self.compact_threshold = compact_threshold
-        self._shards: list[SketchCatalog | None] = [
-            self._new_shard() for _ in range(n_shards)
-        ]
-        #: Snapshot path per shard; set by the manifest loader, consumed
-        #: by lazy materialization.
-        self._shard_paths: list[Path | None] = [None] * n_shards
+        self.hasher = hasher
+        #: One catalog per shard; None only where :attr:`_failures` holds
+        #: the shard's error.
+        self._shards = shards
         #: sketch_id -> shard index, for every sketch in the catalog.
-        self._placement: dict[str, int] = {}
-        self._counts: list[int] = [0] * n_shards
-        #: Manifest-recorded compaction version per shard (None when the
-        #: catalog was built in memory); checked against each
-        #: materialized snapshot.
-        self._shard_versions: list[int | None] = [None] * n_shards
-        #: Corruption policy for lazy shard materialization: ``"raise"``
-        #: (default) or ``"quarantine"`` (see :meth:`shard`); set by the
-        #: manifest loader.
-        self.on_corruption = "raise"
-        #: shard index -> failure message, for shards whose snapshot
-        #: was quarantined with no loadable fallback (sticky).
-        self._unavailable: dict[int, str] = {}
+        self._placement = placement
+        self._counts = [0] * self.n_shards
+        for index in placement.values():
+            self._counts[index] += 1
+        #: shard index -> the error that shard failed to open with, once,
+        #: at :meth:`load`; :meth:`shard` raises it on every touch.
+        self._failures = failures
         #: Audit log of quarantine/fallback events, in occurrence order:
         #: dicts with ``shard``, ``path`` and either ``error`` (shard
         #: unavailable) or ``recovery`` (loaded through a fallback).
-        self.quarantine_events: list[dict] = []
+        self.quarantine_events = quarantine_events
         #: :meth:`stacked_postings` per shard set, while no write has
         #: cleared it.
         self._stacks: dict[tuple[int, ...], ColumnarPostings] = {}
 
-    def _new_shard(self) -> SketchCatalog:
-        return SketchCatalog(
-            sketch_size=self.sketch_size,
-            aggregate=self.aggregate,
-            hasher=self.hasher,
-            compact_threshold=self.compact_threshold,
-        )
-
     # -- shard access --------------------------------------------------------
 
     def shard(self, index: int) -> SketchCatalog:
-        """The shard at ``index``, materializing it from its snapshot if
-        the catalog was manifest-loaded and this shard is still cold.
-
-        Under ``on_corruption="quarantine"`` an unreadable snapshot is
-        renamed to ``*.quarantined`` and the fallback chain is walked
-        (:meth:`SketchCatalog.load`); if nothing loads, the shard is
-        marked unavailable (sticky — recorded in
-        :attr:`quarantine_events`) and :class:`ShardUnavailable` is
-        raised here and on every later touch.
+        """The shard at ``index``.
 
         Raises:
-            ValueError: when a lazily loaded shard's snapshot disagrees
-                with the manifest (stale or swapped file), under the
-                default ``on_corruption="raise"`` policy.
-            ShardUnavailable: under ``"quarantine"``, when the shard's
-                whole fallback chain failed.
+            Exception: the error the shard failed to open with at
+                :meth:`load` — a stale or truncated snapshot under
+                ``on_corruption="raise"``, :class:`ShardUnavailable`
+                under ``"quarantine"`` — on every touch, the same object
+                each time (its traceback starts afresh at each raise).
         """
-        shard = self._shards[index]
-        if shard is None:
-            if index in self._unavailable:
-                raise ShardUnavailable(
-                    f"shard {index} is quarantined: "
-                    f"{self._unavailable[index]}"
-                )
-            path = self._shard_paths[index]
-            try:
-                shard = self._materialize(index, path)
-            except SnapshotRefused:
-                raise
-            except (OSError, ValueError, KeyError, EOFError) as exc:
-                if self.on_corruption != "quarantine":
-                    raise
-                self._unavailable[index] = str(exc)
-                self.quarantine_events.append(
-                    {"shard": index, "path": str(path), "error": str(exc)}
-                )
-                raise ShardUnavailable(
-                    f"shard {index} is quarantined: {exc}"
-                ) from exc
-            if shard.load_recovery is not None:
-                self.quarantine_events.append(
-                    {
-                        "shard": index,
-                        "path": str(path),
-                        "recovery": shard.load_recovery,
-                    }
-                )
-            self._shards[index] = shard
-        return shard
-
-    def _materialize(self, index: int, path: Path | None) -> SketchCatalog:
-        """One manifest-checked load of a cold shard's snapshot."""
-        shard = SketchCatalog.load(path, on_corruption=self.on_corruption)
-        if shard.hasher.scheme_id != self.hasher.scheme_id:
-            raise ValueError(
-                f"shard snapshot {path} hashing scheme {shard.hasher!r} "
-                f"differs from manifest scheme {self.hasher!r}"
-            )
-        if len(shard) != self._counts[index]:
-            raise ValueError(
-                f"shard snapshot {path} holds {len(shard)} sketches but "
-                f"the manifest records {self._counts[index]} — stale "
-                "shard file; rebuild the manifest directory"
-            )
-        recorded = self._shard_versions[index]
-        if shard.index_version != recorded:
-            raise ValueError(
-                f"shard snapshot {path} is at compaction version "
-                f"{shard.index_version} but the manifest records "
-                f"{recorded} — stale shard file; rebuild the manifest "
-                "directory"
-            )
-        return shard
-
-    @property
-    def loaded_shards(self) -> list[bool]:
-        """Which shards are materialized (cold shards cost no memory)."""
-        return [shard is not None for shard in self._shards]
+        error = self._failures.get(index)
+        if error is not None:
+            raise error.with_traceback(None)
+        return self._shards[index]
 
     def warm(self) -> dict[int, Exception]:
-        """Materialize every shard now (cold shards load their snapshots).
-
-        This maps every cold shard's arena — cheap (O(metadata) per
-        shard), so a service pays it at start-up rather than on its
-        first queries.
-
-        A shard that fails to load — quarantined
-        (:class:`ShardUnavailable`), truncated, stale or refused — is
-        skipped: warming is best-effort over whatever the catalog can
-        still serve. The failures come back as shard index → error, for
-        the caller's policy to judge as a query's shard check would.
-        """
-        failures = {}
-        for index in range(self.n_shards):
-            try:
-                self.shard(index)
-            except Exception as exc:  # noqa: BLE001 — the caller's policy decides
-                failures[index] = exc
+        """Build the surviving shards' stacked CSR now, so a service's
+        first query does not pay for it; returns the shards that failed
+        to open (index → error), for the caller's policy to judge as a
+        query's shard check would."""
         self.stacked_postings(
-            index for index in range(self.n_shards) if index not in failures
+            index for index in range(self.n_shards) if index not in self._failures
         )
-        return failures
+        return dict(self._failures)
 
     def stacked_postings(self, shards: Iterable[int]) -> ColumnarPostings:
         """One CSR over the live postings of ``shards`` — the retrieval
@@ -245,10 +173,11 @@ class ShardedCatalog:
         placement and every write path, so every ``add_*`` / ``remove_*``
         here drops it. Compaction moves postings between a shard's
         layers, never in or out of the live set, and leaves it valid.
-        A degraded catalog's survivor set is stable (a quarantined shard
-        is sticky), so beside the full stack one degraded stack is kept.
+        A degraded catalog's survivor set is stable (a shard that failed
+        to open stays down), so beside the full stack one degraded stack
+        is kept.
 
-        Raises what :meth:`shard` raises for a shard that cannot load.
+        Raises what :meth:`shard` raises for a shard that failed to open.
         """
         key = tuple(shards)
         stack = self._stacks.get(key)
@@ -268,16 +197,12 @@ class ShardedCatalog:
             )
         return stack
 
-    def storage_backends(self) -> list[str | None]:
-        """Per-shard storage backend (``"heap"`` / ``"mmap"``; None for
-        shards not yet materialized)."""
-        return [
-            None if shard is None else shard.storage
-            for shard in self._shards
-        ]
+    def storage_backends(self) -> list[str]:
+        """Per-shard storage backend (``"heap"`` / ``"mmap"``)."""
+        return [self.shard(i).storage for i in range(self.n_shards)]
 
     def shard_sizes(self) -> list[int]:
-        """Sketch count per shard, without materializing any shard."""
+        """Sketch count per shard, from the placement map."""
         return list(self._counts)
 
     def shard_of(self, sketch_id: str) -> int:
@@ -429,7 +354,7 @@ class ShardedCatalog:
         return iter(self._placement)
 
     def get(self, sketch_id: str) -> CorrelationSketch:
-        """Fetch a sketch, materializing only its owning shard."""
+        """Fetch a sketch from its owning shard."""
         return self.shard(self.owner_of(sketch_id)).get(sketch_id)
 
     def sketch_columns(self, sketch_id: str) -> SketchColumns:
@@ -441,26 +366,16 @@ class ShardedCatalog:
     def compact(self) -> list[int]:
         """Fold every shard's delta layer
         (:meth:`SketchCatalog.compact`); returns the per-shard
-        compaction versions. Materializes every shard — compaction is a
-        maintenance operation, not a serving-path one."""
+        compaction versions."""
         return [self.shard(i).compact() for i in range(self.n_shards)]
 
     def delta_sizes(self) -> list[int]:
-        """Per-shard delta-layer sketch counts (materialized shards
-        only answer live; cold shards answer 0 — a cold shard's pending
-        delta, if any, is whatever its snapshot persisted)."""
-        return [
-            0 if shard is None else shard.delta_size
-            for shard in self._shards
-        ]
+        """Per-shard delta-layer sketch counts."""
+        return [self.shard(i).delta_size for i in range(self.n_shards)]
 
     def tombstone_counts(self) -> list[int]:
-        """Per-shard tombstone counts (cold shards report 0, as for
-        :meth:`delta_sizes`)."""
-        return [
-            0 if shard is None else shard.tombstone_count
-            for shard in self._shards
-        ]
+        """Per-shard tombstone counts."""
+        return [self.shard(i).tombstone_count for i in range(self.n_shards)]
 
     # -- persistence ---------------------------------------------------------
 
@@ -474,8 +389,6 @@ class ShardedCatalog:
         frozen outside ``[benchmark]`` PRs — passes ``layout="arena"``;
         it goes when that call drops the argument.
         """
-        from repro.serving.manifest import save_sharded
-
         if layout != "arena":
             raise ValueError(
                 f"unknown shard layout {layout!r}: 'arena' is the only one"
@@ -484,20 +397,120 @@ class ShardedCatalog:
 
     @classmethod
     def load(
-        cls,
-        directory: str | Path,
-        *,
-        lazy: bool = True,
-        on_corruption: str = "raise",
+        cls, directory: str | Path, *, on_corruption: str = "raise"
     ) -> "ShardedCatalog":
-        """Load a manifest directory written by :meth:`save`.
+        """Open a manifest directory written by :meth:`save`, and every
+        shard snapshot it names, once.
 
-        With ``lazy`` (default) shards stay cold until first touched —
-        see :func:`repro.serving.manifest.load_sharded`.
-        ``on_corruption="quarantine"`` makes shard materialization move
-        unreadable snapshots aside and serve degraded (see
-        :meth:`shard`).
+        Each shard is loaded (:meth:`SketchCatalog.load` under
+        ``on_corruption``) and checked against its manifest entry —
+        hashing scheme, sketch count and compaction version — so a stale
+        or swapped shard file is caught here. A shard that fails is
+        recorded (:meth:`shard` raises its error, :meth:`warm` returns
+        it) and stays down for the catalog's life; the others serve.
+        Under ``"quarantine"`` an unreadable snapshot is renamed to
+        ``*.quarantined`` and its fallback chain walked first; a shard
+        with nothing loadable is recorded as :class:`ShardUnavailable`,
+        and every quarantine or fallback lands in
+        :attr:`quarantine_events`.
+
+        Raises:
+            FileNotFoundError / ValueError: for a missing or bad manifest
+                (:func:`repro.serving.manifest.read_manifest`, ids that
+                disagree with the counts or repeat across shards) or an
+                unknown ``on_corruption``; never for a shard.
         """
-        from repro.serving.manifest import load_sharded
+        if on_corruption not in ("raise", "quarantine"):
+            raise ValueError(
+                f"on_corruption must be 'raise' or 'quarantine', "
+                f"got {on_corruption!r}"
+            )
+        directory = Path(directory)
+        manifest = read_manifest(directory)
+        placement: dict[str, int] = {}
+        recorded: list[tuple[Path, int, int]] = []
+        for index, entry in enumerate(manifest["shards"]):
+            count, version = int(entry["sketches"]), int(entry["index_version"])
+            recorded.append((directory / entry["file"], count, version))
+            if len(entry["ids"]) != count:
+                raise ValueError(
+                    f"corrupt manifest {directory / MANIFEST_NAME}: shard "
+                    f"{index} lists {len(entry['ids'])} ids but records "
+                    f"{entry['sketches']} sketches"
+                )
+            for sid in entry["ids"]:
+                if sid in placement:
+                    raise ValueError(
+                        f"corrupt manifest {directory / MANIFEST_NAME}: "
+                        f"sketch id {sid!r} appears in more than one shard"
+                    )
+                placement[sid] = index
+        bits, seed = manifest["scheme"]
+        hasher = KeyHasher(bits=bits, seed=seed)
+        shards: list[SketchCatalog | None] = []
+        failures: dict[int, Exception] = {}
+        events: list[dict] = []
+        for index, (path, count, version) in enumerate(recorded):
+            try:
+                shard = _open_shard(
+                    index, path, count, version, hasher, on_corruption, events
+                )
+            except Exception as exc:  # noqa: BLE001 — recorded; the policy decides
+                shard, failures[index] = None, exc
+            shards.append(shard)
+        catalog = cls.__new__(cls)
+        catalog._setup(
+            manifest["sketch_size"],
+            manifest["aggregate"],
+            hasher,
+            shards,
+            placement,
+            failures,
+            events,
+        )
+        return catalog
 
-        return load_sharded(directory, lazy=lazy, on_corruption=on_corruption)
+
+def _open_shard(
+    index: int,
+    path: Path,
+    count: int,
+    version: int,
+    hasher: KeyHasher,
+    on_corruption: str,
+    events: list[dict],
+) -> SketchCatalog:
+    """One load of shard ``index``'s snapshot, checked against the
+    manifest's scheme, sketch ``count`` and compaction ``version``;
+    logs any quarantine or fallback to ``events``."""
+    try:
+        shard = SketchCatalog.load(path, on_corruption=on_corruption)
+        if shard.hasher.scheme_id != hasher.scheme_id:
+            raise ValueError(
+                f"shard snapshot {path} hashing scheme {shard.hasher!r} "
+                f"differs from manifest scheme {hasher!r}"
+            )
+        if len(shard) != count:
+            raise ValueError(
+                f"shard snapshot {path} holds {len(shard)} sketches but "
+                f"the manifest records {count} — stale shard file; rebuild "
+                "the manifest directory"
+            )
+        if shard.index_version != version:
+            raise ValueError(
+                f"shard snapshot {path} is at compaction version "
+                f"{shard.index_version} but the manifest records {version} "
+                "— stale shard file; rebuild the manifest directory"
+            )
+    except SnapshotRefused:
+        raise
+    except (OSError, ValueError, KeyError, EOFError) as exc:
+        if on_corruption != "quarantine":
+            raise
+        events.append({"shard": index, "path": str(path), "error": str(exc)})
+        raise ShardUnavailable(f"shard {index} is quarantined: {exc}") from exc
+    if shard.load_recovery is not None:
+        events.append(
+            {"shard": index, "path": str(path), "recovery": shard.load_recovery}
+        )
+    return shard

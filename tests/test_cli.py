@@ -862,7 +862,8 @@ def test_catalog_verify_ok_then_mismatch(portal, tmp_path, capsys, extension):
     assert main(["catalog", "verify", str(catalog)]) == 1
     captured = capsys.readouterr()
     assert "FAILED" in captured.out
-    assert "quarantine" in captured.err
+    assert "rebuild it from its CSVs with `index`" in captured.err
+    assert "on_corruption" not in captured.err
 
 
 def test_catalog_verify_json_is_unchecked(portal, tmp_path, capsys):
@@ -894,6 +895,8 @@ def test_shard_verify_clean_corrupt_and_missing(portal, tmp_path, capsys):
     assert "quarantine candidates: shard-0001.arena, shard-0002.arena" in (
         captured.err
     )
+    assert "--on-shard-error partial" in captured.err
+    assert "on_corruption" not in captured.err
 
 
 def _as_arena_version(path, version):

@@ -590,23 +590,20 @@ def test_arena_manifest_round_trip(sharded_world, n_shards):
         entry["file"].endswith(".arena") for entry in manifest["shards"]
     )
     loaded = ShardedCatalog.load(directory)
-    assert loaded.loaded_shards == [False] * n_shards  # still lazy
     assert sorted(loaded) == sorted(catalog)
     for query in queries:
         expected = _key(ShardRouter(catalog, retrieval_depth=10).query(query, k=8))
         got = ShardRouter(loaded, retrieval_depth=10).query(query, k=8)
         assert _key(got) == expected
-    assert all(b in (None, "mmap") for b in loaded.storage_backends())
-    assert "mmap" in loaded.storage_backends()
+    assert loaded.storage_backends() == ["mmap"] * n_shards
 
 
-def test_sharded_warm_maps_every_shard(sharded_world):
+def test_sharded_load_maps_every_shard(sharded_world):
     dirs, _ = sharded_world
     _, directory = dirs[2]
     loaded = ShardedCatalog.load(directory)
-    assert loaded.storage_backends() == [None, None]
-    loaded.warm()
     assert loaded.storage_backends() == ["mmap", "mmap"]
+    assert loaded.warm() == {}
 
 
 def test_router_warm_maps_shards_and_answers_unchanged(sharded_world):

@@ -248,33 +248,6 @@ def test_snapshot_round_trip_preserves_live_delta(tmp_path):
     )
 
 
-def test_autocompaction_threshold_folds_eagerly():
-    """compact_threshold folds automatically once the pending delta plus
-    tombstones reach the threshold — queries stay identical throughout."""
-    rng = np.random.default_rng(7)
-    keys = [f"k{i}" for i in range(N_ROWS)]
-    q = rng.standard_normal(N_ROWS)
-    tables = _corpus_tables(rng, keys, q, n_tables=8)
-    catalog = SketchCatalog(sketch_size=SKETCH_SIZE, compact_threshold=3)
-    oracle = SketchCatalog(sketch_size=SKETCH_SIZE, hasher=catalog.hasher)
-    catalog.add_tables(tables[:4])
-    catalog.frozen_postings()
-    for table in tables[4:]:
-        catalog.add_table(table)
-        assert catalog.delta_size < 3  # the threshold kept the delta small
-    for sid in sorted(catalog):
-        oracle.add_sketch(sid, catalog.get(sid))
-    query = CorrelationSketch.from_columns(
-        keys, q, SKETCH_SIZE, hasher=catalog.hasher, name="query"
-    )
-    _assert_identical(
-        JoinCorrelationEngine(catalog).query(query, k=8, scorer="rp"),
-        JoinCorrelationEngine(oracle).query(query, k=8, scorer="rp"),
-    )
-    with pytest.raises(ValueError, match="compact_threshold"):
-        SketchCatalog(sketch_size=8, compact_threshold=0)
-
-
 # -- deletion-path backfill (PR 5 left these uncovered) ----------------------
 
 

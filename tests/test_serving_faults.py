@@ -37,6 +37,7 @@ from repro.index.snapshot import (
 from repro.serving import (
     FaultPlan,
     InjectedFault,
+    QueryOptions,
     QueryService,
     QuerySession,
     ShardRouter,
@@ -61,10 +62,10 @@ def _no_leaked_plan():
     uninstall()
 
 
-def _build_catalog() -> ShardedCatalog:
+def _build_catalog(n_shards: int = N_SHARDS) -> ShardedCatalog:
     rng = np.random.default_rng(3)
     hasher = KeyHasher()
-    catalog = ShardedCatalog(N_SHARDS, sketch_size=SKETCH_SIZE, hasher=hasher)
+    catalog = ShardedCatalog(n_shards, sketch_size=SKETCH_SIZE, hasher=hasher)
     for i in range(12):
         picked = rng.choice(len(UNIVERSE), size=150, replace=False)
         sid = f"p{i:02d}"
@@ -228,12 +229,11 @@ def test_truncated_shard_quarantined_and_served_partial(tmp_path, layout):
     shard_file = directory / f"shard-0001.{layout}"
     _truncate(shard_file)
 
-    with pytest.raises((ValueError, Exception)):
-        ShardedCatalog.load(directory, lazy=False)  # default policy fails
+    failed = ShardedCatalog.load(directory)  # the default policy records it
+    with pytest.raises(ValueError, match="truncated arena"):
+        failed.shard(1)
 
-    loaded = ShardedCatalog.load(
-        directory, lazy=False, on_corruption="quarantine"
-    )
+    loaded = ShardedCatalog.load(directory, on_corruption="quarantine")
     assert (directory / (shard_file.name + QUARANTINE_SUFFIX)).exists()
     assert not shard_file.exists()
     assert [e["shard"] for e in loaded.quarantine_events] == [1]
@@ -319,13 +319,68 @@ def test_snapshot_read_fault_exercises_quarantine(tmp_path):
     install(
         {"snapshot_read": {"path": "shard-0002", "kind": "exception"}}
     )
-    loaded = ShardedCatalog.load(
-        directory, lazy=False, on_corruption="quarantine"
-    )
+    loaded = ShardedCatalog.load(directory, on_corruption="quarantine")
     assert (directory / ("shard-0002.arena" + QUARANTINE_SUFFIX)).exists()
     with pytest.raises(ShardUnavailable):
         loaded.shard(2)
     assert loaded.shard(0) is not None  # other shards unaffected
+
+
+def test_failed_shard_is_read_once_across_a_partial_session(
+    tmp_path, monkeypatch
+):
+    """Two shards, one truncated, served ``partial``: opening the catalog
+    reads each shard snapshot once, and neither warming nor 20 queries
+    reads one again (re-loading the failed shard on every touch made 22
+    reads). Every answer reports the lost shard and ranks as a
+    monolithic engine over the surviving shard does."""
+    built = _build_catalog(n_shards=2)
+    directory = tmp_path / "shards"
+    built.save(directory)
+    _truncate(directory / "shard-0001.arena")
+    reads = []
+    load = SketchCatalog.load.__func__
+
+    def counted_load(cls, path, **kwargs):
+        reads.append(path.name)
+        return load(cls, path, **kwargs)
+
+    monkeypatch.setattr(SketchCatalog, "load", classmethod(counted_load))
+    session = QuerySession.open(
+        directory, QueryOptions(k=5, on_shard_error="partial")
+    )
+    session.warm()
+    queries = [built.get(sid) for sid in sorted(built)[:4]] * 5
+    results = [session.submit_one(query) for query in queries]
+
+    assert sorted(reads) == ["shard-0000.arena", "shard-0001.arena"]
+    assert [r.shards_failed for r in results] == [1] * 20
+    assert all(r.degraded for r in results)
+    oracle = _survivor_oracle(built, {1})
+    assert [_ranking(r) for r in results] == [
+        _ranking(oracle.query(query, k=5)) for query in queries
+    ]
+
+
+def test_recorded_shard_error_does_not_grow_across_touches(tmp_path):
+    """The recorded error is raised afresh on every touch: its traceback
+    is as long on the tenth query as on the first."""
+    built = _build_catalog()
+    directory = tmp_path / "shards"
+    built.save(directory)
+    _truncate(directory / "shard-0001.arena")
+    router = ShardRouter(ShardedCatalog.load(directory))
+
+    def traceback_depth():
+        with pytest.raises(ValueError) as info:
+            router.query(built.get("p00"), k=5)
+        tb, depth = info.value.__traceback__, 0
+        while tb is not None:
+            tb, depth = tb.tb_next, depth + 1
+        return depth
+
+    first = traceback_depth()
+    assert [traceback_depth() for _ in range(9)] == [first] * 9
 
 
 # -- durability (satellite): fsync faults -------------------------------------

@@ -1,4 +1,5 @@
-"""Manifest persistence: round trips, lazy rehydration, stale shards."""
+"""Manifest persistence: round trips, every shard opened at load, stale
+shards."""
 
 import json
 
@@ -79,32 +80,18 @@ def test_round_trip_preserves_query_results(saved):
     ]
 
 
-def test_lazy_load_materializes_only_probed_shards(saved):
-    catalog, pairs, directory, _ = saved
-    loaded = ShardedCatalog.load(directory)
-    # Manifest-only cold start: nothing materialized, but placement,
-    # sizes and membership are all answerable.
-    assert loaded.loaded_shards == [False] * 3
-    assert loaded.shard_sizes() == catalog.shard_sizes()
-    assert pairs[0][0] in loaded
-    assert loaded.loaded_shards == [False] * 3
-    # A targeted get touches exactly the owning shard.
-    loaded.get(pairs[0][0])
-    assert sum(loaded.loaded_shards) == 1
-    assert loaded.loaded_shards[loaded.owner_of(pairs[0][0])]
-
-
 def test_eager_load_materializes_everything(saved):
-    _, _, directory, _ = saved
-    loaded = ShardedCatalog.load(directory, lazy=False)
-    assert loaded.loaded_shards == [True] * 3
+    catalog, _, directory, _ = saved
+    loaded = ShardedCatalog.load(directory)
+    assert loaded.storage_backends() == ["mmap"] * 3
+    assert loaded.shard_sizes() == catalog.shard_sizes()
 
 
 def test_loaded_shards_start_with_warm_postings(saved):
     """Per-shard v2 snapshots ship frozen postings, so a loaded shard
     answers its first probe without a freeze."""
     _, _, directory, _ = saved
-    loaded = ShardedCatalog.load(directory, lazy=False)
+    loaded = ShardedCatalog.load(directory)
     for i in range(3):
         assert loaded.shard(i)._frozen_postings is not None
 
@@ -113,7 +100,7 @@ def test_mutation_after_load_lands_in_only_target_shards_delta(saved):
     """Incremental maintenance on a loaded catalog: the append becomes a
     delta entry on exactly the owning shard — no shard is re-frozen."""
     _, _, directory, _ = saved
-    loaded = ShardedCatalog.load(directory, lazy=False)
+    loaded = ShardedCatalog.load(directory)
     from repro.table.table import table_from_arrays
 
     loaded.add_table(
@@ -158,7 +145,7 @@ def test_retired_manifest_generations_refused(
     manifest_path.write_text(json.dumps(payload))
     before = sorted(p.name for p in directory.iterdir())
     with pytest.raises(ValueError, match=message):
-        ShardedCatalog.load(directory, lazy=False, on_corruption=on_corruption)
+        ShardedCatalog.load(directory, on_corruption=on_corruption)
     assert sorted(p.name for p in directory.iterdir()) == before
 
 
@@ -193,8 +180,8 @@ def test_missing_manifest_refused(tmp_path):
 
 def test_stale_shard_snapshot_detected(saved):
     """A shard file inconsistent with the manifest (here: swapped for a
-    snapshot with a different sketch count) fails loudly on
-    materialization instead of serving the wrong corpus."""
+    snapshot with a different sketch count) is recorded at load and
+    raised on every touch instead of serving the wrong corpus."""
     catalog, _, directory, manifest_path = saved
     payload = json.loads(manifest_path.read_text())
     # Overwrite shard 0's snapshot with an empty catalog of the same

@@ -263,8 +263,8 @@ def test_depth_100_query_is_one_probe_one_page_and_wakes_its_candidates(
 ):
     """Four arena shards, 160 sketches, depth 100: one stacked ScanCount,
     one page-kernel pass, and only the page's candidates leave the arena
-    — warming (which builds the stack from the shards' CSR arrays) wakes
-    none. The predecessor made four of each."""
+    — opening and warming (which builds the stack from the shards' CSR
+    arrays) wake none. The predecessor made four of each."""
     rng = np.random.default_rng(3)
     built = ShardedCatalog(4, sketch_size=64, hasher=HASHER)
     built.add_sketches(
@@ -274,11 +274,11 @@ def test_depth_100_query_is_one_probe_one_page_and_wakes_its_candidates(
     built.save(tmp_path / "shards")
     query = _sketch_sized(rng, "query")
 
-    catalog = ShardedCatalog.load(tmp_path / "shards")
     wakes = _count_calls(monkeypatch, _DeferredEntryDict, "_wake")
+    catalog = ShardedCatalog.load(tmp_path / "shards")
     router = ShardRouter(catalog, retrieval_depth=100)
     router.warm()
-    assert catalog.loaded_shards == [True] * 4 and not wakes
+    assert catalog.storage_backends() == ["mmap"] * 4 and not wakes
     probes = _count_calls(monkeypatch, ColumnarPostings, "overlap_counts_batch")
     passes = _count_calls(monkeypatch, joined_sample, "_join_rows")
     result = router.query(query, k=10)
