@@ -1,9 +1,7 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for ``bench_ablation_retrieval.py``.
 
-Collections are generated once per session; every benchmark derives its
-workload from these so the whole suite stays laptop-sized while keeping
-the distributional shape of the paper's datasets (see DESIGN.md for the
-paper-scale vs bench-scale parameters).
+The collection is generated once per session; it keeps the distributional
+shape of the paper's NYC Open Data corpus at a laptop-sized table count.
 """
 
 from __future__ import annotations
@@ -19,39 +17,10 @@ from repro.data.workloads import collection_column_pairs
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--quick",
-        action="store_true",
-        default=False,
-        help="shrink benchmark workloads to a CI-sized smoke run "
-        "(skips absolute-performance assertions)",
-    )
-
-
-#: Whether this session is a --quick smoke (set once by pytest_configure;
-#: the bench files import ``write_result`` from this same module object).
-_quick = False
-
-
-def pytest_configure(config):
-    global _quick
-    _quick = config.getoption("--quick")
-
-
-@pytest.fixture(scope="session")
-def quick(request) -> bool:
-    """True when the suite runs as a --quick smoke (CI) invocation."""
-    return request.config.getoption("--quick")
-
-
 def write_result(name: str, text: str) -> None:
-    """Echo a regenerated table/figure to stdout and, at full scale,
-    persist it. The files under ``results/`` are checked in as the
-    full-scale record, so a ``--quick`` smoke only prints."""
+    """Echo a regenerated table/figure to stdout and persist it under
+    ``results/`` (checked in as the full-scale record)."""
     print(f"\n===== {name} =====\n{text}\n")
-    if _quick:
-        return
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / name).write_text(text + "\n")
 

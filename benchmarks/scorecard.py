@@ -25,10 +25,16 @@ per seed and as a spread (min, max). The rows:
   ``joinability`` (§3.3's KMV statistics) and ``statistics`` (mutual
   information).
 
+Two serving costs are timed beside them: ``fault_guard`` (the
+``on_shard_error="partial"`` guard on a fault-free 4-shard router against
+the default policy) and ``rerank`` (the ``rb_cib`` re-rank under
+``rng_mode="batched"`` against ``"compat"``).
+
 Wall-clock numbers (Table 2's sketch vs full-join times, the bounds row's
-Hoeffding vs PM1 cost, sketch build times) go in a separate ``timed``
-block; the ``scorecard`` block is deterministic, so two runs of the same
-tree print it identically. Each paper claim is a named check; the script
+Hoeffding vs PM1 cost, sketch build times, the two serving costs) go in a
+separate ``timed`` block; the ``scorecard`` block is deterministic, so two
+runs of the same tree print it identically. Each paper claim is a named
+check; the script
 prints the document as JSON on stdout, a summary on stderr, and exits 1
 when a check fails. ``--quick`` runs every row and check at toy scale.
 ``--bench-file PATH`` also writes the document with the git sha, the
@@ -75,10 +81,12 @@ from repro.data.sbn import generate_sbn_collection, generate_sbn_pair  # noqa: E
 from repro.data.workloads import PairRef, sample_combinations  # noqa: E402
 from repro.hashing import KeyHasher  # noqa: E402
 from repro.index.catalog import SketchCatalog  # noqa: E402
+from repro.index.engine import JoinCorrelationEngine  # noqa: E402
 from repro.index.options import QueryOptions  # noqa: E402
 from repro.ranking.metrics import average_precision, ndcg_at  # noqa: E402
 from repro.ranking.ranker import rank_candidates  # noqa: E402
 from repro.ranking.scoring import SCORER_NAMES, ScoreColumns  # noqa: E402
+from repro.serving import ShardedCatalog, ShardRouter  # noqa: E402
 from repro.serving.session import QuerySession  # noqa: E402
 from repro.table.join import jaccard_containment, join_columns, join_tables  # noqa: E402
 
@@ -121,6 +129,10 @@ class Size:
     collision_keys: int
     aggregate_keys: int
     mi_rows: int
+    guard_sketches: int
+    guard_queries: int
+    rerank_sketches: int
+    rerank_queries: int
 
 
 RECORD = Size(
@@ -130,7 +142,8 @@ RECORD = Size(
     timing_max_rows=120_000, bounds_sizes=(256, 1024, 4096, 16_384),
     bounds_trials=200, sweep_pairs=40, sweep_rows=20_000, hash_pairs=15,
     hash_rows=30_000, collision_keys=300_000, aggregate_keys=4000,
-    mi_rows=30_000,
+    mi_rows=30_000, guard_sketches=2048, guard_queries=48, rerank_sketches=2048,
+    rerank_queries=3,
 )
 QUICK = Size(
     "quick", replace(fixtures.SMOKE, corpus_tables=80, query_tables=24, quality_ops=30),
@@ -139,7 +152,8 @@ QUICK = Size(
     min_joinability=20, timing_pairs=12, timing_max_rows=30_000,
     bounds_sizes=(256, 1024, 4096, 16_384), bounds_trials=30, sweep_pairs=12,
     sweep_rows=8000, hash_pairs=6, hash_rows=10_000, collision_keys=300_000,
-    aggregate_keys=2000, mi_rows=10_000,
+    aggregate_keys=2000, mi_rows=10_000, guard_sketches=256, guard_queries=8,
+    rerank_sketches=160, rerank_queries=1,
 )
 
 
@@ -639,7 +653,8 @@ def bounds_row(card: Card, seed: int, size: Size) -> None:
                    [s["hoeffding"]["mean_width"], s["fisher"]["mean_width"]])
     # Cost at the smallest size: the closed form against the bootstrap,
     # interleaved per draw with the other two methods as a query mixes
-    # them.
+    # them. The check reads the median of the per-draw ratios, so a slow
+    # host phase that hits one side of a few draws cannot move it.
     n = size.bounds_sizes[0]
     indptr = np.array([0, n])
     cost = {"hoeffding": [], "pm1": []}
@@ -653,9 +668,11 @@ def bounds_row(card: Card, seed: int, size: Size) -> None:
         cost["pm1"].append(t)
         hfd_intervals(page_moments(sx, sy, indptr), c_low, c_high)
     us = {m: _mean(v) * 1e6 for m, v in cost.items()}
-    card.row("bounds", seed, {"n": n, "mean_us": us}, timed=True)
-    card.check("bounds", seed, "Hoeffding costs < 1/20 of PM1",
-               us["hoeffding"] * 20 < us["pm1"], [us["hoeffding"], us["pm1"]], timed=True)
+    ratio = float(np.median(np.divide(cost["pm1"], cost["hoeffding"])))
+    card.row("bounds", seed, {"n": n, "mean_us": us, "pm1_over_hoeffding_median": ratio},
+             timed=True)
+    card.check("bounds", seed, "Hoeffding costs < 1/20 of PM1 (median per-draw ratio)",
+               ratio > 20, ratio, timed=True)
 
 
 def _sbn_pairs(rng, count: int, rows: int):
@@ -848,6 +865,95 @@ def statistics_row(card: Card, seed: int, size: Size) -> None:
                    [d["quadratic"]["mi"], d[other]["mi"]])
 
 
+# -- serving costs (timed) -------------------------------------------------------------
+
+
+def _random_sketches(rng, count: int, universe, rows: tuple[int, int], sketch_size: int,
+                     hasher, prefix: str):
+    """``count`` sketches of random key subsets of ``universe``, each of
+    ``rng.integers(*rows)`` rows."""
+    out = []
+    for i in range(count):
+        m = int(rng.integers(*rows))
+        keys = universe[rng.choice(universe.shape[0], m, replace=False)]
+        out.append((f"{prefix}{i:05d}", CorrelationSketch.from_columns(
+            keys, rng.standard_normal(m), sketch_size, hasher=hasher, name=f"{prefix}{i:05d}",
+        )))
+    return out
+
+
+def _interleaved(sides: tuple[str, str], queries, call, rounds: int = 3) -> dict:
+    """``call(side, query)`` for every query under both sides, back to back
+    in alternating order, ``rounds`` times; the results per side, one
+    round after another."""
+    out = {side: [] for side in sides}
+    for rnd in range(rounds):
+        for j, query in enumerate(queries):
+            for side in sides[::-1] if (rnd + j) % 2 else sides:
+                out[side].append(call(side, query))
+    return out
+
+
+def fault_guard_row(card: Card, seed: int, size: Size) -> None:
+    """``on_shard_error="partial"`` with no fault installed against the
+    default ``raise`` policy, over 4 shards, best of 3 interleaved passes
+    per query; the guard may cost at most 5 % + 0.2 ms of the p50."""
+    rng = np.random.default_rng([seed, 9])
+    universe = np.arange(12_000)
+    catalog = ShardedCatalog(4, sketch_size=128)
+    catalog.add_sketches(_random_sketches(
+        rng, size.guard_sketches, universe, (400, 401), 128, catalog.hasher, "pair"))
+    queries = [q for _, q in _random_sketches(
+        rng, size.guard_queries, universe, (800, 801), 128, catalog.hasher, "query")]
+    router = ShardRouter(catalog)
+
+    def run(policy, query):
+        return _timed(lambda: router.query(query, k=10, on_shard_error=policy))[1]
+
+    for policy in ("raise", "partial"):
+        run(policy, queries[0])
+    seconds = _interleaved(("raise", "partial"), queries, run)
+    p50 = {policy: float(np.median(np.reshape(v, (3, len(queries))).min(axis=0))) * 1e3
+           for policy, v in seconds.items()}
+    card.row("fault_guard", seed, {"p50_ms": p50}, timed=True)
+    card.check("fault_guard", seed, "clean partial p50 <= 1.05 x raise p50 + 0.2 ms",
+               p50["partial"] <= 1.05 * p50["raise"] + 0.2, [p50["partial"], p50["raise"]],
+               timed=True)
+
+
+def rerank_row(card: Card, seed: int, size: Size) -> None:
+    """The ``rb_cib`` re-rank (sketch size 1 024, depth 100) under
+    ``rng_mode="batched"`` against the per-candidate ``"compat"``
+    bootstrap, 3 interleaved passes; the ratio of the two medians must be
+    at least 5."""
+    rng = np.random.default_rng([seed, 10])
+    universe = np.array([f"key{i:06d}" for i in range(12_000)])
+    catalog = SketchCatalog(sketch_size=1024)
+    catalog.add_sketches(_random_sketches(
+        rng, size.rerank_sketches, universe, (1_200, 2_500), 1024, catalog.hasher, "pair"))
+    queries = [q for _, q in _random_sketches(
+        rng, size.rerank_queries, universe, (1_800, 2_500), 1024, catalog.hasher, "query")]
+    engines = {mode: JoinCorrelationEngine(catalog, rng_mode=mode)
+               for mode in ("compat", "batched")}
+
+    def run(mode, query):
+        return engines[mode].query(query, k=10, scorer="rb_cib")
+
+    for mode in engines:
+        run(mode, queries[0])
+    results = _interleaved(("compat", "batched"), queries, run)
+    pages = {mode: [r.candidates_considered for r in v] for mode, v in results.items()}
+    card.row("rerank", seed, {"candidates_considered": pages["batched"][: len(queries)]})
+    card.check("rerank", seed, "compat and batched re-rank the same candidate pages",
+               pages["compat"] == pages["batched"], pages["batched"][: len(queries)])
+    ms = {mode: float(np.median([r.rerank_seconds for r in v])) * 1e3
+          for mode, v in results.items()}
+    speedup = ms["compat"] / ms["batched"]
+    card.row("rerank", seed, {"median_ms": ms, "speedup": speedup}, timed=True)
+    card.check("rerank", seed, "rb_cib re-rank: batched >= 5 x compat", speedup >= 5,
+               speedup, timed=True)
+
+
 # -- driver ----------------------------------------------------------------------------
 
 
@@ -860,7 +966,7 @@ def run(size: Size) -> dict:
             print(f"seed {seed}: {row.__name__}", file=sys.stderr)
             row(card, corpus, size)
         for row in (table2_row, bounds_row, sketch_size_row, hash_width_row,
-                    aggregates_row, statistics_row):
+                    aggregates_row, statistics_row, fault_guard_row, rerank_row):
             print(f"seed {seed}: {row.__name__}", file=sys.stderr)
             row(card, seed, size)
     return card.document(size)

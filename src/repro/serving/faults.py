@@ -33,18 +33,17 @@ is a dict with a ``kind`` plus matchers and scoping:
   lock, so threaded HTTP handlers probing shards concurrently fire a
   ``times=n`` rule exactly ``n`` times;
 * ``probability`` — fire on this fraction of matching hits, drawn from
-  the plan's seeded :class:`random.Random` stream (chaos benchmarks;
+  the plan's seeded :class:`random.Random` stream (chaos scenarios;
   omit for the deterministic always-fire used by the test matrix).
 
-Example (the ISSUE's canonical plan)::
+Example (shard 1's probe slowed by 50 ms)::
 
     install({"shard_probe": {"shard": 1, "kind": "delay", "ms": 50}})
 
 Determinism and overhead contract:
 
-* the plan's random stream is seeded from ``seed`` (default: the
-  ``REPRO_FAULT_SEED`` environment variable, else 7), so a pinned seed
-  replays the same fault sequence;
+* the plan's random stream is seeded from ``seed`` (default 7), so a
+  plan built with the same seed replays the same fault sequence;
 * nothing fires unless a plan was explicitly installed. The hooks in
   :mod:`repro.index` check ``sys.modules`` for this module before doing
   anything, so a process that never imports ``repro.serving.faults``
@@ -54,7 +53,6 @@ Determinism and overhead contract:
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -140,14 +138,10 @@ class FaultPlan:
 
     Args:
         spec: ``{site: rule-or-list-of-rules}`` (see the module docs).
-        seed: seed for the probability stream; ``None`` reads the
-            ``REPRO_FAULT_SEED`` environment variable (default 7) so CI
-            can pin the whole suite's fault randomness from one place.
+        seed: seed for the probability stream.
     """
 
-    def __init__(self, spec: dict, seed: int | None = None) -> None:
-        if seed is None:
-            seed = int(os.environ.get("REPRO_FAULT_SEED", 7))
+    def __init__(self, spec: dict, seed: int = 7) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
         self.rules: dict[str, list[FaultRule]] = {}
@@ -198,7 +192,7 @@ class FaultPlan:
 _PLAN: FaultPlan | None = None
 
 
-def install(spec: dict | FaultPlan, seed: int | None = None) -> FaultPlan:
+def install(spec: dict | FaultPlan, seed: int = 7) -> FaultPlan:
     """Install a fault plan process-globally (replacing any previous
     plan); returns it."""
     global _PLAN
@@ -225,7 +219,7 @@ def maybe_fire(site: str, **context) -> None:
 
 
 @contextmanager
-def injected(spec: dict, seed: int | None = None):
+def injected(spec: dict, seed: int = 7):
     """Scope a fault plan to a ``with`` block (test-suite sugar)."""
     plan = install(spec, seed=seed)
     try:

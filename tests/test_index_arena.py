@@ -10,8 +10,11 @@ mapping (delta/tombstone heap structures, copy-on-compact) and the
 mapping survives ``os.replace`` / ``os.unlink`` of the snapshot file.
 """
 
+import ctypes
+import gc
 import json
 import math
+import multiprocessing
 import os
 import struct
 
@@ -414,6 +417,117 @@ def test_query_parity_mmap_vs_heap(parity_world, scorer, backend):
         ]
         got_batch = engines[1].query_batch(queries, k=8, scorer=scorer)
         assert [_key(r) for r in got_batch] == expected_batch
+
+
+# -- multi-process residency: the mapping is shared between processes -------
+
+#: Physical memory a second process may add by loading a catalog another
+#: process already serves (PSS summed over both, MB). The arena below is
+#: ~4.2 MB and the second process adds 2.6–2.8 MB on Linux, so the bound
+#: leaves 3.2–3.4 MB of headroom yet fails a process that also copies the
+#: arena into its heap (6.9 MB); the heap-resident JSON load of the same
+#: catalog adds ~52 MB.
+SECOND_PROCESS_MAX_MB = 6.0
+
+
+def _pss_bytes() -> int:
+    with open("/proc/self/smaps_rollup") as handle:
+        for line in handle:
+            if line.startswith("Pss:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no Pss line in /proc/self/smaps_rollup")
+
+
+def _trim_heap() -> None:
+    """Hand freed allocator pages back to the OS (glibc ``malloc_trim``),
+    so a reading counts what a process holds, not what it freed."""
+    try:
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
+    except (OSError, AttributeError):
+        pass
+
+
+def _serve_and_touch(path, query):
+    """Load ``path``, answer one query and read every mapped page."""
+    catalog = SketchCatalog.load(path)
+    JoinCorrelationEngine(catalog).query(query, k=10)
+    arena = getattr(catalog, "_arena", None)
+    if arena is not None:
+        arena.verify_payload()
+    _trim_heap()
+    return catalog
+
+
+def _residency_worker(role, path, query, barrier, readings):
+    """Process 0 loads first, process 1 loads second; both read their PSS
+    before and after each load while both are alive, so every reading
+    divides shared pages between the same processes."""
+    held = []  # the loaded catalog stays resident through every later reading
+    pss = []
+    for loader in (None, 0, 1):
+        if loader == role:
+            held.append(_serve_and_touch(path, query))
+        barrier.wait()
+        pss.append(_pss_bytes())
+        barrier.wait()
+    readings.put((role, pss))
+
+
+def _second_process_mb(path, query) -> float:
+    ctx = multiprocessing.get_context("fork")
+    barrier = ctx.Barrier(2, timeout=60)
+    readings = ctx.Queue()
+    workers = [
+        ctx.Process(
+            target=_residency_worker, args=(role, path, query, barrier, readings)
+        )
+        for role in (0, 1)
+    ]
+    for worker in workers:
+        worker.start()
+    pss = [readings.get(timeout=60)[1] for _ in workers]
+    for worker in workers:
+        worker.join(timeout=60)
+        assert worker.exitcode == 0
+    return sum(p[2] - p[1] for p in pss) / 2**20
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/smaps_rollup"),
+    reason="needs Linux PSS accounting (/proc/self/smaps_rollup)",
+)
+def test_second_serving_process_shares_the_arena(tmp_path):
+    """Two forked processes load one 1 024-sketch catalog and touch every
+    page: from the ``.arena`` the second adds at most
+    ``SECOND_PROCESS_MAX_MB``, because both map the same file pages; from
+    the ``.json`` (each process builds the catalog in its own heap) the
+    second adds more than that."""
+    rng = np.random.default_rng(3)
+    catalog = SketchCatalog(sketch_size=256)
+
+    def sketch(name, n_rows):
+        keys = rng.choice(20_000, n_rows, replace=False)
+        return CorrelationSketch.from_columns(
+            keys, rng.standard_normal(n_rows), 256, hasher=catalog.hasher, name=name
+        )
+
+    catalog.add_sketches(
+        (f"pair{i:05d}", sketch(f"pair{i:05d}", 600)) for i in range(1024)
+    )
+    query = sketch("query", 1200)
+    for suffix in ("arena", "json"):
+        catalog.save(tmp_path / f"c.{suffix}")
+    # What a first query imports and caches is inherited by both
+    # processes instead of read as catalog cost; the build heap is
+    # returned to the OS before the fork.
+    JoinCorrelationEngine(catalog).query(query, k=10)
+    del catalog
+    gc.collect()
+    _trim_heap()
+    arena_mb = _second_process_mb(tmp_path / "c.arena", query)
+    json_mb = _second_process_mb(tmp_path / "c.json", query)
+    assert arena_mb <= SECOND_PROCESS_MAX_MB, (arena_mb, json_mb)
+    assert json_mb > SECOND_PROCESS_MAX_MB, (arena_mb, json_mb)
 
 
 # -- mutation + mapping lifecycle ---------------------------------------------

@@ -197,6 +197,47 @@ def test_all_shards_failing_yields_empty_degraded_result(catalog, queries):
     assert result.degraded and result.ranked == []
 
 
+def test_probabilistic_shard_faults_degrade_to_the_survivors():
+    """Each of 4 shards' probes raises with probability 0.1 (seeded), over
+    passes of 8 queries: every query still probes all 4 shards, is flagged
+    degraded exactly when a shard failed, counts the shards that fired
+    for it, and answers exactly as a monolithic engine over the shards
+    that survived it."""
+    catalog = _build_catalog(4)
+    rng = np.random.default_rng(17)
+    queries = []
+    for j in range(8):
+        picked = sorted(rng.choice(len(UNIVERSE), size=200, replace=False))
+        queries.append(
+            CorrelationSketch.from_columns(
+                [UNIVERSE[i] for i in picked],
+                rng.standard_normal(200),
+                SKETCH_SIZE,
+                hasher=catalog.hasher,
+                name=f"q{j}",
+            )
+        )
+    router = ShardRouter(catalog)
+    oracles = {}
+    degraded = 0
+    with injected(
+        {"shard_probe": {"kind": "exception", "probability": 0.1, "times": None}}
+    ) as plan:
+        for _ in range(3):
+            for query in queries:
+                fired = len(plan.fired_log)
+                got = router.query(query, k=5, on_shard_error="partial")
+                lost = frozenset(ctx["shard"] for _, ctx in plan.fired_log[fired:])
+                assert got.shards_probed == 4
+                assert got.degraded == (got.shards_failed > 0)
+                assert got.shards_failed == len(lost)
+                if lost not in oracles:
+                    oracles[lost] = _survivor_oracle(catalog, lost)
+                assert _ranking(got) == _ranking(oracles[lost].query(query, k=5))
+                degraded += got.degraded
+    assert degraded > 0
+
+
 def test_router_validates_resilience_arguments(catalog, queries):
     router = ShardRouter(catalog)
     with pytest.raises(ValueError, match="on_shard_error"):
@@ -498,7 +539,9 @@ def test_path_matcher_is_substring():
 
 
 def test_probability_stream_is_seeded():
-    def fired_pattern(seed):
+    """A seed replays its fault sequence; a plan built without one is
+    seeded 7."""
+    def fired_pattern(**seed):
         plan = FaultPlan(
             {
                 "shard_probe": {
@@ -506,7 +549,7 @@ def test_probability_stream_is_seeded():
                     "probability": 0.5, "times": None,
                 }
             },
-            seed=seed,
+            **seed,
         )
         install(plan)
         pattern = []
@@ -517,15 +560,10 @@ def test_probability_stream_is_seeded():
         uninstall()
         return pattern
 
-    assert fired_pattern(11) == fired_pattern(11)
-    assert fired_pattern(11) != fired_pattern(12)
-
-
-def test_seed_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULT_SEED", "41")
-    assert FaultPlan({}).seed == 41
-    monkeypatch.delenv("REPRO_FAULT_SEED")
+    assert fired_pattern(seed=11) == fired_pattern(seed=11)
+    assert fired_pattern(seed=11) != fired_pattern(seed=12)
     assert FaultPlan({}).seed == 7
+    assert fired_pattern() == fired_pattern(seed=7)
 
 
 def test_injected_fault_is_a_value_error():
