@@ -539,8 +539,8 @@ def test_path_matcher_is_substring():
 
 
 def test_probability_stream_is_seeded():
-    """A seed replays its fault sequence; a plan built without one is
-    seeded 7."""
+    """A seed replays its fault sequence; a plan built without one
+    replays seed 7's."""
     def fired_pattern(**seed):
         plan = FaultPlan(
             {
@@ -562,8 +562,19 @@ def test_probability_stream_is_seeded():
 
     assert fired_pattern(seed=11) == fired_pattern(seed=11)
     assert fired_pattern(seed=11) != fired_pattern(seed=12)
-    assert FaultPlan({}).seed == 7
     assert fired_pattern() == fired_pattern(seed=7)
+
+
+def test_seed_env_default(monkeypatch):
+    """The default seed is 7 and no environment variable changes it: a
+    plan's seed is whatever its constructor was given."""
+    monkeypatch.setenv("REPRO_FAULT_SEED", "41")
+    assert FaultPlan({}).seed == 7
+    assert install({}).seed == 7
+    uninstall()
+    monkeypatch.delenv("REPRO_FAULT_SEED")
+    assert FaultPlan({}).seed == 7
+    assert FaultPlan({}, seed=41).seed == 41
 
 
 def test_injected_fault_is_a_value_error():
