@@ -73,7 +73,7 @@ from repro.index.catalog import SketchCatalog, _refuse_retired_snapshot
 from repro.index.engine import RETRIEVAL_BACKENDS
 from repro.index.lsh import DEFAULT_BANDS, DEFAULT_ROWS
 from repro.index.options import QueryOptions
-from repro.index.snapshot import detect_format
+from repro.index.snapshot import BYTE_GROUPS, arena_bytes_by_group, detect_format
 from repro.ranking.scoring import RNG_MODES, SCORER_NAMES
 from repro.table.csv_io import read_csv
 from repro.table.table import ColumnPair, Table
@@ -767,6 +767,7 @@ def cmd_info(args: argparse.Namespace) -> int:
             f"arena        : {arena['arrays']} arrays, "
             f"{arena['header_bytes']:,} header bytes"
         )
+        _print_bytes_per_sketch(arena_bytes_by_group(path), len(catalog))
     print(f"sketches     : {len(catalog)}")
     print(f"sketch size  : {catalog.sketch_size} (aggregate: {catalog.aggregate})")
     print(f"hash scheme  : bits={catalog.hasher.bits} seed={catalog.hasher.seed}")
@@ -866,7 +867,7 @@ def _verify_status(path: Path) -> tuple[str, str]:
     except SnapshotRefused as exc:
         return f"REFUSED ({exc})", "refused"
     except (OSError, ValueError, KeyError) as exc:
-        return f"FAILED (unreadable: {exc})", "corrupt"
+        return f"FAILED ({exc})", "corrupt"
     if verdict is None:
         return f"unchecked (no checksum: {detect_format(path)})", "ok"
     return ("ok", "ok") if verdict else ("FAILED (checksum mismatch)", "corrupt")
@@ -920,6 +921,16 @@ def _verify_shards(directory: Path) -> int:
     return 0
 
 
+def _print_bytes_per_sketch(groups: dict[str, int], sketches: int) -> None:
+    """One line of on-disk bytes per sketch, by group
+    (:func:`repro.index.snapshot.arena_bytes_by_group`), with the total
+    they sum to."""
+    if not sketches:
+        return
+    parts = ", ".join(f"{group} {size / sketches:.1f}" for group, size in groups.items())
+    print(f"bytes/sketch : {parts} (total {sum(groups.values()) / sketches:.1f})")
+
+
 def _print_shard_info(directory: Path) -> int:
     """``catalog info`` on a manifest directory: the sharded layout, from
     the manifest alone."""
@@ -951,16 +962,28 @@ def _print_shard_info(directory: Path) -> int:
             f"({exc!r})"
         ) from exc
     disk = (directory / MANIFEST_NAME).stat().st_size
-    missing = []
+    # The manifest is metadata: its bytes join the shards' headers.
+    groups = dict.fromkeys(BYTE_GROUPS, 0)
+    groups["header"] = disk
+    missing, unreadable = [], []
     for name in files:
         shard_path = directory / name
-        if shard_path.is_file():
-            disk += shard_path.stat().st_size
-        else:
+        if not shard_path.is_file():
             missing.append(name)
+            continue
+        disk += shard_path.stat().st_size
+        try:
+            for group, size in arena_bytes_by_group(shard_path).items():
+                groups[group] += size
+        except (OSError, ValueError) as exc:
+            unreadable.append(f"{name} ({exc})")
     for line in header:
         print(line)
     print(f"on-disk bytes: {disk:,}")
+    if unreadable:
+        print(f"bytes/sketch : unavailable, unreadable shard(s): {'; '.join(unreadable)}")
+    elif not missing:
+        _print_bytes_per_sketch(groups, sum(counts))
     deltas = sum(delta for _, delta, _ in maintenance)
     tombstones = sum(tombs for _, _, tombs in maintenance)
     print(

@@ -850,6 +850,9 @@ class SketchCatalog:
                 _add(*lsh._slots, *lsh._filled)
         if self._lsh_pending is not None:
             _add(self._lsh_pending[1], self._lsh_pending[2])
+        source = getattr(self._sketches, "_source", None)
+        if source is not None:  # a snapshot's entry vocabulary, widened
+            _add(source.entry_vocab)
         for entry in dict.values(self._sketches):
             if type(entry) is not int:  # not asleep in the snapshot
                 columns = entry.columnar()

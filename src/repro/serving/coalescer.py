@@ -31,6 +31,16 @@ form naturally only while an execution is already in flight — arrivals
 queue behind it and flush together the moment the flusher frees up.
 A positive ``max_wait_ms`` instead holds the window open to let
 companions accumulate, trading per-request latency for larger batches.
+
+**Two closed-loop clients.** Under the adaptive window, two clients that
+each send their next request only after their last answer form a window
+larger than one only when one request arrives before the flusher takes
+the other. While A's request executes, B's waits; when A's finishes the
+flusher takes B's alone, since A's next request follows A's answer. So
+two connections see windows of one, which is why the record's
+``serving.coalescer.batch_size_mean_conn2`` reads 1.0; a window of two
+needs two requests pending behind one execution, as with three or more
+clients.
 """
 
 from __future__ import annotations

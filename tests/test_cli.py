@@ -768,6 +768,77 @@ def test_index_arena_output_and_catalog_info(portal, tmp_path, capsys):
     assert "0 mapped" in out
 
 
+def _bytes_per_sketch(out: str) -> dict[str, float]:
+    line = next(l for l in out.splitlines() if l.startswith("bytes/sketch : "))
+    groups, total = re.fullmatch(
+        r"bytes/sketch : (.*) \(total ([0-9.]+)\)", line
+    ).groups()
+    parsed = dict(part.rsplit(" ", 1) for part in groups.split(", "))
+    return {name: float(v) for name, v in parsed.items()} | {"total": float(total)}
+
+
+def test_catalog_info_splits_arena_bytes_per_sketch(portal, tmp_path, capsys):
+    """`catalog info` prints the arena's bytes per sketch by group; the
+    groups sum exactly to the bytes on disk, for a file and for a shard
+    directory (the manifest counted as header)."""
+    from repro.index.snapshot import BYTE_GROUPS, arena_bytes_by_group
+    from repro.serving import MANIFEST_NAME
+
+    arena = tmp_path / "catalog.arena"
+    assert main(["index", str(portal), "-o", str(arena)]) == 0
+    groups = arena_bytes_by_group(arena)
+    assert tuple(groups) == BYTE_GROUPS
+    assert sum(groups.values()) == arena.stat().st_size
+    assert min(groups.values()) >= 0 and groups["lsh"] == 0
+    capsys.readouterr()
+    assert main(["catalog", "info", str(arena)]) == 0
+    line = _bytes_per_sketch(capsys.readouterr().out)
+    assert line == {
+        name: round(size / 3, 1) for name, size in groups.items()
+    } | {"total": round(arena.stat().st_size / 3, 1)}
+
+    catalog_dir = _index_shards(portal, tmp_path, shards=2)
+    capsys.readouterr()
+    assert main(["catalog", "info", str(catalog_dir)]) == 0
+    line = _bytes_per_sketch(capsys.readouterr().out)
+    files = [catalog_dir / MANIFEST_NAME, *sorted(catalog_dir.glob("shard-*.arena"))]
+    assert line["total"] == round(sum(f.stat().st_size for f in files) / 3, 1)
+    shard_groups = [arena_bytes_by_group(f) for f in files[1:]]
+    assert line["header"] == round(
+        (files[0].stat().st_size + sum(g["header"] for g in shard_groups)) / 3, 1
+    )
+    # A shard whose header cannot be read leaves the split out, not info.
+    _truncate(files[2])
+    assert main(["catalog", "info", str(catalog_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "bytes/sketch : unavailable, unreadable shard(s): shard-0001.arena" in out
+
+
+def test_catalog_verify_fails_a_restamped_key_id_past_the_vocabulary(
+    portal, tmp_path, capsys
+):
+    """A key id past the entry vocabulary under a valid checksum: verify
+    reports the shard corrupt and a quarantine candidate, exit 1."""
+    from repro.index.arena import ArenaReader, write_arena
+
+    catalog_dir = _index_shards(portal, tmp_path, shards=2)
+    shard = catalog_dir / "shard-0001.arena"
+    reader = ArenaReader(shard)
+    arrays = {name: np.array(reader.array(name)) for name in reader.extents}
+    arrays["key_ids"][0] = arrays["entry_vocab"].size
+    meta = {
+        k: v for k, v in reader.meta.items()
+        if k not in ("arrays", "data_bytes", "payload_crc32")
+    }
+    write_arena(shard, meta, arrays)
+    capsys.readouterr()
+    assert main(["catalog", "verify", str(catalog_dir)]) == 1
+    captured = capsys.readouterr()
+    assert ": ok  shard-0000.arena" in captured.out
+    assert "FAILED (corrupt arena" in captured.out and "key_ids holds" in captured.out
+    assert "quarantine candidates: shard-0001.arena" in captured.err
+
+
 def test_catalog_convert_round_trips_each_format(portal, tmp_path, capsys):
     json_catalog = _index(portal, tmp_path)
     arena = tmp_path / "catalog.arena"

@@ -621,20 +621,27 @@ def test_storage_info_accounting(tmp_path):
 
 
 def test_storage_info_counts_widened_hash_copies(tmp_path):
-    """32-bit-scheme hashes are widened into heap copies — the vocabulary
-    at load, a sketch's key hashes when it wakes — and storage_info
-    counts exactly those."""
+    """What load and waking widen into heap copies — both 32-bit-scheme
+    vocabularies and the 4-byte postings offsets at load, a sketch's key
+    hashes gathered from the entry vocabulary when it wakes — and
+    storage_info counts exactly those."""
     catalog = _corpus_catalog(n=8)
     path = tmp_path / "c.arena"
     catalog.save(path)
     loaded = SketchCatalog.load(path)
-    vocab = loaded.frozen_postings().vocab
-    assert vocab.dtype == np.uint64 and not loaded._arena.owns(vocab)
-    assert loaded.storage_info()["materialized_bytes"] == vocab.nbytes
+    postings = loaded.frozen_postings()
+    entry_vocab = loaded._sketches._source.entry_vocab
+    widened_at_load = (postings.vocab, postings.indptr, entry_vocab)
+    for array in widened_at_load:
+        assert array.dtype in (np.uint64, np.int64)
+        assert not loaded._arena.owns(array) and not array.flags.writeable
+    assert loaded._arena.owns(postings.doc_ids)
+    at_load = sum(array.nbytes for array in widened_at_load)
+    assert loaded.storage_info()["materialized_bytes"] == at_load
     woken = [loaded.get(sid) for sid in list(loaded)[:3]]
     widened = sum(s.columnar().key_hashes.nbytes for s in woken)
     assert widened == 8 * sum(len(s) for s in woken)
-    assert loaded.storage_info()["materialized_bytes"] == vocab.nbytes + widened
+    assert loaded.storage_info()["materialized_bytes"] == at_load + widened
 
 
 # -- deferred entry dict ------------------------------------------------------
@@ -653,8 +660,9 @@ def test_deferred_entries_wake_lazily(tmp_path):
     assert "pair000" in entries
     assert all(type(dict.__getitem__(entries, sid)) is int for sid in entries)
     # Access through any read path wakes the placeholder exactly once,
-    # into a sketch around the mapped values and its 32-bit key hashes
-    # widened to a read-only uint64 copy; the rest stay asleep.
+    # into a sketch around the mapped values and its key hashes gathered
+    # from the entry vocabulary into a read-only uint64 copy; the rest
+    # stay asleep.
     woken = entries["pair000"]
     assert isinstance(woken, CorrelationSketch)
     columns = woken.columnar()

@@ -34,6 +34,7 @@ from repro.table.table import table_from_arrays
 
 from scalar_query_oracle import scalar_query
 from scancount_oracle import index_of
+from sketch_state_digest import assert_states_equal, sketch_state
 
 
 def _world(seed=0, n_tables=8, n_rows=900, sketch_size=64, hasher=None):
@@ -128,16 +129,18 @@ def _assert_postings_equal(a, b):
 
 @pytest.mark.parametrize("bits", [32, 64])
 def test_hashes_are_stored_at_the_scheme_width(tmp_path, bits):
-    """A 32-bit h(k) takes 4 bytes on disk and a 64-bit one 8; loaded,
-    every hash array is uint64 again and equal to the JSON round trip's:
-    key hashes, vocabulary, columnar views and postings."""
+    """A 32-bit h(k) takes 4 bytes on disk and a 64-bit one 8, in both
+    vocabularies; entries store 2-byte key ids into the entry vocabulary.
+    Loaded, every hash array is uint64 again and equal to the JSON round
+    trip's: key hashes, vocabulary, columnar views and postings."""
     catalog, _ = _world(seed=3, hasher=KeyHasher(bits=bits, seed=5))
     catalog.save(tmp_path / "c.arena")
     catalog.save(tmp_path / "c.json")
     stored = np.dtype(np.uint32 if bits == 32 else np.uint64)
     reader = ArenaReader(tmp_path / "c.arena")
-    assert reader.array("key_hashes").dtype == stored
+    assert reader.array("entry_vocab").dtype == stored
     assert reader.array("postings_vocab").dtype == stored
+    assert reader.array("key_ids").dtype == np.uint16
     from_arena = SketchCatalog.load(tmp_path / "c.arena")
     from_json = SketchCatalog.load(tmp_path / "c.json")
     for sid in catalog:
@@ -322,13 +325,10 @@ def test_unknown_snapshot_version_rejected(tmp_path):
     assert len(load_snapshot(path)) == len(catalog)
 
 
-@pytest.mark.parametrize("position", [-1, 99])
-def test_postings_doc_position_out_of_range_is_corruption(tmp_path, position):
-    """A document position outside ``ids + tombstones`` is a corrupt
-    file (quarantinable), never a silently wrapped or missing name."""
-    catalog, _ = _world(seed=4, n_tables=2)
-    path = tmp_path / "c.arena"
-    catalog.save(path)
+def _restamped(path, edit):
+    """Rewrite the arena at ``path`` with ``edit`` applied to copies of
+    its arrays. ``write_arena`` stamps a fresh ``payload_crc32``, so the
+    checksum passes and only a structural check can catch the edit."""
     reader = ArenaReader(path)
     meta = {
         k: v
@@ -336,10 +336,90 @@ def test_postings_doc_position_out_of_range_is_corruption(tmp_path, position):
         if k not in ("arrays", "data_bytes", "payload_crc32")
     }
     arrays = {name: np.array(reader.array(name)) for name in reader.extents}
-    arrays["postings_docs"][0] = position
+    edit(arrays)
     write_arena(path, meta, arrays)
+
+
+@pytest.mark.parametrize("position", [-1, 99])
+def test_postings_doc_position_out_of_range_is_corruption(tmp_path, position):
+    """A document position outside ``ids + tombstones`` is a corrupt
+    file (quarantinable), never a silently wrapped or missing name."""
+    catalog, _ = _world(seed=4, n_tables=2)
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    _restamped(path, lambda arrays: arrays["postings_docs"].__setitem__(0, position))
     with pytest.raises(ValueError, match="postings document position"):
         load_snapshot(path)
+
+
+def _key_id_past_vocab(arrays):
+    arrays["key_ids"][arrays["entry_indptr"][1] - 1] = arrays["entry_vocab"].size
+
+
+def _doc_id_past_docs(arrays):
+    arrays["postings_doc_ids"][0] = arrays["postings_docs"].size
+
+
+def _postings_indptr_decreases(arrays):
+    arrays["postings_indptr"][1] = arrays["postings_indptr"][-1]
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_key_id_past_vocab, "key_ids holds"),
+        (_doc_id_past_docs, "postings_doc_ids holds"),
+        (_postings_indptr_decreases, "postings_indptr decreases"),
+    ],
+)
+def test_restamped_range_violation_fails_verify(tmp_path, edit, problem):
+    """An id past its table or offsets that decrease, under a valid
+    checksum: load stays O(metadata) and accepts the file, verify reports
+    it corrupt, and waking a sketch over a bad key id raises a corrupt
+    arena ``ValueError``, never a bare ``IndexError``."""
+    catalog, _ = _world(seed=4, n_tables=3)
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    assert verify_snapshot(path) is True
+    _restamped(path, edit)
+    loaded = load_snapshot(path)
+    with pytest.raises(ValueError, match=f"corrupt arena .*{problem}"):
+        verify_snapshot(path)
+    if edit is _key_id_past_vocab:
+        with pytest.raises(ValueError, match="corrupt arena .*key id of sketch"):
+            loaded.get(next(iter(loaded)))
+
+
+@pytest.mark.parametrize("member", ["entry_indptr", "postings_indptr"])
+def test_offsets_that_miss_their_array_end_are_quarantined(tmp_path, member):
+    """An offset array that does not end at its id array's length is an
+    O(1) fact, so load refuses it as corrupt: the quarantine policy
+    renames the file and loads the JSON sibling, and a shard directory
+    serves without the renamed shard."""
+    catalog, _ = _world(seed=4, n_tables=4)
+
+    def edit(arrays):
+        arrays[member][-1] -= 1
+
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    catalog.save(tmp_path / "c.json")
+    _restamped(path, edit)
+    with pytest.raises(ValueError, match=f"corrupt arena .*{member} does not run"):
+        verify_snapshot(path)
+    recovered = SketchCatalog.load(path, on_corruption="quarantine")
+    assert recovered.load_recovery["loaded_from"] == str(tmp_path / "c.json")
+    assert (tmp_path / ("c.arena" + QUARANTINE_SUFFIX)).exists()
+
+    sharded = ShardedCatalog(2, sketch_size=catalog.sketch_size)
+    sharded.add_sketches((sid, catalog.get(sid)) for sid in catalog)
+    directory = tmp_path / "dir"
+    sharded.save(directory)
+    _restamped(directory / "shard-0001.arena", edit)
+    loaded = ShardedCatalog.load(directory, on_corruption="quarantine")
+    assert [event["shard"] for event in loaded.quarantine_events] == [1]
+    assert (directory / ("shard-0001.arena" + QUARANTINE_SUFFIX)).exists()
+    assert loaded.shard(0) is not None
 
 
 def _as_version(path, version):
@@ -368,7 +448,8 @@ def test_version_4_arena_refusal_names_the_bridge(tmp_path, on_corruption):
     with pytest.raises(SnapshotRefused) as excinfo:
         SketchCatalog.load(path, on_corruption=on_corruption)
     message = str(excinfo.value)
-    assert "arena version 4" in message and "reads version 6" in message
+    assert "arena version 4" in message
+    assert f"reads version {ARENA_VERSION}" in message
     assert "catalog convert" in message and "re-index" in message
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
@@ -406,9 +487,34 @@ def test_version_5_arena_is_refused_not_quarantined(tmp_path, on_corruption):
     with pytest.raises(SnapshotRefused) as excinfo:
         SketchCatalog.load(path, on_corruption=on_corruption)
     message = str(excinfo.value)
-    assert "arena version 5" in message and "reads version 6" in message
+    assert "arena version 5" in message
+    assert f"reads version {ARENA_VERSION}" in message
     assert "catalog convert" in message
     # verify refuses what load refuses, with the same message.
+    with pytest.raises(SnapshotRefused) as verified:
+        verify_snapshot(path)
+    assert str(verified.value) == message
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("on_corruption", ["raise", "quarantine"])
+def test_version_6_arena_is_refused_not_quarantined(tmp_path, on_corruption):
+    """A file from the build that stored every entry's key hash and
+    32-bit doc ids is refused by version, naming the ``catalog convert``
+    bridge, under either policy; verify refuses it with the same message
+    and nothing is renamed."""
+    catalog, _ = _world(seed=4, n_tables=2)
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    catalog.save(tmp_path / "c.json")
+    _as_version(path, 6)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SnapshotRefused) as excinfo:
+        SketchCatalog.load(path, on_corruption=on_corruption)
+    message = str(excinfo.value)
+    assert "arena version 6" in message
+    assert f"reads version {ARENA_VERSION}" in message
+    assert "catalog convert" in message
     with pytest.raises(SnapshotRefused) as verified:
         verify_snapshot(path)
     assert str(verified.value) == message
@@ -464,11 +570,13 @@ def test_current_generation_files_are_byte_identical_to_pr21(tmp_path):
     and its sharded twin hash to recorded constants. The JSON catalog
     and the manifest still hash to what commit 1e139e2 wrote (their
     constant keys included): no arena change may move them. The three
-    ``.arena`` digests pin arena version 5's layout — entries ``⟨h(k), x_k⟩``
-    without ranks, a three-slot ``catalog_config``, no names equal to
-    their id, postings docs as positions into ``ids + tombstones`` — and
-    version 6's: 32-bit key hashes and vocabulary in 4 bytes, aggregates
-    named only where they differ from the catalog's."""
+    ``.arena`` digests pin arena version 7's layout: entries ``⟨h(k), x_k⟩``
+    without ranks, each key as its position in a sorted entry vocabulary
+    stored at the scheme's hash width, key ids and posting doc ids in 2
+    bytes while they fit, 4-byte postings offsets, a three-slot
+    ``catalog_config``, no names equal to their id, postings docs as
+    positions into ``ids + tombstones``, aggregates named only where
+    they differ from the catalog's."""
     tables = _fixed_tables()
     catalog = SketchCatalog(sketch_size=16)
     catalog.add_tables(tables[:4])
@@ -488,11 +596,11 @@ def test_current_generation_files_are_byte_identical_to_pr21(tmp_path):
         )
     }
     assert digests == {
-        "c.arena": "59bb4401f1e00a50793b1940cbdbd779bfb236645b818efe6951035c1692a829",
+        "c.arena": "5356c763b33689f3597b05687769f0c88949f6d26e31fca2552e62e29cebaaf5",
         "c.json": "2212f75b750122694e9adb0e7e67004f7eccc6d5bc2cf509e6727eb5c1f2cb81",
         "dir/manifest.json": "614ea182ce9637a4d3521af36884ee48d7a153a46e9b54b07fb6c4f91460594a",
-        "dir/shard-0000.arena": "0afc28b27fbec945ef2fa80e2322c742dd3693165bcfb8481dd9272d0dab5d0b",
-        "dir/shard-0001.arena": "454712b07353ae46b0e9ce96a9b9353d278e06c359b00a65ed465818e0d0f9cf",
+        "dir/shard-0000.arena": "018ad2d30cad4a761b3db2d9d478a4a4281c2e3fa6e112021871fa50d3f89977",
+        "dir/shard-0001.arena": "38322a2e5b400bcb78b9eb54f247113451c723174d2c0d73e873cc996e4a70df",
     }
 
 
@@ -655,3 +763,78 @@ def test_json_save_unchanged_by_bulk_path(tmp_path):
         "sketch_size", "aggregate", "scheme", "vectorized", "sketches",
     }
     assert list(payload["sketches"]) == ["s0", "s1"]
+
+
+# -- stored id widths --------------------------------------------------------
+
+
+def _wire(result) -> dict:
+    return {k: v for k, v in result.to_dict().items() if not k.endswith("_seconds")}
+
+
+def _assert_loads_back_equal(catalog, path, query):
+    """Every sketch's full state and the engine's answer survive the
+    save unchanged."""
+    loaded = SketchCatalog.load(path)
+    for sid in catalog:
+        state = {
+            k: v for k, v in sketch_state(catalog.get(sid)).items()
+            if not k.startswith("slot:")
+        }
+        assert_states_equal(sketch_state(loaded.get(sid)), state)
+    for scorer in ("rp", "rp_cih"):
+        assert _wire(JoinCorrelationEngine(loaded).query(query, k=3, scorer=scorer)) == (
+            _wire(JoinCorrelationEngine(catalog).query(query, k=3, scorer=scorer))
+        )
+
+
+@pytest.mark.parametrize("keys, stored", [(65_536, np.uint16), (66_000, np.uint32)])
+def test_key_ids_widen_past_65536_distinct_hashes(tmp_path, keys, stored):
+    """One sketch of ``keys`` distinct 64-bit key hashes: 65 536 of them
+    still fit 2-byte key ids, 66 000 take 4; both load back equal."""
+    hasher = KeyHasher(bits=64)
+    rng = np.random.default_rng(11)
+    catalog = SketchCatalog(sketch_size=keys, hasher=hasher)
+    universe = np.arange(keys)
+    catalog.add_sketch(
+        "wide", CorrelationSketch.from_columns(
+            universe, rng.standard_normal(keys), keys, hasher=hasher, name="wide"
+        )
+    )
+    catalog.add_sketch(
+        "narrow", CorrelationSketch.from_columns(
+            universe[::7], rng.standard_normal(universe[::7].size), keys,
+            hasher=hasher, name="narrow",
+        )
+    )
+    query = CorrelationSketch.from_columns(
+        universe[::3], rng.standard_normal(universe[::3].size), keys, hasher=hasher
+    )
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    reader = ArenaReader(path)
+    assert reader.array("entry_vocab").shape == (keys,)
+    assert reader.array("key_ids").dtype == stored
+    assert reader.array("postings_doc_ids").dtype == np.uint16
+    _assert_loads_back_equal(catalog, path, query)
+
+
+@pytest.mark.parametrize("docs, stored", [(8, np.uint16), (9, np.uint32)])
+def test_doc_ids_widen_past_the_narrow_row_limit(tmp_path, monkeypatch, docs, stored):
+    """Doc ids follow the same rule as key ids, from the postings'
+    document count. Building 65 537 sketches is too slow for tier 1, so
+    the 65 536-row limit is lowered to 8: 8 documents keep 2-byte doc
+    ids, 9 take 4; both load back equal."""
+    import repro.index.snapshot as snapshot
+
+    monkeypatch.setattr(snapshot, "_NARROW_ID_ROWS", 8)
+    catalog, query = _world(seed=12, n_tables=docs, n_rows=300, sketch_size=4)
+    path = tmp_path / "c.arena"
+    catalog.save(path)
+    reader = ArenaReader(path)
+    assert len(catalog.frozen_postings().docs) == docs
+    assert reader.array("postings_doc_ids").dtype == stored
+    # Bottom-k samples of one key universe share their smallest hashes.
+    narrow_keys = reader.array("entry_vocab").size <= 8
+    assert reader.array("key_ids").dtype == (np.uint16 if narrow_keys else np.uint32)
+    _assert_loads_back_equal(catalog, path, query)

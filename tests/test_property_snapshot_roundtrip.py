@@ -8,7 +8,8 @@ monolithic and two-shard — three things must hold:
 
 * ``load(save(c))`` reads back as ``c``: every sketch's full state
   (``sketch_state``, less the aggregator slots a snapshot never keeps),
-  each (shard) catalog's order, and the frozen and delta CSR arrays;
+  each (shard) catalog's order, and the frozen and delta CSR arrays'
+  values, with every member stored at its narrow width;
 * saving the loaded catalog again writes the same bytes;
 * every loaded sketch's derived ranks equal
   ``hasher.unit_hash_batch(key_hashes)`` bit for bit, and that equals
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.sketch import CorrelationSketch
 from repro.hashing import KeyHasher
+from repro.index.arena import ArenaReader
 from repro.index.catalog import SketchCatalog
 from repro.serving import ShardedCatalog
 from sketch_state_digest import assert_states_equal, sketch_state
@@ -109,11 +111,28 @@ def _state(sketch) -> dict:
 
 
 def _assert_postings_equal(a, b) -> None:
+    """Equal CSR values. Dtypes may differ: a loaded catalog's doc ids
+    are the stored 2-byte view, a built one's ``int32``."""
     assert list(a.docs) == list(b.docs)
     for field in ("vocab", "indptr", "doc_ids", "doc_lengths"):
         have, want = getattr(a, field), getattr(b, field)
-        assert have.dtype == want.dtype, field
+        assert have.shape == want.shape, field
         np.testing.assert_array_equal(have, want, err_msg=field)
+
+
+def _assert_stored_widths(path: Path, bits: int) -> None:
+    """Both vocabularies at the scheme's hash width, key ids and doc ids
+    in 2 bytes (every drawn catalog is far below 65 536 of either),
+    postings offsets in 4."""
+    paths = sorted(path.glob("*.arena")) if path.is_dir() else [path]
+    for arena_path in paths:
+        reader = ArenaReader(arena_path)
+        stored = {name: reader.array(name).dtype for name in reader.extents}
+        hash_dtype = np.dtype(np.uint32 if bits == 32 else np.uint64)
+        assert stored["entry_vocab"] == stored["postings_vocab"] == hash_dtype
+        assert stored["key_ids"] == stored["postings_doc_ids"] == np.uint16
+        assert stored["postings_indptr"] == np.uint32
+        assert "key_hashes" not in stored
 
 
 def _files(path: Path) -> dict[str, bytes]:
@@ -141,6 +160,7 @@ def test_arena_round_trip_is_exact_and_ranks_are_derived(scenario):
     with tempfile.TemporaryDirectory() as tmp:
         first = Path(tmp) / name
         catalog.save(first)
+        _assert_stored_widths(first, scenario["bits"])
         loaded = _load(catalog, first)
         # Each shard keeps its order; the manifest lists ids shard by shard.
         assert sorted(loaded) == sorted(catalog)

@@ -125,6 +125,53 @@ class TestWindowMechanics:
         for query, result in zip(queries[:3], results):
             assert _wire(result) == _wire(session.submit_one(query))
 
+    def test_arrivals_during_an_execution_flush_as_one_window(self, corpus):
+        """With ``max_wait_ms=0`` a window only forms behind an execution
+        in flight: a session held on an Event keeps the first request
+        running while two more arrive, and those two flush together."""
+        mono, _, queries = corpus
+        session = QuerySession.for_catalog(mono, QueryOptions(k=5))
+        gate, entered = threading.Event(), threading.Event()
+        batch_sizes = []
+
+        class HeldSession:
+            options, catalog = session.options, session.catalog
+
+            def submit(self, sketches, **kwargs):
+                batch_sizes.append(len(sketches))
+                entered.set()
+                assert gate.wait(timeout=10.0)
+                return session.submit(sketches, **kwargs)
+
+        with QueryCoalescer(HeldSession()) as coalescer:
+            results = [None] * 3
+            threads = [
+                threading.Thread(
+                    target=lambda i=i: results.__setitem__(
+                        i, coalescer.submit(queries[i])
+                    )
+                )
+                for i in range(3)
+            ]
+            threads[0].start()
+            assert entered.wait(timeout=10.0)  # the first request holds
+            for t in threads[1:]:
+                t.start()
+            deadline = time.perf_counter() + 5.0
+            while coalescer.stats["submitted"] < 3:
+                assert time.perf_counter() < deadline
+                time.sleep(0.005)
+            gate.set()
+            for t in threads:
+                t.join(timeout=10.0)
+                assert not t.is_alive()
+            stats = coalescer.stats_snapshot()
+        assert batch_sizes == [1, 2]
+        assert (stats["fast_path"], stats["batches"]) == (1, 1)
+        assert (stats["coalesced"], stats["largest_batch"]) == (2, 2)
+        for query, result in zip(queries[:3], results):
+            assert _wire(result) == _wire(session.submit_one(query))
+
     def test_time_flush(self, corpus):
         mono, _, queries = corpus
         session = QuerySession.for_catalog(mono, QueryOptions(k=5))
