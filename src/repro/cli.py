@@ -749,9 +749,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         # failing on a directory read.
         return _print_shard_info(path)
     catalog = _load_catalog(path)
-    # Snapshot-loaded sketches are views over the stored arrays, so info
-    # on a binary catalog copies nothing.
-    sizes = [catalog.sketch_columns(sid).size for sid in catalog]
+    # Counted from the arena's offsets: info wakes no snapshot entry.
+    sizes = catalog.entry_counts()
     storage = catalog.storage_info()
     print(f"catalog      : {path}")
     print(f"format       : {detect_format(path)}")

@@ -533,6 +533,17 @@ class SketchCatalog:
         of the stored arrays; ranks are derived from the key hashes)."""
         return self.get(sketch_id).columnar()
 
+    def entry_counts(self) -> list[int]:
+        """Retained entries per sketch, in id order, waking no sketch: a
+        snapshot entry still asleep is counted from the arena's
+        ``entry_indptr``, any other from its own columns."""
+        source = getattr(self._sketches, "_source", None)
+        spans = np.diff(source.entry_indptr) if source is not None else None
+        return [
+            int(spans[entry]) if type(entry) is int else entry.columnar().size
+            for entry in dict.values(self._sketches)
+        ]
+
     # -- delta layer (LSM-style incremental maintenance) ----------------------
 
     @property

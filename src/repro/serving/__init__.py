@@ -45,7 +45,6 @@ from repro.serving.manifest import (
     save_sharded,
 )
 from repro.serving.router import ON_SHARD_ERROR_POLICIES, ShardRouter
-from repro.serving.server import QueryService
 from repro.serving.session import QuerySession
 from repro.serving.shards import ShardUnavailable, ShardedCatalog
 
@@ -69,3 +68,13 @@ __all__ = [
     "save_sharded",
     "uninstall",
 ]
+
+
+def __getattr__(name: str):
+    # The HTTP stack (http.server, and through it email and ssl) loads
+    # only in a process that asks for the service.
+    if name == "QueryService":
+        from repro.serving.server import QueryService
+
+        return QueryService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

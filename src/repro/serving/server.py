@@ -47,10 +47,11 @@ untraced responses byte-identical to a service without instrumentation.
 
 **Shutdown.** :meth:`QueryService.stop` (or SIGTERM/SIGINT under
 :meth:`QueryService.run`) drains gracefully: the listener stops
-accepting, in-flight handler threads run to completion
-(``daemon_threads = False`` so ``server_close`` joins them), and the
-coalescer executes every request already in its window before closing —
-no accepted request is ever dropped.
+accepting within :data:`SHUTDOWN_POLL_SECONDS`, in-flight handler
+threads run to completion (``daemon_threads = False`` so
+``server_close`` joins them), and the coalescer executes every request
+already in its window before closing — no accepted request is ever
+dropped.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ MAX_BODY_BYTES = 8 << 20
 #: seconds. Idle time, not a total: an upload that keeps sending is never
 #: cut off, one that stalls is answered 408 (see the module docs).
 READ_TIMEOUT_SECONDS = 10.0
+
+#: How often the accept loop looks for a shutdown request, in seconds:
+#: ``stop()`` waits this long at most before the drain (socketserver's
+#: default poll is 0.5 s). An arriving request wakes the loop at once.
+SHUTDOWN_POLL_SECONDS = 0.05
 
 
 class _BodyTooLarge(ValueError):
@@ -518,6 +524,7 @@ class QueryService:
         self.session.warm()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(SHUTDOWN_POLL_SECONDS,),
             name="query-service",
             daemon=True,
         )

@@ -745,7 +745,9 @@ def test_shard_info_and_compact_report_delta(portal, tmp_path, capsys):
 # -- arena layout (zero-copy snapshots) ---------------------------------------
 
 
-def test_index_arena_output_and_catalog_info(portal, tmp_path, capsys):
+def test_index_arena_output_and_catalog_info(
+    portal, tmp_path, capsys, monkeypatch
+):
     """-o catalog.arena writes the mmap arena; `catalog info` reports
     the storage backend and mapped/materialized byte split."""
     arena = tmp_path / "catalog.arena"
@@ -759,6 +761,21 @@ def test_index_arena_output_and_catalog_info(portal, tmp_path, capsys):
     assert "storage      : mmap" in out
     assert "arena        :" in out
     assert "sketches     : 3" in out
+    # The entries line comes from the arena's offsets: info wakes no entry.
+    from repro.index.catalog import SketchCatalog
+    from repro.index.snapshot import _EntrySource
+
+    loaded = SketchCatalog.load(arena)
+    sizes = [loaded.get(sid).columnar().size for sid in loaded]
+    wakes, sketch_of = [], _EntrySource.sketch_of
+    monkeypatch.setattr(_EntrySource, "sketch_of",
+                        lambda self, *args: wakes.append(args) or sketch_of(self, *args))
+    assert main(["catalog", "info", str(arena)]) == 0
+    line = f"entries      : min={min(sizes)} max={max(sizes)} total={sum(sizes)}"
+    assert line in capsys.readouterr().out.splitlines() and wakes == []
+    loaded = SketchCatalog.load(arena)  # woken and delta entries count their columns
+    loaded.add_sketch("extra", loaded.get(next(iter(loaded))))
+    assert loaded.entry_counts() == sizes + sizes[:1] and len(wakes) == 1
     # Heap-backed catalogs report their storage line too.
     json_catalog = _index(portal, tmp_path)
     capsys.readouterr()

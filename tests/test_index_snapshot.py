@@ -34,7 +34,7 @@ from repro.table.table import table_from_arrays
 
 from scalar_query_oracle import scalar_query
 from scancount_oracle import index_of
-from sketch_state_digest import assert_states_equal, sketch_state
+from digest import assert_states_equal, sketch_state
 
 
 def _world(seed=0, n_tables=8, n_rows=900, sketch_size=64, hasher=None):

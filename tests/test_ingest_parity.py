@@ -21,7 +21,7 @@ from repro.index.catalog import SketchCatalog
 from repro.table.column import CategoricalColumn, NumericColumn
 from repro.table.table import Table
 from row_sketch_oracle import pair_rows, row_sketch, update_all
-from sketch_state_digest import assert_states_equal, sketch_state
+from digest import assert_states_equal, sketch_state
 from test_core_sketch_batch import assert_sketch_equal
 
 AGGREGATES = ("mean", "sum", "max", "min", "first", "last", "count")
@@ -30,7 +30,7 @@ AGGREGATES = ("mean", "sum", "max", "min", "first", "last", "count")
 def assert_full_state_equal(got: CorrelationSketch, expected: CorrelationSketch):
     """``assert_sketch_equal`` (entries, ranks, value range, row count,
     overflow flag) plus identity and every aggregator slot of every
-    retained key (``sketch_state_digest.sketch_state``: the full state in
+    retained key (``digest.sketch_state``: the full state in
     canonical key-hash order), and the serialized form."""
     assert_sketch_equal(expected, got)
     assert_states_equal(sketch_state(got), sketch_state(expected))

@@ -29,7 +29,7 @@ from repro.hashing import KeyHasher
 from repro.index.arena import ArenaReader
 from repro.index.catalog import SketchCatalog
 from repro.serving import ShardedCatalog
-from sketch_state_digest import assert_states_equal, sketch_state
+from digest import assert_states_equal, sketch_state
 
 NAMINGS = ("id", "none", "renamed", "empty")
 

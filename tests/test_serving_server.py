@@ -439,11 +439,17 @@ class TestEndpoints:
             assert code == 404
 
     def test_stop_is_idempotent_and_frees_the_port(self, corpus):
-        mono, _, _, _ = corpus
+        """``stop()`` is prompt (after a served query it returns well inside
+        socketserver's default 0.5 s poll), idempotent, and frees the port."""
+        mono, _, _, (keys, values) = corpus
         service = QueryService(QuerySession.for_catalog(mono))
         service.start()
         host, port = service.address
+        payload = {"keys": keys.tolist(), "values": values.tolist()}
+        assert _post(service.url + "/query", payload)[0] == 200
+        started = time.perf_counter()
         service.stop()
+        assert time.perf_counter() - started < 0.2
         service.stop()
         # The port is released: a new service can bind it immediately.
         rebound = QueryService(
@@ -451,6 +457,23 @@ class TestEndpoints:
         )
         rebound.start()
         rebound.stop()
+
+    def test_stop_drains_a_query_in_flight(self, corpus, monkeypatch):
+        """A query still executing when ``stop()`` is called is answered."""
+        mono, _, _, (keys, values) = corpus
+        session = QuerySession.for_catalog(mono)
+        entered, submit = threading.Event(), session.submit
+        monkeypatch.setattr(session, "submit", lambda *args, **kwargs: (
+            entered.set(), time.sleep(0.3), submit(*args, **kwargs))[-1])
+        service = QueryService(session).start()
+        payload, answers = {"keys": keys.tolist(), "values": values.tolist()}, []
+        client = threading.Thread(target=lambda: answers.append(
+            _post(service.url + "/query", payload)))
+        client.start()
+        assert entered.wait(10)
+        service.stop()
+        client.join(10)
+        assert [status for status, _ in answers] == [200] and answers[0][1]["ranked"]
 
 
 # -- robustness ---------------------------------------------------------------
@@ -710,3 +733,15 @@ class TestServeCli:
             if process.poll() is None:
                 process.kill()
                 process.communicate()
+
+    def test_a_process_that_never_serves_does_not_load_the_http_stack(self):
+        """``QueryService`` is a lazy attribute of ``repro.serving``."""
+        code = (
+            "import sys, repro, repro.index.engine, repro.serving.session\n"
+            "assert 'http.server' not in sys.modules, 'http.server loaded'\n"
+            "from repro.serving import QueryService\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert done.returncode == 0, done.stderr
