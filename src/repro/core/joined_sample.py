@@ -19,7 +19,9 @@ join keys.
 :func:`join_page` is the one sketch join: one query's columns against a
 page of candidates' columns in page-level passes, returning a
 :class:`PageJoin` — the NaN-filtered samples as one
-:class:`JoinedSamplePage` plus Eq. 1's combined-bottom-``k`` statistics.
+:class:`JoinedSamplePage` plus what Eq. 1's combined-bottom-``k``
+statistics are computed from, on demand and for any set of the page's
+rows (:meth:`PageJoin.union_statistics`).
 The query pipeline's candidate page
 (:class:`repro.index.engine.CandidatePage`) is such a join; a sketch pair
 (:func:`join_pair`, behind :func:`repro.core.estimation.estimate` and
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +44,21 @@ from repro.kmv.estimators import (
     containment_estimate_batch,
     intersection_estimate_batch,
 )
+
+
+def _segment_gather(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR segments at ``rows``, in that order: their new ``indptr``
+    and the index array that gathers their elements."""
+    sizes = indptr[rows + 1] - indptr[rows]
+    out = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    # Element j of output segment i comes from indptr[rows[i]] + j.
+    gather = np.arange(out[-1], dtype=np.int64) + np.repeat(
+        indptr[rows] - out[:-1], sizes
+    )
+    return out, gather
 
 
 @dataclass(frozen=True)
@@ -116,13 +134,7 @@ class JoinedSamplePage(Sequence):
 
     def take(self, rows: np.ndarray) -> "JoinedSamplePage":
         """The samples at ``rows``, in that order, as a new page."""
-        sizes = self.indptr[rows + 1] - self.indptr[rows]
-        indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        # Element j of output segment i comes from indptr[rows[i]] + j.
-        gather = np.arange(indptr[-1], dtype=np.int64) + np.repeat(
-            self.indptr[rows] - indptr[:-1], sizes
-        )
+        indptr, gather = _segment_gather(self.indptr, rows)
         return JoinedSamplePage(
             key_hashes=self.key_hashes[gather],
             x=self.x[gather],
@@ -161,6 +173,68 @@ class JoinedSamplePage(Sequence):
 
 
 @dataclass(frozen=True, eq=False)
+class UnionInputs:
+    """What Eq. 1's union step reads of a page, kept so that it can run
+    for any set of the page's rows (:meth:`PageJoin.union_statistics`).
+
+    ``query_ranks`` are the query's ranks (in its own order) at hash
+    width ``bits``; ``candidates`` are the rows' columns in page order —
+    the catalog's own arrays, so holding them copies nothing — and
+    ``in_query`` marks which of their entries, laid back to back, the
+    query holds too: row ``i`` owns ``in_query[offsets[i]:offsets[i +
+    1]]``.
+    """
+
+    query_ranks: np.ndarray
+    bits: int
+    candidates: list[SketchColumns]
+    in_query: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: Sequence["UnionInputs"]) -> "UnionInputs":
+        """The parts' rows back to back (one part is returned as is); the
+        parts were joined for one query."""
+        if len(parts) == 1:
+            return parts[0]
+        first = next((part for part in parts if part.candidates), _NO_ROWS)
+        ends = np.cumsum([0] + [part.offsets[-1] for part in parts[:-1]])
+        return cls(
+            query_ranks=first.query_ranks,
+            bits=first.bits,
+            candidates=[c for part in parts for c in part.candidates],
+            in_query=np.concatenate(
+                [np.empty(0, dtype=bool)] + [part.in_query for part in parts]
+            ),
+            offsets=np.concatenate(
+                [np.zeros(1, dtype=np.int64)]
+                + [part.offsets[1:] + end for part, end in zip(parts, ends)]
+            ),
+        )
+
+    def take(self, rows: np.ndarray) -> "UnionInputs":
+        """The rows at ``rows``, in that order."""
+        offsets, gather = _segment_gather(self.offsets, rows)
+        return UnionInputs(
+            query_ranks=self.query_ranks,
+            bits=self.bits,
+            candidates=[self.candidates[i] for i in rows.tolist()],
+            in_query=self.in_query[gather],
+            offsets=offsets,
+        )
+
+
+#: What an empty merge describes: no query and no rows.
+_NO_ROWS = UnionInputs(
+    query_ranks=np.empty(0),
+    bits=64,
+    candidates=[],
+    in_query=np.empty(0, dtype=bool),
+    offsets=np.zeros(1, dtype=np.int64),
+)
+
+
+@dataclass(frozen=True, eq=False)
 class PageJoin:
     """One query joined with a page of candidates (:func:`join_page`).
 
@@ -172,6 +246,12 @@ class PageJoin:
     ``U(k)`` and ``K∩``; ``exact`` marks the both-sketches-saw-everything
     shortcut where the overlap is the exact intersection size.
 
+    ``kth`` and ``k_inter`` are not computed by the join: ``union``
+    keeps what they are computed from, and :meth:`union_statistics`
+    computes them for any rows — the query pipeline asks only for the
+    rows it returns. The ``kth`` / ``k_inter`` arrays are the whole
+    page's, computed on first access.
+
     Every row depends only on the query and that candidate (never on
     the rest of the page), so pages joined in shard- or chunk-sized
     groups and merged with :meth:`concat` / :meth:`take` are
@@ -181,9 +261,8 @@ class PageJoin:
     samples: JoinedSamplePage
     overlaps: np.ndarray
     k_len: np.ndarray
-    kth: np.ndarray
-    k_inter: np.ndarray
     exact: np.ndarray
+    union: UnionInputs
 
     @classmethod
     def concat(cls, pages: Sequence["PageJoin"], **extra):
@@ -200,9 +279,8 @@ class PageJoin:
             samples=JoinedSamplePage.concat([page.samples for page in pages]),
             overlaps=column("overlaps", np.int64),
             k_len=column("k_len", np.int64),
-            kth=column("kth", np.float64),
-            k_inter=column("k_inter", np.int64),
             exact=column("exact", bool),
+            union=UnionInputs.concat([page.union for page in pages]),
             **extra,
         )
 
@@ -212,23 +290,54 @@ class PageJoin:
             samples=self.samples.take(rows),
             overlaps=self.overlaps[rows],
             k_len=self.k_len[rows],
-            kth=self.kth[rows],
-            k_inter=self.k_inter[rows],
             exact=self.exact[rows],
+            union=self.union.take(rows),
             **extra,
         )
 
-    def intersections(self) -> np.ndarray:
-        """Eq. 1's ``|K_Q ∩ K_C|`` estimate per row
-        (:func:`repro.kmv.estimators.intersection_estimate_batch`)."""
+    @cached_property
+    def _whole_page(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.arange(len(self.k_len))
+        return _union_statistics(self.union, self.k_len, rows)
+
+    @property
+    def kth(self) -> np.ndarray:
+        """Eq. 1's ``U(k)`` per row (1.0 where ``k_len`` is 0)."""
+        return self._whole_page[0]
+
+    @property
+    def k_inter(self) -> np.ndarray:
+        """Eq. 1's ``K∩`` per row (0 where ``k_len`` is 0)."""
+        return self._whole_page[1]
+
+    def union_statistics(
+        self, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(kth, k_inter)`` at ``rows`` (an index array: any order,
+        repeats allowed), or for the whole page when None — equal to
+        ``(kth[rows], k_inter[rows])``. Once the whole page's arrays
+        exist they are read; otherwise only ``rows`` are computed."""
+        if rows is None or "_whole_page" in self.__dict__:
+            kth, k_inter = self._whole_page
+            return (kth, k_inter) if rows is None else (kth[rows], k_inter[rows])
+        return _union_statistics(self.union, self.k_len[rows], rows)
+
+    def intersections(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Eq. 1's ``|K_Q ∩ K_C|`` estimate per row, at ``rows`` when
+        given (:func:`repro.kmv.estimators.intersection_estimate_batch`)."""
+        kth, k_inter = self.union_statistics(rows)
+        at = slice(None) if rows is None else rows
         return intersection_estimate_batch(
-            self.k_len, self.kth, self.k_inter, self.exact, self.overlaps
+            self.k_len[at], kth, k_inter, self.exact[at], self.overlaps[at]
         )
 
-    def containments(self, d_query: float) -> np.ndarray:
+    def containments(
+        self, d_query: float, rows: np.ndarray | None = None
+    ) -> np.ndarray:
         """Eq. 1 containment estimates ``|K_Q ∩ K_C| / |K_Q|`` per row,
-        clipped to ``[0, 1]`` (the ``ĵc`` score)."""
-        return containment_estimate_batch(self.intersections(), d_query)
+        at ``rows`` when given, clipped to ``[0, 1]`` (the ``ĵc``
+        score)."""
+        return containment_estimate_batch(self.intersections(rows), d_query)
 
 
 #: Slots per query key in the membership table (a power of two): a
@@ -335,16 +444,15 @@ def _membership_batch(
 _PAGE_SCRATCH_CELLS = 64 << 10
 
 
-def _row_chunks(
-    query: SketchColumns, candidates: Sequence[SketchColumns]
-) -> list[tuple[int, int]]:
-    """Row ranges whose ``rows x (|Q| + max|C|)`` scratch fits the bound."""
-    width = query.size + max((c.size for c in candidates), default=0)
-    rows = max(1, _PAGE_SCRATCH_CELLS // max(width, 1))
-    return [
-        (lo, min(lo + rows, len(candidates)))
-        for lo in range(0, len(candidates), rows)
-    ]
+def _row_chunks(width: int, n_rows: int) -> list[tuple[int, int]]:
+    """Row ranges whose ``rows x width`` scratch fits the bound (the
+    width of a page is ``|Q| + max|C|``)."""
+    rows = max(1, _PAGE_SCRATCH_CELLS // max(int(width), 1))
+    return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+
+
+def _page_width(query: SketchColumns, candidates: Sequence[SketchColumns]) -> int:
+    return query.size + max((c.size for c in candidates), default=0)
 
 
 def key_overlaps(
@@ -355,7 +463,7 @@ def key_overlaps(
     the counts."""
     table = _MembershipTable(query)
     parts = [np.empty(0, dtype=np.int64)]
-    for lo, hi in _row_chunks(query, candidates):
+    for lo, hi in _row_chunks(_page_width(query, candidates), len(candidates)):
         in_query, _, offsets, _ = _membership_batch(table, candidates[lo:hi])
         members = np.concatenate(([0], np.cumsum(in_query)))
         parts.append(members[offsets[1:]] - members[offsets[:-1]])
@@ -368,10 +476,11 @@ def join_page(
     """Join ``query`` with every candidate in page-level passes (§3.2).
 
     One membership table and one rank derivation for the query, then one
-    membership probe, one scatter-ordered join and one row-wise rank
-    partition per row chunk (:func:`_join_rows`), merged with
-    :meth:`PageJoin.concat`. The columns must share one hashing scheme:
-    :func:`join_pair` checks a sketch pair, and a catalog holds one.
+    membership probe and one scatter-ordered join per row chunk
+    (:func:`_join_rows`), merged with :meth:`PageJoin.concat`. Eq. 1's
+    union statistics are left to :meth:`PageJoin.union_statistics`. The
+    columns must share one hashing scheme: :func:`join_pair` checks a
+    sketch pair, and a catalog holds one.
     """
     table = _MembershipTable(query)
     query_ranks = query.ranks
@@ -381,7 +490,9 @@ def join_page(
     return PageJoin.concat(
         [
             _join_rows(query, table, query_ranks, rank_pos, candidates[lo:hi])
-            for lo, hi in _row_chunks(query, candidates)
+            for lo, hi in _row_chunks(
+                _page_width(query, candidates), len(candidates)
+            )
         ]
     )
 
@@ -410,32 +521,23 @@ def _join_rows(
     rank_pos: np.ndarray,
     candidates: Sequence[SketchColumns],
 ) -> PageJoin:
-    """The two page kernels over one row chunk.
-
-    The candidates' ranks are derived from the chunk's concatenated
-    key hashes (the membership probe's own array) in one pass, the
-    query's ranks and rank positions were derived once per page.
+    """The join kernel over one row chunk.
 
     **Join.** A shared key hash carries the same rank on both sides
     and ranks are injective over hashes, so a candidate's matched
     pairs in ascending rank order are its members in ascending
-    *query* rank position. Scattering each member's page index into
-    the dense ``(candidate row, query rank position)`` grid and
-    reading the filled cells row-major therefore yields every
-    candidate's join in canonical order with no sort at all.
-
-    **Union k-th rank.** The rank-ordered union of query and
-    candidate hashes is the query's ranks plus the candidate's
-    *non-member* ranks. Laying those side by side in one
-    ``(rows, |Q| + max|C|)`` matrix — members and padding at
-    ``+inf``, which can never be among the first ``k_len <= |Q|`` —
-    one row-wise ``partition`` puts every row's ``k_len``-th
-    smallest in place; ``k_inter`` is then the members ranked at or
-    below it.
+    *query* rank position (``rank_pos``, derived once per page).
+    Scattering each member's page index into the dense ``(candidate
+    row, query rank position)`` grid and reading the filled cells
+    row-major therefore yields every candidate's join in canonical
+    order with no sort at all.
 
     **Value bounds.** A row whose two aggregates are both
     range-preserving takes the sketches' stored column ranges; any
     other row (``sum``, ``count``) the observed range of its sample.
+
+    The membership mask is kept, with the query's ranks, as the page's
+    :class:`UnionInputs`.
     """
     n, q_size = len(candidates), query.size
     in_query, positions, offsets, cat_hashes = _membership_batch(table, candidates)
@@ -463,26 +565,6 @@ def _join_rows(
 
     exact = np.asarray([c.saw_all_keys for c in candidates], dtype=bool)
     exact &= query.saw_all_keys
-    k_len = np.where(exact, 0, np.minimum(q_size, sizes))
-    kth = np.ones(n)
-    k_inter = np.zeros(n, dtype=np.int64)
-    live = k_len > 0
-    if live.any():
-        cat_ranks = to_unit_interval_batch(cat_hashes, query.bits)
-        member_ranks = cat_ranks[members]
-        cat_ranks[members] = np.inf
-        max_size = int(sizes.max())
-        ranks = np.empty((n, q_size + max_size))
-        ranks[:, :q_size] = query_ranks
-        padded = ranks[:, q_size:]
-        padded[...] = np.inf
-        # A boolean-mask store fills row-major, i.e. in page order.
-        padded[np.arange(max_size) < sizes[:, None]] = cat_ranks
-        k_index = np.maximum(k_len, 1) - 1
-        ranks.partition(np.unique(k_index[live]), axis=1)
-        kth[live] = ranks[np.arange(n), k_index][live]
-        inside = live[member_rows] & (member_ranks <= kth[member_rows])
-        k_inter = np.bincount(member_rows[inside], minlength=n)
 
     x_ranges = np.broadcast_to(
         np.asarray(query.value_range, dtype=np.float64), (n, 2)
@@ -513,8 +595,81 @@ def _join_rows(
             y_ranges=y_ranges,
         ),
         overlaps=np.bincount(member_rows, minlength=n),
-        k_len=k_len,
-        kth=kth,
-        k_inter=k_inter,
+        k_len=np.where(exact, 0, np.minimum(q_size, sizes)),
         exact=exact,
+        union=UnionInputs(
+            query_ranks=query_ranks,
+            bits=query.bits,
+            candidates=list(candidates),
+            in_query=in_query,
+            offsets=offsets,
+        ),
     )
+
+
+def _union_statistics(
+    union: UnionInputs, k_len: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. 1's ``(kth, k_inter)`` at ``rows`` of a page (``k_len`` is
+    theirs), in row blocks whose rank matrix fits the scratch bound."""
+    rows = np.asarray(rows, dtype=np.int64)
+    sizes = union.offsets[rows + 1] - union.offsets[rows]
+    blocks = _row_chunks(union.query_ranks.size + sizes.max(initial=0), rows.size)
+    if len(blocks) <= 1:
+        return _union_block(union, rows, sizes, k_len)
+    parts = [
+        _union_block(union, rows[lo:hi], sizes[lo:hi], k_len[lo:hi])
+        for lo, hi in blocks
+    ]
+    return (
+        np.concatenate([kth for kth, _ in parts]),
+        np.concatenate([k_inter for _, k_inter in parts]),
+    )
+
+
+def _union_block(
+    union: UnionInputs, rows: np.ndarray, sizes: np.ndarray, k_len: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The union kernel: Eq. 1's ``(kth, k_inter)`` at ``rows`` (whose
+    candidates hold ``sizes`` entries).
+
+    The rank-ordered union of query and candidate hashes is the
+    query's ranks plus the candidate's *non-member* ranks. Laying
+    those side by side in one ``(rows, |Q| + max|C|)`` matrix —
+    members and padding at ``+inf``, which can never be among the
+    first ``k_len <= |Q|`` — one row-wise ``partition`` puts every
+    row's ``k_len``-th smallest in place; ``k_inter`` is then the
+    members ranked at or below it. A row with ``k_len`` 0 keeps
+    ``(1.0, 0)``.
+    """
+    n, q_size = rows.shape[0], union.query_ranks.size
+    kth = np.ones(n)
+    k_inter = np.zeros(n, dtype=np.int64)
+    live = k_len > 0
+    if not live.any():
+        return kth, k_inter
+    picked = rows.tolist()
+    cat_ranks = to_unit_interval_batch(
+        np.concatenate([union.candidates[i].key_hashes for i in picked]),
+        union.bits,
+    )
+    bounds = union.offsets.tolist()
+    in_query = np.concatenate(
+        [union.in_query[bounds[i] : bounds[i + 1]] for i in picked]
+    )
+    members = np.flatnonzero(in_query)
+    member_rows = np.repeat(np.arange(n), sizes)[members]
+    member_ranks = cat_ranks[members]
+    cat_ranks[members] = np.inf
+    max_size = int(sizes.max())
+    ranks = np.empty((n, q_size + max_size))
+    ranks[:, :q_size] = union.query_ranks
+    padded = ranks[:, q_size:]
+    padded[...] = np.inf
+    # A boolean-mask store fills row-major, i.e. in row order.
+    padded[np.arange(max_size) < sizes[:, None]] = cat_ranks
+    k_index = np.maximum(k_len, 1) - 1
+    ranks.partition(np.unique(k_index[live]), axis=1)
+    kth[live] = ranks[np.arange(n), k_index][live]
+    inside = live[member_rows] & (member_ranks <= kth[member_rows])
+    return kth, np.bincount(member_rows[inside], minlength=n)

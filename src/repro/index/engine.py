@@ -32,14 +32,14 @@ layered indexes — frozen CSR + delta − tombstones
 (:meth:`SketchCatalog.probe_top_overlap_batch`, one stacked pass for the
 whole batch), the candidate page stays columnar from the membership
 probe to the top-``k`` cut (:class:`CandidatePage`: one CSR block of
-join samples plus four union-statistics arrays, scored by
-:func:`repro.ranking.scoring.candidate_scores_batch`), and per-candidate
-result records exist only for the ``k`` entries returned
-(:func:`rerank_pages`). The pipeline asks two *stage steps* for the
-parts that depend on where the sketches live — candidate retrieval and
-page assembly. The engine answers both from its one catalog; a
-:class:`repro.serving.ShardRouter` is the same engine whose retrieval
-step checks the catalog's shards first. The row-at-a-time reference (dict-of-
+join samples plus what Eq. 1's union statistics are computed from,
+scored by :func:`repro.ranking.scoring.candidate_scores_batch`), and
+per-candidate result records — and their containment estimates — exist
+only for the ``k`` entries returned (:func:`rerank_pages`). The pipeline
+asks two *stage steps* for the parts that depend on where the sketches
+live — candidate retrieval and page assembly. The engine answers both
+from its one catalog; a :class:`repro.serving.ShardRouter` is the same
+engine whose retrieval step checks the catalog's shards first. The row-at-a-time reference (dict-of-
 lists ScanCount, per-candidate dict joins and statistics) that the
 parity suites compare this pipeline against lives in the test tree,
 ``tests/scalar_query_oracle.py``.
@@ -74,7 +74,7 @@ from repro.core.joined_sample import (
 from repro.core.sketch import CorrelationSketch, SketchColumns
 from repro.index.catalog import SketchCatalog, check_scheme
 from repro.index.options import RETRIEVAL_BACKENDS, QueryOptions
-from repro.ranking.ranker import RankedCandidate, rank_candidates
+from repro.ranking.ranker import RankedCandidate, ranked_entries, top_rows
 from repro.ranking.scoring import apply_bootstrap, candidate_scores_batch
 
 __all__ = [
@@ -296,8 +296,9 @@ class CandidatePage(PageJoin):
     The merge seam between retrieval and scoring, held columnar: the
     query's :class:`~repro.core.joined_sample.PageJoin` with its
     candidates — the join samples as one CSR block (``samples``) and the
-    Eq. 1 combined-bottom-k statistics as four arrays — aligned with
-    ``ids``; ``overlaps`` are the retrieval hits' own counts.
+    Eq. 1 combined-bottom-k statistics, ``kth`` / ``k_inter`` computed
+    on demand — aligned with ``ids``; ``overlaps`` are the retrieval
+    hits' own counts.
 
     Every per-candidate value depends only on the query and that
     candidate (never on the rest of the page), so pages assembled in
@@ -316,7 +317,7 @@ class CandidatePage(PageJoin):
         query_cols: SketchColumns,
         hits: list[tuple[str, int]],
     ) -> "CandidatePage":
-        """Join + union statistics for a hits list: one
+        """The page of a hits list: one
         :func:`~repro.core.joined_sample.join_page` of the hit sketches."""
         joined = join_page(
             query_cols, [catalog.sketch_columns(sid) for sid, _ in hits]
@@ -325,9 +326,8 @@ class CandidatePage(PageJoin):
             samples=joined.samples,
             overlaps=np.asarray([overlap for _, overlap in hits], dtype=np.int64),
             k_len=joined.k_len,
-            kth=joined.kth,
-            k_inter=joined.k_inter,
             exact=joined.exact,
+            union=joined.union,
             ids=[sid for sid, _ in hits],
         )
 
@@ -349,6 +349,11 @@ def _truths(
     return [true_correlations.get(sid, math.nan) for sid in ids]
 
 
+#: Scorers that draw from the query's generator: the PM1 bootstrap of
+#: ``rb_cib`` and the ``random`` baseline. The others rank without one.
+_DRAWING_SCORERS = ("rb_cib", "random")
+
+
 def rerank_pages(
     pages: list[CandidatePage],
     query_sketches: list[CorrelationSketch],
@@ -364,22 +369,29 @@ def rerank_pages(
     One scoring pass over all pages' samples (per-sample segment
     reductions are independent, so each query's statistics are
     bit-identical to its standalone evaluation), then per query, in
-    order: the PM1 bootstrap when the scorer reads it, and the top-``k``
-    ranking. Each query consumes rng exactly as a standalone
+    order: the PM1 bootstrap when the scorer reads it, the top-``k``
+    rows, Eq. 1's containment estimate for those rows alone
+    (:meth:`CandidatePage.containments` at ``rows``) and their records.
+    Only ``jc_est`` ranks by containment, so it — and a query whose
+    ``k`` covers its whole page — computes every row's before scoring.
+    Each query consumes rng exactly as a standalone
     :meth:`JoinCorrelationEngine.query` would — a fresh fixed-seed
-    generator when ``rng`` is None, the shared one in query order
-    otherwise. With ``traces`` the scoring pass lands in every query's
-    trace as a shared ``score`` span and the per-query work as its own
-    ``merge`` span.
+    generator when ``rng`` is None (made only for a scorer that draws),
+    the shared one in query order otherwise. With ``traces`` the
+    scoring pass lands in every query's trace as a shared ``score``
+    span and the per-query work as its own ``merge`` span.
     """
     tracing = traces is not None
     s0 = time.perf_counter() if tracing else 0.0
+    every_row = [scorer == "jc_est" or k >= len(page.ids) for page in pages]
     stats = candidate_scores_batch(
         JoinedSamplePage.concat([page.samples for page in pages]),
         containment_ests=np.concatenate(
             [
                 page.containments(sketch.distinct_keys())
-                for page, sketch in zip(pages, query_sketches)
+                if whole
+                else np.full(len(page.ids), np.nan)
+                for page, sketch, whole in zip(pages, query_sketches, every_row)
             ]
         ),
         with_bootstrap=False,
@@ -396,20 +408,27 @@ def rerank_pages(
         m0 = time.perf_counter() if tracing else 0.0
         query_stats = stats[start : start + len(page.ids)]
         start += len(page.ids)
-        query_rng = np.random.default_rng(7) if rng is None else rng
+        query_rng = rng
+        if rng is None and scorer in _DRAWING_SCORERS:
+            query_rng = np.random.default_rng(7)
         if scorer == "rb_cib":
             apply_bootstrap(page.samples, query_stats, query_rng, rng_mode)
+        top, scores = top_rows(page.ids, query_stats, scorer, rng=query_rng, k=k)
+        if not every_row[q]:
+            rows = np.asarray(top, dtype=np.int64)
+            query_stats.containment_est[rows] = page.containments(
+                query_sketches[q].distinct_keys(), rows
+            )
         ranked_per_query.append(
-            rank_candidates(
-                page.ids, query_stats, scorer,
-                true_correlations=_truths(page.ids, true_correlations[q]),
-                rng=query_rng,
-                k=k,
+            ranked_entries(
+                page.ids, query_stats, top, scores,
+                _truths(page.ids, true_correlations[q]),
             )
         )
         if tracing and traces[q] is not None:
-            # Per-query by construction: bootstrap + ranking consume
-            # this query's rng and only its candidates.
+            # Per-query by construction: bootstrap, ranking and the
+            # returned rows' containment read only this query's rng
+            # and candidates.
             traces[q].add("merge", m0, time.perf_counter())
     return ranked_per_query
 

@@ -56,8 +56,7 @@ def intersection_estimate_batch(
             where ``k_len > 0``.
         k_inter: ``K∩``, how many of the combined bottom-``k`` hashes
             are retained on both sides.
-        exact: True where both synopses saw all their keys — the
-            retained overlap then *is* the intersection.
+        exact: True where both synopses saw all their keys.
         overlaps: number of key hashes retained on both sides.
 
     Returns:

@@ -75,27 +75,58 @@ def rank_candidates(
     (important when a scorer collapses many candidates to score 0).
     With ``k`` only the first ``k`` entries of the ranking are built —
     the same entries ``rank_candidates(...)[:k]`` returns, without a
-    record per candidate that did not make the cut.
+    record per candidate that did not make the cut. The two halves are
+    :func:`top_rows` and :func:`ranked_entries`, for a caller that fills
+    in statistics of the returned rows in between.
     """
+    if true_correlations is not None and len(true_correlations) != len(
+        candidate_ids
+    ):
+        raise ValueError(
+            f"{len(candidate_ids)} ids but {len(true_correlations)} truths"
+        )
+    top, scores = top_rows(candidate_ids, stats, scorer, rng=rng, k=k)
+    return ranked_entries(candidate_ids, stats, top, scores, true_correlations)
+
+
+def top_rows(
+    candidate_ids: list[str],
+    stats: ScoreColumns,
+    scorer: str,
+    *,
+    rng: np.random.Generator | None = None,
+    k: int | None = None,
+) -> tuple[list[int], list[float]]:
+    """The rows of the ranking's first ``k`` entries (all when None),
+    best first, and every candidate's score."""
     if len(candidate_ids) != len(stats):
         raise ValueError(
             f"{len(candidate_ids)} ids but {len(stats)} stat records"
         )
-    if true_correlations is None:
-        true_correlations = [math.nan] * len(candidate_ids)
-    if len(true_correlations) != len(candidate_ids):
-        raise ValueError(
-            f"{len(candidate_ids)} ids but {len(true_correlations)} truths"
-        )
-
     scores = score_candidates(stats, scorer, rng=rng)
     order = sorted(
         range(len(candidate_ids)), key=lambda i: (-scores[i], candidate_ids[i])
     )
-    top = order[:k]
+    return order[:k], scores
+
+
+def ranked_entries(
+    candidate_ids: list[str],
+    stats: ScoreColumns,
+    rows: list[int],
+    scores: list[float],
+    true_correlations: list[float] | None = None,
+) -> list[RankedCandidate]:
+    """The ranked entries of ``rows`` (from :func:`top_rows`), reading
+    ``stats`` at those rows only."""
     return [
-        RankedCandidate(candidate_ids[i], scores[i], record, true_correlations[i])
-        for i, record in zip(top, stats.records(top))
+        RankedCandidate(
+            candidate_ids[i],
+            scores[i],
+            record,
+            math.nan if true_correlations is None else true_correlations[i],
+        )
+        for i, record in zip(rows, stats.records(rows))
     ]
 
 

@@ -1,8 +1,9 @@
 """The columnar candidate page against its per-candidate oracle.
 
-``CandidatePage.assemble`` computes every candidate's sketch join and
-Eq. 1 union statistics in page-level passes (a scatter-ordered join, one
-row-wise rank partition). The contract is *bit-identical* to the
+``CandidatePage.assemble`` computes every candidate's sketch join in
+page-level passes (a scatter-ordered join), and the page computes Eq. 1
+union statistics for any of its rows on demand (one row-wise rank
+partition). The contract is *bit-identical* to the
 per-candidate reference in :mod:`candidate_page_oracle` — same join
 pairs (hash, x, y, order), same ``(k_len, kth, k_inter, exact)`` — on
 any ragged page, for either hasher width, however the page is chunked
@@ -18,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.joined_sample import JoinedSample, JoinedSamplePage
 from repro.core.sketch import CorrelationSketch, SketchColumns
@@ -172,9 +173,96 @@ def test_row_chunking_does_not_change_the_page(page_input, cells):
     kernel_mod._PAGE_SCRATCH_CELLS = cells
     try:
         page = _assemble(query, candidates)
+        page.kth  # the union kernel's row blocks, under the same bound
     finally:
         kernel_mod._PAGE_SCRATCH_CELLS = saved
     _assert_page_matches_oracle(query, candidates, page)
+
+
+# -- the union statistics of any rows are the whole page's at those rows -----
+
+
+def _assert_rows_match_whole_page(fresh, whole, rows, d_query):
+    """``fresh`` has computed no union statistics yet; ``whole`` is the
+    same page (or its equal) with every row's computed."""
+    rows = np.asarray(rows, dtype=np.int64)
+    kth, k_inter = fresh.union_statistics(rows)
+    assert "_whole_page" not in fresh.__dict__  # only ``rows`` were computed
+    assert kth.tobytes() == whole.kth[rows].tobytes()
+    assert k_inter.tolist() == whole.k_inter[rows].tolist()
+    assert (
+        fresh.containments(d_query, rows).tobytes()
+        == whole.containments(d_query)[rows].tobytes()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pages(), st.data())
+def test_union_statistics_of_any_rows_are_the_whole_pages(page_input, data):
+    """For any rows — any order, repeats allowed — the union kernel
+    gives the whole page's ``kth`` / ``k_inter`` at those rows, on the
+    assembled page and on one merged from sub-pages with ``concat`` /
+    ``take``: NaN values, exact and one-side-exact rows, empty rows and
+    ``k_len == 0`` rows under both hash widths."""
+    query, candidates = page_input
+    whole = _assemble(query, candidates)
+    n = len(candidates)
+    rows = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3 * n))
+    d_query = query.distinct_keys()
+    _assert_rows_match_whole_page(_assemble(query, candidates), whole, rows, d_query)
+
+    names = list(candidates)
+    order = data.draw(st.permutations(range(n)))
+    cut = data.draw(st.integers(0, n))
+    shuffled = [names[i] for i in order]
+    merged = CandidatePage.concat([
+        _assemble(query, {sid: candidates[sid] for sid in part})
+        for part in (shuffled[:cut], shuffled[cut:])
+    ]).take(np.argsort(np.asarray(order, dtype=np.int64)))
+    assert merged.ids == names
+    _assert_rows_match_whole_page(merged, whole, rows, d_query)
+
+
+@pytest.fixture(scope="module", params=(32, 64))
+def deep_page(request):
+    """A depth-300 page of 256-hash sketches — exhaustive-pool depth,
+    past one row block of the union kernel — with NaN values, empty
+    and complete (``k_len == 0`` / exact-side) rows."""
+    hasher = KeyHasher(bits=request.param)
+    rng = np.random.default_rng(request.param)
+
+    def sketch(keys, name, size=256, nan_share=0.0):
+        values = rng.standard_normal(len(keys))
+        values[rng.uniform(size=len(keys)) < nan_share] = np.nan
+        return CorrelationSketch.from_columns(
+            [f"k{k}" for k in keys], values, size, hasher=hasher, name=name
+        )
+
+    query = sketch(rng.choice(2000, 600, replace=False), "query", nan_share=0.1)
+    candidates = {}
+    for i in range(300):
+        name = f"c{i:03d}"
+        if i % 50 == 7:
+            candidates[name] = CorrelationSketch(256, hasher=hasher, name=name)
+        elif i % 50 == 11:
+            candidates[name] = sketch(rng.choice(2000, 9, replace=False), name)
+        else:
+            keys = rng.choice(2000, int(rng.integers(100, 700)), replace=False)
+            candidates[name] = sketch(keys, name, nan_share=0.2)
+    whole = _assemble(query, candidates)
+    assert len(kernel_mod._row_chunks(512, 300)) > 1
+    assert (whole.k_len == 0).any() and not whole.exact.any()
+    return query, candidates, whole
+
+
+@settings(max_examples=15, deadline=None)
+@given(rows=st.lists(st.integers(0, 299), max_size=400))
+@example(rows=list(range(299, -1, -1)) + [7, 11, 11])  # three row blocks
+def test_union_statistics_of_a_deep_pages_rows(deep_page, rows):
+    query, candidates, whole = deep_page
+    _assert_rows_match_whole_page(
+        _assemble(query, candidates), whole, rows, query.distinct_keys()
+    )
 
 
 # -- differential: the named edge cases, in one page per hasher --------------
@@ -464,6 +552,35 @@ def test_staged_seams_rank_like_engine_and_session(scorer):
     assert all(isinstance(sample, JoinedSample) for sample in page.samples)
     assert isinstance(stats, Sequence) and len(stats) == len(hits)
     assert [s.sample_size for s in stats] == [s.size for s in page.samples]
+
+
+def _count_union_rows(monkeypatch) -> list[int]:
+    """Record how many rows each call of the union kernel is given."""
+    seen: list[int] = []
+    real = kernel_mod._union_block
+
+    def counted(union, rows, *args):
+        seen.append(int(rows.shape[0]))
+        return real(union, rows, *args)
+
+    monkeypatch.setattr(kernel_mod, "_union_block", counted)
+    return seen
+
+
+def test_a_query_computes_union_statistics_for_its_returned_rows(monkeypatch):
+    """The served pipeline runs Eq. 1's union kernel over the ``k`` rows
+    it returns; ``jc_est`` (which ranks by it) and a ``k`` that covers
+    the page run it over every row, before ranking."""
+    catalog, query = _corpus(seed=7, n_tables=110, n_rows=600)
+    engine = JoinCorrelationEngine(catalog, retrieval_depth=100)
+    seen = _count_union_rows(monkeypatch)
+    result = engine.query(query, k=10, scorer="rp_cih")
+    assert result.candidates_considered == 100 and len(result.ranked) == 10
+    assert seen == [10]
+    for scorer, k in (("jc_est", 10), ("rp_cih", 100), ("rp_cih", 150)):
+        seen.clear()
+        engine.query(query, k=k, scorer=scorer)
+        assert sum(seen) == 100, (scorer, k)
 
 
 def test_plain_sample_list_is_lowered_to_the_same_scoring():

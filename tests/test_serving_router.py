@@ -123,6 +123,27 @@ def test_query_and_batch_parity(corpus, scorer, n_shards, backend):
     assert [_key(r) for r in got_batch] == expected_batch
 
 
+@pytest.mark.parametrize("rng_mode", RNG_MODES)
+@pytest.mark.parametrize("scorer", SCORER_NAMES)
+def test_top_k_records_are_the_head_of_the_whole_pool(corpus, scorer, rng_mode):
+    """A top-k answer computes ``containment_est`` for its own rows only;
+    a k that covers the page computes every row's. Both give the same
+    records, on the engine and on the router."""
+    mono, sharded, queries, _ = corpus
+    depth = 30
+    for backend in (
+        _engine(mono, "inverted", rng_mode, depth),
+        _router(sharded[2], "inverted", rng_mode, depth),
+    ):
+        for query in queries:
+            head = backend.query(query, k=5, scorer=scorer)
+            pool = backend.query(query, k=depth, scorer=scorer)
+            assert len(pool.ranked) == pool.candidates_considered > 5
+            assert [e.to_dict() for e in head.ranked] == [
+                e.to_dict() for e in pool.ranked[:5]
+            ]
+
+
 def _trace_shape(block):
     """A trace's top-level phases: span names with their meta keys."""
     return [
