@@ -179,17 +179,20 @@ class UnionInputs:
 
     ``query_ranks`` are the query's ranks (in its own order) at hash
     width ``bits``; ``candidates`` are the rows' columns in page order —
-    the catalog's own arrays, so holding them copies nothing — and
-    ``in_query`` marks which of their entries, laid back to back, the
-    query holds too: row ``i`` owns ``in_query[offsets[i]:offsets[i +
-    1]]``.
+    the catalog's own arrays, so holding them copies nothing (a page of
+    copied entry hashes would outweigh its join samples many times
+    over). Laid back to back, row ``i``'s entries are
+    ``offsets[i]:offsets[i + 1]``; ``members`` are the ascending
+    positions of the entries the query holds too, row ``i``'s at
+    ``members[member_offsets[i]:member_offsets[i + 1]]``.
     """
 
     query_ranks: np.ndarray
     bits: int
     candidates: list[SketchColumns]
-    in_query: np.ndarray
     offsets: np.ndarray
+    members: np.ndarray
+    member_offsets: np.ndarray
 
     @classmethod
     def concat(cls, parts: Sequence["UnionInputs"]) -> "UnionInputs":
@@ -199,28 +202,40 @@ class UnionInputs:
             return parts[0]
         first = next((part for part in parts if part.candidates), _NO_ROWS)
         ends = np.cumsum([0] + [part.offsets[-1] for part in parts[:-1]])
+        member_ends = np.cumsum([0] + [part.members.size for part in parts[:-1]])
+
+        def bounds(name: str, shifts) -> np.ndarray:
+            return np.concatenate(
+                [np.zeros(1, dtype=np.int64)]
+                + [getattr(part, name)[1:] + end for part, end in zip(parts, shifts)]
+            )
+
         return cls(
             query_ranks=first.query_ranks,
             bits=first.bits,
             candidates=[c for part in parts for c in part.candidates],
-            in_query=np.concatenate(
-                [np.empty(0, dtype=bool)] + [part.in_query for part in parts]
+            offsets=bounds("offsets", ends),
+            members=np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [part.members + end for part, end in zip(parts, ends)]
             ),
-            offsets=np.concatenate(
-                [np.zeros(1, dtype=np.int64)]
-                + [part.offsets[1:] + end for part, end in zip(parts, ends)]
-            ),
+            member_offsets=bounds("member_offsets", member_ends),
         )
 
     def take(self, rows: np.ndarray) -> "UnionInputs":
         """The rows at ``rows``, in that order."""
-        offsets, gather = _segment_gather(self.offsets, rows)
+        offsets = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+        np.cumsum(self.offsets[rows + 1] - self.offsets[rows], out=offsets[1:])
+        member_offsets, gather = _segment_gather(self.member_offsets, rows)
+        # A member moves with its row: by the row's new start less its old.
+        shift = np.repeat(offsets[:-1] - self.offsets[rows], np.diff(member_offsets))
         return UnionInputs(
             query_ranks=self.query_ranks,
             bits=self.bits,
             candidates=[self.candidates[i] for i in rows.tolist()],
-            in_query=self.in_query[gather],
             offsets=offsets,
+            members=self.members[gather] + shift,
+            member_offsets=member_offsets,
         )
 
 
@@ -229,8 +244,9 @@ _NO_ROWS = UnionInputs(
     query_ranks=np.empty(0),
     bits=64,
     candidates=[],
-    in_query=np.empty(0, dtype=bool),
     offsets=np.zeros(1, dtype=np.int64),
+    members=np.empty(0, dtype=np.int64),
+    member_offsets=np.zeros(1, dtype=np.int64),
 )
 
 
@@ -297,8 +313,7 @@ class PageJoin:
 
     @cached_property
     def _whole_page(self) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.arange(len(self.k_len))
-        return _union_statistics(self.union, self.k_len, rows)
+        return _union_statistics(self.union, self.k_len)
 
     @property
     def kth(self) -> np.ndarray:
@@ -314,12 +329,12 @@ class PageJoin:
         self, rows: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(kth, k_inter)`` at ``rows`` (an index array: any order,
-        repeats allowed), or for the whole page when None — equal to
-        ``(kth[rows], k_inter[rows])``. Once the whole page's arrays
-        exist they are read; otherwise only ``rows`` are computed."""
-        if rows is None or "_whole_page" in self.__dict__:
-            kth, k_inter = self._whole_page
-            return (kth, k_inter) if rows is None else (kth[rows], k_inter[rows])
+        repeats allowed), equal to ``(kth[rows], k_inter[rows])`` and
+        computed for those rows alone; the whole page's (``kth`` /
+        ``k_inter``) when None."""
+        if rows is None:
+            return self._whole_page
+        rows = np.asarray(rows, dtype=np.int64)
         return _union_statistics(self.union, self.k_len[rows], rows)
 
     def intersections(self, rows: np.ndarray | None = None) -> np.ndarray:
@@ -536,8 +551,8 @@ def _join_rows(
     range-preserving takes the sketches' stored column ranges; any
     other row (``sum``, ``count``) the observed range of its sample.
 
-    The membership mask is kept, with the query's ranks, as the page's
-    :class:`UnionInputs`.
+    The members' positions are kept, with the query's ranks, as the
+    page's :class:`UnionInputs`.
     """
     n, q_size = len(candidates), query.size
     in_query, positions, offsets, cat_hashes = _membership_batch(table, candidates)
@@ -563,6 +578,9 @@ def _join_rows(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pair_rows, minlength=n), out=indptr[1:])
 
+    overlaps = np.bincount(member_rows, minlength=n)
+    member_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(overlaps, out=member_offsets[1:])
     exact = np.asarray([c.saw_all_keys for c in candidates], dtype=bool)
     exact &= query.saw_all_keys
 
@@ -594,32 +612,39 @@ def _join_rows(
             x_ranges=x_ranges,
             y_ranges=y_ranges,
         ),
-        overlaps=np.bincount(member_rows, minlength=n),
+        overlaps=overlaps,
         k_len=np.where(exact, 0, np.minimum(q_size, sizes)),
         exact=exact,
         union=UnionInputs(
             query_ranks=query_ranks,
             bits=query.bits,
             candidates=list(candidates),
-            in_query=in_query,
             offsets=offsets,
+            members=members,
+            member_offsets=member_offsets,
         ),
     )
 
 
 def _union_statistics(
-    union: UnionInputs, k_len: np.ndarray, rows: np.ndarray
+    union: UnionInputs, k_len: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eq. 1's ``(kth, k_inter)`` at ``rows`` of a page (``k_len`` is
-    theirs), in row blocks whose rank matrix fits the scratch bound."""
-    rows = np.asarray(rows, dtype=np.int64)
-    sizes = union.offsets[rows + 1] - union.offsets[rows]
-    blocks = _row_chunks(union.query_ranks.size + sizes.max(initial=0), rows.size)
-    if len(blocks) <= 1:
-        return _union_block(union, rows, sizes, k_len)
-    parts = [
-        _union_block(union, rows[lo:hi], sizes[lo:hi], k_len[lo:hi])
-        for lo, hi in blocks
+    """Eq. 1's ``(kth, k_inter)`` at ``rows`` of a page, or at every row
+    when None (``k_len`` is theirs), in row blocks whose rank matrix
+    fits the scratch bound. A whole page of one block is read in place;
+    other blocks are gathered with :meth:`UnionInputs.take`."""
+    offsets = union.offsets
+    if rows is None:
+        sizes = np.diff(offsets)
+    else:
+        sizes = offsets[rows + 1] - offsets[rows]
+    blocks = _row_chunks(union.query_ranks.size + sizes.max(initial=0), sizes.size)
+    if rows is None:
+        if len(blocks) == 1:
+            return _union_block(union, k_len)
+        rows = np.arange(sizes.size)
+    parts = [(np.ones(0), np.zeros(0, dtype=np.int64))] + [
+        _union_block(union.take(rows[lo:hi]), k_len[lo:hi]) for lo, hi in blocks
     ]
     return (
         np.concatenate([kth for kth, _ in parts]),
@@ -628,10 +653,10 @@ def _union_statistics(
 
 
 def _union_block(
-    union: UnionInputs, rows: np.ndarray, sizes: np.ndarray, k_len: np.ndarray
+    union: UnionInputs, k_len: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The union kernel: Eq. 1's ``(kth, k_inter)`` at ``rows`` (whose
-    candidates hold ``sizes`` entries).
+    """The union kernel: Eq. 1's ``(kth, k_inter)`` for every row of
+    ``union`` (``k_len`` is theirs).
 
     The rank-ordered union of query and candidate hashes is the
     query's ranks plus the candidate's *non-member* ranks. Laying
@@ -642,23 +667,18 @@ def _union_block(
     members ranked at or below it. A row with ``k_len`` 0 keeps
     ``(1.0, 0)``.
     """
-    n, q_size = rows.shape[0], union.query_ranks.size
+    n, q_size = k_len.shape[0], union.query_ranks.size
     kth = np.ones(n)
     k_inter = np.zeros(n, dtype=np.int64)
     live = k_len > 0
     if not live.any():
         return kth, k_inter
-    picked = rows.tolist()
+    sizes = np.diff(union.offsets)
     cat_ranks = to_unit_interval_batch(
-        np.concatenate([union.candidates[i].key_hashes for i in picked]),
-        union.bits,
+        np.concatenate([c.key_hashes for c in union.candidates]), union.bits
     )
-    bounds = union.offsets.tolist()
-    in_query = np.concatenate(
-        [union.in_query[bounds[i] : bounds[i + 1]] for i in picked]
-    )
-    members = np.flatnonzero(in_query)
-    member_rows = np.repeat(np.arange(n), sizes)[members]
+    members = union.members
+    member_rows = np.repeat(np.arange(n), np.diff(union.member_offsets))
     member_ranks = cat_ranks[members]
     cat_ranks[members] = np.inf
     max_size = int(sizes.max())

@@ -75,7 +75,11 @@ from repro.core.sketch import CorrelationSketch, SketchColumns
 from repro.index.catalog import SketchCatalog, check_scheme
 from repro.index.options import RETRIEVAL_BACKENDS, QueryOptions
 from repro.ranking.ranker import RankedCandidate, ranked_entries, top_rows
-from repro.ranking.scoring import apply_bootstrap, candidate_scores_batch
+from repro.ranking.scoring import (
+    DRAWING_SCORERS,
+    apply_bootstrap,
+    candidate_scores_batch,
+)
 
 __all__ = [
     "RETRIEVAL_BACKENDS",  # re-exported from repro.index.options
@@ -349,11 +353,6 @@ def _truths(
     return [true_correlations.get(sid, math.nan) for sid in ids]
 
 
-#: Scorers that draw from the query's generator: the PM1 bootstrap of
-#: ``rb_cib`` and the ``random`` baseline. The others rank without one.
-_DRAWING_SCORERS = ("rb_cib", "random")
-
-
 def rerank_pages(
     pages: list[CandidatePage],
     query_sketches: list[CorrelationSketch],
@@ -372,8 +371,8 @@ def rerank_pages(
     order: the PM1 bootstrap when the scorer reads it, the top-``k``
     rows, Eq. 1's containment estimate for those rows alone
     (:meth:`CandidatePage.containments` at ``rows``) and their records.
-    Only ``jc_est`` ranks by containment, so it — and a query whose
-    ``k`` covers its whole page — computes every row's before scoring.
+    Only ``jc_est`` ranks by containment, so it computes every row's
+    before scoring.
     Each query consumes rng exactly as a standalone
     :meth:`JoinCorrelationEngine.query` would — a fresh fixed-seed
     generator when ``rng`` is None (made only for a scorer that draws),
@@ -383,15 +382,15 @@ def rerank_pages(
     """
     tracing = traces is not None
     s0 = time.perf_counter() if tracing else 0.0
-    every_row = [scorer == "jc_est" or k >= len(page.ids) for page in pages]
+    every_row = scorer == "jc_est"
     stats = candidate_scores_batch(
         JoinedSamplePage.concat([page.samples for page in pages]),
         containment_ests=np.concatenate(
             [
                 page.containments(sketch.distinct_keys())
-                if whole
+                if every_row
                 else np.full(len(page.ids), np.nan)
-                for page, sketch, whole in zip(pages, query_sketches, every_row)
+                for page, sketch in zip(pages, query_sketches)
             ]
         ),
         with_bootstrap=False,
@@ -409,12 +408,12 @@ def rerank_pages(
         query_stats = stats[start : start + len(page.ids)]
         start += len(page.ids)
         query_rng = rng
-        if rng is None and scorer in _DRAWING_SCORERS:
+        if rng is None and scorer in DRAWING_SCORERS:
             query_rng = np.random.default_rng(7)
         if scorer == "rb_cib":
             apply_bootstrap(page.samples, query_stats, query_rng, rng_mode)
         top, scores = top_rows(page.ids, query_stats, scorer, rng=query_rng, k=k)
-        if not every_row[q]:
+        if not every_row:
             rows = np.asarray(top, dtype=np.int64)
             query_stats.containment_est[rows] = page.containments(
                 query_sketches[q].distinct_keys(), rows

@@ -65,6 +65,10 @@ from repro.core.joined_sample import JoinedSamplePage
 
 SCORER_NAMES = ("rp", "rp_sez", "rb_cib", "rp_cih", "jc", "jc_est", "random")
 
+#: The scorers that draw from a generator: the PM1 bootstrap of
+#: ``rb_cib`` and the ``random`` baseline. The others rank without one.
+DRAWING_SCORERS = ("rb_cib", "random")
+
 #: How scoring runs the PM1 bootstrap across a candidate page:
 #: ``"batched"`` (default) drives all candidates through the
 #: cross-candidate engine (:func:`repro.correlation.bootstrap

@@ -13,6 +13,7 @@ ranking) rank exactly like the engine and the session that string them
 together.
 """
 
+import contextlib
 import math
 import tracemalloc
 from collections.abc import Sequence
@@ -182,12 +183,30 @@ def test_row_chunking_does_not_change_the_page(page_input, cells):
 # -- the union statistics of any rows are the whole page's at those rows -----
 
 
+@contextlib.contextmanager
+def _union_rows_seen():
+    """Record how many rows each call of the union kernel is given."""
+    seen: list[int] = []
+    real = kernel_mod._union_block
+
+    def counted(union, k_len):
+        seen.append(int(k_len.shape[0]))
+        return real(union, k_len)
+
+    kernel_mod._union_block = counted
+    try:
+        yield seen
+    finally:
+        kernel_mod._union_block = real
+
+
 def _assert_rows_match_whole_page(fresh, whole, rows, d_query):
-    """``fresh`` has computed no union statistics yet; ``whole`` is the
-    same page (or its equal) with every row's computed."""
+    """``fresh`` is ``whole`` (or its equal); ``whole`` has every row's
+    union statistics computed."""
     rows = np.asarray(rows, dtype=np.int64)
-    kth, k_inter = fresh.union_statistics(rows)
-    assert "_whole_page" not in fresh.__dict__  # only ``rows`` were computed
+    with _union_rows_seen() as seen:
+        kth, k_inter = fresh.union_statistics(rows)
+    assert sum(seen) == rows.size  # only ``rows`` were computed
     assert kth.tobytes() == whole.kth[rows].tobytes()
     assert k_inter.tolist() == whole.k_inter[rows].tolist()
     assert (
@@ -554,32 +573,19 @@ def test_staged_seams_rank_like_engine_and_session(scorer):
     assert [s.sample_size for s in stats] == [s.size for s in page.samples]
 
 
-def _count_union_rows(monkeypatch) -> list[int]:
-    """Record how many rows each call of the union kernel is given."""
-    seen: list[int] = []
-    real = kernel_mod._union_block
-
-    def counted(union, rows, *args):
-        seen.append(int(rows.shape[0]))
-        return real(union, rows, *args)
-
-    monkeypatch.setattr(kernel_mod, "_union_block", counted)
-    return seen
-
-
-def test_a_query_computes_union_statistics_for_its_returned_rows(monkeypatch):
+def test_a_query_computes_union_statistics_for_its_returned_rows():
     """The served pipeline runs Eq. 1's union kernel over the ``k`` rows
-    it returns; ``jc_est`` (which ranks by it) and a ``k`` that covers
-    the page run it over every row, before ranking."""
+    it returns — every row when ``k`` covers the page; ``jc_est``, which
+    ranks by it, runs it over every row before ranking."""
     catalog, query = _corpus(seed=7, n_tables=110, n_rows=600)
     engine = JoinCorrelationEngine(catalog, retrieval_depth=100)
-    seen = _count_union_rows(monkeypatch)
-    result = engine.query(query, k=10, scorer="rp_cih")
+    with _union_rows_seen() as seen:
+        result = engine.query(query, k=10, scorer="rp_cih")
     assert result.candidates_considered == 100 and len(result.ranked) == 10
     assert seen == [10]
     for scorer, k in (("jc_est", 10), ("rp_cih", 100), ("rp_cih", 150)):
-        seen.clear()
-        engine.query(query, k=k, scorer=scorer)
+        with _union_rows_seen() as seen:
+            engine.query(query, k=k, scorer=scorer)
         assert sum(seen) == 100, (scorer, k)
 
 
